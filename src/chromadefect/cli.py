@@ -1,11 +1,12 @@
 """Command-line surface: job configs, artifact caching, engine dispatch.
 
 Every subcommand builds a JobConfig, turns it into a canonical JSON
-blob, and uses the blob's sha256 as the cache key.  Artifacts are pure
-functions of the config: no timestamps, no thread-count dependence, no
-filesystem paths inside the bytes.  Exit codes: 0 success, 2 config or
-input validation, 3 engine-level failure (a computation that refused
-to certify itself).
+blob, and uses the sha256 of the blob and of the package's own sources
+as the cache key, so a changed engine never reads an older engine's
+bytes.  Artifacts are pure functions of the config: no timestamps, no
+thread-count dependence, no filesystem paths inside the bytes.  Exit
+codes: 0 success, 2 config or input validation, 3 engine-level failure
+(a computation that refused to certify itself).
 """
 
 import argparse
@@ -84,7 +85,19 @@ class JobConfig:
         return json.dumps(blob, sort_keys=True, separators=(",", ":"))
 
     def key(self) -> str:
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+        """Cache key: the canonical config plus the engine fingerprint."""
+        blob = self.canonical() + "\n" + _engine_fingerprint()
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _engine_fingerprint() -> str:
+    """sha256 over the package's .py sources, by relative path."""
+    root = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def _check_prime(p) -> int:
@@ -275,11 +288,13 @@ def cache_load(key):
         return None
     try:
         blob = json.loads(path.read_text(encoding="utf-8"))
+        if blob["key"] != key:
+            return None  # entry filed under the wrong name
         return {
             name: base64.b64decode(data)
             for name, data in blob["artifacts"].items()
         }
-    except (ValueError, KeyError, OSError):
+    except (ValueError, KeyError, TypeError, OSError):
         return None  # corrupt entry: fall through to recompute
 
 
@@ -388,8 +403,12 @@ def _config_from_args(args) -> JobConfig:
         params["subalgebra"] = args.subalgebra
         params["input_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     elif args.subcommand == "fgl":
-        params["n"] = _check_positive("height", args.n)
-        params["cap"] = None if args.cap is None else _check_positive("cap", args.cap)
+        n = params["n"] = _check_positive("height", args.n)
+        if args.cap is not None and args.cap < 2**n + 1:
+            raise ConfigError(
+                f"cap {args.cap} cannot see degree {2**n}; need at least {2**n + 1}"
+            )
+        params["cap"] = args.cap
     elif args.subcommand == "defect":
         params["stem_cap"] = _check_positive("stem cap", args.cap)
     elif args.subcommand == "ko-ss":
@@ -421,8 +440,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    key = cfg.key()
-    artifacts = cache_load(key) if cfg.use_cache else None
+    key = cfg.key() if cfg.use_cache else None
+    artifacts = cache_load(key) if key else None
     if artifacts is None:
         try:
             artifacts = run_job(cfg)

@@ -12,6 +12,14 @@ associativity modulo the cap at construction, so any value of that
 type in flight is a certified law.  The height-n constructions run
 over exact rationals first and reduce mod p behind an integrality
 gate, keeping a single code path with a strong internal check.
+
+The ER(n) defect witness reads only two univariate series per height,
+the doubling series [2](x) and the formal inverse [-1](x), so it never
+builds the bivariate law.  `honda_multiple` solves log(f) = c log(x)
+for the Honda logarithm degree by degree on dense rational coefficient
+lists, recomputes log(f) a second way to certify the solution, and
+reduces mod p behind the same integrality gate.  The bivariate
+`honda_fgl` with `m_series` and `formal_inverse` stays as its oracle.
 """
 
 import math
@@ -751,16 +759,125 @@ def honda_fgl(p: int, n: int, cap: int) -> FormalGroupLaw:
         ring, cap, ("x", "y"), {(0, e): c for (e,), c in log.terms.items()}
     )
     rational = exp.substitute(lift_x + lift_y)
-    fp = PrimeField(p)
+    reduced = _reduce_mod_p(rational.terms, p)
+    return FormalGroupLaw(TruncatedSeries._make(PrimeField(p), cap, ("x", "y"), reduced))
+
+
+def _reduce_mod_p(terms, p):
+    """Reduce rational coefficients mod p, refusing any with p in the
+    denominator: the Honda constructions are p-integral, so a hit here
+    means the arithmetic itself broke."""
     reduced = {}
-    for mono, c in rational.terms.items():
+    for mono, c in terms.items():
         if c.denominator % p == 0:
             raise ValueError(
                 f"coefficient {c} at {mono} is not {p}-integral; "
                 "the exponential arithmetic is broken"
             )
         reduced[mono] = (c.numerator * pow(c.denominator, -1, p)) % p
-    return FormalGroupLaw(TruncatedSeries._make(fp, cap, ("x", "y"), reduced))
+    return reduced
+
+
+# ---------------------------------------------------------------------------
+# univariate multiples of a Honda law, on dense coefficient lists
+
+
+def _dense_mul(a, b, cap):
+    """Product of two coefficient lists of length cap + 1, truncated at
+    the cap."""
+    out = [0] * (cap + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(cap + 1 - i):
+                if b[j]:
+                    out[i + j] += ai * b[j]
+    return out
+
+
+def _dense_pow(a, e, cap):
+    """a^e for e >= 1 by repeated squaring."""
+    result = None
+    while True:
+        if e & 1:
+            result = a if result is None else _dense_mul(result, a, cap)
+        e >>= 1
+        if not e:
+            return result
+        a = _dense_mul(a, a, cap)
+
+
+def _solve_log_multiple(log_terms, c, cap):
+    """Dense coefficients of f with log(f) = c log(x) through the cap.
+
+    log_terms lists (q, w) for the logarithm's terms w x^q in rising
+    degree, starting with (1, 1).  Write f = x u, so u_0 = c.  The
+    degree-k coefficient of log(f) is u_(k-1) plus, for each q > 1, w
+    times the degree k - q coefficient of u^q, which only involves
+    u_0..u_(k-2); so each u_(k-1) is solved outright.  Each power u^q
+    grows by J. C. P. Miller's recurrence as soon as the coefficients
+    it needs are known.
+    """
+    target = dict(log_terms)
+    higher = log_terms[1:]
+    u = [c]
+    powers = {q: [c**q] for q, _ in higher}
+    for k in range(2, cap + 1):
+        acc = c * target.get(k, 0)
+        for q, w in higher:
+            j = k - q
+            if j < 0:
+                break
+            pw = powers[q]
+            if len(pw) == j:
+                # j u_0 pw_j = sum over t of ((q + 1) t - j) u_t pw_(j-t)
+                s = sum(((q + 1) * t - j) * u[t] * pw[j - t] for t in range(1, j + 1))
+                pw.append(s / (j * c))
+            acc -= w * pw[j]
+        u.append(acc)
+    return [Fraction(0)] + u
+
+
+def _check_log_multiple(log_terms, c, f, cap):
+    """Recompute log(f) by plain repeated squaring and refuse unless it
+    equals c log(x) through the cap."""
+    got = [0] * (cap + 1)
+    power, prev = f, 1
+    for q, w in log_terms:
+        power = _dense_pow(power, q // prev, cap)
+        prev = q
+        for k in range(q, cap + 1):
+            got[k] += w * power[k]
+    expected = [0] * (cap + 1)
+    for q, w in log_terms:
+        expected[q] = c * w
+    bad = [k for k in range(cap + 1) if got[k] != expected[k]]
+    if bad:
+        raise ValueError(
+            f"log of the solved series differs from {c} log(x) in degree {bad[0]}; "
+            "the series arithmetic is broken"
+        )
+
+
+def honda_multiple(p: int, n: int, c, cap: int) -> TruncatedSeries:
+    """The series [c](x) of the height-n Honda law over F_p, to the cap.
+
+    Over the rationals [c](x) = exp(c log x) for the Honda logarithm,
+    so it is solved from log(f) = c log(x) without building the
+    bivariate law; c is a nonzero rational, and [2](x) and [-1](x),
+    the doubling series and the formal inverse, are the cases the
+    defect witness reads.  The solution is certified by recomputing
+    log(f) independently, then reduced mod p behind the integrality
+    gate, which refuses a c whose multiple is not p-integral.
+    """
+    log = honda_logarithm(p, n, cap)
+    c = Fraction(c)
+    if not c:
+        raise ValueError("the multiple must be nonzero")
+    log_terms = sorted((q, w) for (q,), w in log.terms.items())
+    f = _solve_log_multiple(log_terms, c, cap)
+    _check_log_multiple(log_terms, c, f, cap)
+    reduced = _reduce_mod_p({(k,): v for k, v in enumerate(f) if v}, p)
+    return TruncatedSeries._make(PrimeField(p), cap, ("x",), reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +924,7 @@ def er_defect_witness(n: int, cap=None):
     for the real fixed point theories at p = 2, value 2^n.
 
     Upper bound: for every height h <= n law the doubling series
-    F(x, x) carries a unit coefficient in degree 2^h <= 2^n, so a
+    [2](x) carries a unit coefficient in degree 2^h <= 2^n, so a
     formal inverse congruent to x through degree 2^n would force the
     doubling series to vanish there, a contradiction; the report
     records both the doubling degrees and the failure of each jet
@@ -817,6 +934,14 @@ def er_defect_witness(n: int, cap=None):
     instantiates the bound at the height-h points over F_2 only; the
     statement over an arbitrary base with the top unit inverted is not
     certified by this computation.
+
+    Both series come from `honda_multiple`, which solves them from the
+    Honda logarithm without building the bivariate law.  Every call
+    certifies them twice: log([c](x)) is recomputed independently and
+    must equal c log(x) through the cap, and the 2-integrality gate
+    guards the reduction to F_2.  `m_series(honda_fgl(2, h, cap), 2)`
+    and `formal_inverse(honda_fgl(2, h, cap))` compute the same series
+    from the validated bivariate law and serve as the oracle.
     """
     if n < 1:
         raise ValueError("height must be at least 1")
@@ -825,16 +950,15 @@ def er_defect_witness(n: int, cap=None):
         cap = target + 8
     if cap < target + 1:
         raise ValueError(f"cap {cap} cannot see degree {target}; need at least {target + 1}")
+    x = TruncatedSeries.variable(PrimeField(2), cap)
     doubling = {}
     obstructed = {}
     upper = True
     deviation = None
     lower = False
     for h in range(1, n + 1):
-        F = honda_fgl(2, h, cap)
-        x = F.x()
-        two = m_series(F, 2)
-        inv = formal_inverse(F)
+        two = honda_multiple(2, h, 2, cap)
+        inv = honda_multiple(2, h, -1, cap)
         doubling[h] = two.min_degree()
         obstructed[h] = not jet_equal(inv, x, target)
         upper = upper and doubling[h] == 2**h and obstructed[h]

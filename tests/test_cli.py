@@ -1,0 +1,108 @@
+"""Command-line contract: artifact bytes, exit codes and the cache.
+
+The files under tests/golden/ were written by the engine before the
+univariate defect witness replaced the bivariate one, with
+
+    CHROMADEFECT_CACHE=<empty dir> python -m chromadefect.cli <job> \\
+        --no-cache --format json --format tsv --out tests/golden/<name>
+
+for each job in GOLDEN.  Any change to the artifact bytes of those jobs
+fails here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from chromadefect import cli
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = {
+    "fgl_n1": ["fgl", "--n", "1"],
+    "fgl_n2": ["fgl", "--n", "2"],
+    "fgl_n3": ["fgl", "--n", "3"],
+    "fgl_n4": ["fgl", "--n", "4"],
+    "defect_cap8": ["defect", "--cap", "8"],
+}
+FORMATS = ["--format", "json", "--format", "tsv"]
+
+
+@pytest.fixture(autouse=True)
+def cache_dir(tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(root))
+    return root
+
+
+def run(argv, out):
+    return cli.main([*argv, *FORMATS, "--out", str(out)])
+
+
+def written(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifacts_match_golden_bytes(name, tmp_path):
+    out = tmp_path / "out"
+    assert run([*GOLDEN[name], "--no-cache"], out) == cli.EXIT_OK
+    assert written(out) == written(GOLDEN_DIR / name)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fgl", "--n", "3", "--cap", "4"], "cannot see degree 8"),
+        (["fgl", "--n", "3", "--cap", "8"], "need at least 9"),
+        (["fgl", "--n", "0"], "height must be positive"),
+    ],
+)
+def test_bad_fgl_flags_exit_2(argv, message, tmp_path, capsys):
+    assert run([*argv, "--no-cache"], tmp_path / "out") == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_smallest_fgl_cap_runs(tmp_path):
+    out = tmp_path / "out"
+    assert run(["fgl", "--n", "3", "--cap", "9", "--no-cache"], out) == cli.EXIT_OK
+    assert json.loads((out / "fgl_er3.json").read_text())["cap"] == 9
+
+
+def test_cache_hit_serves_the_same_bytes(tmp_path, capsys, cache_dir):
+    assert run(["fgl", "--n", "2"], tmp_path / "a") == cli.EXIT_OK
+    assert "cache hit" not in capsys.readouterr().err
+    assert run(["fgl", "--n", "2"], tmp_path / "b") == cli.EXIT_OK
+    assert "cache hit" in capsys.readouterr().err
+    assert written(tmp_path / "b") == written(tmp_path / "a")
+    assert len(list(cache_dir.glob("*.json"))) == 1
+
+
+def test_engine_change_misses_the_cache(tmp_path, capsys, cache_dir, monkeypatch):
+    assert run(["fgl", "--n", "2"], tmp_path / "a") == cli.EXIT_OK
+    monkeypatch.setattr(cli, "_engine_fingerprint", lambda: "0" * 64)
+    assert run(["fgl", "--n", "2"], tmp_path / "b") == cli.EXIT_OK
+    assert "cache hit" not in capsys.readouterr().err
+    assert len(list(cache_dir.glob("*.json"))) == 2
+
+
+def test_entry_with_a_foreign_key_is_rejected(tmp_path, capsys, cache_dir):
+    args = cli.build_parser().parse_args(["fgl", "--n", "2", *FORMATS])
+    key = cli._config_from_args(args).key()
+    cli.cache_store("f" * 64, {"fgl_er2.json": b"stale\n"})
+    (cache_dir / f"{'f' * 64}.json").rename(cache_dir / f"{key}.json")
+    assert cli.cache_load(key) is None
+    out = tmp_path / "out"
+    assert run(["fgl", "--n", "2"], out) == cli.EXIT_OK
+    assert "cache hit" not in capsys.readouterr().err
+    assert written(out) == written(GOLDEN_DIR / "fgl_n2")
+
+
+def test_no_cache_skips_the_fingerprint(tmp_path, monkeypatch, cache_dir):
+    def refuse():
+        raise AssertionError("fingerprint computed with the cache off")
+
+    monkeypatch.setattr(cli, "_engine_fingerprint", refuse)
+    assert run(["fgl", "--n", "1", "--no-cache"], tmp_path / "out") == cli.EXIT_OK
+    assert not cache_dir.exists()

@@ -7,11 +7,15 @@ Oracles used here:
   * the functional equation of the p-typical logarithm, which forces
     [p](x) = x^(p^n) exactly mod p,
   * binomial expansions over exact rationals,
-  * jets and caps checked against independently built polynomial data.
+  * jets and caps checked against independently built polynomial data,
+  * the bivariate Honda law (`honda_fgl` with `m_series` and
+    `formal_inverse`) for the univariate series of `honda_multiple`, and
+    the bivariate defect witness kept below for `er_defect_witness`.
 """
 
 import json
 import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,11 +34,14 @@ from chromadefect.fgl import (
     height,
     honda_fgl,
     honda_logarithm,
+    honda_multiple,
     jet_equal,
     m_series,
     ring_from_descriptor,
 )
 from fractions import Fraction
+
+import chromadefect.fgl as fgl_module
 
 QQ = RationalField()
 F2 = PrimeField(2)
@@ -426,7 +433,8 @@ class TestConjugation:
 
 class TestDefectWitness:
     def test_both_bounds_for_small_heights(self):
-        for n in (1, 2, 3):
+        # heights 5 and 6 took minutes through the bivariate law
+        for n in (1, 2, 3, 4, 5, 6):
             report = er_defect_witness(n)
             assert report["cap"] == 2**n + 8
             assert report["upper_bound_ok"] and report["lower_bound_ok"]
@@ -476,3 +484,96 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             TruncatedSeries.from_json({"ring": {"kind": "rationals"}})
+
+
+@lru_cache(maxsize=None)
+def _law(p, h, cap):
+    return honda_fgl(p, h, cap)
+
+
+def _bivariate_witness(n, cap=None):
+    """The defect witness read off the validated bivariate Honda law."""
+    target = 2**n
+    if cap is None:
+        cap = target + 8
+    doubling = {}
+    obstructed = {}
+    upper = True
+    deviation = None
+    lower = False
+    for h in range(1, n + 1):
+        F = _law(2, h, cap)
+        x = F.x()
+        two = m_series(F, 2)
+        inv = formal_inverse(F)
+        doubling[h] = two.min_degree()
+        obstructed[h] = not jet_equal(inv, x, target)
+        upper = upper and doubling[h] == 2**h and obstructed[h]
+        if h == n:
+            deviation = (inv - x).min_degree()
+            lower = jet_equal(inv, x, target - 1) and deviation == target
+    return {
+        "n": n,
+        "cap": cap,
+        "doubling_degrees": doubling,
+        "inverse_obstructed": obstructed,
+        "inverse_deviation_degree": deviation,
+        "upper_bound_ok": upper,
+        "lower_bound_ok": lower,
+    }
+
+
+class TestHondaMultiple:
+    @pytest.mark.parametrize("p, h", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
+    def test_agrees_with_the_bivariate_law(self, p, h):
+        for cap in (p**h + 1, p**h + 8):
+            F = _law(p, h, cap)
+            got_p = honda_multiple(p, h, p, cap)
+            got_inv = honda_multiple(p, h, -1, cap)
+            want_p = m_series(F, p)
+            want_inv = formal_inverse(F)
+            for k in range(cap + 1):
+                assert got_p.coefficient(k) == want_p.coefficient(k), (p, h, cap, k)
+                assert got_inv.coefficient(k) == want_inv.coefficient(k), (p, h, cap, k)
+            assert got_p == want_p and got_inv == want_inv
+
+    def test_p_series_is_a_single_power(self):
+        assert honda_multiple(2, 3, 2, 20).terms == {(8,): 1}
+        assert honda_multiple(3, 1, 3, 20).terms == {(3,): 1}
+
+    def test_integrality_gate(self):
+        # [1/2](x) has linear coefficient 1/2, which has no value mod 2
+        with pytest.raises(ValueError, match="not 2-integral"):
+            honda_multiple(2, 1, Fraction(1, 2), 9)
+        assert honda_multiple(3, 1, Fraction(1, 2), 9).coefficient(1) == 2
+
+    @pytest.mark.parametrize("degree", [2, 5, 12])
+    def test_log_check_catches_a_corrupted_coefficient(self, monkeypatch, degree):
+        solve = fgl_module._solve_log_multiple
+
+        def corrupted(log_terms, c, cap):
+            f = solve(log_terms, c, cap)
+            f[degree] += 2
+            return f
+
+        monkeypatch.setattr(fgl_module, "_solve_log_multiple", corrupted)
+        with pytest.raises(ValueError, match=f"log\\(x\\) in degree {degree};"):
+            honda_multiple(2, 2, 2, 12)
+        with pytest.raises(ValueError, match="log of the solved series"):
+            er_defect_witness(2)
+
+    def test_guards(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            honda_multiple(2, 1, 0, 8)
+        with pytest.raises(ValueError, match="not prime"):
+            honda_multiple(4, 1, 2, 8)
+
+
+class TestWitnessAgainstBivariateReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reports_equal(self, n):
+        assert er_defect_witness(n) == _bivariate_witness(n)
+
+    def test_reports_equal_at_tight_and_wide_caps(self):
+        for n, cap in ((2, 5), (3, 9), (2, 17)):
+            assert er_defect_witness(n, cap) == _bivariate_witness(n, cap)
