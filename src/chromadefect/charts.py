@@ -3,9 +3,9 @@
 A chart is dots on the (stem, filtration) plane with optional
 structure lines (multiplication by a named class of stem 1) and
 differential arrows.  Documents are built from recomputed engine data,
-exported to TSV, parsed back, and rendered; every code path keeps a
-fixed element order and fixed numeric formatting so the same document
-always produces the same bytes.
+exported to TSV and rendered; every code path keeps a fixed element
+order and fixed numeric formatting so the same document always produces
+the same bytes.
 """
 
 from .may import may_d1
@@ -17,7 +17,6 @@ __all__ = [
     "chart_from_may_page",
     "chart_from_snapshot",
     "chart_to_tsv",
-    "chart_from_tsv",
     "render_chart",
 ]
 
@@ -169,44 +168,6 @@ def chart_to_tsv(doc: ChartDocument) -> str:
     for r, (s, f), (s2, f2) in doc.arrows:
         lines.append(f"arrow\t{r}\t{s}\t{f}\t{s2}\t{f2}\t-\t")
     return "\n".join(lines) + "\n"
-
-
-def chart_from_tsv(text: str) -> ChartDocument:
-    """Inverse of chart_to_tsv."""
-    title = ""
-    stem_range = fil_range = None
-    arrow_rule = "page-step"
-    dots, lines, arrows = {}, [], []
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if parts[0] == "# chart":
-            title = parts[1] if len(parts) > 1 else ""
-            continue
-        if parts[0] == "# stems":
-            stem_range = (int(parts[1]), int(parts[2]))
-            continue
-        if parts[0] == "# filtrations":
-            fil_range = (int(parts[1]), int(parts[2]))
-            continue
-        if parts[0] == "# arrow-rule":
-            arrow_rule = parts[1]
-            continue
-        if parts[0] in ("kind", ""):
-            continue
-        kind, name, s, f, s2, f2, mult, label = (parts + [""] * 8)[:8]
-        if kind == "dot":
-            dots[(int(s), int(f))] = (int(mult), label)
-        elif kind == "line":
-            lines.append((name, (int(s), int(f)), (int(s2), int(f2))))
-        elif kind == "arrow":
-            arrows.append((int(name), (int(s), int(f)), (int(s2), int(f2))))
-        else:
-            raise ValueError(f"unknown chart row kind {kind!r}")
-    if stem_range is None or fil_range is None:
-        raise ValueError("chart TSV is missing axis ranges")
-    return ChartDocument(title, dots, lines, arrows, stem_range, fil_range, arrow_rule)
 
 
 DEFAULT_STYLE = {

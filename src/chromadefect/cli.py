@@ -3,10 +3,10 @@
 Every subcommand builds a JobConfig, turns it into a canonical JSON
 blob, and uses the sha256 of the blob and of the package's own sources
 as the cache key, so a changed engine never reads an older engine's
-bytes.  Artifacts are pure functions of the config: no timestamps, no
-thread-count dependence, no filesystem paths inside the bytes.  Exit
-codes: 0 success, 2 config or input validation, 3 engine-level failure
-(a computation that refused to certify itself).
+bytes.  Artifacts are pure functions of the config: no timestamps and
+no filesystem paths inside the bytes.  Exit codes: 0 success, 2 config
+or input validation, 3 engine-level failure (a computation that refused
+to certify itself).
 """
 
 import argparse
@@ -61,23 +61,18 @@ class JobConfig:
 
     `params` is the canonical payload: everything that can change the
     artifact bytes goes in, everything that cannot (output directory,
-    cache toggle, worker count) stays out, so the cache key never
-    splits on plumbing.
+    cache toggle) stays out, so the cache key never splits on plumbing.
     """
 
-    __slots__ = ("subcommand", "params", "out_dir", "use_cache", "workers", "payload")
+    __slots__ = ("subcommand", "params", "out_dir", "use_cache", "payload")
 
-    def __init__(self, subcommand, params, out_dir=".", use_cache=True,
-                 workers=1, payload=None):
+    def __init__(self, subcommand, params, out_dir=".", use_cache=True, payload=None):
         if subcommand not in FORMAT_POLICY:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
-        if workers < 1:
-            raise ConfigError("workers must be at least 1")
         self.subcommand = subcommand
         self.params = dict(params)
         self.out_dir = out_dir
         self.use_cache = use_cache
-        self.workers = workers
         self.payload = payload
 
     def canonical(self) -> str:
@@ -143,7 +138,7 @@ def cmd_ext(cfg: JobConfig):
     stem_max = cfg.params["stem_max"]
     profile = getattr(Profile, fam)(p, n)
     module = Comodule.trivial(profile)
-    chart = ext_ranks(profile, module, s_max, stem_max + s_max, workers=cfg.workers)
+    chart = ext_ranks(profile, module, s_max, stem_max + s_max)
     base = f"ext_{fam.lower()}{n}_p{p}"
     out = {}
     if "tsv" in cfg.params["formats"]:
@@ -183,8 +178,13 @@ def cmd_may(cfg: JobConfig):
 
 
 def cmd_margolis(cfg: JobConfig):
-    module = FiniteSteenrodModule.from_json(cfg.payload)
-    verdict = is_free_over(module, cfg.params["subalgebra"])
+    # every ValueError here is a verdict on the input: a malformed or
+    # inconsistent module, an unknown subalgebra, or a missing operator
+    try:
+        module = FiniteSteenrodModule.from_json(cfg.payload)
+        verdict = is_free_over(module, cfg.params["subalgebra"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     report = verdict.to_json()
     base = "margolis_verdict"
     out = {}
@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
             dest="formats",
             help="output format; repeatable (default depends on the subcommand)",
         )
-        sp.add_argument("--workers", type=int, default=1, help="worker threads for the engine")
 
     sp = sub.add_parser("ext", help="Ext rank chart of the trivial comodule")
     sp.add_argument("--prime", type=int, default=2)
@@ -422,7 +421,6 @@ def _config_from_args(args) -> JobConfig:
         params,
         out_dir=args.out,
         use_cache=not args.no_cache,
-        workers=args.workers,
         payload=payload,
     )
 

@@ -15,8 +15,6 @@ concatenation, which satisfies the Leibniz rule with the cohomological
 sign, making named-class bookkeeping sound.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .gradedlin import (
     PrimeFieldMatrix,
     SparseEchelonGF2,
@@ -25,7 +23,7 @@ from .gradedlin import (
     vec_is_zero,
     vec_support,
 )
-from .steenrod import Comodule, cotensor_comodule, tau_gen, xi_gen
+from .steenrod import Comodule, cotensor_comodule, elt_add_term, tau_gen, xi_gen
 
 __all__ = [
     "CobarComplex",
@@ -236,27 +234,16 @@ class CobarComplex:
         p = self.p
         s = len(letters)
         acc = {}
-
-        def add(w, c):
-            c %= p
-            if not c:
-                return
-            cur = (acc.get(w, 0) + c) % p
-            if cur:
-                acc[w] = cur
-            else:
-                acc.pop(w, None)
-
         for i, a in enumerate(letters):
             sign = -1 if (i + 1) % 2 else 1
             for left, right, c in self.profile.reduced_diagonal(a):
                 w = letters[:i] + (left, right) + letters[i + 1 :]
-                add((w, name), sign * c)
+                elt_add_term(p, acc, (w, name), sign * c)
         sign = -1 if (s + 1) % 2 else 1
         for mono, c, target in self.module.coaction[name]:
             if mono.is_unit():
                 continue
-            add((letters + (mono,), target), sign * c)
+            elt_add_term(p, acc, (letters + (mono,), target), sign * c)
         return list(acc.items())
 
     # homology ----------------------------------------------------------
@@ -398,12 +385,8 @@ def _multiset_name(letters, multiset):
     return "*".join(parts) if parts else "1"
 
 
-def ext_ranks(profile, module, s_max, t_max, workers=1, with_names=True):
-    """Ext^{s,t} dims over a profile quotient, as an ExtChart.
-
-    Columns (fixed t) are independent; workers > 1 evaluates them
-    concurrently with a deterministic merge.
-    """
+def ext_ranks(profile, module, s_max, t_max, with_names=True):
+    """Ext^{s,t} dims over a profile quotient, as an ExtChart."""
     complexes = CobarComplex(profile, module, s_max, t_max)
     chart = ExtChart(
         profile.p,
@@ -411,25 +394,15 @@ def ext_ranks(profile, module, s_max, t_max, workers=1, with_names=True):
         s_max,
         t_max,
     )
-
-    def column(t):
-        col = [(s, complexes.ext_dim(s, t)) for s in range(0, min(s_max, t) + 1)]
+    for t in range(t_max + 1):
+        for s in range(0, min(s_max, t) + 1):
+            d = complexes.ext_dim(s, t)
+            if d:
+                chart.dims[(s, t)] = d
         if not with_names:
             # dims-only runs never revisit the words, and the big columns
             # hold millions of them
             complexes.release_column(t)
-        return col
-
-    ts = list(range(t_max + 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(column, ts))
-    else:
-        results = [column(t) for t in ts]
-    for t, col in zip(ts, results):
-        for s, d in col:
-            if d:
-                chart.dims[(s, t)] = d
     if with_names:
         _attach_names(chart, complexes)
     chart._complex = complexes
@@ -563,7 +536,7 @@ def obstruction_stems(p, n, stem_max):
     return sorted(stems)
 
 
-def evenness_scan(n, p, module, stem_max, s_max=None, workers=1):
+def evenness_scan(n, p, module, stem_max, s_max=None):
     """Scan Ext over the exterior height-n family for classes in the
     obstruction bidegrees (s >= 2).  Empty = certified through stem_max.
 
@@ -583,7 +556,7 @@ def evenness_scan(n, p, module, stem_max, s_max=None, workers=1):
     if not stems:
         return ScanReport([], [], (2, s_max), warning="window below every obstruction stem")
     t_max = stem_max + s_max
-    chart = ext_ranks(family, module, s_max, t_max, workers=workers, with_names=False)
+    chart = ext_ranks(family, module, s_max, t_max, with_names=False)
     offenders = []
     stem_set = set(stems)
     for (s, t), d in sorted(chart.dims.items()):
@@ -593,14 +566,14 @@ def evenness_scan(n, p, module, stem_max, s_max=None, workers=1):
     return ScanReport(offenders, stems, (2, s_max))
 
 
-def change_of_rings_check(outer, inner, module, s_max, t_max, workers=1):
+def change_of_rings_check(outer, inner, module, s_max, t_max):
     """Ext_inner(F_p, M) vs Ext_outer(F_p, cotensor) through the caps.
 
     Returns (equal, inner_dims, outer_dims).
     """
-    inner_chart = ext_ranks(inner, module, s_max, t_max, workers=workers, with_names=False)
+    inner_chart = ext_ranks(inner, module, s_max, t_max, with_names=False)
     coinduced = cotensor_comodule(outer, inner, module, t_max)
-    outer_chart = ext_ranks(outer, coinduced, s_max, t_max, workers=workers, with_names=False)
+    outer_chart = ext_ranks(outer, coinduced, s_max, t_max, with_names=False)
     return (
         inner_chart.dims == outer_chart.dims,
         inner_chart.dims,

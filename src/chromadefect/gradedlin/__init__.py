@@ -6,7 +6,6 @@ from .backend import (
     gf2_eliminate,
     gf2_rank,
     gf2_reduce,
-    sparse_gf2_rank,
 )
 from .integers import (
     AbelianGroupPresentation,
@@ -49,7 +48,6 @@ __all__ = [
     "lattice_row_basis",
     "quotient_presentation",
     "smith_normal_form",
-    "sparse_gf2_rank",
     "subquotient",
     "vec_add",
     "vec_entry",

@@ -25,11 +25,3 @@ SparseEchelonGF2 = _impl.SparseEchelonGF2
 
 def gf2_rank(rows, ncols):
     return gf2_eliminate(rows, ncols)[0]
-
-
-def sparse_gf2_rank(rows, ncols):
-    """Rank of a sparse F2 matrix given as an iterable of row supports."""
-    ech = SparseEchelonGF2(ncols)
-    for row in rows:
-        ech.add_row(row)
-    return ech.rank

@@ -9,6 +9,12 @@ homology; a finite module is free over one of the standard subalgebras
 exactly when all of those homologies vanish, and that is the test
 is_free_over runs.
 
+A finite comodule over a finite profile quotient (steenrod.Comodule)
+becomes such a module through dual_module, which lets each Margolis
+operation of the family act by slicing the coaction.  Cofreeness of the
+comodule is then the same vanishing test (cofree_decompose), at every
+prime.
+
 Square-zero operator lists come from the height profile of the dual
 quotient.  Spelled out at p = 2 through level 3:
 
@@ -39,6 +45,8 @@ from .steenrod import (
     milnor_product,
     milnor_q,
     operator_basis,
+    tau_gen,
+    xi_gen,
 )
 
 __all__ = [
@@ -46,7 +54,9 @@ __all__ = [
     "FiniteSteenrodModule",
     "MargolisHomology",
     "MargolisVerdict",
+    "cofree_decompose",
     "cp_module",
+    "dual_module",
     "free_module",
     "is_free_over",
     "margolis_homology",
@@ -580,6 +590,86 @@ def is_free_over(module, subalgebra):
                 witness = (op, d, h.witnesses[d][0])
     rank = module.dim() // subalgebra_dimension(module.p, kind, level) if free else None
     return MargolisVerdict(subalgebra, tuple(ops), homology, free, rank, witness)
+
+
+# ---------------------------------------------------------------------------
+# comodules over finite families
+
+
+def _dual_operations(profile):
+    """(operator name, dual monomial) per Margolis operation of a finite
+    family, in family_margolis_indices order."""
+    p = profile.p
+    xi_ops, tau_ops = family_margolis_indices(profile)
+    step = 2 if profile.even_only else 1
+    out = []
+    for t, s in xi_ops:
+        name = f"P({t},{s + 1})" if profile.even_only else f"P({t},{s})"
+        out.append((name, xi_gen(p, t, step * p**s)))
+    for t in tau_ops:
+        out.append((f"Q({t})", tau_gen(p, t)))
+    return out
+
+
+def dual_module(comodule):
+    """A finite comodule as a module over its family's Margolis operations.
+
+    One operator per entry of family_margolis_indices: P(t,s) dual to
+    xi_t^(p^s) (named P(t,s+1) and dual to xi_t^(2^(s+1)) in the
+    even-only case) and Q(t) dual to tau_t.  Each acts by slicing the
+    coaction at its monomial: it sends m to the sum of c * m' over the
+    coaction terms (monomial, c, m').  The dual operations lower
+    comodule degree, so the basis is graded by the negated comodule
+    degree.
+    """
+    profile = comodule.profile
+    actions = {}
+    for op, mono in _dual_operations(profile):
+        actions[op] = {
+            src: [(c, tgt) for m, c, tgt in comodule.coaction[src] if m == mono]
+            for src in comodule.names
+        }
+    basis = [(n, -comodule.degree_of[n]) for n in comodule.names]
+    return FiniteSteenrodModule(profile.p, basis, actions, even_only=profile.even_only)
+
+
+def cofree_decompose(comodule):
+    """Decide cofreeness of an even comodule over a finite even family.
+
+    The comodule is cofree exactly when every Margolis homology of its
+    dual_module vanishes; at odd primes the P(t,s) homology is taken
+    against the (p-1)-fold power, as in margolis_homology.  Returns
+    (True, sorted cogenerator degrees) or (False, witness), where
+    witness is (operator, total homology dimension) for the first
+    operation in family_margolis_indices order with nonvanishing
+    homology.  Cogenerator degrees come from dividing Poincare series.
+    """
+    profile = comodule.profile
+    if profile.p == 2 and not profile.even_only:
+        raise ValueError("expected an even-only family at p = 2")
+    if not comodule.is_even():
+        raise ValueError("module must be evenly graded")
+    module = dual_module(comodule)
+    for op, _ in _dual_operations(profile):
+        total = margolis_homology(module, op).total
+        if total:
+            return False, (op, total)
+    fam = profile.poincare(max(comodule.degrees(), default=0))
+    work = comodule.poincare()
+    cogens = []
+    for d in range(len(work)):
+        c = work[d]
+        if c < 0:
+            return False, ("series", d)
+        if not c:
+            continue
+        cogens.extend([d] * c)
+        for k, b in enumerate(fam):
+            if d + k < len(work):
+                work[d + k] -= c * b
+    if any(work):
+        return False, ("series", "remainder")
+    return True, cogens
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ both stem and s, because boundaries can enter from just outside it.
 import json
 
 from .gradedlin import SubquotientBasis, vec_from_terms, vec_support
+from .steenrod import elt_add_term
 
 __all__ = [
     "MayContext",
@@ -175,11 +176,7 @@ def elt_mul(p, x, y):
             if got is None:
                 continue
             sign, mono = got
-            c = (out.get(mono, 0) + sign * c1 * c2) % p
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
+            elt_add_term(p, out, mono, sign * c1 * c2)
     return out
 
 
@@ -188,11 +185,7 @@ def elt_add_scaled(p, acc, x, c):
     if not c:
         return acc
     for m, cm in x.items():
-        v = (acc.get(m, 0) + c * cm) % p
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
+        elt_add_term(p, acc, m, c * cm)
     return acc
 
 

@@ -41,10 +41,7 @@ __all__ = [
     "xi_gen",
     "tau_gen",
     "cotensor_comodule",
-    "cofree_decompose",
     "family_margolis_indices",
-    "margolis_vanishing_report",
-    "dual_operation_matrix",
     "relative_dual_coalgebra",
     "polynomial_series",
     "poincare_identity_check",
@@ -183,18 +180,19 @@ def tau_gen(p, t):
     return DualMonomial(p, (), (t,))
 
 
-# elements are dicts {DualMonomial: coefficient mod p}
+# elements are dicts {DualMonomial: coefficient mod p}; the same sparse
+# accumulation serves tensors, cobar words and May monomials as keys
 
 
-def elt_add_term(p, acc, mono, coef):
+def elt_add_term(p, acc, key, coef):
     coef %= p
     if not coef:
         return
-    cur = (acc.get(mono, 0) + coef) % p
+    cur = (acc.get(key, 0) + coef) % p
     if cur:
-        acc[mono] = cur
+        acc[key] = cur
     else:
-        acc.pop(mono, None)
+        acc.pop(key, None)
 
 
 def elt_mul(p, x, y):
@@ -238,17 +236,6 @@ def _tau_coproduct_terms(p, k):
     return out
 
 
-def _tensor_add(p, acc, key, coef):
-    coef %= p
-    if not coef:
-        return
-    cur = (acc.get(key, 0) + coef) % p
-    if cur:
-        acc[key] = cur
-    else:
-        acc.pop(key, None)
-
-
 def _tensor_mul(p, x, y):
     """Product in B (x) B with the Koszul sign (-1)^{|aR| |bL|}."""
     out = {}
@@ -261,7 +248,7 @@ def _tensor_mul(p, x, y):
             if not sr:
                 continue
             koszul = -1 if (ar.parity() and bl.parity()) else 1
-            _tensor_add(p, out, (left, right), ca * cb * sl * sr * koszul)
+            elt_add_term(p, out, (left, right), ca * cb * sl * sr * koszul)
     return out
 
 
@@ -292,7 +279,7 @@ def _xi_power_coproduct(p, k, e, reduce_pair=None):
             if coef:
                 key = (left, right)
                 if reduce_pair is None or reduce_pair(key):
-                    _tensor_add(p, out, key, coef)
+                    elt_add_term(p, out, key, coef)
             return
         tl, tr = basis_terms[idx]
         for c in range(remaining + 1):
@@ -332,7 +319,7 @@ def coproduct(mono, profile=None):
     for t in mono.tau:
         factor = {}
         for left, right in _tau_coproduct_terms(p, t):
-            _tensor_add(p, factor, (left, right), 1)
+            elt_add_term(p, factor, (left, right), 1)
         acc = _tensor_mul(p, acc, factor)
         if keep is not None:
             acc = {k: v for k, v in acc.items() if keep(k)}
@@ -358,7 +345,7 @@ def element_coproduct(elt, profile=None):
     out = {}
     for mono, coef in elt.items():
         for key, c in coproduct(mono, profile).items():
-            _tensor_add(p, out, key, c * coef)
+            elt_add_term(p, out, key, c * coef)
     return out
 
 
@@ -781,10 +768,10 @@ class Comodule:
             for mono, coef, target in self.coaction[name]:
                 for left, right, c in _family_coproduct_terms(self.profile, mono):
                     k = (left, right, target)
-                    _tensor_add(self.p, lhs, k, coef * c)
+                    elt_add_term(self.p, lhs, k, coef * c)
                 for mono2, coef2, target2 in self.coaction[target]:
                     k = (mono, mono2, target2)
-                    _tensor_add(self.p, rhs, k, coef * coef2)
+                    elt_add_term(self.p, rhs, k, coef * coef2)
             if lhs != rhs:
                 raise ValueError(f"coaction is not coassociative at {name}")
 
@@ -966,9 +953,9 @@ def cotensor_comodule(outer, inner, module, cap, prefix="c"):
             terms = {}
             for (b1, b2), c in coproduct(a, outer).items():
                 if inner.allows(b2):
-                    _tensor_add(p, terms, (b1, b2, name), c)
+                    elt_add_term(p, terms, (b1, b2, name), c)
             for mono, c, target in module.coaction[name]:
-                _tensor_add(p, terms, (a, mono, target), -c)
+                elt_add_term(p, terms, (a, mono, target), -c)
             rows.append([(tcol(k), c) for k, c in terms.items()])
         mat = PrimeFieldMatrix.from_terms(
             p,
@@ -1036,16 +1023,18 @@ def cotensor_comodule(outer, inner, module, cap, prefix="c"):
 
 
 # ---------------------------------------------------------------------------
-# freeness over finite families via vanishing homology of square-zero duals
+# Margolis operations of finite families
 
 
 def family_margolis_indices(profile):
-    """Square-zero dual operations of a finite family.
+    """Nilpotent dual operations of a finite family, whose homologies
+    decide cofreeness (margolis.cofree_decompose).
 
     Returns (xi_ops, tau_ops): xi_ops is a list of (t, s) pairs meaning
     the operation dual to g_t^{p^s} (g_t = xi_t, or xi_t^2 in the
-    even-only case); the square vanishes exactly when s < t.  tau_ops
-    lists the exterior indices (odd primes).
+    even-only case), kept exactly when s < t: it then squares to zero
+    at p = 2 and has vanishing p-th power at odd primes.  tau_ops lists
+    the exterior indices (odd primes), whose operations square to zero.
     """
     if profile.total_dimension() is None:
         raise ValueError("family must be finite")
@@ -1059,100 +1048,6 @@ def family_margolis_indices(profile):
     if profile.p != 2 and profile.tau != "all":
         tau_ops = sorted(profile.tau)
     return xi_ops, tau_ops
-
-
-def dual_operation_matrix(module, mono):
-    """Matrix (rows = basis order) of the operation dual to a family
-    monomial, acting on a comodule by slicing its coaction."""
-    names = module.names
-    pos = {n: i for i, n in enumerate(names)}
-    rows = [[0] * len(names) for _ in names]
-    for n in names:
-        for m, c, target in module.coaction[n]:
-            if m == mono:
-                rows[pos[n]][pos[target]] = c
-    return rows
-
-
-def _matrix_homology_dim(p, rows):
-    from .gradedlin import PrimeFieldMatrix
-
-    n = len(rows)
-    terms = [
-        (i, j, rows[i][j]) for i in range(n) for j in range(n) if rows[i][j]
-    ]
-    mat = PrimeFieldMatrix.from_terms(p, n, n, terms)
-    rank = mat.rank()
-    return n - 2 * rank
-
-
-def margolis_vanishing_report(module):
-    """Homology dimensions of every square-zero dual operation.
-
-    Returns list of (label, mono, hom_dim).  hom_dim = dim ker - rank;
-    zero for all entries is the cofreeness criterion.
-    """
-    profile = module.profile
-    p = profile.p
-    xi_ops, tau_ops = family_margolis_indices(profile)
-    step = 2 if profile.even_only else 1
-    out = []
-    for t, s in xi_ops:
-        mono = xi_gen(p, t, step * p**s)
-        rows = dual_operation_matrix(module, mono)
-        _assert_square_zero(p, rows)
-        label = f"P({t},{s + 1})" if profile.even_only else f"P({t},{s})"
-        out.append((label, mono, _matrix_homology_dim(p, rows)))
-    for t in tau_ops:
-        mono = tau_gen(p, t)
-        rows = dual_operation_matrix(module, mono)
-        _assert_square_zero(p, rows)
-        out.append((f"Q({t})", mono, _matrix_homology_dim(p, rows)))
-    return out
-
-
-def _assert_square_zero(p, rows):
-    n = len(rows)
-    for i in range(n):
-        for j in range(n):
-            v = sum(rows[i][k] * rows[k][j] for k in range(n)) % p
-            if v:
-                raise ValueError("dual operation does not square to zero")
-
-
-def cofree_decompose(module):
-    """Decide cofreeness of an even comodule over a finite even family.
-
-    Returns (True, sorted cogenerator degrees) or (False, witness) where
-    witness names the first operation with nonvanishing homology.
-    Cogenerator degrees come from dividing Poincare series.
-    """
-    profile = module.profile
-    if profile.p == 2 and not profile.even_only:
-        raise ValueError("expected an even-only family at p = 2")
-    if not module.is_even():
-        raise ValueError("module must be evenly graded")
-    report = margolis_vanishing_report(module)
-    for label, mono, hom in report:
-        if hom:
-            return False, (label, hom)
-    fam = profile.poincare(max(module.degrees(), default=0))
-    mod = module.poincare()
-    cogens = []
-    work = list(mod)
-    for d in range(len(work)):
-        c = work[d]
-        if c < 0:
-            return False, ("series", d)
-        if not c:
-            continue
-        cogens.extend([d] * c)
-        for k, b in enumerate(fam):
-            if d + k < len(work):
-                work[d + k] -= c * b
-    if any(work):
-        return False, ("series", "remainder")
-    return True, cogens
 
 
 # ---------------------------------------------------------------------------
@@ -1192,7 +1087,7 @@ def relative_dual_coalgebra(p, m, cap):
         cop = {}
         for mono, coef in power.items():
             for (l, r), c in reduced_coproduct(mono, profile).items():
-                _tensor_add(p, cop, (l, r), c * coef)
+                elt_add_term(p, cop, (l, r), c * coef)
         primitives.append((exp, dict(power), not cop))
         nxt = power
         for _ in range(p - 1):

@@ -1,13 +1,17 @@
 """Command-line contract: artifact bytes, exit codes and the cache.
 
-The files under tests/golden/ were written by the engine before the
-univariate defect witness replaced the bivariate one, with
+The directories under tests/golden/ were written with
 
-    CHROMADEFECT_CACHE=<empty dir> python -m chromadefect.cli <job> \\
-        --no-cache --format json --format tsv --out tests/golden/<name>
+    CHROMADEFECT_CACHE=<empty dir> python -m chromadefect.cli <argv> \\
+        --no-cache --out tests/golden/<name>
 
-for each job in GOLDEN.  Any change to the artifact bytes of those jobs
-fails here.
+for each name and argv in GOLDEN: the fgl and defect jobs by the engine
+before the univariate defect witness replaced the bivariate one, the
+ext and margolis jobs by the engine before comodule cofreeness moved
+onto margolis_homology.  The margolis inputs live in tests/golden/inputs/
+(free_a1.json is free_module(2, "A", 1, [0, 3]); rp4.json is
+rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json is the malformed
+module {}).  Any change to the artifact bytes of those jobs fails here.
 """
 
 import json
@@ -18,14 +22,23 @@ import pytest
 from chromadefect import cli
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN = {
-    "fgl_n1": ["fgl", "--n", "1"],
-    "fgl_n2": ["fgl", "--n", "2"],
-    "fgl_n3": ["fgl", "--n", "3"],
-    "fgl_n4": ["fgl", "--n", "4"],
-    "defect_cap8": ["defect", "--cap", "8"],
-}
+INPUTS = GOLDEN_DIR / "inputs"
 FORMATS = ["--format", "json", "--format", "tsv"]
+GOLDEN = {
+    "fgl_n1": ["fgl", "--n", "1", *FORMATS],
+    "fgl_n2": ["fgl", "--n", "2", *FORMATS],
+    "fgl_n3": ["fgl", "--n", "3", *FORMATS],
+    "fgl_n4": ["fgl", "--n", "4", *FORMATS],
+    "defect_cap8": ["defect", "--cap", "8", *FORMATS],
+    "ext_a1_p2": ["ext", "--prime", "2", "--family", "A", "--n", "1",
+                  "--stem-max", "8", "--s-max", "4", *FORMATS, "--format", "svg"],
+    "ext_a1_p3": ["ext", "--prime", "3", "--family", "A", "--n", "1",
+                  "--stem-max", "12", "--s-max", "3", *FORMATS, "--format", "svg"],
+    "margolis_free_a1": ["margolis", "--input", str(INPUTS / "free_a1.json"),
+                         "--subalgebra", "A(1)", *FORMATS],
+    "margolis_rp4": ["margolis", "--input", str(INPUTS / "rp4.json"),
+                     "--subalgebra", "A(1)", *FORMATS],
+}
 
 
 @pytest.fixture(autouse=True)
@@ -46,7 +59,7 @@ def written(out):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifacts_match_golden_bytes(name, tmp_path):
     out = tmp_path / "out"
-    assert run([*GOLDEN[name], "--no-cache"], out) == cli.EXIT_OK
+    assert cli.main([*GOLDEN[name], "--no-cache", "--out", str(out)]) == cli.EXIT_OK
     assert written(out) == written(GOLDEN_DIR / name)
 
 
@@ -61,6 +74,28 @@ def test_artifacts_match_golden_bytes(name, tmp_path):
 def test_bad_fgl_flags_exit_2(argv, message, tmp_path, capsys):
     assert run([*argv, "--no-cache"], tmp_path / "out") == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "module, subalgebra, message",
+    [
+        ("empty.json", "A(1)", "malformed module data"),
+        ("rp4.json", "B(1)", "unrecognized subalgebra"),
+        ("rp4.json", "A(2)", "module does not declare"),
+    ],
+)
+def test_bad_margolis_input_exits_2(module, subalgebra, message, tmp_path, capsys):
+    argv = ["margolis", "--input", str(INPUTS / module), "--subalgebra", subalgebra,
+            "--no-cache"]
+    assert run(argv, tmp_path / "out") == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_removed_workers_flag_is_rejected(tmp_path):
+    argv = ["fgl", "--n", "1", "--workers", "2", "--no-cache"]
+    assert run(argv, tmp_path / "out") == cli.EXIT_USAGE
     assert not (tmp_path / "out").exists()
 
 

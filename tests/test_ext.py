@@ -279,14 +279,6 @@ class TestChangeOfRings:
 
 
 class TestDeterminism:
-    def test_workers_agree(self):
-        fam = Profile.T(2, 1)
-        M = Comodule.trivial(fam, [0])
-        one = ext_ranks(fam, M, 6, 16, workers=1, with_names=False)
-        four = ext_ranks(fam, M, 6, 16, workers=4, with_names=False)
-        assert one.dims == four.dims
-        assert one.to_tsv() == four.to_tsv()
-
     def test_tsv_golden(self):
         fam = Profile.E(2, 0)
         chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 3, 3)

@@ -8,8 +8,8 @@ Oracles used here:
     decompositions of the projective modules give exact homology dims,
   * rank divisibility: a free module's dimension is a multiple of the
     subalgebra dimension,
-  * the comodule-side vanishing report from the steenrod layer, which
-    computes with coaction matrices instead of action matrices.
+  * comodules turned into modules by dual_module, whose actions come
+    from the Milnor diagonal instead of the Milnor product.
 """
 
 import json
@@ -20,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 from chromadefect.margolis import (
     DOUBLING_SHIFT,
     FiniteSteenrodModule,
+    cofree_decompose,
     cp_module,
+    dual_module,
     free_module,
     is_free_over,
     margolis_homology,
@@ -34,7 +36,7 @@ from chromadefect.margolis import (
     trivial_module,
     two_cell_module,
 )
-from chromadefect.steenrod import Comodule, Profile, margolis_vanishing_report
+from chromadefect.steenrod import Comodule, Profile
 
 
 class TestOperatorNames:
@@ -433,20 +435,66 @@ class TestJson:
         assert set(mod_term) <= set(com_term)
 
 
+def _assert_same_up_to_shift(dual, alg, shift):
+    """Equal graded dims and equal ranks of every operator in every
+    degree, after moving the dual module up by shift."""
+    assert dual.operators == alg.operators
+    assert {d + shift: n for d, n in dual.dims().items()} == alg.dims()
+    for op in alg.operators:
+        assert margolis_homology(dual, op).is_zero()
+        assert margolis_homology(alg, op).is_zero()
+        for d in alg.degrees():
+            assert (
+                dual.operator_matrix(op, d - shift).rank()
+                == alg.operator_matrix(op, d).rank()
+            )
+
+
 class TestComoduleCrossOracle:
+    # the dual of a finite family's self-comodule is free of rank one on
+    # its bottom class, so it matches the subalgebra over itself moved
+    # up by the top degree
+
     def test_vanishing_report_agrees_on_level_one(self):
-        com = Comodule.coalgebra_self(Profile.A(2, 1), 6)
-        report = margolis_vanishing_report(com)
-        assert {row[0] for row in report} == set(subalgebra_operators(2, "A", 1))
-        assert all(dim == 0 for _, _, dim in report)
-        m = subalgebra_module(2, "A", 1)
-        for op in subalgebra_operators(2, "A", 1):
-            assert margolis_homology(m, op).is_zero()
+        dual = dual_module(Comodule.coalgebra_self(Profile.A(2, 1), 6))
+        assert set(dual.operators) == set(subalgebra_operators(2, "A", 1))
+        _assert_same_up_to_shift(dual, subalgebra_module(2, "A", 1), 6)
 
     def test_vanishing_report_agrees_at_odd_primes(self):
-        com = Comodule.coalgebra_self(Profile.A(3, 0), 1)
-        assert all(dim == 0 for _, _, dim in margolis_vanishing_report(com))
-        assert margolis_homology(subalgebra_module(3, "A", 0), "Q(0)").is_zero()
+        dual = dual_module(Comodule.coalgebra_self(Profile.A(3, 0), 1))
+        assert dual.operators == ("Q(0)",)
+        _assert_same_up_to_shift(dual, subalgebra_module(3, "A", 0), 1)
+
+
+class TestComoduleOddPrimes:
+    # P(1,0) has cube zero at p = 3 but not square zero, so these need
+    # the ker/im(op^(p-1)) homology
+
+    @pytest.mark.parametrize(
+        "p, kind, level, dim",
+        [(3, "A", 1, 12), (3, "P", 0, 3), (3, "P", 1, 27), (5, "A", 1, 20)],
+    )
+    def test_self_comodule_is_free_of_rank_one(self, p, kind, level, dim):
+        profile = getattr(Profile, kind)(p, level)
+        dual = dual_module(Comodule.coalgebra_self(profile, 200))
+        assert dual.dim() == dim
+        verdict = is_free_over(dual, f"{kind}({level})")
+        assert verdict.free and verdict.rank == 1
+        assert all(not h for h in verdict.homology.values())
+
+    def test_p30_self_comodule_is_cofree(self):
+        com = Comodule.coalgebra_self(Profile.P(3, 0), 200)
+        assert cofree_decompose(com) == (True, [0])
+
+    def test_p30_trivial_comodule_is_not_cofree(self):
+        com = Comodule.trivial(Profile.P(3, 0), (0,))
+        assert cofree_decompose(com) == (False, ("P(1,0)", 1))
+
+    def test_cube_zero_operator_is_not_square_zero(self):
+        dual = dual_module(Comodule.coalgebra_self(Profile.P(3, 0), 200))
+        x = {dual.names[0]: 1}
+        assert dual.act("P(1,0)", dual.act("P(1,0)", x))
+        assert not dual.act("P(1,0)", dual.act("P(1,0)", dual.act("P(1,0)", x)))
 
 
 class TestGeneratedFamilies:

@@ -14,12 +14,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chromadefect.margolis import cofree_decompose
 from chromadefect.steenrod import (
     Comodule,
     DualMonomial,
     MilnorBasisElement,
     Profile,
-    cofree_decompose,
     conjugate_xi,
     conjugate_xi_power,
     coproduct,
