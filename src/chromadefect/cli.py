@@ -39,6 +39,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 CACHE_ENV = "CHROMADEFECT_CACHE"
+# largest fgl series cap: admits ER(9) at its default cap 2^9 + 8; the
+# witness costs about 5x more per height, so a larger job is refused
+# before it computes rather than running for hours
+MAX_FGL_CAP = 520
 FORMATS = ("tsv", "json", "svg")
 
 # per-subcommand defaults and allowed output formats
@@ -403,6 +407,14 @@ def _config_from_args(args) -> JobConfig:
         params["input_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     elif args.subcommand == "fgl":
         n = params["n"] = _check_positive("height", args.n)
+        # compare exponents first, so a huge height never builds 2^n
+        if n >= MAX_FGL_CAP.bit_length():
+            raise ConfigError(
+                f"height {n} needs a cap above 2^{n}, over the limit {MAX_FGL_CAP}"
+            )
+        cap = 2**n + 8 if args.cap is None else args.cap
+        if cap > MAX_FGL_CAP:
+            raise ConfigError(f"cap {cap} is over the limit {MAX_FGL_CAP}")
         if args.cap is not None and args.cap < 2**n + 1:
             raise ConfigError(
                 f"cap {args.cap} cannot see degree {2**n}; need at least {2**n + 1}"

@@ -1,12 +1,5 @@
 """Exact graded linear algebra: prime fields and integer lattices."""
 
-from .backend import (
-    BACKEND_NAME,
-    SparseEchelonGF2,
-    gf2_eliminate,
-    gf2_rank,
-    gf2_reduce,
-)
 from .integers import (
     AbelianGroupPresentation,
     IntegerMatrix,
@@ -21,7 +14,9 @@ from .integers import (
 )
 from .modp import (
     PrimeFieldMatrix,
+    SparseEchelonGF2,
     SubquotientBasis,
+    gf2_eliminate,
     vec_add,
     vec_entry,
     vec_from_terms,
@@ -31,6 +26,10 @@ from .modp import (
     vec_zero,
 )
 
+# the elimination kernels are pure python; kept for callers that
+# record which implementation ran
+BACKEND_NAME = "pure"
+
 __all__ = [
     "BACKEND_NAME",
     "AbelianGroupPresentation",
@@ -39,8 +38,6 @@ __all__ = [
     "SparseEchelonGF2",
     "SubquotientBasis",
     "gf2_eliminate",
-    "gf2_rank",
-    "gf2_reduce",
     "homology_at",
     "integer_row_kernel",
     "integer_solve_row",

@@ -5,13 +5,19 @@ of residues.  Matrices act on row vectors: a matrix M with nrows rows
 and ncols columns is the map x -> x.M from F^nrows to F^ncols, row i
 being the image of the i-th basis vector.  That orientation matches how
 chain differentials are assembled everywhere downstream.
-"""
 
-from .backend import gf2_eliminate, gf2_reduce
+Each field has one elimination kernel: gf2_eliminate/gf2_reduce on
+bitmasks at p = 2, fp_eliminate/fp_reduce on dense tuples at odd p.
+PrimeFieldMatrix and SubquotientBasis run on them.  SparseEchelonGF2
+is the streaming rank the cobar complex uses for cells too large for
+dense bitmask rows.
+"""
 
 __all__ = [
     "PrimeFieldMatrix",
+    "SparseEchelonGF2",
     "SubquotientBasis",
+    "gf2_eliminate",
     "vec_zero",
     "vec_from_terms",
     "vec_add",
@@ -74,6 +80,68 @@ def vec_is_zero(v):
     if isinstance(v, int):
         return v == 0
     return not any(v)
+
+
+def gf2_eliminate(rows, ncols, track=False):
+    """Forward elimination to row echelon form over F2.
+
+    rows: list of int bitmasks (only bits < ncols may be set).
+    Returns (rank, pivots, ech, ech_combos, kernel_combos) where
+
+      pivots[k]        pivot column of echelon row k (lowest set bit),
+      ech[k]           echelon row k,
+      ech_combos[k]    bitmask over input row indices with
+                       xor(rows[i] for i in combo) == ech[k],
+      kernel_combos    one combo per dependent input row; xor of the
+                       selected input rows is zero.
+
+    The two combo lists are None unless track is true.
+    """
+    ech = []
+    pivots = []
+    pivot_at = {}
+    combos = [] if track else None
+    kernel = [] if track else None
+    for i, row in enumerate(rows):
+        v = row
+        c = 1 << i
+        while v:
+            col = (v & -v).bit_length() - 1
+            j = pivot_at.get(col)
+            if j is None:
+                pivot_at[col] = len(ech)
+                pivots.append(col)
+                ech.append(v)
+                if track:
+                    combos.append(c)
+                break
+            v ^= ech[j]
+            if track:
+                c ^= combos[j]
+        else:
+            if track:
+                kernel.append(c)
+    return len(ech), pivots, ech, combos, kernel
+
+
+def gf2_reduce(ech, pivots, v):
+    """Reduce v against an echelon basis.
+
+    Returns (residue, posmask); posmask bit k is set when ech[k] was
+    subtracted.  residue == 0 iff v lies in the row space: every nonzero
+    row-space element has a pivot column as its lowest set bit, so
+    stopping at a non-pivot lowest bit is a complete membership test.
+    """
+    pivot_at = {col: k for k, col in enumerate(pivots)}
+    posmask = 0
+    while v:
+        col = (v & -v).bit_length() - 1
+        k = pivot_at.get(col)
+        if k is None:
+            break
+        v ^= ech[k]
+        posmask ^= 1 << k
+    return v, posmask
 
 
 def fp_eliminate(p, rows, ncols, track=False):
@@ -241,99 +309,82 @@ class SubquotientBasis:
 
     image_rows span the boundary subspace, kernel_vectors span the
     cycles; both live in the same ambient row space.  Representatives
-    are chosen greedily in input order, and coords() writes any further
-    cycle in the chosen homology basis.
+    are chosen greedily in input order: a kernel vector is one exactly
+    when it is independent of the image and the earlier kernel vectors,
+    i.e. when its row becomes a pivot in the tracked elimination of
+    image_rows + kernel_vectors.  coords() writes any further cycle in
+    the chosen homology basis.
     """
 
     def __init__(self, p, ncols, image_rows, kernel_vectors):
         self.p = p
         self.ncols = ncols
-        self._pivot_at = {}
-        self._ech = []   # (row, tag); tag tracks representative content
-        self.reps = []
-        for row in image_rows:
-            self._insert(row, None)
-        for kv in kernel_vectors:
-            residue, tag = self._reduce(kv)
-            if vec_is_zero(residue):
-                continue
-            idx = len(self.reps)
-            self.reps.append(kv)
-            onetag = {idx: 1}
-            self._insert_reduced(residue, self._tag_add(tag, onetag))
+        rows = list(image_rows) + list(kernel_vectors)
+        self._mat = PrimeFieldMatrix(p, len(rows), ncols, rows)
+        # echelon rows come in input order, and each one's pivot input
+        # row is the last row its combo uses
+        combos = self._mat._eliminate(True)[3]
+        if p == 2:
+            pivot_rows = [c.bit_length() - 1 for c in combos]
+        else:
+            pivot_rows = [max(i for i, c in enumerate(combo) if c) for combo in combos]
+        first = len(image_rows)
+        self._rep_rows = [i for i in pivot_rows if i >= first]
+        self.reps = [rows[i] for i in self._rep_rows]
 
     @property
     def dim(self):
         return len(self.reps)
 
-    def _tag_add(self, a, b):
-        if a is None:
-            return dict(b) if b else None
-        if b is None:
-            return dict(a)
-        out = dict(a)
-        for k, v in b.items():
-            nv = (out.get(k, 0) + v) % self.p
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return out or None
-
-    def _tag_scale(self, a, c):
-        if a is None:
-            return None
-        c %= self.p
-        if not c:
-            return None
-        return {k: (v * c) % self.p for k, v in a.items()}
-
-    def _first_col(self, v):
-        if self.p == 2:
-            return (v & -v).bit_length() - 1 if v else None
-        return next((k for k in range(self.ncols) if v[k]), None)
-
-    def _reduce(self, v):
-        p = self.p
-        tag = None
-        while True:
-            col = self._first_col(v)
-            if col is None:
-                return v, tag
-            k = self._pivot_at.get(col)
-            if k is None:
-                return v, tag
-            row, rtag = self._ech[k]
-            if p == 2:
-                v = v ^ row
-                tag = self._tag_add(tag, rtag)
-            else:
-                f = v[col]
-                v = tuple((a - f * b) % p for a, b in zip(v, row))
-                tag = self._tag_add(tag, self._tag_scale(rtag, -f))
-
-    def _insert_reduced(self, v, tag):
-        col = self._first_col(v)
-        if col is None:
-            return
-        if self.p != 2:
-            inv = pow(v[col], self.p - 2, self.p)
-            v = tuple((inv * a) % self.p for a in v)
-            tag = self._tag_scale(tag, inv)
-        self._pivot_at[col] = len(self._ech)
-        self._ech.append((v, tag))
-
-    def _insert(self, v, tag):
-        residue, rtag = self._reduce(v)
-        if vec_is_zero(residue):
-            return
-        self._insert_reduced(residue, self._tag_add(rtag, tag))
-
     def coords(self, v):
         """Coordinates of the cycle v in the homology basis, as a dict."""
-        residue, tag = self._reduce(v)
-        if not vec_is_zero(residue):
+        x = self._mat.solve_combo(v)
+        if x is None:
             raise ValueError("vector is not a cycle modulo the image")
-        if tag is None:
-            return {}
-        return {k: (-c) % self.p for k, c in tag.items() if c % self.p}
+        out = {}
+        for k, i in enumerate(self._rep_rows):
+            c = vec_entry(self.p, x, i)
+            if c:
+                out[k] = c
+        return out
+
+
+class SparseEchelonGF2:
+    """Streaming rank of a sparse F2 matrix, fed one row at a time.
+
+    A row is its support, a strictly increasing list of column indices.
+    Feeding a row xors stored pivot rows into it until its lead column
+    is unclaimed (the row becomes a pivot) or it cancels to zero.  Only
+    the pivot rows are retained, so memory tracks the fill-in of the
+    echelon rather than the size of the matrix.
+    """
+
+    __slots__ = ("ncols", "rank", "_pivots")
+
+    def __init__(self, ncols):
+        ncols = int(ncols)
+        if ncols < 0:
+            raise ValueError("ncols must be nonnegative")
+        self.ncols = ncols
+        self.rank = 0
+        self._pivots = {}
+
+    def add_row(self, cols):
+        """Feed one row; True when it added a pivot, False when dependent."""
+        row = list(cols)
+        if row:
+            if row[0] < 0 or row[-1] >= self.ncols:
+                raise ValueError("column index out of range")
+            if any(b <= a for a, b in zip(row, row[1:])):
+                raise ValueError("row support must be strictly increasing")
+        row = set(row)
+        pivots = self._pivots
+        while row:
+            lead = min(row)
+            other = pivots.get(lead)
+            if other is None:
+                pivots[lead] = row
+                self.rank += 1
+                return True
+            row ^= other
+        return False

@@ -634,7 +634,8 @@ def dual_module(comodule):
 
 
 def cofree_decompose(comodule):
-    """Decide cofreeness of an even comodule over a finite even family.
+    """Decide cofreeness of a comodule over a finite family (even-only
+    at p = 2).
 
     The comodule is cofree exactly when every Margolis homology of its
     dual_module vanishes; at odd primes the P(t,s) homology is taken
@@ -647,8 +648,6 @@ def cofree_decompose(comodule):
     profile = comodule.profile
     if profile.p == 2 and not profile.even_only:
         raise ValueError("expected an even-only family at p = 2")
-    if not comodule.is_even():
-        raise ValueError("module must be evenly graded")
     module = dual_module(comodule)
     for op, _ in _dual_operations(profile):
         total = margolis_homology(module, op).total

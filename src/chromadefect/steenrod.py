@@ -36,7 +36,6 @@ __all__ = [
     "reduced_coproduct",
     "element_coproduct",
     "elt_mul",
-    "elt_scale",
     "elt_add_term",
     "xi_gen",
     "tau_gen",
@@ -203,13 +202,6 @@ def elt_mul(p, x, y):
             if sign:
                 elt_add_term(p, out, m, sign * ca * cb)
     return out
-
-
-def elt_scale(p, x, c):
-    c %= p
-    if not c:
-        return {}
-    return {m: (c * v) % p for m, v in x.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -819,9 +811,6 @@ class Comodule:
                 dims[self.degree_of[n]] += 1
         return dims
 
-    def is_even(self):
-        return all(d % 2 == 0 for d in self.degree_of.values())
-
     def has_trivial_coaction(self):
         return all(
             len(terms) == 1 and terms[0][0].is_unit()
@@ -992,13 +981,7 @@ def cotensor_comodule(outer, inner, module, cap, prefix="c"):
             if not c0:
                 continue
             for (b1, b2), c in coproduct(a, outer).items():
-                acc = by_left.setdefault(b1, {})
-                key = (b2, mname)
-                cur = (acc.get(key, 0) + c0 * c) % p
-                if cur:
-                    acc[key] = cur
-                else:
-                    acc.pop(key, None)
+                elt_add_term(p, by_left.setdefault(b1, {}), (b2, mname), c0 * c)
         terms = []
         for b1 in sorted(by_left, key=lambda m: (m.degree(), str(m))):
             comp = by_left[b1]

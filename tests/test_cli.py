@@ -8,13 +8,16 @@ The directories under tests/golden/ were written with
 for each name and argv in GOLDEN: the fgl and defect jobs by the engine
 before the univariate defect witness replaced the bivariate one, the
 ext and margolis jobs by the engine before comodule cofreeness moved
-onto margolis_homology.  The margolis inputs live in tests/golden/inputs/
+onto margolis_homology, and the may and ko-ss jobs (every format) by
+the engine before SubquotientBasis moved onto PrimeFieldMatrix
+elimination.  The margolis inputs live in tests/golden/inputs/
 (free_a1.json is free_module(2, "A", 1, [0, 3]); rp4.json is
 rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json is the malformed
 module {}).  Any change to the artifact bytes of those jobs fails here.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,12 @@ GOLDEN = {
                          "--subalgebra", "A(1)", *FORMATS],
     "margolis_rp4": ["margolis", "--input", str(INPUTS / "rp4.json"),
                      "--subalgebra", "A(1)", *FORMATS],
+    "may_default": ["may", *FORMATS, "--format", "svg"],
+    "may_p3_n1": ["may", "--prime", "3", "--n", "1", "--stem-max", "20",
+                  "--s-max", "4", *FORMATS, "--format", "svg"],
+    "ko_ss_polynomial": ["ko-ss", "--variant", "polynomial", *FORMATS,
+                         "--format", "svg"],
+    "ko_ss_laurent": ["ko-ss", "--variant", "laurent", *FORMATS, "--format", "svg"],
 }
 
 
@@ -69,12 +78,23 @@ def test_artifacts_match_golden_bytes(name, tmp_path):
         (["fgl", "--n", "3", "--cap", "4"], "cannot see degree 8"),
         (["fgl", "--n", "3", "--cap", "8"], "need at least 9"),
         (["fgl", "--n", "0"], "height must be positive"),
+        (["fgl", "--n", "40"], "over the limit 520"),
+        (["fgl", "--n", "10"], "over the limit 520"),
+        (["fgl", "--n", "2", "--cap", "100000"], "cap 100000 is over the limit 520"),
+        (["fgl", "--n", "9", "--cap", "521"], "cap 521 is over the limit 520"),
     ],
 )
 def test_bad_fgl_flags_exit_2(argv, message, tmp_path, capsys):
+    start = time.perf_counter()
     assert run([*argv, "--no-cache"], tmp_path / "out") == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_fgl_cap_limit_admits_er9_default():
+    args = cli.build_parser().parse_args(["fgl", "--n", "9"])
+    assert cli._config_from_args(args).params["cap"] is None
 
 
 @pytest.mark.parametrize(

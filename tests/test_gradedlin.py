@@ -25,8 +25,7 @@ from chromadefect.gradedlin import (
     smith_normal_form,
     subquotient,
 )
-from chromadefect.gradedlin import _pure
-from chromadefect.gradedlin.modp import fp_eliminate, vec_is_zero
+from chromadefect.gradedlin.modp import fp_eliminate, vec_add, vec_scale
 
 
 def brute_rank_gf2(rows):
@@ -70,6 +69,12 @@ def minor_gcd_factors(rows, m, n):
 
 def random_int_matrix(rng, m, n, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def random_vec(rng, p, n):
+    if p == 2:
+        return rng.getrandbits(n)
+    return tuple(rng.randrange(p) for _ in range(n))
 
 
 class TestGf2:
@@ -122,20 +127,6 @@ class TestGf2:
             x = m.solve_combo(target)
             assert x is not None
             assert m.apply(x) == target
-
-    def test_backend_agreement(self):
-        try:
-            from chromadefect.gradedlin import _core
-        except ImportError:
-            pytest.skip("compiled backend not built")
-        rng = random.Random(17)
-        for _ in range(40):
-            nrows = rng.randint(0, 12)
-            ncols = rng.randint(1, 140)
-            rows = [rng.getrandbits(ncols) for _ in range(nrows)]
-            got = _core.gf2_eliminate(rows, ncols, True)
-            want = _pure.gf2_eliminate(rows, ncols, True)
-            assert got == want
 
 
 class TestFp:
@@ -195,19 +186,45 @@ class TestSubquotient:
 
     def test_coords_reconstruct(self):
         rng = random.Random(31)
-        p = 2
         n = 10
-        kernel = [rng.getrandbits(n) for _ in range(6)]
-        image = kernel[:2]
-        sq = SubquotientBasis(p, n, image, kernel)
-        immat = PrimeFieldMatrix(p, len(image), n, list(image))
-        for v in kernel:
-            coords = sq.coords(v)
-            acc = v
-            for idx, c in coords.items():
-                if c:
-                    acc ^= sq.reps[idx]
-            assert immat.in_row_space(acc)
+        for p in (2, 3, 5):
+            for _ in range(10):
+                kernel = [random_vec(rng, p, n) for _ in range(6)]
+                # a repeat and a combination: dependent kernel vectors
+                # that must not become representatives
+                kernel.append(kernel[3])
+                kernel.append(vec_add(p, kernel[0], vec_scale(p, kernel[4], p - 1)))
+                image = kernel[:2]
+                sq = SubquotientBasis(p, n, image, kernel)
+                immat = PrimeFieldMatrix(p, len(image), n, list(image))
+                for v in kernel:
+                    acc = v
+                    for idx, c in sq.coords(v).items():
+                        assert c % p
+                        acc = vec_add(p, acc, vec_scale(p, sq.reps[idx], -c))
+                    assert immat.in_row_space(acc)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_reps_are_greedy_in_input_order(self, p):
+        rng = random.Random(41 + p)
+        for _ in range(30):
+            n = rng.randint(1, 7)
+            image = [random_vec(rng, p, n) for _ in range(rng.randint(0, 3))]
+            kernel = [random_vec(rng, p, n) for _ in range(rng.randint(0, 6))]
+            if kernel and rng.random() < 0.5:
+                kernel.insert(rng.randrange(len(kernel) + 1), rng.choice(kernel))
+            sq = SubquotientBasis(p, n, image, kernel)
+            span = list(image)
+            want = []
+            for kv in kernel:
+                before = PrimeFieldMatrix(p, len(span), n, list(span)).rank()
+                after = PrimeFieldMatrix(p, len(span) + 1, n, span + [kv]).rank()
+                if after > before:
+                    want.append(kv)
+                span.append(kv)
+            assert sq.reps == want
+            for k, rep in enumerate(sq.reps):
+                assert sq.coords(rep) == {k: 1}
 
     def test_rejects_noncycle(self):
         sq = SubquotientBasis(2, 3, [], [0b001])

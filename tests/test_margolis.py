@@ -486,6 +486,13 @@ class TestComoduleOddPrimes:
         com = Comodule.coalgebra_self(Profile.P(3, 0), 200)
         assert cofree_decompose(com) == (True, [0])
 
+    def test_a31_self_comodule_with_odd_degrees_is_cofree(self):
+        # the exterior generator tau_0 puts A(3,1) in odd degrees too
+        com = Comodule.coalgebra_self(Profile.A(3, 1), 200)
+        assert any(d % 2 for d in com.degrees())
+        assert cofree_decompose(com) == (True, [0])
+        assert cofree_decompose(com.direct_sum(com.suspend(1))) == (True, [0, 1])
+
     def test_p30_trivial_comodule_is_not_cofree(self):
         com = Comodule.trivial(Profile.P(3, 0), (0,))
         assert cofree_decompose(com) == (False, ("P(1,0)", 1))
