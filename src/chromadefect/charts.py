@@ -68,7 +68,7 @@ class ChartDocument:
         )
 
 
-def chart_from_ext(chart, title=None) -> ChartDocument:
+def chart_from_ext(chart) -> ChartDocument:
     """Dot chart of an Ext rank table (no lines, no arrows)."""
     dots = {}
     stem_hi = fil_hi = 0
@@ -79,7 +79,7 @@ def chart_from_ext(chart, title=None) -> ChartDocument:
             stem_hi = max(stem_hi, stem)
             fil_hi = max(fil_hi, s)
     return ChartDocument(
-        title or f"ext chart {chart.label}",
+        f"ext chart {chart.label}",
         dots,
         [],
         [],
@@ -88,7 +88,7 @@ def chart_from_ext(chart, title=None) -> ChartDocument:
     )
 
 
-def chart_from_may_page(page, title=None) -> ChartDocument:
+def chart_from_may_page(page) -> ChartDocument:
     """Dot chart of a May page with its differential arrows.
 
     Every class representative with a nonzero differential whose target
@@ -110,7 +110,7 @@ def chart_from_may_page(page, title=None) -> ChartDocument:
                 if any(coords.values()):
                     arrows.add((page.r, (stem, s), tkey))
     return ChartDocument(
-        title or f"may page {page.r} height {page.context.n} p={page.p}",
+        f"may page {page.r} height {page.context.n} p={page.p}",
         dots,
         [],
         sorted(arrows),
@@ -120,7 +120,7 @@ def chart_from_may_page(page, title=None) -> ChartDocument:
     )
 
 
-def chart_from_snapshot(page, title=None) -> ChartDocument:
+def chart_from_snapshot(page) -> ChartDocument:
     """Chart of a page of the K-theory engine.
 
     Live cells become labeled dots, multiplication by the filtration-one
@@ -143,7 +143,7 @@ def chart_from_snapshot(page, title=None) -> ChartDocument:
             if tgt in dots:
                 arrows.append((3, (s, f), tgt))
     return ChartDocument(
-        title or f"{page.variant} chart page {page.page}",
+        f"{page.variant} chart page {page.page}",
         dots,
         lines,
         arrows,
@@ -188,11 +188,9 @@ def _fmt(v) -> str:
     return f"{v:.1f}"
 
 
-def render_chart(doc: ChartDocument, style=None) -> bytes:
+def render_chart(doc: ChartDocument) -> bytes:
     """Deterministic standalone SVG for a chart document."""
-    st = dict(DEFAULT_STYLE)
-    if style:
-        st.update(style)
+    st = DEFAULT_STYLE
     unit = st["unit"]
     margin = st["margin"]
     s_lo, s_hi = doc.stem_range

@@ -25,7 +25,7 @@ from .charts import (
     render_chart,
 )
 from .defect import catalogue, verdict_table
-from .ext import Comodule, ext_ranks
+from .ext import Comodule, cobar_dims, ext_ranks
 from .fgl import er_defect_witness
 from .fgl import PrimeField
 from .margolis import FiniteSteenrodModule, is_free_over
@@ -43,6 +43,14 @@ CACHE_ENV = "CHROMADEFECT_CACHE"
 # witness costs about 5x more per height, so a larger job is refused
 # before it computes rather than running for hours
 MAX_FGL_CAP = 520
+# cobar differentials an ext job may hold, in modelled bytes: source
+# words times target words summed over the cells, one bit per entry at
+# p = 2 and eight bytes at odd p (the job keeps every matrix for naming
+# classes).  Measured peak RSS for A(1) ran at 0.7 to 2.3 times the
+# model: 293 MB modelled and 569 MB peak at p = 3 through stem 20, s 5;
+# 385 MB and 270 MB at p = 2 through stem 16, s 6.  The limit admits
+# both and refuses p = 3 through stem 24, s 5 (1610 MB, over 3 GB peak)
+MAX_EXT_MATRIX_BYTES = 512 * 2**20
 FORMATS = ("tsv", "json", "svg")
 
 # per-subcommand defaults and allowed output formats
@@ -134,15 +142,30 @@ def _json_bytes(obj) -> bytes:
 # subcommand implementations: JobConfig -> {filename: bytes}
 
 
+def _ext_problem(params):
+    """(profile, trivial comodule, s_max, t_max) of an ext job."""
+    profile = getattr(Profile, params["family"])(params["prime"], params["n"])
+    s_max = params["s_max"]
+    return profile, Comodule.trivial(profile), s_max, params["stem_max"] + s_max
+
+
+def _ext_matrix_bytes(params) -> int:
+    """Modelled bytes of the differentials C^{s,t} -> C^{s+1,t},
+    s <= s_max, that the ext job builds."""
+    profile, module, s_max, t_max = _ext_problem(params)
+    rows = cobar_dims(profile, module, s_max + 1, t_max)
+    entries = sum(
+        a * b for src, tgt in zip(rows, rows[1:]) for a, b in zip(src, tgt)
+    )
+    return entries // 8 if profile.p == 2 else entries * 8
+
+
 def cmd_ext(cfg: JobConfig):
     p = cfg.params["prime"]
     fam = cfg.params["family"]
     n = cfg.params["n"]
-    s_max = cfg.params["s_max"]
-    stem_max = cfg.params["stem_max"]
-    profile = getattr(Profile, fam)(p, n)
-    module = Comodule.trivial(profile)
-    chart = ext_ranks(profile, module, s_max, stem_max + s_max)
+    profile, module, s_max, t_max = _ext_problem(cfg.params)
+    chart = ext_ranks(profile, module, s_max, t_max)
     base = f"ext_{fam.lower()}{n}_p{p}"
     out = {}
     if "tsv" in cfg.params["formats"]:
@@ -396,6 +419,12 @@ def _config_from_args(args) -> JobConfig:
         params["s_max"] = _check_positive("s cap", args.s_max)
         if args.subcommand == "ext":
             params["family"] = args.family
+            need = _ext_matrix_bytes(params)
+            if need > MAX_EXT_MATRIX_BYTES:
+                raise ConfigError(
+                    f"the cobar differentials need about {need >> 20} MB, "
+                    f"over the limit {MAX_EXT_MATRIX_BYTES >> 20} MB"
+                )
     elif args.subcommand == "margolis":
         path = Path(args.input)
         try:

@@ -33,9 +33,9 @@ __all__ = [
     "evenness_scan",
     "ScanReport",
     "change_of_rings_check",
+    "cobar_dims",
     "cobar_letters",
     "profile_key",
-    "comodule_key",
 ]
 
 
@@ -52,15 +52,25 @@ def profile_key(profile):
     return (profile.p, profile.heights, profile.tail, tau, profile.even_only)
 
 
-def comodule_key(module):
-    """Stable hashable identity of a finite comodule."""
-    rows = []
-    for name in module.names:
-        terms = tuple(
-            (str(m), c, t) for m, c, t in module.coaction[name]
-        )
-        rows.append((name, module.degree_of[name], terms))
-    return (module.p, tuple(rows))
+def cobar_dims(profile, module, s_max, t_max):
+    """Word counts of the cobar complex without building a word.
+
+    Returns rows[s][t] = dim C^{s,t} for s <= s_max, t <= t_max: the
+    coefficient of q^t in Pbar(q)^s M(q), with Pbar the family's
+    Poincare series less its constant term and M the module's.
+    """
+    bar = profile.poincare(t_max)
+    rows = [module.poincare(t_max)]
+    for _ in range(s_max):
+        prev = rows[-1]
+        row = [0] * (t_max + 1)
+        for i, a in enumerate(prev):
+            if a:
+                # j from 1: letters have positive degree
+                for j in range(1, t_max + 1 - i):
+                    row[i + j] += a * bar[j]
+        rows.append(row)
+    return rows
 
 
 class CobarComplex:
@@ -294,14 +304,6 @@ class ExtChart:
 
     def cells(self):
         return sorted(self.dims)
-
-    def nonzero_cells(self):
-        return sorted(k for k, v in self.dims.items() if v)
-
-    def stem_dims(self, stem):
-        return {
-            s: d for (s, t), d in self.dims.items() if t - s == stem and d
-        }
 
     def to_tsv(self):
         lines = [

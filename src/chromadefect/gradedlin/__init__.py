@@ -1,17 +1,7 @@
-"""Exact graded linear algebra: prime fields and integer lattices."""
+"""Exact graded linear algebra: prime-field elimination and canonical
+abelian group presentations."""
 
-from .integers import (
-    AbelianGroupPresentation,
-    IntegerMatrix,
-    homology_at,
-    integer_row_kernel,
-    integer_solve_row,
-    invariant_factors,
-    lattice_row_basis,
-    quotient_presentation,
-    smith_normal_form,
-    subquotient,
-)
+from .integers import AbelianGroupPresentation
 from .modp import (
     PrimeFieldMatrix,
     SparseEchelonGF2,
@@ -33,19 +23,10 @@ BACKEND_NAME = "pure"
 __all__ = [
     "BACKEND_NAME",
     "AbelianGroupPresentation",
-    "IntegerMatrix",
     "PrimeFieldMatrix",
     "SparseEchelonGF2",
     "SubquotientBasis",
     "gf2_eliminate",
-    "homology_at",
-    "integer_row_kernel",
-    "integer_solve_row",
-    "invariant_factors",
-    "lattice_row_basis",
-    "quotient_presentation",
-    "smith_normal_form",
-    "subquotient",
     "vec_add",
     "vec_entry",
     "vec_from_terms",

@@ -1,233 +1,17 @@
-"""Integer matrices, Smith normal form, and finitely generated abelian
-group presentations.
+"""Finitely generated abelian groups in canonical form.
 
-Matrices are lists of rows of python ints (arbitrary precision) and act
-on row vectors, x -> x.M, matching the prime field layer.  Smith form
-tracks all four transforms so kernels, solves and quotient
-presentations come out constructively.
+Every integer group the engines produce is cyclic or free of rank at
+most one (the ko chart cells), so a group is stored by its invariants
+alone: a free rank and a divisibility chain of torsion coefficients.
 """
 
-from math import gcd
-
-__all__ = [
-    "IntegerMatrix",
-    "AbelianGroupPresentation",
-    "smith_normal_form",
-    "invariant_factors",
-    "integer_row_kernel",
-    "integer_solve_row",
-    "lattice_row_basis",
-    "quotient_presentation",
-    "subquotient",
-    "homology_at",
-]
-
-
-class IntegerMatrix:
-    def __init__(self, nrows, ncols, rows=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        if rows is None:
-            rows = [[0] * ncols for _ in range(nrows)]
-        if len(rows) != nrows or any(len(r) != ncols for r in rows):
-            raise ValueError("shape mismatch")
-        self.rows = [list(r) for r in rows]
-
-    @classmethod
-    def from_terms(cls, nrows, ncols, terms):
-        m = cls(nrows, ncols)
-        for i, j, c in terms:
-            m.rows[i][j] += c
-        return m
-
-    def is_zero(self):
-        return all(not any(r) for r in self.rows)
-
-    def times(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = IntegerMatrix(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            oi = out.rows[i]
-            for k, a in enumerate(ri):
-                if a:
-                    rk = other.rows[k]
-                    for j in range(other.ncols):
-                        oi[j] += a * rk[j]
-        return out
-
-    def __repr__(self):
-        return f"IntegerMatrix({self.nrows}x{self.ncols})"
-
-
-def _rows_of(mat):
-    if isinstance(mat, IntegerMatrix):
-        return mat.rows, mat.nrows, mat.ncols
-    rows = [list(r) for r in mat]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    return rows, m, n
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _snf(mat):
-    """Returns (D, U, V, Uinv, Vinv) with U.A.V = D, all lists of rows."""
-    A, m, n = _rows_of(mat)
-    U, Ui = _identity(m), _identity(m)
-    V, Vi = _identity(n), _identity(n)
-
-    def row_add(i, j, q):
-        A[i] = [a + q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        for r in range(m):
-            Ui[r][j] -= q * Ui[r][i]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for r in range(m):
-            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
-
-    def row_neg(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-        for r in range(m):
-            Ui[r][i] = -Ui[r][i]
-
-    def col_add(j, k, q):
-        for r in range(m):
-            A[r][j] += q * A[r][k]
-        for r in range(n):
-            V[r][j] += q * V[r][k]
-        Vi[k] = [a - q * b for a, b in zip(Vi[k], Vi[j])]
-
-    def col_swap(j, k):
-        for r in range(m):
-            A[r][j], A[r][k] = A[r][k], A[r][j]
-        for r in range(n):
-            V[r][j], V[r][k] = V[r][k], V[r][j]
-        Vi[j], Vi[k] = Vi[k], Vi[j]
-
-    t = 0
-    while t < m and t < n:
-        best = None
-        where = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = abs(A[i][j])
-                if a and (best is None or a < best):
-                    best = a
-                    where = (i, j)
-        if where is None:
-            break
-        i, j = where
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
-        if A[t][t] < 0:
-            row_neg(t)
-        dirty = False
-        for i in range(t + 1, m):
-            if A[i][t]:
-                row_add(i, t, -(A[i][t] // A[t][t]))
-                if A[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if A[t][j]:
-                col_add(j, t, -(A[t][j] // A[t][t]))
-                if A[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        d = A[t][t]
-        bad = None
-        for i in range(t + 1, m):
-            if any(A[i][j] % d for j in range(t + 1, n)):
-                bad = i
-                break
-        if bad is not None:
-            row_add(t, bad, 1)
-            continue
-        t += 1
-    return A, U, V, Ui, Vi
-
-
-def smith_normal_form(mat):
-    """(D, U, V) with U.A.V = D diagonal, d_i | d_{i+1}, U, V unimodular."""
-    D, U, V, _, _ = _snf(mat)
-    return D, U, V
-
-
-def invariant_factors(mat):
-    D, _, _ = smith_normal_form(mat)
-    out = []
-    for i in range(min(len(D), len(D[0]) if D else 0)):
-        if D[i][i]:
-            out.append(abs(D[i][i]))
-    return out
-
-
-def integer_row_kernel(mat):
-    """Basis of {x : x.A = 0} as rows."""
-    rows, m, n = _rows_of(mat)
-    if m == 0:
-        return []
-    D, U, V, Ui, Vi = _snf(rows)
-    r = sum(1 for i in range(min(m, n)) if D[i][i])
-    return [list(U[i]) for i in range(r, m)]
-
-
-def integer_solve_row(mat, b):
-    """x with x.A = b, or None when no integer solution exists."""
-    rows, m, n = _rows_of(mat)
-    if len(b) != n:
-        raise ValueError("length mismatch")
-    if m == 0:
-        return [] if not any(b) else None
-    D, U, V, Ui, Vi = _snf(rows)
-    r = sum(1 for i in range(min(m, n)) if D[i][i])
-    c = [sum(b[k] * V[k][j] for k in range(n)) for j in range(n)]
-    y = [0] * m
-    for i in range(r):
-        d = D[i][i]
-        if c[i] % d:
-            return None
-        y[i] = c[i] // d
-    for i in range(r, n):
-        if c[i]:
-            return None
-    return [sum(y[i] * U[i][j] for i in range(m)) for j in range(m)]
-
-
-def lattice_row_basis(rows, ncols):
-    """Independent basis of the lattice spanned by the given rows."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    D, U, V, Ui, Vi = _snf(rows)
-    m, n = len(rows), ncols
-    out = []
-    for i in range(min(m, n)):
-        d = D[i][i]
-        if d:
-            out.append([d * x for x in Vi[i]])
-    return out
+__all__ = ["AbelianGroupPresentation"]
 
 
 class AbelianGroupPresentation:
-    """Canonical form Z^free_rank + sum Z/d_i with d_1 | d_2 | ...
+    """Canonical form Z^free_rank + sum Z/d_i with d_1 | d_2 | ..."""
 
-    generators, when present, lists ambient integer vectors: one per
-    torsion factor (in factor order) followed by the free generators.
-    Equality and hashing ignore the generator choice.
-    """
-
-    def __init__(self, free_rank, torsion=(), generators=None):
+    def __init__(self, free_rank, torsion=()):
         self.free_rank = int(free_rank)
         self.torsion = tuple(int(d) for d in torsion)
         for a, b in zip(self.torsion, self.torsion[1:]):
@@ -235,18 +19,6 @@ class AbelianGroupPresentation:
                 raise ValueError("torsion coefficients must form a divisibility chain")
         if any(d < 2 for d in self.torsion):
             raise ValueError("torsion coefficients must exceed 1")
-        self.generators = None if generators is None else list(generators)
-
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
-    def order(self):
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
 
     def __eq__(self, other):
         if not isinstance(other, AbelianGroupPresentation):
@@ -262,102 +34,3 @@ class AbelianGroupPresentation:
             parts.append(f"Z^{self.free_rank}" if self.free_rank > 1 else "Z")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def quotient_presentation(rel_rows, rank, ambient_basis=None):
-    """Z^rank modulo the span of rel_rows, with generator vectors.
-
-    ambient_basis maps the rank coordinates back into a larger ambient
-    space (rows of a lattice basis); generators are returned there.
-    """
-    rel_rows = [list(r) for r in rel_rows if any(r)]
-
-    def back(vec):
-        if ambient_basis is None:
-            return list(vec)
-        n = len(ambient_basis[0]) if ambient_basis else 0
-        out = [0] * n
-        for c, base in zip(vec, ambient_basis):
-            if c:
-                for j in range(n):
-                    out[j] += c * base[j]
-        return out
-
-    if not rel_rows:
-        gens = [back([1 if j == i else 0 for j in range(rank)]) for i in range(rank)]
-        return AbelianGroupPresentation(rank, (), gens)
-    D, U, V, Ui, Vi = _snf(rel_rows)
-    m = len(rel_rows)
-    torsion = []
-    tor_gens = []
-    free_gens = []
-    r = 0
-    for i in range(min(m, rank)):
-        if D[i][i]:
-            r += 1
-    for i in range(rank):
-        w = Vi[i] if i < len(Vi) else None
-        if i < r:
-            d = abs(D[i][i])
-            if d > 1:
-                torsion.append(d)
-                tor_gens.append(back(w))
-        else:
-            free_gens.append(back(w))
-    return AbelianGroupPresentation(len(free_gens), tuple(torsion), tor_gens + free_gens)
-
-
-def subquotient(ambient_rank, kill_rows, out_map=None, out_rels=None):
-    """Presentation of ker(out)/span(kill_rows) inside Z^ambient_rank.
-
-    out_map: rows (one per ambient coordinate) of the outgoing map; the
-    kernel condition is x.out_map in rowspan(out_rels).  None means the
-    zero map.  kill_rows must land inside the kernel.
-    """
-    if ambient_rank == 0:
-        return AbelianGroupPresentation(0, (), [])
-    if out_map is None:
-        kbasis = _identity(ambient_rank)
-    else:
-        out_rows, om, on = _rows_of(out_map)
-        if om != ambient_rank:
-            raise ValueError("out_map must have one row per ambient coordinate")
-        extra = [list(r) for r in (out_rels or [])]
-        stacked = out_rows + extra
-        kern = integer_row_kernel(stacked) if stacked else []
-        projected = [k[:ambient_rank] for k in kern]
-        kbasis = lattice_row_basis(projected, ambient_rank)
-    if not kbasis:
-        return AbelianGroupPresentation(0, (), [])
-    rels = []
-    for row in kill_rows:
-        row = list(row)
-        if not any(row):
-            continue
-        c = integer_solve_row(kbasis, row)
-        if c is None:
-            raise ValueError("kill row does not lie in the kernel lattice")
-        rels.append(c)
-    return quotient_presentation(rels, len(kbasis), ambient_basis=kbasis)
-
-
-def homology_at(d_in, d_out):
-    """ker(d_out)/im(d_in) for free integer chain data.
-
-    d_in: map C_prev -> C (rows live in C); d_out: map C -> C_next, one
-    row per basis element of C.  Checks that the composite vanishes.
-    """
-    in_rows, im, ic = _rows_of(d_in) if d_in is not None else ([], 0, 0)
-    if d_out is None:
-        out_rows = None
-        ambient = ic
-    else:
-        out_rows, ambient, oc = _rows_of(d_out)
-    if d_in is not None and out_rows is not None:
-        if ic != ambient:
-            raise ValueError("incompatible shapes")
-        for row in in_rows:
-            image = [sum(row[k] * out_rows[k][j] for k in range(ambient)) for j in range(oc)]
-            if any(image):
-                raise ValueError("d_out after d_in is nonzero")
-    return subquotient(ambient, in_rows, out_map=out_rows)

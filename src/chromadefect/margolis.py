@@ -35,12 +35,12 @@ from math import comb
 from .gradedlin import (
     PrimeFieldMatrix,
     SubquotientBasis,
-    vec_from_terms,
     vec_support,
 )
 from .steenrod import (
     MilnorBasisElement,
     Profile,
+    elt_add_term,
     family_margolis_indices,
     milnor_product,
     milnor_q,
@@ -189,10 +189,9 @@ class FiniteSteenrodModule:
             for src, terms in actions[op].items():
                 acc = {}
                 for coef, tgt in terms:
-                    acc[tgt] = (acc.get(tgt, 0) + coef) % self.p
-                row = sorted((t, c) for t, c in acc.items() if c)
-                if row:
-                    table[src] = tuple((c, t) for t, c in row)
+                    elt_add_term(self.p, acc, tgt, coef)
+                if acc:
+                    table[src] = tuple((c, t) for t, c in sorted(acc.items()))
             self.actions[op] = table
         if validate:
             self._validate()
@@ -249,11 +248,7 @@ class FiniteSteenrodModule:
         out = {}
         for src, c in vector.items():
             for coef, tgt in table.get(src, ()):
-                v = (out.get(tgt, 0) + c * coef) % self.p
-                if v:
-                    out[tgt] = v
-                else:
-                    out.pop(tgt, None)
+                elt_add_term(self.p, out, tgt, c * coef)
         return out
 
     def _nilpotence_offender(self, op, k):
@@ -295,13 +290,13 @@ class FiniteSteenrodModule:
             self.p, basis, self.actions, self.even_only, validate=False
         )
 
-    def direct_sum(self, other, rename=True):
+    def direct_sum(self, other):
         """Block sum; an operator declared on one side only acts by
         zero on the other."""
         if self.p != other.p:
             raise ValueError("summands live over different primes")
-        left = {n: f"a.{n}" if rename else n for n in self.names}
-        right = {n: f"b.{n}" if rename else n for n in other.names}
+        left = {n: f"a.{n}" for n in self.names}
+        right = {n: f"b.{n}" for n in other.names}
         basis = [(left[n], self.degree_of[n]) for n in self.names]
         basis += [(right[n], other.degree_of[n]) for n in other.names]
         actions = {}
@@ -753,10 +748,10 @@ def free_module(p, kind, level, generator_degrees, extra_ops=()):
     )
 
 
-def trivial_module(p, degrees=(0,), ops=(), even_only=False, prefix="m"):
+def trivial_module(p, degrees=(0,), ops=(), even_only=False):
     """Trivial action, one generator per listed degree; the operators
     are declared with zero action."""
-    basis = [(f"{prefix}{k}", d) for k, d in enumerate(degrees)]
+    basis = [(f"m{k}", d) for k, d in enumerate(degrees)]
     actions = {op: {} for op in ops}
     return FiniteSteenrodModule(p, basis, actions, even_only=even_only)
 
@@ -773,139 +768,33 @@ def two_cell_module(op, p=2):
     return FiniteSteenrodModule(p, [("x0", 0), (top, step)], actions, even_only=even)
 
 
-# projective spaces: single power operations have binomial matrices on
-# the cohomology; the Milnor operators are then solved for inside the
-# span of single-power monomials of the same degree
-
-
-def _compositions(n):
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            out.append((first,) + rest)
-    return out
-
-
-def _compose_maps(p, first, then):
-    """Composite of sparse exponent maps {j: {j2: coef}}: first, then."""
-    out = {}
-    for j, targets in first.items():
-        acc = {}
-        for j2, c in targets.items():
-            for j3, c2 in then.get(j2, {}).items():
-                v = (acc.get(j3, 0) + c * c2) % p
-                if v:
-                    acc[j3] = v
-                else:
-                    acc.pop(j3, None)
-        if acc:
-            out[j] = acc
-    return out
+# projective spaces: Milnor's coaction x -> sum_i x^(p^i) (x) xi_i on
+# the generator, raised to the j-th power, makes P(t,s) (dual to
+# xi_t^(p^s)) send x^j to C(j, p^s) x^(j + p^s (p^t - 1))
 
 
 def _projective_action(p, family, m, op):
-    """Exponent-level action table {j: [(coef, j2), ...]} of a Milnor
-    operator on reduced projective space with m cells.
+    """Exponent-level action table {j: [(coef, j2)]} of a Milnor
+    operator on reduced projective space with cells x^1..x^m.
 
-    Intended for the small operators; the monomial span it solves in
-    grows with 2^(operator degree).
+    Complex cells at p = 2 sit in degree 2, where P(t,s) acts as
+    P(t,s-1) does on the real cells; the odd-degree operators (the
+    s = 0 ones there, every Q(t)) act on evenly graded cells by zero.
     """
     step = operator_degree(p, op)
+    _, t, s = parse_operator(op)
     if family == "C" and step % 2:
-        # evenly graded cells cannot carry an odd-degree operator
         return {}
-    kind, t, s = parse_operator(op)
-    if p == 2:
-        units = step
-
-        def single_element(a):
-            return MilnorBasisElement(2, (), (a,))
-
-        def single_map(a):
-            if family == "C":
-                if a % 2:
-                    return {}
-                k = a // 2
-            else:
-                k = a
-            out = {}
-            for j in range(1, m + 1):
-                c = comb(j, k) % 2 if k <= j else 0
-                if c and j + k <= m:
-                    out[j] = {j + k: c}
-            return out
-
-    else:
-        if step % (2 * (p - 1)):
-            return {}
-        units = step // (2 * (p - 1))
-
-        def single_element(a):
-            return MilnorBasisElement(p, (), (a,))
-
-        def single_map(a):
-            out = {}
-            for j in range(1, m + 1):
-                c = comb(j, a) % p if a <= j else 0
-                if c and j + a * (p - 1) <= m:
-                    out[j] = {j + a * (p - 1): c}
-            return out
-
-    target = MilnorBasisElement(p, (), (0,) * (t - 1) + (p**s,))
-    monomials = _compositions(units)
-    expansions = []
-    for mono in monomials:
-        acc = {MilnorBasisElement(p, (), ()): 1}
-        for a in mono:
-            nxt = {}
-            for elt, c in acc.items():
-                for key, c2 in milnor_product(elt, single_element(a)).items():
-                    v = (nxt.get(key, 0) + c * c2) % p
-                    if v:
-                        nxt[key] = v
-                    else:
-                        nxt.pop(key, None)
-            acc = nxt
-        expansions.append(acc)
-    support = sorted({key for e in expansions for key in e} | {target})
-    pos = {key: i for i, key in enumerate(support)}
-    rows = PrimeFieldMatrix.from_terms(
-        p,
-        len(monomials),
-        len(support),
-        [
-            (i, pos[key], c)
-            for i, e in enumerate(expansions)
-            for key, c in e.items()
-        ],
-    )
-    combo = rows.solve_combo(vec_from_terms(p, len(support), [(pos[target], 1)]))
-    if combo is None:
-        raise RuntimeError(f"could not express {op} in single power operations")
-    total = {}
-    for i, c in vec_support(p, combo, len(monomials)):
-        # rightmost factor acts first
-        composite = None
-        for a in reversed(monomials[i]):
-            sm = single_map(a)
-            composite = sm if composite is None else _compose_maps(p, composite, sm)
-        if composite is None:
-            continue
-        for j, targets in composite.items():
-            row = total.setdefault(j, {})
-            for j2, c2 in targets.items():
-                v = (row.get(j2, 0) + c * c2) % p
-                if v:
-                    row[j2] = v
-                else:
-                    row.pop(j2, None)
-    return {
-        j: [(c, j2) for j2, c in sorted(row.items())]
-        for j, row in total.items()
-        if row
-    }
+    if family == "C" and p == 2:
+        s -= 1
+    k = p**s
+    shift = k * (p**t - 1)
+    table = {}
+    for j in range(k, m - shift + 1):
+        c = comb(j, k) % p
+        if c:
+            table[j] = [(c, j + shift)]
+    return table
 
 
 def _exponent_actions(p, family, m, ops):

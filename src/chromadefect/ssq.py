@@ -9,8 +9,8 @@ monomial rules (signs dropped throughout, since every assertion made
 here is about isomorphism type).  Each lattice cell is free of rank at
 most one, so a page can track, per cell, the surviving subquotient
 kappa*Z / iota*Z of the original cell.  All page groups and named
-generators are exact integer data, with presentations produced through
-the Smith normal form layer.
+generators are exact integer data; a cell's group is 0, Z or the
+cyclic group of order iota/kappa, read off those two integers.
 
 Windows truncate the plane for computation.  Cells within the masking
 radius of the window edge see clipped differentials and are excluded
@@ -19,7 +19,7 @@ from every assertion; the radius equals the longest differential used.
 
 from math import gcd
 
-from .gradedlin import AbelianGroupPresentation, subquotient
+from .gradedlin import AbelianGroupPresentation
 
 __all__ = [
     "MonomialLattice",
@@ -218,9 +218,10 @@ class Cell:
     @property
     def presentation(self) -> AbelianGroupPresentation:
         if not self.alive:
-            return subquotient(1, [[1]])
-        rel = [] if self.boundary == 0 else [[self.boundary // self.cycle]]
-        return subquotient(1, rel)
+            return AbelianGroupPresentation(0)
+        if self.boundary == 0:
+            return AbelianGroupPresentation(1)
+        return AbelianGroupPresentation(0, (self.boundary // self.cycle,))
 
     @property
     def generator(self):
@@ -235,12 +236,6 @@ class Cell:
             return "-"
         coef, name = g
         return name if coef == 1 else f"{coef}*{name}"
-
-    def same_group(self, other) -> bool:
-        return (
-            self.presentation == other.presentation
-            and self.generator == other.generator
-        )
 
     def __repr__(self):
         return f"Cell({monomial_str(self.u_exp, self.eta_exp)}: {self.presentation!r})"

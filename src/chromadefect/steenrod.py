@@ -324,11 +324,7 @@ def reduced_coproduct(mono, profile=None):
     unit = DualMonomial(p)
     out = dict(coproduct(mono, profile))
     for key in ((mono, unit), (unit, mono)):
-        cur = (out.get(key, 0) - 1) % p
-        if cur:
-            out[key] = cur
-        else:
-            out.pop(key, None)
+        elt_add_term(p, out, key, -1)
     return out
 
 
@@ -471,12 +467,6 @@ class Profile:
             return cls(p, heights, 0, even_only=True, label=f"P({n})*,p=2")
         return cls(p, heights, 0, frozenset(), label=f"P({n})*,p={p}")
 
-    @classmethod
-    def P_full(cls, p):
-        if p == 2:
-            return cls(p, (), None, even_only=True, label="P*,p=2")
-        return cls(p, (), None, frozenset(), label=f"P*,p={p}")
-
     # structure ------------------------------------------------------------
 
     def height(self, i):
@@ -574,27 +564,6 @@ class Profile:
         return True
 
     # bases ----------------------------------------------------------------
-
-    def generator_list(self, max_degree):
-        """Algebra generators of the family with degree <= max_degree."""
-        out = []
-        step = 2 if self.even_only else 1
-        i = 1
-        while True:
-            g = xi_gen(self.p, i, step)
-            if g.degree() > max_degree:
-                break
-            h = self.height(i)
-            if h != 0:
-                out.append(g)
-            i += 1
-        if self.p != 2:
-            t = 0
-            while 2 * self.p**t - 1 <= max_degree:
-                if self.tau_allowed(t):
-                    out.append(tau_gen(self.p, t))
-                t += 1
-        return sorted(out)
 
     def basis(self, max_degree):
         """All family monomials of degree <= max_degree, sorted."""
@@ -770,12 +739,12 @@ class Comodule:
     # constructors ----------------------------------------------------------
 
     @classmethod
-    def trivial(cls, profile, degrees=(0,), prefix="m"):
+    def trivial(cls, profile, degrees=(0,)):
         unit = DualMonomial(profile.p)
         basis = []
         coaction = {}
         for k, d in enumerate(degrees):
-            name = f"{prefix}{k}" if len(degrees) > 1 else f"{prefix}0"
+            name = f"m{k}"
             basis.append((name, d))
             coaction[name] = [(unit, 1, name)]
         return cls(profile, basis, coaction)
@@ -833,14 +802,14 @@ class Comodule:
         basis = [(n, self.degree_of[n]) for n in self.names]
         return Comodule(smaller, basis, coaction)
 
-    def direct_sum(self, other, rename=True):
+    def direct_sum(self, other):
         if self.profile is not other.profile and not (
             self.profile.is_quotient_of(other.profile)
             and other.profile.is_quotient_of(self.profile)
         ):
             raise ValueError("summands live over different families")
-        left = {n: f"a.{n}" if rename else n for n in self.names}
-        right = {n: f"b.{n}" if rename else n for n in other.names}
+        left = {n: f"a.{n}" for n in self.names}
+        right = {n: f"b.{n}" for n in other.names}
         basis = [(left[n], self.degree_of[n]) for n in self.names]
         basis += [(right[n], other.degree_of[n]) for n in other.names]
         coaction = {}
@@ -900,12 +869,12 @@ def _family_coproduct_terms(profile, mono):
 # cotensor
 
 
-def cotensor_comodule(outer, inner, module, cap, prefix="c"):
+def cotensor_comodule(outer, inner, module, cap):
     """Cotensor product (outer family) box_(inner family) module, through
     total degree cap, as a comodule over the outer family.
 
     inner must be a further quotient of outer and module a comodule over
-    inner.  Basis elements are named {prefix}{degree}_{k}.
+    inner.  Basis elements are named c{degree}_{k}.
     """
     from .gradedlin import PrimeFieldMatrix, vec_entry, vec_from_terms, vec_support
 
@@ -961,7 +930,7 @@ def cotensor_comodule(outer, inner, module, cap, prefix="c"):
     for d in sorted(kernels):
         _, _, kern = kernels[d]
         for k, vec in enumerate(kern):
-            name = f"{prefix}{d}_{k}"
+            name = f"c{d}_{k}"
             basis.append((name, d))
             vectors[name] = (d, vec)
 
@@ -1000,7 +969,7 @@ def cotensor_comodule(outer, inner, module, cap, prefix="c"):
             if combo is None:
                 raise ValueError("cotensor coaction misses the kernel basis")
             for k, c in vec_support(p, combo, mat.nrows):
-                terms.append((b1, c, f"{prefix}{d2}_{k}"))
+                terms.append((b1, c, f"c{d2}_{k}"))
         coaction[name] = terms
     return Comodule(outer, basis, coaction)
 
@@ -1290,12 +1259,7 @@ def milnor_product(a, b):
     out = {}
     if p == 2:
         for coef, T in _p_part_products(p, a.r, b.r):
-            key = MilnorBasisElement(p, (), T)
-            cur = (out.get(key, 0) + coef) % p
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
+            elt_add_term(p, out, MilnorBasisElement(p, (), T), coef)
         return out
     # move each exterior factor of b leftwards through P(a.r):
     # P(R) Q_f = sum_j Q_{f+j} P(R - p^f e_j), the j = 0 term leaving R alone
@@ -1329,11 +1293,7 @@ def milnor_product(a, b):
         qsorted = tuple(sorted(seq))
         for c2, T in _p_part_products(p, R, b.r):
             key = MilnorBasisElement(p, qsorted, T)
-            cur = (out.get(key, 0) + sign * coef * c2) % p
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
+            elt_add_term(p, out, key, sign * coef * c2)
     return out
 
 

@@ -92,6 +92,36 @@ def test_bad_fgl_flags_exit_2(argv, message, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, need",
+    [
+        (["ext", "--prime", "3", "--family", "A", "--n", "1", "--stem-max", "24",
+          "--s-max", "5"], "about 1610 MB"),
+        (["ext", "--prime", "2", "--family", "A", "--n", "1", "--stem-max", "20",
+          "--s-max", "8"], "about 674821 MB"),
+    ],
+)
+def test_oversized_ext_exits_2(argv, need, tmp_path, capsys):
+    start = time.perf_counter()
+    assert run([*argv, "--no-cache"], tmp_path / "out") == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert need in err and "over the limit 512 MB" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "window",
+    [["--prime", "3", "--stem-max", "20", "--s-max", "5"],
+     ["--prime", "2", "--stem-max", "16", "--s-max", "6"],
+     ["--prime", "3", "--stem-max", "20", "--s-max", "4"],
+     ["--prime", "2", "--stem-max", "10", "--s-max", "6"]],
+)
+def test_ext_limit_admits_measured_windows(window):
+    args = cli.build_parser().parse_args(["ext", "--family", "A", "--n", "1", *window])
+    assert cli._ext_matrix_bytes(cli._config_from_args(args).params) <= cli.MAX_EXT_MATRIX_BYTES
+
+
 def test_fgl_cap_limit_admits_er9_default():
     args = cli.build_parser().parse_args(["fgl", "--n", "9"])
     assert cli._config_from_args(args).params["cap"] is None

@@ -9,7 +9,9 @@ Oracles used here:
   * cofreeness: the family as a comodule over itself has Ext = F_p
     concentrated in bidegree (0, 0),
   * the sparse streaming rank against dense elimination on the same
-    differentials.
+    differentials,
+  * cobar word counts from Poincare series against the enumerated
+    words.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from chromadefect.ext import (
     CobarComplex,
     change_of_rings_check,
+    cobar_dims,
     cobar_letters,
     evenness_scan,
     ext_products,
@@ -107,6 +110,28 @@ class TestCobarComplex:
         plain = ext_ranks(fam, M, 3, 8, with_names=False)
         moved = ext_ranks(fam, M.suspend(3), 3, 11, with_names=False)
         assert moved.dims == {(s, t + 3): d for (s, t), d in plain.dims.items()}
+
+    @pytest.mark.parametrize(
+        "fam, module, s_max, t_max",
+        [
+            (Profile.A(3, 1), None, 4, 24),
+            (Profile.A(2, 1), None, 4, 12),
+            (Profile.T(2, 1), None, 4, 10),
+            (Profile.P(2, 1), None, 3, 14),
+            (Profile.A(2, 1), [0, 1, 3], 3, 9),
+            (Profile.A(2, 1), "self", 3, 9),
+        ],
+    )
+    def test_series_word_counts(self, fam, module, s_max, t_max):
+        if module == "self":
+            M = Comodule.coalgebra_self(fam, 4)
+        else:
+            M = Comodule.trivial(fam, module or (0,))
+        rows = cobar_dims(fam, M, s_max, t_max)
+        cx = CobarComplex(fam, M, s_max, t_max)
+        assert rows == [
+            [cx.dim_cell(s, t) for t in range(t_max + 1)] for s in range(s_max + 1)
+        ]
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -3,6 +3,9 @@
 Oracles used here:
   * binomial-coefficient actions on truncated projective spaces,
     expanded by hand and compared entry by entry,
+  * composites of the single powers P^k x^j = C(j, k) x^(j + k(p-1))
+    against the Milnor primitives of column two, whose actions come
+    from Milnor's coaction formula instead,
   * Jordan block theory for a nilpotent operator over F_p: a finite
     F_p[d]/(d^k)-module is free iff ker d = im d^(k-1), so chain
     decompositions of the projective modules give exact homology dims,
@@ -13,6 +16,8 @@ Oracles used here:
 """
 
 import json
+import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +309,24 @@ class TestFreeness:
         }
 
 
+def _single_power_composites(p, m, words):
+    """Sum of signed composites of single powers on x^1..x^m as
+    {j: {j2: coef}}; a word (k_1, ..., k_r) applies k_r first.  The cells
+    are RP^m at p = 2 (shift k) and CP^m at odd p (shift k(p-1))."""
+    shift = 1 if p == 2 else p - 1
+    out = {}
+    for sign, word in words:
+        for j in range(1, m + 1):
+            coef, e = sign, j
+            for k in reversed(word):
+                coef *= comb(e, k)
+                e += k * shift
+            if e <= m and coef % p:
+                row = out.setdefault(j, {})
+                row[e] = (row.get(e, 0) + coef) % p
+    return {j: {e: c for e, c in row.items() if c} for j, row in out.items() if any(row.values())}
+
+
 class TestProjectiveSpaces:
     def test_real_action_tables(self):
         m = rp_module(4, ops=("P(1,0)", "P(2,0)"))
@@ -325,6 +348,32 @@ class TestProjectiveSpaces:
         m = cp_module(2, 6, ops=("P(2,0)",))
         assert m.actions["P(2,0)"] == {}
         assert margolis_homology(m, "P(2,0)").total == m.dim()
+
+    @pytest.mark.parametrize(
+        "p, words",
+        [
+            # Q(1) = Sq^1 Sq^2 + Sq^2 Sq^1 on RP^m
+            (2, ((1, (1, 2)), (1, (2, 1)))),
+            # P(2,0) = P^3 P^1 - P^1 P^3 on CP^m at p = 3
+            (3, ((1, (3, 1)), (-1, (1, 3)))),
+        ],
+    )
+    def test_column_two_primitive_from_single_powers(self, p, words):
+        for m in range(1, 30):
+            module = rp_module(m, ("P(2,0)",)) if p == 2 else cp_module(p, m, ("P(2,0)",))
+            got = {
+                int(src[2:]): {int(t[2:]): c for c, t in terms}
+                for src, terms in module.actions["P(2,0)"].items()
+            }
+            assert got == _single_power_composites(p, m, words), m
+
+    def test_large_operator_needs_no_solve(self):
+        start = time.perf_counter()
+        m = cp_module(5, 130, ("P(2,1)",))
+        assert time.perf_counter() - start < 1.0
+        want = {f"x^{j}": ((1, f"x^{j + 120}"),) for j in range(5, 10)}
+        want["x^10"] = ((2, "x^130"),)
+        assert m.actions["P(2,1)"] == want
 
     def test_nontriviality_probe(self):
         assert ptzero_nontriviality("RP^4", 1, 2)
