@@ -27,9 +27,9 @@ from .charts import (
 from .defect import catalogue, verdict_table
 from .ext import Comodule, cobar_dims, ext_ranks
 from .fgl import er_defect_witness
-from .fgl import PrimeField
-from .margolis import FiniteSteenrodModule, is_free_over
-from .may import may_e1
+from .gradedlin import check_prime
+from .margolis import FiniteSteenrodModule, InputError, is_free_over
+from .may import e1_monomial_count, may_e1
 from .ssq import Window, build_e1, forced_d3_detector, run_d1, run_d3
 from .steenrod import Profile
 
@@ -51,6 +51,15 @@ MAX_FGL_CAP = 520
 # 385 MB and 270 MB at p = 2 through stem 16, s 6.  The limit admits
 # both and refuses p = 3 through stem 24, s 5 (1610 MB, over 3 GB peak)
 MAX_EXT_MATRIX_BYTES = 512 * 2**20
+# largest may E1 page, in window cells plus monomials; each cell and
+# each monomial is an object the page keeps.  At p = 2, n = 1, stem 60,
+# s 16 (1,037 cells, 46,418 monomials) took 3.6 s and 62 MB; stem 80,
+# s 16 (165,107 monomials) took 20 s and 188 MB.  At p = 5, stem 20000,
+# s 4 (100,005 cells, 4,223 monomials) took 2.2 s and 162 MB
+MAX_MAY_E1_SIZE = 60_000
+# largest ko-ss window, in cells: the laurent pages over 180,901 cells
+# took 2.8 s and 79 MB, over 501,501 cells 9.5 s and 177 MB
+MAX_KO_SS_CELLS = 250_000
 FORMATS = ("tsv", "json", "svg")
 
 # per-subcommand defaults and allowed output formats
@@ -107,14 +116,6 @@ def _engine_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def _check_prime(p) -> int:
-    try:
-        PrimeField(p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return p
-
-
 def _check_positive(name, value) -> int:
     if value < 1:
         raise ConfigError(f"{name} must be positive, got {value}")
@@ -158,6 +159,21 @@ def _ext_matrix_bytes(params) -> int:
         a * b for src, tgt in zip(rows, rows[1:]) for a, b in zip(src, tgt)
     )
     return entries // 8 if profile.p == 2 else entries * 8
+
+
+def _check_may_size(params):
+    """Refuse a may page over MAX_MAY_E1_SIZE window cells plus E1
+    monomials, bounding the window before counting monomials in it."""
+    cells = (params["stem_max"] + 1) * (params["s_max"] + 1)
+    if cells > MAX_MAY_E1_SIZE:
+        raise ConfigError(f"the E1 window has {cells} cells, over the limit {MAX_MAY_E1_SIZE}")
+    size = cells + e1_monomial_count(
+        params["n"], params["prime"], params["stem_max"], params["s_max"]
+    )
+    if size > MAX_MAY_E1_SIZE:
+        raise ConfigError(
+            f"the E1 page has {size} cells and monomials, over the limit {MAX_MAY_E1_SIZE}"
+        )
 
 
 def cmd_ext(cfg: JobConfig):
@@ -205,12 +221,13 @@ def cmd_may(cfg: JobConfig):
 
 
 def cmd_margolis(cfg: JobConfig):
-    # every ValueError here is a verdict on the input: a malformed or
-    # inconsistent module, an unknown subalgebra, or a missing operator
+    # InputError is a verdict on the input: a malformed or inconsistent
+    # module, an unknown subalgebra, or a missing operator; any other
+    # ValueError is the engine refusing to certify
     try:
         module = FiniteSteenrodModule.from_json(cfg.payload)
         verdict = is_free_over(module, cfg.params["subalgebra"])
-    except ValueError as exc:
+    except InputError as exc:
         raise ConfigError(str(exc)) from None
     report = verdict.to_json()
     base = "margolis_verdict"
@@ -411,13 +428,18 @@ def _config_from_args(args) -> JobConfig:
     params = {"formats": formats}
     payload = None
     if args.subcommand in ("ext", "may"):
-        params["prime"] = _check_prime(args.prime)
+        try:
+            params["prime"] = check_prime(args.prime)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         params["n"] = args.n
         if args.n < 0:
             raise ConfigError(f"height must be nonnegative, got {args.n}")
         params["stem_max"] = _check_positive("stem cap", args.stem_max)
         params["s_max"] = _check_positive("s cap", args.s_max)
-        if args.subcommand == "ext":
+        if args.subcommand == "may":
+            _check_may_size(params)
+        else:
             params["family"] = args.family
             need = _ext_matrix_bytes(params)
             if need > MAX_EXT_MATRIX_BYTES:
@@ -456,6 +478,11 @@ def _config_from_args(args) -> JobConfig:
         lo, hi, flo, fhi = args.window
         if lo > hi or flo > fhi:
             raise ConfigError(f"empty window {tuple(args.window)}")
+        cells = (hi - lo + 1) * (fhi - flo + 1)
+        if cells > MAX_KO_SS_CELLS:
+            raise ConfigError(
+                f"the window has {cells} cells, over the limit {MAX_KO_SS_CELLS}"
+            )
         params["window"] = [lo, hi, flo, fhi]
     return JobConfig(
         args.subcommand,

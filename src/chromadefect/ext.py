@@ -20,7 +20,6 @@ from .gradedlin import (
     SparseEchelonGF2,
     SubquotientBasis,
     vec_from_terms,
-    vec_is_zero,
     vec_support,
 )
 from .steenrod import Comodule, cotensor_comodule, elt_add_term, tau_gen, xi_gen
@@ -273,18 +272,6 @@ class CobarComplex:
             image = list(self.differential_matrix(s - 1, t).rows)
         return SubquotientBasis(self.p, len(self.words(s, t)), image, kern)
 
-    def verify_d_squared(self, t_values=None):
-        """d^2 = 0 on whole columns; raises on failure."""
-        ts = t_values if t_values is not None else range(self.t_max + 1)
-        for t in ts:
-            for s in range(0, min(self.s_max, t) + 1):
-                a = self.differential_matrix(s, t)
-                b = self.differential_matrix(s + 1, t)
-                for row in a.rows:
-                    if not vec_is_zero(b.apply(row)):
-                        raise AssertionError(f"d^2 != 0 at (s,t)=({s},{t})")
-        return True
-
 
 class ExtChart:
     """Bigraded Ext dims with named classes and recorded products."""
@@ -298,9 +285,6 @@ class ExtChart:
         self.names = {}
         self.collisions = []
         self.products = {}
-
-    def dim(self, s, t):
-        return self.dims.get((s, t), 0)
 
     def cells(self):
         return sorted(self.dims)
@@ -542,15 +526,13 @@ def evenness_scan(n, p, module, stem_max, s_max=None):
     """Scan Ext over the exterior height-n family for classes in the
     obstruction bidegrees (s >= 2).  Empty = certified through stem_max.
 
-    A nonempty result lists candidates only, never a disproof.  The
-    module is restricted to the exterior family if given over a larger
-    quotient.
+    A nonempty result lists candidates only, never a disproof.  A
+    module given over a larger quotient is revalidated over the
+    exterior family, so its coaction must factor through it.
     """
     from .steenrod import Profile
 
     family = Profile.E(p, n)
-    if profile_key(module.profile) != profile_key(family):
-        module = module.restrict(family)
     if s_max is None:
         # letter degrees grow with n; capping s keeps word counts sane
         s_max = 8 if n <= 1 else 5

@@ -6,14 +6,11 @@ from .modp import (
     PrimeFieldMatrix,
     SparseEchelonGF2,
     SubquotientBasis,
+    check_prime,
     gf2_eliminate,
-    vec_add,
     vec_entry,
     vec_from_terms,
-    vec_is_zero,
-    vec_scale,
     vec_support,
-    vec_zero,
 )
 
 # the elimination kernels are pure python; kept for callers that
@@ -26,12 +23,9 @@ __all__ = [
     "PrimeFieldMatrix",
     "SparseEchelonGF2",
     "SubquotientBasis",
+    "check_prime",
     "gf2_eliminate",
-    "vec_add",
     "vec_entry",
     "vec_from_terms",
-    "vec_is_zero",
-    "vec_scale",
     "vec_support",
-    "vec_zero",
 ]

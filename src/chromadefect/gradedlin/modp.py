@@ -13,23 +13,25 @@ is the streaming rank the cobar complex uses for cells too large for
 dense bitmask rows.
 """
 
+from math import isqrt
+
 __all__ = [
     "PrimeFieldMatrix",
     "SparseEchelonGF2",
     "SubquotientBasis",
+    "check_prime",
     "gf2_eliminate",
-    "vec_zero",
     "vec_from_terms",
-    "vec_add",
-    "vec_scale",
     "vec_entry",
     "vec_support",
-    "vec_is_zero",
 ]
 
 
-def vec_zero(p, n):
-    return 0 if p == 2 else (0,) * n
+def check_prime(p):
+    """p itself when it is prime; ValueError "<p> is not prime" otherwise."""
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
 def vec_from_terms(p, n, terms):
@@ -43,19 +45,6 @@ def vec_from_terms(p, n, terms):
     for i, c in terms:
         row[i] = (row[i] + c) % p
     return tuple(row)
-
-
-def vec_add(p, a, b):
-    if p == 2:
-        return a ^ b
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def vec_scale(p, v, c):
-    if p == 2:
-        return v if c % 2 else 0
-    c %= p
-    return tuple((c * x) % p for x in v)
 
 
 def vec_entry(p, v, i):
@@ -207,14 +196,12 @@ def fp_reduce(p, ech, pivots, ncols, v):
 class PrimeFieldMatrix:
     """Row-major matrix over F_p with cached elimination data."""
 
-    def __init__(self, p, nrows, ncols, rows=None):
+    def __init__(self, p, nrows, ncols, rows):
         if p < 2:
             raise ValueError("p must be a prime >= 2")
         self.p = p
         self.nrows = nrows
         self.ncols = ncols
-        if rows is None:
-            rows = [vec_zero(p, ncols) for _ in range(nrows)]
         if len(rows) != nrows:
             raise ValueError("row count mismatch")
         self.rows = list(rows)
@@ -260,15 +247,6 @@ class PrimeFieldMatrix:
         kernel = self._eliminate(True)[4]
         return list(kernel)
 
-    def reduce_vector(self, v):
-        rank, pivots, ech, _, _ = self._eliminate(False)
-        if self.p == 2:
-            return gf2_reduce(ech, pivots, v)[0]
-        return fp_reduce(self.p, ech, pivots, self.ncols, v)[0]
-
-    def in_row_space(self, v):
-        return vec_is_zero(self.reduce_vector(v))
-
     def solve_combo(self, v):
         """x with x.M = v, expressed over the original rows, or None."""
         rank, pivots, ech, combos, _ = self._eliminate(True)
@@ -291,17 +269,6 @@ class PrimeFieldMatrix:
                 for i, c in enumerate(combos[k]):
                     x[i] = (x[i] + f * c) % self.p
         return tuple(x)
-
-    def apply(self, x):
-        """Row action x.M for a single vector x over F^nrows."""
-        p = self.p
-        out = vec_zero(p, self.ncols)
-        for i, c in vec_support(p, x, self.nrows):
-            out = vec_add(p, out, vec_scale(p, self.rows[i], c))
-        return out
-
-    def entry(self, i, j):
-        return vec_entry(self.p, self.rows[i], j)
 
 
 class SubquotientBasis:

@@ -9,11 +9,12 @@ homology; a finite module is free over one of the standard subalgebras
 exactly when all of those homologies vanish, and that is the test
 is_free_over runs.
 
-A finite comodule over a finite profile quotient (steenrod.Comodule)
-becomes such a module through dual_module, which lets each Margolis
-operation of the family act by slicing the coaction.  Cofreeness of the
-comodule is then the same vanishing test (cofree_decompose), at every
-prime.
+The `margolis` job reads a module from JSON (FiniteSteenrodModule.
+from_json) and runs is_free_over on it.  Errors in that input, or in
+the subalgebra name, raise InputError; any other ValueError is the
+engine refusing to certify.  The modules the tests feed it (subalgebras
+over themselves, free modules, projective spaces, comodule duals) are
+built under tests/oracles/.
 
 Square-zero operator lists come from the height profile of the dual
 quotient.  Spelled out at p = 2 through level 3:
@@ -30,7 +31,6 @@ list uses heights n+2-t with no shift and no Q's.
 """
 
 import re
-from math import comb
 
 from .gradedlin import (
     PrimeFieldMatrix,
@@ -38,38 +38,28 @@ from .gradedlin import (
     vec_support,
 )
 from .steenrod import (
-    MilnorBasisElement,
     Profile,
     elt_add_term,
     family_margolis_indices,
-    milnor_product,
-    milnor_q,
-    operator_basis,
-    tau_gen,
-    xi_gen,
 )
 
 __all__ = [
     "DOUBLING_SHIFT",
     "FiniteSteenrodModule",
+    "InputError",
     "MargolisHomology",
     "MargolisVerdict",
-    "cofree_decompose",
-    "cp_module",
-    "dual_module",
-    "free_module",
     "is_free_over",
     "margolis_homology",
     "operator_degree",
     "parse_operator",
-    "ptzero_nontriviality",
-    "rp_module",
     "subalgebra_dimension",
-    "subalgebra_module",
     "subalgebra_operators",
-    "trivial_module",
-    "two_cell_module",
 ]
+
+
+class InputError(ValueError):
+    """A module or subalgebra name that does not describe a valid job."""
 
 
 _OP_RE = re.compile(r"^(P|Q)\((\d+)(?:,(\d+))?\)$")
@@ -136,23 +126,6 @@ def _nilpotence_order(name, p):
     return p
 
 
-def _nilpotence_message(op, k, name):
-    if k == 2:
-        return f"{op} squared is nonzero on basis element {name}"
-    return f"{op} to the power {k} is nonzero on basis element {name}"
-
-
-def _derivation_type(name, p, even_only):
-    """Operators that act on tensor products as (signed) derivations:
-    the primitive ones."""
-    kind, t, s = parse_operator(name)
-    if kind == "Q":
-        return True
-    if even_only:
-        return s == 1
-    return p == 2 and s == 0
-
-
 class FiniteSteenrodModule:
     """Finite graded module over a piece of the Steenrod algebra.
 
@@ -170,7 +143,7 @@ class FiniteSteenrodModule:
     once built.
     """
 
-    def __init__(self, p, basis, actions, even_only=False, validate=True):
+    def __init__(self, p, basis, actions, even_only=False):
         self.p = int(p)
         if self.p < 2:
             raise ValueError("p must be a prime >= 2")
@@ -193,8 +166,7 @@ class FiniteSteenrodModule:
                 if acc:
                     table[src] = tuple((c, t) for t, c in sorted(acc.items()))
             self.actions[op] = table
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         for op in self.operators:
@@ -213,10 +185,9 @@ class FiniteSteenrodModule:
                             f"action of {op} on {src} is not degree-preserving"
                         )
             if _margolis_type(op, self.p, self.even_only):
-                k = _nilpotence_order(op, self.p)
-                bad = self._nilpotence_offender(op, k)
+                bad = self._nilpotence_failure(op)
                 if bad is not None:
-                    raise ValueError(_nilpotence_message(op, k, bad))
+                    raise ValueError(bad)
 
     # structure ---------------------------------------------------------
 
@@ -225,13 +196,6 @@ class FiniteSteenrodModule:
 
     def degrees(self):
         return sorted(set(self.degree_of.values()))
-
-    def dims(self):
-        out = {}
-        for n in self.names:
-            d = self.degree_of[n]
-            out[d] = out.get(d, 0) + 1
-        return out
 
     def slice_names(self, degree):
         return [n for n in self.names if self.degree_of[n] == degree]
@@ -251,8 +215,10 @@ class FiniteSteenrodModule:
                 elt_add_term(self.p, out, tgt, c * coef)
         return out
 
-    def _nilpotence_offender(self, op, k):
-        """Name of a basis element where the k-fold op is nonzero."""
+    def _nilpotence_failure(self, op):
+        """Message naming a basis element where op to its nilpotence
+        order is nonzero, or None."""
+        k = _nilpotence_order(op, self.p)
         for src in self.actions[op]:
             v = {src: 1}
             for _ in range(k):
@@ -260,7 +226,9 @@ class FiniteSteenrodModule:
                 if not v:
                     break
             if v:
-                return src
+                if k == 2:
+                    return f"{op} squared is nonzero on basis element {src}"
+                return f"{op} to the power {k} is nonzero on basis element {src}"
         return None
 
     def operator_matrix(self, op, degree, power=1):
@@ -282,110 +250,11 @@ class FiniteSteenrodModule:
                 terms.append((i, pos[t], coef))
         return PrimeFieldMatrix.from_terms(self.p, len(src), len(tgt), terms)
 
-    # constructions -----------------------------------------------------
-
-    def suspend(self, k):
-        basis = [(n, self.degree_of[n] + k) for n in self.names]
-        return FiniteSteenrodModule(
-            self.p, basis, self.actions, self.even_only, validate=False
-        )
-
-    def direct_sum(self, other):
-        """Block sum; an operator declared on one side only acts by
-        zero on the other."""
-        if self.p != other.p:
-            raise ValueError("summands live over different primes")
-        left = {n: f"a.{n}" for n in self.names}
-        right = {n: f"b.{n}" for n in other.names}
-        basis = [(left[n], self.degree_of[n]) for n in self.names]
-        basis += [(right[n], other.degree_of[n]) for n in other.names]
-        actions = {}
-        for op in set(self.operators) | set(other.operators):
-            table = {}
-            for src, terms in self.actions.get(op, {}).items():
-                table[left[src]] = [(c, left[t]) for c, t in terms]
-            for src, terms in other.actions.get(op, {}).items():
-                table[right[src]] = [(c, right[t]) for c, t in terms]
-            actions[op] = table
-        return FiniteSteenrodModule(
-            self.p,
-            basis,
-            actions,
-            self.even_only and other.even_only,
-            validate=False,
-        )
-
-    def tensor(self, other, ops=None):
-        """Tensor product over F_p with the diagonal operator action.
-
-        Only primitive operators act on a tensor product by the Leibniz
-        rule: Q(t), the P(t,0) at p = 2, and P(t,1) in even-only mode.
-        The default keeps every common declared operator of that shape;
-        asking for anything else raises.
-        """
-        if self.p != other.p:
-            raise ValueError("factors live over different primes")
-        p = self.p
-        even = self.even_only and other.even_only
-        if ops is None:
-            ops = [
-                op
-                for op in self.operators
-                if op in other.actions and _derivation_type(op, p, even)
-            ]
-        else:
-            for op in ops:
-                if op not in self.actions or op not in other.actions:
-                    raise ValueError(f"operator {op} is not declared on both factors")
-                if not _derivation_type(op, p, even):
-                    raise ValueError(f"{op} is not primitive; no tensor action")
-        name = {}
-        basis = []
-        for a in self.names:
-            for b in other.names:
-                nm = f"{a}|{b}"
-                name[a, b] = nm
-                basis.append((nm, self.degree_of[a] + other.degree_of[b]))
-        actions = {}
-        for op in ops:
-            odd_step = operator_degree(p, op) % 2
-            table = {}
-            for a in self.names:
-                for b in other.names:
-                    terms = [
-                        (coef, name[t, b]) for coef, t in self.actions[op].get(a, ())
-                    ]
-                    sign = -1 if odd_step and self.degree_of[a] % 2 else 1
-                    terms += [
-                        (sign * coef, name[a, t])
-                        for coef, t in other.actions[op].get(b, ())
-                    ]
-                    if terms:
-                        table[name[a, b]] = terms
-            actions[op] = table
-        return FiniteSteenrodModule(p, basis, actions, even_only=even)
-
     # serialization -----------------------------------------------------
-
-    def to_json(self):
-        return {
-            "prime": self.p,
-            "even_only": self.even_only,
-            "operators": list(self.operators),
-            "basis": [{"name": n, "degree": self.degree_of[n]} for n in self.names],
-            "actions": [
-                {
-                    "operator": op,
-                    "on": src,
-                    "terms": [{"coef": c, "to": t} for c, t in self.actions[op][src]],
-                }
-                for op in self.operators
-                for src in sorted(self.actions[op])
-            ],
-        }
 
     @classmethod
     def from_json(cls, data):
+        """Parse and validate a module; every failure is an InputError."""
         try:
             p = int(data["prime"])
             even = bool(data.get("even_only", False))
@@ -396,9 +265,11 @@ class FiniteSteenrodModule:
                 table[str(row["on"])] = [
                     (int(t["coef"]), str(t["to"])) for t in row["terms"]
                 ]
+            return cls(p, basis, actions, even_only=even)
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed module data: {exc}") from exc
-        return cls(p, basis, actions, even_only=even)
+            raise InputError(f"malformed module data: {exc}") from exc
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
 
 
 class MargolisHomology:
@@ -415,25 +286,11 @@ class MargolisHomology:
         self.dims = dims
         self.witnesses = witnesses
 
-    def dim_at(self, degree):
-        return self.dims.get(degree, 0)
-
-    @property
-    def total(self):
-        return sum(self.dims.values())
-
     def is_zero(self):
         return not self.dims
 
-    def to_json(self):
-        return {
-            "operator": self.operator,
-            "dims": {str(d): v for d, v in sorted(self.dims.items())},
-            "witnesses": {str(d): w for d, w in sorted(self.witnesses.items())},
-        }
-
     def __repr__(self):
-        return f"MargolisHomology({self.operator}, total={self.total})"
+        return f"MargolisHomology({self.operator}, total={sum(self.dims.values())})"
 
 
 def margolis_homology(module, op):
@@ -450,9 +307,9 @@ def margolis_homology(module, op):
     module._table(op)
     p = module.p
     k = _nilpotence_order(op, p)
-    bad = module._nilpotence_offender(op, k)
+    bad = module._nilpotence_failure(op)
     if bad is not None:
-        raise ValueError(_nilpotence_message(op, k, bad))
+        raise ValueError(bad)
     step = operator_degree(p, op)
     dims = {}
     wits = {}
@@ -517,7 +374,7 @@ class MargolisVerdict:
 def _parse_subalgebra(spec):
     m = re.match(r"^([AP])\((\d+)\)$", spec.strip()) if isinstance(spec, str) else None
     if not m:
-        raise ValueError(f"unrecognized subalgebra {spec!r}; expected 'A(n)' or 'P(n)'")
+        raise InputError(f"unrecognized subalgebra {spec!r}; expected 'A(n)' or 'P(n)'")
     return m.group(1), int(m.group(2))
 
 
@@ -564,11 +421,11 @@ def is_free_over(module, subalgebra):
     """
     kind, level = _parse_subalgebra(subalgebra)
     if module.p == 2 and kind == "P" and not module.even_only:
-        raise ValueError("freeness over an even subalgebra needs an even-only module")
+        raise InputError("freeness over an even subalgebra needs an even-only module")
     ops = subalgebra_operators(module.p, kind, level)
     missing = [op for op in ops if op not in module.actions]
     if missing:
-        raise ValueError(
+        raise InputError(
             f"module does not declare {', '.join(missing)} "
             f"needed for freeness over {subalgebra}"
         )
@@ -585,267 +442,3 @@ def is_free_over(module, subalgebra):
                 witness = (op, d, h.witnesses[d][0])
     rank = module.dim() // subalgebra_dimension(module.p, kind, level) if free else None
     return MargolisVerdict(subalgebra, tuple(ops), homology, free, rank, witness)
-
-
-# ---------------------------------------------------------------------------
-# comodules over finite families
-
-
-def _dual_operations(profile):
-    """(operator name, dual monomial) per Margolis operation of a finite
-    family, in family_margolis_indices order."""
-    p = profile.p
-    xi_ops, tau_ops = family_margolis_indices(profile)
-    step = 2 if profile.even_only else 1
-    out = []
-    for t, s in xi_ops:
-        name = f"P({t},{s + 1})" if profile.even_only else f"P({t},{s})"
-        out.append((name, xi_gen(p, t, step * p**s)))
-    for t in tau_ops:
-        out.append((f"Q({t})", tau_gen(p, t)))
-    return out
-
-
-def dual_module(comodule):
-    """A finite comodule as a module over its family's Margolis operations.
-
-    One operator per entry of family_margolis_indices: P(t,s) dual to
-    xi_t^(p^s) (named P(t,s+1) and dual to xi_t^(2^(s+1)) in the
-    even-only case) and Q(t) dual to tau_t.  Each acts by slicing the
-    coaction at its monomial: it sends m to the sum of c * m' over the
-    coaction terms (monomial, c, m').  The dual operations lower
-    comodule degree, so the basis is graded by the negated comodule
-    degree.
-    """
-    profile = comodule.profile
-    actions = {}
-    for op, mono in _dual_operations(profile):
-        actions[op] = {
-            src: [(c, tgt) for m, c, tgt in comodule.coaction[src] if m == mono]
-            for src in comodule.names
-        }
-    basis = [(n, -comodule.degree_of[n]) for n in comodule.names]
-    return FiniteSteenrodModule(profile.p, basis, actions, even_only=profile.even_only)
-
-
-def cofree_decompose(comodule):
-    """Decide cofreeness of a comodule over a finite family (even-only
-    at p = 2).
-
-    The comodule is cofree exactly when every Margolis homology of its
-    dual_module vanishes; at odd primes the P(t,s) homology is taken
-    against the (p-1)-fold power, as in margolis_homology.  Returns
-    (True, sorted cogenerator degrees) or (False, witness), where
-    witness is (operator, total homology dimension) for the first
-    operation in family_margolis_indices order with nonvanishing
-    homology.  Cogenerator degrees come from dividing Poincare series.
-    """
-    profile = comodule.profile
-    if profile.p == 2 and not profile.even_only:
-        raise ValueError("expected an even-only family at p = 2")
-    module = dual_module(comodule)
-    for op, _ in _dual_operations(profile):
-        total = margolis_homology(module, op).total
-        if total:
-            return False, (op, total)
-    fam = profile.poincare(max(comodule.degrees(), default=0))
-    work = comodule.poincare()
-    cogens = []
-    for d in range(len(work)):
-        c = work[d]
-        if c < 0:
-            return False, ("series", d)
-        if not c:
-            continue
-        cogens.extend([d] * c)
-        for k, b in enumerate(fam):
-            if d + k < len(work):
-                work[d + k] -= c * b
-    if any(work):
-        return False, ("series", "remainder")
-    return True, cogens
-
-
-# ---------------------------------------------------------------------------
-# builders
-
-
-def _operator_element(p, op, even_only=False):
-    """Milnor basis element computing the operator by left product.
-
-    In even-only mode coordinates are halved (degree-doubling), and the
-    odd-degree s = 0 operators act by zero, returned as None.
-    """
-    kind, t, s = parse_operator(op)
-    if kind == "Q":
-        if p == 2:
-            raise ValueError("Q-operators are odd-prime notation; use P(t,0) at p = 2")
-        return milnor_q(p, t)
-    if even_only:
-        if s == 0:
-            return None
-        s -= 1
-    return MilnorBasisElement(p, (), (0,) * (t - 1) + (p**s,))
-
-
-def subalgebra_module(p, kind, level, extra_ops=()):
-    """The level-n subalgebra as a left module over itself.
-
-    Basis: its Milnor basis; each operator acts by left multiplication
-    through milnor_product.  extra_ops declares more operators on top
-    of the square-zero list, e.g. to probe ones with nonzero square.
-    In the even kind at p = 2, elements are stored on halved
-    coordinates and labeled by their doubled exponents.
-    """
-    ops = list(subalgebra_operators(p, kind, level))
-    for op in extra_ops:
-        if op not in ops:
-            ops.append(op)
-    even = kind == "P" and p == 2
-    elements = operator_basis(Profile.A(p, level) if even else _profile_for(p, kind, level))
-    scale = 2 if even else 1
-
-    def label(elt):
-        if not even:
-            return str(elt)
-        return str(MilnorBasisElement(2, (), tuple(2 * r for r in elt.r)))
-
-    name_of = {elt: label(elt) for elt in elements}
-    basis = [(name_of[e], scale * e.degree()) for e in elements]
-    actions = {}
-    for op in ops:
-        theta = _operator_element(p, op, even)
-        table = {}
-        if theta is not None:
-            for e in elements:
-                terms = []
-                for key, coef in sorted(milnor_product(theta, e).items()):
-                    nm = name_of.get(key)
-                    if nm is None:
-                        raise ValueError(f"{op} does not lie in the subalgebra {kind}({level})")
-                    terms.append((coef, nm))
-                if terms:
-                    table[name_of[e]] = terms
-        actions[op] = table
-    return FiniteSteenrodModule(p, basis, actions, even_only=even)
-
-
-def free_module(p, kind, level, generator_degrees, extra_ops=()):
-    """Free module over the level-n subalgebra with one generator per
-    listed degree: a direct sum of shifted copies of the subalgebra."""
-    base = subalgebra_module(p, kind, level, extra_ops)
-    basis = []
-    actions = {op: {} for op in base.operators}
-    for k, shift in enumerate(generator_degrees):
-        tag = f"g{k}."
-        for n in base.names:
-            basis.append((tag + n, base.degree_of[n] + shift))
-        for op in base.operators:
-            for src, terms in base.actions[op].items():
-                actions[op][tag + src] = [(c, tag + t) for c, t in terms]
-    return FiniteSteenrodModule(
-        p, basis, actions, even_only=base.even_only, validate=False
-    )
-
-
-def trivial_module(p, degrees=(0,), ops=(), even_only=False):
-    """Trivial action, one generator per listed degree; the operators
-    are declared with zero action."""
-    basis = [(f"m{k}", d) for k, d in enumerate(degrees)]
-    actions = {op: {} for op in ops}
-    return FiniteSteenrodModule(p, basis, actions, even_only=even_only)
-
-
-def two_cell_module(op, p=2):
-    """Two cells joined by one operator: x0 in degree zero mapping onto
-    the cell in degree |op|.  Even-only mode switches on when the
-    operator lives in the even subalgebra."""
-    kind, t, s = parse_operator(op)
-    even = p == 2 and kind == "P" and s >= 1
-    step = operator_degree(p, op)
-    top = f"x{step}"
-    actions = {op: {"x0": [(1, top)]}}
-    return FiniteSteenrodModule(p, [("x0", 0), (top, step)], actions, even_only=even)
-
-
-# projective spaces: Milnor's coaction x -> sum_i x^(p^i) (x) xi_i on
-# the generator, raised to the j-th power, makes P(t,s) (dual to
-# xi_t^(p^s)) send x^j to C(j, p^s) x^(j + p^s (p^t - 1))
-
-
-def _projective_action(p, family, m, op):
-    """Exponent-level action table {j: [(coef, j2)]} of a Milnor
-    operator on reduced projective space with cells x^1..x^m.
-
-    Complex cells at p = 2 sit in degree 2, where P(t,s) acts as
-    P(t,s-1) does on the real cells; the odd-degree operators (the
-    s = 0 ones there, every Q(t)) act on evenly graded cells by zero.
-    """
-    step = operator_degree(p, op)
-    _, t, s = parse_operator(op)
-    if family == "C" and step % 2:
-        return {}
-    if family == "C" and p == 2:
-        s -= 1
-    k = p**s
-    shift = k * (p**t - 1)
-    table = {}
-    for j in range(k, m - shift + 1):
-        c = comb(j, k) % p
-        if c:
-            table[j] = [(c, j + shift)]
-    return table
-
-
-def _exponent_actions(p, family, m, ops):
-    actions = {}
-    for op in dict.fromkeys(ops):
-        table = _projective_action(p, family, m, op)
-        actions[op] = {
-            f"x^{j}": [(c, f"x^{j2}") for c, j2 in terms] for j, terms in table.items()
-        }
-    return actions
-
-
-def rp_module(m, ops=("P(1,0)",)):
-    """Reduced mod-2 cohomology of real projective m-space: cells
-    x^1..x^m in degrees 1..m, with the requested Milnor operators."""
-    if m < 1:
-        raise ValueError("need at least one cell")
-    basis = [(f"x^{j}", j) for j in range(1, m + 1)]
-    return FiniteSteenrodModule(2, basis, _exponent_actions(2, "R", m, ops))
-
-
-def cp_module(p, m, ops):
-    """Reduced mod-p cohomology of complex projective m-space: cells
-    x^1..x^m in degrees 2..2m.  Even-only mode switches on at p = 2
-    when every requested operator lies in the even subalgebra."""
-    if m < 1:
-        raise ValueError("need at least one cell")
-    basis = [(f"x^{j}", 2 * j) for j in range(1, m + 1)]
-    even = p == 2 and all(
-        parse_operator(op)[0] == "P" and parse_operator(op)[2] >= 1 for op in ops
-    )
-    return FiniteSteenrodModule(
-        p, basis, _exponent_actions(p, "C", m, ops), even_only=even
-    )
-
-
-_SPACE_RE = re.compile(r"^(RP|CP)[\^(](\d+)\)?$")
-
-
-def ptzero_nontriviality(space, t, p):
-    """True iff P(t,0) acts nonzero on the reduced cohomology of the
-    named projective space ('RP^9', 'CP^4')."""
-    m = _SPACE_RE.match(space.strip().upper())
-    if not m:
-        raise ValueError(f"unrecognized projective space {space!r}")
-    family, cells = m.group(1), int(m.group(2))
-    op = f"P({t},0)"
-    if family == "RP":
-        if p != 2:
-            raise ValueError("real projective spaces live at p = 2")
-        module = rp_module(cells, ops=(op,))
-    else:
-        module = cp_module(p, cells, ops=(op,))
-    return bool(module.actions[op])

@@ -25,22 +25,18 @@ Window bookkeeping: each page turn erodes the trusted region by one in
 both stem and s, because boundaries can enter from just outside it.
 """
 
-import json
-
 from .gradedlin import SubquotientBasis, vec_from_terms, vec_support
 from .steenrod import elt_add_term
 
 __all__ = [
     "MayContext",
     "MayPage",
+    "e1_monomial_count",
     "may_e1",
     "may_d1",
     "page_turn",
-    "chi_locate",
-    "parse_differential_ledger",
     "monomial_string",
     "parse_may_monomial",
-    "iso_range_letters",
 ]
 
 _KIND_RANK = {"a": 0, "b": 1, "h": 2}
@@ -352,10 +348,6 @@ class MayPage:
     def p(self):
         return self.context.p
 
-    def dim(self, stem, s):
-        cell = self.cells.get((stem, s))
-        return len(cell.reps) if cell else 0
-
     def dims(self):
         return {
             key: len(cell.reps) for key, cell in self.cells.items() if cell.reps
@@ -455,6 +447,25 @@ def may_e1(n, p, stem_max, s_max):
         monos.sort(key=lambda m: (mono_weight(p, m), monomial_string(m)))
         page.cells[key] = _Cell(monos, [], [{m: 1} for m in monos], p)
     return page
+
+
+def e1_monomial_count(n, p, stem_max, s_max):
+    """Number of monomials on the E1 page through (stem_max, s_max),
+    counted from the letter degrees without building one: a knapsack
+    over the letters, the exterior ones used at most once."""
+    counts = [[0] * (s_max + 1) for _ in range(stem_max + 1)]
+    counts[0][0] = 1
+    for gen in MayContext(n, p).generators(stem_max, s_max):
+        g_stem, g_s = gen_t(p, gen) - gen_s(gen), gen_s(gen)
+        if gen_is_odd(p, gen):
+            stems, ss = range(stem_max, g_stem - 1, -1), range(s_max, g_s - 1, -1)
+        else:
+            stems, ss = range(g_stem, stem_max + 1), range(g_s, s_max + 1)
+        for stem in stems:
+            row, src = counts[stem], counts[stem - g_stem]
+            for s in ss:
+                row[s] += src[s - g_s]
+    return sum(map(sum, counts))
 
 
 def _check_weight_drop(p, source_mono, target_element):
@@ -633,65 +644,3 @@ def _assert_weight_step(p, source_elt, target_elt):
 
 def _lead_monomial(p, element):
     return min(element, key=lambda m: (mono_weight(p, m), monomial_string(m)))
-
-
-def parse_differential_ledger(data, page=None):
-    """JSON rules [{"source": str, "target": [[monomial, coef], ...], "r": int}].
-
-    Returns {r: [(source, target element), ...]} grouped by page index.
-    """
-    if isinstance(data, str):
-        data = json.loads(data)
-    grouped = {}
-    for entry in data:
-        source = parse_may_monomial(entry["source"])
-        target = {}
-        for mono, coef in entry["target"]:
-            target[parse_may_monomial(mono)] = coef
-        grouped.setdefault(int(entry["r"]), []).append((source, target))
-    return grouped
-
-
-def iso_range_letters(n, p):
-    """Letters generating the page below the first interesting stem:
-    {h(i,0): i <= n+2} + {h(n+1,1)} at p=2, {a(i): i <= n+2} + {h(n+1,0)}
-    at odd p.  E2 is free graded-commutative on these through stem
-    2p^{n+1} - 4; at stem 2p^{n+1} - 3 only the s = 1 class is left."""
-    if p == 2:
-        letters = [("h", i, 0) for i in range(1, n + 3)]
-        letters.append(("h", n + 1, 1))
-    else:
-        letters = [("a", i, None) for i in range(0, n + 3)]
-        letters.append(("h", n + 1, 0))
-    return sorted(letters, key=_gen_key)
-
-
-def chi_locate(n, p, s_max=None):
-    """Locate the first odd-stem class of the height-n family.
-
-    Returns (stem, detector name, group string) with a machine-checked
-    certificate: on E2, the stem column is one-dimensional within the
-    window, concentrated at s = 1 on the predicted letter.
-    """
-    stem = 2 * p ** (n + 1) - 3
-    detector = ("h", n + 1, 1) if p == 2 else ("h", n + 1, 0)
-    if s_max is None:
-        s_max = stem + 3
-    stem_cap = stem + 2
-    e1 = may_e1(n, p, stem_cap, s_max)
-    e2 = page_turn(e1)
-    if e2.trusted_stem_max < stem or e2.trusted_s_max < 2:
-        raise ValueError("window too small to certify the stem")
-    column = {
-        s: e2.dim(stem, s)
-        for s in range(0, min(e2.trusted_s_max, s_max) + 1)
-        if e2.dim(stem, s)
-    }
-    if column != {1: 1}:
-        raise AssertionError(
-            f"stem {stem} is not one-dimensional on E2 in the window: {column}"
-        )
-    coords = e2.class_coords({((detector, 1),): 1})
-    if not coords:
-        raise AssertionError("predicted detector dies on E2")
-    return stem, gen_string(detector), f"Z/{p}"

@@ -26,15 +26,9 @@ __all__ = [
     "MilnorBasisElement",
     "milnor_product",
     "operator_basis",
-    "sq",
-    "milnor_p",
-    "milnor_q",
     "conjugate_xi",
-    "conjugate_tau",
-    "conjugate_xi_power",
     "coproduct",
     "reduced_coproduct",
-    "element_coproduct",
     "elt_mul",
     "elt_add_term",
     "xi_gen",
@@ -46,7 +40,6 @@ __all__ = [
     "poincare_identity_check",
     "splitting_generator_degrees",
     "stable_splitting_generator_degrees",
-    "parse_monomial",
 ]
 
 
@@ -145,30 +138,6 @@ class DualMonomial:
 
     def __repr__(self):
         return f"DualMonomial({self.p}, {self})"
-
-
-def parse_monomial(p, text):
-    """Inverse of str(DualMonomial): 'xi1^2*tau0' and '1' forms."""
-    text = text.strip()
-    if text == "1":
-        return DualMonomial(p)
-    xi = {}
-    tau = []
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if factor.startswith("xi"):
-            body = factor[2:]
-            if "^" in body:
-                idx, _, exp = body.partition("^")
-                xi[int(idx)] = xi.get(int(idx), 0) + int(exp)
-            else:
-                xi[int(body)] = xi.get(int(body), 0) + 1
-        elif factor.startswith("tau"):
-            tau.append(int(factor[3:]))
-        else:
-            raise ValueError(f"cannot parse monomial factor {factor!r}")
-    n = max(xi) if xi else 0
-    return DualMonomial(p, tuple(xi.get(i + 1, 0) for i in range(n)), tuple(sorted(tau)))
 
 
 def xi_gen(p, i, power=1):
@@ -328,15 +297,6 @@ def reduced_coproduct(mono, profile=None):
     return out
 
 
-def element_coproduct(elt, profile=None):
-    p = next(iter(elt)).p if elt else 2
-    out = {}
-    for mono, coef in elt.items():
-        for key, c in coproduct(mono, profile).items():
-            elt_add_term(p, out, key, c * coef)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # conjugation
 
@@ -352,25 +312,6 @@ def conjugate_xi(p, k):
         for m, c in elt_mul(p, factor, conjugate_xi(p, i)).items():
             elt_add_term(p, acc, m, -c)
     return acc
-
-
-@lru_cache(maxsize=None)
-def conjugate_tau(p, k):
-    """chi(tau_k) from tau_k + sum_{i<=k} xi_{k-i}^{p^i} chi(tau_i) = 0."""
-    acc = {tau_gen(p, k): -1}
-    for i in range(k):
-        factor = {xi_gen(p, k - i, p**i): 1}
-        for m, c in elt_mul(p, factor, conjugate_tau(p, i)).items():
-            elt_add_term(p, acc, m, -c)
-    return acc
-
-
-def conjugate_xi_power(p, k, e):
-    out = {DualMonomial(p): 1}
-    base = conjugate_xi(p, k)
-    for _ in range(e):
-        out = elt_mul(p, out, base)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +360,6 @@ class Profile:
         self._coproduct_cache = {}
 
     # family constructors -------------------------------------------------
-
-    @classmethod
-    def full(cls, p):
-        """The whole dual Steenrod algebra."""
-        tau = "all" if p != 2 else None
-        return cls(p, (), None, tau, label=f"A({p})*")
 
     @classmethod
     def T(cls, p, n):
@@ -536,16 +471,6 @@ class Profile:
             if not self.tau_allowed(t):
                 return False
         return True
-
-    def reduce(self, mono):
-        """Image of an ambient monomial in the quotient: mono or None."""
-        if self.even_only:
-            if any(e % 2 for e in mono.xi):
-                raise ValueError("monomial lies outside the even sub-family")
-        return mono if self.allows(mono) else None
-
-    def reduce_element(self, elt):
-        return {m: c for m, c in elt.items() if self.allows(m)}
 
     def is_quotient_of(self, other):
         """True when self kills at least everything other kills."""
@@ -686,7 +611,7 @@ class Comodule:
     construction validates the counit, grading, and coassociativity.
     """
 
-    def __init__(self, profile, basis, coaction, validate=True):
+    def __init__(self, profile, basis, coaction):
         self.profile = profile
         self.p = profile.p
         pairs = sorted(((d, n) for n, d in basis))
@@ -703,8 +628,7 @@ class Comodule:
                     terms.append((mono, coef, target))
             terms.sort(key=lambda t: (str(t[0]), t[2]))
             self.coaction[name] = terms
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         unit = DualMonomial(self.p)
@@ -727,7 +651,7 @@ class Comodule:
             lhs = {}
             rhs = {}
             for mono, coef, target in self.coaction[name]:
-                for left, right, c in _family_coproduct_terms(self.profile, mono):
+                for (left, right), c in coproduct(mono, self.profile).items():
                     k = (left, right, target)
                     elt_add_term(self.p, lhs, k, coef * c)
                 for mono2, coef2, target2 in self.coaction[target]:
@@ -749,120 +673,14 @@ class Comodule:
             coaction[name] = [(unit, 1, name)]
         return cls(profile, basis, coaction)
 
-    @classmethod
-    def coalgebra_self(cls, profile, cap):
-        """The family itself as a comodule via its diagonal, through
-        degree cap (valid because the diagonal never raises degree)."""
-        monos = profile.basis(cap)
-        names = {m: str(m) for m in monos}
-        basis = [(names[m], m.degree()) for m in monos]
-        coaction = {}
-        for m in monos:
-            terms = []
-            for (left, right), c in coproduct(m, profile).items():
-                terms.append((left, c, names[right]))
-            coaction[names[m]] = terms
-        return cls(profile, basis, coaction)
-
     # structure ---------------------------------------------------------
 
-    def dim(self):
-        return len(self.names)
-
-    def degrees(self):
-        return [self.degree_of[n] for n in self.names]
-
-    def poincare(self, cap=None):
-        top = max(self.degrees(), default=0) if cap is None else cap
-        dims = [0] * (top + 1)
+    def poincare(self, cap):
+        dims = [0] * (cap + 1)
         for n in self.names:
-            if self.degree_of[n] <= top:
+            if self.degree_of[n] <= cap:
                 dims[self.degree_of[n]] += 1
         return dims
-
-    def has_trivial_coaction(self):
-        return all(
-            len(terms) == 1 and terms[0][0].is_unit()
-            for terms in self.coaction.values()
-        )
-
-    def suspend(self, k):
-        basis = [(n, self.degree_of[n] + k) for n in self.names]
-        return Comodule(self.profile, basis, self.coaction, validate=False)
-
-    def restrict(self, smaller):
-        """Corestriction along a further quotient of the coefficient
-        family: kill coaction terms whose monomial dies."""
-        if not smaller.is_quotient_of(self.profile):
-            raise ValueError("target family is not a quotient of the current one")
-        coaction = {
-            n: [(m, c, t) for m, c, t in terms if smaller.allows(m)]
-            for n, terms in self.coaction.items()
-        }
-        basis = [(n, self.degree_of[n]) for n in self.names]
-        return Comodule(smaller, basis, coaction)
-
-    def direct_sum(self, other):
-        if self.profile is not other.profile and not (
-            self.profile.is_quotient_of(other.profile)
-            and other.profile.is_quotient_of(self.profile)
-        ):
-            raise ValueError("summands live over different families")
-        left = {n: f"a.{n}" for n in self.names}
-        right = {n: f"b.{n}" for n in other.names}
-        basis = [(left[n], self.degree_of[n]) for n in self.names]
-        basis += [(right[n], other.degree_of[n]) for n in other.names]
-        coaction = {}
-        for n in self.names:
-            coaction[left[n]] = [(m, c, left[t]) for m, c, t in self.coaction[n]]
-        for n in other.names:
-            coaction[right[n]] = [(m, c, right[t]) for m, c, t in other.coaction[n]]
-        return Comodule(self.profile, basis, coaction, validate=False)
-
-    # serialization -------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "prime": self.p,
-            "basis": [
-                {"name": n, "degree": self.degree_of[n]} for n in self.names
-            ],
-            "coaction": [
-                {
-                    "on": n,
-                    "terms": [
-                        {"monomial": str(m), "coef": c, "to": t}
-                        for m, c, t in self.coaction[n]
-                    ],
-                }
-                for n in self.names
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data, profile):
-        try:
-            p = int(data["prime"])
-            if p != profile.p:
-                raise ValueError("prime of the data disagrees with the family")
-            basis = [(str(b["name"]), int(b["degree"])) for b in data["basis"]]
-            coaction = {}
-            for row in data["coaction"]:
-                terms = [
-                    (parse_monomial(p, t["monomial"]), int(t["coef"]), str(t["to"]))
-                    for t in row["terms"]
-                ]
-                coaction[str(row["on"])] = terms
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed comodule data: {exc}") from exc
-        return cls(profile, basis, coaction)
-
-
-def _family_coproduct_terms(profile, mono):
-    return [
-        (left, right, c)
-        for (left, right), c in coproduct(mono, profile).items()
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +798,7 @@ def cotensor_comodule(outer, inner, module, cap):
 
 def family_margolis_indices(profile):
     """Nilpotent dual operations of a finite family, whose homologies
-    decide cofreeness (margolis.cofree_decompose).
+    decide freeness over the dual subalgebra (margolis.subalgebra_operators).
 
     Returns (xi_ops, tau_ops): xi_ops is a list of (t, s) pairs meaning
     the operation dual to g_t^{p^s} (g_t = xi_t, or xi_t^2 in the
@@ -1029,7 +847,7 @@ def relative_dual_coalgebra(p, m, cap):
     else:
         base = zeta
     # working in the quotient throughout is valid: reduction is a ring map
-    power = profile.reduce_element(base)
+    power = {m: c for m, c in base.items() if profile.allows(m)}
     primitives = []
     exp = 1
     while power:
@@ -1043,7 +861,7 @@ def relative_dual_coalgebra(p, m, cap):
         primitives.append((exp, dict(power), not cop))
         nxt = power
         for _ in range(p - 1):
-            nxt = profile.reduce_element(elt_mul(p, nxt, power))
+            nxt = {m: c for m, c in elt_mul(p, nxt, power).items() if profile.allows(m)}
         power = nxt
         exp *= p
     return profile, basis, primitives
@@ -1133,12 +951,6 @@ class MilnorBasisElement:
         d = sum(2 * e * (p ** (i + 1) - 1) for i, e in enumerate(self.r))
         return d + sum(2 * p**e - 1 for e in self.q)
 
-    def parity(self):
-        return len(self.q) & 1
-
-    def is_unit(self):
-        return not self.q and not self.r
-
     def dual_monomial(self):
         return DualMonomial(self.p, self.r, self.q)
 
@@ -1168,18 +980,6 @@ class MilnorBasisElement:
 
     def __repr__(self):
         return f"MilnorBasisElement({self.p}, {self})"
-
-
-def sq(*r):
-    return MilnorBasisElement(2, (), r)
-
-
-def milnor_p(p, *r):
-    return MilnorBasisElement(p, (), r)
-
-
-def milnor_q(p, *e):
-    return MilnorBasisElement(p, tuple(sorted(e)), ())
 
 
 def _p_part_products(p, R, S):

@@ -13,12 +13,7 @@ subgroup elements.
 
 from fractions import Fraction
 
-from .fgl import PrimeField
-
-
-def _check_prime(p: int):
-    PrimeField(p)  # shares the primality gate
-    return p
+from .gradedlin import check_prime
 
 
 class CycloElement:
@@ -27,7 +22,7 @@ class CycloElement:
     __slots__ = ("p", "n", "k")
 
     def __init__(self, p: int, n: int, k: int):
-        _check_prime(p)
+        check_prime(p)
         if n < 1:
             raise ValueError("root order exponent must be at least 1")
         self.p = p
@@ -88,7 +83,7 @@ class SubgroupSpec:
     __slots__ = ("p", "m", "height", "valuations")
 
     def __init__(self, p: int, m: int, height: int, valuations=None):
-        _check_prime(p)
+        check_prime(p)
         if m < 0:
             raise ValueError("the order exponent must be nonnegative")
         if height < 1:
@@ -171,16 +166,3 @@ def eo_defect(G: SubgroupSpec) -> dict:
         "phi": G.p**N,
         "phi_p": N,
     }
-
-
-def defect_table(specs) -> str:
-    """TSV table of defects, one row per subgroup spec."""
-    lines = ["p\tgroup\theight\tN\tphi\tphi_p"]
-    for G in specs:
-        row = eo_defect(G)
-        n_col = "-" if row["N"] is None else str(row["N"])
-        lines.append(
-            f"{row['p']}\tC_{row['order']}\t{row['height']}\t"
-            f"{n_col}\t{row['phi']}\t{row['phi_p']}"
-        )
-    return "\n".join(lines) + "\n"

@@ -10,10 +10,11 @@ before the univariate defect witness replaced the bivariate one, the
 ext and margolis jobs by the engine before comodule cofreeness moved
 onto margolis_homology, and the may and ko-ss jobs (every format) by
 the engine before SubquotientBasis moved onto PrimeFieldMatrix
-elimination.  The margolis inputs live in tests/golden/inputs/
-(free_a1.json is free_module(2, "A", 1, [0, 3]); rp4.json is
-rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json is the malformed
-module {}).  Any change to the artifact bytes of those jobs fails here.
+elimination.  The margolis inputs live in tests/golden/inputs/, written
+by the builders in tests/oracles/modules.py (free_a1.json is
+free_module(2, "A", 1, [0, 3]); rp4.json is rp_module(4, ops=("P(1,0)",
+"P(2,0)")); empty.json is the malformed module {}).  Any change to the
+artifact bytes of those jobs fails here.
 """
 
 import json
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from chromadefect import cli
+from chromadefect import cli, margolis
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 INPUTS = GOLDEN_DIR / "inputs"
@@ -93,6 +94,23 @@ def test_bad_fgl_flags_exit_2(argv, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ext", "--prime", "4"], "4 is not prime"),
+        (["may", "--prime", "1"], "1 is not prime"),
+        # past float range: the gate must not convert p to a float
+        (["ext", "--prime", str(10**400 + 1)], "0001 is not prime"),
+    ],
+)
+def test_bad_prime_exits_2(argv, message, tmp_path, capsys):
+    start = time.perf_counter()
+    assert run([*argv, "--no-cache"], tmp_path / "out") == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "argv, need",
     [
         (["ext", "--prime", "3", "--family", "A", "--n", "1", "--stem-max", "24",
@@ -122,6 +140,31 @@ def test_ext_limit_admits_measured_windows(window):
     assert cli._ext_matrix_bytes(cli._config_from_args(args).params) <= cli.MAX_EXT_MATRIX_BYTES
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["may", "--n", "3", "--stem-max", "200", "--s-max", "40"],
+         "the E1 page has 1575123 cells and monomials, over the limit 60000"),
+        (["may", "--stem-max", "100000", "--s-max", "40"],
+         "the E1 window has 4100041 cells, over the limit 60000"),
+        (["ko-ss", "--window", "-2000", "2000", "-1000", "1000"],
+         "the window has 8006001 cells, over the limit 250000"),
+    ],
+)
+def test_oversized_may_and_ko_ss_exit_2(argv, message, tmp_path, capsys):
+    start = time.perf_counter()
+    assert run([*argv, "--no-cache"], tmp_path / "out") == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_golden_argvs_pass_the_size_limits():
+    for argv in GOLDEN.values():
+        args = cli.build_parser().parse_args(argv)
+        assert cli._config_from_args(args).subcommand == args.subcommand
+
+
 def test_fgl_cap_limit_admits_er9_default():
     args = cli.build_parser().parse_args(["fgl", "--n", "9"])
     assert cli._config_from_args(args).params["cap"] is None
@@ -140,6 +183,18 @@ def test_bad_margolis_input_exits_2(module, subalgebra, message, tmp_path, capsy
             "--no-cache"]
     assert run(argv, tmp_path / "out") == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_margolis_engine_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def refuse(module, op):
+        raise ValueError("homology refused to certify")
+
+    monkeypatch.setattr(margolis, "margolis_homology", refuse)
+    argv = ["margolis", "--input", str(INPUTS / "rp4.json"), "--subalgebra", "A(1)",
+            "--no-cache"]
+    assert run(argv, tmp_path / "out") == cli.EXIT_COMPUTE
+    assert "compute error: homology refused to certify" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -15,7 +15,9 @@ from chromadefect.gradedlin import (
     PrimeFieldMatrix,
     SubquotientBasis,
 )
-from chromadefect.gradedlin.modp import fp_eliminate, vec_add, vec_scale
+from chromadefect.gradedlin.modp import fp_eliminate
+
+from oracles.linalg import in_row_space, row_action, vec_add, vec_scale
 
 
 def brute_rank_gf2(rows):
@@ -81,7 +83,7 @@ class TestGf2:
                 target ^= rows[i]
             x = m.solve_combo(target)
             assert x is not None
-            assert m.apply(x) == target
+            assert row_action(m, x) == target
 
 
 class TestFp:
@@ -112,10 +114,10 @@ class TestFp:
             rows = [tuple(rng.randrange(p) for _ in range(ncols)) for _ in range(nrows)]
             m = PrimeFieldMatrix(p, nrows, ncols, rows)
             x = tuple(rng.randrange(p) for _ in range(nrows))
-            target = m.apply(x)
+            target = row_action(m, x)
             sol = m.solve_combo(target)
             assert sol is not None
-            assert m.apply(sol) == target
+            assert row_action(m, sol) == target
 
 
 class TestSubquotient:
@@ -157,7 +159,7 @@ class TestSubquotient:
                     for idx, c in sq.coords(v).items():
                         assert c % p
                         acc = vec_add(p, acc, vec_scale(p, sq.reps[idx], -c))
-                    assert immat.in_row_space(acc)
+                    assert in_row_space(immat, acc)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_reps_are_greedy_in_input_order(self, p):

@@ -1,0 +1,142 @@
+"""Every function in the package is reached by a CLI job.
+
+The package holds what the jobs run; test oracles live under
+tests/oracles/.  This test runs every GOLDEN argv in process under
+`sys.setprofile`, plus one cached run (store, then hit) and small `ext`
+runs over the T and P families, which no golden argv covers, and
+asserts that every function defined under src/chromadefect was entered.
+The exemptions are named below, one group per planned change that
+takes them as its main path or replaces them, plus dunder methods.
+"""
+
+import ast
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+from chromadefect import cli
+
+from test_cli import GOLDEN
+
+SRC = Path(cli.__file__).resolve().parent
+
+# Exemptions name a function, a class (all its methods) or an outer
+# function (all its nested functions).
+
+# the Milnor product and operator basis, slated as the main path of a
+# minimal-resolution Ext engine
+RESOLUTION_PATH = {
+    "steenrod.py:MilnorBasisElement",
+    "steenrod.py:milnor_product",
+    "steenrod.py:_p_part_products",
+    "steenrod.py:operator_basis",
+    "steenrod.py:_finite_family_monomials",
+}
+# the change-of-rings check with its cotensor comodule, ext_products,
+# and the sparse cobar rank, which that engine replaces
+COBAR_PATH = {
+    "steenrod.py:cotensor_comodule",
+    "steenrod.py:Profile.is_quotient_of",
+    "steenrod.py:_le",
+    "ext.py:change_of_rings_check",
+    "ext.py:ext_products",
+    "ext.py:CobarComplex._sparse_rank",
+    "ext.py:CobarComplex._d_cols",
+    "gradedlin/modp.py:SparseEchelonGF2",
+}
+# the X(n) splitting toys with the conjugation and products only they
+# use, to be replaced by a Thom comodule check
+SPLITTING_TOYS = {
+    "steenrod.py:relative_dual_coalgebra",
+    "steenrod.py:conjugate_xi",
+    "steenrod.py:elt_mul",
+    "steenrod.py:splitting_generator_degrees",
+    "steenrod.py:stable_splitting_generator_degrees",
+    "steenrod.py:poincare_identity_check",
+    "steenrod.py:polynomial_series",
+}
+# May page turning with its supplied differential rules, which a later
+# `may` E2 output will run
+PAGE_TURN_PATH = {
+    "may.py:page_turn",
+    "may.py:_rule_from_supplied",
+    "may.py:parse_may_monomial",
+    "may.py:_check_weight_drop",
+    "may.py:_assert_weight_step",
+    "may.py:_lead_monomial",
+}
+EXEMPT = RESOLUTION_PATH | COBAR_PATH | SPLITTING_TOYS | PAGE_TURN_PATH
+
+
+def exempt(name):
+    """Dunder methods, and names inside an exempt function or class."""
+    where, qualname = name.split(":")
+    parts = qualname.split(".")
+    if parts[-1].startswith("__") and parts[-1].endswith("__"):
+        return True
+    return any(f"{where}:{'.'.join(parts[:k])}" in EXEMPT for k in range(1, len(parts) + 1))
+
+
+def defined_functions():
+    """{(file, first line of the code object): "file:qualname"} for every
+    function under the package; a decorated function's code starts at
+    its first decorator."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(str(path), first)] = f"{rel}:{prefix}{child.name}"
+                    visit(child, f"{prefix}{child.name}.")
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def entered_during(jobs):
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            seen.add((code.co_filename, code.co_firstlineno))
+
+    sys.setprofile(hook)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            jobs()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_every_package_function_is_reached(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
+
+    def jobs():
+        for name, argv in GOLDEN.items():
+            assert cli.main([*argv, "--no-cache", "--out", str(tmp_path / name)]) == 0
+        for run in ("store", "hit"):
+            assert cli.main(["fgl", "--n", "1", "--out", str(tmp_path / run)]) == 0
+        for family in ("T", "P"):
+            argv = ["ext", "--family", family, "--stem-max", "6", "--s-max", "2",
+                    "--no-cache", "--out", str(tmp_path / family)]
+            assert cli.main(argv) == 0
+
+    seen = {(str(Path(f).resolve()), line) for f, line in entered_during(jobs)}
+    defined = defined_functions()
+    missed = sorted(
+        name for where, name in defined.items() if where not in seen and not exempt(name)
+    )
+    assert not missed, "functions no CLI job enters:\n" + "\n".join(missed)
+    names = set(defined.values())
+    stale = sorted(
+        e for e in EXEMPT if e not in names and not any(n.startswith(e + ".") for n in names)
+    )
+    assert not stale, f"exempt names that are not defined: {stale}"

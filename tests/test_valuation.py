@@ -18,7 +18,6 @@ from chromadefect.valuation import (
     CycloElement,
     SubgroupSpec,
     cyclo_valuation,
-    defect_table,
     embedding_admissible,
     eo_defect,
     group_N,
@@ -257,24 +256,3 @@ class TestEoDefect:
             assert report["phi"] == 2**n
             assert witness["inverse_deviation_degree"] == report["phi"]
             assert witness["upper_bound_ok"] and witness["lower_bound_ok"]
-
-
-class TestDefectTable:
-    def test_exact_rows(self):
-        specs = [
-            SubgroupSpec(2, 1, 1),
-            SubgroupSpec(2, 2, 2),
-            SubgroupSpec(3, 1, 2),
-            SubgroupSpec(2, 0, 4),
-        ]
-        assert defect_table(specs) == (
-            "p\tgroup\theight\tN\tphi\tphi_p\n"
-            "2\tC_2\t1\t1\t2\t1\n"
-            "2\tC_4\t2\t2\t4\t2\n"
-            "3\tC_3\t2\t1\t3\t1\n"
-            "2\tC_1\t4\t-\t1\t0\n"
-        )
-
-    def test_deterministic(self):
-        specs = [SubgroupSpec(3, 2, 6), SubgroupSpec(5, 1, 4)]
-        assert defect_table(specs) == defect_table(specs)
