@@ -43,14 +43,20 @@ CACHE_ENV = "CHROMADEFECT_CACHE"
 # witness costs about 5x more per height, so a larger job is refused
 # before it computes rather than running for hours
 MAX_FGL_CAP = 520
-# cobar differentials an ext job may hold, in modelled bytes: source
+# cobar differentials an ext job may build, in modelled bytes: source
 # words times target words summed over the cells, one bit per entry at
-# p = 2 and eight bytes at odd p (the job keeps every matrix for naming
-# classes).  Measured peak RSS for A(1) ran at 0.7 to 2.3 times the
-# model: 293 MB modelled and 569 MB peak at p = 3 through stem 20, s 5;
-# 385 MB and 270 MB at p = 2 through stem 16, s 6.  The limit admits
-# both and refuses p = 3 through stem 24, s 5 (1610 MB, over 3 GB peak)
+# p = 2 and eight bytes at odd p.  The job holds one column at a time,
+# so the sum overstates its peak; the limit stays until a resolution
+# engine replaces the model.  Measured peak RSS for A(1) on a 2 vCPU
+# host: 293 MB modelled and 299 MB peak at p = 3 through stem 20, s 5;
+# 385 MB and 148 MB at p = 2 through stem 16, s 6 (575 and 276 MB when
+# the job kept every matrix).  The limit admits both and refuses p = 3
+# through stem 24, s 5 (1610 MB modelled)
 MAX_EXT_MATRIX_BYTES = 512 * 2**20
+# largest ext window, in cells (s_max + 1) * (t_max + 1), checked before
+# the model counts any word: at this size the model takes up to 0.25 s
+# over the infinite T family, and the job visits every cell
+MAX_EXT_CELLS = 4096
 # largest may E1 page, in window cells plus monomials; each cell and
 # each monomial is an object the page keeps.  At p = 2, n = 1, stem 60,
 # s 16 (1,037 cells, 46,418 monomials) took 3.6 s and 62 MB; stem 80,
@@ -60,6 +66,11 @@ MAX_MAY_E1_SIZE = 60_000
 # largest ko-ss window, in cells: the laurent pages over 180,901 cells
 # took 2.8 s and 79 MB, over 501,501 cells 9.5 s and 177 MB
 MAX_KO_SS_CELLS = 250_000
+# largest defect stem cap: the ko and tmf scans run one Ext column per
+# internal degree up to the cap, and the stem sets hold about cap / 2
+# entries.  On a 2 vCPU host, caps 24, 100, 300 and 1000 took 0.8, 3.1,
+# 7.4 and 15 s, each under 22 MB peak
+MAX_DEFECT_CAP = 1000
 FORMATS = ("tsv", "json", "svg")
 
 # per-subcommand defaults and allowed output formats
@@ -159,6 +170,21 @@ def _ext_matrix_bytes(params) -> int:
         a * b for src, tgt in zip(rows, rows[1:]) for a, b in zip(src, tgt)
     )
     return entries // 8 if profile.p == 2 else entries * 8
+
+
+def _check_ext_size(params):
+    """Refuse an ext window over MAX_EXT_CELLS cells, then a job whose
+    modelled differentials pass MAX_EXT_MATRIX_BYTES; bounding the window
+    first keeps the model from counting words of a huge one."""
+    cells = (params["s_max"] + 1) * (params["stem_max"] + params["s_max"] + 1)
+    if cells > MAX_EXT_CELLS:
+        raise ConfigError(f"the Ext window has {cells} cells, over the limit {MAX_EXT_CELLS}")
+    need = _ext_matrix_bytes(params)
+    if need > MAX_EXT_MATRIX_BYTES:
+        raise ConfigError(
+            f"the cobar differentials need about {need >> 20} MB, "
+            f"over the limit {MAX_EXT_MATRIX_BYTES >> 20} MB"
+        )
 
 
 def _check_may_size(params):
@@ -441,12 +467,7 @@ def _config_from_args(args) -> JobConfig:
             _check_may_size(params)
         else:
             params["family"] = args.family
-            need = _ext_matrix_bytes(params)
-            if need > MAX_EXT_MATRIX_BYTES:
-                raise ConfigError(
-                    f"the cobar differentials need about {need >> 20} MB, "
-                    f"over the limit {MAX_EXT_MATRIX_BYTES >> 20} MB"
-                )
+            _check_ext_size(params)
     elif args.subcommand == "margolis":
         path = Path(args.input)
         try:
@@ -473,6 +494,8 @@ def _config_from_args(args) -> JobConfig:
         params["cap"] = args.cap
     elif args.subcommand == "defect":
         params["stem_cap"] = _check_positive("stem cap", args.cap)
+        if args.cap > MAX_DEFECT_CAP:
+            raise ConfigError(f"stem cap {args.cap} is over the limit {MAX_DEFECT_CAP}")
     elif args.subcommand == "ko-ss":
         params["variant"] = args.variant
         lo, hi, flo, fhi = args.window

@@ -10,37 +10,26 @@ with position-only signs:
                     + (-1)^{s+1} [a_1|...|a_s|b]m'
 
 Internal degree t is preserved, so Ext^{s,t} is exact for every t below
-the cap even when the family itself is infinite.  Products are cobar
-concatenation, which satisfies the Leibniz rule with the cohomological
-sign, making named-class bookkeeping sound.
+the cap even when the family itself is infinite.  ext_ranks makes one
+pass over the columns: it computes the dims of column t, names its
+classes by products of degree-one letters (cobar concatenation, which
+satisfies the Leibniz rule with the cohomological sign), then drops the
+column's words and matrices, so a job holds one column at a time.
 """
 
-from .gradedlin import (
-    PrimeFieldMatrix,
-    SparseEchelonGF2,
-    SubquotientBasis,
-    vec_from_terms,
-    vec_support,
-)
-from .steenrod import Comodule, cotensor_comodule, elt_add_term, tau_gen, xi_gen
+from .gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms
+from .steenrod import Comodule, elt_add_term, tau_gen, xi_gen
 
 __all__ = [
     "CobarComplex",
     "ExtChart",
     "ext_ranks",
-    "ext_products",
     "evenness_scan",
     "ScanReport",
-    "change_of_rings_check",
     "cobar_dims",
     "cobar_letters",
     "profile_key",
 ]
-
-
-# above this source-dim * target-dim product, dense bitmask elimination
-# would need hundreds of MB; stream the rank through the sparse kernel
-_SPARSE_CUTOVER = 500_000_000
 
 
 def profile_key(profile):
@@ -99,7 +88,6 @@ class CobarComplex:
         self._words = {}
         self._index = {}
         self._diff = {}
-        self._ranks = {}
 
     # basis ------------------------------------------------------------
 
@@ -166,69 +154,13 @@ class CobarComplex:
         return mat
 
     def differential_rank(self, s, t):
-        """Rank of d: C^{s,t} -> C^{s+1,t}, without dense rows when the
-        cell pair is too large for bitmask elimination."""
-        key = (s, t)
-        got = self._ranks.get(key)
-        if got is not None:
-            return got
-        n_src = self.dim_cell(s, t)
-        n_tgt = self.dim_cell(s + 1, t)
-        if n_src == 0 or n_tgt == 0:
-            r = 0
-        elif self.p == 2 and n_src * n_tgt > _SPARSE_CUTOVER:
-            r = self._sparse_rank(s, t)
-        else:
-            r = self.differential_matrix(s, t).rank()
-        self._ranks[key] = r
-        return r
-
-    def _sparse_rank(self, s, t):
-        tgt_index = self._index_for(s + 1, t)
-        n = len(tgt_index)
-        ech = SparseEchelonGF2(n)
-        add = ech.add_row
-        for word in self.words(s, t):
-            # reversed column order: the lex-largest target words are the
-            # rarest, so leading there keeps echelon fill-in near zero
-            cols = sorted(n - 1 - c for c in self._d_cols(word, tgt_index))
-            add(cols)
-        return ech.rank
-
-    def _d_cols(self, word, tgt_index):
-        """Support of d(word) as a set of target columns, p = 2 only.
-
-        Hashes each generated word once; at p = 2 repeats cancel in
-        pairs, so the support is a plain toggle set.
-        """
-        letters, name = word
-        acc = set()
-        diagonal = self.profile.reduced_diagonal
-        for i, a in enumerate(letters):
-            pre = letters[:i]
-            post = letters[i + 1 :]
-            for left, right, _ in diagonal(a):
-                col = tgt_index[(pre + (left, right) + post, name)]
-                if col in acc:
-                    acc.remove(col)
-                else:
-                    acc.add(col)
-        for mono, _, target in self.module.coaction[name]:
-            if mono.is_unit():
-                continue
-            col = tgt_index[(letters + (mono,), target)]
-            if col in acc:
-                acc.remove(col)
-            else:
-                acc.add(col)
-        return acc
+        """Rank of d: C^{s,t} -> C^{s+1,t}."""
+        if self.dim_cell(s, t) == 0 or self.dim_cell(s + 1, t) == 0:
+            return 0
+        return self.differential_matrix(s, t).rank()
 
     def release_column(self, t):
-        """Drop cached words and matrices at internal degree t.
-
-        Ranks stay cached, so dimension queries remain cheap; anything
-        else recomputes on demand.
-        """
+        """Drop cached words and matrices at internal degree t."""
         for cache in (self._words, self._index, self._diff):
             for key in [k for k in cache if k[1] == t]:
                 del cache[key]
@@ -274,7 +206,7 @@ class CobarComplex:
 
 
 class ExtChart:
-    """Bigraded Ext dims with named classes and recorded products."""
+    """Bigraded Ext dims with named classes."""
 
     def __init__(self, p, label, s_max, t_max):
         self.p = p
@@ -284,10 +216,6 @@ class ExtChart:
         self.dims = {}
         self.names = {}
         self.collisions = []
-        self.products = {}
-
-    def cells(self):
-        return sorted(self.dims)
 
     def to_tsv(self):
         lines = [
@@ -372,7 +300,13 @@ def _multiset_name(letters, multiset):
 
 
 def ext_ranks(profile, module, s_max, t_max, with_names=True):
-    """Ext^{s,t} dims over a profile quotient, as an ExtChart."""
+    """Ext^{s,t} dims over a profile quotient, as an ExtChart.
+
+    One pass over internal degrees: each cell of column t gets its dim
+    and its class names, then the column's words and matrices are
+    released.  Naming cell (s, t) reads only the differentials out of
+    (s, t) and (s - 1, t), both in the column.
+    """
     complexes = CobarComplex(profile, module, s_max, t_max)
     chart = ExtChart(
         profile.p,
@@ -380,105 +314,52 @@ def ext_ranks(profile, module, s_max, t_max, with_names=True):
         s_max,
         t_max,
     )
+    letters = cobar_letters(profile, t_max) if with_names else []
+    # letter products are only meaningful against a degree-0 cell of M
+    degree_of = complexes.module.degree_of
+    base = next((n for n in complexes.module.names if degree_of[n] == 0), None)
     for t in range(t_max + 1):
         for s in range(0, min(s_max, t) + 1):
             d = complexes.ext_dim(s, t)
             if d:
                 chart.dims[(s, t)] = d
-        if not with_names:
-            # dims-only runs never revisit the words, and the big columns
-            # hold millions of them
-            complexes.release_column(t)
-    if with_names:
-        _attach_names(chart, complexes)
-    chart._complex = complexes
+                if letters and base is not None:
+                    _name_cell(chart, complexes, letters, base, s, t)
+        complexes.release_column(t)
     return chart
 
 
-def _attach_names(chart, complexes):
-    letters = cobar_letters(complexes.profile, complexes.t_max)
-    if not letters:
+def _name_cell(chart, complexes, letters, base, s, t):
+    combos = _letter_products(letters, s, t)
+    if not combos:
         return
-    module = complexes.module
-    # letter products are only meaningful against a degree-0 cell of M
-    base_cells = [n for n in module.names if module.degree_of[n] == 0]
-    if not base_cells:
+    basis = complexes.cell_basis(s, t)
+    if basis.dim == 0:
         return
-    base = base_cells[0]
-    for (s, t) in chart.cells():
-        if not chart.dims[(s, t)]:
+    index = complexes._index_for(s, t)
+    seen = {}
+    named = []
+    for multiset in combos:
+        word = (tuple(letters[i][1] for i in multiset), base)
+        col = index.get(word)
+        if col is None:
             continue
-        combos = _letter_products(letters, s, t)
-        if not combos:
+        try:
+            coords = basis.coords(vec_from_terms(chart.p, len(index), [(col, 1)]))
+        except ValueError:
+            # not a cocycle against this cell (nontrivial coaction)
             continue
-        basis = complexes.cell_basis(s, t)
-        if basis.dim == 0:
+        if not coords:
             continue
-        index = complexes._index_for(s, t)
-        seen = {}
-        named = []
-        for multiset in combos:
-            word = (tuple(letters[i][1] for i in multiset), base)
-            col = index.get(word)
-            if col is None:
-                continue
-            try:
-                coords = basis.coords(
-                    vec_from_terms(chart.p, len(index), [(col, 1)])
-                )
-            except ValueError:
-                # not a cocycle against this cell (nontrivial coaction)
-                continue
-            if not coords:
-                continue
-            key = tuple(sorted(coords.items()))
-            name = _multiset_name(letters, multiset)
-            if key in seen:
-                chart.collisions.append((seen[key], name, (s, t)))
-                continue
-            seen[key] = name
-            named.append((name, key))
-        if named:
-            chart.names[(s, t)] = named
-
-
-def ext_products(chart, letter_name):
-    """Record multiplication by a named degree-one cocycle on the chart.
-
-    For every nonzero cell (s,t) with representatives, computes the
-    concatenation product into (s+1, t+dt) and stores the coordinate
-    map under chart.products[(letter_name, (s,t))].
-    """
-    complexes = chart._complex
-    letters = dict(cobar_letters(complexes.profile, complexes.t_max))
-    if letter_name not in letters:
-        raise ValueError(f"{letter_name!r} is not a named cocycle letter here")
-    mono = letters[letter_name]
-    dt = mono.degree()
-    p = chart.p
-    for (s, t) in chart.cells():
-        if s + 1 > chart.s_max or t + dt > chart.t_max:
+        key = tuple(sorted(coords.items()))
+        name = _multiset_name(letters, multiset)
+        if key in seen:
+            chart.collisions.append((seen[key], name, (s, t)))
             continue
-        src_basis = complexes.cell_basis(s, t)
-        if src_basis.dim == 0:
-            continue
-        tgt_basis = complexes.cell_basis(s + 1, t + dt)
-        tgt_index = complexes._index_for(s + 1, t + dt)
-        rows = []
-        for rep in src_basis.reps:
-            out_terms = []
-            for col, c in vec_support(p, rep, len(complexes.words(s, t))):
-                word, name = complexes.words(s, t)[col]
-                target_word = ((mono,) + word, name)
-                # left concatenation by a single letter
-                j = tgt_index.get(target_word)
-                if j is None:
-                    raise AssertionError("product left the window")
-                out_terms.append((j, c))
-            vec = vec_from_terms(p, len(tgt_index), out_terms)
-            rows.append(tgt_basis.coords(vec))
-        chart.products[(letter_name, (s, t))] = ((s + 1, t + dt), rows)
-    return chart
+        seen[key] = name
+        named.append((name, key))
+    if named:
+        chart.names[(s, t)] = named
 
 
 class ScanReport:
@@ -548,18 +429,3 @@ def evenness_scan(n, p, module, stem_max, s_max=None):
         if s >= 2 and d and stem in stem_set:
             offenders.append((s, stem))
     return ScanReport(offenders, stems, (2, s_max))
-
-
-def change_of_rings_check(outer, inner, module, s_max, t_max):
-    """Ext_inner(F_p, M) vs Ext_outer(F_p, cotensor) through the caps.
-
-    Returns (equal, inner_dims, outer_dims).
-    """
-    inner_chart = ext_ranks(inner, module, s_max, t_max, with_names=False)
-    coinduced = cotensor_comodule(outer, inner, module, t_max)
-    outer_chart = ext_ranks(outer, coinduced, s_max, t_max, with_names=False)
-    return (
-        inner_chart.dims == outer_chart.dims,
-        inner_chart.dims,
-        outer_chart.dims,
-    )

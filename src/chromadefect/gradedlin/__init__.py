@@ -4,7 +4,6 @@ abelian group presentations."""
 from .integers import AbelianGroupPresentation
 from .modp import (
     PrimeFieldMatrix,
-    SparseEchelonGF2,
     SubquotientBasis,
     check_prime,
     gf2_eliminate,
@@ -21,7 +20,6 @@ __all__ = [
     "BACKEND_NAME",
     "AbelianGroupPresentation",
     "PrimeFieldMatrix",
-    "SparseEchelonGF2",
     "SubquotientBasis",
     "check_prime",
     "gf2_eliminate",

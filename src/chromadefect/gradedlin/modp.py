@@ -8,16 +8,12 @@ chain differentials are assembled everywhere downstream.
 
 Each field has one elimination kernel: gf2_eliminate/gf2_reduce on
 bitmasks at p = 2, fp_eliminate/fp_reduce on dense tuples at odd p.
-PrimeFieldMatrix and SubquotientBasis run on them.  SparseEchelonGF2
-is the streaming rank the cobar complex uses for cells too large for
-dense bitmask rows.
+PrimeFieldMatrix and SubquotientBasis run on them; the cobar complex
+builds one dense matrix per differential, one bit per entry at p = 2.
 """
-
-from math import isqrt
 
 __all__ = [
     "PrimeFieldMatrix",
-    "SparseEchelonGF2",
     "SubquotientBasis",
     "check_prime",
     "gf2_eliminate",
@@ -27,11 +23,42 @@ __all__ = [
 ]
 
 
+# the first thirteen primes as Miller-Rabin bases decide primality
+# exactly below 3.3e24 (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def check_prime(p):
-    """p itself when it is prime; ValueError "<p> is not prime" otherwise."""
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    """p itself when it is prime; ValueError "<p> is not prime" otherwise,
+    and a ValueError too for a p past the range the gate decides."""
+    if p < 2 or not _strong_probable_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(f"{p} is too large for the primality gate")
     return p
+
+
+def _strong_probable_prime(n):
+    """True when n > 1 passes the Miller-Rabin test to every base."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def vec_from_terms(p, n, terms):
@@ -314,44 +341,3 @@ class SubquotientBasis:
             if c:
                 out[k] = c
         return out
-
-
-class SparseEchelonGF2:
-    """Streaming rank of a sparse F2 matrix, fed one row at a time.
-
-    A row is its support, a strictly increasing list of column indices.
-    Feeding a row xors stored pivot rows into it until its lead column
-    is unclaimed (the row becomes a pivot) or it cancels to zero.  Only
-    the pivot rows are retained, so memory tracks the fill-in of the
-    echelon rather than the size of the matrix.
-    """
-
-    __slots__ = ("ncols", "rank", "_pivots")
-
-    def __init__(self, ncols):
-        ncols = int(ncols)
-        if ncols < 0:
-            raise ValueError("ncols must be nonnegative")
-        self.ncols = ncols
-        self.rank = 0
-        self._pivots = {}
-
-    def add_row(self, cols):
-        """Feed one row; True when it added a pivot, False when dependent."""
-        row = list(cols)
-        if row:
-            if row[0] < 0 or row[-1] >= self.ncols:
-                raise ValueError("column index out of range")
-            if any(b <= a for a, b in zip(row, row[1:])):
-                raise ValueError("row support must be strictly increasing")
-        row = set(row)
-        pivots = self._pivots
-        while row:
-            lead = min(row)
-            other = pivots.get(lead)
-            if other is None:
-                pivots[lead] = row
-                self.rank += 1
-                return True
-            row ^= other
-        return False

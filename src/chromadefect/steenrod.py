@@ -33,7 +33,6 @@ __all__ = [
     "elt_add_term",
     "xi_gen",
     "tau_gen",
-    "cotensor_comodule",
     "family_margolis_indices",
     "relative_dual_coalgebra",
     "polynomial_series",
@@ -318,15 +317,6 @@ def conjugate_xi(p, k):
 # profiles
 
 
-def _le(a, b):
-    """Height comparison where None means infinity."""
-    if b is None:
-        return True
-    if a is None:
-        return False
-    return a <= b
-
-
 class Profile:
     """Quotient family of the dual Steenrod algebra.
 
@@ -472,22 +462,6 @@ class Profile:
                 return False
         return True
 
-    def is_quotient_of(self, other):
-        """True when self kills at least everything other kills."""
-        if self.p != other.p or self.even_only != other.even_only:
-            return False
-        span = max(len(self.heights), len(other.heights)) + 1
-        for i in range(1, span + 1):
-            if not _le(self.height(i), other.height(i)):
-                return False
-        if self.p != 2:
-            if other.tau == "all":
-                return True
-            if self.tau == "all":
-                return False
-            return self.tau <= other.tau
-        return True
-
     # bases ----------------------------------------------------------------
 
     def basis(self, max_degree):
@@ -555,9 +529,31 @@ class Profile:
         return [m for m in self.basis(max_degree) if not m.is_unit()]
 
     def poincare(self, max_degree):
-        dims = [0] * (max_degree + 1)
-        for m in self.basis(max_degree):
-            dims[m.degree()] += 1
+        """Family dims by degree through max_degree, from the generating
+        function: a factor (1 - q^{cd}) / (1 - q^d) per generator of
+        degree d, c being its exponent cap (2 for tau; a free xi drops
+        the numerator)."""
+        p = self.p
+        step = 2 if self.even_only else 1
+        gens = []
+        i = 1
+        while xi_gen(p, i, step).degree() <= max_degree:
+            h = self.height(i)
+            if h != 0:
+                gens.append((xi_gen(p, i, step).degree(), None if h is None else p**h))
+            i += 1
+        t = 0
+        while p != 2 and 2 * p**t - 1 <= max_degree:
+            if self.tau_allowed(t):
+                gens.append((2 * p**t - 1, 2))
+            t += 1
+        dims = [1] + [0] * max_degree
+        for d, cap in gens:
+            if cap is not None and cap * d <= max_degree:
+                for k in range(max_degree, cap * d - 1, -1):
+                    dims[k] -= dims[k - cap * d]
+            for k in range(d, max_degree + 1):
+                dims[k] += dims[k - d]
         return dims
 
     def total_dimension(self):
@@ -681,115 +677,6 @@ class Comodule:
             if self.degree_of[n] <= cap:
                 dims[self.degree_of[n]] += 1
         return dims
-
-
-# ---------------------------------------------------------------------------
-# cotensor
-
-
-def cotensor_comodule(outer, inner, module, cap):
-    """Cotensor product (outer family) box_(inner family) module, through
-    total degree cap, as a comodule over the outer family.
-
-    inner must be a further quotient of outer and module a comodule over
-    inner.  Basis elements are named c{degree}_{k}.
-    """
-    from .gradedlin import PrimeFieldMatrix, vec_entry, vec_from_terms, vec_support
-
-    if not inner.is_quotient_of(outer):
-        raise ValueError("inner family must be a quotient of the outer one")
-    if module.profile.p != outer.p:
-        raise ValueError("prime mismatch")
-    p = outer.p
-    amb = outer.basis(cap)
-    # pairs (a, m) graded by total degree
-    pairs_by_deg = {}
-    for a in amb:
-        for name in module.names:
-            d = a.degree() + module.degree_of[name]
-            if d <= cap:
-                pairs_by_deg.setdefault(d, []).append((a, name))
-    for v in pairs_by_deg.values():
-        v.sort(key=lambda t: (str(t[0]), t[1]))
-
-    # cotensor condition per degree: (1 (x) pi (x) 1)(psi_B (x) 1) = (1 (x) psi_M)
-    kernels = {}
-    for d in sorted(pairs_by_deg):
-        pairs = pairs_by_deg[d]
-        index = {pm: i for i, pm in enumerate(pairs)}
-        triples = {}
-
-        def tcol(key):
-            if key not in triples:
-                triples[key] = len(triples)
-            return triples[key]
-
-        rows = []
-        for a, name in pairs:
-            terms = {}
-            for (b1, b2), c in coproduct(a, outer).items():
-                if inner.allows(b2):
-                    elt_add_term(p, terms, (b1, b2, name), c)
-            for mono, c, target in module.coaction[name]:
-                elt_add_term(p, terms, (a, mono, target), -c)
-            rows.append([(tcol(k), c) for k, c in terms.items()])
-        mat = PrimeFieldMatrix.from_terms(
-            p,
-            len(pairs),
-            max(len(triples), 1),
-            [(i, j, c) for i, row in enumerate(rows) for j, c in row],
-        )
-        kern = mat.kernel_vectors()
-        if kern:
-            kernels[d] = (pairs, index, kern)
-
-    basis = []
-    vectors = {}
-    for d in sorted(kernels):
-        _, _, kern = kernels[d]
-        for k, vec in enumerate(kern):
-            name = f"c{d}_{k}"
-            basis.append((name, d))
-            vectors[name] = (d, vec)
-
-    # coaction: apply psi_B to the left slot and re-express in the kernel basis
-    solvers = {}
-    for d, (pairs, index, kern) in kernels.items():
-        mat = PrimeFieldMatrix(p, len(kern), len(pairs), list(kern))
-        solvers[d] = (mat, pairs, index)
-
-    coaction = {}
-    for name, (d, vec) in vectors.items():
-        pairs, index, _ = kernels[d]
-        # accumulate left-monomial -> component vector in lower degree
-        by_left = {}
-        for i, (a, mname) in enumerate(pairs):
-            c0 = vec_entry(p, vec, i)
-            if not c0:
-                continue
-            for (b1, b2), c in coproduct(a, outer).items():
-                elt_add_term(p, by_left.setdefault(b1, {}), (b2, mname), c0 * c)
-        terms = []
-        for b1 in sorted(by_left, key=lambda m: (m.degree(), str(m))):
-            comp = by_left[b1]
-            if not comp:
-                continue
-            d2 = d - b1.degree()
-            if d2 not in solvers:
-                raise ValueError("cotensor coaction leaves the computed window")
-            mat, pairs2, index2 = solvers[d2]
-            target = vec_from_terms(
-                p,
-                len(pairs2),
-                [(index2[key], c) for key, c in comp.items()],
-            )
-            combo = mat.solve_combo(target)
-            if combo is None:
-                raise ValueError("cotensor coaction misses the kernel basis")
-            for k, c in vec_support(p, combo, mat.nrows):
-                terms.append((b1, c, f"c{d2}_{k}"))
-        coaction[name] = terms
-    return Comodule(outer, basis, coaction)
 
 
 # ---------------------------------------------------------------------------

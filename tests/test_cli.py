@@ -100,6 +100,8 @@ def test_bad_fgl_flags_exit_2(argv, message, tmp_path, capsys):
         (["may", "--prime", "1"], "1 is not prime"),
         # past float range: the gate must not convert p to a float
         (["ext", "--prime", str(10**400 + 1)], "0001 is not prime"),
+        # passes every Miller-Rabin base the gate uses, so it cannot decide
+        (["ext", "--prime", "3317044064679887385961981"], "too large for the primality gate"),
     ],
 )
 def test_bad_prime_exits_2(argv, message, tmp_path, capsys):
@@ -157,6 +159,29 @@ def test_oversized_may_and_ko_ss_exit_2(argv, message, tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ext", "--stem-max", "100000", "--s-max", "2"],
+         "the Ext window has 300009 cells, over the limit 4096"),
+        (["ext", "--stem-max", "1", "--s-max", "100000"],
+         "the Ext window has 10000300002 cells, over the limit 4096"),
+        (["defect", "--cap", "1000000000"], "stem cap 1000000000 is over the limit 1000"),
+    ],
+)
+def test_oversized_ext_window_and_defect_cap_exit_2(argv, message, tmp_path, capsys):
+    start = time.perf_counter()
+    assert run([*argv, "--no-cache"], tmp_path / "out") == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_defect_limit_admits_the_benchmark_cap():
+    args = cli.build_parser().parse_args(["defect", "--cap", "24"])
+    assert cli._config_from_args(args).params["stem_cap"] == 24
 
 
 def test_golden_argvs_pass_the_size_limits():

@@ -2,11 +2,13 @@
 
 Rank over F2 is compared with row-span enumeration, kernels and solves
 are checked by substitution, subquotient bases against the dimension
-formula, and abelian group presentations against their canonical-form
-validation.
+formula, abelian group presentations against their canonical-form
+validation, and the primality gate against a sieve.
 """
 
 import random
+import time
+from math import isqrt
 
 import pytest
 
@@ -14,6 +16,7 @@ from chromadefect.gradedlin import (
     AbelianGroupPresentation,
     PrimeFieldMatrix,
     SubquotientBasis,
+    check_prime,
 )
 from chromadefect.gradedlin.modp import fp_eliminate
 
@@ -195,3 +198,52 @@ class TestPresentations:
             AbelianGroupPresentation(0, (4, 2))
         with pytest.raises(ValueError):
             AbelianGroupPresentation(0, (1,))
+
+
+def gate_accepts(n):
+    try:
+        return check_prime(n) == n
+    except ValueError:
+        return False
+
+
+class TestCheckPrime:
+    def test_agrees_with_trial_division_below_1e5(self):
+        # the sieve of Eratosthenes is trial division by every prime up
+        # to the square root, done once for the whole range
+        top = 10**5
+        prime = [False, False] + [True] * (top - 2)
+        for d in range(2, isqrt(top) + 1):
+            if prime[d]:
+                prime[d * d :: d] = [False] * len(range(d * d, top, d))
+        assert [n for n in range(top) if gate_accepts(n) != prime[n]] == []
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047,  # strong pseudoprime to base 2
+            3215031751,  # to bases 2, 3, 5, 7
+            3825123056546413051,  # to every prime base through 23
+            318665857834031151167461,  # through 37; base 41 catches it
+        ],
+    )
+    def test_strong_pseudoprimes_rejected(self, n):
+        with pytest.raises(ValueError, match=f"{n} is not prime"):
+            check_prime(n)
+
+    def test_large_prime_accepted_at_once(self):
+        start = time.perf_counter()
+        assert check_prime(1000000000000000003) == 1000000000000000003
+        assert check_prime(2**61 - 1) == 2**61 - 1
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3317044064679887385961981,  # passes all thirteen bases, composite
+            2**89 - 1,  # a Mersenne prime past the exact range
+        ],
+    )
+    def test_past_the_exact_range_is_refused(self, n):
+        with pytest.raises(ValueError, match="too large for the primality gate"):
+            check_prime(n)

@@ -33,18 +33,6 @@ RESOLUTION_PATH = {
     "steenrod.py:operator_basis",
     "steenrod.py:_finite_family_monomials",
 }
-# the change-of-rings check with its cotensor comodule, ext_products,
-# and the sparse cobar rank, which that engine replaces
-COBAR_PATH = {
-    "steenrod.py:cotensor_comodule",
-    "steenrod.py:Profile.is_quotient_of",
-    "steenrod.py:_le",
-    "ext.py:change_of_rings_check",
-    "ext.py:ext_products",
-    "ext.py:CobarComplex._sparse_rank",
-    "ext.py:CobarComplex._d_cols",
-    "gradedlin/modp.py:SparseEchelonGF2",
-}
 # the X(n) splitting toys with the conjugation and products only they
 # use, to be replaced by a Thom comodule check
 SPLITTING_TOYS = {
@@ -66,7 +54,7 @@ PAGE_TURN_PATH = {
     "may.py:_assert_weight_step",
     "may.py:_lead_monomial",
 }
-EXEMPT = RESOLUTION_PATH | COBAR_PATH | SPLITTING_TOYS | PAGE_TURN_PATH
+EXEMPT = RESOLUTION_PATH | SPLITTING_TOYS | PAGE_TURN_PATH
 
 
 def exempt(name):

@@ -20,7 +20,6 @@ from chromadefect.steenrod import (
     Profile,
     conjugate_xi,
     coproduct,
-    cotensor_comodule,
     elt_add_term,
     elt_mul,
     milnor_product,
@@ -35,6 +34,7 @@ from chromadefect.steenrod import (
     xi_gen,
 )
 
+from oracles.change_of_rings import cotensor_comodule, is_quotient_of
 from oracles.cofree import cofree_decompose
 from oracles.modules import coalgebra_self, thom_height_one
 
@@ -238,6 +238,17 @@ class TestProfiles:
         assert P1.poincare(20) == oracle
         assert P1.total_dimension() == 8
 
+    @pytest.mark.parametrize("p, top", [(2, 40), (3, 80)])
+    def test_poincare_counts_the_basis(self, p, top):
+        # the generating function against the enumerated basis
+        for family in (Profile.A, Profile.E, Profile.P, Profile.T):
+            for n in range(3):
+                fam = family(p, n)
+                counts = [0] * (top + 1)
+                for m in fam.basis(top):
+                    counts[m.degree()] += 1
+                assert fam.poincare(top) == counts, fam
+
     def test_reduce_is_multiplicative(self):
         prof = Profile.T(2, 1)
 
@@ -261,9 +272,9 @@ class TestProfiles:
                 assert rhs == lhs
 
     def test_quotient_partial_order(self):
-        assert Profile.E(2, 1).is_quotient_of(Profile.A(2, 1))
-        assert Profile.T(2, 2).is_quotient_of(Profile.T(2, 1))
-        assert not Profile.A(2, 1).is_quotient_of(Profile.E(2, 1))
+        assert is_quotient_of(Profile.E(2, 1), Profile.A(2, 1))
+        assert is_quotient_of(Profile.T(2, 2), Profile.T(2, 1))
+        assert not is_quotient_of(Profile.A(2, 1), Profile.E(2, 1))
 
 
 class TestMilnorProduct:
