@@ -31,7 +31,7 @@ from .gradedlin import check_prime
 from .margolis import FiniteSteenrodModule, InputError, is_free_over
 from .may import e1_monomial_count, may_e1
 from .ssq import Window, build_e1, forced_d3_detector, run_d1, run_d3
-from .steenrod import Profile
+from .steenrod import MAX_FAMILY_HEIGHT, Profile
 
 __all__ = ["JobConfig", "ConfigError", "main", "run_job"]
 
@@ -66,10 +66,12 @@ MAX_MAY_E1_SIZE = 60_000
 # largest ko-ss window, in cells: the laurent pages over 180,901 cells
 # took 2.8 s and 79 MB, over 501,501 cells 9.5 s and 177 MB
 MAX_KO_SS_CELLS = 250_000
-# largest defect stem cap: the ko and tmf scans run one Ext column per
-# internal degree up to the cap, and the stem sets hold about cap / 2
-# entries.  On a 2 vCPU host, caps 24, 100, 300 and 1000 took 0.8, 3.1,
-# 7.4 and 15 s, each under 22 MB peak
+# largest defect stem cap: the ko and tmf bounds read the Koszul closed
+# form through the cap, which costs a Poincare series of cap + 2 terms
+# per family, and the cap names the window each bound certifies.  On a
+# 2 vCPU host the whole job took about 0.055 s and 19.5 MB peak at every
+# cap from 1 to 1000, nearly all of it interpreter start and imports.
+# The limit is kept as one of the CLI's documented refusals
 MAX_DEFECT_CAP = 1000
 FORMATS = ("tsv", "json", "svg")
 
@@ -409,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prime", type=int, default=2)
     sp.add_argument("--family", choices=("A", "E", "P", "T"), default="T",
                     help="quotient Hopf algebra family")
-    sp.add_argument("--n", type=int, default=1, help="family height")
+    sp.add_argument("--n", type=int, default=1,
+                    help=f"family height, at most {MAX_FAMILY_HEIGHT}")
     sp.add_argument("--stem-max", type=int, default=13)
     sp.add_argument("--s-max", type=int, default=8)
     common(sp)
@@ -432,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("defect", help="chromatic-defect verdict table")
-    sp.add_argument("--cap", type=int, default=24, help="stem cap for the evenness scans")
+    sp.add_argument("--cap", type=int, default=24,
+                    help="stem cap for the ko and tmf evenness bounds")
     common(sp)
 
     sp = sub.add_parser("ko-ss", help="real K-theory descent chart pages")
@@ -466,6 +470,8 @@ def _config_from_args(args) -> JobConfig:
         if args.subcommand == "may":
             _check_may_size(params)
         else:
+            if args.n > MAX_FAMILY_HEIGHT:
+                raise ConfigError(f"height {args.n} is over the limit {MAX_FAMILY_HEIGHT}")
             params["family"] = args.family
             _check_ext_size(params)
     elif args.subcommand == "margolis":

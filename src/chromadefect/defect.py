@@ -4,16 +4,15 @@ A defect verdict records, for one named theory, the smallest n for
 which tensoring with the rank filtration stage X(n) gives a complex
 orientable spectrum, together with the machine evidence for each bound.
 Verdicts are exact only when an upper and a lower bound meet; bounds
-come from the other engines (evenness scans over exterior families,
-formal inverse witnesses, ramification valuations), and impossibility
-facts for which no computation exists are carried as documented
-entries, never as computed ones.
+come from the other engines (the Koszul closed form of Ext over
+exterior families, formal inverse witnesses, ramification valuations),
+and impossibility facts for which no computation exists are carried as
+documented entries, never as computed ones.
 """
 
 from .ext import evenness_scan
 from .fgl import er_defect_witness
 from .ssq import Window, build_e1, run_d1, run_d3
-from .steenrod import Comodule, Profile
 from .valuation import SubgroupSpec, eo_defect
 
 __all__ = [
@@ -161,16 +160,15 @@ def verdict_ku() -> DefectVerdict:
 def verdict_ko(stem_cap: int = 24) -> DefectVerdict:
     """Real connective K-theory: defect exactly 2.
 
-    Upper bound: the Ext chart of the height-1 exterior family over the
-    trivial module has no classes in the obstruction stems, which
-    places the defect at or below 2.  Lower bound: the class eta
+    Upper bound: Ext over the height-1 exterior family with trivial
+    coefficients is polynomial on classes of odd internal degree
+    (Koszul duality), so no class lies in an odd stem through the cap,
+    which places the defect at or below 2.  Lower bound: the class eta
     survives to the fourth page of the chart at (stem 1, filtration 1),
     and a complex orientable theory supports no such class; this
     evidence is chart-level, convergence assumed.
     """
-    scan = evenness_scan(1, 2, Comodule.trivial(Profile.E(2, 1), [0]), stem_cap)
-    if not scan.is_empty():
-        raise ValueError(f"evenness scan found offenders: {scan.offenders}")
+    evenness_scan(1, 2, stem_cap)
     upper = Evidence(
         "ext",
         f"evenness_scan(n=1, stems<={stem_cap})",
@@ -195,13 +193,12 @@ def verdict_ko(stem_cap: int = 24) -> DefectVerdict:
 def verdict_tmf(stem_cap: int = 24) -> DefectVerdict:
     """Topological modular forms: machine upper bound 4.
 
-    The height-2 exterior family scan is clean, giving defect <= 4.
+    The Koszul closed form of Ext over the height-2 exterior family
+    puts no class in an odd stem through the cap, giving defect <= 4.
     The matching lower bound is a documented fact with no computation
     behind it here, so the verdict stays a bound with a note.
     """
-    scan = evenness_scan(2, 2, Comodule.trivial(Profile.E(2, 2), [0]), stem_cap)
-    if not scan.is_empty():
-        raise ValueError(f"evenness scan found offenders: {scan.offenders}")
+    evenness_scan(2, 2, stem_cap)
     upper = Evidence(
         "ext",
         f"evenness_scan(n=2, stems<={stem_cap})",

@@ -15,17 +15,20 @@ pass over the columns: it computes the dims of column t, names its
 classes by products of degree-one letters (cobar concatenation, which
 satisfies the Leibniz rule with the cohomological sign), then drops the
 column's words and matrices, so a job holds one column at a time.
+
+evenness_scan builds no cobar complex: over an exterior family the
+Koszul closed form places every class, so it checks that the family
+has that form through the window and reads the stems off it.
 """
 
 from .gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms
-from .steenrod import Comodule, elt_add_term, tau_gen, xi_gen
+from .steenrod import Comodule, Profile, elt_add_term, tau_gen, xi_gen
 
 __all__ = [
     "CobarComplex",
     "ExtChart",
     "ext_ranks",
     "evenness_scan",
-    "ScanReport",
     "cobar_dims",
     "cobar_letters",
     "profile_key",
@@ -299,7 +302,7 @@ def _multiset_name(letters, multiset):
     return "*".join(parts) if parts else "1"
 
 
-def ext_ranks(profile, module, s_max, t_max, with_names=True):
+def ext_ranks(profile, module, s_max, t_max):
     """Ext^{s,t} dims over a profile quotient, as an ExtChart.
 
     One pass over internal degrees: each cell of column t gets its dim
@@ -314,7 +317,7 @@ def ext_ranks(profile, module, s_max, t_max, with_names=True):
         s_max,
         t_max,
     )
-    letters = cobar_letters(profile, t_max) if with_names else []
+    letters = cobar_letters(profile, t_max)
     # letter products are only meaningful against a degree-0 cell of M
     degree_of = complexes.module.degree_of
     base = next((n for n in complexes.module.names if degree_of[n] == 0), None)
@@ -362,70 +365,29 @@ def _name_cell(chart, complexes, letters, base, s, t):
         chart.names[(s, t)] = named
 
 
-class ScanReport:
-    """Result of an evenness obstruction scan."""
+def evenness_scan(n, p, stem_max):
+    """Certify that Ext over the exterior family E(n) with trivial
+    coefficients has no class in an odd stem through stem_max, for
+    every s.
 
-    def __init__(self, offenders, stems_scanned, s_range, warning=None):
-        self.offenders = offenders
-        self.stems_scanned = stems_scanned
-        self.s_range = s_range
-        self.warning = warning
-
-    def is_empty(self):
-        return not self.offenders
-
-    def __repr__(self):
-        state = "empty" if self.is_empty() else f"{len(self.offenders)} offenders"
-        return f"ScanReport({state}, stems={self.stems_scanned}, s={self.s_range})"
-
-
-def obstruction_stems(p, n, stem_max):
-    """Stems 2p^{m+1} - 3 - 2(p-1)k for m >= n, k >= 0, within range.
-
-    Once the leading stem of a family exceeds the window, the family
-    only repeats residues already present, so the loop stops there.
+    Ext over an exterior Hopf algebra on primitives is polynomial on
+    one class in (1, d) per generator of degree d (Koszul duality; S.
+    Priddy, "Koszul resolutions", 1970).  A product of s such classes
+    sits in stem sum(d_i - 1), so odd letter degrees put every class in
+    an even stem, and letters past degree stem_max + 1 reach only
+    stems past the window.  Raises ValueError unless the family is
+    exterior on its primitive letters through that degree and every
+    letter degree is odd.
     """
-    stems = set()
-    m = n
-    while True:
-        top = 2 * p ** (m + 1) - 3
-        k = 0
-        while True:
-            stem = top - 2 * (p - 1) * k
-            if stem < 0:
-                break
-            if stem <= stem_max:
-                stems.add(stem)
-            k += 1
-        if top > stem_max:
-            break
-        m += 1
-    return sorted(stems)
-
-
-def evenness_scan(n, p, module, stem_max, s_max=None):
-    """Scan Ext over the exterior height-n family for classes in the
-    obstruction bidegrees (s >= 2).  Empty = certified through stem_max.
-
-    A nonempty result lists candidates only, never a disproof.  A
-    module given over a larger quotient is revalidated over the
-    exterior family, so its coaction must factor through it.
-    """
-    from .steenrod import Profile
-
     family = Profile.E(p, n)
-    if s_max is None:
-        # letter degrees grow with n; capping s keeps word counts sane
-        s_max = 8 if n <= 1 else 5
-    stems = obstruction_stems(p, n, stem_max)
-    if not stems:
-        return ScanReport([], [], (2, s_max), warning="window below every obstruction stem")
-    t_max = stem_max + s_max
-    chart = ext_ranks(family, module, s_max, t_max, with_names=False)
-    offenders = []
-    stem_set = set(stems)
-    for (s, t), d in sorted(chart.dims.items()):
-        stem = t - s
-        if s >= 2 and d and stem in stem_set:
-            offenders.append((s, stem))
-    return ScanReport(offenders, stems, (2, s_max))
+    top = stem_max + 1
+    degrees = [mono.degree() for _, mono in cobar_letters(family, top)]
+    exterior = [1] + [0] * top
+    for d in degrees:
+        for k in range(top, d - 1, -1):
+            exterior[k] += exterior[k - d]
+    if family.poincare(top) != exterior:
+        raise ValueError(f"{family!r} is not exterior on its primitives through degree {top}")
+    even = [d for d in degrees if d % 2 == 0]
+    if even:
+        raise ValueError(f"{family!r} has primitives in even degrees {even}")

@@ -38,6 +38,7 @@ from .gradedlin import (
     vec_support,
 )
 from .steenrod import (
+    MAX_FAMILY_HEIGHT,
     Profile,
     elt_add_term,
     family_margolis_indices,
@@ -375,7 +376,11 @@ def _parse_subalgebra(spec):
     m = re.match(r"^([AP])\((\d+)\)$", spec.strip()) if isinstance(spec, str) else None
     if not m:
         raise InputError(f"unrecognized subalgebra {spec!r}; expected 'A(n)' or 'P(n)'")
-    return m.group(1), int(m.group(2))
+    digits = m.group(2).lstrip("0") or "0"
+    # compare lengths first: int() refuses strings past 4300 digits
+    if len(digits) > len(str(MAX_FAMILY_HEIGHT)) or int(digits) > MAX_FAMILY_HEIGHT:
+        raise InputError(f"subalgebra level {digits} is over the limit {MAX_FAMILY_HEIGHT}")
+    return m.group(1), int(digits)
 
 
 def _profile_for(p, kind, level):

@@ -22,6 +22,7 @@ from math import comb
 __all__ = [
     "DualMonomial",
     "Profile",
+    "MAX_FAMILY_HEIGHT",
     "Comodule",
     "MilnorBasisElement",
     "milnor_product",
@@ -315,6 +316,14 @@ def conjugate_xi(p, k):
 
 # ---------------------------------------------------------------------------
 # profiles
+
+# largest family height a command line may ask for.  Profile._validate
+# is quadratic in the height: on a 2 vCPU host Profile.A(3, 1000) takes
+# 1.1 s and Profile.P(2, 3000) 3.8 s, and heights near 10^5 hang before
+# any window check.  64 loses nothing: at p = 2 no xi_i with i >= 12
+# (degree 2^i - 1 >= 4095) has degree inside a 4096-cell ext window,
+# whose internal degrees stop at 2047, and odd-prime degrees are larger
+MAX_FAMILY_HEIGHT = 64
 
 
 class Profile:

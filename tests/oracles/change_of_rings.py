@@ -145,9 +145,9 @@ def change_of_rings_check(outer, inner, module, s_max, t_max):
 
     Returns (equal, inner_dims, outer_dims).
     """
-    inner_chart = ext_ranks(inner, module, s_max, t_max, with_names=False)
+    inner_chart = ext_ranks(inner, module, s_max, t_max)
     coinduced = cotensor_comodule(outer, inner, module, t_max)
-    outer_chart = ext_ranks(outer, coinduced, s_max, t_max, with_names=False)
+    outer_chart = ext_ranks(outer, coinduced, s_max, t_max)
     return (
         inner_chart.dims == outer_chart.dims,
         inner_chart.dims,

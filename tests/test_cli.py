@@ -5,16 +5,18 @@ The directories under tests/golden/ were written with
     CHROMADEFECT_CACHE=<empty dir> python -m chromadefect.cli <argv> \\
         --no-cache --out tests/golden/<name>
 
-for each name and argv in GOLDEN: the fgl and defect jobs by the engine
-before the univariate defect witness replaced the bivariate one, the
-ext and margolis jobs by the engine before comodule cofreeness moved
-onto margolis_homology, and the may and ko-ss jobs (every format) by
-the engine before SubquotientBasis moved onto PrimeFieldMatrix
-elimination.  The margolis inputs live in tests/golden/inputs/, written
-by the builders in tests/oracles/modules.py (free_a1.json is
-free_module(2, "A", 1, [0, 3]); rp4.json is rp_module(4, ops=("P(1,0)",
-"P(2,0)")); empty.json is the malformed module {}).  Any change to the
-artifact bytes of those jobs fails here.
+for each name and argv in GOLDEN: the fgl jobs and defect_cap8 by the
+engine before the univariate defect witness replaced the bivariate one,
+defect_cap24 by the engine before evenness_scan read the Koszul closed
+form in place of the cobar complex, the ext and margolis jobs by the
+engine before comodule cofreeness moved onto margolis_homology, and
+the may and ko-ss jobs (every format) by the engine before
+SubquotientBasis moved onto PrimeFieldMatrix elimination.  The
+margolis inputs live in tests/golden/inputs/, written by the builders
+in tests/oracles/modules.py (free_a1.json is free_module(2, "A", 1,
+[0, 3]); rp4.json is rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json
+is the malformed module {}).  Any change to the artifact bytes of those
+jobs fails here.
 """
 
 import json
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from chromadefect import cli, margolis
+from chromadefect.steenrod import Profile
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 INPUTS = GOLDEN_DIR / "inputs"
@@ -34,6 +37,7 @@ GOLDEN = {
     "fgl_n3": ["fgl", "--n", "3", *FORMATS],
     "fgl_n4": ["fgl", "--n", "4", *FORMATS],
     "defect_cap8": ["defect", "--cap", "8", *FORMATS],
+    "defect_cap24": ["defect", "--cap", "24", *FORMATS],
     "ext_a1_p2": ["ext", "--prime", "2", "--family", "A", "--n", "1",
                   "--stem-max", "8", "--s-max", "4", *FORMATS, "--format", "svg"],
     "ext_a1_p3": ["ext", "--prime", "3", "--family", "A", "--n", "1",
@@ -176,6 +180,48 @@ def test_oversized_ext_window_and_defect_cap_exit_2(argv, message, tmp_path, cap
     assert run([*argv, "--no-cache"], tmp_path / "out") == cli.EXIT_USAGE
     assert time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ext", "--family", family, "--n", "100000", "--stem-max", "1", "--s-max", "1"]
+        for family in ("A", "E", "T")
+    ]
+    + [
+        ["ext", "--prime", "3", "--family", "A", "--n", "100000", "--stem-max", "1",
+         "--s-max", "1"],
+        ["ext", "--family", "P", "--n", "3000"],
+    ],
+)
+def test_huge_ext_height_exits_2(argv, tmp_path, capsys):
+    start = time.perf_counter()
+    assert run([*argv, "--no-cache"], tmp_path / "out") == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "is over the limit 64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("level", ["1000000", "9" * 5000], ids=["million", "5000_digits"])
+def test_huge_margolis_level_exits_2(level, tmp_path, capsys):
+    argv = ["margolis", "--input", str(INPUTS / "rp4.json"), "--subalgebra", f"A({level})",
+            "--no-cache"]
+    start = time.perf_counter()
+    assert run(argv, tmp_path / "out") == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert f"subalgebra level {level} is over the limit 64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("height", [1, 2], ids=["ko", "tmf"])
+def test_non_exterior_scan_family_exits_3(height, tmp_path, capsys, monkeypatch):
+    exterior = Profile.E
+    monkeypatch.setattr(
+        Profile, "E", lambda p, n: Profile.A(2, 1) if n == height else exterior(p, n)
+    )
+    assert run(["defect", "--cap", "8", "--no-cache"], tmp_path / "out") == cli.EXIT_COMPUTE
+    assert "compute error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -23,7 +23,6 @@ from chromadefect.ext import (
     cobar_letters,
     evenness_scan,
     ext_ranks,
-    obstruction_stems,
 )
 from chromadefect.steenrod import Comodule, Profile
 
@@ -61,12 +60,21 @@ class TestCobarComplex:
             for t in range(7):
                 assert cx.ext_dim(s, t) == (1 if s == t else 0)
 
-    def test_two_generator_closed_form(self):
-        fam = Profile.E(2, 1)
-        cx = CobarComplex(fam, Comodule.trivial(fam, [0]), 6, 18)
-        for s in range(7):
-            for t in range(19):
-                assert cx.ext_dim(s, t) == poly_dim([1, 3], s, t), (s, t)
+    @pytest.mark.parametrize("p, n, s_max", [(2, 1, 8), (2, 2, 5), (3, 1, 8), (3, 2, 5)])
+    def test_two_generator_closed_form(self, p, n, s_max):
+        # the windows evenness_scan once ran the cobar engine on, through
+        # stem 24: Ext is polynomial on the primitive letters, whose odd
+        # degrees keep every class in an even stem
+        fam = Profile.E(p, n)
+        t_max = 24 + s_max
+        degrees = [mono.degree() for _, mono in cobar_letters(fam, t_max)]
+        cx = CobarComplex(fam, Comodule.trivial(fam, [0]), s_max, t_max)
+        for t in range(t_max + 1):
+            for s in range(min(s_max, t) + 1):
+                d = cx.ext_dim(s, t)
+                assert d == poly_dim(degrees, s, t), (s, t)
+                assert d == 0 or (t - s) % 2 == 0, (s, t)
+            cx.release_column(t)
 
     def test_d_squared_zero(self):
         for fam, s_max, t_max in [
@@ -109,14 +117,14 @@ class TestCobarComplex:
     def test_cofree_concentration(self):
         for fam, cap in [(Profile.A(2, 1), 6), (Profile.E(3, 1), 6)]:
             M = coalgebra_self(fam, cap)
-            chart = ext_ranks(fam, M, 4, cap + 4, with_names=False)
+            chart = ext_ranks(fam, M, 4, cap + 4)
             assert chart.dims == {(0, 0): 1}
 
     def test_suspension_shifts_internal_degree(self):
         fam = Profile.A(2, 1)
         M = coalgebra_self(fam, 6)
-        plain = ext_ranks(fam, M, 3, 8, with_names=False)
-        moved = ext_ranks(fam, comodule_suspend(M, 3), 3, 11, with_names=False)
+        plain = ext_ranks(fam, M, 3, 8)
+        moved = ext_ranks(fam, comodule_suspend(M, 3), 3, 11)
         assert moved.dims == {(s, t + 3): d for (s, t), d in plain.dims.items()}
 
     @pytest.mark.parametrize(
@@ -149,8 +157,8 @@ class TestCobarComplex:
     def test_suspension_property(self, degrees, k):
         fam = Profile.E(2, 1)
         M = Comodule.trivial(fam, degrees)
-        plain = ext_ranks(fam, M, 3, 7, with_names=False)
-        moved = ext_ranks(fam, comodule_suspend(M, k), 3, 7 + k, with_names=False)
+        plain = ext_ranks(fam, M, 3, 7)
+        moved = ext_ranks(fam, comodule_suspend(M, k), 3, 7 + k)
         want = {
             (s, t + k): d for (s, t), d in plain.dims.items() if t + k <= 7 + k
         }
@@ -216,43 +224,24 @@ class TestColumnPass:
 
         monkeypatch.setattr(CobarComplex, "words", traced)
         fam = Profile.A(2, 1)
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 6, 16, with_names=True)
+        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 6, 16)
         assert chart.names[(1, 1)] == [("h(1,0)", ((0, 1),))]
         assert max(len(degrees) for degrees in held) == 1
 
 
 class TestEvennessScan:
-    def test_obstruction_stem_families(self):
-        assert obstruction_stems(2, 1, 20) == list(range(1, 20, 2))
-        assert obstruction_stems(3, 1, 16) == [3, 7, 11, 15]
-        assert obstruction_stems(2, 2, 13) == [1, 3, 5, 7, 9, 11, 13]
+    @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_exterior_families_certify(self, p, n):
+        for stem_max in (1, 24, 1000):
+            assert evenness_scan(n, p, stem_max) is None
 
-    def test_certified_empty(self):
-        fam = Profile.E(2, 1)
-        report = evenness_scan(1, 2, Comodule.trivial(fam, [0]), 20)
-        assert report.is_empty()
-        assert report.warning is None
-        assert report.stems_scanned == list(range(1, 20, 2))
-
-    def test_window_below_every_obstruction(self):
-        fam = Profile.E(2, 1)
-        report = evenness_scan(1, 2, Comodule.trivial(fam, [0]), 0)
-        assert report.is_empty()
-        assert report.warning is not None
-
-    def test_shifted_module_yields_candidates(self):
-        # one odd cell moves the whole chart to odd stems, so every
-        # obstruction stem in range carries candidates at s >= 2
-        fam = Profile.E(2, 1)
-        report = evenness_scan(1, 2, Comodule.trivial(fam, [1]), 6, s_max=4)
-        assert not report.is_empty()
-        want = {(s, stem) for s in (2, 3, 4) for stem in (1, 3, 5)}
-        assert set(report.offenders) == want
-
-    def test_module_over_larger_family_restricts(self):
-        M = Comodule.trivial(Profile.A(2, 1), [0])
-        report = evenness_scan(1, 2, M, 12)
-        assert report.is_empty()
+    @pytest.mark.parametrize("stem_max, reason", [(1, "even degrees"), (8, "not exterior")])
+    def test_non_exterior_family_is_refused(self, stem_max, reason, monkeypatch):
+        # A(1) has the primitive xi_1^2 in degree 2, and xi_2 is not
+        # primitive; through degree 2 its series is still exterior
+        monkeypatch.setattr(Profile, "E", lambda p, n: Profile.A(2, 1))
+        with pytest.raises(ValueError, match=reason):
+            evenness_scan(1, 2, stem_max)
 
 
 class TestChangeOfRings:

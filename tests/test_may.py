@@ -192,7 +192,7 @@ class TestPages:
 
     def test_ext_bounded_by_e2(self):
         fam = Profile.T(2, 1)
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 7, 18, with_names=False)
+        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 7, 18)
         e2 = page_turn(may_e1(1, 2, 12, 7))
         for stem in range(11):
             for s in range(6):
@@ -205,7 +205,7 @@ class TestPages:
         e2 = page_turn(may_e1(1, 2, 12, 8))
         e3 = page_turn(e2, [("h(3,0)^2", "h(1,0)^2*h(2,2)")])
         fam = Profile.T(2, 1)
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 7, 17, with_names=False)
+        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 7, 17)
         for stem in range(11):
             for s in range(7):
                 if e3.trusted(stem, s):

@@ -7,10 +7,13 @@ runs over the T and P families, which no golden argv covers, and
 asserts that every function defined under src/chromadefect was entered.
 The exemptions are named below, one group per planned change that
 takes them as its main path or replaces them, plus dunder methods.
+A second test holds every package module's `__all__` to names the
+module defines, so a deleted function leaves no stale export.
 """
 
 import ast
 import contextlib
+import importlib
 import io
 import sys
 from pathlib import Path
@@ -128,3 +131,18 @@ def test_every_package_function_is_reached(tmp_path, monkeypatch):
         e for e in EXEMPT if e not in names and not any(n.startswith(e + ".") for n in names)
     )
     assert not stale, f"exempt names that are not defined: {stale}"
+
+
+def test_every_export_is_defined():
+    stale = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = importlib.import_module(".".join(parts))
+        stale += [
+            f"{module.__name__}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert not stale, f"names in __all__ that the module does not define: {stale}"
