@@ -8,7 +8,6 @@ order and fixed numeric formatting so the same document always produces
 the same bytes.
 """
 
-from .may import may_d1
 from .ssq import d3_rule, differential_sources
 
 __all__ = [
@@ -91,29 +90,18 @@ def chart_from_ext(chart) -> ChartDocument:
 def chart_from_may_page(page) -> ChartDocument:
     """Dot chart of a May page with its differential arrows.
 
-    Every class representative with a nonzero differential whose target
-    cell is inside the window contributes one arrow; the May
-    differential always steps filtration by one.
+    A cell draws one arrow when the page keeps a nonzero differential
+    matrix out of it, which it does only between cells with classes;
+    the May differential always steps filtration by one.  Only E1
+    carries its differential, so later pages are dots alone.
     """
-    dots = {}
-    for (stem, s), d in sorted(page.dims().items()):
-        dots[(stem, s)] = (d, "")
-    arrows = set()
-    for (stem, s), cell_dim in sorted(page.dims().items()):
-        tkey = (stem - 1, s + 1)
-        if tkey not in dots:
-            continue
-        for rep in page.class_reps(stem, s):
-            image = may_d1(rep, page.context) if page.r == 1 else None
-            if image:
-                coords = page.class_coords(image)
-                if any(coords.values()):
-                    arrows.add((page.r, (stem, s), tkey))
+    dots = {key: (d, "") for key, d in page.dims().items()}
+    arrows = [(page.r, (stem, s), (stem - 1, s + 1)) for stem, s in page.differential]
     return ChartDocument(
         f"may page {page.r} height {page.context.n} p={page.p}",
         dots,
         [],
-        sorted(arrows),
+        arrows,
         (0, page.stem_cap),
         (0, page.s_cap),
         arrow_rule="filtration-step",

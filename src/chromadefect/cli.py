@@ -29,7 +29,7 @@ from .ext import Comodule, cobar_dims, ext_ranks
 from .fgl import er_defect_witness
 from .gradedlin import check_prime
 from .margolis import FiniteSteenrodModule, InputError, is_free_over
-from .may import e1_monomial_count, may_e1
+from .may import e1_monomial_count, may_e1, may_e2
 from .ssq import Window, build_e1, forced_d3_detector, run_d1, run_d3
 from .steenrod import MAX_FAMILY_HEIGHT, Profile
 
@@ -58,10 +58,12 @@ MAX_EXT_MATRIX_BYTES = 512 * 2**20
 # over the infinite T family, and the job visits every cell
 MAX_EXT_CELLS = 4096
 # largest may E1 page, in window cells plus monomials; each cell and
-# each monomial is an object the page keeps.  At p = 2, n = 1, stem 60,
-# s 16 (1,037 cells, 46,418 monomials) took 3.6 s and 62 MB; stem 80,
-# s 16 (165,107 monomials) took 20 s and 188 MB.  At p = 5, stem 20000,
-# s 4 (100,005 cells, 4,223 monomials) took 2.2 s and 162 MB
+# each monomial is an object the pages keep.  The whole job, E1 and E2
+# in every format, on a 2 vCPU host: p = 2, n = 1, stem 60, s 16 (1,037
+# cells, 46,418 monomials) took 3.1 s and 46 MB peak; p = 3, n = 0,
+# stem 185, s 10 (2,046 cells, 57,858 monomials), 13.7 s and 91 MB,
+# nearly all of it dense F_3 elimination for E2; p = 5, n = 1, stem
+# 9999, s 4 (50,000 cells, 2,999 monomials), 0.6 s and 39 MB
 MAX_MAY_E1_SIZE = 60_000
 # largest ko-ss window, in cells: the laurent pages over 180,901 cells
 # took 2.8 s and 79 MB, over 501,501 cells 9.5 s and 177 MB
@@ -231,20 +233,21 @@ def cmd_ext(cfg: JobConfig):
 def cmd_may(cfg: JobConfig):
     p = cfg.params["prime"]
     n = cfg.params["n"]
-    page = may_e1(n, p, cfg.params["stem_max"], cfg.params["s_max"])
-    base = f"may_n{n}_p{p}"
+    e1 = may_e1(n, p, cfg.params["stem_max"], cfg.params["s_max"])
     out = {}
-    if "tsv" in cfg.params["formats"]:
-        out[f"{base}_e1.tsv"] = page.to_tsv().encode("utf-8")
-    if "json" in cfg.params["formats"]:
-        dims = [[stem, s, d] for (stem, s), d in sorted(page.dims().items())]
-        out[f"{base}_e1.json"] = _json_bytes(
-            {"height": n, "prime": p, "page": page.r, "dims": dims}
-        )
-    if "svg" in cfg.params["formats"]:
-        doc = chart_from_may_page(page)
-        out[f"{base}_e1.svg"] = render_chart(doc)
-        out[f"{base}_e1_chart.tsv"] = chart_to_tsv(doc).encode("utf-8")
+    for page in (e1, may_e2(e1)):
+        base = f"may_n{n}_p{p}_e{page.r}"
+        if "tsv" in cfg.params["formats"]:
+            out[f"{base}.tsv"] = page.to_tsv().encode("utf-8")
+        if "json" in cfg.params["formats"]:
+            dims = [[stem, s, d] for (stem, s), d in sorted(page.dims().items())]
+            out[f"{base}.json"] = _json_bytes(
+                {"height": n, "prime": p, "page": page.r, "dims": dims}
+            )
+        if "svg" in cfg.params["formats"]:
+            doc = chart_from_may_page(page)
+            out[f"{base}.svg"] = render_chart(doc)
+            out[f"{base}_chart.tsv"] = chart_to_tsv(doc).encode("utf-8")
     return out
 
 
@@ -417,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-max", type=int, default=8)
     common(sp)
 
-    sp = sub.add_parser("may", help="weight-filtration first page with its differentials")
+    sp = sub.add_parser("may", help="May spectral sequence E1 with its d1 arrows, and E2")
     sp.add_argument("--prime", type=int, default=2)
     sp.add_argument("--n", type=int, default=1, help="telescope height")
     sp.add_argument("--stem-max", type=int, default=13)

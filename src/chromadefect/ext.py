@@ -83,6 +83,10 @@ class CobarComplex:
             module = Comodule(profile, basis, module.coaction)
         self.module = module
         self._letters = list(profile.positive_basis(t_max))
+        # a word of s letters has internal degree at most s * top_letter
+        # + top_cell: enumeration and the column pass stop there
+        self.top_letter = max((m.degree() for m in self._letters), default=0)
+        self.top_cell = max(module.degree_of.values(), default=0)
         # rank table reproducing string order on letters, so word sorts
         # compare small ints instead of formatting monomials
         self._letter_rank = {
@@ -107,6 +111,7 @@ class CobarComplex:
                     out.append(((), name))
         elif s > 0 and t >= s:
             degs = [m.degree() for m in self._letters]
+            top, top_cell = self.top_letter, self.top_cell
 
             def rec(idx_left, budget, acc):
                 if idx_left == 0:
@@ -116,11 +121,13 @@ class CobarComplex:
                     return
                 for i, a in enumerate(self._letters):
                     d = degs[i]
-                    # leave at least 1 per remaining slot
-                    if d > budget - (idx_left - 1):
+                    rest = idx_left - 1
+                    # leave at least 1 per remaining slot, and no more
+                    # than the remaining slots and the module can take
+                    if not budget - top_cell - rest * top <= d <= budget - rest:
                         continue
                     acc.append(a)
-                    rec(idx_left - 1, budget - d, acc)
+                    rec(rest, budget - d, acc)
                     acc.pop()
 
             rec(s, t, [])
@@ -308,7 +315,9 @@ def ext_ranks(profile, module, s_max, t_max):
     One pass over internal degrees: each cell of column t gets its dim
     and its class names, then the column's words and matrices are
     released.  Naming cell (s, t) reads only the differentials out of
-    (s, t) and (s - 1, t), both in the column.
+    (s, t) and (s - 1, t), both in the column.  The pass stops at the
+    last column a word can reach: s_max letters of the top letter
+    degree on the top module cell, which cuts a finite family short.
     """
     complexes = CobarComplex(profile, module, s_max, t_max)
     chart = ExtChart(
@@ -321,7 +330,8 @@ def ext_ranks(profile, module, s_max, t_max):
     # letter products are only meaningful against a degree-0 cell of M
     degree_of = complexes.module.degree_of
     base = next((n for n in complexes.module.names if degree_of[n] == 0), None)
-    for t in range(t_max + 1):
+    t_last = min(t_max, s_max * complexes.top_letter + complexes.top_cell)
+    for t in range(t_last + 1):
         for s in range(0, min(s_max, t) + 1):
             d = complexes.ext_dim(s, t)
             if d:

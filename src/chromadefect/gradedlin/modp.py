@@ -233,7 +233,6 @@ class PrimeFieldMatrix:
             raise ValueError("row count mismatch")
         self.rows = list(rows)
         self._elim = None
-        self._elim_tracked = None
 
     @classmethod
     def from_terms(cls, p, nrows, ncols, terms):
@@ -250,15 +249,10 @@ class PrimeFieldMatrix:
         return cls(p, nrows, ncols, [tuple(r) for r in buf])
 
     def _eliminate(self, track):
-        if track:
-            if self._elim_tracked is None:
-                self._elim_tracked = self._run(True)
-            return self._elim_tracked
-        if self._elim is not None:
-            return self._elim
-        if self._elim_tracked is not None:
-            return self._elim_tracked
-        self._elim = self._run(False)
+        """The stored elimination, run again only when a tracked one is
+        asked for and the stored one is untracked (its combos None)."""
+        if self._elim is None or (track and self._elim[3] is None):
+            self._elim = self._run(track)
         return self._elim
 
     def _run(self, track):

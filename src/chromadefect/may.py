@@ -13,19 +13,20 @@ exterior (odd total degree) while a and b are polynomial.
 
 d1 comes from the diagonal: d1 h(i,j) = sum_{0<k<i} h(i-k,k+j) h(k,j)
 and d1 a(i) = sum_{0<=k<i} h(i-k,k) a(k), terms with disallowed letters
-dropped.  Higher differentials are never derived here; they enter
-page_turn as explicit rules and are validated for bidegree and weight
-consistency.  Every stored differential strictly lowers total may
-weight (the filtration is by increasing weight, so this is the
-convergence direction).
+dropped.  may_e1 differentiates each E1 monomial once and keeps d1 as
+one matrix per cell in monomial coordinates; may_e2 reads E2 = ker d1 /
+im d1 off those matrices.  No later differential is derived.  d1
+strictly lowers total may weight (the filtration is by increasing
+weight, so this is the convergence direction), checked on every
+monomial.
 
 All pages are plotted in Adams bigrading (stem, s) = (t-s, s); every
 differential has the signature of an Adams d1 (s+1, stem-1, t fixed).
-Window bookkeeping: each page turn erodes the trusted region by one in
-both stem and s, because boundaries can enter from just outside it.
+Window bookkeeping: E2 trusts one stem and one s less than E1, because
+boundaries can enter from just outside the window.
 """
 
-from .gradedlin import SubquotientBasis, vec_from_terms, vec_support
+from .gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms, vec_support
 from .steenrod import elt_add_term
 
 __all__ = [
@@ -33,10 +34,8 @@ __all__ = [
     "MayPage",
     "e1_monomial_count",
     "may_e1",
-    "may_d1",
-    "page_turn",
+    "may_e2",
     "monomial_string",
-    "parse_may_monomial",
 ]
 
 _KIND_RANK = {"a": 0, "b": 1, "h": 2}
@@ -89,47 +88,6 @@ def monomial_string(mono):
         g = gen_string(gen)
         parts.append(g if e == 1 else f"{g}^{e}")
     return "*".join(parts)
-
-
-def parse_may_monomial(text):
-    """Inverse of monomial_string, e.g. "h(1,0)^2*a(0)"."""
-    text = text.strip()
-    if text == "1":
-        return ()
-    blocks = []
-    for part in text.split("*"):
-        part = part.strip()
-        if "^" in part:
-            head, _, exp = part.rpartition("^")
-            e = int(exp)
-        else:
-            head, e = part, 1
-        kind = head[0]
-        inner = head[head.index("(") + 1 : head.rindex(")")]
-        if kind == "a":
-            gen = ("a", int(inner), None)
-        else:
-            i, j = inner.split(",")
-            gen = (kind, int(i), int(j))
-        if kind not in _KIND_RANK or e <= 0:
-            raise ValueError(f"bad may monomial: {text!r}")
-        blocks.append((gen, e))
-    blocks.sort(key=lambda b: _gen_key(b[0]))
-    out = []
-    for gen, e in blocks:
-        if out and out[-1][0] == gen:
-            out[-1] = (gen, out[-1][1] + e)
-        else:
-            out.append((gen, e))
-    return tuple(out)
-
-
-def mono_s(mono):
-    return sum(e * gen_s(g) for g, e in mono)
-
-
-def mono_t(p, mono):
-    return sum(e * gen_t(p, g) for g, e in mono)
 
 
 def mono_weight(p, mono):
@@ -304,35 +262,17 @@ class MayContext:
         return out
 
 
-def may_d1(x, context):
-    """d1 of a monomial or element over the given context."""
-    if isinstance(x, tuple):
-        x = {x: 1}
-    return context.d1_element(x)
-
-
-class _Cell:
-    """One (stem, s) spot: fixed E1 monomial coordinates, the current
-    page's class representatives (as E1 elements), and the boundary
-    space accumulated so far (as E1 vectors).  coords() of a cycle lift
-    is computed against boundaries + representative lifts."""
-
-    __slots__ = ("monomials", "index", "boundaries", "reps", "_sub")
-
-    def __init__(self, monomials, boundaries, reps, p):
-        self.monomials = monomials
-        self.index = {m: k for k, m in enumerate(monomials)}
-        self.boundaries = boundaries
-        self.reps = reps
-        kernel = [_vectorize_raw(p, rep, self.index, len(monomials)) for rep in reps]
-        self._sub = SubquotientBasis(p, len(monomials), boundaries, kernel)
-
-    def coords(self, vec):
-        return self._sub.coords(vec)
-
-
 class MayPage:
-    """One page of the spectral sequence over a fixed E1 window."""
+    """One page of the spectral sequence over a fixed E1 window.
+
+    classes[(stem, s)] lists the lead monomial of each class
+    representative (on E1, the monomials themselves, sorted by weight
+    and name), and killed[(stem, s)] the lead monomials of the
+    boundaries this page divided out.  differential[(stem, s)] is the
+    page's derived differential out of the cell, one row per class over
+    the target cell's classes, kept only where it is nonzero; E1 holds
+    d1, and later pages hold none.
+    """
 
     def __init__(self, context, r, stem_cap, s_cap, trusted_stem_max, trusted_s_max):
         self.context = context
@@ -341,39 +281,23 @@ class MayPage:
         self.s_cap = s_cap
         self.trusted_stem_max = trusted_stem_max
         self.trusted_s_max = trusted_s_max
-        self.cells = {}
+        self.classes = {}
         self.killed = {}
+        self.differential = {}
 
     @property
     def p(self):
         return self.context.p
 
     def dims(self):
-        return {
-            key: len(cell.reps) for key, cell in self.cells.items() if cell.reps
-        }
+        return {key: len(leads) for key, leads in self.classes.items() if leads}
 
     def trusted(self, stem, s):
         return stem <= self.trusted_stem_max and s <= self.trusted_s_max
 
-    def class_reps(self, stem, s):
-        cell = self.cells.get((stem, s))
-        return list(cell.reps) if cell else []
-
-    def class_coords(self, element):
-        """Coordinates of an E1 element's class on this page."""
-        if not element:
-            return {}
-        mono = next(iter(element))
-        stem = mono_t(self.p, mono) - mono_s(mono)
-        s = mono_s(mono)
-        cell = self.cells.get((stem, s))
-        if cell is None:
-            raise ValueError("element outside the computed window")
-        return cell.coords(_vectorize(self.p, element, cell))
-
     def to_tsv(self):
         ctx = self.context
+        p = self.p
         lines = [
             f"# may page r={self.r}: height {ctx.n}, p={ctx.p}",
             f"# window: stem <= {self.stem_cap}, s <= {self.s_cap}; "
@@ -381,40 +305,22 @@ class MayPage:
             "stem\ts\tweight\tmonomial\tstatus",
         ]
         rows = []
-        for (stem, s), cell in self.cells.items():
-            for rep in cell.reps:
-                lead = min(rep, key=lambda m: (mono_weight(self.p, m), monomial_string(m)))
-                status = "live" if self.trusted(stem, s) else "indeterminate"
-                rows.append(
-                    (stem, s, mono_weight(self.p, lead), monomial_string(lead), status)
-                )
+        for (stem, s), leads in self.classes.items():
+            status = "live" if self.trusted(stem, s) else "indeterminate"
+            for mono in leads:
+                rows.append((stem, s, mono_weight(p, mono), monomial_string(mono), status))
         for (stem, s), monos in self.killed.items():
             for mono in monos:
-                rows.append(
-                    (stem, s, mono_weight(self.p, mono), monomial_string(mono), "boundary")
-                )
+                rows.append((stem, s, mono_weight(p, mono), monomial_string(mono), "boundary"))
         rows.sort()
         for row in rows:
             lines.append("\t".join(map(str, row)))
         return "\n".join(lines) + "\n"
 
 
-def _vectorize_raw(p, element, index, n):
-    terms = []
-    for mono, coef in element.items():
-        k = index.get(mono)
-        if k is None:
-            raise ValueError(f"monomial {monomial_string(mono)} not in cell basis")
-        terms.append((k, coef))
-    return vec_from_terms(p, n, terms)
-
-
-def _vectorize(p, element, cell):
-    return _vectorize_raw(p, element, cell.index, len(cell.monomials))
-
-
 def may_e1(n, p, stem_max, s_max):
-    """E1 page of the height-n family through (stem_max, s_max)."""
+    """E1 page of the height-n family through (stem_max, s_max), with
+    d1 of every monomial computed once."""
     if stem_max < 0 or s_max < 1:
         raise ValueError("caps must be positive")
     ctx = MayContext(n, p)
@@ -443,10 +349,81 @@ def may_e1(n, p, stem_max, s_max):
 
     rec(0, 0, 0, ())
     page = MayPage(ctx, 1, stem_max, s_max, stem_max, s_max)
-    for key, monos in cells.items():
+    for monos in cells.values():
         monos.sort(key=lambda m: (mono_weight(p, m), monomial_string(m)))
-        page.cells[key] = _Cell(monos, [], [{m: 1} for m in monos], p)
+    page.classes = cells
+    for (stem, s), monos in cells.items():
+        target = cells.get((stem - 1, s + 1))
+        if monos and target:
+            rows = _d1_rows(ctx, monos, target)
+            if rows:
+                page.differential[(stem, s)] = rows
     return page
+
+
+def _d1_rows(ctx, monos, target):
+    """d1 of each monomial, as rows over the target cell's monomials;
+    [] when d1 vanishes on every monomial."""
+    p = ctx.p
+    index = {m: k for k, m in enumerate(target)}
+    rows = []
+    nonzero = False
+    for mono in monos:
+        image = ctx.d1_element({mono: 1})
+        terms = []
+        if image:
+            nonzero = True
+            _assert_weight_step(p, {mono: 1}, image)
+            for m, c in image.items():
+                k = index.get(m)
+                if k is None:
+                    raise ValueError(f"monomial {monomial_string(m)} not in cell basis")
+                terms.append((k, c))
+        rows.append(vec_from_terms(p, len(target), terms))
+    return rows if nonzero else []
+
+
+def may_e2(e1):
+    """E2 of an E1 page: at each cell, ker d1 modulo the image of the
+    incoming d1, read off the E1 page's d1 matrices.
+
+    Class representatives are chosen by SubquotientBasis in monomial
+    order and written by their lead monomials; each nonzero incoming
+    boundary is reported by its lead monomial.  A cell whose d1
+    vanishes keeps every monomial as a cycle, and so does one whose d1
+    would leave the window.  Such cycles, and boundaries from outside
+    the window, are unknown, so E2 trusts one stem and one s less.
+    """
+    p = e1.p
+    e2 = MayPage(
+        e1.context,
+        2,
+        e1.stem_cap,
+        e1.s_cap,
+        e1.trusted_stem_max - 1,
+        e1.trusted_s_max - 1,
+    )
+    for (stem, s), monos in e1.classes.items():
+        dim = len(monos)
+        if not dim:
+            continue
+        out_rows = e1.differential.get((stem, s))
+        in_rows = e1.differential.get((stem + 1, s - 1), [])
+        if out_rows is None:
+            kernel = [vec_from_terms(p, dim, [(k, 1)]) for k in range(dim)]
+        else:
+            tgt_dim = len(e1.classes[(stem - 1, s + 1)])
+            kernel = PrimeFieldMatrix(p, dim, tgt_dim, out_rows).kernel_vectors()
+
+        def lead(vec):
+            return _lead_monomial(p, [monos[k] for k, _ in vec_support(p, vec, dim)])
+
+        reps = SubquotientBasis(p, dim, in_rows, kernel).reps
+        e2.classes[(stem, s)] = [lead(vec) for vec in reps]
+        killed = {lead(row) for row in in_rows if vec_support(p, row, dim)}
+        if killed:
+            e2.killed[(stem, s)] = sorted(killed)
+    return e2
 
 
 def e1_monomial_count(n, p, stem_max, s_max):
@@ -466,173 +443,6 @@ def e1_monomial_count(n, p, stem_max, s_max):
             for s in ss:
                 row[s] += src[s - g_s]
     return sum(map(sum, counts))
-
-
-def _check_weight_drop(p, source_mono, target_element):
-    w = mono_weight(p, source_mono)
-    for mono in target_element:
-        if mono_weight(p, mono) >= w:
-            raise AssertionError(
-                "differential does not lower may weight: "
-                f"{monomial_string(source_mono)} -> {monomial_string(mono)}"
-            )
-
-
-def _rule_from_supplied(page, supplied):
-    """Build an element-level differential from explicit rules.
-
-    Each rule is (source monomial, target element).  Sources must be a
-    power of a single letter; the Leibniz extension on a monomial with
-    letter exponent e applies the rule floor(e / c) times.  Rules are
-    validated for bidegree (s+1, stem-1, t fixed) and weight descent.
-    """
-    p = page.p
-    rules = []
-    for source, target in supplied:
-        if isinstance(source, str):
-            source = parse_may_monomial(source)
-        if isinstance(target, str):
-            target = {parse_may_monomial(target): 1}
-        target = {
-            (parse_may_monomial(m) if isinstance(m, str) else m): c % p
-            for m, c in target.items()
-        }
-        target = {m: c for m, c in target.items() if c}
-        if len(source) != 1:
-            raise ValueError("supplied differential source must be a letter power")
-        gen, c = source[0]
-        st, ss = mono_t(p, source), mono_s(source)
-        for mono in target:
-            if mono_t(p, mono) != st or mono_s(mono) != ss + 1:
-                raise ValueError(
-                    f"bidegree mismatch: d({monomial_string(source)}) cannot "
-                    f"contain {monomial_string(mono)}"
-                )
-        _check_weight_drop(p, source, target)
-        # the source class must still be alive on this page
-        coords = page.class_coords({source: 1})
-        if not coords:
-            raise ValueError(
-                f"source {monomial_string(source)} is already a boundary or zero"
-            )
-        rules.append((gen, c, target))
-
-    def rule(element):
-        out = {}
-        for mono, coef in element.items():
-            parity = 0
-            for pos, (g, e) in enumerate(mono):
-                for rgen, rc, rtarget in rules:
-                    if g != rgen:
-                        continue
-                    q = e // rc
-                    if not q:
-                        continue
-                    sign = -1 if parity % 2 else 1
-                    left = list(mono[:pos])
-                    if e - rc > 0:
-                        left.append((g, e - rc))
-                    term = elt_mul(p, {tuple(left): 1}, rtarget)
-                    suffix = mono[pos + 1 :]
-                    if suffix:
-                        term = elt_mul(p, term, {suffix: 1})
-                    out = elt_add_scaled(p, out, term, sign * q * coef)
-                if gen_is_odd(p, g) and e % 2:
-                    parity += 1
-        return out
-
-    return rule
-
-
-def page_turn(page, supplied=()):
-    """Homology with respect to the page's differential.
-
-    For r = 1 the differential is derived from the diagonal; for r >= 2
-    it must be supplied as explicit (source, target) rules, extended by
-    Leibniz, and an empty list leaves the page unchanged apart from the
-    page index.  Differentials are evaluated on the stored cocycle
-    representatives; cycle-consistency in the target cell is checked.
-    """
-    ctx = page.context
-    p = page.p
-    if page.r == 1:
-        rule = ctx.d1_element
-        if supplied:
-            raise ValueError("d1 is derived, not supplied")
-    else:
-        if not supplied:
-            rule = None
-        else:
-            rule = _rule_from_supplied(page, supplied)
-
-    nxt = MayPage(
-        ctx,
-        page.r + 1,
-        page.stem_cap,
-        page.s_cap,
-        page.trusted_stem_max - 1,
-        page.trusted_s_max - 1,
-    )
-    if rule is None:
-        for key, cell in page.cells.items():
-            nxt.cells[key] = cell
-        return nxt
-
-    # matrices of d_r per cell, in page coordinates over the target cell
-    mats = {}
-    for (stem, s), cell in page.cells.items():
-        tgt = page.cells.get((stem - 1, s + 1))
-        if tgt is None or not cell.reps or not tgt.reps:
-            continue
-        rows = []
-        for rep in cell.reps:
-            img = rule(rep)
-            if img:
-                _assert_weight_step(p, rep, img)
-                coords = tgt.coords(_vectorize(p, img, tgt))
-            else:
-                coords = {}
-            rows.append(vec_from_terms(p, len(tgt.reps), list(coords.items())))
-        mats[(stem, s)] = rows
-
-    from .gradedlin import PrimeFieldMatrix
-
-    for (stem, s), cell in page.cells.items():
-        dim = len(cell.reps)
-        if dim == 0:
-            nxt.cells[(stem, s)] = cell
-            continue
-        out_rows = mats.get((stem, s))
-        in_rows = mats.get((stem + 1, s - 1), [])
-        if out_rows is None:
-            # target empty or below stem 0: zero map; target above the
-            # computed s window: kernel unknown, keep everything (the
-            # trusted bounds already exclude this cell)
-            kernel = [vec_from_terms(p, dim, [(k, 1)]) for k in range(dim)]
-        else:
-            tgt_dim = len(page.cells[(stem - 1, s + 1)].reps)
-            mat = PrimeFieldMatrix(p, dim, tgt_dim, out_rows)
-            kernel = mat.kernel_vectors()
-        sub = SubquotientBasis(p, dim, in_rows, kernel)
-
-        def combine(combo):
-            elt = {}
-            for k, c in vec_support(p, combo, dim):
-                elt = elt_add_scaled(p, elt, cell.reps[k], c)
-            return elt
-
-        new_reps = [combine(combo) for combo in sub.reps]
-        new_boundaries = list(cell.boundaries)
-        killed = []
-        for row in in_rows:
-            boundary_elt = combine(row)
-            if boundary_elt:
-                new_boundaries.append(_vectorize(p, boundary_elt, cell))
-                killed.append(_lead_monomial(p, boundary_elt))
-        nxt.cells[(stem, s)] = _Cell(cell.monomials, new_boundaries, new_reps, p)
-        if killed:
-            nxt.killed[(stem, s)] = sorted(set(killed))
-    return nxt
 
 
 def _assert_weight_step(p, source_elt, target_elt):

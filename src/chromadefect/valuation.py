@@ -72,17 +72,15 @@ def embedding_admissible(degree: int, height: int) -> bool:
 class SubgroupSpec:
     """A cyclic group of order p^m acting on a height-h formal group.
 
-    With no explicit table the group is taken to be generated by a
-    primitive p^m-th root of unity inside the endomorphism algebra,
-    which exists exactly when p^(m-1)(p-1) divides the height, and the
-    element valuations come from cyclo_valuation.  A user-supplied
-    table maps nontrivial element labels to positive rationals whose
-    denominators divide p^(m-1)(p-1).
+    The group is generated by a primitive p^m-th root of unity inside
+    the endomorphism algebra, which exists exactly when p^(m-1)(p-1)
+    divides the height, and the element valuations come from
+    cyclo_valuation.
     """
 
     __slots__ = ("p", "m", "height", "valuations")
 
-    def __init__(self, p: int, m: int, height: int, valuations=None):
+    def __init__(self, p: int, m: int, height: int):
         check_prime(p)
         if m < 0:
             raise ValueError("the order exponent must be nonnegative")
@@ -100,21 +98,9 @@ class SubgroupSpec:
                 f"no embedding: the cyclotomic degree {ramification} does not "
                 f"divide the height {height}"
             )
-        if valuations is None:
-            valuations = {
-                k: cyclo_valuation(CycloElement(p, m, k)) for k in range(1, p**m)
-            }
-        else:
-            for label, nu in valuations.items():
-                if not isinstance(nu, Fraction) or nu <= 0:
-                    raise ValueError(f"valuation of {label!r} must be a positive rational")
-                if ramification % nu.denominator:
-                    raise ValueError(
-                        f"valuation {nu} of {label!r} has denominator outside "
-                        f"the ramification index {ramification}"
-                    )
-            valuations = dict(valuations)
-        self.valuations = valuations
+        self.valuations = {
+            k: cyclo_valuation(CycloElement(p, m, k)) for k in range(1, p**m)
+        }
 
     @property
     def order(self) -> int:
@@ -127,9 +113,9 @@ class SubgroupSpec:
 def group_N(G: SubgroupSpec) -> int:
     """height * max element valuation, certified to be an integer.
 
-    The Serre divisibility and the denominator bound on the table make
-    the product integral for every constructible spec; the check stays
-    as a tripwire for tables built by hand.
+    The Serre divisibility makes the product integral for every
+    constructible spec; the check stays as a tripwire against a wrong
+    valuation.
     """
     if not G.valuations:
         raise ValueError(

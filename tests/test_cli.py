@@ -11,7 +11,10 @@ defect_cap24 by the engine before evenness_scan read the Koszul closed
 form in place of the cobar complex, the ext and margolis jobs by the
 engine before comodule cofreeness moved onto margolis_homology, and
 the may and ko-ss jobs (every format) by the engine before
-SubquotientBasis moved onto PrimeFieldMatrix elimination.  The
+SubquotientBasis moved onto PrimeFieldMatrix elimination.  The may E2
+files (may_*_e2*) were added later, written by the general page turner
+(page_turn on the E1 page, with the job's JSON shape, chart and TSV
+writers) before may_e2 read E2 off the d1 matrices.  The
 margolis inputs live in tests/golden/inputs/, written by the builders
 in tests/oracles/modules.py (free_a1.json is free_module(2, "A", 1,
 [0, 3]); rp4.json is rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json

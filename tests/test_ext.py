@@ -228,6 +228,28 @@ class TestColumnPass:
         assert chart.names[(1, 1)] == [("h(1,0)", ((0, 1),))]
         assert max(len(degrees) for degrees in held) == 1
 
+    @pytest.mark.parametrize("n, stem_max, s_max", [(1, 400, 8), (2, 600, 5)])
+    def test_finite_family_stops_at_last_word(self, n, stem_max, s_max, monkeypatch):
+        # no word of a finite family reaches past s letters of the top
+        # letter degree, so the pass builds no later column
+        built = []
+        words = CobarComplex.words
+
+        def traced(self, s, t):
+            built.append(t)
+            return words(self, s, t)
+
+        monkeypatch.setattr(CobarComplex, "words", traced)
+        fam = Profile.E(2, n)
+        t_max = stem_max + s_max
+        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), s_max, t_max)
+        degrees = [mono.degree() for _, mono in cobar_letters(fam, t_max)]
+        for t in range(t_max + 1):
+            for s in range(s_max + 1):
+                assert chart.dims.get((s, t), 0) == poly_dim(degrees, s, t), (s, t)
+        top = max(mono.degree() for mono in fam.positive_basis(t_max))
+        assert max(built) == s_max * top
+
 
 class TestEvennessScan:
     @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (3, 2)])

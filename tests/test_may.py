@@ -5,12 +5,14 @@ Oracles used here:
   * d1 squares to zero over whole windows, checked termwise,
   * the first pages match an independent free graded-commutative
     monomial count on the low-stem letter set,
-  * E3 of the height-(inf,2) family against cobar Ext dims, an entirely
-    separate computation path.
+  * E2 of the height-1 family at p = 2 against cobar Ext dims, an
+    entirely separate computation path, below the stems where the first
+    higher differential acts.
 """
 
-import pytest
+from collections import Counter
 
+from chromadefect import cli
 from chromadefect.ext import ext_ranks
 from chromadefect.may import (
     MayContext,
@@ -19,11 +21,9 @@ from chromadefect.may import (
     gen_s,
     gen_t,
     gen_weight,
-    may_d1,
     may_e1,
+    may_e2,
     monomial_string,
-    page_turn,
-    parse_may_monomial,
 )
 from chromadefect.steenrod import Comodule, Profile
 
@@ -94,18 +94,23 @@ class TestLetters:
         ]
 
     def test_monomial_string_round_trip(self):
-        for text in ["1", "h(1,0)", "h(1,0)^2*h(2,1)", "a(0)*h(2,0)^3", "a(1)*b(2,0)^2"]:
-            assert monomial_string(parse_may_monomial(text)) == text
-        mono = ((A(0), 1), (H(2, 0), 2))
-        assert parse_may_monomial(monomial_string(mono)) == mono
+        examples = {
+            (): "1",
+            ((H(1, 0), 1),): "h(1,0)",
+            ((H(1, 0), 2), (H(2, 1), 1)): "h(1,0)^2*h(2,1)",
+            ((A(0), 1), (H(2, 0), 3)): "a(0)*h(2,0)^3",
+            ((A(1), 1), (B(2, 0), 2)): "a(1)*b(2,0)^2",
+        }
+        for mono, text in examples.items():
+            assert monomial_string(mono) == text
 
 
 class TestD1:
     def test_first_crossing_terms(self):
         ctx = MayContext(1, 2)
-        d = may_d1(((H(3, 0), 1),), ctx)
+        d = ctx.d1_element({((H(3, 0), 1),): 1})
         assert d == {((H(1, 0), 1), (H(2, 1), 1)): 1}
-        d = may_d1(((H(4, 0), 1),), ctx)
+        d = ctx.d1_element({((H(4, 0), 1),): 1})
         assert d == {
             ((H(1, 0), 1), (H(3, 1), 1)): 1,
             ((H(2, 0), 1), (H(2, 2), 1)): 1,
@@ -115,30 +120,30 @@ class TestD1:
         # the lowest h with a nonzero d1 hits exactly one product
         for n in (1, 2, 3):
             ctx = MayContext(n, 2)
-            d = may_d1(((H(n + 2, 0), 1),), ctx)
+            d = ctx.d1_element({((H(n + 2, 0), 1),): 1})
             assert d == {((H(1, 0), 1), (H(n + 1, 1), 1)): 1}, n
 
     def test_tau_letter_differential(self):
         ctx = MayContext(0, 3)
-        d = may_d1(((A(1), 1),), ctx)
+        d = ctx.d1_element({((A(1), 1),): 1})
         assert d == {((A(0), 1), (H(1, 0), 1)): 1}
         # truncation drops the disallowed factor
         ctx = MayContext(1, 3)
-        assert may_d1(((A(1), 1),), ctx) == {}
-        assert may_d1(((A(2), 1),), ctx) == {((A(0), 1), (H(2, 0), 1)): 1}
+        assert ctx.d1_element({((A(1), 1),): 1}) == {}
+        assert ctx.d1_element({((A(2), 1),): 1}) == {((A(0), 1), (H(2, 0), 1)): 1}
 
     def test_squares_vanish_at_two(self):
         ctx = MayContext(1, 2)
-        assert may_d1(((H(3, 0), 2),), ctx) == {}
+        assert ctx.d1_element({((H(3, 0), 2),): 1}) == {}
 
     def test_d1_squared_zero(self):
         windows = [(1, 2, 16, 5), (2, 2, 16, 4), (0, 3, 14, 4), (1, 3, 20, 4)]
         for n, p, stem_max, s_max in windows:
             ctx = MayContext(n, p)
             page = may_e1(n, p, stem_max, s_max)
-            for cell in page.cells.values():
-                for mono in cell.monomials:
-                    dd = may_d1(may_d1(mono, ctx), ctx)
+            for monos in page.classes.values():
+                for mono in monos:
+                    dd = ctx.d1_element(ctx.d1_element({mono: 1}))
                     assert dd == {}, (n, p, monomial_string(mono))
 
 
@@ -157,13 +162,13 @@ class TestPages:
         for n, p, stem_max, s_max in [(1, 2, 13, 8), (1, 3, 20, 4), (1, 2, 30, 12),
                                       (2, 2, 40, 12), (0, 3, 30, 6), (2, 3, 80, 6)]:
             page = may_e1(n, p, stem_max, s_max)
-            built = sum(len(cell.monomials) for cell in page.cells.values())
+            built = sum(len(monos) for monos in page.classes.values())
             assert e1_monomial_count(n, p, stem_max, s_max) == built, (n, p)
 
     def test_e2_free_below_first_obstruction(self):
         for n, p in [(1, 2), (2, 2), (1, 3)]:
             chi_stem = 2 * p ** (n + 1) - 3
-            e2 = page_turn(may_e1(n, p, chi_stem + 2, 6))
+            e2 = may_e2(may_e1(n, p, chi_stem + 2, 6))
             letters = iso_range_letters(n, p)
             for stem in range(chi_stem):
                 for s in range(6):
@@ -175,15 +180,12 @@ class TestPages:
 
     def test_page_turn_trust_erosion(self):
         e1 = may_e1(1, 2, 10, 5)
-        e2 = page_turn(e1)
+        e2 = may_e2(e1)
         assert (e2.r, e2.trusted_stem_max, e2.trusted_s_max) == (2, 9, 4)
-        e3 = page_turn(e2)
-        assert (e3.r, e3.trusted_stem_max, e3.trusted_s_max) == (3, 8, 3)
-        assert e3.dims() == e2.dims()
 
     def test_killed_classes_reported(self):
         e1 = may_e1(1, 2, 8, 4)
-        e2 = page_turn(e1)
+        e2 = may_e2(e1)
         assert e2.killed[(5, 2)] == [((H(1, 0), 1), (H(2, 1), 1))]
         assert dim(e2, 5, 2) == 0
         # the source leaves as a non-cycle, not as a boundary
@@ -193,50 +195,42 @@ class TestPages:
     def test_ext_bounded_by_e2(self):
         fam = Profile.T(2, 1)
         chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 7, 18)
-        e2 = page_turn(may_e1(1, 2, 12, 7))
+        e2 = may_e2(may_e1(1, 2, 12, 7))
         for stem in range(11):
             for s in range(6):
                 if e2.trusted(stem, s):
                     assert chart.dims.get((s, stem + s), 0) <= dim(e2, stem, s), (stem, s)
 
-    def test_e3_matches_cobar_ext(self):
-        # the one crossing differential above d1 in this window; after
-        # it the page agrees with Ext computed by the cobar route
-        e2 = page_turn(may_e1(1, 2, 12, 8))
-        e3 = page_turn(e2, [("h(3,0)^2", "h(1,0)^2*h(2,2)")])
+    def test_e2_matches_cobar_ext(self):
+        # the first differential past d1 in this window, d2(h(3,0)^2),
+        # acts in stems 11-12; below them E2 agrees with Ext computed by
+        # the cobar route
+        e2 = may_e2(may_e1(1, 2, 12, 8))
         fam = Profile.T(2, 1)
         chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 7, 17)
-        for stem in range(11):
-            for s in range(7):
-                if e3.trusted(stem, s):
-                    assert dim(e3, stem, s) == chart.dims.get((s, stem + s), 0), (stem, s)
+        cells = [(stem, s) for stem in range(11) for s in range(9) if e2.trusted(stem, s)]
+        assert len(cells) == 88
+        for stem, s in cells:
+            assert dim(e2, stem, s) == chart.dims.get((s, stem + s), 0), (stem, s)
 
 
-class TestSuppliedRules:
-    def test_d1_cannot_be_supplied(self):
-        e1 = may_e1(1, 2, 8, 4)
-        with pytest.raises(ValueError, match="derived"):
-            page_turn(e1, [("h(3,0)", "h(1,0)*h(2,1)")])
+class TestJob:
+    def test_each_monomial_differentiated_once(self, tmp_path, monkeypatch):
+        # the E1 chart's arrows and E2 read the same d1 matrices
+        seen = Counter()
+        d1_element = MayContext.d1_element
 
-    def test_source_must_be_letter_power(self):
-        e2 = page_turn(may_e1(1, 2, 12, 6))
-        with pytest.raises(ValueError, match="letter power"):
-            page_turn(e2, [("h(1,0)*h(3,0)", "h(1,0)^2*h(2,1)")])
+        def traced(self, x):
+            seen.update(x)
+            return d1_element(self, x)
 
-    def test_bidegree_mismatch_rejected(self):
-        e2 = page_turn(may_e1(1, 2, 12, 6))
-        with pytest.raises(ValueError, match="bidegree"):
-            page_turn(e2, [("h(3,0)^2", "h(1,0)^3")])
-
-    def test_weight_must_descend(self):
-        e2 = page_turn(may_e1(1, 2, 12, 6))
-        with pytest.raises(AssertionError, match="weight"):
-            page_turn(e2, [("h(2,1)^2", "h(2,0)^2*h(2,1)")])
-
-    def test_source_must_be_a_cycle(self):
-        e2 = page_turn(may_e1(1, 2, 12, 6))
-        with pytest.raises(ValueError):
-            page_turn(e2, [("h(3,0)", "h(1,0)*h(2,1)")])
+        monkeypatch.setattr(MayContext, "d1_element", traced)
+        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
+        argv = ["may", "--format", "tsv", "--format", "json", "--format", "svg",
+                "--no-cache", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(list((tmp_path / "out").iterdir())) == 8
+        assert seen and max(seen.values()) == 1
 
 
 class TestTsv:
@@ -256,17 +250,17 @@ class TestTsv:
         )
 
     def test_page_turn_marks_untrusted_rows(self):
-        e2 = page_turn(may_e1(1, 2, 3, 3))
+        e2 = may_e2(may_e1(1, 2, 3, 3))
         text = e2.to_tsv()
         assert "# may page r=2" in text
         assert "0\t3\t3\th(1,0)^3\tindeterminate" in text
         assert "0\t2\t2\th(1,0)^2\tlive" in text
 
     def test_boundary_rows(self):
-        e2 = page_turn(may_e1(1, 2, 8, 4))
+        e2 = may_e2(may_e1(1, 2, 8, 4))
         assert "5\t2\t4\th(1,0)*h(2,1)\tboundary" in e2.to_tsv()
 
     def test_deterministic(self):
-        a = page_turn(may_e1(1, 2, 10, 5)).to_tsv()
-        b = page_turn(may_e1(1, 2, 10, 5)).to_tsv()
+        a = may_e2(may_e1(1, 2, 10, 5)).to_tsv()
+        b = may_e2(may_e1(1, 2, 10, 5)).to_tsv()
         assert a == b

@@ -6,7 +6,9 @@ tests/oracles/.  This test runs every GOLDEN argv in process under
 runs over the T and P families, which no golden argv covers, and
 asserts that every function defined under src/chromadefect was entered.
 The exemptions are named below, one group per planned change that
-takes them as its main path or replaces them, plus dunder methods.
+takes them as its main path or replaces them, plus dunder methods; an
+exempt function that a job enters fails the test too, so each group
+shrinks as soon as its code gets a path.
 A second test holds every package module's `__all__` to names the
 module defines, so a deleted function leaves no stale export.
 """
@@ -47,25 +49,18 @@ SPLITTING_TOYS = {
     "steenrod.py:poincare_identity_check",
     "steenrod.py:polynomial_series",
 }
-# May page turning with its supplied differential rules, which a later
-# `may` E2 output will run
-PAGE_TURN_PATH = {
-    "may.py:page_turn",
-    "may.py:_rule_from_supplied",
-    "may.py:parse_may_monomial",
-    "may.py:_check_weight_drop",
-    "may.py:_assert_weight_step",
-    "may.py:_lead_monomial",
-}
-EXEMPT = RESOLUTION_PATH | SPLITTING_TOYS | PAGE_TURN_PATH
+EXEMPT = RESOLUTION_PATH | SPLITTING_TOYS
+
+
+def dunder(name):
+    last = name.split(":")[1].split(".")[-1]
+    return last.startswith("__") and last.endswith("__")
 
 
 def exempt(name):
-    """Dunder methods, and names inside an exempt function or class."""
+    """Names inside an exempt function or class."""
     where, qualname = name.split(":")
     parts = qualname.split(".")
-    if parts[-1].startswith("__") and parts[-1].endswith("__"):
-        return True
     return any(f"{where}:{'.'.join(parts[:k])}" in EXEMPT for k in range(1, len(parts) + 1))
 
 
@@ -123,9 +118,13 @@ def test_every_package_function_is_reached(tmp_path, monkeypatch):
     seen = {(str(Path(f).resolve()), line) for f, line in entered_during(jobs)}
     defined = defined_functions()
     missed = sorted(
-        name for where, name in defined.items() if where not in seen and not exempt(name)
+        name
+        for where, name in defined.items()
+        if where not in seen and not exempt(name) and not dunder(name)
     )
     assert not missed, "functions no CLI job enters:\n" + "\n".join(missed)
+    reached = sorted(name for where, name in defined.items() if where in seen and exempt(name))
+    assert not reached, "exempt functions a CLI job enters:\n" + "\n".join(reached)
     names = set(defined.values())
     stale = sorted(
         e for e in EXEMPT if e not in names and not any(n.startswith(e + ".") for n in names)

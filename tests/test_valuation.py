@@ -158,22 +158,6 @@ class TestSubgroupSpec:
         G = SubgroupSpec(7, 0, 5)
         assert G.valuations == {}
 
-    def test_custom_table_accepted(self):
-        table = {"g": Fraction(1, 2), "g2": Fraction(1)}
-        G = SubgroupSpec(3, 1, 4, valuations=table)
-        assert G.valuations == table
-        assert G.valuations is not table  # defensive copy
-
-    def test_custom_table_denominator_gate(self):
-        with pytest.raises(ValueError, match="denominator"):
-            SubgroupSpec(3, 1, 4, valuations={"g": Fraction(1, 3)})
-
-    def test_custom_table_positivity(self):
-        with pytest.raises(ValueError, match="positive"):
-            SubgroupSpec(3, 1, 4, valuations={"g": Fraction(-1, 2)})
-        with pytest.raises(ValueError, match="positive"):
-            SubgroupSpec(3, 1, 4, valuations={"g": 0.5})
-
 
 class TestGroupN:
     def test_prime_cyclic_at_matched_heights(self):
@@ -193,10 +177,6 @@ class TestGroupN:
     def test_trivial_group_raises(self):
         with pytest.raises(ValueError, match="defect 1"):
             group_N(SubgroupSpec(2, 0, 3))
-
-    def test_custom_table(self):
-        G = SubgroupSpec(5, 1, 8, valuations={"g": Fraction(1, 4), "h": Fraction(3, 4)})
-        assert group_N(G) == 6
 
     def test_monotone_under_nesting(self):
         # C_{p^j} inside C_{p^m} at a common admissible height; the
