@@ -14,14 +14,18 @@ the cap even when the family itself is infinite.  ext_ranks makes one
 pass over the columns: it computes the dims of column t, names its
 classes by products of degree-one letters (cobar concatenation, which
 satisfies the Leibniz rule with the cohomological sign), then drops the
-column's words and matrices, so a job holds one column at a time.
+column's words and matrices, so a job holds one column at a time.  A
+product word that is a cocycle names the class of its residue modulo
+the boundaries (PrimeFieldMatrix.residue), read off the same echelon
+form that gave the rank of the incoming differential; naming builds no
+homology basis.
 
 evenness_scan builds no cobar complex: over an exterior family the
 Koszul closed form places every class, so it checks that the family
 has that form through the window and reads the stems off it.
 """
 
-from .gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms
+from .gradedlin import PrimeFieldMatrix, vec_from_terms
 from .steenrod import Comodule, Profile, elt_add_term, tau_gen, xi_gen
 
 __all__ = [
@@ -205,15 +209,6 @@ class CobarComplex:
             return cycles
         return cycles - self.differential_rank(s - 1, t)
 
-    def cell_basis(self, s, t):
-        """SubquotientBasis of Ext^{s,t} inside the word coordinates."""
-        kern = self.differential_matrix(s, t).kernel_vectors()
-        if s == 0:
-            image = []
-        else:
-            image = list(self.differential_matrix(s - 1, t).rows)
-        return SubquotientBasis(self.p, len(self.words(s, t)), image, kern)
-
 
 class ExtChart:
     """Bigraded Ext dims with named classes."""
@@ -237,7 +232,7 @@ class ExtChart:
         for (s, t), d in self.dims.items():
             if not d:
                 continue
-            names = ";".join(n for n, _ in self.names.get((s, t), ()))
+            names = ";".join(self.names.get((s, t), ()))
             rows.append((t - s, s, t, d, names))
         rows.sort()
         for stem, s, t, d, names in rows:
@@ -343,34 +338,37 @@ def ext_ranks(profile, module, s_max, t_max):
 
 
 def _name_cell(chart, complexes, letters, base, s, t):
-    combos = _letter_products(letters, s, t)
-    if not combos:
-        return
-    basis = complexes.cell_basis(s, t)
-    if basis.dim == 0:
+    """Name the classes of cell (s, t) by products of letters.
+
+    A product word that is a cocycle (empty differential) is read as
+    its residue modulo the boundaries, the rows of d out of (s - 1, t);
+    at s = 0 that matrix has no rows, so the residue is the word.  A
+    zero residue is a boundary; a residue an earlier product took is a
+    collision, and the first name stays.
+    """
+    products = _letter_products(letters, s, t)
+    if not products:
         return
     index = complexes._index_for(s, t)
+    boundaries = complexes.differential_matrix(s - 1, t)
+    zero = vec_from_terms(chart.p, len(index), [])
     seen = {}
     named = []
-    for multiset in combos:
+    for multiset in products:
         word = (tuple(letters[i][1] for i in multiset), base)
         col = index.get(word)
-        if col is None:
+        # off the cell's basis, or not a cocycle (nontrivial coaction)
+        if col is None or complexes._d_word(word):
             continue
-        try:
-            coords = basis.coords(vec_from_terms(chart.p, len(index), [(col, 1)]))
-        except ValueError:
-            # not a cocycle against this cell (nontrivial coaction)
+        key = boundaries.residue(vec_from_terms(chart.p, len(index), [(col, 1)]))
+        if key == zero:
             continue
-        if not coords:
-            continue
-        key = tuple(sorted(coords.items()))
         name = _multiset_name(letters, multiset)
         if key in seen:
             chart.collisions.append((seen[key], name, (s, t)))
             continue
         seen[key] = name
-        named.append((name, key))
+        named.append(name)
     if named:
         chart.names[(s, t)] = named
 

@@ -6,8 +6,6 @@ from .modp import (
     PrimeFieldMatrix,
     SubquotientBasis,
     check_prime,
-    gf2_eliminate,
-    vec_entry,
     vec_from_terms,
     vec_support,
 )
@@ -22,8 +20,6 @@ __all__ = [
     "PrimeFieldMatrix",
     "SubquotientBasis",
     "check_prime",
-    "gf2_eliminate",
-    "vec_entry",
     "vec_from_terms",
     "vec_support",
 ]

@@ -6,19 +6,21 @@ and ncols columns is the map x -> x.M from F^nrows to F^ncols, row i
 being the image of the i-th basis vector.  That orientation matches how
 chain differentials are assembled everywhere downstream.
 
-Each field has one elimination kernel: gf2_eliminate/gf2_reduce on
-bitmasks at p = 2, fp_eliminate/fp_reduce on dense tuples at odd p.
-PrimeFieldMatrix and SubquotientBasis run on them; the cobar complex
-builds one dense matrix per differential, one bit per entry at p = 2.
+Each field has one elimination kernel, gf2_eliminate on bitmasks and
+fp_eliminate on dense tuples, and a matrix is eliminated once.  A row's
+pivot is its first nonzero column (the lowest set bit at p = 2), so
+every nonzero row-space vector starts at a pivot column.  Entries at
+ncols and beyond are never pivots and travel with their row, so
+kernel_vectors appends unit vectors there: no tracked mode.  The
+residue of a vector (gf2_residue, fp_residue) has every pivot column
+cleared, so it is zero exactly on the row space and equal across a coset.
 """
 
 __all__ = [
     "PrimeFieldMatrix",
     "SubquotientBasis",
     "check_prime",
-    "gf2_eliminate",
     "vec_from_terms",
-    "vec_entry",
     "vec_support",
 ]
 
@@ -74,12 +76,6 @@ def vec_from_terms(p, n, terms):
     return tuple(row)
 
 
-def vec_entry(p, v, i):
-    if p == 2:
-        return (v >> i) & 1
-    return v[i]
-
-
 def vec_support(p, v, n):
     """List of (index, coefficient) pairs with nonzero coefficient."""
     if p == 2:
@@ -92,136 +88,95 @@ def vec_support(p, v, n):
     return [(i, c) for i, c in enumerate(v) if c]
 
 
-def vec_is_zero(v):
-    if isinstance(v, int):
-        return v == 0
-    return not any(v)
+def gf2_eliminate(rows, ncols):
+    """Forward elimination over F2 on the columns below ncols.
 
-
-def gf2_eliminate(rows, ncols, track=False):
-    """Forward elimination to row echelon form over F2.
-
-    rows: list of int bitmasks (only bits < ncols may be set).
-    Returns (rank, pivots, ech, ech_combos, kernel_combos) where
-
-      pivots[k]        pivot column of echelon row k (lowest set bit),
-      ech[k]           echelon row k,
-      ech_combos[k]    bitmask over input row indices with
-                       xor(rows[i] for i in combo) == ech[k],
-      kernel_combos    one combo per dependent input row; xor of the
-                       selected input rows is zero.
-
-    The two combo lists are None unless track is true.
+    rows are int bitmasks; bits at ncols and above travel with their
+    row.  Returns (pivots, ech, pivot_rows, dependent): echelon row k is
+    ech[k], with pivot column pivots[k] (its lowest set bit), made from
+    input row pivot_rows[k]; dependent holds, in input order, the bits
+    past ncols (shifted down) of each input row that vanishes below it.
     """
     ech = []
     pivots = []
+    pivot_rows = []
+    dependent = []
     pivot_at = {}
-    combos = [] if track else None
-    kernel = [] if track else None
-    for i, row in enumerate(rows):
-        v = row
-        c = 1 << i
-        while v:
+    for i, v in enumerate(rows):
+        while True:
+            # -1 for a zero row
             col = (v & -v).bit_length() - 1
+            if not 0 <= col < ncols:
+                dependent.append(v >> ncols)
+                break
             j = pivot_at.get(col)
             if j is None:
                 pivot_at[col] = len(ech)
                 pivots.append(col)
                 ech.append(v)
-                if track:
-                    combos.append(c)
+                pivot_rows.append(i)
                 break
             v ^= ech[j]
-            if track:
-                c ^= combos[j]
-        else:
-            if track:
-                kernel.append(c)
-    return len(ech), pivots, ech, combos, kernel
+    return pivots, ech, pivot_rows, dependent
 
 
-def gf2_reduce(ech, pivots, v):
-    """Reduce v against an echelon basis.
-
-    Returns (residue, posmask); posmask bit k is set when ech[k] was
-    subtracted.  residue == 0 iff v lies in the row space: every nonzero
-    row-space element has a pivot column as its lowest set bit, so
-    stopping at a non-pivot lowest bit is a complete membership test.
-    """
-    pivot_at = {col: k for k, col in enumerate(pivots)}
-    posmask = 0
-    while v:
-        col = (v & -v).bit_length() - 1
-        k = pivot_at.get(col)
-        if k is None:
-            break
-        v ^= ech[k]
-        posmask ^= 1 << k
-    return v, posmask
+def gf2_residue(pivots, ech, v):
+    """v with every pivot column cleared by the echelon rows."""
+    for col, row in sorted(zip(pivots, ech)):
+        if (v >> col) & 1:
+            v ^= row
+    return v
 
 
-def fp_eliminate(p, rows, ncols, track=False):
-    """Dense elimination mod an odd prime; mirrors gf2_eliminate."""
+def fp_eliminate(p, rows, ncols):
+    """Dense elimination mod an odd prime; mirrors gf2_eliminate, with
+    echelon rows scaled to a unit pivot and the trailing entries of a
+    dependent row as the tuple row[ncols:]."""
     ech = []
     pivots = []
+    pivot_rows = []
+    dependent = []
     pivot_at = {}
-    m = len(rows)
-    combos = [] if track else None
-    kernel = [] if track else None
     for i, row in enumerate(rows):
         v = list(row)
-        c = None
-        if track:
-            c = [0] * m
-            c[i] = 1
+        col = 0
         while True:
-            col = next((k for k in range(ncols) if v[k]), None)
+            # entries left of a cleared pivot stay zero
+            col = next((k for k in range(col, ncols) if v[k]), None)
             if col is None:
-                if track:
-                    kernel.append(tuple(c))
+                dependent.append(tuple(v[ncols:]))
                 break
             j = pivot_at.get(col)
             if j is None:
                 inv = pow(v[col], p - 2, p)
-                v = [(inv * x) % p for x in v]
                 pivot_at[col] = len(ech)
                 pivots.append(col)
-                ech.append(tuple(v))
-                if track:
-                    combos.append(tuple((inv * x) % p for x in c))
+                ech.append(tuple((inv * x) % p for x in v))
+                pivot_rows.append(i)
                 break
             f = v[col]
-            ej = ech[j]
-            v = [(a - f * b) % p for a, b in zip(v, ej)]
-            if track:
-                cj = combos[j]
-                c = [(a - f * b) % p for a, b in zip(c, cj)]
-    return len(ech), pivots, ech, combos, kernel
+            v = [(a - f * b) % p for a, b in zip(v, ech[j])]
+    return pivots, ech, pivot_rows, dependent
 
 
-def fp_reduce(p, ech, pivots, ncols, v):
-    """Reduce v against a normalized echelon; returns (residue, coeffs).
-
-    coeffs[k] is the multiple of ech[k] that was subtracted.
-    """
-    pivot_at = {col: k for k, col in enumerate(pivots)}
+def fp_residue(p, pivots, ech, v):
+    """v with every pivot column cleared by the unit-pivot echelon rows."""
     v = list(v)
-    coeffs = [0] * len(ech)
-    while True:
-        col = next((k for k in range(ncols) if v[k]), None)
-        if col is None:
-            break
-        k = pivot_at.get(col)
-        if k is None:
-            break
+    for col, row in sorted(zip(pivots, ech)):
         f = v[col]
-        v = [(a - f * b) % p for a, b in zip(v, ech[k])]
-        coeffs[k] = (coeffs[k] + f) % p
-    return tuple(v), coeffs
+        if f:
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def _eliminate(p, rows, ncols):
+    if p == 2:
+        return gf2_eliminate(rows, ncols)
+    return fp_eliminate(p, rows, ncols)
 
 
 class PrimeFieldMatrix:
-    """Row-major matrix over F_p with cached elimination data."""
+    """Row-major matrix over F_p with its echelon form cached."""
 
     def __init__(self, p, nrows, ncols, rows):
         if p < 2:
@@ -232,7 +187,7 @@ class PrimeFieldMatrix:
         if len(rows) != nrows:
             raise ValueError("row count mismatch")
         self.rows = list(rows)
-        self._elim = None
+        self._echelon = None
 
     @classmethod
     def from_terms(cls, p, nrows, ncols, terms):
@@ -248,48 +203,35 @@ class PrimeFieldMatrix:
             buf[i][j] = (buf[i][j] + c) % p
         return cls(p, nrows, ncols, [tuple(r) for r in buf])
 
-    def _eliminate(self, track):
-        """The stored elimination, run again only when a tracked one is
-        asked for and the stored one is untracked (its combos None)."""
-        if self._elim is None or (track and self._elim[3] is None):
-            self._elim = self._run(track)
-        return self._elim
-
-    def _run(self, track):
-        if self.p == 2:
-            return gf2_eliminate(self.rows, self.ncols, track)
-        return fp_eliminate(self.p, self.rows, self.ncols, track)
+    def _eliminated(self):
+        if self._echelon is None:
+            self._echelon = _eliminate(self.p, self.rows, self.ncols)
+        return self._echelon
 
     def rank(self):
-        return self._eliminate(False)[0]
+        return len(self._eliminated()[0])
+
+    def residue(self, v):
+        """v modulo the row space: zero exactly when v lies in it, and
+        the same for every vector of one coset."""
+        pivots, ech = self._eliminated()[:2]
+        if self.p == 2:
+            return gf2_residue(pivots, ech, v)
+        return fp_residue(self.p, pivots, ech, v)
 
     def kernel_vectors(self):
-        """Basis of {x in F^nrows : x.M = 0}."""
-        kernel = self._eliminate(True)[4]
-        return list(kernel)
-
-    def solve_combo(self, v):
-        """x with x.M = v, expressed over the original rows, or None."""
-        rank, pivots, ech, combos, _ = self._eliminate(True)
+        """Basis of {x in F^nrows : x.M = 0}: row i carries the unit
+        vector e_i past the last column, and each row that vanishes
+        leaves the combination that killed it."""
+        n, m = self.ncols, self.nrows
         if self.p == 2:
-            residue, posmask = gf2_reduce(ech, pivots, v)
-            if residue:
-                return None
-            x = 0
-            while posmask:
-                low = posmask & -posmask
-                x ^= combos[low.bit_length() - 1]
-                posmask ^= low
-            return x
-        residue, coeffs = fp_reduce(self.p, ech, pivots, self.ncols, v)
-        if not vec_is_zero(residue):
-            return None
-        x = [0] * self.nrows
-        for k, f in enumerate(coeffs):
-            if f:
-                for i, c in enumerate(combos[k]):
-                    x[i] = (x[i] + f * c) % self.p
-        return tuple(x)
+            rows = [row | 1 << (n + i) for i, row in enumerate(self.rows)]
+        else:
+            zero = (0,) * m
+            rows = [
+                tuple(row) + zero[:i] + (1,) + zero[i + 1 :] for i, row in enumerate(self.rows)
+            ]
+        return _eliminate(self.p, rows, n)[3]
 
 
 class SubquotientBasis:
@@ -299,39 +241,11 @@ class SubquotientBasis:
     cycles; both live in the same ambient row space.  Representatives
     are chosen greedily in input order: a kernel vector is one exactly
     when it is independent of the image and the earlier kernel vectors,
-    i.e. when its row becomes a pivot in the tracked elimination of
-    image_rows + kernel_vectors.  coords() writes any further cycle in
-    the chosen homology basis.
+    i.e. when its row becomes a pivot in the elimination of
+    image_rows + kernel_vectors.
     """
 
     def __init__(self, p, ncols, image_rows, kernel_vectors):
-        self.p = p
-        self.ncols = ncols
         rows = list(image_rows) + list(kernel_vectors)
-        self._mat = PrimeFieldMatrix(p, len(rows), ncols, rows)
-        # echelon rows come in input order, and each one's pivot input
-        # row is the last row its combo uses
-        combos = self._mat._eliminate(True)[3]
-        if p == 2:
-            pivot_rows = [c.bit_length() - 1 for c in combos]
-        else:
-            pivot_rows = [max(i for i, c in enumerate(combo) if c) for combo in combos]
-        first = len(image_rows)
-        self._rep_rows = [i for i in pivot_rows if i >= first]
-        self.reps = [rows[i] for i in self._rep_rows]
-
-    @property
-    def dim(self):
-        return len(self.reps)
-
-    def coords(self, v):
-        """Coordinates of the cycle v in the homology basis, as a dict."""
-        x = self._mat.solve_combo(v)
-        if x is None:
-            raise ValueError("vector is not a cycle modulo the image")
-        out = {}
-        for k, i in enumerate(self._rep_rows):
-            c = vec_entry(self.p, x, i)
-            if c:
-                out[k] = c
-        return out
+        pivot_rows = _eliminate(p, rows, ncols)[2]
+        self.reps = [rows[i] for i in pivot_rows if i >= len(image_rows)]

@@ -79,11 +79,18 @@ DOUBLING_SHIFT = {
 
 
 def parse_operator(name):
-    """'P(t,s)' -> ('P', t, s); 'Q(t)' -> ('Q', t, None)."""
+    """'P(t,s)' -> ('P', t, s); 'Q(t)' -> ('Q', t, None).  An index past
+    the largest an A(MAX_FAMILY_HEIGHT) operator uses is refused before
+    operator_degree raises p to it."""
     m = _OP_RE.match(name)
     if not m:
         raise ValueError(f"unrecognized operator name {name!r}")
-    kind, t, s = m.group(1), int(m.group(2)), m.group(3)
+    kind, t, s = m.group(1), m.group(2), m.group(3)
+    top = MAX_FAMILY_HEIGHT + 1
+    # digit count first: int() refuses strings past 4300 digits
+    if any(len(d) > len(str(top)) or int(d) > top for d in (t, s or "0")):
+        raise ValueError(f"operator {name!r} has an index over the limit {top}")
+    t = int(t)
     if kind == "P":
         if s is None:
             raise ValueError(f"operator {name!r} is missing its power index")
@@ -318,12 +325,12 @@ def margolis_homology(module, op):
         cur = module.slice_names(d)
         kernel = module.operator_matrix(op, d).kernel_vectors()
         image = module.operator_matrix(op, d - step * (k - 1), power=k - 1).rows
-        sub = SubquotientBasis(p, len(cur), image, kernel)
-        if sub.dim:
-            dims[d] = sub.dim
+        reps = SubquotientBasis(p, len(cur), image, kernel).reps
+        if reps:
+            dims[d] = len(reps)
             wits[d] = [
                 {cur[i]: c for i, c in vec_support(p, rep, len(cur))}
-                for rep in sub.reps
+                for rep in reps
             ]
     return MargolisHomology(op, dims, wits)
 

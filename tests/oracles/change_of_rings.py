@@ -7,7 +7,7 @@ condition, and change_of_rings_check compares the two Ext charts.
 """
 
 from chromadefect.ext import ext_ranks
-from chromadefect.gradedlin import PrimeFieldMatrix, vec_entry, vec_from_terms, vec_support
+from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
 from chromadefect.steenrod import Comodule, coproduct, elt_add_term
 
 
@@ -35,6 +35,32 @@ def is_quotient_of(inner, outer):
             return False
         return inner.tau <= outer.tau
     return True
+
+
+def vec_entry(p, v, i):
+    if p == 2:
+        return (v >> i) & 1
+    return v[i]
+
+
+def solve(mat, v):
+    """x with x.M = v, or None when v is not in the row space of M.
+
+    A kernel vector of M with v appended as a last row whose last
+    coordinate c is nonzero says x.M + c v = 0; scaling x by -1/c
+    solves it.
+    """
+    p, m = mat.p, mat.nrows
+    grown = PrimeFieldMatrix(p, m + 1, mat.ncols, mat.rows + [v])
+    for kv in grown.kernel_vectors():
+        c = vec_entry(p, kv, m)
+        if not c:
+            continue
+        if p == 2:
+            return kv ^ (1 << m)
+        f = -pow(c, p - 2, p)
+        return tuple((f * x) % p for x in kv[:m])
+    return None
 
 
 def cotensor_comodule(outer, inner, module, cap):
@@ -131,7 +157,7 @@ def cotensor_comodule(outer, inner, module, cap):
                 len(pairs2),
                 [(index2[key], c) for key, c in comp.items()],
             )
-            combo = mat.solve_combo(target)
+            combo = solve(mat, target)
             if combo is None:
                 raise ValueError("cotensor coaction misses the kernel basis")
             for k, c in vec_support(p, combo, mat.nrows):

@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from chromadefect import cli, margolis
+from chromadefect.gradedlin import modp
 from chromadefect.steenrod import Profile
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -217,6 +218,52 @@ def test_huge_margolis_level_exits_2(level, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "prime, op",
+    [(2, f"P(1,{10**11})"), (2, f"P({10**11},0)"), (3, f"Q({10**11})")],
+    ids=["p2_power", "p2_column", "p3_q"],
+)
+def test_huge_operator_index_exits_2(prime, op, tmp_path, capsys):
+    # the operator's degree would be p to that index: refused unbuilt
+    module = {"prime": prime, "basis": [{"name": "x", "degree": 0}], "operators": [op]}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    argv = ["margolis", "--input", str(path), "--subalgebra", "A(1)", "--no-cache"]
+    start = time.perf_counter()
+    assert run(argv, tmp_path / "out") == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "has an index over the limit 65" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ext_jobs_eliminate_each_matrix_once(tmp_path, monkeypatch):
+    # names are residues off the echelon form that gave the ranks, so
+    # no cobar differential is eliminated twice and no kernel is built
+    eliminated = []
+    for name in ("gf2_eliminate", "fp_eliminate"):
+        def traced(*args, _eliminate=getattr(modp, name)):
+            # holding the rows keeps their ids unique across columns
+            eliminated.append(next(a for a in args if isinstance(a, list)))
+            return _eliminate(*args)
+
+        monkeypatch.setattr(modp, name, traced)
+    kernels = []
+    kernel_vectors = modp.PrimeFieldMatrix.kernel_vectors
+
+    def traced_kernel(self):
+        kernels.append(self)
+        return kernel_vectors(self)
+
+    monkeypatch.setattr(modp.PrimeFieldMatrix, "kernel_vectors", traced_kernel)
+    for name in ("ext_a1_p2", "ext_a1_p3"):
+        out = tmp_path / name
+        assert cli.main([*GOLDEN[name], "--no-cache", "--out", str(out)]) == cli.EXIT_OK
+        assert written(out) == written(GOLDEN_DIR / name)
+    ids = [id(rows) for rows in eliminated]
+    assert eliminated and len(set(ids)) == len(ids)
+    assert kernels == []
+
+
 @pytest.mark.parametrize("height", [1, 2], ids=["ko", "tmf"])
 def test_non_exterior_scan_family_exits_3(height, tmp_path, capsys, monkeypatch):
     exterior = Profile.E
@@ -320,3 +367,13 @@ def test_no_cache_skips_the_fingerprint(tmp_path, monkeypatch, cache_dir):
     monkeypatch.setattr(cli, "_engine_fingerprint", refuse)
     assert run(["fgl", "--n", "1", "--no-cache"], tmp_path / "out") == cli.EXIT_OK
     assert not cache_dir.exists()
+
+
+def test_unusable_cache_dir_still_writes_artifacts(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv(cli.CACHE_ENV, str(blocker))
+    out = tmp_path / "out"
+    assert run(["fgl", "--n", "1"], out) == cli.EXIT_OK
+    assert "warning: cache not written" in capsys.readouterr().err
+    assert written(out) == written(GOLDEN_DIR / "fgl_n1")

@@ -174,26 +174,20 @@ class TestNaming:
     def test_named_classes_on_chart(self):
         fam = Profile.T(2, 1)
         chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 4, 14)
-        flat = {
-            (s, t): [n for n, _ in named] for (s, t), named in chart.names.items()
-        }
-        assert flat[(1, 1)] == ["h(1,0)"]
-        assert flat[(1, 3)] == ["h(2,0)"]
-        assert flat[(1, 6)] == ["h(2,1)"]
-        assert flat[(1, 12)] == ["h(2,2)"]
-        assert flat[(1, 14)] == ["h(3,1)"]
-        assert flat[(2, 2)] == ["h(1,0)^2"]
+        assert chart.names[(1, 1)] == ["h(1,0)"]
+        assert chart.names[(1, 3)] == ["h(2,0)"]
+        assert chart.names[(1, 6)] == ["h(2,1)"]
+        assert chart.names[(1, 12)] == ["h(2,2)"]
+        assert chart.names[(1, 14)] == ["h(3,1)"]
+        assert chart.names[(2, 2)] == ["h(1,0)^2"]
         assert chart.collisions == []
 
     def test_named_classes_odd_prime(self):
         fam = Profile.T(3, 1)
         chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 3, 12)
-        flat = {
-            (s, t): [n for n, _ in named] for (s, t), named in chart.names.items()
-        }
-        assert flat[(1, 1)] == ["a(0)"]
-        assert flat[(1, 5)] == ["a(1)"]
-        assert flat[(2, 6)] == ["a(0)*a(1)"]
+        assert chart.names[(1, 1)] == ["a(0)"]
+        assert chart.names[(1, 5)] == ["a(1)"]
+        assert chart.names[(2, 6)] == ["a(0)*a(1)"]
 
     def test_relation_kills_product_cell(self):
         # [xi1|xi2^2] cobounds, so the (2,7) cell of the height-(inf,2)
@@ -207,7 +201,7 @@ class TestNaming:
         fam = Profile.E(2, 1)
         chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 5, 15)
         assert chart.collisions == []
-        assert [n for n, _ in chart.names[(2, 4)]] == ["h(1,0)*h(2,0)"]
+        assert chart.names[(2, 4)] == ["h(1,0)*h(2,0)"]
 
 
 class TestColumnPass:
@@ -225,7 +219,7 @@ class TestColumnPass:
         monkeypatch.setattr(CobarComplex, "words", traced)
         fam = Profile.A(2, 1)
         chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 6, 16)
-        assert chart.names[(1, 1)] == [("h(1,0)", ((0, 1),))]
+        assert chart.names[(1, 1)] == ["h(1,0)"]
         assert max(len(degrees) for degrees in held) == 1
 
     @pytest.mark.parametrize("n, stem_max, s_max", [(1, 400, 8), (2, 600, 5)])

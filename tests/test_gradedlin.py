@@ -1,9 +1,14 @@
 """Exact linear algebra layer, checked against brute force oracles.
 
-Rank over F2 is compared with row-span enumeration, kernels and solves
-are checked by substitution, subquotient bases against the dimension
-formula, abelian group presentations against their canonical-form
-validation, and the primality gate against a sieve.
+Rank over F2 is compared with row-span enumeration and kernels are
+checked by substitution.  Residues modulo the row space are checked at
+p = 2, 3 and 5 against the rank test for row-space membership: zero
+exactly on the row space, one value per coset, and zero at every pivot
+column, a pivot column being one where the rank of the leading columns
+grows.  Subquotient representatives are checked against the dimension
+formula and the greedy choice in input order, abelian group
+presentations against their canonical-form validation, and the
+primality gate against a sieve.
 """
 
 import random
@@ -20,7 +25,7 @@ from chromadefect.gradedlin import (
 )
 from chromadefect.gradedlin.modp import fp_eliminate
 
-from oracles.linalg import in_row_space, row_action, vec_add, vec_scale
+from oracles.linalg import in_row_space, row_action, vec_add, vec_scale, vec_zero
 
 
 def brute_rank_gf2(rows):
@@ -73,21 +78,6 @@ class TestGf2:
                         acc ^= rows[i]
                 assert acc == 0
 
-    def test_solve_combo(self):
-        rng = random.Random(13)
-        for _ in range(40):
-            nrows = rng.randint(1, 8)
-            ncols = rng.randint(1, 8)
-            rows = [rng.getrandbits(ncols) for _ in range(nrows)]
-            m = PrimeFieldMatrix(2, nrows, ncols, rows)
-            picks = [i for i in range(nrows) if rng.random() < 0.5]
-            target = 0
-            for i in picks:
-                target ^= rows[i]
-            x = m.solve_combo(target)
-            assert x is not None
-            assert row_action(m, x) == target
-
 
 class TestFp:
     def test_rank_and_kernel_mod3(self):
@@ -98,8 +88,13 @@ class TestFp:
             ncols = rng.randint(1, 7)
             rows = [tuple(rng.randrange(p) for _ in range(ncols)) for _ in range(nrows)]
             m = PrimeFieldMatrix(p, nrows, ncols, rows)
-            rank, pivots, ech, combos, kernel = fp_eliminate(p, rows, ncols, True)
+            pivots, ech, pivot_rows, dependent = fp_eliminate(p, rows, ncols)
+            rank = len(pivots)
             assert m.rank() == rank
+            assert len(pivot_rows) == rank and len(dependent) == nrows - rank
+            for col, row in zip(pivots, ech):
+                assert not any(row[:col]) and row[col] == 1
+            kernel = m.kernel_vectors()
             assert len(kernel) == nrows - rank
             for kv in kernel:
                 acc = [0] * ncols
@@ -108,19 +103,75 @@ class TestFp:
                         acc[j] = (acc[j] + c * rows[i][j]) % p
                 assert not any(acc)
 
-    def test_solve_mod5(self):
-        rng = random.Random(23)
-        p = 5
-        for _ in range(30):
-            nrows = rng.randint(1, 6)
-            ncols = rng.randint(1, 6)
-            rows = [tuple(rng.randrange(p) for _ in range(ncols)) for _ in range(nrows)]
-            m = PrimeFieldMatrix(p, nrows, ncols, rows)
-            x = tuple(rng.randrange(p) for _ in range(nrows))
-            target = row_action(m, x)
-            sol = m.solve_combo(target)
-            assert sol is not None
-            assert row_action(m, sol) == target
+
+def random_matrix(rng, p, nrows, ncols):
+    """Random rows, one of them a combination of two others when there
+    is room, so that some rows are dependent."""
+    rows = [random_vec(rng, p, ncols) for _ in range(nrows)]
+    if nrows >= 3:
+        rows[-1] = vec_add(p, rows[0], vec_scale(p, rows[1], rng.randrange(1, p)))
+    return PrimeFieldMatrix(p, nrows, ncols, rows)
+
+
+def random_combination(rng, m):
+    return row_action(m, random_vec(rng, m.p, m.nrows))
+
+
+def leading(p, v, j):
+    """The first j entries of v."""
+    return v & ((1 << j) - 1) if p == 2 else v[:j]
+
+
+def pivot_columns(m):
+    """Columns j where the rank of the first j + 1 columns exceeds that
+    of the first j: the first nonzero column of some row-space vector."""
+    out = []
+    prev = 0
+    for j in range(m.ncols):
+        cut = [leading(m.p, row, j + 1) for row in m.rows]
+        rank = PrimeFieldMatrix(m.p, m.nrows, j + 1, cut).rank()
+        if rank > prev:
+            out.append(j)
+        prev = rank
+    return out
+
+
+def entry(p, v, j):
+    return (v >> j) & 1 if p == 2 else v[j]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+class TestResidue:
+    def test_zero_exactly_on_row_space(self, p):
+        rng = random.Random(53 + p)
+        for _ in range(40):
+            nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+            m = random_matrix(rng, p, nrows, ncols)
+            zero = vec_zero(p, ncols)
+            for v in [random_vec(rng, p, ncols) for _ in range(4)] + [random_combination(rng, m)]:
+                assert (m.residue(v) == zero) == in_row_space(m, v)
+
+    def test_constant_on_cosets(self, p):
+        rng = random.Random(59 + p)
+        for _ in range(40):
+            nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+            m = random_matrix(rng, p, nrows, ncols)
+            v = random_vec(rng, p, ncols)
+            r = m.residue(v)
+            assert in_row_space(m, vec_add(p, v, vec_scale(p, r, -1)))
+            for _ in range(3):
+                assert m.residue(vec_add(p, v, random_combination(rng, m))) == r
+
+    def test_zero_at_every_pivot_column(self, p):
+        rng = random.Random(61 + p)
+        for _ in range(40):
+            nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+            m = random_matrix(rng, p, nrows, ncols)
+            pivots = pivot_columns(m)
+            assert len(pivots) == m.rank()
+            for _ in range(3):
+                r = m.residue(random_vec(rng, p, ncols))
+                assert [j for j in pivots if entry(p, r, j)] == []
 
 
 class TestSubquotient:
@@ -142,27 +193,7 @@ class TestSubquotient:
                 sq = SubquotientBasis(p, n, image, big)
                 kdim = PrimeFieldMatrix(p, len(big), n, list(big)).rank()
                 idim = PrimeFieldMatrix(p, len(image), n, list(image)).rank()
-                assert sq.dim == kdim - idim
-
-    def test_coords_reconstruct(self):
-        rng = random.Random(31)
-        n = 10
-        for p in (2, 3, 5):
-            for _ in range(10):
-                kernel = [random_vec(rng, p, n) for _ in range(6)]
-                # a repeat and a combination: dependent kernel vectors
-                # that must not become representatives
-                kernel.append(kernel[3])
-                kernel.append(vec_add(p, kernel[0], vec_scale(p, kernel[4], p - 1)))
-                image = kernel[:2]
-                sq = SubquotientBasis(p, n, image, kernel)
-                immat = PrimeFieldMatrix(p, len(image), n, list(image))
-                for v in kernel:
-                    acc = v
-                    for idx, c in sq.coords(v).items():
-                        assert c % p
-                        acc = vec_add(p, acc, vec_scale(p, sq.reps[idx], -c))
-                    assert in_row_space(immat, acc)
+                assert len(sq.reps) == kdim - idim
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_reps_are_greedy_in_input_order(self, p):
@@ -183,13 +214,6 @@ class TestSubquotient:
                     want.append(kv)
                 span.append(kv)
             assert sq.reps == want
-            for k, rep in enumerate(sq.reps):
-                assert sq.coords(rep) == {k: 1}
-
-    def test_rejects_noncycle(self):
-        sq = SubquotientBasis(2, 3, [], [0b001])
-        with pytest.raises(ValueError):
-            sq.coords(0b010)
 
 
 class TestPresentations:
