@@ -48,10 +48,9 @@ MAX_FGL_CAP = 520
 # p = 2 and eight bytes at odd p.  The job holds one column at a time,
 # so the sum overstates its peak; the limit stays until a resolution
 # engine replaces the model.  Measured peak RSS for A(1) on a 2 vCPU
-# host: 293 MB modelled and 299 MB peak at p = 3 through stem 20, s 5;
-# 385 MB and 148 MB at p = 2 through stem 16, s 6 (575 and 276 MB when
-# the job kept every matrix).  The limit admits both and refuses p = 3
-# through stem 24, s 5 (1610 MB modelled)
+# host: 293 MB modelled and 298 MB peak at p = 3 through stem 20, s 5;
+# 385 MB and 147 MB at p = 2 through stem 16, s 6.  The limit admits
+# both and refuses p = 3 through stem 24, s 5 (1610 MB modelled)
 MAX_EXT_MATRIX_BYTES = 512 * 2**20
 # largest ext window, in cells (s_max + 1) * (t_max + 1), checked before
 # the model counts any word: at this size the model takes up to 0.25 s

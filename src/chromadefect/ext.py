@@ -10,15 +10,22 @@ with position-only signs:
                     + (-1)^{s+1} [a_1|...|a_s|b]m'
 
 Internal degree t is preserved, so Ext^{s,t} is exact for every t below
-the cap even when the family itself is infinite.  ext_ranks makes one
-pass over the columns: it computes the dims of column t, names its
-classes by products of degree-one letters (cobar concatenation, which
-satisfies the Leibniz rule with the cohomological sign), then drops the
-column's words and matrices, so a job holds one column at a time.  A
-product word that is a cocycle names the class of its residue modulo
-the boundaries (PrimeFieldMatrix.residue), read off the same echelon
-form that gave the rank of the incoming differential; naming builds no
-homology basis.
+the cap even when the family itself is infinite.
+
+CobarComplex numbers the family's letters once, in the string order of
+their monomials, and a word is the pair (tuple of letter numbers, cell
+name): words hash and sort as plain tuples, and sorted words are in
+string order.  Each letter's reduced diagonal and each cell's coaction
+are numbered once too.
+
+ext_ranks makes one pass over the columns: it computes the dims of
+column t, names its classes by products of degree-one letters (cobar
+concatenation, which satisfies the Leibniz rule with the cohomological
+sign), then drops the column's words and matrices, so a job holds one
+column at a time.  A product word that is a cocycle names the class of
+its residue modulo the boundaries (PrimeFieldMatrix.residue), read off
+the same echelon form that gave the rank of the incoming differential;
+naming builds no homology basis.
 
 evenness_scan builds no cobar complex: over an exterior family the
 Koszul closed form places every class, so it checks that the family
@@ -26,7 +33,7 @@ has that form through the window and reads the stems off it.
 """
 
 from .gradedlin import PrimeFieldMatrix, vec_from_terms
-from .steenrod import Comodule, Profile, elt_add_term, tau_gen, xi_gen
+from .steenrod import Comodule, Profile, elt_add_term, reduced_coproduct, tau_gen, xi_gen
 
 __all__ = [
     "CobarComplex",
@@ -69,7 +76,13 @@ def cobar_dims(profile, module, s_max, t_max):
 
 
 class CobarComplex:
-    """Reduced cobar complex through (s_max, t_max)."""
+    """Reduced cobar complex through (s_max, t_max).
+
+    letters lists the family's positive-degree monomials through t_max
+    sorted by their strings, and number maps each monomial to its index
+    there.  A word [a_1|...|a_s]m is (tuple of letter numbers, cell
+    name), so words(s, t) is string order on letters, then cell name.
+    """
 
     def __init__(self, profile, module, s_max, t_max):
         if s_max < 0 or t_max < 0:
@@ -86,15 +99,25 @@ class CobarComplex:
             basis = [(n, module.degree_of[n]) for n in module.names]
             module = Comodule(profile, basis, module.coaction)
         self.module = module
-        self._letters = list(profile.positive_basis(t_max))
+        self.letters = sorted(profile.positive_basis(t_max), key=str)
+        self.number = {m: i for i, m in enumerate(self.letters)}
+        self._degrees = [m.degree() for m in self.letters]
         # a word of s letters has internal degree at most s * top_letter
         # + top_cell: enumeration and the column pass stop there
-        self.top_letter = max((m.degree() for m in self._letters), default=0)
+        self.top_letter = max(self._degrees, default=0)
         self.top_cell = max(module.degree_of.values(), default=0)
-        # rank table reproducing string order on letters, so word sorts
-        # compare small ints instead of formatting monomials
-        self._letter_rank = {
-            m: r for r, m in enumerate(sorted(self._letters, key=str))
+        # reduced diagonal of each letter as (left, right, coef) numbers,
+        # filled on first use
+        self._diagonals = [None] * len(self.letters)
+        # coaction of each cell a word can carry, counit terms dropped
+        self._coaction = {
+            name: [
+                (self.number[mono], c, target)
+                for mono, c, target in module.coaction[name]
+                if not mono.is_unit()
+            ]
+            for name in module.names
+            if module.degree_of[name] <= t_max
         }
         self._words = {}
         self._index = {}
@@ -109,39 +132,37 @@ class CobarComplex:
         if got is not None:
             return got
         out = []
-        if s == 0:
-            for name in self.module.names:
-                if self.module.degree_of[name] == t:
-                    out.append(((), name))
-        elif s > 0 and t >= s:
-            degs = [m.degree() for m in self._letters]
-            top, top_cell = self.top_letter, self.top_cell
-
-            def rec(idx_left, budget, acc):
-                if idx_left == 0:
-                    for name in self.module.names:
-                        if self.module.degree_of[name] == budget:
-                            out.append((tuple(acc), name))
-                    return
-                for i, a in enumerate(self._letters):
-                    d = degs[i]
-                    rest = idx_left - 1
-                    # leave at least 1 per remaining slot, and no more
-                    # than the remaining slots and the module can take
-                    if not budget - top_cell - rest * top <= d <= budget - rest:
-                        continue
-                    acc.append(a)
-                    rec(rest, budget - d, acc)
-                    acc.pop()
-
-            rec(s, t, [])
-        # same order as sorting by monomial strings: within a cell all
-        # words have s letters, so comparison is elementwise
-        rank = self._letter_rank
-        out.sort(key=lambda w: ([rank[m] for m in w[0]], w[1]))
+        if 0 <= s <= t:
+            self._spell(out, s, t, [])
+        # within a cell all words have s letters, so tuple order is
+        # string order on letters, then cell name
+        out.sort()
         self._words[key] = out
         self._index[key] = {w: i for i, w in enumerate(out)}
         return out
+
+    def _spell(self, out, left, budget, acc):
+        """Append to out each word that completes the letters acc with
+        `left` more letters and a cell, in internal degree budget.
+
+        A method, not a closure: a recursive closure is a reference
+        cycle, which would keep a released column alive until the
+        garbage collector ran.
+        """
+        if left == 0:
+            for name in self.module.names:
+                if self.module.degree_of[name] == budget:
+                    out.append((tuple(acc), name))
+            return
+        rest = left - 1
+        # leave at least 1 per remaining slot, and no more than the
+        # remaining slots and the module can take
+        low = budget - self.top_cell - rest * self.top_letter
+        for a, d in enumerate(self._degrees):
+            if low <= d <= budget - rest:
+                acc.append(a)
+                self._spell(out, rest, budget - d, acc)
+                acc.pop()
 
     def dim_cell(self, s, t):
         return len(self.words(s, t))
@@ -183,6 +204,15 @@ class CobarComplex:
         self.words(s, t)
         return self._index[(s, t)]
 
+    def _diagonal(self, a):
+        """Reduced diagonal of letter a as [(left, right, coef)] numbers."""
+        got = self._diagonals[a]
+        if got is None:
+            diagonal = reduced_coproduct(self.letters[a], self.profile)
+            got = [(self.number[l], self.number[r], c) for (l, r), c in diagonal.items()]
+            self._diagonals[a] = got
+        return got
+
     def _d_word(self, word):
         """Differential of one word as [(word, coef)] with repeats summed."""
         letters, name = word
@@ -191,14 +221,12 @@ class CobarComplex:
         acc = {}
         for i, a in enumerate(letters):
             sign = -1 if (i + 1) % 2 else 1
-            for left, right, c in self.profile.reduced_diagonal(a):
-                w = letters[:i] + (left, right) + letters[i + 1 :]
-                elt_add_term(p, acc, (w, name), sign * c)
+            head, tail = letters[:i], letters[i + 1 :]
+            for left, right, c in self._diagonal(a):
+                elt_add_term(p, acc, (head + (left, right) + tail, name), sign * c)
         sign = -1 if (s + 1) % 2 else 1
-        for mono, c, target in self.module.coaction[name]:
-            if mono.is_unit():
-                continue
-            elt_add_term(p, acc, (letters + (mono,), target), sign * c)
+        for a, c, target in self._coaction[name]:
+            elt_add_term(p, acc, (letters + (a,), target), sign * c)
         return list(acc.items())
 
     # homology ----------------------------------------------------------
@@ -255,7 +283,7 @@ def cobar_letters(profile, t_max):
             mono = xi_gen(p, i, p**j)
             if mono.degree() > t_max:
                 break
-            if profile.allows(mono) and not profile.reduced_diagonal(mono):
+            if profile.allows(mono) and not reduced_coproduct(mono, profile):
                 letters.append((f"h({i},{j})", mono))
             j += 1
         i += 1
@@ -263,7 +291,7 @@ def cobar_letters(profile, t_max):
         t = 0
         while tau_gen(p, t).degree() <= t_max:
             mono = tau_gen(p, t)
-            if profile.allows(mono) and not profile.reduced_diagonal(mono):
+            if profile.allows(mono) and not reduced_coproduct(mono, profile):
                 letters.append((f"a({t})", mono))
             t += 1
     return letters
@@ -355,7 +383,7 @@ def _name_cell(chart, complexes, letters, base, s, t):
     seen = {}
     named = []
     for multiset in products:
-        word = (tuple(letters[i][1] for i in multiset), base)
+        word = (tuple(complexes.number[letters[i][1]] for i in multiset), base)
         col = index.get(word)
         # off the cell's basis, or not a cocycle (nontrivial coaction)
         if col is None or complexes._d_word(word):

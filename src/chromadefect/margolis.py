@@ -24,10 +24,11 @@ quotient.  Spelled out at p = 2 through level 3:
     A-kind level 2: P(1,0) P(2,0) P(2,1) P(3,0)
     A-kind level 3: P(1,0) P(2,0) P(2,1) P(3,0) P(3,1) P(4,0)
 
-The even (P-kind) lists at p = 2 are the same with s bumped once, per
-DOUBLING_SHIFT.  At odd primes the A-kind list is Q(0)..Q(n) together
-with the P(t,s), s < t, allowed by the heights n+1-t, and the P-kind
-list uses heights n+2-t with no shift and no Q's.
+The even (P-kind) lists at p = 2 are the same with s bumped once: the
+family is generated by the squares xi_t^2, and the operation dual to
+(xi_t^2)^{2^s} is P(t,s+1).  At odd primes the A-kind list is
+Q(0)..Q(n) together with the P(t,s), s < t, allowed by the heights
+n+1-t, and the P-kind list uses heights n+2-t with no shift and no Q's.
 """
 
 import re
@@ -45,7 +46,6 @@ from .steenrod import (
 )
 
 __all__ = [
-    "DOUBLING_SHIFT",
     "FiniteSteenrodModule",
     "InputError",
     "MargolisHomology",
@@ -64,18 +64,6 @@ class InputError(ValueError):
 
 
 _OP_RE = re.compile(r"^(P|Q)\((\d+)(?:,(\d+))?\)$")
-
-# Degree-doubling pairing between the square-zero operators of the
-# A-kind subalgebras (levels 0..3) and their even-subalgebra twins.
-# Literal data, so the pairing can be audited against the docstring.
-DOUBLING_SHIFT = {
-    "P(1,0)": "P(1,1)",
-    "P(2,0)": "P(2,1)",
-    "P(2,1)": "P(2,2)",
-    "P(3,0)": "P(3,1)",
-    "P(3,1)": "P(3,2)",
-    "P(4,0)": "P(4,1)",
-}
 
 
 def parse_operator(name):
@@ -403,19 +391,15 @@ def subalgebra_operators(p, kind, level):
 
     kind 'A' is generated by the first level+1 power operations (plus
     the Bockstein at odd p); kind 'P' is the even counterpart.  At
-    p = 2 the P-kind list is the A-kind list pushed through
-    DOUBLING_SHIFT, which caps the supported level.
+    p = 2 the P-kind family is generated by the squares xi_t^2, so its
+    operation (t, s) is P(t,s+1).
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    if p == 2 and kind == "P":
-        base = subalgebra_operators(2, "A", level)
-        if any(op not in DOUBLING_SHIFT for op in base):
-            raise ValueError("the doubling table covers levels 0..3 only")
-        return [DOUBLING_SHIFT[op] for op in base]
     xi_ops, tau_ops = family_margolis_indices(_profile_for(p, kind, level))
+    shift = 1 if p == 2 and kind == "P" else 0
     out = [f"Q({t})" for t in tau_ops]
-    out += [f"P({t},{s})" for t, s in xi_ops]
+    out += [f"P({t},{s + shift})" for t, s in xi_ops]
     return out
 
 

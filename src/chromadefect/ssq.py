@@ -401,15 +401,13 @@ def run_d1(page: PageSnapshot) -> PageSnapshot:
     return turn_page(page, d1_rule())
 
 
-def run_d3(page: PageSnapshot, enabled: bool = True) -> PageSnapshot:
+def run_d3(page: PageSnapshot) -> PageSnapshot:
     """Second page to fourth page.
 
     The intermediate differential vanishes for parity reasons: live
     second-page cells sit where stem - filtration is even, and a length
     two differential lands where it is odd, an empty part of the
-    lattice.  That is checked, not assumed.  With enabled=False the
-    cells are carried to page four unchanged, which is the counterfeit
-    page the contradiction detector inspects.
+    lattice.  That is checked, not assumed.
     """
     if page.page != 2:
         raise ValueError("run_d3 expects a second-page snapshot")
@@ -419,12 +417,6 @@ def run_d3(page: PageSnapshot, enabled: bool = True) -> PageSnapshot:
             tgt = page.cells.get((s - 1, f + 2))
             if tgt is not None and tgt.alive:
                 raise ValueError("length-two differential has a live target")
-    if not enabled:
-        cells = {
-            k: Cell(c.u_exp, c.eta_exp, c.cycle, c.boundary)
-            for k, c in page.cells.items()
-        }
-        return PageSnapshot(page.variant, 4, page.window, cells)
     bumped = PageSnapshot(page.variant, 3, page.window, page.cells)
     return turn_page(bumped, d3_rule())
 
@@ -452,18 +444,16 @@ def differential_sources(page: PageSnapshot, rule: DifferentialRule, min_fil: in
 def forced_d3_detector(window: Window, radius: int = 3) -> dict:
     """Detects that the length-three differential is forced.
 
-    The laurent chart must converge to zero.  Running it with that
-    differential switched off leaves live interior cells on page four;
-    each one witnesses the contradiction.  Running it switched on
-    clears the interior, so the differential is exactly what repairs
-    convergence.
+    The laurent chart must converge to zero.  Without that differential
+    page four would repeat page two, whose live interior cells each
+    witness the contradiction.  Running it clears the interior, so the
+    differential is exactly what repairs convergence.
     """
     e2 = run_d1(build_e1("laurent", window))
-    frozen = run_d3(e2, enabled=False)
     witnesses = [
-        (s, f, c.generator_str()) for (s, f), c in frozen.interior_alive(radius)
+        (s, f, c.generator_str()) for (s, f), c in e2.interior_alive(radius)
     ]
-    cleared = not run_d3(e2, enabled=True).interior_alive(radius)
+    cleared = not run_d3(e2).interior_alive(radius)
     if not witnesses:
         return {
             "verdict": "inconclusive",

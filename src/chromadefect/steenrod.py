@@ -55,7 +55,7 @@ class DualMonomial:
     (always empty at p = 2).
     """
 
-    __slots__ = ("p", "xi", "tau", "_degree", "_hash", "_str")
+    __slots__ = ("p", "xi", "tau", "_degree", "_str")
 
     def __init__(self, p, xi=(), tau=()):
         xi = tuple(xi)
@@ -72,7 +72,6 @@ class DualMonomial:
         self.xi = xi
         self.tau = tau
         self._degree = None
-        self._hash = None
         self._str = None
 
     def degree(self):
@@ -117,9 +116,7 @@ class DualMonomial:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.p, self.xi, self.tau))
-        return self._hash
+        return hash((self.p, self.xi, self.tau))
 
     def __lt__(self, other):
         return (self.degree(), str(self)) < (other.degree(), str(other))
@@ -356,7 +353,6 @@ class Profile:
         self.label = label
         self._validate()
         self._basis_cache = {}
-        self._coproduct_cache = {}
 
     # family constructors -------------------------------------------------
 
@@ -579,17 +575,6 @@ class Profile:
         if self.p != 2:
             total *= 2 ** len(self.tau)
         return total
-
-    def reduced_diagonal(self, mono):
-        """Memoized reduced coproduct within the family."""
-        got = self._coproduct_cache.get(mono)
-        if got is None:
-            got = sorted(
-                ((l, r, c) for (l, r), c in reduced_coproduct(mono, self).items()),
-                key=lambda t: (str(t[0]), str(t[1])),
-            )
-            self._coproduct_cache[mono] = got
-        return got
 
     def __repr__(self):
         return self.label or (

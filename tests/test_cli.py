@@ -8,18 +8,20 @@ The directories under tests/golden/ were written with
 for each name and argv in GOLDEN: the fgl jobs and defect_cap8 by the
 engine before the univariate defect witness replaced the bivariate one,
 defect_cap24 by the engine before evenness_scan read the Koszul closed
-form in place of the cobar complex, the ext and margolis jobs by the
-engine before comodule cofreeness moved onto margolis_homology, and
-the may and ko-ss jobs (every format) by the engine before
-SubquotientBasis moved onto PrimeFieldMatrix elimination.  The may E2
-files (may_*_e2*) were added later, written by the general page turner
-(page_turn on the E1 page, with the job's JSON shape, chart and TSV
-writers) before may_e2 read E2 off the d1 matrices.  The
-margolis inputs live in tests/golden/inputs/, written by the builders
-in tests/oracles/modules.py (free_a1.json is free_module(2, "A", 1,
-[0, 3]); rp4.json is rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json
-is the malformed module {}).  Any change to the artifact bytes of those
-jobs fails here.
+form in place of the cobar complex, the A-family ext jobs and the
+margolis jobs by the engine before comodule cofreeness moved onto
+margolis_homology, and the may and ko-ss jobs (every format) by the
+engine before SubquotientBasis moved onto PrimeFieldMatrix elimination.
+The may E2 files (may_*_e2*) were added later, written by the general
+page turner (page_turn on the E1 page, with the job's JSON shape, chart
+and TSV writers) before may_e2 read E2 off the d1 matrices.  The
+T-family ext jobs (ext_t1_p2, ext_t1_p3) came last, written by the
+engine whose cobar words held monomial objects, before words became
+tuples of letter numbers.  The margolis inputs live in
+tests/golden/inputs/, written by the builders in tests/oracles/modules.py
+(free_a1.json is free_module(2, "A", 1, [0, 3]); rp4.json is
+rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json is the malformed
+module {}).  Any change to the artifact bytes of those jobs fails here.
 """
 
 import json
@@ -46,6 +48,10 @@ GOLDEN = {
                   "--stem-max", "8", "--s-max", "4", *FORMATS, "--format", "svg"],
     "ext_a1_p3": ["ext", "--prime", "3", "--family", "A", "--n", "1",
                   "--stem-max", "12", "--s-max", "3", *FORMATS, "--format", "svg"],
+    "ext_t1_p2": ["ext", "--prime", "2", "--family", "T", "--n", "1",
+                  "--stem-max", "12", "--s-max", "6", *FORMATS, "--format", "svg"],
+    "ext_t1_p3": ["ext", "--prime", "3", "--family", "T", "--n", "1",
+                  "--stem-max", "30", "--s-max", "4", *FORMATS, "--format", "svg"],
     "margolis_free_a1": ["margolis", "--input", str(INPUTS / "free_a1.json"),
                          "--subalgebra", "A(1)", *FORMATS],
     "margolis_rp4": ["margolis", "--input", str(INPUTS / "rp4.json"),

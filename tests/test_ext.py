@@ -165,6 +165,29 @@ class TestCobarComplex:
         assert moved.dims == want
 
 
+class TestWords:
+    @pytest.mark.parametrize(
+        "fam", [Profile.A(2, 1), Profile.A(3, 1), Profile.T(2, 1)], ids=repr
+    )
+    @pytest.mark.parametrize("degrees", [(0,), (0, 2)])
+    def test_words_are_letter_numbers_in_string_order(self, fam, degrees):
+        M = Comodule.trivial(fam, degrees)
+        cx = CobarComplex(fam, M, 4, 14)
+        for s in range(5):
+            for t in range(15):
+                words = cx.words(s, t)
+                for letters, name in words:
+                    assert isinstance(letters, tuple) and len(letters) == s
+                    assert all(
+                        isinstance(a, int) and 0 <= a < len(cx.letters) for a in letters
+                    )
+                    degree = sum(cx.letters[a].degree() for a in letters)
+                    assert degree + M.degree_of[name] == t
+                assert len(set(words)) == len(words), (s, t)
+                spelled = [([str(cx.letters[a]) for a in w[0]], w[1]) for w in words]
+                assert spelled == sorted(spelled), (s, t)
+
+
 class TestNaming:
     def test_letters_for_height_family(self):
         fam = Profile.T(2, 1)

@@ -28,7 +28,6 @@ from hypothesis import given, settings, strategies as st
 
 from chromadefect.ext import ext_ranks
 from chromadefect.margolis import (
-    DOUBLING_SHIFT,
     FiniteSteenrodModule,
     is_free_over,
     margolis_homology,
@@ -105,19 +104,28 @@ class TestOperatorNames:
         ]
 
     def test_operator_tables_even(self):
-        # shifted level by level through the doubling table
         assert subalgebra_operators(2, "P", 0) == ["P(1,1)"]
         assert subalgebra_operators(2, "P", 1) == ["P(1,1)", "P(2,1)"]
         assert subalgebra_operators(2, "P", 3) == [
             "P(1,1)", "P(2,1)", "P(2,2)", "P(3,1)", "P(3,2)", "P(4,1)",
         ]
-        for src, dst in DOUBLING_SHIFT.items():
-            k, t, s = parse_operator(src)
-            assert parse_operator(dst) == (k, t, s + 1)
 
-    def test_doubling_table_is_finite(self):
-        with pytest.raises(ValueError, match="levels 0..3"):
-            subalgebra_operators(2, "P", 4)
+    def test_even_list_is_the_a_list_doubled(self):
+        # the even family is generated by the squares xi_t^2, so each
+        # of its operations is the A-kind one with the power raised once
+        for n in range(7):
+            doubled = []
+            for op in subalgebra_operators(2, "A", n):
+                _, t, s = parse_operator(op)
+                doubled.append(f"P({t},{s + 1})")
+            assert subalgebra_operators(2, "P", n) == doubled, n
+
+    def test_even_level_four_is_decided(self):
+        ops = subalgebra_operators(2, "P", 4)
+        assert len(ops) == 9
+        v = is_free_over(trivial_module(2, ops=ops, even_only=True), "P(4)")
+        assert not v.free and v.rank is None
+        assert v.witness == ("P(1,1)", 0, {"m0": 1})
 
     def test_operator_tables_odd(self):
         assert subalgebra_operators(3, "A", 0) == ["Q(0)"]

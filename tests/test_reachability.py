@@ -2,8 +2,8 @@
 
 The package holds what the jobs run; test oracles live under
 tests/oracles/.  This test runs every GOLDEN argv in process under
-`sys.setprofile`, plus one cached run (store, then hit) and small `ext`
-runs over the T and P families, which no golden argv covers, and
+`sys.setprofile`, plus one cached run (store, then hit) and a small `ext`
+run over the P family, which no golden argv covers, and
 asserts that every function defined under src/chromadefect was entered.
 The exemptions are named below, one group per planned change that
 takes them as its main path or replaces them, plus dunder methods; an
@@ -110,10 +110,9 @@ def test_every_package_function_is_reached(tmp_path, monkeypatch):
             assert cli.main([*argv, "--no-cache", "--out", str(tmp_path / name)]) == 0
         for run in ("store", "hit"):
             assert cli.main(["fgl", "--n", "1", "--out", str(tmp_path / run)]) == 0
-        for family in ("T", "P"):
-            argv = ["ext", "--family", family, "--stem-max", "6", "--s-max", "2",
-                    "--no-cache", "--out", str(tmp_path / family)]
-            assert cli.main(argv) == 0
+        argv = ["ext", "--family", "P", "--stem-max", "6", "--s-max", "2",
+                "--no-cache", "--out", str(tmp_path / "P")]
+        assert cli.main(argv) == 0
 
     seen = {(str(Path(f).resolve()), line) for f, line in entered_during(jobs)}
     defined = defined_functions()

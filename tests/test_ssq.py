@@ -294,14 +294,6 @@ class TestFourthPage:
         e4 = run_d3(run_d1(build_e1("laurent", WIDE)))
         assert e4.interior_alive() == []
 
-    def test_disabled_keeps_cells(self):
-        e2 = run_d1(build_e1("laurent", WIDE))
-        frozen = run_d3(e2, enabled=False)
-        assert frozen.page == 4
-        for key, c in e2.cells.items():
-            other = frozen.cells[key]
-            assert (c.cycle, c.boundary) == (other.cycle, other.boundary)
-
     def test_wrong_page_rejected(self):
         e1 = build_e1("polynomial", Window(0, 8, 0, 8))
         with pytest.raises(ValueError, match="second-page"):
