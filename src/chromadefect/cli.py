@@ -46,11 +46,14 @@ MAX_FGL_CAP = 520
 # cobar differentials an ext job may build, in modelled bytes: source
 # words times target words summed over the cells, one bit per entry at
 # p = 2 and eight bytes at odd p.  The job holds one column at a time,
-# so the sum overstates its peak; the limit stays until a resolution
-# engine replaces the model.  Measured peak RSS for A(1) on a 2 vCPU
-# host: 293 MB modelled and 298 MB peak at p = 3 through stem 20, s 5;
-# 385 MB and 147 MB at p = 2 through stem 16, s 6.  The limit admits
-# both and refuses p = 3 through stem 24, s 5 (1610 MB modelled)
+# so the sum overstates its peak; odd-prime rows keep only their
+# nonzero entries, so the eight bytes per entry overstate it about 10x
+# more.  The limit stays until a resolution engine replaces the model.
+# Measured on a 2 vCPU host for A(1), whole job: 293 MB modelled, 1.3 s
+# and 33 MB peak at p = 3 through stem 20, s 5; 385 MB modelled, 6.7 s
+# and 148 MB at p = 2 through stem 16, s 6.  The limit admits both and
+# refuses p = 3 through stem 24, s 5 (1610 MB modelled; its chart alone
+# takes 4.5 s and 63 MB)
 MAX_EXT_MATRIX_BYTES = 512 * 2**20
 # largest ext window, in cells (s_max + 1) * (t_max + 1), checked before
 # the model counts any word: at this size the model takes up to 0.25 s
@@ -59,10 +62,10 @@ MAX_EXT_CELLS = 4096
 # largest may E1 page, in window cells plus monomials; each cell and
 # each monomial is an object the pages keep.  The whole job, E1 and E2
 # in every format, on a 2 vCPU host: p = 2, n = 1, stem 60, s 16 (1,037
-# cells, 46,418 monomials) took 3.1 s and 45 MB peak; p = 3, n = 0,
-# stem 185, s 10 (2,046 cells, 57,858 monomials), 9.9 s and 90 MB, E2
-# 4.5 s of it (3.6 s dense F_3 elimination); p = 5, n = 1, stem 9999,
-# s 4 (50,000 cells, 2,999 monomials), 0.6 s and 38 MB
+# cells, 46,418 monomials) took 2.7 s and 45 MB peak; p = 3, n = 0,
+# stem 185, s 10 (2,046 cells, 57,858 monomials), 5.8 s and 58 MB, E2
+# 1.5 s of it (0.6 s sparse F_3 elimination); p = 5, n = 1, stem 9999,
+# s 4 (50,000 cells, 2,999 monomials), 0.5 s and 38 MB
 MAX_MAY_E1_SIZE = 60_000
 # largest ko-ss window, in cells: the laurent pages over 180,901 cells
 # took 2.8 s and 79 MB, over 501,501 cells 9.5 s and 177 MB

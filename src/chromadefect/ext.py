@@ -379,7 +379,6 @@ def _name_cell(chart, complexes, letters, base, s, t):
         return
     index = complexes._index_for(s, t)
     boundaries = complexes.differential_matrix(s - 1, t)
-    zero = vec_from_terms(chart.p, len(index), [])
     seen = {}
     named = []
     for multiset in products:
@@ -388,8 +387,8 @@ def _name_cell(chart, complexes, letters, base, s, t):
         # off the cell's basis, or not a cocycle (nontrivial coaction)
         if col is None or complexes._d_word(word):
             continue
-        key = boundaries.residue(vec_from_terms(chart.p, len(index), [(col, 1)]))
-        if key == zero:
+        key = boundaries.residue(vec_from_terms(chart.p, [(col, 1)]))
+        if not key:
             continue
         name = _multiset_name(letters, multiset)
         if key in seen:

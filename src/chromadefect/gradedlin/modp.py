@@ -1,19 +1,23 @@
 """Exact linear algebra over prime fields.
 
-Vectors over F_2 are int bitmasks; vectors over odd primes are tuples
-of residues.  Matrices act on row vectors: a matrix M with nrows rows
-and ncols columns is the map x -> x.M from F^nrows to F^ncols, row i
-being the image of the i-th basis vector.  That orientation matches how
-chain differentials are assembled everywhere downstream.
+Vectors over F_2 are int bitmasks.  Vectors over odd primes are sparse:
+tuples of (column, coefficient) pairs with strictly increasing columns
+and coefficients in 1..p-1, so each vector has one encoding, hashes as
+a tuple, and is falsy exactly when it is zero.  Matrices act on row
+vectors: a matrix M with nrows rows and ncols columns is the map
+x -> x.M from F^nrows to F^ncols, row i being the image of the i-th
+basis vector.  That orientation matches how chain differentials are
+assembled everywhere downstream.
 
 Each field has one elimination kernel, gf2_eliminate on bitmasks and
-fp_eliminate on dense tuples, and a matrix is eliminated once.  A row's
+fp_eliminate on pair tuples, and a matrix is eliminated once.  A row's
 pivot is its first nonzero column (the lowest set bit at p = 2), so
 every nonzero row-space vector starts at a pivot column.  Entries at
 ncols and beyond are never pivots and travel with their row, so
-kernel_vectors appends unit vectors there: no tracked mode.  The
-residue of a vector (gf2_residue, fp_residue) has every pivot column
-cleared, so it is zero exactly on the row space and equal across a coset.
+kernel_vectors appends the unit vector e_i there as one entry of row i:
+no tracked mode.  The residue of a vector (gf2_residue, fp_residue) has
+every pivot column cleared, so it is zero exactly on the row space and
+equal across a coset.
 """
 
 __all__ = [
@@ -63,20 +67,21 @@ def _strong_probable_prime(n):
     return True
 
 
-def vec_from_terms(p, n, terms):
+def vec_from_terms(p, terms):
+    """The vector sum of c * e_i over the (i, c) terms."""
     if p == 2:
         v = 0
         for i, c in terms:
             if c % 2:
                 v ^= 1 << i
         return v
-    row = [0] * n
+    acc = {}
     for i, c in terms:
-        row[i] = (row[i] + c) % p
-    return tuple(row)
+        acc[i] = acc.get(i, 0) + c
+    return tuple(sorted((i, c % p) for i, c in acc.items() if c % p))
 
 
-def vec_support(p, v, n):
+def vec_support(p, v):
     """List of (index, coefficient) pairs with nonzero coefficient."""
     if p == 2:
         out = []
@@ -85,7 +90,7 @@ def vec_support(p, v, n):
             out.append((low.bit_length() - 1, 1))
             v ^= low
         return out
-    return [(i, c) for i, c in enumerate(v) if c]
+    return list(v)
 
 
 def gf2_eliminate(rows, ncols):
@@ -128,45 +133,59 @@ def gf2_residue(pivots, ech, v):
     return v
 
 
+def _clear(p, v, f, row):
+    """v -= f * row in place, on a {column: coefficient} dict."""
+    for k, b in row:
+        c = (v.get(k, 0) - f * b) % p
+        if c:
+            v[k] = c
+        else:
+            del v[k]
+
+
 def fp_eliminate(p, rows, ncols):
-    """Dense elimination mod an odd prime; mirrors gf2_eliminate, with
-    echelon rows scaled to a unit pivot and the trailing entries of a
-    dependent row as the tuple row[ncols:]."""
+    """Sparse elimination mod an odd prime; mirrors gf2_eliminate.
+
+    rows are tuples of (column, coefficient) pairs.  A row is worked on
+    as a dict, and its pivot is its lowest column; a column at ncols or
+    past means the row vanishes below ncols.  Clearing a pivot adds
+    only columns past it, so the lowest column never moves left.
+    Echelon rows are pair tuples scaled to a unit pivot, and a
+    dependent row leaves its pairs past ncols, shifted down by ncols.
+    """
     ech = []
     pivots = []
     pivot_rows = []
     dependent = []
     pivot_at = {}
     for i, row in enumerate(rows):
-        v = list(row)
-        col = 0
+        v = dict(row)
         while True:
-            # entries left of a cleared pivot stay zero
-            col = next((k for k in range(col, ncols) if v[k]), None)
-            if col is None:
-                dependent.append(tuple(v[ncols:]))
+            col = min(v, default=ncols)
+            if col >= ncols:
+                dependent.append(tuple(sorted((k - ncols, c) for k, c in v.items())))
                 break
             j = pivot_at.get(col)
             if j is None:
                 inv = pow(v[col], p - 2, p)
                 pivot_at[col] = len(ech)
                 pivots.append(col)
-                ech.append(tuple((inv * x) % p for x in v))
+                ech.append(tuple(sorted((k, inv * c % p) for k, c in v.items())))
                 pivot_rows.append(i)
                 break
-            f = v[col]
-            v = [(a - f * b) % p for a, b in zip(v, ech[j])]
+            _clear(p, v, v[col], ech[j])
     return pivots, ech, pivot_rows, dependent
 
 
 def fp_residue(p, pivots, ech, v):
-    """v with every pivot column cleared by the unit-pivot echelon rows."""
-    v = list(v)
+    """v with every pivot column cleared by the unit-pivot echelon rows,
+    as sorted (column, coefficient) pairs."""
+    v = dict(v)
     for col, row in sorted(zip(pivots, ech)):
-        f = v[col]
+        f = v.get(col)
         if f:
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return tuple(v)
+            _clear(p, v, f, row)
+    return tuple(sorted(v.items()))
 
 
 def _eliminate(p, rows, ncols):
@@ -191,17 +210,19 @@ class PrimeFieldMatrix:
 
     @classmethod
     def from_terms(cls, p, nrows, ncols, terms):
-        """terms: iterable of (row, col, coefficient)."""
-        if p == 2:
-            rows = [0] * nrows
-            for i, j, c in terms:
-                if c % 2:
-                    rows[i] ^= 1 << j
-            return cls(p, nrows, ncols, rows)
-        buf = [[0] * ncols for _ in range(nrows)]
+        """terms: iterable of (row, col, coefficient), with 0 <= row <
+        nrows and 0 <= col < ncols; ValueError for an entry outside."""
+        rows = [0 if p == 2 else [] for _ in range(nrows)]
         for i, j, c in terms:
-            buf[i][j] = (buf[i][j] + c) % p
-        return cls(p, nrows, ncols, [tuple(r) for r in buf])
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError(f"entry ({i}, {j}) outside a {nrows} x {ncols} matrix")
+            if p != 2:
+                rows[i].append((j, c))
+            elif c % 2:
+                rows[i] ^= 1 << j
+        if p != 2:
+            rows = [vec_from_terms(p, row) for row in rows]
+        return cls(p, nrows, ncols, rows)
 
     def _eliminated(self):
         if self._echelon is None:
@@ -223,14 +244,11 @@ class PrimeFieldMatrix:
         """Basis of {x in F^nrows : x.M = 0}: row i carries the unit
         vector e_i past the last column, and each row that vanishes
         leaves the combination that killed it."""
-        n, m = self.ncols, self.nrows
+        n = self.ncols
         if self.p == 2:
             rows = [row | 1 << (n + i) for i, row in enumerate(self.rows)]
         else:
-            zero = (0,) * m
-            rows = [
-                tuple(row) + zero[:i] + (1,) + zero[i + 1 :] for i, row in enumerate(self.rows)
-            ]
+            rows = [row + ((n + i, 1),) for i, row in enumerate(self.rows)]
         return _eliminate(self.p, rows, n)[3]
 
 

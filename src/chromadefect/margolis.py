@@ -317,7 +317,7 @@ def margolis_homology(module, op):
         if reps:
             dims[d] = len(reps)
             wits[d] = [
-                {cur[i]: c for i, c in vec_support(p, rep, len(cur))}
+                {cur[i]: c for i, c in vec_support(p, rep)}
                 for rep in reps
             ]
     return MargolisHomology(op, dims, wits)

@@ -379,7 +379,7 @@ def _d1_rows(ctx, monos, target):
                 if k is None:
                     raise ValueError(f"monomial {monomial_string(m)} not in cell basis")
                 terms.append((k, c))
-        rows.append(vec_from_terms(p, len(target), terms))
+        rows.append(vec_from_terms(p, terms))
     return rows if nonzero else []
 
 
@@ -410,17 +410,17 @@ def may_e2(e1):
         out_rows = e1.differential.get((stem, s))
         in_rows = e1.differential.get((stem + 1, s - 1), [])
         if out_rows is None:
-            kernel = [vec_from_terms(p, dim, [(k, 1)]) for k in range(dim)]
+            kernel = [vec_from_terms(p, [(k, 1)]) for k in range(dim)]
         else:
             tgt_dim = len(e1.classes[(stem - 1, s + 1)])
             kernel = PrimeFieldMatrix(p, dim, tgt_dim, out_rows).kernel_vectors()
 
         def lead(vec):
-            return _lead_monomial(p, [monos[k] for k, _ in vec_support(p, vec, dim)])
+            return _lead_monomial(p, [monos[k] for k, _ in vec_support(p, vec)])
 
         reps = SubquotientBasis(p, dim, in_rows, kernel).reps
         e2.classes[(stem, s)] = [lead(vec) for vec in reps]
-        killed = {lead(row) for row in in_rows if vec_support(p, row, dim)}
+        killed = {lead(row) for row in in_rows if row}
         if killed:
             e2.killed[(stem, s)] = sorted(killed)
     return e2

@@ -40,7 +40,7 @@ def is_quotient_of(inner, outer):
 def vec_entry(p, v, i):
     if p == 2:
         return (v >> i) & 1
-    return v[i]
+    return dict(v).get(i, 0)
 
 
 def solve(mat, v):
@@ -59,7 +59,7 @@ def solve(mat, v):
         if p == 2:
             return kv ^ (1 << m)
         f = -pow(c, p - 2, p)
-        return tuple((f * x) % p for x in kv[:m])
+        return tuple((k, f * x % p) for k, x in kv if k < m)
     return None
 
 
@@ -137,10 +137,8 @@ def cotensor_comodule(outer, inner, module, cap):
         pairs, index, _ = kernels[d]
         # accumulate left-monomial -> component vector in lower degree
         by_left = {}
-        for i, (a, mname) in enumerate(pairs):
-            c0 = vec_entry(p, vec, i)
-            if not c0:
-                continue
+        for i, c0 in vec_support(p, vec):
+            a, mname = pairs[i]
             for (b1, b2), c in coproduct(a, outer).items():
                 elt_add_term(p, by_left.setdefault(b1, {}), (b2, mname), c0 * c)
         terms = []
@@ -152,15 +150,11 @@ def cotensor_comodule(outer, inner, module, cap):
             if d2 not in solvers:
                 raise ValueError("cotensor coaction leaves the computed window")
             mat, pairs2, index2 = solvers[d2]
-            target = vec_from_terms(
-                p,
-                len(pairs2),
-                [(index2[key], c) for key, c in comp.items()],
-            )
+            target = vec_from_terms(p, [(index2[key], c) for key, c in comp.items()])
             combo = solve(mat, target)
             if combo is None:
                 raise ValueError("cotensor coaction misses the kernel basis")
-            for k, c in vec_support(p, combo, mat.nrows):
+            for k, c in vec_support(p, combo):
                 terms.append((b1, c, f"c{d2}_{k}"))
         coaction[name] = terms
     return Comodule(outer, basis, coaction)

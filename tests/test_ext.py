@@ -87,7 +87,7 @@ class TestCobarComplex:
                 for s in range(min(s_max, t) + 1):
                     d = cx.differential_matrix(s, t)
                     d_next = cx.differential_matrix(s + 1, t)
-                    zero = vec_zero(cx.p, d_next.ncols)
+                    zero = vec_zero(cx.p)
                     for row in d.rows:
                         assert row_action(d_next, row) == zero, (fam, s, t)
 

@@ -8,7 +8,9 @@ column, a pivot column being one where the rank of the leading columns
 grows.  Subquotient representatives are checked against the dimension
 formula and the greedy choice in input order, abelian group
 presentations against their canonical-form validation, and the
-primality gate against a sieve.
+primality gate against a sieve.  Odd-prime vectors are checked to be
+canonical pair tuples wherever they come out of the package, and the
+sparse elimination against the dense one kept in oracles.linalg.
 """
 
 import random
@@ -22,10 +24,21 @@ from chromadefect.gradedlin import (
     PrimeFieldMatrix,
     SubquotientBasis,
     check_prime,
+    vec_from_terms,
 )
 from chromadefect.gradedlin.modp import fp_eliminate
 
-from oracles.linalg import in_row_space, row_action, vec_add, vec_scale, vec_zero
+from oracles.linalg import (
+    dense,
+    dense_eliminate,
+    dense_residue,
+    in_row_space,
+    row_action,
+    sparse,
+    vec_add,
+    vec_scale,
+    vec_zero,
+)
 
 
 def brute_rank_gf2(rows):
@@ -39,7 +52,7 @@ def brute_rank_gf2(rows):
 def random_vec(rng, p, n):
     if p == 2:
         return rng.getrandbits(n)
-    return tuple(rng.randrange(p) for _ in range(n))
+    return sparse(p, [rng.randrange(p) for _ in range(n)])
 
 
 class TestGf2:
@@ -86,22 +99,110 @@ class TestFp:
         for _ in range(40):
             nrows = rng.randint(1, 7)
             ncols = rng.randint(1, 7)
-            rows = [tuple(rng.randrange(p) for _ in range(ncols)) for _ in range(nrows)]
+            rows = [random_vec(rng, p, ncols) for _ in range(nrows)]
             m = PrimeFieldMatrix(p, nrows, ncols, rows)
             pivots, ech, pivot_rows, dependent = fp_eliminate(p, rows, ncols)
             rank = len(pivots)
             assert m.rank() == rank
             assert len(pivot_rows) == rank and len(dependent) == nrows - rank
             for col, row in zip(pivots, ech):
-                assert not any(row[:col]) and row[col] == 1
+                assert row[0] == (col, 1)
             kernel = m.kernel_vectors()
             assert len(kernel) == nrows - rank
             for kv in kernel:
                 acc = [0] * ncols
-                for i, c in enumerate(kv):
-                    for j in range(ncols):
-                        acc[j] = (acc[j] + c * rows[i][j]) % p
+                for i, c in kv:
+                    for j, x in rows[i]:
+                        acc[j] = (acc[j] + c * x) % p
                 assert not any(acc)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+class TestFromTerms:
+    @pytest.mark.parametrize(
+        "entry", [(0, 3, 1), (0, 5, 1), (0, -1, 1), (1, 0, 1), (-1, 0, 1)]
+    )
+    def test_entry_outside_is_refused(self, p, entry):
+        with pytest.raises(ValueError, match="outside a 1 x 3 matrix"):
+            PrimeFieldMatrix.from_terms(p, 1, 3, [entry])
+
+    def test_entries_inside_accumulate(self, p):
+        m = PrimeFieldMatrix.from_terms(p, 2, 3, [(0, 2, 1), (1, 0, 1), (0, 2, p - 1), (1, 2, 1)])
+        assert m.rows == [vec_zero(p), 0b101 if p == 2 else ((0, 1), (2, 1))]
+
+
+def canonical(p, v):
+    """v is a pair tuple with strictly increasing columns and
+    coefficients in 1..p-1."""
+    cols = [k for k, _ in v]
+    return (
+        type(v) is tuple
+        and all(type(pair) is tuple and len(pair) == 2 for pair in v)
+        and cols == sorted(set(cols))
+        and all(0 < c < p for _, c in v)
+    )
+
+
+def random_sparse_rows(rng, p, nrows, ncols, density):
+    return [
+        sparse(p, [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(ncols)])
+        for _ in range(nrows)
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+class TestSparseRows:
+    def test_every_vector_is_canonical(self, p):
+        rng = random.Random(71 + p)
+        for _ in range(30):
+            nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
+            terms = [
+                (rng.randrange(nrows), rng.randrange(ncols), rng.randrange(-2 * p, 2 * p))
+                for _ in range(rng.randint(0, 3 * nrows))
+            ]
+            m = PrimeFieldMatrix.from_terms(p, nrows, ncols, terms)
+            pivots, ech, _, dependent = fp_eliminate(p, m.rows, ncols)
+            vectors = [vec_from_terms(p, [(j, c) for _, j, c in terms])]
+            vectors += m.rows + ech + dependent + m.kernel_vectors()
+            vectors += [m.residue(random_vec(rng, p, ncols)) for _ in range(3)]
+            assert [v for v in vectors if not canonical(p, v)] == []
+
+    def test_cancelling_terms_leave_no_pair(self, p):
+        assert vec_from_terms(p, [(0, 1), (0, p - 1)]) == ()
+        assert vec_from_terms(p, [(4, p), (1, 2 * p), (2, 1), (2, -1)]) == ()
+        m = PrimeFieldMatrix.from_terms(p, 2, 3, [(0, 0, 1), (0, 0, p - 1), (1, 2, p + 1)])
+        assert m.rows == [(), ((2, 1),)]
+
+    def test_agrees_with_dense_elimination(self, p):
+        rng = random.Random(83 + p)
+        for _ in range(25):
+            nrows, ncols = rng.randint(0, 40), rng.randint(1, 60)
+            rows = random_sparse_rows(rng, p, nrows, ncols, 0.05)
+            if nrows >= 3:
+                rows[-1] = vec_add(p, rows[0], vec_scale(p, rows[1], rng.randrange(1, p)))
+            m = PrimeFieldMatrix(p, nrows, ncols, rows)
+            full = [dense(p, row, ncols) for row in rows]
+            pivots, ech, pivot_rows, dependent = dense_eliminate(p, full, ncols)
+            assert m.rank() == len(pivots)
+            assert fp_eliminate(p, rows, ncols) == (
+                pivots,
+                [sparse(p, row) for row in ech],
+                pivot_rows,
+                dependent,
+            )
+            for _ in range(4):
+                v = random_sparse_rows(rng, p, 1, ncols, 0.2)[0]
+                want = dense_residue(p, pivots, ech, dense(p, v, ncols))
+                assert dense(p, m.residue(v), ncols) == want
+            units = [row + tuple(int(i == k) for k in range(nrows)) for i, row in enumerate(full)]
+            kernel = dense_eliminate(p, units, ncols)[3]
+            assert [dense(p, kv, nrows) for kv in m.kernel_vectors()] == kernel
+
+    def test_width_costs_nothing(self, p):
+        m = PrimeFieldMatrix.from_terms(p, 2, 10**6, [(0, 7, 1), (1, 999_999, 2)])
+        assert m.rows == [((7, 1),), ((999_999, 2),)]
+        assert m.rank() == 2
+        assert m.kernel_vectors() == []
 
 
 def random_matrix(rng, p, nrows, ncols):
@@ -119,7 +220,7 @@ def random_combination(rng, m):
 
 def leading(p, v, j):
     """The first j entries of v."""
-    return v & ((1 << j) - 1) if p == 2 else v[:j]
+    return v & ((1 << j) - 1) if p == 2 else tuple((k, c) for k, c in v if k < j)
 
 
 def pivot_columns(m):
@@ -137,7 +238,7 @@ def pivot_columns(m):
 
 
 def entry(p, v, j):
-    return (v >> j) & 1 if p == 2 else v[j]
+    return (v >> j) & 1 if p == 2 else dict(v).get(j, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -147,7 +248,7 @@ class TestResidue:
         for _ in range(40):
             nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
             m = random_matrix(rng, p, nrows, ncols)
-            zero = vec_zero(p, ncols)
+            zero = vec_zero(p)
             for v in [random_vec(rng, p, ncols) for _ in range(4)] + [random_combination(rng, m)]:
                 assert (m.residue(v) == zero) == in_row_space(m, v)
 
@@ -180,11 +281,7 @@ class TestSubquotient:
         for p in (2, 3):
             for _ in range(25):
                 n = rng.randint(1, 8)
-                def rv():
-                    if p == 2:
-                        return rng.getrandbits(n)
-                    return tuple(rng.randrange(p) for _ in range(n))
-                big = [rv() for _ in range(rng.randint(0, 5))]
+                big = [random_vec(rng, p, n) for _ in range(rng.randint(0, 5))]
                 # treat "big" as the kernel vectors and carve out a sub-span as the image
                 image = []
                 for v in big:
