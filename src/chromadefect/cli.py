@@ -25,7 +25,7 @@ from .charts import (
     render_chart,
 )
 from .defect import catalogue, verdict_table
-from .ext import Comodule, cobar_dims, ext_ranks
+from .ext import ext_ranks, operator_pairs
 from .fgl import er_defect_witness
 from .gradedlin import check_prime
 from .margolis import FiniteSteenrodModule, InputError, is_free_over
@@ -43,21 +43,19 @@ CACHE_ENV = "CHROMADEFECT_CACHE"
 # witness costs about 5x more per height, so a larger job is refused
 # before it computes rather than running for hours
 MAX_FGL_CAP = 520
-# cobar differentials an ext job may build, in modelled bytes: source
-# words times target words summed over the cells, one bit per entry at
-# p = 2 and eight bytes at odd p.  The job holds one column at a time,
-# so the sum overstates its peak; odd-prime rows keep only their
-# nonzero entries, so the eight bytes per entry overstate it about 10x
-# more.  The limit stays until a resolution engine replaces the model.
-# Measured on a 2 vCPU host for A(1), whole job: 293 MB modelled, 1.3 s
-# and 33 MB peak at p = 3 through stem 20, s 5; 385 MB modelled, 6.7 s
-# and 148 MB at p = 2 through stem 16, s 6.  The limit admits both and
-# refuses p = 3 through stem 24, s 5 (1610 MB modelled; its chart alone
-# takes 4.5 s and 63 MB)
-MAX_EXT_MATRIX_BYTES = 512 * 2**20
+# operator pairs (a, b) with deg a + deg b <= t_max, the most products
+# an ext job's resolution can form (ext.operator_pairs).  Products take
+# most of a large job's time; memory stays small.  Whole jobs on a
+# 2 vCPU host: A(1) at p = 2 through stem 40, s 20 (64 pairs) took
+# 0.12 s and 19 MB peak, A(2) through stem 40, s 10 (4,096) 0.25 s and
+# 19 MB.  Near the limit, T(0) at p = 2 through stem 40, s 8 (187,288)
+# took 11.8 s and 29 MB, T(1) through stem 89, s 4 (188,651) 8.8 s and
+# 34 MB, and A(3) through stem 50, s 4 (196,059) 10.1 s and 26 MB.
+# T(0) through stem 87, s 1 (7.7 million) is refused; its resolution
+# alone took 21 s
+MAX_EXT_OPERATOR_PAIRS = 200_000
 # largest ext window, in cells (s_max + 1) * (t_max + 1), checked before
-# the model counts any word: at this size the model takes up to 0.25 s
-# over the infinite T family, and the job visits every cell
+# the operator pairs are counted; the job visits every cell
 MAX_EXT_CELLS = 4096
 # largest may E1 page, in window cells plus monomials; each cell and
 # each monomial is an object the pages keep.  The whole job, E1 and E2
@@ -161,35 +159,25 @@ def _json_bytes(obj) -> bytes:
 
 
 def _ext_problem(params):
-    """(profile, trivial comodule, s_max, t_max) of an ext job."""
+    """(profile, s_max, t_max) of an ext job."""
     profile = getattr(Profile, params["family"])(params["prime"], params["n"])
     s_max = params["s_max"]
-    return profile, Comodule.trivial(profile), s_max, params["stem_max"] + s_max
-
-
-def _ext_matrix_bytes(params) -> int:
-    """Modelled bytes of the differentials C^{s,t} -> C^{s+1,t},
-    s <= s_max, that the ext job builds."""
-    profile, module, s_max, t_max = _ext_problem(params)
-    rows = cobar_dims(profile, module, s_max + 1, t_max)
-    entries = sum(
-        a * b for src, tgt in zip(rows, rows[1:]) for a, b in zip(src, tgt)
-    )
-    return entries // 8 if profile.p == 2 else entries * 8
+    return profile, s_max, params["stem_max"] + s_max
 
 
 def _check_ext_size(params):
     """Refuse an ext window over MAX_EXT_CELLS cells, then a job whose
-    modelled differentials pass MAX_EXT_MATRIX_BYTES; bounding the window
-    first keeps the model from counting words of a huge one."""
+    operator pairs pass MAX_EXT_OPERATOR_PAIRS; bounding the window
+    first keeps the Poincare series short."""
     cells = (params["s_max"] + 1) * (params["stem_max"] + params["s_max"] + 1)
     if cells > MAX_EXT_CELLS:
         raise ConfigError(f"the Ext window has {cells} cells, over the limit {MAX_EXT_CELLS}")
-    need = _ext_matrix_bytes(params)
-    if need > MAX_EXT_MATRIX_BYTES:
+    profile, _, t_max = _ext_problem(params)
+    need = operator_pairs(profile, t_max)
+    if need > MAX_EXT_OPERATOR_PAIRS:
         raise ConfigError(
-            f"the cobar differentials need about {need >> 20} MB, "
-            f"over the limit {MAX_EXT_MATRIX_BYTES >> 20} MB"
+            f"the resolution may multiply {need} operator pairs, "
+            f"over the limit {MAX_EXT_OPERATOR_PAIRS}"
         )
 
 
@@ -212,8 +200,7 @@ def cmd_ext(cfg: JobConfig):
     p = cfg.params["prime"]
     fam = cfg.params["family"]
     n = cfg.params["n"]
-    profile, module, s_max, t_max = _ext_problem(cfg.params)
-    chart = ext_ranks(profile, module, s_max, t_max)
+    chart = ext_ranks(*_ext_problem(cfg.params))
     base = f"ext_{fam.lower()}{n}_p{p}"
     out = {}
     if "tsv" in cfg.params["formats"]:

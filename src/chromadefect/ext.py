@@ -1,241 +1,208 @@
-"""Cobar-complex Ext over profile quotients of the dual Steenrod algebra.
+"""Ext over profile quotients of the dual Steenrod algebra, from a
+minimal free resolution.
 
-The reduced cobar complex of a quotient family B with coefficients in a
-finite comodule M has C^{s,t} spanned by words [a_1|...|a_s]m with a_i
-positive-degree basis monomials of B and deg(a_1...a_s) + deg(m) = t.
-The differential alternates coface insertions of the reduced diagonal,
-with position-only signs:
+A family B is a quotient Hopf algebra of the dual Steenrod algebra, so
+its dual A is a subalgebra of the Steenrod algebra, spanned by the
+Milnor basis elements dual to B's monomials, and Ext_B^{s,t}(F_p, F_p)
+= Ext_A^{s,t}(F_p, F_p).  ext_ranks resolves F_p by free A-modules
 
-    d[a_1|...|a_s]m = sum_i (-1)^i [a_1|...|psi-bar(a_i)|...|a_s]m
-                    + (-1)^{s+1} [a_1|...|a_s|b]m'
+    ... -> F_2 -> F_1 -> F_0 = A -> F_p
 
-Internal degree t is preserved, so Ext^{s,t} is exact for every t below
-the cap even when the family itself is infinite.
+degree by degree (R. Bruner, "Calculation of large Ext modules",
+1993): internal degree t ascending, and s ascending within each t.
+The resolution is minimal, so Hom_A(F_s, F_p) has zero differential
+and Ext^{s,t} is the number of generators of F_s in degree t.
 
-CobarComplex numbers the family's letters once, in the string order of
-their monomials, and a word is the pair (tuple of letter numbers, cell
-name): words hash and sort as plain tuples, and sorted words are in
-string order.  Each letter's reduced diagonal and each cell's coaction
-are numbered once too.
+Operators are the family's Milnor basis through t_max, numbered once
+in degree order; a product comes from milnor_product the first time it
+is needed, and none past t_max is formed.  The p = 2 even-only family
+P(n) is dual to A(n) with degrees doubled, so its operators multiply
+on halved exponents.  F_s in degree t has the basis op * g over its
+generators g of degree at most t and the operators op of degree
+t - deg g.  Step (s, t) eliminates one matrix: the images op * d(g')
+of the generators g' of F_{s+1} below degree t, then a basis of the
+kernel of d on F_s in degree t.  Each row carries its unit vector
+(PrimeFieldMatrix.kernel_vectors), so the one elimination gives both
+what the next step needs: a kernel row that stays independent of the
+rows before it becomes a new generator of F_{s+1} in degree t, with
+that row as its differential, and a relation among the image rows is
+a kernel vector of d on F_{s+1} in degree t.
 
-ext_ranks makes one pass over the columns: it computes the dims of
-column t, names its classes by products of degree-one letters (cobar
-concatenation, which satisfies the Leibniz rule with the cohomological
-sign), then drops the column's words and matrices, so a job holds one
-column at a time.  A product word that is a cocycle names the class of
-its residue modulo the boundaries (PrimeFieldMatrix.residue), read off
-the same echelon form that gave the rank of the incoming differential;
-naming builds no homology basis.
+Classes are named by products of the degree-one letters (cobar_letters)
+with no chain map lifted.  A letter h is dual to the operator op_h
+whose dual monomial is h's monomial.  For x in Ext^s, dual to
+generators of F_s, and a generator g' of F_{s+1}, (h x)(g') is the sum
+over g of x(g) times the coefficient of op_h * g in d(g').  A product
+h_1 ... h_s of a sorted multiset applies its letters from the right,
+starting from the class 1 in Ext^{0,0}, and its key is the exact
+coordinate vector on the generators of its cell.  A zero key names
+nothing; a key an earlier product took is a collision, and the first
+name stays.
 
-evenness_scan builds no cobar complex: over an exterior family the
-Koszul closed form places every class, so it checks that the family
-has that form through the window and reads the stems off it.
+evenness_scan builds no resolution: over an exterior family the Koszul
+closed form places every class, so it checks that the family has that
+form through the window and reads the stems off it.
 """
 
-from .gradedlin import PrimeFieldMatrix, vec_from_terms
-from .steenrod import Comodule, Profile, elt_add_term, reduced_coproduct, tau_gen, xi_gen
+from .gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
+from .steenrod import MilnorBasisElement, Profile, milnor_product, reduced_coproduct, tau_gen, xi_gen
 
 __all__ = [
-    "CobarComplex",
     "ExtChart",
+    "Resolution",
     "ext_ranks",
     "evenness_scan",
-    "cobar_dims",
     "cobar_letters",
-    "profile_key",
+    "operator_pairs",
 ]
 
 
-def profile_key(profile):
-    """Stable hashable identity of a profile, for cache keys."""
-    tau = profile.tau
-    if isinstance(tau, frozenset):
-        tau = tuple(sorted(tau))
-    return (profile.p, profile.heights, profile.tail, tau, profile.even_only)
+def operator_pairs(profile, t_max):
+    """Number of operator pairs (a, b) with deg a + deg b <= t_max: the
+    most products a resolution through t_max can ask for, read off the
+    Poincare series alone."""
+    dims = profile.poincare(t_max)
+    below = 0
+    prefix = []
+    for d in dims:
+        below += d
+        prefix.append(below)
+    return sum(d * prefix[t_max - i] for i, d in enumerate(dims))
 
 
-def cobar_dims(profile, module, s_max, t_max):
-    """Word counts of the cobar complex without building a word.
+class _Operators:
+    """The family's Milnor basis through t_max, numbered in degree order.
 
-    Returns rows[s][t] = dim C^{s,t} for s <= s_max, t <= t_max: the
-    coefficient of q^t in Pbar(q)^s M(q), with Pbar the family's
-    Poincare series less its constant term and M the module's.
-    """
-    bar = profile.poincare(t_max)
-    rows = [module.poincare(t_max)]
-    for _ in range(s_max):
-        prev = rows[-1]
-        row = [0] * (t_max + 1)
-        for i, a in enumerate(prev):
-            if a:
-                # j from 1: letters have positive degree
-                for j in range(1, t_max + 1 - i):
-                    row[i + j] += a * bar[j]
-        rows.append(row)
-    return rows
-
-
-class CobarComplex:
-    """Reduced cobar complex through (s_max, t_max).
-
-    letters lists the family's positive-degree monomials through t_max
-    sorted by their strings, and number maps each monomial to its index
-    there.  A word [a_1|...|a_s]m is (tuple of letter numbers, cell
-    name), so words(s, t) is string order on letters, then cell name.
+    by_degree[d] lists the numbers of degree d, and position[a] is a's
+    index in its degree's list, which is its column inside a block of
+    a free module.  product(a, b) is a * b as a vector over the
+    positions of degree deg a + deg b, computed once.
     """
 
-    def __init__(self, profile, module, s_max, t_max):
-        if s_max < 0 or t_max < 0:
-            raise ValueError("caps must be nonnegative")
-        self.profile = profile
+    def __init__(self, profile, t_max):
         self.p = profile.p
-        self.s_max = s_max
-        self.t_max = t_max
-        if module.p != profile.p:
-            raise ValueError("prime mismatch")
-        # the coaction must land in this family; revalidating under the
-        # target profile catches coactions that do not factor through it
-        if profile_key(module.profile) != profile_key(profile):
-            basis = [(n, module.degree_of[n]) for n in module.names]
-            module = Comodule(profile, basis, module.coaction)
-        self.module = module
-        self.letters = sorted(profile.positive_basis(t_max), key=str)
-        self.number = {m: i for i, m in enumerate(self.letters)}
-        self._degrees = [m.degree() for m in self.letters]
-        # a word of s letters has internal degree at most s * top_letter
-        # + top_cell: enumeration and the column pass stop there
-        self.top_letter = max(self._degrees, default=0)
-        self.top_cell = max(module.degree_of.values(), default=0)
-        # reduced diagonal of each letter as (left, right, coef) numbers,
-        # filled on first use
-        self._diagonals = [None] * len(self.letters)
-        # coaction of each cell a word can carry, counit terms dropped
-        self._coaction = {
-            name: [
-                (self.number[mono], c, target)
-                for mono, c, target in module.coaction[name]
-                if not mono.is_unit()
-            ]
-            for name in module.names
-            if module.degree_of[name] <= t_max
-        }
-        self._words = {}
-        self._index = {}
-        self._diff = {}
+        # P(n) at p = 2 multiplies as A(n) with every exponent halved
+        self.scale = 2 if profile.even_only else 1
+        self.elements = [self.element(m) for m in profile.basis(t_max)]
+        self.number = {e: a for a, e in enumerate(self.elements)}
+        self.degree = [self.scale * e.degree() for e in self.elements]
+        self.by_degree = [[] for _ in range(t_max + 1)]
+        self.position = []
+        for a, d in enumerate(self.degree):
+            self.position.append(len(self.by_degree[d]))
+            self.by_degree[d].append(a)
+        self._products = {}
 
-    # basis ------------------------------------------------------------
+    def element(self, mono):
+        """The operator dual to a family monomial, as milnor_product
+        multiplies it."""
+        return MilnorBasisElement(self.p, mono.tau, tuple(e // self.scale for e in mono.xi))
 
-    def words(self, s, t):
-        """Sorted cobar words in bidegree (s, t)."""
-        key = (s, t)
-        got = self._words.get(key)
-        if got is not None:
-            return got
-        out = []
-        if 0 <= s <= t:
-            self._spell(out, s, t, [])
-        # within a cell all words have s letters, so tuple order is
-        # string order on letters, then cell name
-        out.sort()
-        self._words[key] = out
-        self._index[key] = {w: i for i, w in enumerate(out)}
-        return out
-
-    def _spell(self, out, left, budget, acc):
-        """Append to out each word that completes the letters acc with
-        `left` more letters and a cell, in internal degree budget.
-
-        A method, not a closure: a recursive closure is a reference
-        cycle, which would keep a released column alive until the
-        garbage collector ran.
-        """
-        if left == 0:
-            for name in self.module.names:
-                if self.module.degree_of[name] == budget:
-                    out.append((tuple(acc), name))
-            return
-        rest = left - 1
-        # leave at least 1 per remaining slot, and no more than the
-        # remaining slots and the module can take
-        low = budget - self.top_cell - rest * self.top_letter
-        for a, d in enumerate(self._degrees):
-            if low <= d <= budget - rest:
-                acc.append(a)
-                self._spell(out, rest, budget - d, acc)
-                acc.pop()
-
-    def dim_cell(self, s, t):
-        return len(self.words(s, t))
-
-    def differential_matrix(self, s, t):
-        """Matrix of d: C^{s,t} -> C^{s+1,t} (rows = source words)."""
-        key = (s, t)
-        got = self._diff.get(key)
-        if got is not None:
-            return got
-        src = self.words(s, t)
-        tgt_index = self._index_for(s + 1, t)
-        terms = []
-        for row, word in enumerate(src):
-            for tword, coef in self._d_word(word):
-                col = tgt_index.get(tword)
-                if col is None:
-                    raise AssertionError("differential left the computed window")
-                terms.append((row, col, coef))
-        mat = PrimeFieldMatrix.from_terms(
-            self.p, len(src), max(len(tgt_index), 1), terms
-        )
-        self._diff[key] = mat
-        return mat
-
-    def differential_rank(self, s, t):
-        """Rank of d: C^{s,t} -> C^{s+1,t}."""
-        if self.dim_cell(s, t) == 0 or self.dim_cell(s + 1, t) == 0:
-            return 0
-        return self.differential_matrix(s, t).rank()
-
-    def release_column(self, t):
-        """Drop cached words and matrices at internal degree t."""
-        for cache in (self._words, self._index, self._diff):
-            for key in [k for k in cache if k[1] == t]:
-                del cache[key]
-
-    def _index_for(self, s, t):
-        self.words(s, t)
-        return self._index[(s, t)]
-
-    def _diagonal(self, a):
-        """Reduced diagonal of letter a as [(left, right, coef)] numbers."""
-        got = self._diagonals[a]
+    def product(self, a, b):
+        key = a * len(self.elements) + b
+        got = self._products.get(key)
         if got is None:
-            diagonal = reduced_coproduct(self.letters[a], self.profile)
-            got = [(self.number[l], self.number[r], c) for (l, r), c in diagonal.items()]
-            self._diagonals[a] = got
+            terms = milnor_product(self.elements[a], self.elements[b]).items()
+            got = vec_from_terms(
+                self.p, [(self.position[self.number[e]], c) for e, c in terms]
+            )
+            self._products[key] = got
         return got
 
-    def _d_word(self, word):
-        """Differential of one word as [(word, coef)] with repeats summed."""
-        letters, name = word
+
+class Resolution:
+    """Minimal free resolution of F_p over the family's dual algebra,
+    through homological degree s_max and internal degree t_max.
+
+    degrees[s] lists the degrees of the generators of F_s in the order
+    they were made, and d[s][g] is the differential of generator g of
+    F_s (s >= 1) as (operator, generator of F_{s-1}, coefficient)
+    terms.  cells[(s, t)] is the range of generators of F_s in degree
+    t.
+    """
+
+    def __init__(self, profile, s_max, t_max):
+        if s_max < 0 or t_max < 0:
+            raise ValueError("caps must be nonnegative")
+        self.p = profile.p
+        self.s_max = s_max
+        self.ops = _Operators(profile, t_max)
+        self.degrees = [[0]] + [[] for _ in range(s_max)]
+        self.d = [None] + [[] for _ in range(s_max)]
+        self.cells = {(0, 0): range(1)}
+
+    def column(self, t):
+        """Make every generator of degree t, for s = 1 .. s_max."""
         p = self.p
-        s = len(letters)
-        acc = {}
-        for i, a in enumerate(letters):
-            sign = -1 if (i + 1) % 2 else 1
-            head, tail = letters[:i], letters[i + 1 :]
-            for left, right, c in self._diagonal(a):
-                elt_add_term(p, acc, (head + (left, right) + tail, name), sign * c)
-        sign = -1 if (s + 1) % 2 else 1
-        for a, c, target in self._coaction[name]:
-            elt_add_term(p, acc, (letters + (a,), target), sign * c)
-        return list(acc.items())
+        # the augmentation is injective in degree 0 and zero above
+        width = len(self.ops.by_degree[t]) if t else 0
+        kernel = [vec_from_terms(p, [(i, 1)]) for i in range(width)]
+        for s in range(self.s_max):
+            kernel = self._step(s, t, kernel)
 
-    # homology ----------------------------------------------------------
+    def _step(self, s, t, kernel):
+        """Add the generators of F_{s+1} in degree t, given the kernel of
+        d on F_s in degree t; return the kernel of d on F_{s+1} there."""
+        p = self.p
+        ops = self.ops
+        offset = []
+        columns = []
+        for g, deg in enumerate(self.degrees[s]):
+            if deg > t:
+                break
+            offset.append(len(columns))
+            columns += [(a, g) for a in ops.by_degree[t - deg]]
+        # images op * d(g') of the generators of F_{s+1} made so far
+        rows = []
+        for terms, deg in zip(self.d[s + 1], self.degrees[s + 1]):
+            for op in ops.by_degree[t - deg]:
+                if p == 2:
+                    row = 0
+                    for a, g, _ in terms:
+                        row ^= ops.product(op, a) << offset[g]
+                else:
+                    row = vec_from_terms(p, [
+                        (offset[g] + i, c * c2)
+                        for a, g, c in terms
+                        for i, c2 in ops.product(op, a)
+                    ])
+                rows.append(row)
+        images = len(rows)
+        rows += kernel
+        if not rows:
+            return []
+        relations = PrimeFieldMatrix(p, len(rows), len(columns), rows).kernel_vectors()
+        # a relation ends at the row it made vanish; one that ends at an
+        # image is a relation among the images alone
+        vanished = set()
+        next_kernel = []
+        for rel in relations:
+            last = rel.bit_length() - 1 if p == 2 else rel[-1][0]
+            vanished.add(last)
+            if last < images:
+                next_kernel.append(rel)
+        start = len(self.degrees[s + 1])
+        for i in range(images, len(rows)):
+            if i not in vanished:
+                self.degrees[s + 1].append(t)
+                self.d[s + 1].append(
+                    [(a, g, c) for col, c in vec_support(p, rows[i]) for a, g in [columns[col]]]
+                )
+        if len(self.degrees[s + 1]) > start:
+            self.cells[(s + 1, t)] = range(start, len(self.degrees[s + 1]))
+        return next_kernel
 
-    def ext_dim(self, s, t):
-        cycles = self.dim_cell(s, t) - self.differential_rank(s, t)
-        if s == 0:
-            return cycles
-        return cycles - self.differential_rank(s - 1, t)
+    def times(self, op, s, t, x):
+        """The product h x in cell (s, t), op being h's operator and x a
+        class over the generators of F_{s-1}, both classes as
+        {generator: coefficient}."""
+        p = self.p
+        out = {}
+        for g2 in self.cells.get((s, t), ()):
+            c = sum(c * x.get(g, 0) for a, g, c in self.d[s][g2] if a == op) % p
+            if c:
+                out[g2] = c
+        return out
 
 
 class ExtChart:
@@ -332,64 +299,48 @@ def _multiset_name(letters, multiset):
     return "*".join(parts) if parts else "1"
 
 
-def ext_ranks(profile, module, s_max, t_max):
-    """Ext^{s,t} dims over a profile quotient, as an ExtChart.
+def ext_ranks(profile, s_max, t_max):
+    """Ext^{s,t}(F_p, F_p) dims over a profile quotient, as an ExtChart.
 
-    One pass over internal degrees: each cell of column t gets its dim
-    and its class names, then the column's words and matrices are
-    released.  Naming cell (s, t) reads only the differentials out of
-    (s, t) and (s - 1, t), both in the column.  The pass stops at the
-    last column a word can reach: s_max letters of the top letter
-    degree on the top module cell, which cuts a finite family short.
+    One pass over internal degrees: column t of the resolution is made,
+    then each of its cells gets its dim and its class names.  The pass
+    stops at the last degree a generator can reach, s_max times the top
+    operator degree, which cuts a finite family short.
     """
-    complexes = CobarComplex(profile, module, s_max, t_max)
-    chart = ExtChart(
-        profile.p,
-        f"Ext over {profile!r}",
-        s_max,
-        t_max,
-    )
+    res = Resolution(profile, s_max, t_max)
+    chart = ExtChart(profile.p, f"Ext over {profile!r}", s_max, t_max)
     letters = cobar_letters(profile, t_max)
-    # letter products are only meaningful against a degree-0 cell of M
-    degree_of = complexes.module.degree_of
-    base = next((n for n in complexes.module.names if degree_of[n] == 0), None)
-    t_last = min(t_max, s_max * complexes.top_letter + complexes.top_cell)
-    for t in range(t_last + 1):
-        for s in range(0, min(s_max, t) + 1):
-            d = complexes.ext_dim(s, t)
-            if d:
-                chart.dims[(s, t)] = d
-                if letters and base is not None:
-                    _name_cell(chart, complexes, letters, base, s, t)
-        complexes.release_column(t)
+    ops = [res.ops.number[res.ops.element(mono)] for _, mono in letters]
+    products = {(): {0: 1}}
+    for t in range(min(t_max, s_max * max(res.ops.degree)) + 1):
+        res.column(t)
+        for s in range(min(s_max, t) + 1):
+            gens = res.cells.get((s, t))
+            if gens:
+                chart.dims[(s, t)] = len(gens)
+                if letters:
+                    _name_cell(chart, res, letters, ops, products, s, t)
     return chart
 
 
-def _name_cell(chart, complexes, letters, base, s, t):
+def _name_cell(chart, res, letters, ops, products, s, t):
     """Name the classes of cell (s, t) by products of letters.
 
-    A product word that is a cocycle (empty differential) is read as
-    its residue modulo the boundaries, the rows of d out of (s - 1, t);
-    at s = 0 that matrix has no rows, so the residue is the word.  A
-    zero residue is a boundary; a residue an earlier product took is a
-    collision, and the first name stays.
+    products maps each sorted multiset named so far to its class; a
+    multiset's class is its first letter times the class of the rest,
+    which lies in a cell named earlier.
     """
-    products = _letter_products(letters, s, t)
-    if not products:
-        return
-    index = complexes._index_for(s, t)
-    boundaries = complexes.differential_matrix(s - 1, t)
     seen = {}
     named = []
-    for multiset in products:
-        word = (tuple(complexes.number[letters[i][1]] for i in multiset), base)
-        col = index.get(word)
-        # off the cell's basis, or not a cocycle (nontrivial coaction)
-        if col is None or complexes._d_word(word):
+    for multiset in _letter_products(letters, s, t):
+        if multiset:
+            x = products.get(multiset[1:])
+            y = products[multiset] = res.times(ops[multiset[0]], s, t, x) if x else {}
+        else:
+            y = products[()]
+        if not y:
             continue
-        key = boundaries.residue(vec_from_terms(chart.p, [(col, 1)]))
-        if not key:
-            continue
+        key = tuple(sorted(y.items()))
         name = _multiset_name(letters, multiset)
         if key in seen:
             chart.collisions.append((seen[key], name, (s, t)))

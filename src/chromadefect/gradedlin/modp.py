@@ -10,14 +10,11 @@ basis vector.  That orientation matches how chain differentials are
 assembled everywhere downstream.
 
 Each field has one elimination kernel, gf2_eliminate on bitmasks and
-fp_eliminate on pair tuples, and a matrix is eliminated once.  A row's
-pivot is its first nonzero column (the lowest set bit at p = 2), so
-every nonzero row-space vector starts at a pivot column.  Entries at
-ncols and beyond are never pivots and travel with their row, so
-kernel_vectors appends the unit vector e_i there as one entry of row i:
-no tracked mode.  The residue of a vector (gf2_residue, fp_residue) has
-every pivot column cleared, so it is zero exactly on the row space and
-equal across a coset.
+fp_eliminate on pair tuples.  A row's pivot is its first nonzero column
+(the lowest set bit at p = 2), so every nonzero row-space vector starts
+at a pivot column.  Entries at ncols and beyond are never pivots and
+travel with their row, so kernel_vectors appends the unit vector e_i
+there as one entry of row i: no tracked mode.
 """
 
 __all__ = [
@@ -125,14 +122,6 @@ def gf2_eliminate(rows, ncols):
     return pivots, ech, pivot_rows, dependent
 
 
-def gf2_residue(pivots, ech, v):
-    """v with every pivot column cleared by the echelon rows."""
-    for col, row in sorted(zip(pivots, ech)):
-        if (v >> col) & 1:
-            v ^= row
-    return v
-
-
 def _clear(p, v, f, row):
     """v -= f * row in place, on a {column: coefficient} dict."""
     for k, b in row:
@@ -177,17 +166,6 @@ def fp_eliminate(p, rows, ncols):
     return pivots, ech, pivot_rows, dependent
 
 
-def fp_residue(p, pivots, ech, v):
-    """v with every pivot column cleared by the unit-pivot echelon rows,
-    as sorted (column, coefficient) pairs."""
-    v = dict(v)
-    for col, row in sorted(zip(pivots, ech)):
-        f = v.get(col)
-        if f:
-            _clear(p, v, f, row)
-    return tuple(sorted(v.items()))
-
-
 def _eliminate(p, rows, ncols):
     if p == 2:
         return gf2_eliminate(rows, ncols)
@@ -195,7 +173,7 @@ def _eliminate(p, rows, ncols):
 
 
 class PrimeFieldMatrix:
-    """Row-major matrix over F_p with its echelon form cached."""
+    """Row-major matrix over F_p."""
 
     def __init__(self, p, nrows, ncols, rows):
         if p < 2:
@@ -206,7 +184,6 @@ class PrimeFieldMatrix:
         if len(rows) != nrows:
             raise ValueError("row count mismatch")
         self.rows = list(rows)
-        self._echelon = None
 
     @classmethod
     def from_terms(cls, p, nrows, ncols, terms):
@@ -224,26 +201,12 @@ class PrimeFieldMatrix:
             rows = [vec_from_terms(p, row) for row in rows]
         return cls(p, nrows, ncols, rows)
 
-    def _eliminated(self):
-        if self._echelon is None:
-            self._echelon = _eliminate(self.p, self.rows, self.ncols)
-        return self._echelon
-
-    def rank(self):
-        return len(self._eliminated()[0])
-
-    def residue(self, v):
-        """v modulo the row space: zero exactly when v lies in it, and
-        the same for every vector of one coset."""
-        pivots, ech = self._eliminated()[:2]
-        if self.p == 2:
-            return gf2_residue(pivots, ech, v)
-        return fp_residue(self.p, pivots, ech, v)
-
     def kernel_vectors(self):
         """Basis of {x in F^nrows : x.M = 0}: row i carries the unit
         vector e_i past the last column, and each row that vanishes
-        leaves the combination that killed it."""
+        leaves the combination that killed it.  Rows are taken in
+        order, so the vector of a vanished row i involves only rows up
+        to i, and ends at i with coefficient 1."""
         n = self.ncols
         if self.p == 2:
             rows = [row | 1 << (n + i) for i, row in enumerate(self.rows)]

@@ -416,7 +416,9 @@ def may_e2(e1):
             kernel = PrimeFieldMatrix(p, dim, tgt_dim, out_rows).kernel_vectors()
 
         def lead(vec):
-            return _lead_monomial(p, [monos[k] for k, _ in vec_support(p, vec)])
+            # may_e1 sorted monos by (weight, string): the lowest
+            # column of a vector holds its lead monomial
+            return monos[vec_support(p, vec)[0][0]]
 
         reps = SubquotientBasis(p, dim, in_rows, kernel).reps
         e2.classes[(stem, s)] = [lead(vec) for vec in reps]
@@ -450,7 +452,3 @@ def _assert_weight_step(p, source_elt, target_elt):
     w_tgt = max(mono_weight(p, m) for m in target_elt)
     if w_tgt >= w_src:
         raise AssertionError("stored differential fails strict weight descent")
-
-
-def _lead_monomial(p, element):
-    return min(element, key=lambda m: (mono_weight(p, m), monomial_string(m)))

@@ -12,8 +12,10 @@ constraint enforced by the profile.
 
 The operator side (Milnor basis of the Steenrod algebra itself) lives
 at the bottom of the module: basis elements Q_E P(R) and their product
-by Milnor's matrix formula.  The dual pairing between the two sides is
-exercised by the test suite as a cross check.
+by Milnor's matrix formula.  Q_E P(R) is dual to the monomial
+xi^R tau_E, so a family's operators are the elements dual to its
+monomials; the Ext engine resolves over them.  The dual pairing between
+the two sides is exercised by the test suite as a cross check.
 """
 
 from functools import lru_cache
@@ -23,10 +25,8 @@ __all__ = [
     "DualMonomial",
     "Profile",
     "MAX_FAMILY_HEIGHT",
-    "Comodule",
     "MilnorBasisElement",
     "milnor_product",
-    "operator_basis",
     "conjugate_xi",
     "coproduct",
     "reduced_coproduct",
@@ -87,9 +87,6 @@ class DualMonomial:
 
     def parity(self):
         return len(self.tau) & 1
-
-    def is_unit(self):
-        return not self.xi and not self.tau
 
     def exponent(self, i):
         """Exponent of xi_i (1-indexed)."""
@@ -530,9 +527,6 @@ class Profile:
         self._basis_cache[key] = result
         return result
 
-    def positive_basis(self, max_degree):
-        return [m for m in self.basis(max_degree) if not m.is_unit()]
-
     def poincare(self, max_degree):
         """Family dims by degree through max_degree, from the generating
         function: a factor (1 - q^{cd}) / (1 - q^d) per generator of
@@ -587,90 +581,6 @@ def _le_num(a, b):
     if a is None:
         return False
     return a <= b
-
-
-# ---------------------------------------------------------------------------
-# comodules
-
-
-class Comodule:
-    """Finite left comodule over a profile quotient.
-
-    basis: iterable of (name, degree).  coaction: {name: [(mono, coef,
-    target-name), ...]} including the counit term (1, 1, name).  The
-    construction validates the counit, grading, and coassociativity.
-    """
-
-    def __init__(self, profile, basis, coaction):
-        self.profile = profile
-        self.p = profile.p
-        pairs = sorted(((d, n) for n, d in basis))
-        self.names = [n for _, n in pairs]
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate basis names")
-        self.degree_of = {n: d for d, n in pairs}
-        self.coaction = {}
-        for name in self.names:
-            terms = []
-            for mono, coef, target in coaction.get(name, ()):
-                coef %= self.p
-                if coef:
-                    terms.append((mono, coef, target))
-            terms.sort(key=lambda t: (str(t[0]), t[2]))
-            self.coaction[name] = terms
-        self._validate()
-
-    def _validate(self):
-        unit = DualMonomial(self.p)
-        for name in self.names:
-            d = self.degree_of[name]
-            unit_terms = []
-            for mono, coef, target in self.coaction[name]:
-                if target not in self.degree_of:
-                    raise ValueError(f"coaction of {name} hits unknown {target}")
-                if not self.profile.allows(mono):
-                    raise ValueError(f"coaction of {name} uses a killed monomial")
-                if mono.degree() + self.degree_of[target] != d:
-                    raise ValueError(f"coaction of {name} is not degree-preserving")
-                if mono.is_unit():
-                    unit_terms.append((coef, target))
-            if unit_terms != [(1, name)]:
-                raise ValueError(f"counit axiom fails on {name}")
-        # coassociativity, checked termwise through the finite basis
-        for name in self.names:
-            lhs = {}
-            rhs = {}
-            for mono, coef, target in self.coaction[name]:
-                for (left, right), c in coproduct(mono, self.profile).items():
-                    k = (left, right, target)
-                    elt_add_term(self.p, lhs, k, coef * c)
-                for mono2, coef2, target2 in self.coaction[target]:
-                    k = (mono, mono2, target2)
-                    elt_add_term(self.p, rhs, k, coef * coef2)
-            if lhs != rhs:
-                raise ValueError(f"coaction is not coassociative at {name}")
-
-    # constructors ----------------------------------------------------------
-
-    @classmethod
-    def trivial(cls, profile, degrees=(0,)):
-        unit = DualMonomial(profile.p)
-        basis = []
-        coaction = {}
-        for k, d in enumerate(degrees):
-            name = f"m{k}"
-            basis.append((name, d))
-            coaction[name] = [(unit, 1, name)]
-        return cls(profile, basis, coaction)
-
-    # structure ---------------------------------------------------------
-
-    def poincare(self, cap):
-        dims = [0] * (cap + 1)
-        for n in self.names:
-            if self.degree_of[n] <= cap:
-                dims[self.degree_of[n]] += 1
-        return dims
 
 
 # ---------------------------------------------------------------------------
@@ -832,9 +742,6 @@ class MilnorBasisElement:
         d = sum(2 * e * (p ** (i + 1) - 1) for i, e in enumerate(self.r))
         return d + sum(2 * p**e - 1 for e in self.q)
 
-    def dual_monomial(self):
-        return DualMonomial(self.p, self.r, self.q)
-
     def __eq__(self, other):
         return (
             isinstance(other, MilnorBasisElement)
@@ -976,33 +883,3 @@ def milnor_product(a, b):
             key = MilnorBasisElement(p, qsorted, T)
             elt_add_term(p, out, key, sign * coef * c2)
     return out
-
-
-def operator_basis(profile):
-    """Milnor basis of the finite subalgebra dual to a profile quotient."""
-    if profile.even_only:
-        raise ValueError("even-only families have no separate operator basis here")
-    dim = profile.total_dimension()
-    if dim is None:
-        raise ValueError("family must be finite")
-    out = [
-        MilnorBasisElement(profile.p, m.tau, m.xi)
-        for m in _finite_family_monomials(profile)
-    ]
-    assert len(out) == dim
-    return sorted(out)
-
-
-def _finite_family_monomials(profile):
-    p = profile.p
-    caps = [p**h for h in profile.heights]
-    exps = [[]]
-    for c in caps:
-        exps = [e + [k] for e in exps for k in range(c)]
-    taus = sorted(profile.tau) if (p != 2 and profile.tau != "all") else []
-    subsets = [[]]
-    for t in taus:
-        subsets = subsets + [s + [t] for s in subsets]
-    for e in exps:
-        for s in subsets:
-            yield DualMonomial(p, tuple(e), tuple(s))

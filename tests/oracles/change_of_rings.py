@@ -6,9 +6,10 @@ comodule is built degree by degree as the kernel of the cotensor
 condition, and change_of_rings_check compares the two Ext charts.
 """
 
-from chromadefect.ext import ext_ranks
 from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
-from chromadefect.steenrod import Comodule, coproduct, elt_add_term
+from chromadefect.steenrod import coproduct, elt_add_term
+
+from oracles.cobar import Comodule, ext_ranks
 
 
 def _le(a, b):

@@ -1,8 +1,41 @@
 """Vector arithmetic over F_p, in the package's two encodings (int
 bitmasks at p = 2, sorted (column, coefficient) pair tuples at odd p),
-for checking eliminations by substitution; converters to and from dense
-residue tuples; and the dense odd-prime elimination the package used
-before its rows became sparse, kept as an oracle for the sparse one."""
+for checking eliminations by substitution; the rank of a matrix and the
+residue of a vector modulo its row space, read off the package's
+elimination kernels; converters to and from dense residue tuples; and
+the dense odd-prime elimination the package used before its rows
+became sparse, kept as an oracle for the sparse one."""
+
+from chromadefect.gradedlin.modp import _clear, fp_eliminate, gf2_eliminate
+
+
+def eliminate(mat):
+    """(pivots, ech, pivot_rows, dependent) of a PrimeFieldMatrix."""
+    if mat.p == 2:
+        return gf2_eliminate(mat.rows, mat.ncols)
+    return fp_eliminate(mat.p, mat.rows, mat.ncols)
+
+
+def rank(mat):
+    return len(eliminate(mat)[0])
+
+
+def residue(mat, v):
+    """v modulo the row space of M: every pivot column cleared by the
+    echelon rows, so it is zero exactly when v lies in the row space,
+    and the same for every vector of one coset."""
+    pivots, ech = eliminate(mat)[:2]
+    if mat.p == 2:
+        for col, row in sorted(zip(pivots, ech)):
+            if (v >> col) & 1:
+                v ^= row
+        return v
+    v = dict(v)
+    for col, row in sorted(zip(pivots, ech)):
+        f = v.get(col)
+        if f:
+            _clear(mat.p, v, f, row)
+    return tuple(sorted(v.items()))
 
 
 def vec_zero(p):
@@ -52,7 +85,7 @@ def in_row_space(mat, v):
     """v lies in the row space of M exactly when appending it as a row
     leaves the rank unchanged."""
     grown = type(mat)(mat.p, mat.nrows + 1, mat.ncols, mat.rows + [v])
-    return grown.rank() == mat.rank()
+    return rank(grown) == rank(mat)
 
 
 def dense_eliminate(p, rows, ncols):

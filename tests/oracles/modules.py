@@ -7,7 +7,9 @@ acting by the Leibniz rule) are assembled by hand; a finite family
 is a comodule over itself through its diagonal.  `module_json` writes
 the input format the `margolis` job reads (FiniteSteenrodModule.
 from_json); the golden inputs under tests/golden/inputs/ were written
-from these builders.
+from these builders.  operator_basis lists a finite family's Milnor
+basis and dual_monomial pairs an operator with its dual monomial,
+independently of the numbering the resolution makes from Profile.basis.
 """
 
 import re
@@ -20,15 +22,43 @@ from chromadefect.margolis import (
     subalgebra_operators,
 )
 from chromadefect.steenrod import (
-    Comodule,
     DualMonomial,
     MilnorBasisElement,
     Profile,
     coproduct,
     milnor_product,
-    operator_basis,
     xi_gen,
 )
+
+from oracles.cobar import Comodule
+
+
+def dual_monomial(elt):
+    """The dual monomial of a Milnor basis element: Q_E P(R) pairs with
+    xi^R tau_E."""
+    return DualMonomial(elt.p, elt.r, elt.q)
+
+
+def operator_basis(profile):
+    """Milnor basis of the finite subalgebra dual to a profile quotient,
+    listed independently of Profile.basis: every exponent below its
+    height's cap, times every subset of the surviving tau indices."""
+    if profile.even_only:
+        raise ValueError("even-only families have no separate operator basis here")
+    dim = profile.total_dimension()
+    if dim is None:
+        raise ValueError("family must be finite")
+    p = profile.p
+    exps = [[]]
+    for h in profile.heights:
+        exps = [e + [k] for e in exps for k in range(p**h)]
+    taus = sorted(profile.tau) if (p != 2 and profile.tau != "all") else []
+    subsets = [[]]
+    for t in taus:
+        subsets = subsets + [s + [t] for s in subsets]
+    out = [MilnorBasisElement(p, tuple(s), tuple(e)) for e in exps for s in subsets]
+    assert len(out) == dim
+    return sorted(out)
 
 
 def suspend(module, k):

@@ -1,9 +1,13 @@
-"""Cobar Ext layer.
+"""Ext layer: the minimal resolution, and the cobar complex that is
+its oracle (tests/oracles/cobar.py).
 
 Oracles used here:
   * closed forms: over an exterior family on primitive generators, Ext
     is polynomial on one degree-one class per generator, so cell dims
-    are exponent-tuple counts with prescribed (s, t),
+    are exponent-tuple counts with prescribed (s, t); Ext over A(1) at
+    p = 2 is F_2[h0, h1, a, b]/(h0 h1, h1^3, h1 a, a^2 + h0^2 b),
+  * the cobar complex: dims, class names and collisions of the
+    resolution equal the cobar engine's on every family at p = 2, 3, 5,
   * per-column Euler characteristics: once s_max >= t the alternating
     sum of cochain dims equals that of Ext dims, with no rank input,
   * cofreeness: the family as a comodule over itself has Ext = F_p
@@ -17,16 +21,12 @@ Oracles used here:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromadefect.ext import (
-    CobarComplex,
-    cobar_dims,
-    cobar_letters,
-    evenness_scan,
-    ext_ranks,
-)
-from chromadefect.steenrod import Comodule, Profile
+from chromadefect.ext import Resolution, cobar_letters, evenness_scan, ext_ranks, operator_pairs
+from chromadefect.gradedlin import vec_support
+from chromadefect.steenrod import Profile, milnor_product
 
 from oracles.change_of_rings import change_of_rings_check
+from oracles.cobar import CobarComplex, Comodule, cobar_dims, ext_ranks as cobar_ext_ranks
 from oracles.linalg import row_action, vec_zero
 from oracles.modules import coalgebra_self, comodule_suspend
 
@@ -117,14 +117,14 @@ class TestCobarComplex:
     def test_cofree_concentration(self):
         for fam, cap in [(Profile.A(2, 1), 6), (Profile.E(3, 1), 6)]:
             M = coalgebra_self(fam, cap)
-            chart = ext_ranks(fam, M, 4, cap + 4)
+            chart = cobar_ext_ranks(fam, M, 4, cap + 4)
             assert chart.dims == {(0, 0): 1}
 
     def test_suspension_shifts_internal_degree(self):
         fam = Profile.A(2, 1)
         M = coalgebra_self(fam, 6)
-        plain = ext_ranks(fam, M, 3, 8)
-        moved = ext_ranks(fam, comodule_suspend(M, 3), 3, 11)
+        plain = cobar_ext_ranks(fam, M, 3, 8)
+        moved = cobar_ext_ranks(fam, comodule_suspend(M, 3), 3, 11)
         assert moved.dims == {(s, t + 3): d for (s, t), d in plain.dims.items()}
 
     @pytest.mark.parametrize(
@@ -157,8 +157,8 @@ class TestCobarComplex:
     def test_suspension_property(self, degrees, k):
         fam = Profile.E(2, 1)
         M = Comodule.trivial(fam, degrees)
-        plain = ext_ranks(fam, M, 3, 7)
-        moved = ext_ranks(fam, comodule_suspend(M, k), 3, 7 + k)
+        plain = cobar_ext_ranks(fam, M, 3, 7)
+        moved = cobar_ext_ranks(fam, comodule_suspend(M, k), 3, 7 + k)
         want = {
             (s, t + k): d for (s, t), d in plain.dims.items() if t + k <= 7 + k
         }
@@ -196,7 +196,7 @@ class TestNaming:
 
     def test_named_classes_on_chart(self):
         fam = Profile.T(2, 1)
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 4, 14)
+        chart = ext_ranks(fam, 4, 14)
         assert chart.names[(1, 1)] == ["h(1,0)"]
         assert chart.names[(1, 3)] == ["h(2,0)"]
         assert chart.names[(1, 6)] == ["h(2,1)"]
@@ -207,7 +207,7 @@ class TestNaming:
 
     def test_named_classes_odd_prime(self):
         fam = Profile.T(3, 1)
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 3, 12)
+        chart = ext_ranks(fam, 3, 12)
         assert chart.names[(1, 1)] == ["a(0)"]
         assert chart.names[(1, 5)] == ["a(1)"]
         assert chart.names[(2, 6)] == ["a(0)*a(1)"]
@@ -216,20 +216,20 @@ class TestNaming:
         # [xi1|xi2^2] cobounds, so the (2,7) cell of the height-(inf,2)
         # family chart is empty and no product name lands there
         fam = Profile.T(2, 1)
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 4, 14)
+        chart = ext_ranks(fam, 4, 14)
         assert chart.dims.get((2, 7), 0) == 0
         assert (2, 7) not in chart.names
 
     def test_polynomial_chart_collision_free(self):
         fam = Profile.E(2, 1)
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 5, 15)
+        chart = ext_ranks(fam, 5, 15)
         assert chart.collisions == []
         assert chart.names[(2, 4)] == ["h(1,0)*h(2,0)"]
 
 
 class TestColumnPass:
     def test_one_internal_degree_at_a_time(self, monkeypatch):
-        # naming reads only the column it names, so even a named run
+        # the oracle names only the column it holds, so even a named run
         # never holds words of two internal degrees at once
         held = []
         words = CobarComplex.words
@@ -241,31 +241,145 @@ class TestColumnPass:
 
         monkeypatch.setattr(CobarComplex, "words", traced)
         fam = Profile.A(2, 1)
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 6, 16)
+        chart = cobar_ext_ranks(fam, Comodule.trivial(fam, [0]), 6, 16)
         assert chart.names[(1, 1)] == ["h(1,0)"]
         assert max(len(degrees) for degrees in held) == 1
 
     @pytest.mark.parametrize("n, stem_max, s_max", [(1, 400, 8), (2, 600, 5)])
     def test_finite_family_stops_at_last_word(self, n, stem_max, s_max, monkeypatch):
-        # no word of a finite family reaches past s letters of the top
-        # letter degree, so the pass builds no later column
+        # no generator of F_s over a finite family lies past s times the
+        # top operator degree, so the pass resolves no later column
         built = []
-        words = CobarComplex.words
+        column = Resolution.column
 
-        def traced(self, s, t):
+        def traced(self, t):
             built.append(t)
-            return words(self, s, t)
+            return column(self, t)
 
-        monkeypatch.setattr(CobarComplex, "words", traced)
+        monkeypatch.setattr(Resolution, "column", traced)
         fam = Profile.E(2, n)
         t_max = stem_max + s_max
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), s_max, t_max)
+        chart = ext_ranks(fam, s_max, t_max)
         degrees = [mono.degree() for _, mono in cobar_letters(fam, t_max)]
         for t in range(t_max + 1):
             for s in range(s_max + 1):
                 assert chart.dims.get((s, t), 0) == poly_dim(degrees, s, t), (s, t)
-        top = max(mono.degree() for mono in fam.positive_basis(t_max))
+        top = max(mono.degree() for mono in fam.basis(t_max))
         assert max(built) == s_max * top
+
+
+
+def a1_closed_form(s, t):
+    """dim Ext_{A(1)}^{s,t}(F_2, F_2) from its presentation
+    F_2[h0, h1, a, b]/(h0 h1, h1^3, h1 a, a^2 + h0^2 b): each class is
+    b^l times one of h0^i, h1, h1^2 or a h0^i, with h0 in (s, t) =
+    (1, 1), h1 in (1, 2), a in (3, 7) and b in (4, 12)."""
+    bases = [(1, 2), (2, 4)]
+    bases += [(i, i) for i in range(s + 1)]
+    bases += [(3 + i, 7 + i) for i in range(s + 1)]
+    return sum(
+        1
+        for l in range(s // 4 + 1)
+        for bs, bt in bases
+        if (bs + 4 * l, bt + 12 * l) == (s, t)
+    )
+
+
+def apply_d(res, s, terms):
+    """d of an element of F_s (s >= 1), given as (operator, generator,
+    coefficient) terms, as {(operator, generator of F_{s-1}): coef}."""
+    p, ops = res.p, res.ops
+    out = {}
+    for op, g2, c in terms:
+        for a, g, c2 in res.d[s][g2]:
+            prod = ops.product(op, a)
+            d = ops.degree[op] + ops.degree[a]
+            for pos, c3 in vec_support(p, prod):
+                key = (ops.by_degree[d][pos], g)
+                out[key] = (out.get(key, 0) + c * c2 * c3) % p
+    return {k: v for k, v in out.items() if v}
+
+
+class TestResolution:
+    def test_a1_through_stem_40(self):
+        fam = Profile.A(2, 1)
+        chart = ext_ranks(fam, 20, 60)
+        cells = {
+            (s, stem + s): a1_closed_form(s, stem + s)
+            for stem in range(41)
+            for s in range(21)
+            if a1_closed_form(s, stem + s)
+        }
+        assert len(cells) == 126
+        assert {k: v for k, v in chart.dims.items() if k[1] - k[0] <= 40} == cells
+
+    @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_exterior_koszul_form(self, p, n):
+        # the closed form evenness_scan reads, through stem 60
+        fam = Profile.E(p, n)
+        s_max, t_max = 8, 68
+        chart = ext_ranks(fam, s_max, t_max)
+        degrees = [mono.degree() for _, mono in cobar_letters(fam, t_max)]
+        for t in range(t_max + 1):
+            for s in range(s_max + 1):
+                assert chart.dims.get((s, t), 0) == poly_dim(degrees, s, t), (s, t)
+
+    @pytest.mark.parametrize(
+        "family, p, n, stem_max, s_max",
+        [
+            ("A", 2, 1, 10, 5), ("E", 2, 2, 20, 4), ("P", 2, 1, 20, 4),
+            ("T", 2, 1, 12, 5), ("T", 2, 0, 8, 4),
+            ("A", 3, 1, 20, 3), ("E", 3, 1, 40, 4), ("P", 3, 1, 40, 3),
+            ("T", 3, 1, 30, 4), ("T", 3, 0, 20, 3),
+            ("A", 5, 1, 60, 2), ("E", 5, 1, 100, 3), ("P", 5, 1, 100, 2),
+            ("T", 5, 1, 100, 3), ("T", 5, 0, 60, 2),
+        ],
+    )
+    def test_matches_cobar(self, family, p, n, stem_max, s_max):
+        fam = getattr(Profile, family)(p, n)
+        t_max = stem_max + s_max
+        chart = ext_ranks(fam, s_max, t_max)
+        want = cobar_ext_ranks(fam, Comodule.trivial(fam, [0]), s_max, t_max)
+        assert chart.dims == want.dims
+        assert chart.names == want.names
+        assert chart.collisions == want.collisions
+
+    @pytest.mark.parametrize("fam", [Profile.T(2, 1), Profile.A(3, 1), Profile.P(2, 1)], ids=repr)
+    def test_d_squared_zero(self, fam):
+        res = Resolution(fam, 5, 20)
+        for t in range(21):
+            res.column(t)
+        assert any(res.d[5])
+        for s in range(2, 6):
+            for terms in res.d[s]:
+                assert apply_d(res, s - 1, terms) == {}, (fam, s)
+
+    def test_products_on_demand_below_the_cap(self, monkeypatch):
+        # each product is formed once, and none past t_max
+        seen = []
+
+        def traced(a, b):
+            seen.append((a, b))
+            return milnor_product(a, b)
+
+        monkeypatch.setattr("chromadefect.ext.milnor_product", traced)
+        fam = Profile.T(2, 0)
+        t_max = 16
+        ext_ranks(fam, 5, t_max)
+        degrees = fam.poincare(t_max)
+        assert seen and len(set(seen)) == len(seen)
+        assert max(a.degree() + b.degree() for a, b in seen) <= t_max
+        assert len(seen) < operator_pairs(fam, t_max)
+        assert operator_pairs(fam, t_max) == sum(
+            degrees[i] * degrees[j]
+            for i in range(t_max + 1)
+            for j in range(t_max + 1 - i)
+        )
+
+    def test_operator_pairs(self):
+        assert operator_pairs(Profile.A(2, 2), 50) == 64 * 64
+        assert operator_pairs(Profile.T(2, 0), 48) == 187_288
+        assert operator_pairs(Profile.T(2, 0), 507) > 10**13
 
 
 class TestEvennessScan:
@@ -314,7 +428,7 @@ class TestChangeOfRings:
 class TestDeterminism:
     def test_tsv_golden(self):
         fam = Profile.E(2, 0)
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 3, 3)
+        chart = ext_ranks(fam, 3, 3)
         assert chart.to_tsv() == (
             f"# ext chart: Ext over {fam!r}\n"
             "# window: s <= 3, t <= 3\n"

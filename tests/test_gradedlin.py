@@ -1,11 +1,12 @@
 """Exact linear algebra layer, checked against brute force oracles.
 
-Rank over F2 is compared with row-span enumeration and kernels are
-checked by substitution.  Residues modulo the row space are checked at
-p = 2, 3 and 5 against the rank test for row-space membership: zero
-exactly on the row space, one value per coset, and zero at every pivot
-column, a pivot column being one where the rank of the leading columns
-grows.  Subquotient representatives are checked against the dimension
+Rank over F2, read off the elimination kernel (oracles.linalg.rank),
+is compared with row-span enumeration and kernels are checked by
+substitution.  Residues modulo the row space (oracles.linalg.residue,
+which the cobar oracle names classes with) are checked at p = 2, 3 and
+5 against the rank test for row-space membership: zero exactly on the
+row space, one value per coset, and zero at every pivot column, a pivot
+column being one where the rank of the leading columns grows.  Subquotient representatives are checked against the dimension
 formula and the greedy choice in input order, abelian group
 presentations against their canonical-form validation, and the
 primality gate against a sieve.  Odd-prime vectors are checked to be
@@ -33,6 +34,8 @@ from oracles.linalg import (
     dense_eliminate,
     dense_residue,
     in_row_space,
+    rank,
+    residue,
     row_action,
     sparse,
     vec_add,
@@ -58,11 +61,11 @@ def random_vec(rng, p, n):
 class TestGf2:
     def test_all_ones_rank(self):
         m = PrimeFieldMatrix(2, 3, 3, [0b111, 0b111, 0b111])
-        assert m.rank() == 1
+        assert rank(m) == 1
 
     def test_identity(self):
         m = PrimeFieldMatrix(2, 5, 5, [1 << i for i in range(5)])
-        assert m.rank() == 5
+        assert rank(m) == 5
         assert m.kernel_vectors() == []
 
     def test_rank_against_bruteforce(self):
@@ -72,7 +75,7 @@ class TestGf2:
             ncols = rng.randint(1, 10)
             rows = [rng.getrandbits(ncols) for _ in range(nrows)]
             m = PrimeFieldMatrix(2, nrows, ncols, rows)
-            assert m.rank() == brute_rank_gf2(rows)
+            assert rank(m) == brute_rank_gf2(rows)
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(11)
@@ -82,7 +85,7 @@ class TestGf2:
             rows = [rng.getrandbits(ncols) for _ in range(nrows)]
             m = PrimeFieldMatrix(2, nrows, ncols, rows)
             kvs = m.kernel_vectors()
-            assert len(kvs) == nrows - m.rank()
+            assert len(kvs) == nrows - rank(m)
             for kv in kvs:
                 assert kv != 0
                 acc = 0
@@ -102,13 +105,12 @@ class TestFp:
             rows = [random_vec(rng, p, ncols) for _ in range(nrows)]
             m = PrimeFieldMatrix(p, nrows, ncols, rows)
             pivots, ech, pivot_rows, dependent = fp_eliminate(p, rows, ncols)
-            rank = len(pivots)
-            assert m.rank() == rank
-            assert len(pivot_rows) == rank and len(dependent) == nrows - rank
+            r = len(pivots)
+            assert len(pivot_rows) == r and len(dependent) == nrows - r
             for col, row in zip(pivots, ech):
                 assert row[0] == (col, 1)
             kernel = m.kernel_vectors()
-            assert len(kernel) == nrows - rank
+            assert len(kernel) == nrows - r
             for kv in kernel:
                 acc = [0] * ncols
                 for i, c in kv:
@@ -164,7 +166,7 @@ class TestSparseRows:
             pivots, ech, _, dependent = fp_eliminate(p, m.rows, ncols)
             vectors = [vec_from_terms(p, [(j, c) for _, j, c in terms])]
             vectors += m.rows + ech + dependent + m.kernel_vectors()
-            vectors += [m.residue(random_vec(rng, p, ncols)) for _ in range(3)]
+            vectors += [residue(m, random_vec(rng, p, ncols)) for _ in range(3)]
             assert [v for v in vectors if not canonical(p, v)] == []
 
     def test_cancelling_terms_leave_no_pair(self, p):
@@ -183,7 +185,7 @@ class TestSparseRows:
             m = PrimeFieldMatrix(p, nrows, ncols, rows)
             full = [dense(p, row, ncols) for row in rows]
             pivots, ech, pivot_rows, dependent = dense_eliminate(p, full, ncols)
-            assert m.rank() == len(pivots)
+            assert rank(m) == len(pivots)
             assert fp_eliminate(p, rows, ncols) == (
                 pivots,
                 [sparse(p, row) for row in ech],
@@ -193,7 +195,7 @@ class TestSparseRows:
             for _ in range(4):
                 v = random_sparse_rows(rng, p, 1, ncols, 0.2)[0]
                 want = dense_residue(p, pivots, ech, dense(p, v, ncols))
-                assert dense(p, m.residue(v), ncols) == want
+                assert dense(p, residue(m, v), ncols) == want
             units = [row + tuple(int(i == k) for k in range(nrows)) for i, row in enumerate(full)]
             kernel = dense_eliminate(p, units, ncols)[3]
             assert [dense(p, kv, nrows) for kv in m.kernel_vectors()] == kernel
@@ -201,7 +203,7 @@ class TestSparseRows:
     def test_width_costs_nothing(self, p):
         m = PrimeFieldMatrix.from_terms(p, 2, 10**6, [(0, 7, 1), (1, 999_999, 2)])
         assert m.rows == [((7, 1),), ((999_999, 2),)]
-        assert m.rank() == 2
+        assert rank(m) == 2
         assert m.kernel_vectors() == []
 
 
@@ -230,10 +232,10 @@ def pivot_columns(m):
     prev = 0
     for j in range(m.ncols):
         cut = [leading(m.p, row, j + 1) for row in m.rows]
-        rank = PrimeFieldMatrix(m.p, m.nrows, j + 1, cut).rank()
-        if rank > prev:
+        r = rank(PrimeFieldMatrix(m.p, m.nrows, j + 1, cut))
+        if r > prev:
             out.append(j)
-        prev = rank
+        prev = r
     return out
 
 
@@ -250,7 +252,7 @@ class TestResidue:
             m = random_matrix(rng, p, nrows, ncols)
             zero = vec_zero(p)
             for v in [random_vec(rng, p, ncols) for _ in range(4)] + [random_combination(rng, m)]:
-                assert (m.residue(v) == zero) == in_row_space(m, v)
+                assert (residue(m, v) == zero) == in_row_space(m, v)
 
     def test_constant_on_cosets(self, p):
         rng = random.Random(59 + p)
@@ -258,10 +260,10 @@ class TestResidue:
             nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
             m = random_matrix(rng, p, nrows, ncols)
             v = random_vec(rng, p, ncols)
-            r = m.residue(v)
+            r = residue(m, v)
             assert in_row_space(m, vec_add(p, v, vec_scale(p, r, -1)))
             for _ in range(3):
-                assert m.residue(vec_add(p, v, random_combination(rng, m))) == r
+                assert residue(m, vec_add(p, v, random_combination(rng, m))) == r
 
     def test_zero_at_every_pivot_column(self, p):
         rng = random.Random(61 + p)
@@ -269,9 +271,9 @@ class TestResidue:
             nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
             m = random_matrix(rng, p, nrows, ncols)
             pivots = pivot_columns(m)
-            assert len(pivots) == m.rank()
+            assert len(pivots) == rank(m)
             for _ in range(3):
-                r = m.residue(random_vec(rng, p, ncols))
+                r = residue(m, random_vec(rng, p, ncols))
                 assert [j for j in pivots if entry(p, r, j)] == []
 
 
@@ -288,8 +290,8 @@ class TestSubquotient:
                     if rng.random() < 0.5:
                         image.append(v)
                 sq = SubquotientBasis(p, n, image, big)
-                kdim = PrimeFieldMatrix(p, len(big), n, list(big)).rank()
-                idim = PrimeFieldMatrix(p, len(image), n, list(image)).rank()
+                kdim = rank(PrimeFieldMatrix(p, len(big), n, list(big)))
+                idim = rank(PrimeFieldMatrix(p, len(image), n, list(image)))
                 assert len(sq.reps) == kdim - idim
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -305,8 +307,8 @@ class TestSubquotient:
             span = list(image)
             want = []
             for kv in kernel:
-                before = PrimeFieldMatrix(p, len(span), n, list(span)).rank()
-                after = PrimeFieldMatrix(p, len(span) + 1, n, span + [kv]).rank()
+                before = rank(PrimeFieldMatrix(p, len(span), n, list(span)))
+                after = rank(PrimeFieldMatrix(p, len(span) + 1, n, span + [kv]))
                 if after > before:
                     want.append(kv)
                 span.append(kv)

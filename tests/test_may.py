@@ -7,13 +7,18 @@ Oracles used here:
     monomial count on the low-stem letter set,
   * E2 of the height-1 family at p = 2 against cobar Ext dims, an
     entirely separate computation path, below the stems where the first
-    higher differential acts.
+    higher differential acts,
+  * E2's lead monomials against a ranking of each representative's
+    whole support by (weight, string).
 """
 
 from collections import Counter
 
+import pytest
+
 from chromadefect import cli
 from chromadefect.ext import ext_ranks
+from chromadefect.gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms, vec_support
 from chromadefect.may import (
     MayContext,
     e1_monomial_count,
@@ -23,9 +28,12 @@ from chromadefect.may import (
     gen_weight,
     may_e1,
     may_e2,
+    mono_weight,
     monomial_string,
 )
-from chromadefect.steenrod import Comodule, Profile
+from chromadefect.steenrod import Profile
+
+from oracles.cobar import Comodule, ext_ranks as cobar_ext_ranks
 
 H = lambda i, j: ("h", i, j)
 A = lambda i: ("a", i, None)
@@ -183,6 +191,33 @@ class TestPages:
         e2 = may_e2(e1)
         assert (e2.r, e2.trusted_stem_max, e2.trusted_s_max) == (2, 9, 4)
 
+    @pytest.mark.parametrize("args", [(1, 2, 20, 6), (0, 3, 40, 6)])
+    def test_lead_is_the_least_monomial(self, args):
+        # E2 writes a vector by the monomial at its lowest column; this
+        # ranks the whole support by (weight, string) instead
+        e1 = may_e1(*args)
+        e2 = may_e2(e1)
+        p = e1.p
+
+        def least(monos, vec):
+            support = [monos[k] for k, _ in vec_support(p, vec)]
+            return min(support, key=lambda m: (mono_weight(p, m), monomial_string(m)))
+
+        for (stem, s), monos in e1.classes.items():
+            if not monos:
+                continue
+            out_rows = e1.differential.get((stem, s))
+            in_rows = e1.differential.get((stem + 1, s - 1), [])
+            if out_rows is None:
+                kernel = [vec_from_terms(p, [(k, 1)]) for k in range(len(monos))]
+            else:
+                width = len(e1.classes[(stem - 1, s + 1)])
+                kernel = PrimeFieldMatrix(p, len(monos), width, out_rows).kernel_vectors()
+            reps = SubquotientBasis(p, len(monos), in_rows, kernel).reps
+            assert e2.classes[(stem, s)] == [least(monos, v) for v in reps]
+            killed = sorted({least(monos, row) for row in in_rows if row})
+            assert e2.killed.get((stem, s), []) == killed
+
     def test_killed_classes_reported(self):
         e1 = may_e1(1, 2, 8, 4)
         e2 = may_e2(e1)
@@ -194,7 +229,7 @@ class TestPages:
 
     def test_ext_bounded_by_e2(self):
         fam = Profile.T(2, 1)
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 7, 18)
+        chart = ext_ranks(fam, 7, 18)
         e2 = may_e2(may_e1(1, 2, 12, 7))
         for stem in range(11):
             for s in range(6):
@@ -207,7 +242,7 @@ class TestPages:
         # the cobar route
         e2 = may_e2(may_e1(1, 2, 12, 8))
         fam = Profile.T(2, 1)
-        chart = ext_ranks(fam, Comodule.trivial(fam, [0]), 7, 17)
+        chart = cobar_ext_ranks(fam, Comodule.trivial(fam, [0]), 7, 17)
         cells = [(stem, s) for stem in range(11) for s in range(9) if e2.trusted(stem, s)]
         assert len(cells) == 88
         for stem, s in cells:

@@ -29,15 +29,6 @@ SRC = Path(cli.__file__).resolve().parent
 # Exemptions name a function, a class (all its methods) or an outer
 # function (all its nested functions).
 
-# the Milnor product and operator basis, slated as the main path of a
-# minimal-resolution Ext engine
-RESOLUTION_PATH = {
-    "steenrod.py:MilnorBasisElement",
-    "steenrod.py:milnor_product",
-    "steenrod.py:_p_part_products",
-    "steenrod.py:operator_basis",
-    "steenrod.py:_finite_family_monomials",
-}
 # the X(n) splitting toys with the conjugation and products only they
 # use, to be replaced by a Thom comodule check
 SPLITTING_TOYS = {
@@ -49,7 +40,7 @@ SPLITTING_TOYS = {
     "steenrod.py:poincare_identity_check",
     "steenrod.py:polynomial_series",
 }
-EXEMPT = RESOLUTION_PATH | SPLITTING_TOYS
+EXEMPT = SPLITTING_TOYS
 
 
 def dunder(name):

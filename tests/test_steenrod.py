@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromadefect.steenrod import (
-    Comodule,
     DualMonomial,
     MilnorBasisElement,
     Profile,
@@ -23,7 +22,6 @@ from chromadefect.steenrod import (
     elt_add_term,
     elt_mul,
     milnor_product,
-    operator_basis,
     poincare_identity_check,
     polynomial_series,
     reduced_coproduct,
@@ -35,8 +33,9 @@ from chromadefect.steenrod import (
 )
 
 from oracles.change_of_rings import cotensor_comodule, is_quotient_of
+from oracles.cobar import Comodule
 from oracles.cofree import cofree_decompose
-from oracles.modules import coalgebra_self, thom_height_one
+from oracles.modules import coalgebra_self, dual_monomial, operator_basis, thom_height_one
 
 
 def sq(*r):
@@ -127,7 +126,7 @@ class TestCoproduct:
         for p, mono in [(2, DualMonomial(2, (3, 1))), (3, DualMonomial(3, (1,), (0, 1)))]:
             left_counit = {}
             for (l, r), c in coproduct(mono).items():
-                if l.is_unit():
+                if not l.degree():
                     elt_add_term(p, left_counit, r, c)
             assert left_counit == {mono: 1}
 
@@ -302,7 +301,7 @@ class TestMilnorProduct:
     def _pairing_coef(self, p, a, b, x):
         total = 0
         for (l, r), c in coproduct(x).items():
-            if l == a.dual_monomial() and r == b.dual_monomial():
+            if l == dual_monomial(a) and r == dual_monomial(b):
                 total = (total + c) % p
         return total
 
@@ -312,7 +311,7 @@ class TestMilnorProduct:
             a = sq(*(rng.randrange(0, 6) for _ in range(rng.randrange(1, 3))))
             b = sq(*(rng.randrange(0, 6) for _ in range(rng.randrange(1, 3))))
             for T, got in milnor_product(a, b).items():
-                assert got == self._pairing_coef(2, a, b, T.dual_monomial())
+                assert got == self._pairing_coef(2, a, b, dual_monomial(T))
 
     def test_pairing_oracle_odd(self):
         rng = random.Random(9)
@@ -329,7 +328,7 @@ class TestMilnorProduct:
                     tuple(rng.randrange(0, 4) for _ in range(rng.randrange(0, 3))),
                 )
                 for T, got in milnor_product(a, b).items():
-                    assert got == self._pairing_coef(p, a, b, T.dual_monomial())
+                    assert got == self._pairing_coef(p, a, b, dual_monomial(T))
 
     def test_zero_coefficients_also_match(self):
         # elements of the right degree absent from a product must pair to 0
@@ -338,7 +337,7 @@ class TestMilnorProduct:
         deg = a.degree() + b.degree()
         for T in operator_basis(Profile.A(2, 2)):
             if T.degree() == deg and T not in prod:
-                assert self._pairing_coef(2, a, b, T.dual_monomial()) == 0
+                assert self._pairing_coef(2, a, b, dual_monomial(T)) == 0
 
     def test_subalgebra_closure(self):
         basis = operator_basis(Profile.A(2, 1))
