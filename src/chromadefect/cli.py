@@ -39,9 +39,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 CACHE_ENV = "CHROMADEFECT_CACHE"
-# largest fgl series cap: admits ER(9) at its default cap 2^9 + 8; the
-# witness costs about 5x more per height, so a larger job is refused
-# before it computes rather than running for hours
+# largest fgl series cap: admits ER(9) at its default cap 2^9 + 8.
+# Whole jobs on a 2 vCPU host: fgl --n 7 took 0.2 s, --n 8 0.55 s and
+# --n 9 4.0 s, each at 19-20 MB peak.  The witness alone at n = 10
+# (cap 1032) took 37 s; the cost grows about 8x per height from n = 8,
+# so a larger job is refused before it computes
 MAX_FGL_CAP = 520
 # operator pairs (a, b) with deg a + deg b <= t_max, the most products
 # an ext job's resolution can form (ext.operator_pairs).  Products take
@@ -200,7 +202,8 @@ def cmd_ext(cfg: JobConfig):
     p = cfg.params["prime"]
     fam = cfg.params["family"]
     n = cfg.params["n"]
-    chart = ext_ranks(*_ext_problem(cfg.params))
+    # t <= stem_max + s_max sees the stems past stem_max only in part
+    chart = ext_ranks(*_ext_problem(cfg.params)).stems_through(cfg.params["stem_max"])
     base = f"ext_{fam.lower()}{n}_p{p}"
     out = {}
     if "tsv" in cfg.params["formats"]:

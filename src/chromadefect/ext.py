@@ -213,14 +213,29 @@ class ExtChart:
         self.label = label
         self.s_max = s_max
         self.t_max = t_max
+        self.stem_max = None
         self.dims = {}
         self.names = {}
         self.collisions = []
 
+    def stems_through(self, stem_max):
+        """This chart cut to its cells with stem <= stem_max: a window
+        whose columns are computed whole, since t <= t_max reaches only
+        part of each stem past t_max - s_max."""
+        out = ExtChart(self.p, self.label, self.s_max, self.t_max)
+        out.stem_max = stem_max
+        out.dims = {k: d for k, d in self.dims.items() if k[1] - k[0] <= stem_max}
+        out.names = {k: v for k, v in self.names.items() if k[1] - k[0] <= stem_max}
+        out.collisions = [c for c in self.collisions if c[2][1] - c[2][0] <= stem_max]
+        return out
+
     def to_tsv(self):
+        window = f"s <= {self.s_max}, t <= {self.t_max}"
+        if self.stem_max is not None:
+            window += f", stem <= {self.stem_max}"
         lines = [
             f"# ext chart: {self.label}",
-            f"# window: s <= {self.s_max}, t <= {self.t_max}",
+            f"# window: {window}",
             "s\tt\tstem\tdim\tclass-names",
         ]
         rows = []

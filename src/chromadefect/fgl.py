@@ -4,15 +4,21 @@ The witness reads two series per height h <= n of the height-h Honda
 formal group law over F_2: the doubling series [2](x) and the formal
 inverse [-1](x).  Over the rationals [c](x) = exp(c log x) for the
 Honda logarithm x + x^(p^h)/p + x^(p^2h)/p^2 + ..., so
-`honda_multiple` solves log(f) = c log(x) degree by degree on dense
-rational coefficient lists, recomputes log(f) a second way to certify
-the solution, and reduces mod p behind an integrality gate.  Series are
-plain lists of coefficients indexed by degree 0..cap; the bivariate
+`honda_multiple` solves log(f) = c log(x) degree by degree, recomputes
+log(f) a second way to certify the solution, and reduces mod p behind
+an integrality gate.  None of this needs a rational number.  For
+c = a/b and M = p b the solution is f(x) = x c v(x) with v(Mx) a
+series of integers, so the solve, the power recurrence and the
+recomputation run on plain lists of Python ints indexed by degree,
+and only the gate divides, by b M^j in degree j + 1.  The bivariate
 law is never built.  The validated bivariate law, with its multiples
-read off by substitution, is the test suite's oracle for these series.
+read off by substitution, and the rational solver this module
+replaced are the test suite's oracles for these series.
 """
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .gradedlin import check_prime
 
@@ -20,102 +26,108 @@ __all__ = ["honda_multiple", "er_defect_witness"]
 
 
 def _honda_log_terms(p, n, cap):
-    """(q, w) for the terms w x^q of the Honda logarithm through the
-    cap, in rising degree: x + x^(p^n)/p + x^(p^2n)/p^2 + ..."""
+    """(q, p^(q-1-i)) for the terms x^q/p^i of the Honda logarithm
+    x + x^(p^n)/p + x^(p^2n)/p^2 + ... through the cap, in rising
+    degree.  The second entry is the term's integer weight once degree
+    j is scaled by M^j (see `honda_multiple`); q - 1 >= i always."""
     if n < 1 or cap < 1:
         raise ValueError("need n >= 1 and cap >= 1")
     check_prime(p)
     terms = []
     i = 0
     while p ** (n * i) <= cap:
-        terms.append((p ** (n * i), Fraction(1, p**i)))
+        q = p ** (n * i)
+        terms.append((q, p ** (q - 1 - i)))
         i += 1
     return terms
 
 
-def _reduce_mod_p(coefs, p):
-    """Reduce rational coefficients mod p, refusing any with p in the
-    denominator: the Honda constructions are p-integral, so a hit here
-    means the arithmetic itself broke."""
-    reduced = []
-    for k, c in enumerate(coefs):
-        if c.denominator % p == 0:
-            raise ValueError(
-                f"coefficient {c} in degree {k} is not {p}-integral; "
-                "the exponential arithmetic is broken"
-            )
-        reduced.append((c.numerator * pow(c.denominator, -1, p)) % p)
-    return reduced
+def _dense_mul(a, b, top):
+    """Product of two coefficient lists of length at least top + 1,
+    truncated after degree top."""
+    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(top + 1)]
 
 
-def _dense_mul(a, b, cap):
-    """Product of two coefficient lists of length cap + 1, truncated at
-    the cap."""
-    out = [0] * (cap + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(cap + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
-
-
-def _dense_pow(a, e, cap):
-    """a^e for e >= 1 by repeated squaring."""
+def _dense_pow(a, e, top):
+    """a^e for e >= 1 by repeated squaring, truncated after degree
+    top."""
     result = None
     while True:
         if e & 1:
-            result = a if result is None else _dense_mul(result, a, cap)
+            result = a if result is None else _dense_mul(result, a, top)
         e >>= 1
         if not e:
             return result
-        a = _dense_mul(a, a, cap)
+        a = _dense_mul(a, a, top)
 
 
 def _solve_log_multiple(log_terms, c, cap):
-    """Dense coefficients of f with log(f) = c log(x) through the cap.
+    """The scaled solution of log(f) = c log(x) through the cap, as a
+    list whose entry k is the integer V_(k-1) with f_k = a V_(k-1) /
+    (b M^(k-1)); entry 0 is 0.
 
-    log_terms lists (q, w) for the logarithm's terms w x^q in rising
-    degree, starting with (1, 1).  Write f = x u, so u_0 = c.  The
-    degree-k coefficient of log(f) is u_(k-1) plus, for each q > 1, w
-    times the degree k - q coefficient of u^q, which only involves
-    u_0..u_(k-2); so each u_(k-1) is solved outright.  Each power u^q
-    grows by J. C. P. Miller's recurrence as soon as the coefficients
-    it needs are known.
+    log_terms comes from `_honda_log_terms`.  Write f = x c v, so
+    v_0 = 1, and V_j = v_j M^j.  The degree-k equation solves V_(k-1)
+    outright: it is b^(k-1) r_k minus, for each term (q, r_q) with
+    q > 1, a^(q-1) r_q times the degree k - q coefficient of V^q,
+    where r_k is the weight of a logarithm term in degree k and 0
+    elsewhere.  That coefficient only involves V_0..V_(k-2).  Each
+    power V^q grows by J. C. P. Miller's recurrence as soon as the
+    coefficients it needs are known; its division by j is exact, since
+    V^q has integer coefficients and V_0 = 1.
     """
-    target = dict(log_terms)
-    higher = log_terms[1:]
-    u = [c]
-    powers = {q: [c**q] for q, _ in higher}
+    a, b = c.numerator, c.denominator
+    target = {q: b ** (q - 1) * r for q, r in log_terms}
+    higher = [(q, a ** (q - 1) * r) for q, r in log_terms[1:]]
+    v = [1]
+    tv = [0]  # t V_t, for Miller's recurrence
+    powers = {q: [1] for q, _ in higher}
     for k in range(2, cap + 1):
-        acc = c * target.get(k, 0)
-        for q, w in higher:
+        acc = target.get(k, 0)
+        for q, weight in higher:
             j = k - q
             if j < 0:
                 break
             pw = powers[q]
             if len(pw) == j:
-                # j u_0 pw_j = sum over t of ((q + 1) t - j) u_t pw_(j-t)
-                s = sum(((q + 1) * t - j) * u[t] * pw[j - t] for t in range(1, j + 1))
-                pw.append(s / (j * c))
-            acc -= w * pw[j]
-        u.append(acc)
-    return [Fraction(0)] + u
+                # j pw_j = sum over t >= 1 of ((q + 1) t - j) V_t pw_(j-t)
+                rev = pw[j - 1 :: -1]
+                s = (q + 1) * sum(map(mul, tv[1 : j + 1], rev)) - j * sum(
+                    map(mul, v[1 : j + 1], rev)
+                )
+                quo, rem = divmod(s, j)
+                if rem:
+                    raise ValueError(
+                        f"degree {j} of a power of the solved series is not integral; "
+                        "the series arithmetic is broken"
+                    )
+                pw.append(quo)
+            acc -= weight * pw[j]
+        tv.append((k - 1) * acc)
+        v.append(acc)
+    return [0] + v
 
 
 def _check_log_multiple(log_terms, c, f, cap):
-    """Recompute log(f) by plain repeated squaring and refuse unless it
-    equals c log(x) through the cap."""
+    """Recompute log(f) by plain repeated squaring of the scaled series
+    and refuse unless it equals c log(x) through the cap.
+
+    With V(x) the scaled series, log(f(Mx)) = c log(Mx) divided by
+    c M x reads: the sum over terms (q, r) of a^(q-1) r x^(q-1) V^q
+    equals the sum of b^(q-1) r x^(q-1), an identity of integer series.
+    """
+    a, b = c.numerator, c.denominator
     got = [0] * (cap + 1)
-    power, prev = f, 1
-    for q, w in log_terms:
-        power = _dense_pow(power, q // prev, cap)
-        prev = q
-        for k in range(q, cap + 1):
-            got[k] += w * power[k]
     expected = [0] * (cap + 1)
-    for q, w in log_terms:
-        expected[q] = c * w
+    power, prev = f[1:], 1
+    for q, r in log_terms:
+        top = cap - q
+        power = _dense_pow(power, q // prev, top)
+        prev = q
+        weight = a ** (q - 1) * r
+        for j in range(top + 1):
+            got[q + j] += weight * power[j]
+        expected[q] = b ** (q - 1) * r
     bad = [k for k in range(cap + 1) if got[k] != expected[k]]
     if bad:
         raise ValueError(
@@ -124,14 +136,45 @@ def _check_log_multiple(log_terms, c, f, cap):
         )
 
 
+def _reduce_mod_p(f, p, c):
+    """Reduce the coefficients a V_(k-1) / (b M^(k-1)) of the scaled
+    solution mod p, refusing any with p in the denominator: a hit here
+    means c has no p-adic multiple, or the arithmetic itself broke."""
+    a, b = c.numerator, c.denominator
+    e = 0
+    while b % p ** (e + 1) == 0:
+        e += 1
+    unit_inverse = pow(b // p**e, -1, p)
+    reduced = [0]
+    for k in range(1, len(f)):
+        # b M^(k-1) = b^k p^(k-1): p-part p^(k e + k - 1)
+        num = a * f[k]
+        quo, rem = divmod(num, p ** (k * e + k - 1))
+        if rem:
+            den = b**k * p ** (k - 1)
+            g = gcd(num, den)
+            raise ValueError(
+                f"coefficient {num // g}/{den // g} in degree {k} is not {p}-integral; "
+                "the exponential arithmetic is broken"
+            )
+        reduced.append(quo * pow(unit_inverse, k, p) % p)
+    return reduced
+
+
 def honda_multiple(p: int, n: int, c, cap: int) -> list:
     """The series [c](x) of the height-n Honda law over F_p, to the cap,
     as its coefficient list: entry k is the coefficient of x^k mod p.
 
-    c is a nonzero rational; [2](x) and [-1](x), the doubling series
-    and the formal inverse, are the cases the defect witness reads.
-    The solution is certified by recomputing log(f) independently, then
-    reduced mod p behind the integrality gate, which refuses a c whose
+    c = a/b is a nonzero rational; [2](x) and [-1](x), the doubling
+    series and the formal inverse, are the cases the defect witness
+    reads.  With M = p b the solution is x c v(x), and the series
+    V(x) = v(Mx) has integer coefficients: its recurrence
+    (`_solve_log_multiple`) uses ring operations only, with integer
+    coefficients a^(q-1) p^(q-1-i) and b^(q-1) p^(q-1-i), plus Miller's
+    division by j, which is exact because V_0 = 1.  The solution is
+    certified by recomputing log(f) independently on the same integers,
+    then reduced mod p behind the integrality gate, which reads the
+    coefficient of x^(j+1) as a V_j / (b M^j) and refuses a c whose
     multiple is not p-integral.
     """
     log_terms = _honda_log_terms(p, n, cap)
@@ -140,7 +183,7 @@ def honda_multiple(p: int, n: int, c, cap: int) -> list:
         raise ValueError("the multiple must be nonzero")
     f = _solve_log_multiple(log_terms, c, cap)
     _check_log_multiple(log_terms, c, f, cap)
-    return _reduce_mod_p(f, p)
+    return _reduce_mod_p(f, p, c)
 
 
 def _first_difference(f, g):

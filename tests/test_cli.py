@@ -15,9 +15,12 @@ engine before SubquotientBasis moved onto PrimeFieldMatrix elimination.
 The may E2 files (may_*_e2*) were added later, written by the general
 page turner (page_turn on the E1 page, with the job's JSON shape, chart
 and TSV writers) before may_e2 read E2 off the d1 matrices.  The
-T-family ext jobs (ext_t1_p2, ext_t1_p3) came last, written by the
-engine whose cobar words held monomial objects, before words became
-tuples of letter numbers.  The margolis inputs live in
+T-family ext jobs (ext_t1_p2, ext_t1_p3) were written by the engine
+whose cobar words held monomial objects, before words became tuples of
+letter numbers.  Every ext_* directory was written again when the ext
+job began to cut its chart at --stem-max: the stems past it, which
+t <= stem-max + s-max computes only in part, left the T-family files,
+and each TSV header gained the stem window.  The margolis inputs live in
 tests/golden/inputs/, written by the builders in tests/oracles/modules.py
 (free_a1.json is free_module(2, "A", 1, [0, 3]); rp4.json is
 rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json is the malformed
@@ -311,6 +314,28 @@ def test_golden_argvs_pass_the_size_limits():
     for argv in GOLDEN.values():
         args = cli.build_parser().parse_args(argv)
         assert cli._config_from_args(args).subcommand == args.subcommand
+
+
+@pytest.mark.parametrize("prime, stem_max, s_max", [("2", 12, 6), ("3", 30, 4)])
+def test_ext_artifacts_stop_at_stem_max(prime, stem_max, s_max, tmp_path):
+    # every kept cell is computed whole: a run two stems wider agrees on it
+    def cells(stems, out):
+        argv = ["ext", "--prime", prime, "--family", "T", "--n", "1",
+                "--stem-max", str(stems), "--s-max", str(s_max), "--format", "svg"]
+        assert run([*argv, "--no-cache"], out) == cli.EXIT_OK
+        doc = json.loads((out / f"ext_t1_p{prime}.json").read_text())
+        return {(c["s"], c["stem"]): c["dim"] for c in doc["cells"]}, out
+
+    got, out = cells(stem_max, tmp_path / "narrow")
+    wider, _ = cells(stem_max + 2, tmp_path / "wide")
+    assert max(stem for _, stem in got) <= stem_max
+    assert got == {k: d for k, d in wider.items() if k[1] <= stem_max}
+    tsv = (out / f"ext_t1_p{prime}.tsv").read_text().splitlines()
+    assert tsv[1].endswith(f", stem <= {stem_max}")
+    assert all(int(row.split("\t")[2]) <= stem_max for row in tsv[3:])
+    chart = (out / f"ext_t1_p{prime}_chart.tsv").read_text()
+    assert all(int(row.split("\t")[2]) <= stem_max
+               for row in chart.splitlines() if row.startswith("dot"))
 
 
 def test_fgl_cap_limit_admits_er9_default():

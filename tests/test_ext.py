@@ -220,6 +220,18 @@ class TestNaming:
         assert chart.dims.get((2, 7), 0) == 0
         assert (2, 7) not in chart.names
 
+    def test_stem_cut_matches_a_narrower_window(self):
+        # T(1) collides in stems 13 and 15; cutting at 13 keeps one of
+        # them, and every kept cell reads as in the narrower window
+        fam = Profile.T(2, 1)
+        wide = ext_ranks(fam, 5, 20).stems_through(13)
+        narrow = ext_ranks(fam, 5, 18).stems_through(13)
+        assert wide.dims == narrow.dims
+        assert wide.names == narrow.names
+        assert wide.collisions == narrow.collisions != []
+        cells = [*wide.dims, *wide.names, *(cell for *_, cell in wide.collisions)]
+        assert max(t - s for s, t in cells) == 13
+
     def test_polynomial_chart_collision_free(self):
         fam = Profile.E(2, 1)
         chart = ext_ranks(fam, 5, 15)

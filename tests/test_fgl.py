@@ -10,7 +10,10 @@ against
   * jets and caps checked against independently built polynomial data.
 Then `honda_fgl` with `m_series` and `formal_inverse` is the oracle for
 the coefficient lists of `honda_multiple`, and the bivariate defect
-witness kept below is the oracle for `er_defect_witness`.
+witness kept below is the oracle for `er_defect_witness`.  The rational
+solver in oracles/honda_series.py, the package's earlier
+`honda_multiple`, is the oracle for the integer solver over a grid of
+primes, heights, multiples and caps, refusals included.
 """
 
 import math
@@ -23,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 import chromadefect.fgl as fgl_module
 from chromadefect.fgl import er_defect_witness, honda_multiple
 
+from oracles import honda_series
 from oracles.fgl_law import (
     FormalGroupLaw,
     PrimeField,
@@ -338,8 +342,9 @@ class TestHonda:
 
 class TestDefectWitness:
     def test_both_bounds_for_small_heights(self):
-        # heights 5 and 6 took minutes through the bivariate law
-        for n in (1, 2, 3, 4, 5, 6):
+        # heights 5 and 6 took minutes through the bivariate law, and
+        # 7 and 8 seconds through the rational solver
+        for n in (1, 2, 3, 4, 5, 6, 7, 8):
             report = er_defect_witness(n)
             assert report["cap"] == 2**n + 8
             assert report["upper_bound_ok"] and report["lower_bound_ok"]
@@ -441,6 +446,35 @@ class TestHondaMultiple:
             honda_multiple(2, 1, 0, 8)
         with pytest.raises(ValueError, match="not prime"):
             honda_multiple(4, 1, 2, 8)
+
+
+def _multiple_or_refusal(solve, p, h, c, cap):
+    try:
+        return solve(p, h, c, cap)
+    except ValueError as exc:
+        assert f"not {p}-integral" in str(exc), exc
+        return str(exc)
+
+
+class TestAgainstRationalSolver:
+    """The integer solver against the rational one it replaced, which
+    the bivariate law checks in turn.  [1/2](x) at p = 2 and [1/3](x)
+    at p = 3 are refused by the gate in degree 1, with the same message
+    on both sides; [-5/7](x) is p-integral at every p here."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "c", [2, -1, 3, Fraction(1, 2), Fraction(1, 3), Fraction(-5, 7), "p"]
+    )
+    def test_same_series_or_same_refusal(self, p, h, c):
+        c = p if c == "p" else c
+        for cap in sorted({p**h + 1, p**h + 8, 40}):
+            want = _multiple_or_refusal(honda_series.honda_multiple, p, h, c, cap)
+            got = _multiple_or_refusal(honda_multiple, p, h, c, cap)
+            assert got == want, (p, h, c, cap)
+            if c * p == 1:
+                assert f"coefficient {c} in degree 1 " in got
 
 
 class TestWitnessAgainstBivariateReference:
