@@ -1,21 +1,30 @@
-"""Command-line surface: job configs, artifact caching, engine dispatch.
+"""Command-line surface: flags, job configs, artifact caching, engine dispatch.
+
+    chromadefect <subcommand> [--flag VALUE | --flag=VALUE | --switch]...
+
+The flags are the table SUBCOMMANDS plus COMMON_FLAGS.  A unique prefix
+names a flag; a repeated flag keeps its last value, but each --format
+adds one.  --window takes four ints, negative ones too.  -h or --help,
+first or after the subcommand, prints help made from the table.
 
 Every subcommand builds a JobConfig, turns it into a canonical JSON
 blob, and uses the sha256 of the blob and of the package's own sources
 as the cache key, so a changed engine never reads an older engine's
 bytes.  Artifacts are pure functions of the config: no timestamps and
-no filesystem paths inside the bytes.  Exit codes: 0 success, 2 config
-or input validation, 3 engine-level failure (a computation that refused
-to certify itself).
+no filesystem paths inside the bytes.  Exit codes: 0 success or help;
+2 an argv the table refuses, a config over an engine limit or bad input,
+with `error: ...` on stderr and nothing written; 3 engine-level failure
+(a computation that refused to certify itself).
 """
 
-import argparse
 import base64
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .charts import (
     chart_from_ext,
@@ -40,9 +49,9 @@ EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 CACHE_ENV = "CHROMADEFECT_CACHE"
 # largest fgl series cap: admits ER(9) at its default cap 2^9 + 8.
-# Whole jobs on a 2 vCPU host: fgl --n 7 took 0.2 s, --n 8 0.55 s and
-# --n 9 4.0 s, each at 19-20 MB peak.  The witness alone at n = 10
-# (cap 1032) took 37 s; the cost grows about 8x per height from n = 8,
+# Whole jobs on a 2 vCPU host: fgl --n 7 took 0.23 s, --n 8 0.55 s and
+# --n 9 3.5 s, each at 20-21 MB peak.  The witness alone at n = 10
+# (cap 1032) took 40 s; the cost grows 6-12x per height from n = 8,
 # so a larger job is refused before it computes
 MAX_FGL_CAP = 520
 # operator pairs (a, b) with deg a + deg b <= t_max, the most products
@@ -73,9 +82,11 @@ MAX_KO_SS_CELLS = 250_000
 # largest defect stem cap: the ko and tmf bounds read the Koszul closed
 # form through the cap, which costs a Poincare series of cap + 2 terms
 # per family, and the cap names the window each bound certifies.  On a
-# 2 vCPU host the whole job took about 0.055 s and 19.5 MB peak at every
-# cap from 1 to 1000, nearly all of it interpreter start and imports.
-# The limit is kept as one of the CLI's documented refusals
+# 2 vCPU host the whole job, `python -m chromadefect.cli defect`, took
+# 0.07-0.10 s with the package's bytecode cached and 0.11-0.14 s without,
+# at caps 1, 24 and 1000, near 20 MB peak: 0.06 s of it interpreter start
+# and 3-7 ms `main`.  The limit is kept as one of the CLI's documented
+# refusals
 MAX_DEFECT_CAP = 1000
 FORMATS = ("tsv", "json", "svg")
 
@@ -384,68 +395,112 @@ def cache_store(key, artifacts):
 # argument parsing
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chromadefect",
-        description="Exact-arithmetic charts and defect tables for the bundled engines.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# {subcommand: (help, {flag: (kind, default, help)})}; a kind is int, str,
+# bool (a switch), list (four ints) or a tuple of choices, and ... as a
+# default marks a required flag
+SUBCOMMANDS = {
+    "ext": ("Ext rank chart of the trivial comodule", {
+        "--prime": (int, 2, ""),
+        "--family": (("A", "E", "P", "T"), "T", "quotient Hopf algebra family"),
+        "--n": (int, 1, f"family height, at most {MAX_FAMILY_HEIGHT}"),
+        "--stem-max": (int, 13, ""), "--s-max": (int, 8, ""),
+    }),
+    "may": ("May spectral sequence E1 with its d1 arrows, and E2", {
+        "--prime": (int, 2, ""), "--n": (int, 1, "telescope height"),
+        "--stem-max": (int, 13, ""), "--s-max": (int, 8, ""),
+    }),
+    "margolis": ("freeness verdict for a finite module", {
+        "--input": (str, ..., "module description (JSON)"),
+        "--subalgebra": (str, "A(1)", 'e.g. "A(1)" or "P(2)"'),
+    }),
+    "fgl": ("formal-group-law doubling and inversion witness", {
+        "--n": (int, 2, "real-theory height"),
+        "--cap": (int, None, "series truncation degree"),
+    }),
+    "defect": ("chromatic-defect verdict table", {
+        "--cap": (int, 24, "stem cap for the ko and tmf evenness bounds"),
+    }),
+    "ko-ss": ("real K-theory descent chart pages", {
+        "--variant": (("polynomial", "laurent"), "polynomial", ""),
+        "--window": (list, (-4, 16, -2, 14), "stem range, then filtration range"),
+    }),
+}
+COMMON_FLAGS = {
+    "--out": (str, ".", "output directory"),
+    "--no-cache": (bool, False, "recompute even on a cache hit"),
+    "--format": (FORMATS, None, "output format; repeatable (default depends on the subcommand)"),
+}
+HELP_FLAGS = ("-h", "--help")
+# a token after a flag is a value unless it starts with "-", but a lone
+# "-", a negative number or a word with a space is a value too
+VALUE = r"(?s)(?!-).*|-|-\d+|-\d*\.\d+|.* .*"
 
-    def common(sp):
-        sp.add_argument("--out", default=".", help="output directory (default: cwd)")
-        sp.add_argument("--no-cache", action="store_true", help="recompute even on a cache hit")
-        sp.add_argument(
-            "--format",
-            action="append",
-            choices=FORMATS,
-            dest="formats",
-            help="output format; repeatable (default depends on the subcommand)",
-        )
 
-    sp = sub.add_parser("ext", help="Ext rank chart of the trivial comodule")
-    sp.add_argument("--prime", type=int, default=2)
-    sp.add_argument("--family", choices=("A", "E", "P", "T"), default="T",
-                    help="quotient Hopf algebra family")
-    sp.add_argument("--n", type=int, default=1,
-                    help=f"family height, at most {MAX_FAMILY_HEIGHT}")
-    sp.add_argument("--stem-max", type=int, default=13)
-    sp.add_argument("--s-max", type=int, default=8)
-    common(sp)
+def _help(subcommand=None) -> str:
+    """Help text: the subcommands, or one subcommand's flags."""
+    if subcommand is None:
+        about = "Exact-arithmetic charts and defect tables for the bundled engines."
+        rows = [(name, text) for name, (text, _) in SUBCOMMANDS.items()]
+    else:
+        about, flags = SUBCOMMANDS[subcommand]
+        rows = []
+        for flag, (kind, default, text) in {**flags, **COMMON_FLAGS}.items():
+            flag += ("" if kind is bool else " {%s}" % ",".join(kind) if isinstance(kind, tuple)
+                     else " TEXT" if kind is str else " N" * (4 if kind is list else 1))
+            if default not in (None, False):
+                text += " (required)" if default is ... else f" (default: {default})"
+            rows.append((flag, text.strip()))
+    width = max(len(left) for left, _ in rows)
+    usage = f"usage: chromadefect {subcommand or '<subcommand>'} [flags]"
+    return "\n".join([usage, "", about, ""] + [f"  {a:<{width}}  {b}" for a, b in rows]) + "\n"
 
-    sp = sub.add_parser("may", help="May spectral sequence E1 with its d1 arrows, and E2")
-    sp.add_argument("--prime", type=int, default=2)
-    sp.add_argument("--n", type=int, default=1, help="telescope height")
-    sp.add_argument("--stem-max", type=int, default=13)
-    sp.add_argument("--s-max", type=int, default=8)
-    common(sp)
 
-    sp = sub.add_parser("margolis", help="freeness verdict for a finite module")
-    sp.add_argument("--input", required=True, help="module description (JSON)")
-    sp.add_argument("--subalgebra", default="A(1)", help='e.g. "A(1)" or "P(2)"')
-    common(sp)
-
-    sp = sub.add_parser("fgl", help="formal-group-law doubling and inversion witness")
-    sp.add_argument("--n", type=int, default=2, help="real-theory height")
-    sp.add_argument("--cap", type=int, default=None, help="series truncation degree")
-    common(sp)
-
-    sp = sub.add_parser("defect", help="chromatic-defect verdict table")
-    sp.add_argument("--cap", type=int, default=24,
-                    help="stem cap for the ko and tmf evenness bounds")
-    common(sp)
-
-    sp = sub.add_parser("ko-ss", help="real K-theory descent chart pages")
-    sp.add_argument("--variant", choices=("polynomial", "laurent"), default="polynomial")
-    sp.add_argument(
-        "--window",
-        type=int,
-        nargs=4,
-        metavar=("STEM_LO", "STEM_HI", "FIL_LO", "FIL_HI"),
-        default=(-4, 16, -2, 14),
-    )
-    common(sp)
-
-    return parser
+def parse_args(argv) -> SimpleNamespace:
+    """The job namespace for argv, read by the grammar in the module
+    docstring, or SimpleNamespace(help=text) for -h or --help."""
+    rest = list(argv)
+    subcommand = rest.pop(0) if rest and rest[0] in SUBCOMMANDS else None
+    flags = {**SUBCOMMANDS[subcommand][1], **COMMON_FLAGS} if subcommand else {}
+    args = {flag: default for flag, (_, default, _) in flags.items()}
+    known = [*flags, *HELP_FLAGS]
+    need = f"need a subcommand first: {', '.join(SUBCOMMANDS)}"
+    while rest:
+        token = rest.pop(0)
+        name, eq, value = token.partition("=")
+        hits = [f for f in known if name == f or len(name) > 2 and f.startswith(name)]
+        if len(hits) > 1 and name not in hits:
+            raise ConfigError(f"ambiguous flag {name}: could be {', '.join(hits)}")
+        if not hits:
+            raise ConfigError(f"unrecognized argument {token!r}" if subcommand else need)
+        flag = name if name in hits else hits[0]
+        kind = flags[flag][0] if flag in flags else bool  # help is a switch too
+        count = 0 if kind is bool else 4 if kind is list else 1
+        values = [value] if eq else []
+        while not eq and rest and len(values) < count and re.fullmatch(VALUE, rest[0]):
+            values.append(rest.pop(0))
+        if len(values) != count:
+            raise ConfigError(f"{flag} takes {count or 'no'} value{'s' * (count != 1)}")
+        try:
+            values = [int(v) for v in values] if kind in (int, list) else values
+        except ValueError:
+            raise ConfigError(f"{flag} takes integers, got {' '.join(values)!r}") from None
+        if isinstance(kind, tuple) and values[0] not in kind:
+            raise ConfigError(f"{flag} takes one of {', '.join(kind)}, got {values[0]!r}")
+        if flag in HELP_FLAGS:
+            return SimpleNamespace(help=_help(subcommand))
+        if flag == "--format":
+            values = (args[flag] or []) + values
+        keep_list = kind is list or flag == "--format"
+        args[flag] = True if kind is bool else values if keep_list else values[0]
+    if subcommand is None:
+        raise ConfigError(need)
+    missing = [flag for flag, value in args.items() if value is ...]
+    if missing:
+        raise ConfigError(f"{subcommand} needs {', '.join(missing)}")
+    return SimpleNamespace(subcommand=subcommand, **{
+        "formats" if flag == "--format" else flag[2:].replace("-", "_"): value
+        for flag, value in args.items()
+    })
 
 
 def _config_from_args(args) -> JobConfig:
@@ -518,13 +573,11 @@ def _config_from_args(args) -> JobConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if "help" in vars(args):
+            print(args.help, end="")
+            return EXIT_OK
         cfg = _config_from_args(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,23 +42,33 @@ def _honda_log_terms(p, n, cap):
     return terms
 
 
-def _dense_mul(a, b, top):
-    """Product of two coefficient lists of length at least top + 1,
-    truncated after degree top."""
-    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(top + 1)]
+def _dense_square(a, top):
+    """The square of a coefficient list of length at least top + 1,
+    truncated after degree top, with half the products of a general
+    product: degree k sums a_i a_(k-i) once for each i < k - i and
+    doubles it, then adds a_(k/2)^2 when k is even."""
+    out = []
+    for k in range(top + 1):
+        half = (k + 1) // 2
+        s = 2 * sum(map(mul, a[:half], a[k : k - half : -1]))
+        out.append(s if k & 1 else s + a[half] * a[half])
+    return out
 
 
 def _dense_pow(a, e, top):
     """a^e for e >= 1 by repeated squaring, truncated after degree
-    top."""
+    top.  The log check raises to powers of p, so only odd p reaches
+    the general product."""
     result = None
     while True:
         if e & 1:
-            result = a if result is None else _dense_mul(result, a, top)
+            result = a if result is None else [
+                sum(map(mul, result[: k + 1], a[k::-1])) for k in range(top + 1)
+            ]
         e >>= 1
         if not e:
             return result
-        a = _dense_mul(a, a, top)
+        a = _dense_square(a, top)
 
 
 def _solve_log_multiple(log_terms, c, cap):

@@ -165,7 +165,7 @@ def test_oversized_ext_exits_2(argv, need, tmp_path, capsys):
      ["--family", "T", "--n", "0", "--stem-max", "40", "--s-max", "8"]],
 )
 def test_ext_limit_admits_measured_windows(window):
-    args = cli.build_parser().parse_args(["ext", "--family", "A", "--n", "1", *window])
+    args = cli.parse_args(["ext", "--family", "A", "--n", "1", *window])
     assert cli._config_from_args(args).subcommand == "ext"
 
 
@@ -306,13 +306,13 @@ def test_non_exterior_scan_family_exits_3(height, tmp_path, capsys, monkeypatch)
 
 
 def test_defect_limit_admits_the_benchmark_cap():
-    args = cli.build_parser().parse_args(["defect", "--cap", "24"])
+    args = cli.parse_args(["defect", "--cap", "24"])
     assert cli._config_from_args(args).params["stem_cap"] == 24
 
 
 def test_golden_argvs_pass_the_size_limits():
     for argv in GOLDEN.values():
-        args = cli.build_parser().parse_args(argv)
+        args = cli.parse_args(argv)
         assert cli._config_from_args(args).subcommand == args.subcommand
 
 
@@ -339,7 +339,7 @@ def test_ext_artifacts_stop_at_stem_max(prime, stem_max, s_max, tmp_path):
 
 
 def test_fgl_cap_limit_admits_er9_default():
-    args = cli.build_parser().parse_args(["fgl", "--n", "9"])
+    args = cli.parse_args(["fgl", "--n", "9"])
     assert cli._config_from_args(args).params["cap"] is None
 
 
@@ -401,7 +401,7 @@ def test_engine_change_misses_the_cache(tmp_path, capsys, cache_dir, monkeypatch
 
 
 def test_entry_with_a_foreign_key_is_rejected(tmp_path, capsys, cache_dir):
-    args = cli.build_parser().parse_args(["fgl", "--n", "2", *FORMATS])
+    args = cli.parse_args(["fgl", "--n", "2", *FORMATS])
     key = cli._config_from_args(args).key()
     cli.cache_store("f" * 64, {"fgl_er2.json": b"stale\n"})
     (cache_dir / f"{'f' * 64}.json").rename(cache_dir / f"{key}.json")

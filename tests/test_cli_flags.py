@@ -1,0 +1,102 @@
+"""The flag table against the argparse parser it replaced, and the real
+entry point.
+
+Every GOLDEN argv and every spelling below must give `cli.parse_args`
+the namespace the argparse oracle gives; every refusal below must make
+the oracle exit 2 and `cli.main` return 2 with nothing written.  The
+entry point runs as `python -m chromadefect.cli` in a fresh interpreter,
+so `main()` reads sys.argv itself, and its imports are listed by
+`-X importtime`.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from chromadefect import cli
+
+from oracles.cli_argparse import build_parser
+from test_cli import GOLDEN
+
+SPELLINGS = {
+    "equals": ["ext", "--prime=3", "--family=A"],
+    "prefix": ["ext", "--stem", "10", "--s-", "4", "--no", "--fam", "E"],
+    "repeated": ["fgl", "--n", "1", "--n", "3", "--cap", "20", "--cap=30"],
+    "formats": ["fgl", "--format", "json", "--format", "tsv", "--fo=json"],
+    "negative-window": ["ko-ss", "--window", "-6", "10", "-2", "8"],
+    "window-twice": ["ko-ss", "--window", "0", "1", "0", "1", "--window", "-1", "2", "-3", "4"],
+    "negative-int": ["fgl", "--n", "-3", "--cap=-1"],
+    "dash-values": ["margolis", "--input", "-", "--out", "- x", "--sub", "P(2)"],
+}
+REFUSALS = {
+    "workers": ["fgl", "--n", "1", "--workers", "2"],
+    "not-an-int": ["ext", "--prime", "x"],
+    "family": ["ext", "--family", "Q"],
+    "format": ["fgl", "--format", "pdf"],
+    "missing-value": ["fgl", "--n"],
+    "short-window": ["ko-ss", "--window", "1", "2", "3"],
+    "switch-with-value": ["fgl", "--no-cache=yes"],
+    "margolis-without-input": ["margolis"],
+    "no-subcommand": [],
+    "unknown-subcommand": ["frobnicate", "--n", "1"],
+    "ambiguous-prefix": ["ext", "--s", "3"],
+    "stray-word": ["defect", "24"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(argv, id=name) for name, argv in {**GOLDEN, **SPELLINGS}.items()],
+)
+def test_same_namespace_as_argparse(argv):
+    assert vars(cli.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [pytest.param(v, id=k) for k, v in REFUSALS.items()])
+def test_refused_like_argparse(argv, tmp_path, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def entry(tmp_path, *argv):
+    """`python -X importtime -m chromadefect.cli argv` in tmp_path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           cli.CACHE_ENV: str(tmp_path / "cache")}
+    return subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "chromadefect.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_entry_point(tmp_path):
+    done = entry(tmp_path, "fgl", "--n", "1", "--no-cache", "--out", "out")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["wrote", "out/fgl_er1.json"]
+    imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "chromadefect.fgl" in imported
+    assert not {"argparse", "gettext", "locale"} & imported
+
+    done = entry(tmp_path, "fgl", "--n", "0", "--no-cache", "--out", "refused")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "error: height must be positive" in done.stderr
+    assert not (tmp_path / "refused").exists()
+
+    done = entry(tmp_path, "--help")
+    assert done.returncode == 0
+    assert all(name in done.stdout for name in cli.SUBCOMMANDS)
+    done = entry(tmp_path, "ext", "--help")
+    assert done.returncode == 0
+    flags = {**cli.SUBCOMMANDS["ext"][1], **cli.COMMON_FLAGS}
+    assert all(flag in done.stdout for flag in flags)

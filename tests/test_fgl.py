@@ -441,6 +441,13 @@ class TestHondaMultiple:
         with pytest.raises(ValueError, match="log of the solved series"):
             er_defect_witness(2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_square_matches_the_product(self, data):
+        top = data.draw(st.integers(0, 12))
+        a = data.draw(st.lists(st.integers(-10**30, 10**30), min_size=top + 1, max_size=top + 4))
+        assert fgl_module._dense_square(a, top) == honda_series._dense_mul(a, a, top)
+
     def test_guards(self):
         with pytest.raises(ValueError, match="nonzero"):
             honda_multiple(2, 1, 0, 8)

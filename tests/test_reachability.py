@@ -2,9 +2,10 @@
 
 The package holds what the jobs run; test oracles live under
 tests/oracles/.  This test runs every GOLDEN argv in process under
-`sys.setprofile`, plus one cached run (store, then hit) and a small `ext`
-run over the P family, which no golden argv covers, and
-asserts that every function defined under src/chromadefect was entered.
+`sys.setprofile`, plus one cached run (store, then hit), a small `ext`
+run over the P family, which no golden argv covers, and the top-level
+and `ext` help, and asserts that every function defined under
+src/chromadefect was entered.
 The exemptions are named below, one group per planned change that
 takes them as its main path or replaces them, plus dunder methods; an
 exempt function that a job enters fails the test too, so each group
@@ -104,6 +105,8 @@ def test_every_package_function_is_reached(tmp_path, monkeypatch):
         argv = ["ext", "--family", "P", "--stem-max", "6", "--s-max", "2",
                 "--no-cache", "--out", str(tmp_path / "P")]
         assert cli.main(argv) == 0
+        for argv in (["--help"], ["ext", "--help"]):
+            assert cli.main(argv) == 0
 
     seen = {(str(Path(f).resolve()), line) for f, line in entered_during(jobs)}
     defined = defined_functions()
