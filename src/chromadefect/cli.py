@@ -15,13 +15,16 @@ no filesystem paths inside the bytes.  Exit codes: 0 success or help;
 2 an argv the table refuses, a config over an engine limit or bad input,
 with `error: ...` on stderr and nothing written; 3 engine-level failure
 (a computation that refused to certify itself).
+
+Importing this module loads the engines that the ext, fgl, defect and
+ko-ss handlers run, so their compile time is paid at import and not
+inside a job.  The may and margolis engines, and the hashing and
+base64 coding the cache uses, load inside the functions that need them:
+no other job compiles them.
 """
 
-import base64
-import hashlib
 import json
 import os
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -37,8 +40,6 @@ from .defect import catalogue, verdict_table
 from .ext import ext_ranks, operator_pairs
 from .fgl import er_defect_witness
 from .gradedlin import check_prime
-from .margolis import FiniteSteenrodModule, InputError, is_free_over
-from .may import e1_monomial_count, may_e1, may_e2
 from .ssq import Window, build_e1, forced_d3_detector, run_d1, run_d3
 from .steenrod import MAX_FAMILY_HEIGHT, Profile
 
@@ -83,10 +84,11 @@ MAX_KO_SS_CELLS = 250_000
 # form through the cap, which costs a Poincare series of cap + 2 terms
 # per family, and the cap names the window each bound certifies.  On a
 # 2 vCPU host the whole job, `python -m chromadefect.cli defect`, took
-# 0.07-0.10 s with the package's bytecode cached and 0.11-0.14 s without,
-# at caps 1, 24 and 1000, near 20 MB peak: 0.06 s of it interpreter start
-# and 3-7 ms `main`.  The limit is kept as one of the CLI's documented
-# refusals
+# 0.07-0.08 s with the package's bytecode cached and 0.11-0.12 s without,
+# at caps 1, 24 and 1000, 14-16 MB peak: 0.05-0.07 s of it interpreter
+# start (`python -c pass`), about 0.04 s compiling the package when no
+# bytecode is cached, and 3-5 ms `main`.  The limit is kept as one of the
+# CLI's documented refusals
 MAX_DEFECT_CAP = 1000
 FORMATS = ("tsv", "json", "svg")
 
@@ -130,12 +132,16 @@ class JobConfig:
 
     def key(self) -> str:
         """Cache key: the canonical config plus the engine fingerprint."""
+        import hashlib
+
         blob = self.canonical() + "\n" + _engine_fingerprint()
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _engine_fingerprint() -> str:
     """sha256 over the package's .py sources, by relative path."""
+    import hashlib
+
     root = Path(__file__).resolve().parent
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*.py")):
@@ -197,6 +203,8 @@ def _check_ext_size(params):
 def _check_may_size(params):
     """Refuse a may page over MAX_MAY_E1_SIZE window cells plus E1
     monomials, bounding the window before counting monomials in it."""
+    from .may import e1_monomial_count
+
     cells = (params["stem_max"] + 1) * (params["s_max"] + 1)
     if cells > MAX_MAY_E1_SIZE:
         raise ConfigError(f"the E1 window has {cells} cells, over the limit {MAX_MAY_E1_SIZE}")
@@ -234,6 +242,8 @@ def cmd_ext(cfg: JobConfig):
 
 
 def cmd_may(cfg: JobConfig):
+    from .may import may_e1, may_e2
+
     p = cfg.params["prime"]
     n = cfg.params["n"]
     e1 = may_e1(n, p, cfg.params["stem_max"], cfg.params["s_max"])
@@ -255,6 +265,8 @@ def cmd_may(cfg: JobConfig):
 
 
 def cmd_margolis(cfg: JobConfig):
+    from .margolis import FiniteSteenrodModule, InputError, is_free_over
+
     # InputError is a verdict on the input: a malformed or inconsistent
     # module, an unknown subalgebra, or a missing operator; any other
     # ValueError is the engine refusing to certify
@@ -361,6 +373,8 @@ def _cache_dir() -> Path:
 
 
 def cache_load(key):
+    import base64
+
     path = _cache_dir() / f"{key}.json"
     if not path.is_file():
         return None
@@ -377,6 +391,8 @@ def cache_load(key):
 
 
 def cache_store(key, artifacts):
+    import base64
+
     root = _cache_dir()
     root.mkdir(parents=True, exist_ok=True)
     blob = {
@@ -431,9 +447,17 @@ COMMON_FLAGS = {
     "--format": (FORMATS, None, "output format; repeatable (default depends on the subcommand)"),
 }
 HELP_FLAGS = ("-h", "--help")
-# a token after a flag is a value unless it starts with "-", but a lone
-# "-", a negative number or a word with a space is a value too
-VALUE = r"(?s)(?!-).*|-|-\d+|-\d*\.\d+|.* .*"
+
+
+def _is_value(token) -> bool:
+    """A token after a flag is a value unless it starts with "-", but a
+    lone "-", a negative number (-5, -.5, -1.5) or a word with a space
+    is a value too.  isdecimal takes every Unicode decimal digit, as
+    argparse's negative-number pattern does."""
+    if not token.startswith("-") or " " in token:
+        return True
+    whole, dot, frac = token[1:].partition(".")
+    return (not whole or whole.isdecimal()) and (not dot or frac.isdecimal())
 
 
 def _help(subcommand=None) -> str:
@@ -476,7 +500,7 @@ def parse_args(argv) -> SimpleNamespace:
         kind = flags[flag][0] if flag in flags else bool  # help is a switch too
         count = 0 if kind is bool else 4 if kind is list else 1
         values = [value] if eq else []
-        while not eq and rest and len(values) < count and re.fullmatch(VALUE, rest[0]):
+        while not eq and rest and len(values) < count and _is_value(rest[0]):
             values.append(rest.pop(0))
         if len(values) != count:
             raise ConfigError(f"{flag} takes {count or 'no'} value{'s' * (count != 1)}")
@@ -525,6 +549,8 @@ def _config_from_args(args) -> JobConfig:
             params["family"] = args.family
             _check_ext_size(params)
     elif args.subcommand == "margolis":
+        import hashlib
+
         path = Path(args.input)
         try:
             text = path.read_text(encoding="utf-8")
@@ -604,11 +630,15 @@ def main(argv=None) -> int:
         print(f"cache hit {key[:12]}", file=sys.stderr)
 
     out_root = Path(cfg.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+        for name in sorted(artifacts):
+            (out_root / name).write_bytes(artifacts[name])
+    except OSError as exc:
+        print(f"error: cannot write to --out {cfg.out_dir}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     for name in sorted(artifacts):
-        target = out_root / name
-        target.write_bytes(artifacts[name])
-        print(f"wrote {target}")
+        print(f"wrote {out_root / name}")
     return EXIT_OK
 
 

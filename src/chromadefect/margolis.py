@@ -38,18 +38,14 @@ from .gradedlin import (
     SubquotientBasis,
     vec_support,
 )
-from .steenrod import (
-    MAX_FAMILY_HEIGHT,
-    Profile,
-    elt_add_term,
-    family_margolis_indices,
-)
+from .steenrod import MAX_FAMILY_HEIGHT, Profile, elt_add_term
 
 __all__ = [
     "FiniteSteenrodModule",
     "InputError",
     "MargolisHomology",
     "MargolisVerdict",
+    "family_margolis_indices",
     "is_free_over",
     "margolis_homology",
     "operator_degree",
@@ -384,6 +380,30 @@ def _profile_for(p, kind, level):
     if kind == "P":
         return Profile.P(p, level)
     raise ValueError("subalgebra kind must be 'A' or 'P'")
+
+
+def family_margolis_indices(profile):
+    """Nilpotent dual operations of a finite family, whose homologies
+    decide freeness over the dual subalgebra (subalgebra_operators).
+
+    Returns (xi_ops, tau_ops): xi_ops is a list of (t, s) pairs meaning
+    the operation dual to g_t^{p^s} (g_t = xi_t, or xi_t^2 in the
+    even-only case), kept exactly when s < t: it then squares to zero
+    at p = 2 and has vanishing p-th power at odd primes.  tau_ops lists
+    the exterior indices (odd primes), whose operations square to zero.
+    """
+    if profile.total_dimension() is None:
+        raise ValueError("family must be finite")
+    xi_ops = []
+    for i, h in enumerate(profile.heights):
+        t = i + 1
+        for s in range(h):
+            if s < t:
+                xi_ops.append((t, s))
+    tau_ops = []
+    if profile.p != 2 and profile.tau != "all":
+        tau_ops = sorted(profile.tau)
+    return xi_ops, tau_ops
 
 
 def subalgebra_operators(p, kind, level):

@@ -18,7 +18,6 @@ monomials; the Ext engine resolves over them.  The dual pairing between
 the two sides is exercised by the test suite as a cross check.
 """
 
-from functools import lru_cache
 from math import comb
 
 __all__ = [
@@ -27,19 +26,11 @@ __all__ = [
     "MAX_FAMILY_HEIGHT",
     "MilnorBasisElement",
     "milnor_product",
-    "conjugate_xi",
     "coproduct",
     "reduced_coproduct",
-    "elt_mul",
     "elt_add_term",
     "xi_gen",
     "tau_gen",
-    "family_margolis_indices",
-    "relative_dual_coalgebra",
-    "polynomial_series",
-    "poincare_identity_check",
-    "splitting_generator_degrees",
-    "stable_splitting_generator_degrees",
 ]
 
 
@@ -155,16 +146,6 @@ def elt_add_term(p, acc, key, coef):
         acc[key] = cur
     else:
         acc.pop(key, None)
-
-
-def elt_mul(p, x, y):
-    out = {}
-    for ma, ca in x.items():
-        for mb, cb in y.items():
-            sign, m = ma.times(mb)
-            if sign:
-                elt_add_term(p, out, m, sign * ca * cb)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +270,6 @@ def reduced_coproduct(mono, profile=None):
     for key in ((mono, unit), (unit, mono)):
         elt_add_term(p, out, key, -1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# conjugation
-
-
-@lru_cache(maxsize=None)
-def conjugate_xi(p, k):
-    """chi(xi_k) as an element dict, from sum xi_{k-i}^{p^i} chi(xi_i) = 0."""
-    if k == 0:
-        return {DualMonomial(p): 1}
-    acc = {}
-    for i in range(k):
-        factor = {xi_gen(p, k - i, p**i): 1}
-        for m, c in elt_mul(p, factor, conjugate_xi(p, i)).items():
-            elt_add_term(p, acc, m, -c)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -581,130 +545,6 @@ def _le_num(a, b):
     if a is None:
         return False
     return a <= b
-
-
-# ---------------------------------------------------------------------------
-# Margolis operations of finite families
-
-
-def family_margolis_indices(profile):
-    """Nilpotent dual operations of a finite family, whose homologies
-    decide freeness over the dual subalgebra (margolis.subalgebra_operators).
-
-    Returns (xi_ops, tau_ops): xi_ops is a list of (t, s) pairs meaning
-    the operation dual to g_t^{p^s} (g_t = xi_t, or xi_t^2 in the
-    even-only case), kept exactly when s < t: it then squares to zero
-    at p = 2 and has vanishing p-th power at odd primes.  tau_ops lists
-    the exterior indices (odd primes), whose operations square to zero.
-    """
-    if profile.total_dimension() is None:
-        raise ValueError("family must be finite")
-    xi_ops = []
-    for i, h in enumerate(profile.heights):
-        t = i + 1
-        for s in range(h):
-            if s < t:
-                xi_ops.append((t, s))
-    tau_ops = []
-    if profile.p != 2 and profile.tau != "all":
-        tau_ops = sorted(profile.tau)
-    return xi_ops, tau_ops
-
-
-# ---------------------------------------------------------------------------
-# quotient coalgebras relative to a Thom-range ideal
-
-
-def relative_dual_coalgebra(p, m, cap):
-    """Quotient of the dual Steenrod algebra by the Thom-range ideal of
-    width m, with its distinguished primitives through degree cap.
-
-    Requires p^n <= m < p^{n+1} for some n >= 0; the quotient is then
-    the height-n family.  Returns (profile, basis, primitives) where
-    primitives is a list of (power, element, ok) for the reduced
-    conjugate-generator powers zeta_{n+1}^{2^{k+1}} (p = 2) or
-    zeta_{n+1}^{p^k} (odd p), ok = nonzero and diagonal-primitive.
-    """
-    if m < 1:
-        raise ValueError("width must be at least 1")
-    n = 0
-    while p ** (n + 1) <= m:
-        n += 1
-    profile = Profile.T(p, n)
-    basis = profile.basis(cap)
-    zeta = conjugate_xi(p, n + 1)
-    if p == 2:
-        base = elt_mul(p, zeta, zeta)
-    else:
-        base = zeta
-    # working in the quotient throughout is valid: reduction is a ring map
-    power = {m: c for m, c in base.items() if profile.allows(m)}
-    primitives = []
-    exp = 1
-    while power:
-        deg = next(iter(power)).degree()
-        if deg > cap:
-            break
-        cop = {}
-        for mono, coef in power.items():
-            for (l, r), c in reduced_coproduct(mono, profile).items():
-                elt_add_term(p, cop, (l, r), c * coef)
-        primitives.append((exp, dict(power), not cop))
-        nxt = power
-        for _ in range(p - 1):
-            nxt = {m: c for m, c in elt_mul(p, nxt, power).items() if profile.allows(m)}
-        power = nxt
-        exp *= p
-    return profile, basis, primitives
-
-
-# ---------------------------------------------------------------------------
-# Poincare series identities
-
-
-def polynomial_series(gen_degrees, cap):
-    """Coefficients of prod 1/(1 - q^d) through degree cap."""
-    series = [0] * (cap + 1)
-    series[0] = 1
-    for d in gen_degrees:
-        if d <= 0:
-            raise ValueError("generator degrees must be positive")
-        for k in range(d, cap + 1):
-            series[k] += series[k - d]
-    return series
-
-
-def poincare_identity_check(gens_a, gens_b, cap):
-    sa = polynomial_series(sorted(gens_a), cap)
-    sb = polynomial_series(sorted(gens_b), cap)
-    return sa == sb, sa, sb
-
-
-def splitting_generator_degrees(p, n, m):
-    """Generator degrees for the finite Thom splitting: the width-m
-    homology against the height-n family plus polynomial complement.
-
-    Valid for p^n <= m < p^{n+1}; returns (lhs, rhs) degree lists.
-    """
-    if not (p**n <= m < p ** (n + 1)):
-        raise ValueError("width is not in the height-n range")
-    lhs = [2 * i for i in range(1, m)]
-    family = [2 * (p**j - 1) for j in range(1, n + 1)]
-    skips = {p**j - 1 for j in range(1, n + 1)}
-    complement = [2 * i for i in range(1, m) if i not in skips]
-    return lhs, family + complement
-
-
-def stable_splitting_generator_degrees(p, n, m):
-    """Degreewise form of the stable splitting of the width filtration:
-    height-m family against height-n family with adjoined classes in
-    degrees 2(p^i - 1), n < i <= m."""
-    if not 0 <= n <= m:
-        raise ValueError("need 0 <= n <= m")
-    lhs = [2 * (p**j - 1) for j in range(1, m + 1)]
-    rhs = [2 * (p**j - 1) for j in range(1, n + 1)]
-    rhs += [2 * (p**i - 1) for i in range(n + 1, m + 1)]
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ every one of those homologies vanishes (cofree_decompose).  The tests
 check this against Ext over the same family.
 """
 
-from chromadefect.margolis import FiniteSteenrodModule, margolis_homology
-from chromadefect.steenrod import family_margolis_indices, tau_gen, xi_gen
+from chromadefect.margolis import FiniteSteenrodModule, family_margolis_indices, margolis_homology
+from chromadefect.steenrod import tau_gen, xi_gen
 
 
 def _dual_operations(profile):

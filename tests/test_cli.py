@@ -429,3 +429,20 @@ def test_unusable_cache_dir_still_writes_artifacts(tmp_path, capsys, monkeypatch
     assert run(["fgl", "--n", "1"], out) == cli.EXIT_OK
     assert "warning: cache not written" in capsys.readouterr().err
     assert written(out) == written(GOLDEN_DIR / "fgl_n1")
+
+
+@pytest.mark.parametrize("where", ["file", "below-a-file", "artifact-is-a-directory"])
+def test_unwritable_out_exits_2(where, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    if where == "artifact-is-a-directory":
+        (blocker / "fgl_er1.json").mkdir(parents=True)
+        out = blocker
+    else:
+        blocker.write_text("kept")
+        out = blocker if where == "file" else blocker / "out"
+    assert run(["fgl", "--n", "1", "--no-cache"], out) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write to --out {out}: ")
+    if where != "artifact-is-a-directory":
+        assert blocker.read_text() == "kept"

@@ -6,9 +6,11 @@ the namespace the argparse oracle gives; every refusal below must make
 the oracle exit 2 and `cli.main` return 2 with nothing written.  The
 entry point runs as `python -m chromadefect.cli` in a fresh interpreter,
 so `main()` reads sys.argv itself, and its imports are listed by
-`-X importtime`.
+`-X importtime`.  The import surface is read in a fresh interpreter as
+the modules a job adds to those `site` had already loaded.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -30,6 +32,8 @@ SPELLINGS = {
     "window-twice": ["ko-ss", "--window", "0", "1", "0", "1", "--window", "-1", "2", "-3", "4"],
     "negative-int": ["fgl", "--n", "-3", "--cap=-1"],
     "dash-values": ["margolis", "--input", "-", "--out", "- x", "--sub", "P(2)"],
+    "dash-numbers": ["margolis", "--input", "-1.5", "--out", "-.5", "--sub", "-5"],
+    "dash-unicode-digit": ["fgl", "--n", "-\u0663", "--out", "-\u0663"],
 }
 REFUSALS = {
     "workers": ["fgl", "--n", "1", "--workers", "2"],
@@ -44,6 +48,8 @@ REFUSALS = {
     "unknown-subcommand": ["frobnicate", "--n", "1"],
     "ambiguous-prefix": ["ext", "--s", "3"],
     "stray-word": ["defect", "24"],
+    "dash-word": ["fgl", "--out", "-x"],
+    "dash-trailing-dot": ["fgl", "--out", "-1."],
 }
 
 
@@ -69,12 +75,13 @@ def test_refused_like_argparse(argv, tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def entry(tmp_path, *argv):
-    """`python -X importtime -m chromadefect.cli argv` in tmp_path."""
+def entry(tmp_path, *argv, via=("-X", "importtime", "-m", "chromadefect.cli")):
+    """`python -X importtime -m chromadefect.cli argv` in tmp_path, or
+    `python <via> argv`."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
            cli.CACHE_ENV: str(tmp_path / "cache")}
     return subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "chromadefect.cli", *argv],
+        [sys.executable, *via, *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
 
@@ -100,3 +107,39 @@ def test_entry_point(tmp_path):
     assert done.returncode == 0
     flags = {**cli.SUBCOMMANDS["ext"][1], **cli.COMMON_FLAGS}
     assert all(flag in done.stdout for flag in flags)
+
+
+# the exit code of importing chromadefect.cli and running main(argv),
+# the modules that adds to those loaded when the script starts (by
+# site, say), and every module loaded at the end
+IMPORTS_OF = """
+import json, sys
+before = set(sys.modules)
+from chromadefect import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
+print(json.dumps([code, sorted(set(sys.modules) - before), sorted(sys.modules)]))
+"""
+LAZY = {"chromadefect.may", "chromadefect.margolis", "hashlib", "base64"}
+RP4 = str(Path(__file__).parent / "golden" / "inputs" / "rp4.json")
+
+
+@pytest.mark.parametrize("argv, loads", [
+    pytest.param([], set(), id="import"),
+    pytest.param(["fgl", "--n", "1", "--no-cache"], set(), id="fgl"),
+    pytest.param(["ext", "--stem-max", "4", "--s-max", "2", "--no-cache"], set(), id="ext"),
+    pytest.param(["defect", "--cap", "8", "--no-cache"], set(), id="defect"),
+    pytest.param(["ko-ss", "--window", "0", "4", "0", "4", "--no-cache"], set(), id="ko-ss"),
+    pytest.param(["fgl", "--n", "1"], {"hashlib", "base64"}, id="fgl-cached"),
+    pytest.param(["may", "--stem-max", "4", "--s-max", "2", "--no-cache"],
+                 {"chromadefect.may"}, id="may"),
+    pytest.param(["margolis", "--input", RP4, "--no-cache"],
+                 {"chromadefect.margolis", "hashlib"}, id="margolis"),
+])
+def test_jobs_import_only_their_engines(argv, loads, tmp_path):
+    out = ["--out", "out"] if argv else []
+    done = entry(tmp_path, *argv, *out, via=("-c", IMPORTS_OF))
+    assert done.returncode == 0, done.stderr
+    code, added, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code in (None, cli.EXIT_OK), done.stderr
+    assert not (LAZY - loads) & set(added)
+    assert loads <= set(loaded)

@@ -6,10 +6,11 @@ tests/oracles/.  This test runs every GOLDEN argv in process under
 run over the P family, which no golden argv covers, and the top-level
 and `ext` help, and asserts that every function defined under
 src/chromadefect was entered.
-The exemptions are named below, one group per planned change that
-takes them as its main path or replaces them, plus dunder methods; an
-exempt function that a job enters fails the test too, so each group
-shrinks as soon as its code gets a path.
+Dunder methods are exempt.  EXEMPT names the other exemptions, one
+group per planned change that takes them as its main path or replaces
+them; no group is left, so EXEMPT is empty.  An exempt function that a
+job enters fails the test too, so a group shrinks as soon as its code
+gets a path.
 A second test holds every package module's `__all__` to names the
 module defines, so a deleted function leaves no stale export.
 """
@@ -29,19 +30,7 @@ SRC = Path(cli.__file__).resolve().parent
 
 # Exemptions name a function, a class (all its methods) or an outer
 # function (all its nested functions).
-
-# the X(n) splitting toys with the conjugation and products only they
-# use, to be replaced by a Thom comodule check
-SPLITTING_TOYS = {
-    "steenrod.py:relative_dual_coalgebra",
-    "steenrod.py:conjugate_xi",
-    "steenrod.py:elt_mul",
-    "steenrod.py:splitting_generator_degrees",
-    "steenrod.py:stable_splitting_generator_degrees",
-    "steenrod.py:poincare_identity_check",
-    "steenrod.py:polynomial_series",
-}
-EXEMPT = SPLITTING_TOYS
+EXEMPT = set()
 
 
 def dunder(name):

@@ -17,17 +17,10 @@ from chromadefect.steenrod import (
     DualMonomial,
     MilnorBasisElement,
     Profile,
-    conjugate_xi,
     coproduct,
     elt_add_term,
-    elt_mul,
     milnor_product,
-    poincare_identity_check,
-    polynomial_series,
     reduced_coproduct,
-    relative_dual_coalgebra,
-    splitting_generator_degrees,
-    stable_splitting_generator_degrees,
     tau_gen,
     xi_gen,
 )
@@ -36,6 +29,15 @@ from oracles.change_of_rings import cotensor_comodule, is_quotient_of
 from oracles.cobar import Comodule
 from oracles.cofree import cofree_decompose
 from oracles.modules import coalgebra_self, dual_monomial, operator_basis, thom_height_one
+from oracles.splitting import (
+    conjugate_xi,
+    elt_mul,
+    poincare_identity_check,
+    polynomial_series,
+    relative_dual_coalgebra,
+    splitting_generator_degrees,
+    stable_splitting_generator_degrees,
+)
 
 
 def sq(*r):
