@@ -23,6 +23,7 @@ base64 coding the cache uses, load inside the functions that need them:
 no other job compiles them.
 """
 
+import errno
 import json
 import os
 import sys
@@ -110,9 +111,10 @@ class ConfigError(ValueError):
 class JobConfig:
     """One validated CLI job.
 
-    `params` is the canonical payload: everything that can change the
-    artifact bytes goes in, everything that cannot (output directory,
-    cache toggle) stays out, so the cache key never splits on plumbing.
+    `params` and `payload` (the module a margolis job reads) hold
+    everything that can change the artifact bytes; everything that
+    cannot (output directory, cache toggle) stays out, so the cache key
+    never splits on plumbing.
     """
 
     __slots__ = ("subcommand", "params", "out_dir", "use_cache", "payload")
@@ -131,10 +133,13 @@ class JobConfig:
         return json.dumps(blob, sort_keys=True, separators=(",", ":"))
 
     def key(self) -> str:
-        """Cache key: the canonical config plus the engine fingerprint."""
+        """Cache key: the canonical config, the payload as compact JSON
+        (in its own key order, which can order a module's operators)
+        and the engine fingerprint."""
         import hashlib
 
-        blob = self.canonical() + "\n" + _engine_fingerprint()
+        payload = json.dumps(self.payload, separators=(",", ":"))
+        blob = self.canonical() + "\n" + payload + "\n" + _engine_fingerprint()
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -407,6 +412,27 @@ def cache_store(key, artifacts):
     os.replace(tmp, root / f"{key}.json")
 
 
+def _write_artifacts(root, artifacts):
+    """Write every artifact into root, or none of them: an artifact name
+    taken by a directory stops the job before any write, and each file
+    goes to a temporary name, renamed into place only once every write
+    has succeeded."""
+    root.mkdir(parents=True, exist_ok=True)
+    for name in artifacts:
+        if (root / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(root / name))
+    temps = {}
+    try:
+        for name in sorted(artifacts):
+            temps[name] = root / f".{name}.{os.getpid()}.tmp"
+            temps[name].write_bytes(artifacts[name])
+        for name in list(temps):
+            os.replace(temps.pop(name), root / name)
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -549,16 +575,11 @@ def _config_from_args(args) -> JobConfig:
             params["family"] = args.family
             _check_ext_size(params)
     elif args.subcommand == "margolis":
-        import hashlib
-
-        path = Path(args.input)
         try:
-            text = path.read_text(encoding="utf-8")
-            payload = json.loads(text)
+            payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"unreadable input {args.input}: {exc}") from None
         params["subalgebra"] = args.subalgebra
-        params["input_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     elif args.subcommand == "fgl":
         n = params["n"] = _check_positive("height", args.n)
         # compare exponents first, so a huge height never builds 2^n
@@ -631,9 +652,7 @@ def main(argv=None) -> int:
 
     out_root = Path(cfg.out_dir)
     try:
-        out_root.mkdir(parents=True, exist_ok=True)
-        for name in sorted(artifacts):
-            (out_root / name).write_bytes(artifacts[name])
+        _write_artifacts(out_root, artifacts)
     except OSError as exc:
         print(f"error: cannot write to --out {cfg.out_dir}: {exc}", file=sys.stderr)
         return EXIT_USAGE

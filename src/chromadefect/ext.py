@@ -13,11 +13,12 @@ degree by degree (R. Bruner, "Calculation of large Ext modules",
 The resolution is minimal, so Hom_A(F_s, F_p) has zero differential
 and Ext^{s,t} is the number of generators of F_s in degree t.
 
-Operators are the family's Milnor basis through t_max, numbered once
-in degree order; a product comes from milnor_product the first time it
-is needed, and none past t_max is formed.  The p = 2 even-only family
-P(n) is dual to A(n) with degrees doubled, so its operators multiply
-on halved exponents.  F_s in degree t has the basis op * g over its
+Operators are the family's monomials through t_max, each read as the
+Milnor basis element dual to it, numbered once in degree order; a
+product comes from milnor_product the first time it is needed, and
+none past t_max is formed.  The p = 2 even-only family P(n) is dual to
+A(n) with degrees doubled, so its operators are its monomials with
+every exponent halved.  F_s in degree t has the basis op * g over its
 generators g of degree at most t and the operators op of degree
 t - deg g.  Step (s, t) eliminates one matrix: the images op * d(g')
 of the generators g' of F_{s+1} below degree t, then a basis of the
@@ -45,7 +46,7 @@ form through the window and reads the stems off it.
 """
 
 from .gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
-from .steenrod import MilnorBasisElement, Profile, milnor_product, reduced_coproduct, tau_gen, xi_gen
+from .steenrod import DualMonomial, Profile, milnor_product, reduced_coproduct, tau_gen, xi_gen
 
 __all__ = [
     "ExtChart",
@@ -71,7 +72,8 @@ def operator_pairs(profile, t_max):
 
 
 class _Operators:
-    """The family's Milnor basis through t_max, numbered in degree order.
+    """The family's operators through t_max, numbered in degree order:
+    its monomials, read as the Milnor basis elements dual to them.
 
     by_degree[d] lists the numbers of degree d, and position[a] is a's
     index in its degree's list, which is its column inside a block of
@@ -95,8 +97,8 @@ class _Operators:
 
     def element(self, mono):
         """The operator dual to a family monomial, as milnor_product
-        multiplies it."""
-        return MilnorBasisElement(self.p, mono.tau, tuple(e // self.scale for e in mono.xi))
+        multiplies it: the monomial itself, halved in P(n) at p = 2."""
+        return mono if self.scale == 1 else DualMonomial(2, [e // 2 for e in mono.xi])
 
     def product(self, a, b):
         key = a * len(self.elements) + b

@@ -189,17 +189,12 @@ class PrimeFieldMatrix:
     def from_terms(cls, p, nrows, ncols, terms):
         """terms: iterable of (row, col, coefficient), with 0 <= row <
         nrows and 0 <= col < ncols; ValueError for an entry outside."""
-        rows = [0 if p == 2 else [] for _ in range(nrows)]
+        rows = [[] for _ in range(nrows)]
         for i, j, c in terms:
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i}, {j}) outside a {nrows} x {ncols} matrix")
-            if p != 2:
-                rows[i].append((j, c))
-            elif c % 2:
-                rows[i] ^= 1 << j
-        if p != 2:
-            rows = [vec_from_terms(p, row) for row in rows]
-        return cls(p, nrows, ncols, rows)
+            rows[i].append((j, c))
+        return cls(p, nrows, ncols, [vec_from_terms(p, row) for row in rows])
 
     def kernel_vectors(self):
         """Basis of {x in F^nrows : x.M = 0}: row i carries the unit

@@ -10,12 +10,13 @@ Even-only families (the p = 2 sub-Hopf-algebras generated by the
 squares xi_i^2) reuse the same monomial type with the evenness
 constraint enforced by the profile.
 
-The operator side (Milnor basis of the Steenrod algebra itself) lives
-at the bottom of the module: basis elements Q_E P(R) and their product
-by Milnor's matrix formula.  Q_E P(R) is dual to the monomial
-xi^R tau_E, so a family's operators are the elements dual to its
-monomials; the Ext engine resolves over them.  The dual pairing between
-the two sides is exercised by the test suite as a cross check.
+The operator side (the Milnor basis of the Steenrod algebra itself)
+needs no type of its own: the basis element Q_E P(R) is dual to the
+monomial xi^R tau_E, so a DualMonomial names it too.  milnor_product,
+at the bottom of the module, multiplies two monomials read that way by
+Milnor's matrix formula, so a family's operators are its own monomials
+and the Ext engine resolves over them.  The test suite checks the
+product against the diagonal through the dual pairing.
 """
 
 from math import comb
@@ -24,7 +25,6 @@ __all__ = [
     "DualMonomial",
     "Profile",
     "MAX_FAMILY_HEIGHT",
-    "MilnorBasisElement",
     "milnor_product",
     "coproduct",
     "reduced_coproduct",
@@ -133,8 +133,9 @@ def tau_gen(p, t):
     return DualMonomial(p, (), (t,))
 
 
-# elements are dicts {DualMonomial: coefficient mod p}; the same sparse
-# accumulation serves tensors, cobar words and May monomials as keys
+# elements are sparse dicts {key: coefficient mod p}; the keys are dual
+# monomials (products too), pairs of them (tensors), May monomials or
+# the basis names of a finite module
 
 
 def elt_add_term(p, acc, key, coef):
@@ -430,6 +431,27 @@ class Profile:
 
     # bases ----------------------------------------------------------------
 
+    def _generators(self, max_degree):
+        """The surviving generators of degree <= max_degree: (i, degree,
+        exponent cap or None) per xi_i, read as the square xi_i^2 in an
+        even-only family, and (t, degree) per tau_t."""
+        p = self.p
+        step = 2 if self.even_only else 1
+        xis = []
+        i = 1
+        while (d := xi_gen(p, i, step).degree()) <= max_degree:
+            h = self.height(i)
+            if h != 0:
+                xis.append((i, d, None if h is None else p**h))
+            i += 1
+        taus = []
+        t = 0
+        while p != 2 and (d := 2 * p**t - 1) <= max_degree:
+            if self.tau_allowed(t):
+                taus.append((t, d))
+            t += 1
+        return xis, taus
+
     def basis(self, max_degree):
         """All family monomials of degree <= max_degree, sorted."""
         key = max_degree
@@ -437,24 +459,7 @@ class Profile:
             return self._basis_cache[key]
         p = self.p
         step = 2 if self.even_only else 1
-        xis = []
-        i = 1
-        while True:
-            g = xi_gen(p, i, step)
-            if g.degree() > max_degree:
-                break
-            h = self.height(i)
-            if h != 0:
-                cap = None if h is None else p**h
-                xis.append((i, g.degree(), cap))
-            i += 1
-        taus = []
-        if p != 2:
-            t = 0
-            while 2 * p**t - 1 <= max_degree:
-                if self.tau_allowed(t):
-                    taus.append((t, 2 * p**t - 1))
-                t += 1
+        xis, taus = self._generators(max_degree)
         found = []
 
         def rec_tau(idx, chosen, budget):
@@ -496,22 +501,9 @@ class Profile:
         function: a factor (1 - q^{cd}) / (1 - q^d) per generator of
         degree d, c being its exponent cap (2 for tau; a free xi drops
         the numerator)."""
-        p = self.p
-        step = 2 if self.even_only else 1
-        gens = []
-        i = 1
-        while xi_gen(p, i, step).degree() <= max_degree:
-            h = self.height(i)
-            if h != 0:
-                gens.append((xi_gen(p, i, step).degree(), None if h is None else p**h))
-            i += 1
-        t = 0
-        while p != 2 and 2 * p**t - 1 <= max_degree:
-            if self.tau_allowed(t):
-                gens.append((2 * p**t - 1, 2))
-            t += 1
+        xis, taus = self._generators(max_degree)
         dims = [1] + [0] * max_degree
-        for d, cap in gens:
+        for d, cap in [(d, cap) for _, d, cap in xis] + [(d, 2) for _, d in taus]:
             if cap is not None and cap * d <= max_degree:
                 for k in range(max_degree, cap * d - 1, -1):
                     dims[k] -= dims[k - cap * d]
@@ -548,66 +540,7 @@ def _le_num(a, b):
 
 
 # ---------------------------------------------------------------------------
-# operator side: Milnor basis of the Steenrod algebra
-
-
-class MilnorBasisElement:
-    """Q_{e_1}..Q_{e_k} P(r_1, r_2, ...) in the Milnor basis.
-
-    At p = 2 the exterior part is empty and P(R) means Sq(R).
-    """
-
-    __slots__ = ("p", "q", "r", "_hash")
-
-    def __init__(self, p, q=(), r=()):
-        r = tuple(r)
-        while r and r[-1] == 0:
-            r = r[:-1]
-        q = tuple(q)
-        if tuple(sorted(set(q))) != q:
-            raise ValueError("exterior indices must be strictly increasing")
-        if p == 2 and q:
-            raise ValueError("no exterior part at p = 2")
-        if any(x < 0 for x in r) or any(e < 0 for e in q):
-            raise ValueError("negative entries")
-        self.p = p
-        self.q = q
-        self.r = r
-        self._hash = None
-
-    def degree(self):
-        p = self.p
-        if p == 2:
-            return sum(e * (2 ** (i + 1) - 1) for i, e in enumerate(self.r))
-        d = sum(2 * e * (p ** (i + 1) - 1) for i, e in enumerate(self.r))
-        return d + sum(2 * p**e - 1 for e in self.q)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MilnorBasisElement)
-            and (self.p, self.q, self.r) == (other.p, other.q, other.r)
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.p, self.q, self.r))
-        return self._hash
-
-    def __lt__(self, other):
-        return (self.degree(), str(self)) < (other.degree(), str(other))
-
-    def __str__(self):
-        if self.p == 2:
-            return "Sq(" + ",".join(map(str, self.r)) + ")" if self.r else "1"
-        parts = []
-        if self.q:
-            parts.append("Q(" + ",".join(map(str, self.q)) + ")")
-        if self.r:
-            parts.append("P(" + ",".join(map(str, self.r)) + ")")
-        return " ".join(parts) if parts else "1"
-
-    def __repr__(self):
-        return f"MilnorBasisElement({self.p}, {self})"
+# operator side: the Milnor product, on the basis elements dual to monomials
 
 
 def _p_part_products(p, R, S):
@@ -673,7 +606,9 @@ def _p_part_products(p, R, S):
 
 
 def milnor_product(a, b):
-    """Product of two Milnor basis elements: {MilnorBasisElement: coef}.
+    """Product of the Milnor basis elements dual to two monomials:
+    {DualMonomial: coef}, each key read as the element Q_E P(R) dual to
+    its xi^R tau_E (at p = 2, Sq(R) dual to xi^R).
 
     Sign convention: this is the dual of the diagonal under the
     unsigned tensor pairing <a (x) b, x' (x) x''> = a(x') b(x''); every
@@ -686,13 +621,13 @@ def milnor_product(a, b):
     p = a.p
     out = {}
     if p == 2:
-        for coef, T in _p_part_products(p, a.r, b.r):
-            elt_add_term(p, out, MilnorBasisElement(p, (), T), coef)
+        for coef, T in _p_part_products(p, a.xi, b.xi):
+            elt_add_term(p, out, DualMonomial(p, T), coef)
         return out
-    # move each exterior factor of b leftwards through P(a.r):
+    # move each exterior factor of b leftwards through P(a.xi):
     # P(R) Q_f = sum_j Q_{f+j} P(R - p^f e_j), the j = 0 term leaving R alone
-    states = [(1, tuple(a.q), a.r)]
-    for f in b.q:
+    states = [(1, a.tau, a.xi)]
+    for f in b.tau:
         nxt = []
         for coef, qs, R in states:
             for j in range(len(R) + 1):
@@ -719,7 +654,6 @@ def milnor_product(a, b):
         if inv & 1:
             sign = -1
         qsorted = tuple(sorted(seq))
-        for c2, T in _p_part_products(p, R, b.r):
-            key = MilnorBasisElement(p, qsorted, T)
-            elt_add_term(p, out, key, sign * coef * c2)
+        for c2, T in _p_part_products(p, R, b.xi):
+            elt_add_term(p, out, DualMonomial(p, T, qsorted), sign * coef * c2)
     return out

@@ -8,8 +8,9 @@ is a comodule over itself through its diagonal.  `module_json` writes
 the input format the `margolis` job reads (FiniteSteenrodModule.
 from_json); the golden inputs under tests/golden/inputs/ were written
 from these builders.  operator_basis lists a finite family's Milnor
-basis and dual_monomial pairs an operator with its dual monomial,
-independently of the numbering the resolution makes from Profile.basis.
+basis, each element as its dual monomial, independently of the
+numbering the resolution makes from Profile.basis; milnor_name gives
+an element its Milnor name.
 """
 
 import re
@@ -23,7 +24,6 @@ from chromadefect.margolis import (
 )
 from chromadefect.steenrod import (
     DualMonomial,
-    MilnorBasisElement,
     Profile,
     coproduct,
     milnor_product,
@@ -33,10 +33,17 @@ from chromadefect.steenrod import (
 from oracles.cobar import Comodule
 
 
-def dual_monomial(elt):
-    """The dual monomial of a Milnor basis element: Q_E P(R) pairs with
-    xi^R tau_E."""
-    return DualMonomial(elt.p, elt.r, elt.q)
+def milnor_name(p, q, r):
+    """Name of the Milnor basis element Q_q P(r) dual to xi^r tau_q: Sq(r)
+    at p = 2, "Q(q) P(r)" at odd p, with empty parts left out."""
+    if p == 2:
+        return "Sq(" + ",".join(map(str, r)) + ")" if r else "1"
+    parts = []
+    if q:
+        parts.append("Q(" + ",".join(map(str, q)) + ")")
+    if r:
+        parts.append("P(" + ",".join(map(str, r)) + ")")
+    return " ".join(parts) if parts else "1"
 
 
 def operator_basis(profile):
@@ -56,9 +63,9 @@ def operator_basis(profile):
     subsets = [[]]
     for t in taus:
         subsets = subsets + [s + [t] for s in subsets]
-    out = [MilnorBasisElement(p, tuple(s), tuple(e)) for e in exps for s in subsets]
+    out = [DualMonomial(p, tuple(e), tuple(s)) for e in exps for s in subsets]
     assert len(out) == dim
-    return sorted(out)
+    return sorted(out, key=lambda m: (m.degree(), milnor_name(p, m.tau, m.xi)))
 
 
 def suspend(module, k):
@@ -214,7 +221,8 @@ def comodule_sum(a, b):
 
 
 def _operator_element(p, op, even_only=False):
-    """Milnor basis element computing the operator by left product.
+    """Milnor basis element computing the operator by left product, as
+    its dual monomial.
 
     In even-only mode coordinates are halved (degree-doubling), and the
     odd-degree s = 0 operators act by zero, returned as None.
@@ -223,12 +231,12 @@ def _operator_element(p, op, even_only=False):
     if kind == "Q":
         if p == 2:
             raise ValueError("Q-operators are odd-prime notation; use P(t,0) at p = 2")
-        return MilnorBasisElement(p, (t,), ())
+        return DualMonomial(p, (), (t,))
     if even_only:
         if s == 0:
             return None
         s -= 1
-    return MilnorBasisElement(p, (), (0,) * (t - 1) + (p**s,))
+    return DualMonomial(p, (0,) * (t - 1) + (p**s,))
 
 
 def subalgebra_module(p, kind, level, extra_ops=()):
@@ -247,13 +255,7 @@ def subalgebra_module(p, kind, level, extra_ops=()):
     even = kind == "P" and p == 2
     elements = operator_basis(Profile.A(p, level) if kind == "A" or even else Profile.P(p, level))
     scale = 2 if even else 1
-
-    def label(elt):
-        if not even:
-            return str(elt)
-        return str(MilnorBasisElement(2, (), tuple(2 * r for r in elt.r)))
-
-    name_of = {elt: label(elt) for elt in elements}
+    name_of = {e: milnor_name(p, e.tau, tuple(scale * r for r in e.xi)) for e in elements}
     basis = [(name_of[e], scale * e.degree()) for e in elements]
     actions = {}
     for op in ops:

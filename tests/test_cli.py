@@ -27,6 +27,7 @@ rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json is the malformed
 module {}).  Any change to the artifact bytes of those jobs fails here.
 """
 
+import errno
 import json
 import time
 from pathlib import Path
@@ -431,11 +432,15 @@ def test_unusable_cache_dir_still_writes_artifacts(tmp_path, capsys, monkeypatch
     assert written(out) == written(GOLDEN_DIR / "fgl_n1")
 
 
-@pytest.mark.parametrize("where", ["file", "below-a-file", "artifact-is-a-directory"])
+@pytest.mark.parametrize("where", [
+    "file", "below-a-file", "artifact-is-a-directory", "later-artifact-is-a-directory",
+])
 def test_unwritable_out_exits_2(where, tmp_path, capsys):
     blocker = tmp_path / "blocker"
-    if where == "artifact-is-a-directory":
-        (blocker / "fgl_er1.json").mkdir(parents=True)
+    if where.endswith("artifact-is-a-directory"):
+        # artifacts are written in name order: fgl_er1.json, then fgl_er1.tsv
+        taken = "fgl_er1.tsv" if where.startswith("later") else "fgl_er1.json"
+        (blocker / taken).mkdir(parents=True)
         out = blocker
     else:
         blocker.write_text("kept")
@@ -444,5 +449,42 @@ def test_unwritable_out_exits_2(where, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write to --out {out}: ")
-    if where != "artifact-is-a-directory":
+    if where.endswith("artifact-is-a-directory"):
+        # no artifact and no temporary file is left beside the directory
+        assert [path.name for path in blocker.iterdir()] == [taken]
+    else:
         assert blocker.read_text() == "kept"
+
+
+def test_failed_write_leaves_nothing(tmp_path, capsys, monkeypatch):
+    write_bytes = Path.write_bytes
+    calls = []
+
+    def second_fails(path, data):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", second_fails)
+    out = tmp_path / "out"
+    assert run(["fgl", "--n", "1", "--no-cache"], out) == cli.EXIT_USAGE
+    assert len(calls) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write to --out {out}: ")
+    assert list(out.iterdir()) == []
+
+
+def test_cache_key_follows_the_module(tmp_path):
+    rp4 = INPUTS / "rp4.json"
+
+    def key(path):
+        return cli._config_from_args(cli.parse_args(["margolis", "--input", str(path)])).key()
+
+    module = json.loads(rp4.read_text())
+    module["basis"][-1]["degree"] += 2
+    edited = tmp_path / "rp4.json"
+    edited.write_text(json.dumps(module))
+    assert key(edited) != key(rp4)
+    # the same module laid out differently keeps its key
+    edited.write_text(json.dumps(json.loads(rp4.read_text()), indent=1))
+    assert key(edited) == key(rp4)

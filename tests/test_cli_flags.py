@@ -133,7 +133,7 @@ RP4 = str(Path(__file__).parent / "golden" / "inputs" / "rp4.json")
     pytest.param(["may", "--stem-max", "4", "--s-max", "2", "--no-cache"],
                  {"chromadefect.may"}, id="may"),
     pytest.param(["margolis", "--input", RP4, "--no-cache"],
-                 {"chromadefect.margolis", "hashlib"}, id="margolis"),
+                 {"chromadefect.margolis"}, id="margolis"),
 ])
 def test_jobs_import_only_their_engines(argv, loads, tmp_path):
     out = ["--out", "out"] if argv else []

@@ -21,9 +21,9 @@ Oracles used here:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromadefect.ext import Resolution, cobar_letters, evenness_scan, ext_ranks, operator_pairs
+from chromadefect.ext import Resolution, _Operators, cobar_letters, evenness_scan, ext_ranks, operator_pairs
 from chromadefect.gradedlin import vec_support
-from chromadefect.steenrod import Profile, milnor_product
+from chromadefect.steenrod import DualMonomial, Profile, milnor_product
 
 from oracles.change_of_rings import change_of_rings_check
 from oracles.cobar import CobarComplex, Comodule, cobar_dims, ext_ranks as cobar_ext_ranks
@@ -355,6 +355,20 @@ class TestResolution:
         assert chart.dims == want.dims
         assert chart.names == want.names
         assert chart.collisions == want.collisions
+
+    @pytest.mark.parametrize(
+        "fam",
+        [Profile.A(2, 1), Profile.T(2, 0), Profile.E(3, 1), Profile.T(3, 0), Profile.P(2, 1)],
+        ids=repr,
+    )
+    def test_operators_are_the_family_monomials(self, fam):
+        # each operator is the family's own monomial, halved in P(n) at p = 2
+        basis = fam.basis(24)
+        ops = _Operators(fam, 24)
+        if fam.even_only:
+            assert ops.elements == [DualMonomial(2, [e // 2 for e in m.xi]) for m in basis]
+        else:
+            assert all(e is m for e, m in zip(ops.elements, basis, strict=True))
 
     @pytest.mark.parametrize("fam", [Profile.T(2, 1), Profile.A(3, 1), Profile.P(2, 1)], ids=repr)
     def test_d_squared_zero(self, fam):

@@ -22,6 +22,7 @@ The builders and the cofreeness decision live in oracles/.
 import json
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -486,6 +487,30 @@ class TestJson:
         assert module_json(back) == module_json(m)
         assert back.names == m.names
         assert back.actions == m.actions
+
+    def test_golden_inputs_come_from_the_builders(self):
+        # the builders name and order a subalgebra's Milnor basis as the
+        # golden margolis inputs were written
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        built = {
+            "free_a1": free_module(2, "A", 1, [0, 3]),
+            "rp4": rp_module(4, ops=("P(1,0)", "P(2,0)")),
+        }
+        for name, module in built.items():
+            assert json.loads((inputs / f"{name}.json").read_text()) == module_json(module)
+
+    def test_odd_and_even_subalgebra_names(self):
+        m = subalgebra_module(3, "A", 1)
+        assert [(n, m.degree_of[n]) for n in m.names] == [
+            ("1", 0), ("Q(0)", 1), ("P(1)", 4), ("Q(0) P(1)", 5), ("Q(1)", 5),
+            ("Q(0,1)", 6), ("P(2)", 8), ("Q(0) P(2)", 9), ("Q(1) P(1)", 9),
+            ("Q(0,1) P(1)", 10), ("Q(1) P(2)", 13), ("Q(0,1) P(2)", 14),
+        ]
+        m = subalgebra_module(2, "P", 1)
+        assert [(n, m.degree_of[n]) for n in m.names] == [
+            ("1", 0), ("Sq(2)", 2), ("Sq(4)", 4), ("Sq(0,2)", 6), ("Sq(6)", 6),
+            ("Sq(2,2)", 8), ("Sq(4,2)", 10), ("Sq(6,2)", 12),
+        ]
 
     def test_round_trip_keeps_even_mode(self):
         c = two_cell_module("P(1,1)")
