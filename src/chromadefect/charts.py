@@ -5,16 +5,14 @@ structure lines (multiplication by a named class of stem 1) and
 differential arrows.  Documents are built from recomputed engine data,
 exported to TSV and rendered; every code path keeps a fixed element
 order and fixed numeric formatting so the same document always produces
-the same bytes.
+the same bytes.  The Ext chart builder lives here; the ko and May page
+builders (ssq.chart_from_snapshot, may.chart_from_may_page) sit beside
+the engines they draw, so a job loads only its own.
 """
-
-from .ssq import d3_rule, differential_sources
 
 __all__ = [
     "ChartDocument",
     "chart_from_ext",
-    "chart_from_may_page",
-    "chart_from_snapshot",
     "chart_to_tsv",
     "render_chart",
 ]
@@ -84,59 +82,6 @@ def chart_from_ext(chart) -> ChartDocument:
         [],
         (0, max(stem_hi, 1)),
         (0, max(fil_hi, 1)),
-    )
-
-
-def chart_from_may_page(page) -> ChartDocument:
-    """Dot chart of a May page with its differential arrows.
-
-    A cell draws one arrow when the page keeps a nonzero differential
-    matrix out of it, which it does only between cells with classes;
-    the May differential always steps filtration by one.  Only E1
-    carries its differential, so later pages are dots alone.
-    """
-    dots = {key: (d, "") for key, d in page.dims().items()}
-    arrows = [(page.r, (stem, s), (stem - 1, s + 1)) for stem, s in page.differential]
-    return ChartDocument(
-        f"may page {page.r} height {page.context.n} p={page.p}",
-        dots,
-        [],
-        arrows,
-        (0, page.stem_cap),
-        (0, page.s_cap),
-        arrow_rule="filtration-step",
-    )
-
-
-def chart_from_snapshot(page) -> ChartDocument:
-    """Chart of a page of the K-theory engine.
-
-    Live cells become labeled dots, multiplication by the filtration-one
-    class draws the structure lines, and on the second page the
-    length-three differentials appear as arrows.
-    """
-    dots = {}
-    for (s, f), c in page.alive_items():
-        dots[(s, f)] = (1, c.generator_str())
-    lines = []
-    for key in sorted(dots):
-        up = (key[0] + 1, key[1] + 1)
-        if up in dots:
-            lines.append(("eta", key, up))
-    arrows = []
-    if page.page == 2:
-        rule = d3_rule()
-        for (s, f) in differential_sources(page, rule, min_fil=page.window.fil_lo, radius=0):
-            tgt = (s - 1, f + 3)
-            if tgt in dots:
-                arrows.append((3, (s, f), tgt))
-    return ChartDocument(
-        f"{page.variant} chart page {page.page}",
-        dots,
-        lines,
-        arrows,
-        (page.window.stem_lo, page.window.stem_hi),
-        (page.window.fil_lo, page.window.fil_hi),
     )
 
 

@@ -16,11 +16,11 @@ no filesystem paths inside the bytes.  Exit codes: 0 success or help;
 with `error: ...` on stderr and nothing written; 3 engine-level failure
 (a computation that refused to certify itself).
 
-Importing this module loads the engines that the ext, fgl, defect and
-ko-ss handlers run, so their compile time is paid at import and not
-inside a job.  The may and margolis engines, and the hashing and
-base64 coding the cache uses, load inside the functions that need them:
-no other job compiles them.
+Importing this module loads the engines that the ext, fgl and defect
+handlers run, so their compile time is paid at import and not inside a
+job.  The ko-ss, may and margolis handlers load their engines (ssq, may,
+margolis) themselves, and the hashing and base64 coding the cache uses
+load inside the functions that need them: no other job compiles them.
 """
 
 import errno
@@ -30,18 +30,11 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .charts import (
-    chart_from_ext,
-    chart_from_may_page,
-    chart_from_snapshot,
-    chart_to_tsv,
-    render_chart,
-)
+from .charts import chart_from_ext, chart_to_tsv, render_chart
 from .defect import catalogue, verdict_table
 from .ext import ext_ranks, operator_pairs
 from .fgl import er_defect_witness
 from .gradedlin import check_prime
-from .ssq import Window, build_e1, forced_d3_detector, run_d1, run_d3
 from .steenrod import MAX_FAMILY_HEIGHT, Profile
 
 __all__ = ["JobConfig", "ConfigError", "main", "run_job"]
@@ -85,10 +78,11 @@ MAX_KO_SS_CELLS = 250_000
 # form through the cap, which costs a Poincare series of cap + 2 terms
 # per family, and the cap names the window each bound certifies.  On a
 # 2 vCPU host the whole job, `python -m chromadefect.cli defect`, took
-# 0.07-0.08 s with the package's bytecode cached and 0.11-0.12 s without,
-# at caps 1, 24 and 1000, 14-16 MB peak: 0.05-0.07 s of it interpreter
-# start (`python -c pass`), about 0.04 s compiling the package when no
-# bytecode is cached, and 3-5 ms `main`.  The limit is kept as one of the
+# 0.08 s with the package's bytecode cached and 0.12-0.13 s without,
+# at caps 1, 24 and 1000, 16 MB peak: 0.065 s of it interpreter start
+# (`python -c pass`), 0.03-0.04 s compiling the package when no bytecode
+# is cached (importing chromadefect.cli took 33-40 ms without bytecode
+# and 9 ms with it), and 3-6 ms `main`.  The limit is kept as one of the
 # CLI's documented refusals
 MAX_DEFECT_CAP = 1000
 FORMATS = ("tsv", "json", "svg")
@@ -247,7 +241,7 @@ def cmd_ext(cfg: JobConfig):
 
 
 def cmd_may(cfg: JobConfig):
-    from .may import may_e1, may_e2
+    from .may import chart_from_may_page, may_e1, may_e2
 
     p = cfg.params["prime"]
     n = cfg.params["n"]
@@ -331,6 +325,8 @@ def cmd_defect(cfg: JobConfig):
 
 
 def cmd_ko_ss(cfg: JobConfig):
+    from .ssq import Window, build_e1, chart_from_snapshot, forced_d3_detector, run_d1, run_d3
+
     variant = cfg.params["variant"]
     lo, hi, flo, fhi = cfg.params["window"]
     window = Window(lo, hi, flo, fhi)

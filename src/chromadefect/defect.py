@@ -5,14 +5,15 @@ which tensoring with the rank filtration stage X(n) gives a complex
 orientable spectrum, together with the machine evidence for each bound.
 Verdicts are exact only when an upper and a lower bound meet; bounds
 come from the other engines (the Koszul closed form of Ext over
-exterior families, formal inverse witnesses, ramification valuations),
-and impossibility facts for which no computation exists are carried as
+exterior families, the primitive that detects eta in Adams filtration
+one, formal inverse witnesses, ramification valuations), and
+impossibility facts for which no computation exists are carried as
 documented entries, never as computed ones.
 """
 
-from .ext import evenness_scan
+from .ext import cobar_letters, evenness_scan
 from .fgl import er_defect_witness
-from .ssq import Window, build_e1, run_d1, run_d3
+from .steenrod import Profile
 from .valuation import SubgroupSpec, eo_defect
 
 __all__ = [
@@ -163,10 +164,14 @@ def verdict_ko(stem_cap: int = 24) -> DefectVerdict:
     Upper bound: Ext over the height-1 exterior family with trivial
     coefficients is polynomial on classes of odd internal degree
     (Koszul duality), so no class lies in an odd stem through the cap,
-    which places the defect at or below 2.  Lower bound: the class eta
-    survives to the fourth page of the chart at (stem 1, filtration 1),
-    and a complex orientable theory supports no such class; this
-    evidence is chart-level, convergence assumed.
+    which places the defect at or below 2.  Lower bound: the unit of a
+    complex orientable ring spectrum factors through MU, and pi_1 MU =
+    0, so eta would map to zero in ko = ko smash X(1).  But eta is
+    detected by h1 = [xi_1^2] in Ext_{A(1)}^{1,2}: Ext^1 is the
+    primitives of A(1)_*, the reduced cobar complex has no
+    1-coboundaries, and a class in Adams filtration one is never a
+    boundary (J. F. Adams, "Stable Homotopy and Generalised Homology",
+    1974).  So X(1) does not suffice, with no convergence assumption.
     """
     evenness_scan(1, 2, stem_cap)
     upper = Evidence(
@@ -176,14 +181,14 @@ def verdict_ko(stem_cap: int = 24) -> DefectVerdict:
         "upper",
         2,
     )
-    e4 = run_d3(run_d1(build_e1("polynomial", Window(-8, 12, -5, 10))))
-    cell = e4.cell(1, 1)
-    if cell is None or cell.order != 2:
-        raise ValueError("expected the order-2 class in stem 1 on page 4")
+    if "h(1,1)" not in dict(cobar_letters(Profile.A(2, 1), 2)):
+        raise ValueError("expected the primitive h(1,1) detecting eta in Ext_A(1)^{1,2}")
     lower = Evidence(
-        "ssq",
-        "fourth-page cell (1,1)",
-        "eta survives the chart with order 2; chart-level, convergence assumed",
+        "ext",
+        "cobar_letters(A(1), t<=2): h(1,1)",
+        "eta is detected by the primitive h(1,1) = [xi_1^2] in Ext^{1,2}, "
+        "Adams filtration 1, which no differential hits; a complex "
+        "orientation would send eta through pi_1 MU = 0",
         "lower",
         2,
     )

@@ -1,7 +1,8 @@
-"""Exact graded linear algebra: prime-field elimination and canonical
-abelian group presentations."""
+"""Exact graded linear algebra: prime-field elimination.
 
-from .integers import AbelianGroupPresentation
+Canonical abelian group presentations live in `.integers`; only the ko
+chart engine (`ssq`) needs them and imports them from there."""
+
 from .modp import (
     PrimeFieldMatrix,
     SubquotientBasis,
@@ -16,7 +17,6 @@ BACKEND_NAME = "pure"
 
 __all__ = [
     "BACKEND_NAME",
-    "AbelianGroupPresentation",
     "PrimeFieldMatrix",
     "SubquotientBasis",
     "check_prime",

@@ -26,12 +26,14 @@ Window bookkeeping: E2 trusts one stem and one s less than E1, because
 boundaries can enter from just outside the window.
 """
 
+from .charts import ChartDocument
 from .gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms, vec_support
 from .steenrod import elt_add_term
 
 __all__ = [
     "MayContext",
     "MayPage",
+    "chart_from_may_page",
     "e1_monomial_count",
     "may_e1",
     "may_e2",
@@ -452,3 +454,24 @@ def _assert_weight_step(p, source_elt, target_elt):
     w_tgt = max(mono_weight(p, m) for m in target_elt)
     if w_tgt >= w_src:
         raise AssertionError("stored differential fails strict weight descent")
+
+
+def chart_from_may_page(page) -> ChartDocument:
+    """Dot chart of a May page with its differential arrows.
+
+    A cell draws one arrow when the page keeps a nonzero differential
+    matrix out of it, which it does only between cells with classes;
+    the May differential always steps filtration by one.  Only E1
+    carries its differential, so later pages are dots alone.
+    """
+    dots = {key: (d, "") for key, d in page.dims().items()}
+    arrows = [(page.r, (stem, s), (stem - 1, s + 1)) for stem, s in page.differential]
+    return ChartDocument(
+        f"may page {page.r} height {page.context.n} p={page.p}",
+        dots,
+        [],
+        arrows,
+        (0, page.stem_cap),
+        (0, page.s_cap),
+        arrow_rule="filtration-step",
+    )

@@ -19,7 +19,8 @@ from every assertion; the radius equals the longest differential used.
 
 from math import gcd
 
-from .gradedlin import AbelianGroupPresentation
+from .charts import ChartDocument
+from .gradedlin.integers import AbelianGroupPresentation
 
 __all__ = [
     "MonomialLattice",
@@ -35,6 +36,7 @@ __all__ = [
     "run_d3",
     "differential_sources",
     "forced_d3_detector",
+    "chart_from_snapshot",
 ]
 
 VARIANTS = ("polynomial", "laurent")
@@ -252,9 +254,6 @@ class PageSnapshot:
         self.window = window
         self.cells = cells
 
-    def cell(self, stem: int, fil: int):
-        return self.cells.get((stem, fil))
-
     def alive_items(self):
         return [(k, c) for k, c in sorted(self.cells.items()) if c.alive]
 
@@ -468,3 +467,35 @@ def forced_d3_detector(window: Window, radius: int = 3) -> dict:
         "witnesses": witnesses,
         "cleared_with_d3": cleared,
     }
+
+
+def chart_from_snapshot(page) -> ChartDocument:
+    """Chart of a page of the K-theory engine.
+
+    Live cells become labeled dots, multiplication by the filtration-one
+    class draws the structure lines, and on the second page the
+    length-three differentials appear as arrows.
+    """
+    dots = {}
+    for (s, f), c in page.alive_items():
+        dots[(s, f)] = (1, c.generator_str())
+    lines = []
+    for key in sorted(dots):
+        up = (key[0] + 1, key[1] + 1)
+        if up in dots:
+            lines.append(("eta", key, up))
+    arrows = []
+    if page.page == 2:
+        rule = d3_rule()
+        for (s, f) in differential_sources(page, rule, min_fil=page.window.fil_lo, radius=0):
+            tgt = (s - 1, f + 3)
+            if tgt in dots:
+                arrows.append((3, (s, f), tgt))
+    return ChartDocument(
+        f"{page.variant} chart page {page.page}",
+        dots,
+        lines,
+        arrows,
+        (page.window.stem_lo, page.window.stem_hi),
+        (page.window.fil_lo, page.window.fil_hi),
+    )

@@ -20,8 +20,11 @@ whose cobar words held monomial objects, before words became tuples of
 letter numbers.  Every ext_* directory was written again when the ext
 job began to cut its chart at --stem-max: the stems past it, which
 t <= stem-max + s-max computes only in part, left the T-family files,
-and each TSV header gained the stem window.  The margolis inputs live in
-tests/golden/inputs/, written by the builders in tests/oracles/modules.py
+and each TSV header gained the stem window.  Both defect_table.json
+files were written again when ko's lower bound moved from the ko
+chart's fourth page onto the letter h(1,1) of Ext over A(1): only ko's
+lower Evidence changed, and the TSVs kept their bytes.  The margolis
+inputs live in tests/golden/inputs/, written by the builders in tests/oracles/modules.py
 (free_a1.json is free_module(2, "A", 1, [0, 3]); rp4.json is
 rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json is the malformed
 module {}).  Any change to the artifact bytes of those jobs fails here.

@@ -119,7 +119,14 @@ from chromadefect import cli
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
 print(json.dumps([code, sorted(set(sys.modules) - before), sorted(sys.modules)]))
 """
-LAZY = {"chromadefect.may", "chromadefect.margolis", "hashlib", "base64"}
+LAZY = {
+    "chromadefect.may",
+    "chromadefect.margolis",
+    "chromadefect.ssq",
+    "chromadefect.gradedlin.integers",
+    "hashlib",
+    "base64",
+}
 RP4 = str(Path(__file__).parent / "golden" / "inputs" / "rp4.json")
 
 
@@ -128,7 +135,8 @@ RP4 = str(Path(__file__).parent / "golden" / "inputs" / "rp4.json")
     pytest.param(["fgl", "--n", "1", "--no-cache"], set(), id="fgl"),
     pytest.param(["ext", "--stem-max", "4", "--s-max", "2", "--no-cache"], set(), id="ext"),
     pytest.param(["defect", "--cap", "8", "--no-cache"], set(), id="defect"),
-    pytest.param(["ko-ss", "--window", "0", "4", "0", "4", "--no-cache"], set(), id="ko-ss"),
+    pytest.param(["ko-ss", "--window", "0", "4", "0", "4", "--no-cache"],
+                 {"chromadefect.ssq", "chromadefect.gradedlin.integers"}, id="ko-ss"),
     pytest.param(["fgl", "--n", "1"], {"hashlib", "base64"}, id="fgl-cached"),
     pytest.param(["may", "--stem-max", "4", "--s-max", "2", "--no-cache"],
                  {"chromadefect.may"}, id="may"),

@@ -3,11 +3,14 @@
 Oracles: hand values for the classical catalogue (real K-theory at 2,
 the real Johnson-Wilson tower doubling, cyclic fixed point theories via
 cyclotomic ramification), plus cross-engine agreement between the
-formal inverse witness and the valuation formula at matching heights.
+formal inverse witness and the valuation formula at matching heights,
+and the resolution's Ext_{A(1)}^{1,2} for the letter behind ko's lower
+bound.
 """
 
 import pytest
 
+from chromadefect import cli, defect
 from chromadefect.defect import (
     DefectVerdict,
     Evidence,
@@ -22,6 +25,8 @@ from chromadefect.defect import (
     verdict_table,
     verdict_tmf,
 )
+from chromadefect.ext import ext_ranks
+from chromadefect.steenrod import Profile
 
 
 def ev(kind, bound=None, engine="test", op="op", detail="d"):
@@ -112,9 +117,31 @@ class TestCatalogueEntries:
         v = verdict_ko(stem_cap=16)
         assert v.phi == 2 and v.phi_p == 1 and v.status == "exact"
         engines = {e.engine for e in v.evidence}
-        assert engines == {"ext", "ssq"}
+        assert engines == {"ext"}
         lower = [e for e in v.evidence if e.kind == "lower"][0]
-        assert "convergence assumed" in lower.detail
+        assert "h(1,1)" in lower.operation
+        assert "convergence assumed" not in lower.detail
+
+    def test_ko_lower_bound_class_is_ext_1_2(self):
+        # the resolution oracle: h(1,1) spans Ext_{A(1)}^{1,2}
+        chart = ext_ranks(Profile.A(2, 1), 1, 2)
+        assert chart.dims[(1, 2)] == 1
+        assert chart.names[(1, 2)] == ["h(1,1)"]
+
+    def test_ko_without_h11_refuses(self, monkeypatch, tmp_path, capsys):
+        letters = defect.cobar_letters
+
+        def drop_h11(profile, t_max):
+            return [(n, m) for n, m in letters(profile, t_max) if n != "h(1,1)"]
+
+        monkeypatch.setattr(defect, "cobar_letters", drop_h11)
+        with pytest.raises(ValueError, match="h\\(1,1\\)"):
+            verdict_ko(stem_cap=8)
+        out = tmp_path / "out"
+        argv = ["defect", "--cap", "8", "--no-cache", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_COMPUTE
+        assert "compute error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tmf_upper_bound_four(self):
         v = verdict_tmf(stem_cap=16)

@@ -21,12 +21,12 @@ from math import isqrt
 import pytest
 
 from chromadefect.gradedlin import (
-    AbelianGroupPresentation,
     PrimeFieldMatrix,
     SubquotientBasis,
     check_prime,
     vec_from_terms,
 )
+from chromadefect.gradedlin.integers import AbelianGroupPresentation
 from chromadefect.gradedlin.modp import fp_eliminate
 
 from oracles.linalg import (

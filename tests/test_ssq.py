@@ -36,7 +36,7 @@ WIDE = Window(-16, 20, -8, 20)
 
 
 def presentation_str(page, stem, fil):
-    return repr(page.cell(stem, fil).presentation)
+    return repr(page.cells.get((stem, fil)).presentation)
 
 
 class TestLattice:
@@ -168,10 +168,10 @@ class TestBuildE1:
 
     def test_laurent_negative_filtrations(self):
         page = build_e1("laurent", Window(-2, 2, -4, 0))
-        assert page.cell(1, -1).generator_str() == "u*eta^-1"
-        assert page.cell(0, -2).generator_str() == "u*eta^-2"
-        assert page.cell(-2, -2).generator_str() == "eta^-2"
-        assert page.cell(-1, 0) is None
+        assert page.cells.get((1, -1)).generator_str() == "u*eta^-1"
+        assert page.cells.get((0, -2)).generator_str() == "u*eta^-2"
+        assert page.cells.get((-2, -2)).generator_str() == "eta^-2"
+        assert page.cells.get((-1, 0)) is None
 
     def test_window_without_lattice_points_gives_empty_page(self):
         page = build_e1("polynomial", Window(1, 1, 0, 0))
@@ -185,7 +185,7 @@ class TestSecondPage:
         assert presentation_str(e2, 1, 1) == "Z/2"
         assert presentation_str(e2, 0, 0) == "Z"
         assert presentation_str(e2, 4, 0) == "Z"
-        assert e2.cell(4, 0).generator_str() == "u^2"
+        assert e2.cells.get((4, 0)).generator_str() == "u^2"
         assert presentation_str(e2, 3, 1) == "0"
         assert e2.page == 2
 
@@ -238,7 +238,7 @@ class TestFourthPage:
         }
         for stem in range(0, 12):
             for fil in range(0, 13):
-                c = e4.cell(stem, fil)
+                c = e4.cells.get((stem, fil))
                 if c is None:
                     continue
                 want = expect.get((stem, fil))
@@ -249,7 +249,7 @@ class TestFourthPage:
 
     def test_index_two_generator_in_stem_four(self):
         e4 = run_d3(run_d1(build_e1("polynomial", WIDE)))
-        c = e4.cell(4, 0)
+        c = e4.cells.get((4, 0))
         assert repr(c.presentation) == "Z"
         assert c.generator == (2, "u^2")
 
@@ -258,7 +258,7 @@ class TestFourthPage:
         # generator coefficient
         e4 = run_d3(run_d1(build_e1("polynomial", WIDE)))
         for (s, f), c in e4.interior_items():
-            other = e4.cell(s + 8, f)
+            other = e4.cells.get((s + 8, f))
             if other is None or not e4.window.is_interior(s + 8, f):
                 continue
             assert c.presentation == other.presentation, (s, f)
