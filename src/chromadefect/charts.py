@@ -7,13 +7,17 @@ exported to TSV and rendered; every code path keeps a fixed element
 order and fixed numeric formatting so the same document always produces
 the same bytes.  The Ext chart builder lives here; the ko and May page
 builders (ssq.chart_from_snapshot, may.chart_from_may_page) sit beside
-the engines they draw, so a job loads only its own.
+the engines they draw, so a job loads only its own.  `json_bytes` is
+the one JSON artifact encoding every job shares.
 """
+
+import json
 
 __all__ = [
     "ChartDocument",
     "chart_from_ext",
     "chart_to_tsv",
+    "json_bytes",
     "render_chart",
 ]
 
@@ -231,3 +235,8 @@ def _escape(text: str) -> str:
         .replace(">", "&gt;")
         .replace('"', "&quot;")
     )
+
+
+def json_bytes(obj) -> bytes:
+    """A JSON artifact: sorted keys, one-space indent, final newline."""
+    return (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode("utf-8")

@@ -18,9 +18,11 @@ with `error: ...` on stderr and nothing written; 3 engine-level failure
 
 Importing this module loads the engines that the ext, fgl and defect
 handlers run, so their compile time is paid at import and not inside a
-job.  The ko-ss, may and margolis handlers load their engines (ssq, may,
-margolis) themselves, and the hashing and base64 coding the cache uses
-load inside the functions that need them: no other job compiles them.
+job.  The ko-ss, may and margolis jobs live beside their engines
+(ssq.ko_ss_job, may.may_job, margolis.margolis_job): their handlers
+here import that module and call the job, and the hashing and base64
+coding the cache uses load inside the functions that need them, so no
+other job compiles them.  Every JSON artifact is charts.json_bytes.
 """
 
 import errno
@@ -30,7 +32,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .charts import chart_from_ext, chart_to_tsv, render_chart
+from .charts import chart_from_ext, chart_to_tsv, json_bytes, render_chart
 from .defect import catalogue, verdict_table
 from .ext import ext_ranks, operator_pairs
 from .fgl import er_defect_witness
@@ -78,12 +80,12 @@ MAX_KO_SS_CELLS = 250_000
 # form through the cap, which costs a Poincare series of cap + 2 terms
 # per family, and the cap names the window each bound certifies.  On a
 # 2 vCPU host the whole job, `python -m chromadefect.cli defect`, took
-# 0.08 s with the package's bytecode cached and 0.12-0.13 s without,
+# 0.08 s with the package's bytecode cached and 0.11-0.12 s without,
 # at caps 1, 24 and 1000, 16 MB peak: 0.065 s of it interpreter start
-# (`python -c pass`), 0.03-0.04 s compiling the package when no bytecode
-# is cached (importing chromadefect.cli took 33-40 ms without bytecode
-# and 9 ms with it), and 3-6 ms `main`.  The limit is kept as one of the
-# CLI's documented refusals
+# (`python -c pass`), about 0.03 s compiling the package when no
+# bytecode is cached (importing chromadefect.cli took 28-35 ms without
+# bytecode and 4-5 ms with it), and 3-6 ms `main`.  The limit is kept
+# as one of the CLI's documented refusals
 MAX_DEFECT_CAP = 1000
 FORMATS = ("tsv", "json", "svg")
 
@@ -168,10 +170,6 @@ def _resolve_formats(subcommand, requested):
     return sorted(set(requested))
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode("utf-8")
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations: JobConfig -> {filename: bytes}
 
@@ -232,7 +230,7 @@ def cmd_ext(cfg: JobConfig):
             for (s, t), d in sorted(chart.dims.items())
             if d
         ]
-        out[f"{base}.json"] = _json_bytes({"label": chart.label, "cells": cells})
+        out[f"{base}.json"] = json_bytes({"label": chart.label, "cells": cells})
     if "svg" in cfg.params["formats"]:
         doc = chart_from_ext(chart)
         out[f"{base}.svg"] = render_chart(doc)
@@ -241,61 +239,21 @@ def cmd_ext(cfg: JobConfig):
 
 
 def cmd_may(cfg: JobConfig):
-    from .may import chart_from_may_page, may_e1, may_e2
+    from .may import may_job
 
-    p = cfg.params["prime"]
-    n = cfg.params["n"]
-    e1 = may_e1(n, p, cfg.params["stem_max"], cfg.params["s_max"])
-    out = {}
-    for page in (e1, may_e2(e1)):
-        base = f"may_n{n}_p{p}_e{page.r}"
-        if "tsv" in cfg.params["formats"]:
-            out[f"{base}.tsv"] = page.to_tsv().encode("utf-8")
-        if "json" in cfg.params["formats"]:
-            dims = [[stem, s, d] for (stem, s), d in sorted(page.dims().items())]
-            out[f"{base}.json"] = _json_bytes(
-                {"height": n, "prime": p, "page": page.r, "dims": dims}
-            )
-        if "svg" in cfg.params["formats"]:
-            doc = chart_from_may_page(page)
-            out[f"{base}.svg"] = render_chart(doc)
-            out[f"{base}_chart.tsv"] = chart_to_tsv(doc).encode("utf-8")
-    return out
+    return may_job(cfg.params)
 
 
 def cmd_margolis(cfg: JobConfig):
-    from .margolis import FiniteSteenrodModule, InputError, is_free_over
+    from .margolis import InputError, margolis_job
 
     # InputError is a verdict on the input: a malformed or inconsistent
     # module, an unknown subalgebra, or a missing operator; any other
     # ValueError is the engine refusing to certify
     try:
-        module = FiniteSteenrodModule.from_json(cfg.payload)
-        verdict = is_free_over(module, cfg.params["subalgebra"])
+        return margolis_job(cfg.payload, cfg.params)
     except InputError as exc:
         raise ConfigError(str(exc)) from None
-    report = verdict.to_json()
-    base = "margolis_verdict"
-    out = {}
-    if "json" in cfg.params["formats"]:
-        out[f"{base}.json"] = _json_bytes(report)
-    if "tsv" in cfg.params["formats"]:
-        witness = report.get("witness") or {}
-        lines = [
-            "subalgebra\tfree\trank\twitness-operator\twitness-degree",
-            "\t".join(
-                str(x)
-                for x in (
-                    report["subalgebra"],
-                    report["free"],
-                    report["rank"] if report["rank"] is not None else "-",
-                    witness.get("operator", "-"),
-                    witness.get("degree", "-"),
-                )
-            ),
-        ]
-        out[f"{base}.tsv"] = ("\n".join(lines) + "\n").encode("utf-8")
-    return out
 
 
 def cmd_fgl(cfg: JobConfig):
@@ -303,7 +261,7 @@ def cmd_fgl(cfg: JobConfig):
     base = f"fgl_er{cfg.params['n']}"
     out = {}
     if "json" in cfg.params["formats"]:
-        out[f"{base}.json"] = _json_bytes(report)
+        out[f"{base}.json"] = json_bytes(report)
     if "tsv" in cfg.params["formats"]:
         lines = ["height\tdoubling-degree\tinverse-obstructed"]
         for h in sorted(report["doubling_degrees"], key=int):
@@ -320,31 +278,14 @@ def cmd_defect(cfg: JobConfig):
     if "tsv" in cfg.params["formats"]:
         out["defect_table.tsv"] = verdict_table(verdicts).encode("utf-8")
     if "json" in cfg.params["formats"]:
-        out["defect_table.json"] = _json_bytes([v.to_json() for v in verdicts])
+        out["defect_table.json"] = json_bytes([v.to_json() for v in verdicts])
     return out
 
 
 def cmd_ko_ss(cfg: JobConfig):
-    from .ssq import Window, build_e1, chart_from_snapshot, forced_d3_detector, run_d1, run_d3
+    from .ssq import ko_ss_job
 
-    variant = cfg.params["variant"]
-    lo, hi, flo, fhi = cfg.params["window"]
-    window = Window(lo, hi, flo, fhi)
-    e2 = run_d1(build_e1(variant, window))
-    e4 = run_d3(e2)
-    base = f"ko_{variant}"
-    out = {}
-    if "tsv" in cfg.params["formats"]:
-        out[f"{base}_e2.tsv"] = e2.to_tsv().encode("utf-8")
-        out[f"{base}_e4.tsv"] = e4.to_tsv().encode("utf-8")
-    if "svg" in cfg.params["formats"]:
-        for page in (e2, e4):
-            doc = chart_from_snapshot(page)
-            out[f"{base}_e{page.page}.svg"] = render_chart(doc)
-            out[f"{base}_e{page.page}_chart.tsv"] = chart_to_tsv(doc).encode("utf-8")
-    if "json" in cfg.params["formats"]:
-        out[f"{base}_forced_d3.json"] = _json_bytes(forced_d3_detector(window))
-    return out
+    return ko_ss_job(cfg.params)
 
 
 JOBS = {

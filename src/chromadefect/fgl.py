@@ -16,7 +16,6 @@ read off by substitution, and the rational solver this module
 replaced are the test suite's oracles for these series.
 """
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -175,7 +174,9 @@ def honda_multiple(p: int, n: int, c, cap: int) -> list:
     """The series [c](x) of the height-n Honda law over F_p, to the cap,
     as its coefficient list: entry k is the coefficient of x^k mod p.
 
-    c = a/b is a nonzero rational; [2](x) and [-1](x), the doubling
+    c = a/b is a nonzero rational, given as an int, a Fraction or any
+    number whose `numerator` and `denominator` are ints with b > 0; a
+    float or a string is refused.  [2](x) and [-1](x), the doubling
     series and the formal inverse, are the cases the defect witness
     reads.  With M = p b the solution is x c v(x), and the series
     V(x) = v(Mx) has integer coefficients: its recurrence
@@ -188,8 +189,10 @@ def honda_multiple(p: int, n: int, c, cap: int) -> list:
     multiple is not p-integral.
     """
     log_terms = _honda_log_terms(p, n, cap)
-    c = Fraction(c)
-    if not c:
+    a, b = getattr(c, "numerator", None), getattr(c, "denominator", None)
+    if not (isinstance(a, int) and isinstance(b, int) and b > 0):
+        raise ValueError(f"the multiple {c!r} must be an int or a Fraction")
+    if not a:
         raise ValueError("the multiple must be nonzero")
     f = _solve_log_multiple(log_terms, c, cap)
     _check_log_multiple(log_terms, c, f, cap)

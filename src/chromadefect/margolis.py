@@ -9,12 +9,12 @@ homology; a finite module is free over one of the standard subalgebras
 exactly when all of those homologies vanish, and that is the test
 is_free_over runs.
 
-The `margolis` job reads a module from JSON (FiniteSteenrodModule.
-from_json) and runs is_free_over on it.  Errors in that input, or in
-the subalgebra name, raise InputError; any other ValueError is the
-engine refusing to certify.  The modules the tests feed it (subalgebras
-over themselves, free modules, projective spaces, comodule duals) are
-built under tests/oracles/.
+The `margolis` job (margolis_job) reads a module from JSON
+(FiniteSteenrodModule.from_json) and runs is_free_over on it.  Errors
+in that input, or in the subalgebra name, raise InputError; any other
+ValueError is the engine refusing to certify.  The modules the tests
+feed it (subalgebras over themselves, free modules, projective spaces,
+comodule duals) are built under tests/oracles/.
 
 Square-zero operator lists come from the height profile of the dual
 quotient.  Spelled out at p = 2 through level 3:
@@ -33,6 +33,7 @@ n+1-t, and the P-kind list uses heights n+2-t with no shift and no Q's.
 
 import re
 
+from .charts import json_bytes
 from .gradedlin import (
     PrimeFieldMatrix,
     SubquotientBasis,
@@ -48,6 +49,7 @@ __all__ = [
     "family_margolis_indices",
     "is_free_over",
     "margolis_homology",
+    "margolis_job",
     "operator_degree",
     "parse_operator",
     "subalgebra_dimension",
@@ -458,3 +460,32 @@ def is_free_over(module, subalgebra):
                 witness = (op, d, h.witnesses[d][0])
     rank = module.dim() // subalgebra_dimension(module.p, kind, level) if free else None
     return MargolisVerdict(subalgebra, tuple(ops), homology, free, rank, witness)
+
+
+def margolis_job(payload, params) -> dict:
+    """The `margolis` job's artifacts, {filename: bytes}: the freeness
+    verdict of the module `payload` (parsed JSON) over the subalgebra
+    the validated CLI params name.  Bad input raises InputError."""
+    module = FiniteSteenrodModule.from_json(payload)
+    report = is_free_over(module, params["subalgebra"]).to_json()
+    base = "margolis_verdict"
+    out = {}
+    if "json" in params["formats"]:
+        out[f"{base}.json"] = json_bytes(report)
+    if "tsv" in params["formats"]:
+        witness = report.get("witness") or {}
+        lines = [
+            "subalgebra\tfree\trank\twitness-operator\twitness-degree",
+            "\t".join(
+                str(x)
+                for x in (
+                    report["subalgebra"],
+                    report["free"],
+                    report["rank"] if report["rank"] is not None else "-",
+                    witness.get("operator", "-"),
+                    witness.get("degree", "-"),
+                )
+            ),
+        ]
+        out[f"{base}.tsv"] = ("\n".join(lines) + "\n").encode("utf-8")
+    return out

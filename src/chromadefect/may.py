@@ -26,7 +26,7 @@ Window bookkeeping: E2 trusts one stem and one s less than E1, because
 boundaries can enter from just outside the window.
 """
 
-from .charts import ChartDocument
+from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
 from .gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms, vec_support
 from .steenrod import elt_add_term
 
@@ -37,6 +37,7 @@ __all__ = [
     "e1_monomial_count",
     "may_e1",
     "may_e2",
+    "may_job",
     "monomial_string",
 ]
 
@@ -475,3 +476,26 @@ def chart_from_may_page(page) -> ChartDocument:
         (0, page.s_cap),
         arrow_rule="filtration-step",
     )
+
+
+def may_job(params) -> dict:
+    """The `may` job's artifacts, {filename: bytes}: E1 and E2 for the
+    validated CLI params, in each requested format."""
+    p = params["prime"]
+    n = params["n"]
+    e1 = may_e1(n, p, params["stem_max"], params["s_max"])
+    out = {}
+    for page in (e1, may_e2(e1)):
+        base = f"may_n{n}_p{p}_e{page.r}"
+        if "tsv" in params["formats"]:
+            out[f"{base}.tsv"] = page.to_tsv().encode("utf-8")
+        if "json" in params["formats"]:
+            dims = [[stem, s, d] for (stem, s), d in sorted(page.dims().items())]
+            out[f"{base}.json"] = json_bytes(
+                {"height": n, "prime": p, "page": page.r, "dims": dims}
+            )
+        if "svg" in params["formats"]:
+            doc = chart_from_may_page(page)
+            out[f"{base}.svg"] = render_chart(doc)
+            out[f"{base}_chart.tsv"] = chart_to_tsv(doc).encode("utf-8")
+    return out

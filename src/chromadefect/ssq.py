@@ -19,7 +19,7 @@ from every assertion; the radius equals the longest differential used.
 
 from math import gcd
 
-from .charts import ChartDocument
+from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
 from .gradedlin.integers import AbelianGroupPresentation
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "differential_sources",
     "forced_d3_detector",
     "chart_from_snapshot",
+    "ko_ss_job",
 ]
 
 VARIANTS = ("polynomial", "laurent")
@@ -499,3 +500,25 @@ def chart_from_snapshot(page) -> ChartDocument:
         (page.window.stem_lo, page.window.stem_hi),
         (page.window.fil_lo, page.window.fil_hi),
     )
+
+
+def ko_ss_job(params) -> dict:
+    """The `ko-ss` job's artifacts, {filename: bytes}: pages 2 and 4 of
+    the chart for the validated CLI params, and the forced-d3 report."""
+    variant = params["variant"]
+    window = Window(*params["window"])
+    e2 = run_d1(build_e1(variant, window))
+    e4 = run_d3(e2)
+    base = f"ko_{variant}"
+    out = {}
+    if "tsv" in params["formats"]:
+        out[f"{base}_e2.tsv"] = e2.to_tsv().encode("utf-8")
+        out[f"{base}_e4.tsv"] = e4.to_tsv().encode("utf-8")
+    if "svg" in params["formats"]:
+        for page in (e2, e4):
+            doc = chart_from_snapshot(page)
+            out[f"{base}_e{page.page}.svg"] = render_chart(doc)
+            out[f"{base}_e{page.page}_chart.tsv"] = chart_to_tsv(doc).encode("utf-8")
+    if "json" in params["formats"]:
+        out[f"{base}_forced_d3.json"] = json_bytes(forced_d3_detector(window))
+    return out

@@ -1,17 +1,19 @@
 """Cyclotomic ramification valuations and defect formulas for fixed
 point theories of Morava E-theory under finite cyclic subgroups.
 
-Everything is exact rational arithmetic.  The ambient facts: the
-p^n-th cyclotomic extension of the p-adics is totally ramified of
-degree p^(n-1)(p-1), the valuation normalized by v(p) = 1 gives
-v(zeta - 1) = 1/(p^(n-1)(p-1)) for a primitive root, and a cyclic
-subgroup of the endomorphism units of a height-h formal group exists
-exactly when that degree divides h.  The defect of the fixed point
-theory is then p to the integer h * max v(g - 1) over the nontrivial
-subgroup elements.
-"""
+The ambient facts: the p^n-th cyclotomic extension of the p-adics is
+totally ramified of degree p^(n-1)(p-1), the valuation normalized by
+v(p) = 1 gives v(zeta - 1) = 1/(p^(n-1)(p-1)) for a primitive root,
+and a cyclic subgroup of the endomorphism units of a height-h formal
+group exists exactly when that degree divides h.  The defect of the
+fixed point theory is then p to the integer h * max v(g - 1) over the
+nontrivial subgroup elements.
 
-from fractions import Fraction
+Every such valuation is a unit fraction 1/e, with e the ramification
+degree of the subfield g generates, so a valuation is carried as the
+integer e and everything is integer arithmetic: the largest
+valuation is the smallest degree, and N = h / e is an exact quotient.
+"""
 
 from .gradedlin import check_prime
 
@@ -42,12 +44,14 @@ class CycloElement:
         return hash((self.p, self.n, self.k))
 
 
-def cyclo_valuation(e: CycloElement) -> Fraction:
-    """v(zeta^k - 1) under the normalization v(p) = 1.
+def cyclo_valuation(e: CycloElement) -> int:
+    """The degree d with v(zeta^k - 1) = 1/d, under the normalization
+    v(p) = 1.
 
     zeta^k is a primitive p^(n-j)-th root for j the p-adic valuation
-    of k, and the extension is totally ramified, so the value is
-    1/(p^(n-1-j)(p-1)).  k = 0 names the element zero and has no
+    of k, and the extension is totally ramified, so the valuation is
+    1/(p^(n-1-j)(p-1)) and d = p^(n-1-j)(p-1) is the ramification
+    degree of Q_p(zeta^k).  k = 0 names the element zero and has no
     finite valuation here.
     """
     if e.k == 0:
@@ -57,7 +61,7 @@ def cyclo_valuation(e: CycloElement) -> Fraction:
     while k % p == 0:
         k //= p
         j += 1
-    return Fraction(1, p ** (e.n - 1 - j) * (p - 1))
+    return p ** (e.n - 1 - j) * (p - 1)
 
 
 def embedding_admissible(degree: int, height: int) -> bool:
@@ -74,8 +78,9 @@ class SubgroupSpec:
 
     The group is generated by a primitive p^m-th root of unity inside
     the endomorphism algebra, which exists exactly when p^(m-1)(p-1)
-    divides the height, and the element valuations come from
-    cyclo_valuation.
+    divides the height.  `valuations` maps each exponent k of a
+    nontrivial element to the degree cyclo_valuation gives: the
+    element's valuation is its reciprocal.
     """
 
     __slots__ = ("p", "m", "height", "valuations")
@@ -113,19 +118,23 @@ class SubgroupSpec:
 def group_N(G: SubgroupSpec) -> int:
     """height * max element valuation, certified to be an integer.
 
-    The Serre divisibility makes the product integral for every
-    constructible spec; the check stays as a tripwire against a wrong
-    valuation.
+    The largest valuation 1/e belongs to the smallest degree e, so N is
+    height / e.  The Serre divisibility makes the quotient exact for
+    every constructible spec; the remainder check stays as a tripwire
+    against a wrong valuation.
     """
     if not G.valuations:
         raise ValueError(
             "the trivial group has no elements away from the identity; "
             "its fixed points are complex orientable with defect 1"
         )
-    value = G.height * max(G.valuations.values())
-    if value.denominator != 1:
-        raise ValueError(f"N = {value} is not an integer; the table is inconsistent")
-    return int(value)
+    degree = min(G.valuations.values())
+    N, rem = divmod(G.height, degree)
+    if rem:
+        raise ValueError(
+            f"N = {G.height}/{degree} is not an integer; the table is inconsistent"
+        )
+    return N
 
 
 def eo_defect(G: SubgroupSpec) -> dict:

@@ -126,6 +126,10 @@ LAZY = {
     "chromadefect.gradedlin.integers",
     "hashlib",
     "base64",
+    "fractions",
+    "decimal",
+    "_decimal",
+    "numbers",
 }
 RP4 = str(Path(__file__).parent / "golden" / "inputs" / "rp4.json")
 

@@ -453,6 +453,10 @@ class TestHondaMultiple:
             honda_multiple(2, 1, 0, 8)
         with pytest.raises(ValueError, match="not prime"):
             honda_multiple(4, 1, 2, 8)
+        # only an int or a Fraction names c exactly
+        for c in (0.5, "1/2"):
+            with pytest.raises(ValueError, match="must be an int or a Fraction"):
+                honda_multiple(2, 1, c, 8)
 
 
 def _multiple_or_refusal(solve, p, h, c, cap):

@@ -1,14 +1,14 @@
 """Tests for cyclotomic valuations and fixed point defect formulas.
 
-Oracles: hand-checked ramification theory (the p^n-th cyclotomic
-extension of Q_p is totally ramified of degree p^(n-1)(p-1), so the
-normalized valuation of zeta - 1 is the reciprocal of that degree);
-the classical v(zeta_p - 1) = 1/(p-1); and cross-checks against the
-formal group law module, where the height-n Honda law over F_2 has its
-formal inverse deviating from the identity first in degree 2^n.
+A valuation 1/e is carried as its ramification degree e, so each
+assertion below compares degrees.  Oracles: hand-checked ramification
+theory (the p^n-th cyclotomic extension of Q_p is totally ramified of
+degree p^(n-1)(p-1), so the normalized valuation of zeta - 1 is the
+reciprocal of that degree); the classical v(zeta_p - 1) = 1/(p-1); and
+cross-checks against the formal group law module, where the height-n
+Honda law over F_2 has its formal inverse deviating from the identity
+first in degree 2^n.
 """
-
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,20 +59,20 @@ class TestCycloValuation:
         # v(zeta_p^k - 1) = 1/(p-1) for every k prime to p
         for p in SMALL_PRIMES:
             for k in range(1, p):
-                assert cyclo_valuation(CycloElement(p, 1, k)) == Fraction(1, p - 1)
+                assert cyclo_valuation(CycloElement(p, 1, k)) == p - 1
 
     def test_primitive_root_case(self):
         # a primitive p^n-th root: valuation 1/(p^(n-1)(p-1))
-        assert cyclo_valuation(CycloElement(3, 1, 1)) == Fraction(1, 2)
-        assert cyclo_valuation(CycloElement(2, 3, 1)) == Fraction(1, 4)
-        assert cyclo_valuation(CycloElement(3, 2, 1)) == Fraction(1, 6)
-        assert cyclo_valuation(CycloElement(5, 2, 1)) == Fraction(1, 20)
+        assert cyclo_valuation(CycloElement(3, 1, 1)) == 2
+        assert cyclo_valuation(CycloElement(2, 3, 1)) == 4
+        assert cyclo_valuation(CycloElement(3, 2, 1)) == 6
+        assert cyclo_valuation(CycloElement(5, 2, 1)) == 20
 
     def test_deep_power_reaches_prime_level(self):
         # zeta_8^4 = -1, and v(-2) = 1
-        assert cyclo_valuation(CycloElement(2, 3, 4)) == Fraction(1)
+        assert cyclo_valuation(CycloElement(2, 3, 4)) == 1
         # zeta_27^9 is a primitive cube root
-        assert cyclo_valuation(CycloElement(3, 3, 9)) == Fraction(1, 2)
+        assert cyclo_valuation(CycloElement(3, 3, 9)) == 2
 
     def test_unit_element_has_no_valuation(self):
         with pytest.raises(ValueError, match="no valuation"):
@@ -111,8 +111,9 @@ class TestCycloValuation:
     def test_valuation_bounds(self, p, n, k):
         if k % p**n == 0:
             k += 1
-        nu = cyclo_valuation(CycloElement(p, n, k))
-        assert Fraction(1, p ** (n - 1) * (p - 1)) <= nu <= 1
+        # 1/(p^(n-1)(p-1)) <= v <= 1, read on the degree e = 1/v
+        e = cyclo_valuation(CycloElement(p, n, k))
+        assert 1 <= e <= p ** (n - 1) * (p - 1)
 
 
 class TestEmbedding:
@@ -177,6 +178,16 @@ class TestGroupN:
     def test_trivial_group_raises(self):
         with pytest.raises(ValueError, match="defect 1"):
             group_N(SubgroupSpec(2, 0, 3))
+
+    def test_non_integral_N_raises(self, monkeypatch):
+        # no constructible spec reaches the tripwire: a C_3 at height 2
+        # whose table claims degree 4 elements (valuation 1/4) would
+        # give N = 2/4
+        G = SubgroupSpec(3, 1, 2)
+        assert group_N(G) == 1
+        monkeypatch.setattr(G, "valuations", {1: 4, 2: 4})
+        with pytest.raises(ValueError, match="N = 2/4 is not an integer"):
+            group_N(G)
 
     def test_monotone_under_nesting(self):
         # C_{p^j} inside C_{p^m} at a common admissible height; the
