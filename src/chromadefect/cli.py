@@ -68,10 +68,10 @@ MAX_EXT_CELLS = 4096
 # largest may E1 page, in window cells plus monomials; each cell and
 # each monomial is an object the pages keep.  The whole job, E1 and E2
 # in every format, on a 2 vCPU host: p = 2, n = 1, stem 60, s 16 (1,037
-# cells, 46,418 monomials) took 2.7 s and 45 MB peak; p = 3, n = 0,
-# stem 185, s 10 (2,046 cells, 57,858 monomials), 5.8 s and 58 MB, E2
-# 1.5 s of it (0.6 s sparse F_3 elimination); p = 5, n = 1, stem 9999,
-# s 4 (50,000 cells, 2,999 monomials), 0.5 s and 38 MB
+# cells, 46,418 monomials) took 1.9-2.0 s and 40 MB peak; p = 3, n = 0,
+# stem 185, s 10 (2,046 cells, 57,858 monomials), 3.9-4.1 s and 53 MB,
+# E2 0.4-0.5 s of it; p = 5, n = 1, stem 9999, s 4 (50,000 cells, 2,999
+# monomials), 0.5 s and 33 MB
 MAX_MAY_E1_SIZE = 60_000
 # largest ko-ss window, in cells: the laurent pages over 180,901 cells
 # took 2.8 s and 79 MB, over 501,501 cells 9.5 s and 177 MB

@@ -37,6 +37,7 @@ from .charts import json_bytes
 from .gradedlin import (
     PrimeFieldMatrix,
     SubquotientBasis,
+    check_prime,
     vec_support,
 )
 from .steenrod import MAX_FAMILY_HEIGHT, Profile, elt_add_term
@@ -138,9 +139,7 @@ class FiniteSteenrodModule:
     """
 
     def __init__(self, p, basis, actions, even_only=False):
-        self.p = int(p)
-        if self.p < 2:
-            raise ValueError("p must be a prime >= 2")
+        self.p = check_prime(int(p))
         self.even_only = bool(even_only)
         if self.even_only and self.p != 2:
             raise ValueError("even-only mode is a p = 2 notion")

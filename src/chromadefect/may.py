@@ -13,18 +13,24 @@ exterior (odd total degree) while a and b are polynomial.
 
 d1 comes from the diagonal: d1 h(i,j) = sum_{0<k<i} h(i-k,k+j) h(k,j)
 and d1 a(i) = sum_{0<=k<i} h(i-k,k) a(k), terms with disallowed letters
-dropped.  may_e1 differentiates each E1 monomial once and keeps d1 as
-one matrix per cell in monomial coordinates; may_e2 reads E2 = ker d1 /
-im d1 off those matrices.  No later differential is derived.  d1
-strictly lowers total may weight (the filtration is by increasing
-weight, so this is the convergence direction), checked on every
-monomial.
+dropped.  On a monomial, d1 is the Leibniz sum over positions: the
+letter there is replaced by one product g1*g2 of its d1, and the
+factors are brought to canonical form once by normal_form, which
+returns the Koszul sign of sorting the odd letters, or nothing when an
+exterior letter repeats.  may_e1 differentiates each E1 monomial once
+and keeps d1 as one matrix per cell in monomial coordinates; may_e2
+reads E2 = ker d1 / im d1 off those matrices.  No later differential
+is derived.  d1 strictly lowers total may weight (the filtration is by
+increasing weight, so this is the convergence direction), checked on
+every monomial.
 
 All pages are plotted in Adams bigrading (stem, s) = (t-s, s); every
 differential has the signature of an Adams d1 (s+1, stem-1, t fixed).
 Window bookkeeping: E2 trusts one stem and one s less than E1, because
 boundaries can enter from just outside the window.
 """
+
+from itertools import count, takewhile
 
 from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
 from .gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms, vec_support
@@ -97,53 +103,26 @@ def mono_weight(p, mono):
     return sum(e * gen_weight(p, g) for g, e in mono)
 
 
-def monomial_mul(p, m1, m2):
-    """Merge two canonical monomials; returns (sign, mono) or None when
-    an exterior letter squares."""
+def normal_form(p, factors):
+    """The product of (letter, exponent) factors taken in order, in
+    canonical form: (sign, monomial), the sign being the Koszul sign of
+    moving the odd letters into letter order, or None when an exterior
+    letter repeats."""
+    merged = {}
+    for gen, e in factors:
+        merged[gen] = merged.get(gen, 0) + e
     sign = 1
     if p != 2:
-        # Koszul: count odd-letter inversions between the factors
-        inv = 0
-        for g2, e2 in m2:
-            if not gen_is_odd(p, g2):
-                continue
-            k2 = _gen_key(g2)
-            for g1, e1 in m1:
-                if gen_is_odd(p, g1) and _gen_key(g1) > k2:
-                    inv += e1 * e2
-        if inv % 2:
-            sign = -1
-    merged = {}
-    for g, e in m1:
-        merged[g] = merged.get(g, 0) + e
-    for g, e in m2:
-        merged[g] = merged.get(g, 0) + e
-    for g, e in merged.items():
-        if gen_is_odd(p, g) and e > 1:
-            return None
-    mono = tuple(sorted(merged.items(), key=lambda b: _gen_key(b[0])))
-    return sign, mono
-
-
-def elt_mul(p, x, y):
-    out = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            got = monomial_mul(p, m1, m2)
-            if got is None:
-                continue
-            sign, mono = got
-            elt_add_term(p, out, mono, sign * c1 * c2)
-    return out
-
-
-def elt_add_scaled(p, acc, x, c):
-    c %= p
-    if not c:
-        return acc
-    for m, cm in x.items():
-        elt_add_term(p, acc, m, c * cm)
-    return acc
+        seen = []
+        for gen, _ in factors:
+            if gen_is_odd(p, gen):
+                if merged[gen] > 1:
+                    return None
+                key = _gen_key(gen)
+                if sum(k > key for k in seen) % 2:
+                    sign = -sign
+                seen.append(key)
+    return sign, tuple(sorted(merged.items(), key=lambda b: _gen_key(b[0])))
 
 
 class MayContext:
@@ -171,97 +150,68 @@ class MayContext:
         return False
 
     def generators(self, stem_max, s_max):
-        """All allowed letters with stem <= stem_max, s <= s_max."""
+        """All allowed letters with stem <= stem_max, s <= s_max.
+
+        Each kind's letters come in rows of fixed i: a row stops at the
+        first j past the window, and the rows at the first empty row."""
         p = self.p
-        out = []
-        i = 1
-        while gen_t(p, ("h", i, 0)) - 1 <= stem_max:
-            j = 0
-            while True:
-                gen = ("h", i, j)
-                if gen_t(p, gen) - 1 > stem_max:
-                    break
-                if self.allowed(gen):
-                    out.append(gen)
-                j += 1
-            i += 1
+        starts = [("h", 1)]
         if p != 2:
-            i = 0
-            while gen_t(p, ("a", i, None)) - 1 <= stem_max:
-                gen = ("a", i, None)
-                if self.allowed(gen):
-                    out.append(gen)
+            starts += [("a", 0)] + [("b", 1)] * (s_max >= 2)
+
+        def in_window(gen):
+            return gen_t(p, gen) - gen_s(gen) <= stem_max
+
+        out = []
+        for kind, i in starts:
+            while True:
+                js = [None] if kind == "a" else count()
+                row = list(takewhile(in_window, ((kind, i, j) for j in js)))
+                if not row:
+                    break
+                out += filter(self.allowed, row)
                 i += 1
-            if s_max >= 2:
-                i = 1
-                while gen_t(p, ("b", i, 0)) - 2 <= stem_max:
-                    j = 0
-                    while True:
-                        gen = ("b", i, j)
-                        if gen_t(p, gen) - 2 > stem_max:
-                            break
-                        if self.allowed(gen):
-                            out.append(gen)
-                        j += 1
-                    i += 1
         out.sort(key=_gen_key)
         return out
 
-    def d1_generator(self, gen):
-        """d1 on a letter, as an element; cached."""
+    def d1_pairs(self, gen):
+        """d1 of a letter as the diagonal writes it, the letter pairs
+        (g1, g2) of its terms g1*g2 with both letters allowed; cached."""
         got = self._d1_cache.get(gen)
-        if got is not None:
-            return got
-        p = self.p
-        kind, i, j = gen
-        out = {}
-        if kind == "h":
-            for k in range(1, i):
-                g1 = ("h", i - k, k + j)
-                g2 = ("h", k, j)
-                if self.allowed(g1) and self.allowed(g2):
-                    prod = monomial_mul(p, ((g1, 1),), ((g2, 1),))
-                    if prod is not None:
-                        sign, mono = prod
-                        out = elt_add_scaled(p, out, {mono: 1}, sign)
-        elif kind == "a":
-            for k in range(0, i):
-                g1 = ("h", i - k, k)
-                g2 = ("a", k, None)
-                if self.allowed(g1) and self.allowed(g2):
-                    sign, mono = monomial_mul(p, ((g1, 1),), ((g2, 1),))
-                    out = elt_add_scaled(p, out, {mono: 1}, sign)
-        self._d1_cache[gen] = out
-        return out
+        if got is None:
+            kind, i, j = gen
+            if kind == "h":
+                pairs = [(("h", i - k, k + j), ("h", k, j)) for k in range(1, i)]
+            elif kind == "a":
+                pairs = [(("h", i - k, k), ("a", k, None)) for k in range(i)]
+            else:
+                pairs = []
+            got = [(g1, g2) for g1, g2 in pairs if self.allowed(g1) and self.allowed(g2)]
+            self._d1_cache[gen] = got
+        return got
 
     def d1_element(self, x):
-        """Leibniz extension of d1 to an element."""
+        """Leibniz extension of d1 to an element.
+
+        The term of a monomial at position k replaces its letter g^e by
+        g^(e-1) * g1*g2 for each pair of d1_pairs(g), in place, and brings
+        those factors to canonical form once through normal_form.  It is
+        multiplied by e and by (-1) to the number of odd letters before
+        position k."""
         p = self.p
         out = {}
         for mono, coef in x.items():
-            out = elt_add_scaled(p, out, self._d1_monomial(mono), coef)
-        return out
-
-    def _d1_monomial(self, mono):
-        p = self.p
-        out = {}
-        prefix_parity = 0
-        for pos, (gen, e) in enumerate(mono):
-            dg = self.d1_generator(gen)
-            if dg:
-                coef = e % p
-                if coef:
-                    sign = -1 if prefix_parity % 2 else 1
-                    left = list(mono[:pos])
-                    if e > 1:
-                        left.append((gen, e - 1))
-                    term = elt_mul(p, {tuple(left): 1}, dg)
-                    suffix = mono[pos + 1 :]
-                    if suffix:
-                        term = elt_mul(p, term, {suffix: 1})
-                    out = elt_add_scaled(p, out, term, sign * coef)
-            if gen_is_odd(p, gen) and e % 2:
-                prefix_parity += 1
+            for pos, (gen, e) in enumerate(mono):
+                c = e * coef
+                if c % p:
+                    left = mono[:pos] + (((gen, e - 1),) if e > 1 else ())
+                    right = mono[pos + 1 :]
+                    for g1, g2 in self.d1_pairs(gen):
+                        got = normal_form(p, left + ((g1, 1), (g2, 1)) + right)
+                        if got is not None:
+                            elt_add_term(p, out, got[1], got[0] * c)
+                if gen_is_odd(p, gen) and e % 2:
+                    coef = -coef
         return out
 
 

@@ -314,7 +314,6 @@ class Profile:
             raise ValueError("even-only families only arise at p = 2")
         self.label = label
         self._validate()
-        self._basis_cache = {}
 
     # family constructors -------------------------------------------------
 
@@ -454,9 +453,6 @@ class Profile:
 
     def basis(self, max_degree):
         """All family monomials of degree <= max_degree, sorted."""
-        key = max_degree
-        if key in self._basis_cache:
-            return self._basis_cache[key]
         p = self.p
         step = 2 if self.even_only else 1
         xis, taus = self._generators(max_degree)
@@ -492,9 +488,7 @@ class Profile:
                 e += 1
 
         rec_tau(0, [], max_degree)
-        result = sorted(found)
-        self._basis_cache[key] = result
-        return result
+        return sorted(found)
 
     def poincare(self, max_degree):
         """Family dims by degree through max_degree, from the generating

@@ -14,7 +14,11 @@ margolis_homology, and the may and ko-ss jobs (every format) by the
 engine before SubquotientBasis moved onto PrimeFieldMatrix elimination.
 The may E2 files (may_*_e2*) were added later, written by the general
 page turner (page_turn on the E1 page, with the job's JSON shape, chart
-and TSV writers) before may_e2 read E2 off the d1 matrices.  The
+and TSV writers) before may_e2 read E2 off the d1 matrices.  may_p3_n0,
+whose d1 carries Koszul signs -1 from the exterior h letters at p = 3,
+was written by the engine whose d1 multiplied whole elements through a
+generic monomial product, before each Leibniz term was brought to
+canonical form once.  The
 T-family ext jobs (ext_t1_p2, ext_t1_p3) were written by the engine
 whose cobar words held monomial objects, before words became tuples of
 letter numbers.  Every ext_* directory was written again when the ext
@@ -66,6 +70,8 @@ GOLDEN = {
     "may_default": ["may", *FORMATS, "--format", "svg"],
     "may_p3_n1": ["may", "--prime", "3", "--n", "1", "--stem-max", "20",
                   "--s-max", "4", *FORMATS, "--format", "svg"],
+    "may_p3_n0": ["may", "--prime", "3", "--n", "0", "--stem-max", "40",
+                  "--s-max", "6", *FORMATS, "--format", "svg"],
     "ko_ss_polynomial": ["ko-ss", "--variant", "polynomial", *FORMATS,
                          "--format", "svg"],
     "ko_ss_laurent": ["ko-ss", "--variant", "laurent", *FORMATS, "--format", "svg"],
@@ -360,6 +366,23 @@ def test_bad_margolis_input_exits_2(module, subalgebra, message, tmp_path, capsy
             "--no-cache"]
     assert run(argv, tmp_path / "out") == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("prime", [4, 9])
+def test_composite_margolis_prime_exits_2(prime, tmp_path, capsys):
+    # a verdict over Z/4 or Z/9 is no freeness verdict: nothing is written
+    d = 2 * (prime - 1)
+    module = {"prime": prime,
+              "basis": [{"name": "x0", "degree": 0}, {"name": f"x{d}", "degree": d}],
+              "operators": ["Q(0)"],
+              "actions": [{"operator": "P(1,0)", "on": "x0",
+                           "terms": [{"coef": 2, "to": f"x{d}"}]}]}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    argv = ["margolis", "--input", str(path), "--subalgebra", "P(0)"]
+    assert run(argv, tmp_path / "out") == cli.EXIT_USAGE
+    assert f"error: {prime} is not prime" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

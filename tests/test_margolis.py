@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from chromadefect.margolis import (
     FiniteSteenrodModule,
+    InputError,
     is_free_over,
     margolis_homology,
     operator_degree,
@@ -487,6 +488,20 @@ class TestJson:
         assert module_json(back) == module_json(m)
         assert back.names == m.names
         assert back.actions == m.actions
+
+    @pytest.mark.parametrize("p", [4, 9])
+    def test_composite_prime_rejected(self, p):
+        # P(1,0): x0 -> 2 x_d would otherwise be decided over Z/p
+        d = 2 * (p - 1)
+        data = {
+            "prime": p,
+            "basis": [{"name": "x0", "degree": 0}, {"name": f"x{d}", "degree": d}],
+            "operators": ["Q(0)"],
+            "actions": [{"operator": "P(1,0)", "on": "x0",
+                         "terms": [{"coef": 2, "to": f"x{d}"}]}],
+        }
+        with pytest.raises(InputError, match=f"^{p} is not prime$"):
+            FiniteSteenrodModule.from_json(data)
 
     def test_golden_inputs_come_from_the_builders(self):
         # the builders name and order a subalgebra's Milnor basis as the

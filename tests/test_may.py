@@ -140,12 +140,30 @@ class TestD1:
         assert ctx.d1_element({((A(1), 1),): 1}) == {}
         assert ctx.d1_element({((A(2), 1),): 1}) == {((A(0), 1), (H(2, 0), 1)): 1}
 
+    def test_odd_prime_koszul_signs(self):
+        # signs -1 (coefficient p - 1) from moving an exterior h past
+        # another, pinned from the engine before d1 used normal_form
+        ctx = MayContext(0, 3)
+        assert ctx.d1_element({((H(2, 0), 1),): 1}) == {((H(1, 0), 1), (H(1, 1), 1)): 2}
+        assert ctx.d1_element({((H(3, 0), 1),): 1}) == {
+            ((H(1, 0), 1), (H(2, 1), 1)): 2,
+            ((H(1, 2), 1), (H(2, 0), 1)): 1,
+        }
+        assert ctx.d1_element({((A(1), 1), (H(2, 0), 1)): 1}) == {
+            ((A(0), 1), (H(1, 0), 1), (H(2, 0), 1)): 1,
+            ((A(1), 1), (H(1, 0), 1), (H(1, 1), 1)): 2,
+        }
+        ctx = MayContext(0, 5)
+        assert ctx.d1_element({((H(2, 0), 1),): 1}) == {((H(1, 0), 1), (H(1, 1), 1)): 4}
+
     def test_squares_vanish_at_two(self):
         ctx = MayContext(1, 2)
         assert ctx.d1_element({((H(3, 0), 2),): 1}) == {}
 
     def test_d1_squared_zero(self):
-        windows = [(1, 2, 16, 5), (2, 2, 16, 4), (0, 3, 14, 4), (1, 3, 20, 4)]
+        # in (0, 3, 60, 4), d1 d1 = 0 needs the Leibniz sign of the odd
+        # letters before the differentiated one
+        windows = [(1, 2, 16, 5), (2, 2, 16, 4), (0, 3, 14, 4), (1, 3, 20, 4), (0, 3, 60, 4)]
         for n, p, stem_max, s_max in windows:
             ctx = MayContext(n, p)
             page = may_e1(n, p, stem_max, s_max)
