@@ -54,13 +54,13 @@ MAX_FGL_CAP = 520
 # operator pairs (a, b) with deg a + deg b <= t_max, the most products
 # an ext job's resolution can form (ext.operator_pairs).  Products take
 # most of a large job's time; memory stays small.  Whole jobs on a
-# 2 vCPU host: A(1) at p = 2 through stem 40, s 20 (64 pairs) took
-# 0.12 s and 19 MB peak, A(2) through stem 40, s 10 (4,096) 0.25 s and
-# 19 MB.  Near the limit, T(0) at p = 2 through stem 40, s 8 (187,288)
-# took 11.8 s and 29 MB, T(1) through stem 89, s 4 (188,651) 8.8 s and
-# 34 MB, and A(3) through stem 50, s 4 (196,059) 10.1 s and 26 MB.
-# T(0) through stem 87, s 1 (7.7 million) is refused; its resolution
-# alone took 21 s
+# 2 vCPU host, peak RSS read by a small launcher: A(1) at p = 2 through
+# stem 40, s 20 (64 pairs) took 0.12 s and 15 MB peak, A(2) through
+# stem 40, s 10 (4,096) 0.24 s and 15 MB.  Near the limit, T(0) at
+# p = 2 through stem 40, s 8 (187,288) took 4.7 s and 23 MB, T(1)
+# through stem 89, s 4 (188,651) 4.8 s and 29 MB, and A(3) through
+# stem 50, s 4 (196,059) 3.8 s and 21 MB.  T(0) through stem 87, s 1
+# (7.7 million) is refused; its resolution alone took 8.5 s and 33 MB
 MAX_EXT_OPERATOR_PAIRS = 200_000
 # largest ext window, in cells (s_max + 1) * (t_max + 1), checked before
 # the operator pairs are counted; the job visits every cell
@@ -68,10 +68,10 @@ MAX_EXT_CELLS = 4096
 # largest may E1 page, in window cells plus monomials; each cell and
 # each monomial is an object the pages keep.  The whole job, E1 and E2
 # in every format, on a 2 vCPU host: p = 2, n = 1, stem 60, s 16 (1,037
-# cells, 46,418 monomials) took 1.9-2.0 s and 40 MB peak; p = 3, n = 0,
-# stem 185, s 10 (2,046 cells, 57,858 monomials), 3.9-4.1 s and 53 MB,
-# E2 0.4-0.5 s of it; p = 5, n = 1, stem 9999, s 4 (50,000 cells, 2,999
-# monomials), 0.5 s and 33 MB
+# cells, 46,418 monomials) took 1.3-2.0 s and 42 MB peak; p = 3, n = 0,
+# stem 185, s 10 (2,046 cells, 57,858 monomials), 3.0-4.1 s and 55 MB,
+# E2 0.4-0.8 s of it; p = 5, n = 1, stem 9999, s 4 (50,000 cells, 2,999
+# monomials), 0.4-0.5 s and 33 MB
 MAX_MAY_E1_SIZE = 60_000
 # largest ko-ss window, in cells: the laurent pages over 180,901 cells
 # took 2.8 s and 79 MB, over 501,501 cells 9.5 s and 177 MB
@@ -80,12 +80,12 @@ MAX_KO_SS_CELLS = 250_000
 # form through the cap, which costs a Poincare series of cap + 2 terms
 # per family, and the cap names the window each bound certifies.  On a
 # 2 vCPU host the whole job, `python -m chromadefect.cli defect`, took
-# 0.08 s with the package's bytecode cached and 0.11-0.12 s without,
-# at caps 1, 24 and 1000, 16 MB peak: 0.065 s of it interpreter start
-# (`python -c pass`), about 0.03 s compiling the package when no
-# bytecode is cached (importing chromadefect.cli took 28-35 ms without
-# bytecode and 4-5 ms with it), and 3-6 ms `main`.  The limit is kept
-# as one of the CLI's documented refusals
+# 0.05-0.10 s at caps 1, 24 and 1000, with the package's bytecode
+# cached or not, 14 MB peak read by a small launcher: 0.06-0.07 s of it
+# interpreter start (`python -c pass`), importing chromadefect.cli
+# 28-32 ms without bytecode and 3-4 ms with it, and `main` 2-3 ms at
+# caps 1 and 24 and 3-5 ms at 1000.  The limit is kept as one of the
+# CLI's documented refusals
 MAX_DEFECT_CAP = 1000
 FORMATS = ("tsv", "json", "svg")
 

@@ -30,15 +30,19 @@ that row as its differential, and a relation among the image rows is
 a kernel vector of d on F_{s+1} in degree t.
 
 Classes are named by products of the degree-one letters (cobar_letters)
-with no chain map lifted.  A letter h is dual to the operator op_h
-whose dual monomial is h's monomial.  For x in Ext^s, dual to
-generators of F_s, and a generator g' of F_{s+1}, (h x)(g') is the sum
-over g of x(g) times the coefficient of op_h * g in d(g').  A product
-h_1 ... h_s of a sorted multiset applies its letters from the right,
-starting from the class 1 in Ext^{0,0}, and its key is the exact
-coordinate vector on the generators of its cell.  A zero key names
-nothing; a key an earlier product took is a collision, and the first
-name stays.
+with no chain map lifted.  A letter is a primitive generator power,
+read off the closed-form diagonal with no diagonal expanded: the family
+allows xi_i^{p^j} and kills a factor of each cross term
+xi_{i-k}^{p^{k+j}} (x) xi_k^{p^j}, 0 < k < i, or allows tau_t and kills
+a factor of each xi_{t-k}^{p^k} (x) tau_k, 0 <= k < t.  A letter h is
+dual to the operator op_h whose dual monomial is h's monomial.  For x
+in Ext^s, dual to generators of F_s, and a generator g' of F_{s+1},
+(h x)(g') is the sum over g of x(g) times the coefficient of op_h * g
+in d(g').  A product h_1 ... h_s of a sorted multiset applies its
+letters from the right, starting from the class 1 in Ext^{0,0}, and
+its key is the exact coordinate vector on the generators of its cell.
+A zero key names nothing; a key an earlier product took is a
+collision, and the first name stays.
 
 evenness_scan builds no resolution: over an exterior family the Koszul
 closed form places every class, so it checks that the family has that
@@ -46,7 +50,7 @@ form through the window and reads the stems off it.
 """
 
 from .gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
-from .steenrod import DualMonomial, Profile, milnor_product, reduced_coproduct, tau_gen, xi_gen
+from .steenrod import DualMonomial, Profile, milnor_product, tau_gen, xi_gen
 
 __all__ = [
     "ExtChart",
@@ -254,28 +258,40 @@ class ExtChart:
 
 def cobar_letters(profile, t_max):
     """Named degree-one cocycles: h(i,j) for primitive xi_i^{p^j} and
-    a(i) for primitive tau_i, through internal degree t_max."""
+    a(t) for primitive tau_t, through internal degree t_max.
+
+    A family monomial is a letter when its reduced diagonal dies in the
+    family.  The diagonal of a generator power has a closed form
+    (J. Milnor, "The Steenrod algebra and its dual", 1958),
+
+        psi(xi_i^{p^j}) = sum_{0<=k<=i} xi_{i-k}^{p^{k+j}} (x) xi_k^{p^j},
+        psi(tau_t)      = tau_t (x) 1 + sum_{0<=k<=t} xi_{t-k}^{p^k} (x) tau_k,
+
+    whose terms all have coefficient 1 and never cancel.  So xi_i^{p^j}
+    is a letter when the family allows it and, for every 0 < k < i,
+    xi_{i-k}^{p^{k+j}} or xi_k^{p^j} dies; tau_t is one when it is
+    allowed and, for every 0 <= k < t, xi_{t-k}^{p^k} or tau_k dies.
+    """
     p = profile.p
+    allows = profile.allows
     letters = []
     i = 1
-    while True:
-        base = xi_gen(p, i)
-        if base.degree() > t_max:
-            break
+    while xi_gen(p, i).degree() <= t_max:
         j = 0
-        while True:
-            mono = xi_gen(p, i, p**j)
-            if mono.degree() > t_max:
-                break
-            if profile.allows(mono) and not reduced_coproduct(mono, profile):
+        while (mono := xi_gen(p, i, p**j)).degree() <= t_max:
+            if allows(mono) and not any(
+                allows(xi_gen(p, i - k, p ** (k + j))) and allows(xi_gen(p, k, p**j))
+                for k in range(1, i)
+            ):
                 letters.append((f"h({i},{j})", mono))
             j += 1
         i += 1
     if p != 2:
         t = 0
-        while tau_gen(p, t).degree() <= t_max:
-            mono = tau_gen(p, t)
-            if profile.allows(mono) and not reduced_coproduct(mono, profile):
+        while (mono := tau_gen(p, t)).degree() <= t_max:
+            if allows(mono) and not any(
+                allows(xi_gen(p, t - k, p**k)) and allows(tau_gen(p, k)) for k in range(t)
+            ):
                 letters.append((f"a({t})", mono))
             t += 1
     return letters

@@ -224,16 +224,18 @@ class MayPage:
     boundaries this page divided out.  differential[(stem, s)] is the
     page's derived differential out of the cell, one row per class over
     the target cell's classes, kept only where it is nonzero; E1 holds
-    d1, and later pages hold none.
+    d1, and later pages hold none.  weights maps each E1 monomial to its
+    May weight, computed once and shared by every page of the window.
     """
 
-    def __init__(self, context, r, stem_cap, s_cap, trusted_stem_max, trusted_s_max):
+    def __init__(self, context, r, stem_cap, s_cap, trusted_stem_max, trusted_s_max, weights):
         self.context = context
         self.r = r
         self.stem_cap = stem_cap
         self.s_cap = s_cap
         self.trusted_stem_max = trusted_stem_max
         self.trusted_s_max = trusted_s_max
+        self.weights = weights
         self.classes = {}
         self.killed = {}
         self.differential = {}
@@ -250,7 +252,7 @@ class MayPage:
 
     def to_tsv(self):
         ctx = self.context
-        p = self.p
+        weights = self.weights
         lines = [
             f"# may page r={self.r}: height {ctx.n}, p={ctx.p}",
             f"# window: stem <= {self.stem_cap}, s <= {self.s_cap}; "
@@ -261,10 +263,10 @@ class MayPage:
         for (stem, s), leads in self.classes.items():
             status = "live" if self.trusted(stem, s) else "indeterminate"
             for mono in leads:
-                rows.append((stem, s, mono_weight(p, mono), monomial_string(mono), status))
+                rows.append((stem, s, weights[mono], monomial_string(mono), status))
         for (stem, s), monos in self.killed.items():
             for mono in monos:
-                rows.append((stem, s, mono_weight(p, mono), monomial_string(mono), "boundary"))
+                rows.append((stem, s, weights[mono], monomial_string(mono), "boundary"))
         rows.sort()
         for row in rows:
             lines.append("\t".join(map(str, row)))
@@ -301,22 +303,24 @@ def may_e1(n, p, stem_max, s_max):
             e += 1
 
     rec(0, 0, 0, ())
-    page = MayPage(ctx, 1, stem_max, s_max, stem_max, s_max)
+    weights = {m: mono_weight(p, m) for monos in cells.values() for m in monos}
+    page = MayPage(ctx, 1, stem_max, s_max, stem_max, s_max, weights)
     for monos in cells.values():
-        monos.sort(key=lambda m: (mono_weight(p, m), monomial_string(m)))
+        monos.sort(key=lambda m: (weights[m], monomial_string(m)))
     page.classes = cells
     for (stem, s), monos in cells.items():
         target = cells.get((stem - 1, s + 1))
         if monos and target:
-            rows = _d1_rows(ctx, monos, target)
+            rows = _d1_rows(ctx, weights, monos, target)
             if rows:
                 page.differential[(stem, s)] = rows
     return page
 
 
-def _d1_rows(ctx, monos, target):
+def _d1_rows(ctx, weights, monos, target):
     """d1 of each monomial, as rows over the target cell's monomials;
-    [] when d1 vanishes on every monomial."""
+    [] when d1 vanishes on every monomial.  Every image monomial must
+    weigh less than its source (strict weight descent)."""
     p = ctx.p
     index = {m: k for k, m in enumerate(target)}
     rows = []
@@ -326,12 +330,13 @@ def _d1_rows(ctx, monos, target):
         terms = []
         if image:
             nonzero = True
-            _assert_weight_step(p, {mono: 1}, image)
             for m, c in image.items():
                 k = index.get(m)
                 if k is None:
                     raise ValueError(f"monomial {monomial_string(m)} not in cell basis")
                 terms.append((k, c))
+            if max(weights[m] for m in image) >= weights[mono]:
+                raise AssertionError("stored differential fails strict weight descent")
         rows.append(vec_from_terms(p, terms))
     return rows if nonzero else []
 
@@ -355,6 +360,7 @@ def may_e2(e1):
         e1.s_cap,
         e1.trusted_stem_max - 1,
         e1.trusted_s_max - 1,
+        e1.weights,
     )
     for (stem, s), monos in e1.classes.items():
         dim = len(monos)
@@ -398,13 +404,6 @@ def e1_monomial_count(n, p, stem_max, s_max):
             for s in ss:
                 row[s] += src[s - g_s]
     return sum(map(sum, counts))
-
-
-def _assert_weight_step(p, source_elt, target_elt):
-    w_src = max(mono_weight(p, m) for m in source_elt)
-    w_tgt = max(mono_weight(p, m) for m in target_elt)
-    if w_tgt >= w_src:
-        raise AssertionError("stored differential fails strict weight descent")
 
 
 def chart_from_may_page(page) -> ChartDocument:

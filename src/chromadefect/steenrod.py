@@ -15,8 +15,13 @@ needs no type of its own: the basis element Q_E P(R) is dual to the
 monomial xi^R tau_E, so a DualMonomial names it too.  milnor_product,
 at the bottom of the module, multiplies two monomials read that way by
 Milnor's matrix formula, so a family's operators are its own monomials
-and the Ext engine resolves over them.  The test suite checks the
-product against the diagonal through the dual pairing.
+and the Ext engine resolves over them.
+
+No job needs the diagonal itself: ext.cobar_letters reads the
+primitive letters off the closed-form diagonal of a generator power.
+The full Milnor diagonal, expanded term by term, lives in
+tests/oracles/diagonal.py, and the test suite checks the product
+against it through the dual pairing.
 """
 
 from math import comb
@@ -26,8 +31,6 @@ __all__ = [
     "Profile",
     "MAX_FAMILY_HEIGHT",
     "milnor_product",
-    "coproduct",
-    "reduced_coproduct",
     "elt_add_term",
     "xi_gen",
     "tau_gen",
@@ -76,25 +79,6 @@ class DualMonomial:
             self._degree = d
         return self._degree
 
-    def parity(self):
-        return len(self.tau) & 1
-
-    def exponent(self, i):
-        """Exponent of xi_i (1-indexed)."""
-        return self.xi[i - 1] if i - 1 < len(self.xi) else 0
-
-    def times(self, other):
-        """Product with Koszul sign; returns (coef, monomial) or (0, None)."""
-        if self.p != other.p:
-            raise ValueError("prime mismatch")
-        n = max(len(self.xi), len(other.xi))
-        xi = tuple(self.exponent(i + 1) + other.exponent(i + 1) for i in range(n))
-        if set(self.tau) & set(other.tau):
-            return 0, None
-        inversions = sum(1 for a in self.tau for b in other.tau if a > b)
-        tau = tuple(sorted(self.tau + other.tau))
-        return (-1) ** inversions, DualMonomial(self.p, xi, tau)
-
     def __eq__(self, other):
         return (
             isinstance(other, DualMonomial)
@@ -134,8 +118,7 @@ def tau_gen(p, t):
 
 
 # elements are sparse dicts {key: coefficient mod p}; the keys are dual
-# monomials (products too), pairs of them (tensors), May monomials or
-# the basis names of a finite module
+# monomials, May monomials or the basis names of a finite module
 
 
 def elt_add_term(p, acc, key, coef):
@@ -147,130 +130,6 @@ def elt_add_term(p, acc, key, coef):
         acc[key] = cur
     else:
         acc.pop(key, None)
-
-
-# ---------------------------------------------------------------------------
-# coproduct
-
-def _xi_coproduct_terms(p, k):
-    """psi(xi_k) = sum xi_{k-i}^{p^i} (x) xi_i, with xi_0 = 1."""
-    unit = DualMonomial(p)
-    out = []
-    for i in range(k + 1):
-        left = xi_gen(p, k - i, p**i) if k - i else unit
-        right = xi_gen(p, i) if i else unit
-        out.append((left, right))
-    return out
-
-
-def _tau_coproduct_terms(p, k):
-    """psi(tau_k) = tau_k (x) 1 + sum_i xi_{k-i}^{p^i} (x) tau_i."""
-    unit = DualMonomial(p)
-    out = [(tau_gen(p, k), unit)]
-    for i in range(k + 1):
-        left = xi_gen(p, k - i, p**i) if k - i else unit
-        out.append((left, tau_gen(p, i)))
-    return out
-
-
-def _tensor_mul(p, x, y):
-    """Product in B (x) B with the Koszul sign (-1)^{|aR| |bL|}."""
-    out = {}
-    for (al, ar), ca in x.items():
-        for (bl, br), cb in y.items():
-            sl, left = al.times(bl)
-            if not sl:
-                continue
-            sr, right = ar.times(br)
-            if not sr:
-                continue
-            koszul = -1 if (ar.parity() and bl.parity()) else 1
-            elt_add_term(p, out, (left, right), ca * cb * sl * sr * koszul)
-    return out
-
-
-def _multinomial(p, parts):
-    total = 0
-    acc = 1
-    for c in parts:
-        total += c
-        acc = acc * comb(total, c) % p
-        if not acc:
-            return 0
-    return acc
-
-
-def _xi_power_coproduct(p, k, e, reduce_pair=None):
-    """psi(xi_k^e) expanded with multinomial coefficients.
-
-    reduce_pair: optional hook returning None to discard a tensor term.
-    """
-    basis_terms = _xi_coproduct_terms(p, k)
-    out = {}
-
-    def rec(idx, remaining, left, right, parts):
-        if idx == len(basis_terms):
-            if remaining:
-                return
-            coef = _multinomial(p, parts)
-            if coef:
-                key = (left, right)
-                if reduce_pair is None or reduce_pair(key):
-                    elt_add_term(p, out, key, coef)
-            return
-        tl, tr = basis_terms[idx]
-        for c in range(remaining + 1):
-            if c:
-                _, nl = left.times(DualMonomial(p, tuple(x * c for x in tl.xi)))
-                _, nr = right.times(DualMonomial(p, tuple(x * c for x in tr.xi)))
-            else:
-                nl, nr = left, right
-            rec(idx + 1, remaining - c, nl, nr, parts + [c])
-
-    unit = DualMonomial(p)
-    rec(0, e, unit, unit, [])
-    return out
-
-
-def coproduct(mono, profile=None):
-    """Full Milnor diagonal of a dual monomial, optionally reduced.
-
-    Returns {(left, right): coef}.  With a profile, terms with a factor
-    killed by the profile are dropped.
-    """
-    p = mono.p
-    keep = None
-    if profile is not None:
-        def keep(key):
-            return profile.allows(key[0]) and profile.allows(key[1])
-
-    unit = DualMonomial(p)
-    acc = {(unit, unit): 1}
-    for i, e in enumerate(mono.xi):
-        if not e:
-            continue
-        factor = _xi_power_coproduct(p, i + 1, e, keep)
-        acc = _tensor_mul(p, acc, factor)
-        if keep is not None:
-            acc = {k: v for k, v in acc.items() if keep(k)}
-    for t in mono.tau:
-        factor = {}
-        for left, right in _tau_coproduct_terms(p, t):
-            elt_add_term(p, factor, (left, right), 1)
-        acc = _tensor_mul(p, acc, factor)
-        if keep is not None:
-            acc = {k: v for k, v in acc.items() if keep(k)}
-    return acc
-
-
-def reduced_coproduct(mono, profile=None):
-    """Diagonal minus the two primitive-forcing terms m(x)1 and 1(x)m."""
-    p = mono.p
-    unit = DualMonomial(p)
-    out = dict(coproduct(mono, profile))
-    for key in ((mono, unit), (unit, mono)):
-        elt_add_term(p, out, key, -1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -537,66 +396,89 @@ def _le_num(a, b):
 # operator side: the Milnor product, on the basis elements dual to monomials
 
 
+def _multinomial(p, parts):
+    total = 0
+    acc = 1
+    for c in parts:
+        total += c
+        acc = acc * comb(total, c) % p
+        if not acc:
+            return 0
+    return acc
+
+
 def _p_part_products(p, R, S):
-    """Milnor matrix expansion of P(R) P(S): yields (coef, T)."""
-    rows = len(R)
-    cols = len(S)
+    """Milnor matrix expansion of P(R) P(S): [(coef, T)].
+
+    The matrices x, rows 0..len(R) and columns 0..len(S), with x[0][0]
+    unused, row sums sum_j p^j x[i][j] = r_i and column sums
+    sum_i x[i][j] = s_j, are stepped through in place (Milnor's
+    enumeration, as in SageMath's milnor_multiplication): the next
+    matrix moves one unit into the first entry (i, j) that can take it
+    from its column above and p^j from its row's left part, and resets
+    every entry before (i, j).  Diagonal n gives t_n, with the
+    multinomial coefficient of its entries; at p = 2 that is 1 when no
+    two entries share a bit (Lucas) and 0 otherwise.
+    """
+    rows = len(R) + 1
+    cols = len(S) + 1
+    x = [[0, *S]] + [[r] + [0] * (cols - 1) for r in R]
+    top = x[0]
+    diagonals = [
+        [(i, n - i) for i in range(max(0, n - cols + 1), min(n, rows - 1) + 1)]
+        for n in range(1, rows + cols - 1)
+    ]
+    powers = [p**j for j in range(cols)]
     results = []
-    # x[i][j] for 1 <= i <= rows, 0 <= j <= cols, row sums sum_j p^j x = r_i
-    x = [[0] * (cols + 1) for _ in range(rows)]
-
-    def rec_row(i):
-        if i == rows:
-            finish()
-            return
-        target = R[i]
-
-        # fill columns cols..1 then dump the rest in column 0
-        def rec_col0(j, remaining):
-            if j == 0:
-                x[i][0] = remaining
-                rec_row(i + 1)
-                x[i][0] = 0
-                return
-            unit = p**j
-            c = 0
-            while c * unit <= remaining:
-                x[i][j] = c
-                rec_col0(j - 1, remaining - c * unit)
-                c += 1
-            x[i][j] = 0
-
-        rec_col0(cols, target)
-
-    def finish():
-        # top margin x[0][j] = s_j - column sums
-        top = []
-        for j in range(1, cols + 1):
-            used = sum(x[i][j] for i in range(rows))
-            v = S[j - 1] - used
-            if v < 0:
-                return
-            top.append(v)
-        coef = 1
+    while True:
         T = []
-        for k in range(1, rows + cols + 1):
-            diag = []
-            if 1 <= k <= cols:
-                diag.append(top[k - 1])
-            for i in range(1, rows + 1):
-                j = k - i
-                if 0 <= j <= cols:
-                    diag.append(x[i - 1][j])
-            coef = coef * _multinomial(p, diag) % p
+        coef = 1
+        for cells in diagonals:
+            if p == 2:
+                total = 0
+                for i, j in cells:
+                    e = x[i][j]
+                    if total & e:
+                        coef = 0
+                        break
+                    total |= e
+            else:
+                diag = [x[i][j] for i, j in cells]
+                coef = coef * _multinomial(p, diag) % p
+                total = sum(diag)
             if not coef:
-                return
-            T.append(sum(diag))
-        while T and T[-1] == 0:
-            T.pop()
-        results.append((coef, tuple(T)))
-
-    rec_row(0)
-    return results
+                break
+            T.append(total)
+        if coef:
+            while T and T[-1] == 0:
+                T.pop()
+            results.append((coef, tuple(T)))
+        for i in range(1, rows):
+            row = x[i]
+            left = row[0]
+            for j in range(1, cols):
+                if left >= powers[j] and any(x[k][j] for k in range(i)):
+                    break
+                left += row[j] * powers[j]
+            else:
+                continue
+            # rows above i and row i left of j go back to their start:
+            # each row's weight in column 0, each column's units on top
+            for k in range(1, i):
+                above = x[k]
+                for c in range(1, cols):
+                    top[c] += above[c]
+                    above[c] = 0
+                above[0] = R[k - 1]
+            for c in range(1, j):
+                top[c] += row[c]
+                row[c] = 0
+            top[j] -= 1
+            row[j] += 1
+            row[0] = left - powers[j]
+            break
+        else:
+            return results
 
 
 def milnor_product(a, b):

@@ -7,9 +7,10 @@ condition, and change_of_rings_check compares the two Ext charts.
 """
 
 from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
-from chromadefect.steenrod import coproduct, elt_add_term
+from chromadefect.steenrod import elt_add_term
 
 from oracles.cobar import Comodule, ext_ranks
+from oracles.diagonal import coproduct
 
 
 def _le(a, b):

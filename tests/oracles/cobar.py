@@ -24,8 +24,9 @@ product word that is a cocycle as its residue modulo the boundaries.
 
 from chromadefect.ext import ExtChart, _letter_products, _multiset_name, cobar_letters
 from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms
-from chromadefect.steenrod import DualMonomial, coproduct, elt_add_term, reduced_coproduct
+from chromadefect.steenrod import DualMonomial, elt_add_term
 
+from oracles.diagonal import coproduct, reduced_coproduct
 from oracles.linalg import rank, residue
 
 

@@ -8,14 +8,16 @@ chromadefect.steenrod.
 
 from functools import lru_cache
 
-from chromadefect.steenrod import DualMonomial, Profile, elt_add_term, reduced_coproduct, xi_gen
+from chromadefect.steenrod import DualMonomial, Profile, elt_add_term, xi_gen
+
+from oracles.diagonal import reduced_coproduct, times
 
 
 def elt_mul(p, x, y):
     out = {}
     for ma, ca in x.items():
         for mb, cb in y.items():
-            sign, m = ma.times(mb)
+            sign, m = times(ma, mb)
             if sign:
                 elt_add_term(p, out, m, sign * ca * cb)
     return out

@@ -15,7 +15,9 @@ Oracles used here:
   * change of rings: Ext over a quotient family equals Ext over the
     larger family with cotensor coefficients (tests/oracles),
   * cobar word counts from Poincare series against the enumerated
-    words.
+    words,
+  * the Milnor diagonal (tests/oracles/diagonal.py): the letters are
+    the family's generator powers whose reduced diagonal dies.
 """
 
 import pytest
@@ -23,10 +25,11 @@ from hypothesis import given, settings, strategies as st
 
 from chromadefect.ext import Resolution, _Operators, cobar_letters, evenness_scan, ext_ranks, operator_pairs
 from chromadefect.gradedlin import vec_support
-from chromadefect.steenrod import DualMonomial, Profile, milnor_product
+from chromadefect.steenrod import DualMonomial, Profile, milnor_product, tau_gen, xi_gen
 
 from oracles.change_of_rings import change_of_rings_check
 from oracles.cobar import CobarComplex, Comodule, cobar_dims, ext_ranks as cobar_ext_ranks
+from oracles.diagonal import reduced_coproduct
 from oracles.linalg import row_action, vec_zero
 from oracles.modules import coalgebra_self, comodule_suspend
 
@@ -188,11 +191,44 @@ class TestWords:
                 assert spelled == sorted(spelled), (s, t)
 
 
+def diagonal_letters(profile, t_max):
+    """The generator powers xi_i^{p^j}, then tau_t, through t_max, that
+    the family allows and whose reduced diagonal dies in it."""
+    p = profile.p
+    powers = []
+    i = 1
+    while xi_gen(p, i).degree() <= t_max:
+        j = 0
+        while xi_gen(p, i, p**j).degree() <= t_max:
+            powers.append((f"h({i},{j})", xi_gen(p, i, p**j)))
+            j += 1
+        i += 1
+    t = 0
+    while p != 2 and tau_gen(p, t).degree() <= t_max:
+        powers.append((f"a({t})", tau_gen(p, t)))
+        t += 1
+    return [
+        (name, m)
+        for name, m in powers
+        if profile.allows(m) and not reduced_coproduct(m, profile)
+    ]
+
+
 class TestNaming:
     def test_letters_for_height_family(self):
         fam = Profile.T(2, 1)
         names = [n for n, _ in cobar_letters(fam, 14)]
         assert names == ["h(1,0)", "h(2,0)", "h(2,1)", "h(2,2)", "h(3,1)"]
+
+    @pytest.mark.parametrize("family", [Profile.A, Profile.E, Profile.P, Profile.T])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_letters_match_the_diagonal(self, family, p):
+        # the closed-form rule against the expanded diagonal: names,
+        # monomials and order, heights 0-4
+        for n in range(5):
+            fam = family(p, n)
+            for t_max in (20, 80, 300):
+                assert cobar_letters(fam, t_max) == diagonal_letters(fam, t_max), (fam, t_max)
 
     def test_named_classes_on_chart(self):
         fam = Profile.T(2, 1)

@@ -3,6 +3,9 @@
 Oracles used here:
   * the dual pairing: a product coefficient must equal the matching
     coefficient in the diagonal of the dual monomial (unsigned pairing),
+    the diagonal being tests/oracles/diagonal.py,
+  * the recursive Milnor-matrix enumeration the package used before it
+    stepped through the matrices in place, on every pair of six bases,
   * independent dimension counts for family bases (partition counting),
   * classical identities (conjugate of xi_2, Bockstein relations,
     antipode axiom) checked symbol by symbol.
@@ -16,10 +19,9 @@ from hypothesis import given, settings, strategies as st
 from chromadefect.steenrod import (
     DualMonomial,
     Profile,
-    coproduct,
+    _multinomial,
     elt_add_term,
     milnor_product,
-    reduced_coproduct,
     tau_gen,
     xi_gen,
 )
@@ -27,6 +29,8 @@ from chromadefect.steenrod import (
 from oracles.change_of_rings import cotensor_comodule, is_quotient_of
 from oracles.cobar import Comodule
 from oracles.cofree import cofree_decompose
+from oracles.diagonal import _p_part_products as recursive_p_part_products
+from oracles.diagonal import coproduct, reduced_coproduct, times
 from oracles.modules import coalgebra_self, operator_basis, thom_height_one
 from oracles.splitting import (
     conjugate_xi,
@@ -95,10 +99,10 @@ class TestMonomials:
     def test_exterior_sign(self):
         p = 3
         a, b = tau_gen(p, 0), tau_gen(p, 1)
-        s1, m1 = a.times(b)
-        s2, m2 = b.times(a)
+        s1, m1 = times(a, b)
+        s2, m2 = times(b, a)
         assert m1 == m2 and s1 == -s2
-        assert a.times(a) == (0, None)
+        assert times(a, a) == (0, None)
 
     def test_tau_rejected_at_two(self):
         with pytest.raises(ValueError):
@@ -259,12 +263,12 @@ class TestProfiles:
         for _ in range(40):
             x = DualMonomial(2, tuple(rng.randrange(0, 3) for _ in range(3)))
             y = DualMonomial(2, tuple(rng.randrange(0, 3) for _ in range(3)))
-            _, xy = x.times(y)
+            _, xy = times(x, y)
             lhs = reduce(xy)
             rx, ry = reduce(x), reduce(y)
             rhs = None
             if rx is not None and ry is not None:
-                _, rhs = rx.times(ry)
+                _, rhs = times(rx, ry)
                 rhs = reduce(rhs)
             # the quotient map is a ring map: xy dies iff a factor dies
             # or the product leaves the family
@@ -337,6 +341,35 @@ class TestMilnorProduct:
         for T in operator_basis(Profile.A(2, 2)):
             if T.degree() == deg and T not in prod:
                 assert self._pairing_coef(2, a, b, T) == 0
+
+    @pytest.mark.parametrize(
+        "family, top",
+        [
+            pytest.param(Profile.T(2, 0), 24, id="T0_p2"),
+            pytest.param(Profile.T(3, 0), 60, id="T0_p3"),
+            pytest.param(Profile.A(2, 2), 46, id="A2_p2"),
+            pytest.param(Profile.A(3, 1), 28, id="A1_p3"),
+            pytest.param(Profile.A(5, 1), 84, id="A1_p5"),
+            pytest.param(Profile.T(5, 0), 120, id="T0_p5"),
+        ],
+    )
+    def test_matches_recursive_enumeration(self, family, top, monkeypatch):
+        # every pair of monomials with degrees summing to at most top;
+        # the finite families are whole at these tops
+        basis = family.basis(top)
+        pairs = [(a, b) for a in basis for b in basis if a.degree() + b.degree() <= top]
+        got = [milnor_product(a, b) for a, b in pairs]
+        monkeypatch.setattr("chromadefect.steenrod._p_part_products", recursive_p_part_products)
+        assert got == [milnor_product(a, b) for a, b in pairs]
+
+    def test_lucas_bit_rule(self):
+        # at p = 2 a diagonal's multinomial is odd iff no two of its
+        # entries share a bit, which is how _p_part_products reads it
+        rng = random.Random(21)
+        for _ in range(3000):
+            diag = [rng.randrange(0, 64) for _ in range(rng.randrange(1, 6))]
+            disjoint = all(not a & b for k, a in enumerate(diag) for b in diag[k + 1 :])
+            assert _multinomial(2, diag) == disjoint, diag
 
     def test_subalgebra_closure(self):
         basis = operator_basis(Profile.A(2, 1))
