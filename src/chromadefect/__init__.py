@@ -5,3 +5,9 @@ valuation bookkeeping, and the two Adams-Novikov style charts for ko.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """Input that describes no valid job: a flag, a limit, a prime, a
+    module or a subalgebra name.  The CLI maps it to exit code 2; any
+    other ValueError is an engine refusing to certify (exit code 3)."""

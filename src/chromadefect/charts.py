@@ -5,17 +5,17 @@ structure lines (multiplication by a named class of stem 1) and
 differential arrows.  Documents are built from recomputed engine data,
 exported to TSV and rendered; every code path keeps a fixed element
 order and fixed numeric formatting so the same document always produces
-the same bytes.  The Ext chart builder lives here; the ko and May page
-builders (ssq.chart_from_snapshot, may.chart_from_may_page) sit beside
-the engines they draw, so a job loads only its own.  `json_bytes` is
-the one JSON artifact encoding every job shares.
+the same bytes.  This module holds the document type, its TSV and SVG
+writers and `json_bytes`, the one JSON artifact encoding every job
+shares.  Each chart builder sits beside the engine it draws, so a job
+loads only its own: ext.chart_from_ext, may.chart_from_may_page and
+ssq.chart_from_snapshot.
 """
 
 import json
 
 __all__ = [
     "ChartDocument",
-    "chart_from_ext",
     "chart_to_tsv",
     "json_bytes",
     "render_chart",
@@ -67,26 +67,6 @@ class ChartDocument:
             f"ChartDocument({self.title!r}: {len(self.dots)} dots, "
             f"{len(self.lines)} lines, {len(self.arrows)} arrows)"
         )
-
-
-def chart_from_ext(chart) -> ChartDocument:
-    """Dot chart of an Ext rank table (no lines, no arrows)."""
-    dots = {}
-    stem_hi = fil_hi = 0
-    for (s, t), d in sorted(chart.dims.items()):
-        if d:
-            stem = t - s
-            dots[(stem, s)] = (d, "")
-            stem_hi = max(stem_hi, stem)
-            fil_hi = max(fil_hi, s)
-    return ChartDocument(
-        f"ext chart {chart.label}",
-        dots,
-        [],
-        [],
-        (0, max(stem_hi, 1)),
-        (0, max(fil_hi, 1)),
-    )
 
 
 def chart_to_tsv(doc: ChartDocument) -> str:

@@ -1,45 +1,50 @@
-"""Command-line surface: flags, job configs, artifact caching, engine dispatch.
+"""Command-line surface: the subcommand table, flags, limits, the cache.
 
     chromadefect <subcommand> [--flag VALUE | --flag=VALUE | --switch]...
 
-The flags are the table SUBCOMMANDS plus COMMON_FLAGS.  A unique prefix
-names a flag; a repeated flag keeps its last value, but each --format
-adds one.  --window takes four ints, negative ones too.  -h or --help,
-first or after the subcommand, prints help made from the table.
+Each subcommand is one row of SUBCOMMANDS: its help text, its flags
+(COMMON_FLAGS too), its allowed and default formats, the job it runs
+and the function that reads its flags into the job's params, refusing
+any past the limits below.  A unique prefix names a flag; a repeated
+flag keeps its last value, but each --format adds one.  --window takes
+four ints, negative ones too.  -h or --help, first or after the
+subcommand, prints help made from the table.
 
-Every subcommand builds a JobConfig, turns it into a canonical JSON
-blob, and uses the sha256 of the blob and of the package's own sources
-as the cache key, so a changed engine never reads an older engine's
-bytes.  Artifacts are pure functions of the config: no timestamps and
-no filesystem paths inside the bytes.  Exit codes: 0 success or help;
-2 an argv the table refuses, a config over an engine limit or bad input,
-with `error: ...` on stderr and nothing written; 3 engine-level failure
-(a computation that refused to certify itself).
+Every job is `<engine>.<x>_job(params, payload) -> {filename: bytes}`
+and lives beside its engine: ext.ext_job, may.may_job,
+margolis.margolis_job, fgl.fgl_job, defect.defect_job and
+ssq.ko_ss_job.  The payload is the parsed JSON that --input names, or
+None for a subcommand without it.  The params and the payload are the
+job's config; its canonical JSON and the sha256 of the package's own
+sources make the cache key, so a changed engine never reads an older
+engine's bytes.  Artifacts are pure functions of the config: no
+timestamps and no filesystem paths inside the bytes.
 
-Importing this module loads the engines that the ext, fgl and defect
-handlers run, so their compile time is paid at import and not inside a
-job.  The ko-ss, may and margolis jobs live beside their engines
-(ssq.ko_ss_job, may.may_job, margolis.margolis_job): their handlers
-here import that module and call the job, and the hashing and base64
-coding the cache uses load inside the functions that need them, so no
-other job compiles them.  Every JSON artifact is charts.json_bytes.
+Exit codes: 0 success or help; 2 chromadefect.InputError, raised for an
+argv the table refuses, a config over a limit or bad input, here or in
+an engine, with `error: ...` on stderr and nothing written; 3 any other
+ValueError, an engine refusing to certify its computation.
+
+Importing this module loads the ext, fgl and defect engines, so their
+compile time is paid at import and not inside a job.  The may,
+margolis and ssq engines load when their job runs, and the hashing and
+base64 coding the cache uses load inside the functions that need them,
+so no other job compiles them.  Every JSON artifact is charts.json_bytes.
 """
 
 import errno
 import json
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
 
-from .charts import chart_from_ext, chart_to_tsv, json_bytes, render_chart
-from .defect import catalogue, verdict_table
-from .ext import ext_ranks, operator_pairs
-from .fgl import er_defect_witness
+from . import InputError, defect, ext, fgl  # noqa: F401  (the eager engines)
 from .gradedlin import check_prime
 from .steenrod import MAX_FAMILY_HEIGHT, Profile
 
-__all__ = ["JobConfig", "ConfigError", "main", "run_job"]
+__all__ = ["JobConfig", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,53 +94,35 @@ MAX_KO_SS_CELLS = 250_000
 MAX_DEFECT_CAP = 1000
 FORMATS = ("tsv", "json", "svg")
 
-# per-subcommand defaults and allowed output formats
-FORMAT_POLICY = {
-    "ext": (("tsv", "json", "svg"), ("tsv", "svg")),
-    "may": (("tsv", "json", "svg"), ("tsv", "svg")),
-    "margolis": (("tsv", "json"), ("json",)),
-    "fgl": (("tsv", "json"), ("json",)),
-    "defect": (("tsv", "json"), ("tsv",)),
-    "ko-ss": (("tsv", "json", "svg"), ("tsv", "svg")),
-}
-
-
-class ConfigError(ValueError):
-    """Bad flags or unreadable input; maps to exit code 2."""
-
 
 class JobConfig:
     """One validated CLI job.
 
-    `params` and `payload` (the module a margolis job reads) hold
-    everything that can change the artifact bytes; everything that
-    cannot (output directory, cache toggle) stays out, so the cache key
-    never splits on plumbing.
+    `params` and `payload` (the JSON --input names) hold everything that
+    can change the artifact bytes; everything that cannot (output
+    directory, cache toggle) stays out, so the cache key never splits
+    on plumbing.
     """
 
     __slots__ = ("subcommand", "params", "out_dir", "use_cache", "payload")
 
     def __init__(self, subcommand, params, out_dir=".", use_cache=True, payload=None):
-        if subcommand not in FORMAT_POLICY:
-            raise ConfigError(f"unknown subcommand {subcommand!r}")
         self.subcommand = subcommand
         self.params = dict(params)
         self.out_dir = out_dir
         self.use_cache = use_cache
         self.payload = payload
 
-    def canonical(self) -> str:
-        blob = {"subcommand": self.subcommand, "params": self.params}
-        return json.dumps(blob, sort_keys=True, separators=(",", ":"))
-
     def key(self) -> str:
-        """Cache key: the canonical config, the payload as compact JSON
-        (in its own key order, which can order a module's operators)
-        and the engine fingerprint."""
+        """Cache key: the canonical config (sorted keys), the payload as
+        compact JSON (in its own key order, which can order a module's
+        operators) and the engine fingerprint."""
         import hashlib
 
-        payload = json.dumps(self.payload, separators=(",", ":"))
-        blob = self.canonical() + "\n" + payload + "\n" + _engine_fingerprint()
+        config = {"subcommand": self.subcommand, "params": self.params}
+        blob = "\n".join([json.dumps(config, sort_keys=True, separators=(",", ":")),
+                          json.dumps(self.payload, separators=(",", ":")),
+                          _engine_fingerprint()])
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -151,160 +138,272 @@ def _engine_fingerprint() -> str:
     return digest.hexdigest()
 
 
+# ---------------------------------------------------------------------------
+# flags -> params, one reader per subcommand
+
+
 def _check_positive(name, value) -> int:
     if value < 1:
-        raise ConfigError(f"{name} must be positive, got {value}")
+        raise InputError(f"{name} must be positive, got {value}")
     return value
 
 
-def _resolve_formats(subcommand, requested):
-    allowed, default = FORMAT_POLICY[subcommand]
-    if not requested:
-        return sorted(default)
-    for fmt in requested:
-        if fmt not in allowed:
-            raise ConfigError(
-                f"format {fmt!r} is not available for {subcommand} "
-                f"(allowed: {', '.join(allowed)})"
-            )
-    return sorted(set(requested))
+def _window_params(args):
+    """The prime, height and window every ext and may job reads."""
+    prime = check_prime(args.prime)
+    if args.n < 0:
+        raise InputError(f"height must be nonnegative, got {args.n}")
+    return {
+        "prime": prime,
+        "n": args.n,
+        "stem_max": _check_positive("stem cap", args.stem_max),
+        "s_max": _check_positive("s cap", args.s_max),
+    }
 
 
-# ---------------------------------------------------------------------------
-# subcommand implementations: JobConfig -> {filename: bytes}
-
-
-def _ext_problem(params):
-    """(profile, s_max, t_max) of an ext job."""
-    profile = getattr(Profile, params["family"])(params["prime"], params["n"])
-    s_max = params["s_max"]
-    return profile, s_max, params["stem_max"] + s_max
-
-
-def _check_ext_size(params):
-    """Refuse an ext window over MAX_EXT_CELLS cells, then a job whose
-    operator pairs pass MAX_EXT_OPERATOR_PAIRS; bounding the window
-    first keeps the Poincare series short."""
-    cells = (params["s_max"] + 1) * (params["stem_max"] + params["s_max"] + 1)
+def _ext_params(args):
+    """Refuse a height over MAX_FAMILY_HEIGHT, a window over
+    MAX_EXT_CELLS cells, then a job whose operator pairs pass
+    MAX_EXT_OPERATOR_PAIRS; bounding the window first keeps the
+    Poincare series short."""
+    params = _window_params(args)
+    if args.n > MAX_FAMILY_HEIGHT:
+        raise InputError(f"height {args.n} is over the limit {MAX_FAMILY_HEIGHT}")
+    params["family"] = args.family
+    t_max = args.stem_max + args.s_max
+    cells = (args.s_max + 1) * (t_max + 1)
     if cells > MAX_EXT_CELLS:
-        raise ConfigError(f"the Ext window has {cells} cells, over the limit {MAX_EXT_CELLS}")
-    profile, _, t_max = _ext_problem(params)
-    need = operator_pairs(profile, t_max)
+        raise InputError(f"the Ext window has {cells} cells, over the limit {MAX_EXT_CELLS}")
+    need = ext.operator_pairs(getattr(Profile, args.family)(args.prime, args.n), t_max)
     if need > MAX_EXT_OPERATOR_PAIRS:
-        raise ConfigError(
+        raise InputError(
             f"the resolution may multiply {need} operator pairs, "
             f"over the limit {MAX_EXT_OPERATOR_PAIRS}"
         )
+    return params
 
 
-def _check_may_size(params):
+def _may_params(args):
     """Refuse a may page over MAX_MAY_E1_SIZE window cells plus E1
     monomials, bounding the window before counting monomials in it."""
+    params = _window_params(args)
     from .may import e1_monomial_count
 
-    cells = (params["stem_max"] + 1) * (params["s_max"] + 1)
+    cells = (args.stem_max + 1) * (args.s_max + 1)
     if cells > MAX_MAY_E1_SIZE:
-        raise ConfigError(f"the E1 window has {cells} cells, over the limit {MAX_MAY_E1_SIZE}")
-    size = cells + e1_monomial_count(
-        params["n"], params["prime"], params["stem_max"], params["s_max"]
-    )
+        raise InputError(f"the E1 window has {cells} cells, over the limit {MAX_MAY_E1_SIZE}")
+    size = cells + e1_monomial_count(args.n, params["prime"], args.stem_max, args.s_max)
     if size > MAX_MAY_E1_SIZE:
-        raise ConfigError(
+        raise InputError(
             f"the E1 page has {size} cells and monomials, over the limit {MAX_MAY_E1_SIZE}"
         )
+    return params
 
 
-def cmd_ext(cfg: JobConfig):
-    p = cfg.params["prime"]
-    fam = cfg.params["family"]
-    n = cfg.params["n"]
-    # t <= stem_max + s_max sees the stems past stem_max only in part
-    chart = ext_ranks(*_ext_problem(cfg.params)).stems_through(cfg.params["stem_max"])
-    base = f"ext_{fam.lower()}{n}_p{p}"
-    out = {}
-    if "tsv" in cfg.params["formats"]:
-        out[f"{base}.tsv"] = chart.to_tsv().encode("utf-8")
-    if "json" in cfg.params["formats"]:
-        cells = [
-            {"s": s, "t": t, "stem": t - s, "dim": d}
-            for (s, t), d in sorted(chart.dims.items())
-            if d
-        ]
-        out[f"{base}.json"] = json_bytes({"label": chart.label, "cells": cells})
-    if "svg" in cfg.params["formats"]:
-        doc = chart_from_ext(chart)
-        out[f"{base}.svg"] = render_chart(doc)
-        out[f"{base}_chart.tsv"] = chart_to_tsv(doc).encode("utf-8")
-    return out
+def _margolis_params(args):
+    """The subalgebra name; margolis_job checks it with the module."""
+    return {"subalgebra": args.subalgebra}
 
 
-def cmd_may(cfg: JobConfig):
-    from .may import may_job
-
-    return may_job(cfg.params)
-
-
-def cmd_margolis(cfg: JobConfig):
-    from .margolis import InputError, margolis_job
-
-    # InputError is a verdict on the input: a malformed or inconsistent
-    # module, an unknown subalgebra, or a missing operator; any other
-    # ValueError is the engine refusing to certify
-    try:
-        return margolis_job(cfg.payload, cfg.params)
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None
+def _fgl_params(args):
+    """Refuse a cap over MAX_FGL_CAP; fgl_job refuses one too small."""
+    n = _check_positive("height", args.n)
+    # compare exponents first, so a huge height never builds 2^n
+    if n >= MAX_FGL_CAP.bit_length():
+        raise InputError(f"height {n} needs a cap above 2^{n}, over the limit {MAX_FGL_CAP}")
+    cap = 2**n + 8 if args.cap is None else args.cap
+    if cap > MAX_FGL_CAP:
+        raise InputError(f"cap {cap} is over the limit {MAX_FGL_CAP}")
+    return {"n": n, "cap": args.cap}
 
 
-def cmd_fgl(cfg: JobConfig):
-    report = er_defect_witness(cfg.params["n"], cap=cfg.params["cap"])
-    base = f"fgl_er{cfg.params['n']}"
-    out = {}
-    if "json" in cfg.params["formats"]:
-        out[f"{base}.json"] = json_bytes(report)
-    if "tsv" in cfg.params["formats"]:
-        lines = ["height\tdoubling-degree\tinverse-obstructed"]
-        for h in sorted(report["doubling_degrees"], key=int):
-            lines.append(
-                f"{h}\t{report['doubling_degrees'][h]}\t{report['inverse_obstructed'][h]}"
-            )
-        out[f"{base}.tsv"] = ("\n".join(lines) + "\n").encode("utf-8")
-    return out
+def _defect_params(args):
+    stem_cap = _check_positive("stem cap", args.cap)
+    if stem_cap > MAX_DEFECT_CAP:
+        raise InputError(f"stem cap {stem_cap} is over the limit {MAX_DEFECT_CAP}")
+    return {"stem_cap": stem_cap}
 
 
-def cmd_defect(cfg: JobConfig):
-    verdicts = catalogue(stem_cap=cfg.params["stem_cap"])
-    out = {}
-    if "tsv" in cfg.params["formats"]:
-        out["defect_table.tsv"] = verdict_table(verdicts).encode("utf-8")
-    if "json" in cfg.params["formats"]:
-        out["defect_table.json"] = json_bytes([v.to_json() for v in verdicts])
-    return out
-
-
-def cmd_ko_ss(cfg: JobConfig):
-    from .ssq import ko_ss_job
-
-    return ko_ss_job(cfg.params)
-
-
-JOBS = {
-    "ext": cmd_ext,
-    "may": cmd_may,
-    "margolis": cmd_margolis,
-    "fgl": cmd_fgl,
-    "defect": cmd_defect,
-    "ko-ss": cmd_ko_ss,
-}
-
-
-def run_job(cfg: JobConfig):
-    """Dispatch a validated config; returns {filename: bytes}."""
-    return JOBS[cfg.subcommand](cfg)
+def _ko_ss_params(args):
+    lo, hi, flo, fhi = args.window
+    if lo > hi or flo > fhi:
+        raise InputError(f"empty window {tuple(args.window)}")
+    cells = (hi - lo + 1) * (fhi - flo + 1)
+    if cells > MAX_KO_SS_CELLS:
+        raise InputError(f"the window has {cells} cells, over the limit {MAX_KO_SS_CELLS}")
+    return {"variant": args.variant, "window": [lo, hi, flo, fhi]}
 
 
 # ---------------------------------------------------------------------------
-# cache
+# the table
+
+
+# One row per subcommand: help text; flags, {flag: (kind, default,
+# help)}, where a kind is int, str, bool (a switch), list (four ints) or
+# a tuple of choices, and ... as a default marks a required flag; the
+# allowed and default formats; the job, "<engine module>.<function>";
+# and the reader of its flags into params.
+SUBCOMMANDS = {
+    "ext": SimpleNamespace(
+        help="Ext rank chart of the trivial comodule", flags={
+            "--prime": (int, 2, ""),
+            "--family": (("A", "E", "P", "T"), "T", "quotient Hopf algebra family"),
+            "--n": (int, 1, f"family height, at most {MAX_FAMILY_HEIGHT}"),
+            "--stem-max": (int, 13, ""), "--s-max": (int, 8, "")},
+        formats=FORMATS, default=("tsv", "svg"), job="ext.ext_job", params=_ext_params),
+    "may": SimpleNamespace(
+        help="May spectral sequence E1 with its d1 arrows, and E2", flags={
+            "--prime": (int, 2, ""), "--n": (int, 1, "telescope height"),
+            "--stem-max": (int, 13, ""), "--s-max": (int, 8, "")},
+        formats=FORMATS, default=("tsv", "svg"), job="may.may_job", params=_may_params),
+    "margolis": SimpleNamespace(
+        help="freeness verdict for a finite module", flags={
+            "--input": (str, ..., "module description (JSON)"),
+            "--subalgebra": (str, "A(1)", 'e.g. "A(1)" or "P(2)"')},
+        formats=("tsv", "json"), default=("json",), job="margolis.margolis_job",
+        params=_margolis_params),
+    "fgl": SimpleNamespace(
+        help="formal-group-law doubling and inversion witness", flags={
+            "--n": (int, 2, "real-theory height"),
+            "--cap": (int, None, "series truncation degree")},
+        formats=("tsv", "json"), default=("json",), job="fgl.fgl_job", params=_fgl_params),
+    "defect": SimpleNamespace(
+        help="chromatic-defect verdict table", flags={
+            "--cap": (int, 24, "stem cap for the ko and tmf evenness bounds")},
+        formats=("tsv", "json"), default=("tsv",), job="defect.defect_job",
+        params=_defect_params),
+    "ko-ss": SimpleNamespace(
+        help="real K-theory descent chart pages", flags={
+            "--variant": (("polynomial", "laurent"), "polynomial", ""),
+            "--window": (list, (-4, 16, -2, 14), "stem range, then filtration range")},
+        formats=FORMATS, default=("tsv", "svg"), job="ssq.ko_ss_job", params=_ko_ss_params),
+}
+COMMON_FLAGS = {
+    "--out": (str, ".", "output directory"),
+    "--no-cache": (bool, False, "recompute even on a cache hit"),
+    "--format": (FORMATS, None, "output format; repeatable"),
+}
+HELP_FLAGS = ("-h", "--help")
+CONTRACT = f"""\
+Exit codes: 0 done (or help), 2 bad input (`error: ...` on stderr,
+nothing written), 3 an engine refused to certify its result.
+Artifacts are cached in ${CACHE_ENV} (default ~/.cache/chromadefect),
+keyed by the job and the package's sources; --no-cache neither reads
+nor writes the cache.
+"""
+
+
+def _is_value(token) -> bool:
+    """A token after a flag is a value unless it starts with "-", but a
+    lone "-", a negative number (-5, -.5, -1.5) or a word with a space
+    is a value too.  isdecimal takes every Unicode decimal digit, as
+    argparse's negative-number pattern does."""
+    if not token.startswith("-") or " " in token:
+        return True
+    whole, dot, frac = token[1:].partition(".")
+    return (not whole or whole.isdecimal()) and (not dot or frac.isdecimal())
+
+
+def _help(subcommand=None) -> str:
+    """Help text: the subcommands and the exit codes and cache, or one
+    subcommand's flags."""
+    if subcommand is None:
+        about = "Exact-arithmetic charts and defect tables for the bundled engines."
+        rows = [(name, row.help) for name, row in SUBCOMMANDS.items()]
+        tail = "\n" + CONTRACT
+    else:
+        row = SUBCOMMANDS[subcommand]
+        about, tail = row.help, ""
+        # the row narrows --format to its own formats and default
+        formats = {"--format": (row.formats, " ".join(row.default), COMMON_FLAGS["--format"][2])}
+        rows = []
+        for flag, (kind, default, text) in {**row.flags, **COMMON_FLAGS, **formats}.items():
+            flag += ("" if kind is bool else " {%s}" % ",".join(kind) if isinstance(kind, tuple)
+                     else " TEXT" if kind is str else " N" * (4 if kind is list else 1))
+            if default not in (None, False):
+                text += " (required)" if default is ... else f" (default: {default})"
+            rows.append((flag, text.strip()))
+    width = max(len(left) for left, _ in rows)
+    usage = f"usage: chromadefect {subcommand or '<subcommand>'} [flags]"
+    lines = [usage, "", about, ""] + [f"  {a:<{width}}  {b}" for a, b in rows]
+    return "\n".join(lines) + "\n" + tail
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The job namespace for argv, read by the grammar in the module
+    docstring, or SimpleNamespace(help=text) for -h or --help."""
+    rest = list(argv)
+    subcommand = rest.pop(0) if rest and rest[0] in SUBCOMMANDS else None
+    flags = {**SUBCOMMANDS[subcommand].flags, **COMMON_FLAGS} if subcommand else {}
+    args = {flag: default for flag, (_, default, _) in flags.items()}
+    known = [*flags, *HELP_FLAGS]
+    need = f"need a subcommand first: {', '.join(SUBCOMMANDS)}"
+    while rest:
+        token = rest.pop(0)
+        name, eq, value = token.partition("=")
+        hits = [f for f in known if name == f or len(name) > 2 and f.startswith(name)]
+        if len(hits) > 1 and name not in hits:
+            raise InputError(f"ambiguous flag {name}: could be {', '.join(hits)}")
+        if not hits:
+            raise InputError(f"unrecognized argument {token!r}" if subcommand else need)
+        flag = name if name in hits else hits[0]
+        kind = flags[flag][0] if flag in flags else bool  # help is a switch too
+        count = 0 if kind is bool else 4 if kind is list else 1
+        values = [value] if eq else []
+        while not eq and rest and len(values) < count and _is_value(rest[0]):
+            values.append(rest.pop(0))
+        if len(values) != count:
+            raise InputError(f"{flag} takes {count or 'no'} value{'s' * (count != 1)}")
+        try:
+            values = [int(v) for v in values] if kind in (int, list) else values
+        except ValueError:
+            raise InputError(f"{flag} takes integers, got {' '.join(values)!r}") from None
+        if isinstance(kind, tuple) and values[0] not in kind:
+            raise InputError(f"{flag} takes one of {', '.join(kind)}, got {values[0]!r}")
+        if flag in HELP_FLAGS:
+            return SimpleNamespace(help=_help(subcommand))
+        if flag == "--format":
+            values = (args[flag] or []) + values
+        keep_list = kind is list or flag == "--format"
+        args[flag] = True if kind is bool else values if keep_list else values[0]
+    if subcommand is None:
+        raise InputError(need)
+    missing = [flag for flag, value in args.items() if value is ...]
+    if missing:
+        raise InputError(f"{subcommand} needs {', '.join(missing)}")
+    return SimpleNamespace(subcommand=subcommand, **{
+        "formats" if flag == "--format" else flag[2:].replace("-", "_"): value
+        for flag, value in args.items()
+    })
+
+
+def _config_from_args(args) -> JobConfig:
+    row = SUBCOMMANDS[args.subcommand]
+    formats = args.formats or row.default
+    for fmt in formats:
+        if fmt not in row.formats:
+            raise InputError(
+                f"format {fmt!r} is not available for {args.subcommand} "
+                f"(allowed: {', '.join(row.formats)})"
+            )
+    payload = None
+    if "--input" in row.flags:
+        try:
+            payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise InputError(f"unreadable input {args.input}: {exc}") from None
+    params = {"formats": sorted(set(formats)), **row.params(args)}
+    return JobConfig(
+        args.subcommand,
+        params,
+        out_dir=args.out,
+        use_cache=not args.no_cache,
+        payload=payload,
+    )
+
+
+# ---------------------------------------------------------------------------
+# cache and artifacts
 
 
 def _cache_dir() -> Path:
@@ -333,6 +432,9 @@ def cache_load(key):
 
 
 def cache_store(key, artifacts):
+    """File the artifacts under key: written to a temporary name of this
+    process, renamed into place, and the temporary removed if either
+    step fails."""
     import base64
 
     root = _cache_dir()
@@ -344,9 +446,12 @@ def cache_store(key, artifacts):
             for name, data in sorted(artifacts.items())
         },
     }
-    tmp = root / f".{key}.tmp"
-    tmp.write_text(json.dumps(blob, sort_keys=True), encoding="utf-8")
-    os.replace(tmp, root / f"{key}.json")
+    tmp = root / f".{key}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(json.dumps(blob, sort_keys=True), encoding="utf-8")
+        os.replace(tmp, root / f"{key}.json")
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_artifacts(root, artifacts):
@@ -371,189 +476,7 @@ def _write_artifacts(root, artifacts):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
-
-
-# {subcommand: (help, {flag: (kind, default, help)})}; a kind is int, str,
-# bool (a switch), list (four ints) or a tuple of choices, and ... as a
-# default marks a required flag
-SUBCOMMANDS = {
-    "ext": ("Ext rank chart of the trivial comodule", {
-        "--prime": (int, 2, ""),
-        "--family": (("A", "E", "P", "T"), "T", "quotient Hopf algebra family"),
-        "--n": (int, 1, f"family height, at most {MAX_FAMILY_HEIGHT}"),
-        "--stem-max": (int, 13, ""), "--s-max": (int, 8, ""),
-    }),
-    "may": ("May spectral sequence E1 with its d1 arrows, and E2", {
-        "--prime": (int, 2, ""), "--n": (int, 1, "telescope height"),
-        "--stem-max": (int, 13, ""), "--s-max": (int, 8, ""),
-    }),
-    "margolis": ("freeness verdict for a finite module", {
-        "--input": (str, ..., "module description (JSON)"),
-        "--subalgebra": (str, "A(1)", 'e.g. "A(1)" or "P(2)"'),
-    }),
-    "fgl": ("formal-group-law doubling and inversion witness", {
-        "--n": (int, 2, "real-theory height"),
-        "--cap": (int, None, "series truncation degree"),
-    }),
-    "defect": ("chromatic-defect verdict table", {
-        "--cap": (int, 24, "stem cap for the ko and tmf evenness bounds"),
-    }),
-    "ko-ss": ("real K-theory descent chart pages", {
-        "--variant": (("polynomial", "laurent"), "polynomial", ""),
-        "--window": (list, (-4, 16, -2, 14), "stem range, then filtration range"),
-    }),
-}
-COMMON_FLAGS = {
-    "--out": (str, ".", "output directory"),
-    "--no-cache": (bool, False, "recompute even on a cache hit"),
-    "--format": (FORMATS, None, "output format; repeatable (default depends on the subcommand)"),
-}
-HELP_FLAGS = ("-h", "--help")
-
-
-def _is_value(token) -> bool:
-    """A token after a flag is a value unless it starts with "-", but a
-    lone "-", a negative number (-5, -.5, -1.5) or a word with a space
-    is a value too.  isdecimal takes every Unicode decimal digit, as
-    argparse's negative-number pattern does."""
-    if not token.startswith("-") or " " in token:
-        return True
-    whole, dot, frac = token[1:].partition(".")
-    return (not whole or whole.isdecimal()) and (not dot or frac.isdecimal())
-
-
-def _help(subcommand=None) -> str:
-    """Help text: the subcommands, or one subcommand's flags."""
-    if subcommand is None:
-        about = "Exact-arithmetic charts and defect tables for the bundled engines."
-        rows = [(name, text) for name, (text, _) in SUBCOMMANDS.items()]
-    else:
-        about, flags = SUBCOMMANDS[subcommand]
-        rows = []
-        for flag, (kind, default, text) in {**flags, **COMMON_FLAGS}.items():
-            flag += ("" if kind is bool else " {%s}" % ",".join(kind) if isinstance(kind, tuple)
-                     else " TEXT" if kind is str else " N" * (4 if kind is list else 1))
-            if default not in (None, False):
-                text += " (required)" if default is ... else f" (default: {default})"
-            rows.append((flag, text.strip()))
-    width = max(len(left) for left, _ in rows)
-    usage = f"usage: chromadefect {subcommand or '<subcommand>'} [flags]"
-    return "\n".join([usage, "", about, ""] + [f"  {a:<{width}}  {b}" for a, b in rows]) + "\n"
-
-
-def parse_args(argv) -> SimpleNamespace:
-    """The job namespace for argv, read by the grammar in the module
-    docstring, or SimpleNamespace(help=text) for -h or --help."""
-    rest = list(argv)
-    subcommand = rest.pop(0) if rest and rest[0] in SUBCOMMANDS else None
-    flags = {**SUBCOMMANDS[subcommand][1], **COMMON_FLAGS} if subcommand else {}
-    args = {flag: default for flag, (_, default, _) in flags.items()}
-    known = [*flags, *HELP_FLAGS]
-    need = f"need a subcommand first: {', '.join(SUBCOMMANDS)}"
-    while rest:
-        token = rest.pop(0)
-        name, eq, value = token.partition("=")
-        hits = [f for f in known if name == f or len(name) > 2 and f.startswith(name)]
-        if len(hits) > 1 and name not in hits:
-            raise ConfigError(f"ambiguous flag {name}: could be {', '.join(hits)}")
-        if not hits:
-            raise ConfigError(f"unrecognized argument {token!r}" if subcommand else need)
-        flag = name if name in hits else hits[0]
-        kind = flags[flag][0] if flag in flags else bool  # help is a switch too
-        count = 0 if kind is bool else 4 if kind is list else 1
-        values = [value] if eq else []
-        while not eq and rest and len(values) < count and _is_value(rest[0]):
-            values.append(rest.pop(0))
-        if len(values) != count:
-            raise ConfigError(f"{flag} takes {count or 'no'} value{'s' * (count != 1)}")
-        try:
-            values = [int(v) for v in values] if kind in (int, list) else values
-        except ValueError:
-            raise ConfigError(f"{flag} takes integers, got {' '.join(values)!r}") from None
-        if isinstance(kind, tuple) and values[0] not in kind:
-            raise ConfigError(f"{flag} takes one of {', '.join(kind)}, got {values[0]!r}")
-        if flag in HELP_FLAGS:
-            return SimpleNamespace(help=_help(subcommand))
-        if flag == "--format":
-            values = (args[flag] or []) + values
-        keep_list = kind is list or flag == "--format"
-        args[flag] = True if kind is bool else values if keep_list else values[0]
-    if subcommand is None:
-        raise ConfigError(need)
-    missing = [flag for flag, value in args.items() if value is ...]
-    if missing:
-        raise ConfigError(f"{subcommand} needs {', '.join(missing)}")
-    return SimpleNamespace(subcommand=subcommand, **{
-        "formats" if flag == "--format" else flag[2:].replace("-", "_"): value
-        for flag, value in args.items()
-    })
-
-
-def _config_from_args(args) -> JobConfig:
-    formats = _resolve_formats(args.subcommand, args.formats)
-    params = {"formats": formats}
-    payload = None
-    if args.subcommand in ("ext", "may"):
-        try:
-            params["prime"] = check_prime(args.prime)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        params["n"] = args.n
-        if args.n < 0:
-            raise ConfigError(f"height must be nonnegative, got {args.n}")
-        params["stem_max"] = _check_positive("stem cap", args.stem_max)
-        params["s_max"] = _check_positive("s cap", args.s_max)
-        if args.subcommand == "may":
-            _check_may_size(params)
-        else:
-            if args.n > MAX_FAMILY_HEIGHT:
-                raise ConfigError(f"height {args.n} is over the limit {MAX_FAMILY_HEIGHT}")
-            params["family"] = args.family
-            _check_ext_size(params)
-    elif args.subcommand == "margolis":
-        try:
-            payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"unreadable input {args.input}: {exc}") from None
-        params["subalgebra"] = args.subalgebra
-    elif args.subcommand == "fgl":
-        n = params["n"] = _check_positive("height", args.n)
-        # compare exponents first, so a huge height never builds 2^n
-        if n >= MAX_FGL_CAP.bit_length():
-            raise ConfigError(
-                f"height {n} needs a cap above 2^{n}, over the limit {MAX_FGL_CAP}"
-            )
-        cap = 2**n + 8 if args.cap is None else args.cap
-        if cap > MAX_FGL_CAP:
-            raise ConfigError(f"cap {cap} is over the limit {MAX_FGL_CAP}")
-        if args.cap is not None and args.cap < 2**n + 1:
-            raise ConfigError(
-                f"cap {args.cap} cannot see degree {2**n}; need at least {2**n + 1}"
-            )
-        params["cap"] = args.cap
-    elif args.subcommand == "defect":
-        params["stem_cap"] = _check_positive("stem cap", args.cap)
-        if args.cap > MAX_DEFECT_CAP:
-            raise ConfigError(f"stem cap {args.cap} is over the limit {MAX_DEFECT_CAP}")
-    elif args.subcommand == "ko-ss":
-        params["variant"] = args.variant
-        lo, hi, flo, fhi = args.window
-        if lo > hi or flo > fhi:
-            raise ConfigError(f"empty window {tuple(args.window)}")
-        cells = (hi - lo + 1) * (fhi - flo + 1)
-        if cells > MAX_KO_SS_CELLS:
-            raise ConfigError(
-                f"the window has {cells} cells, over the limit {MAX_KO_SS_CELLS}"
-            )
-        params["window"] = [lo, hi, flo, fhi]
-    return JobConfig(
-        args.subcommand,
-        params,
-        out_dir=args.out,
-        use_cache=not args.no_cache,
-        payload=payload,
-    )
+# entry point
 
 
 def main(argv=None) -> int:
@@ -563,29 +486,27 @@ def main(argv=None) -> int:
             print(args.help, end="")
             return EXIT_OK
         cfg = _config_from_args(args)
-    except ConfigError as exc:
+        key = cfg.key() if cfg.use_cache else None
+        artifacts = cache_load(key) if key else None
+        if artifacts is None:
+            engine, _, job = SUBCOMMANDS[cfg.subcommand].job.partition(".")
+            artifacts = getattr(import_module(f".{engine}", __package__), job)(
+                cfg.params, cfg.payload
+            )
+            if cfg.use_cache:
+                try:
+                    cache_store(key, artifacts)
+                except OSError as exc:
+                    # the artifacts stand; an unusable cache costs a later hit
+                    print(f"warning: cache not written: {exc}", file=sys.stderr)
+        else:
+            print(f"cache hit {key[:12]}", file=sys.stderr)
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    key = cfg.key() if cfg.use_cache else None
-    artifacts = cache_load(key) if key else None
-    if artifacts is None:
-        try:
-            artifacts = run_job(cfg)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except ValueError as exc:
-            print(f"compute error: {exc}", file=sys.stderr)
-            return EXIT_COMPUTE
-        if cfg.use_cache:
-            try:
-                cache_store(key, artifacts)
-            except OSError as exc:
-                # the artifacts stand; an unusable cache costs a later hit
-                print(f"warning: cache not written: {exc}", file=sys.stderr)
-    else:
-        print(f"cache hit {key[:12]}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"compute error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
 
     out_root = Path(cfg.out_dir)
     try:

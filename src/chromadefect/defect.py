@@ -8,9 +8,11 @@ come from the other engines (the Koszul closed form of Ext over
 exterior families, the primitive that detects eta in Adams filtration
 one, formal inverse witnesses, ramification valuations), and
 impossibility facts for which no computation exists are carried as
-documented entries, never as computed ones.
+documented entries, never as computed ones.  The `defect` job
+(defect_job) writes the catalogue's table.
 """
 
+from .charts import json_bytes
 from .ext import cobar_letters, evenness_scan
 from .fgl import er_defect_witness
 from .steenrod import Profile
@@ -27,6 +29,7 @@ __all__ = [
     "verdict_er",
     "verdict_eo",
     "catalogue",
+    "defect_job",
     "verdict_table",
 ]
 
@@ -348,3 +351,15 @@ def verdict_table(verdicts) -> str:
             phi, phi_p = str(v.phi), str(v.phi_p)
         lines.append(f"{v.subject}\t{v.prime}\t{phi}\t{phi_p}\t{v.status}")
     return "\n".join(lines) + "\n"
+
+
+def defect_job(params, payload) -> dict:
+    """The `defect` job's artifacts, {filename: bytes}: the catalogue
+    through the validated stem cap."""
+    verdicts = catalogue(stem_cap=params["stem_cap"])
+    out = {}
+    if "tsv" in params["formats"]:
+        out["defect_table.tsv"] = verdict_table(verdicts).encode("utf-8")
+    if "json" in params["formats"]:
+        out["defect_table.json"] = json_bytes([v.to_json() for v in verdicts])
+    return out

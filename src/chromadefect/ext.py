@@ -47,14 +47,20 @@ collision, and the first name stays.
 evenness_scan builds no resolution: over an exterior family the Koszul
 closed form places every class, so it checks that the family has that
 form through the window and reads the stems off it.
+
+The `ext` job (ext_job) writes a chart's TSV, JSON and dot chart
+(chart_from_ext), cut at the requested stem.
 """
 
+from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
 from .gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
 from .steenrod import DualMonomial, Profile, milnor_product, tau_gen, xi_gen
 
 __all__ = [
     "ExtChart",
     "Resolution",
+    "chart_from_ext",
+    "ext_job",
     "ext_ranks",
     "evenness_scan",
     "cobar_letters",
@@ -410,3 +416,39 @@ def evenness_scan(n, p, stem_max):
     even = [d for d in degrees if d % 2 == 0]
     if even:
         raise ValueError(f"{family!r} has primitives in even degrees {even}")
+
+
+def chart_from_ext(chart) -> ChartDocument:
+    """Dot chart of an Ext rank table (no lines, no arrows)."""
+    dots = {}
+    stem_hi = fil_hi = 0
+    for (s, t), d in sorted(chart.dims.items()):
+        if d:
+            stem = t - s
+            dots[(stem, s)] = (d, "")
+            stem_hi = max(stem_hi, stem)
+            fil_hi = max(fil_hi, s)
+    return ChartDocument(f"ext chart {chart.label}", dots, [], [],
+                         (0, max(stem_hi, 1)), (0, max(fil_hi, 1)))
+
+
+def ext_job(params, payload) -> dict:
+    """The `ext` job's artifacts, {filename: bytes}: the chart over the
+    family the validated CLI params name, in each requested format."""
+    p, fam, n, s_max = params["prime"], params["family"], params["n"], params["s_max"]
+    # t <= stem_max + s_max sees the stems past stem_max only in part
+    chart = ext_ranks(getattr(Profile, fam)(p, n), s_max, params["stem_max"] + s_max)
+    chart = chart.stems_through(params["stem_max"])
+    base = f"ext_{fam.lower()}{n}_p{p}"
+    out = {}
+    if "tsv" in params["formats"]:
+        out[f"{base}.tsv"] = chart.to_tsv().encode("utf-8")
+    if "json" in params["formats"]:
+        cells = [{"s": s, "t": t, "stem": t - s, "dim": d}
+                 for (s, t), d in sorted(chart.dims.items()) if d]
+        out[f"{base}.json"] = json_bytes({"label": chart.label, "cells": cells})
+    if "svg" in params["formats"]:
+        doc = chart_from_ext(chart)
+        out[f"{base}.svg"] = render_chart(doc)
+        out[f"{base}_chart.tsv"] = chart_to_tsv(doc).encode("utf-8")
+    return out

@@ -13,15 +13,18 @@ recomputation run on plain lists of Python ints indexed by degree,
 and only the gate divides, by b M^j in degree j + 1.  The bivariate
 law is never built.  The validated bivariate law, with its multiples
 read off by substitution, and the rational solver this module
-replaced are the test suite's oracles for these series.
+replaced are the test suite's oracles for these series.  The `fgl`
+job (fgl_job) writes the witness.
 """
 
 from math import gcd
 from operator import mul
 
+from . import InputError
+from .charts import json_bytes
 from .gradedlin import check_prime
 
-__all__ = ["honda_multiple", "er_defect_witness"]
+__all__ = ["honda_multiple", "er_defect_witness", "fgl_job"]
 
 
 def _honda_log_terms(p, n, cap):
@@ -222,7 +225,7 @@ def er_defect_witness(n: int, cap=None):
 
     Both series come from `honda_multiple`; every call certifies them
     twice, by the independent log(f) recomputation and by the
-    2-integrality gate.
+    2-integrality gate.  A cap below 2^n + 1 is an InputError.
     """
     if n < 1:
         raise ValueError("height must be at least 1")
@@ -230,7 +233,7 @@ def er_defect_witness(n: int, cap=None):
     if cap is None:
         cap = target + 8
     if cap < target + 1:
-        raise ValueError(f"cap {cap} cannot see degree {target}; need at least {target + 1}")
+        raise InputError(f"cap {cap} cannot see degree {target}; need at least {target + 1}")
     x = [0, 1] + [0] * (cap - 1)
     zero = [0] * (cap + 1)
     doubling = {}
@@ -256,3 +259,21 @@ def er_defect_witness(n: int, cap=None):
         "upper_bound_ok": upper,
         "lower_bound_ok": lower,
     }
+
+
+def fgl_job(params, payload) -> dict:
+    """The `fgl` job's artifacts, {filename: bytes}: the ER(n) witness
+    for the validated CLI params."""
+    report = er_defect_witness(params["n"], cap=params["cap"])
+    base = f"fgl_er{params['n']}"
+    out = {}
+    if "json" in params["formats"]:
+        out[f"{base}.json"] = json_bytes(report)
+    if "tsv" in params["formats"]:
+        lines = ["height\tdoubling-degree\tinverse-obstructed"]
+        for h in sorted(report["doubling_degrees"], key=int):
+            lines.append(
+                f"{h}\t{report['doubling_degrees'][h]}\t{report['inverse_obstructed'][h]}"
+            )
+        out[f"{base}.tsv"] = ("\n".join(lines) + "\n").encode("utf-8")
+    return out

@@ -17,6 +17,8 @@ travel with their row, so kernel_vectors appends the unit vector e_i
 there as one entry of row i: no tracked mode.
 """
 
+from .. import InputError
+
 __all__ = [
     "PrimeFieldMatrix",
     "SubquotientBasis",
@@ -33,12 +35,12 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def check_prime(p):
-    """p itself when it is prime; ValueError "<p> is not prime" otherwise,
-    and a ValueError too for a p past the range the gate decides."""
+    """p itself when it is prime; InputError "<p> is not prime" otherwise,
+    and an InputError too for a p past the range the gate decides."""
     if p < 2 or not _strong_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     if p >= _MR_EXACT_BELOW:
-        raise ValueError(f"{p} is too large for the primality gate")
+        raise InputError(f"{p} is too large for the primality gate")
     return p
 
 

@@ -11,10 +11,10 @@ is_free_over runs.
 
 The `margolis` job (margolis_job) reads a module from JSON
 (FiniteSteenrodModule.from_json) and runs is_free_over on it.  Errors
-in that input, or in the subalgebra name, raise InputError; any other
-ValueError is the engine refusing to certify.  The modules the tests
-feed it (subalgebras over themselves, free modules, projective spaces,
-comodule duals) are built under tests/oracles/.
+in that input, or in the subalgebra name, raise chromadefect.InputError;
+any other ValueError is the engine refusing to certify.  The modules
+the tests feed it (subalgebras over themselves, free modules,
+projective spaces, comodule duals) are built under tests/oracles/.
 
 Square-zero operator lists come from the height profile of the dual
 quotient.  Spelled out at p = 2 through level 3:
@@ -33,6 +33,7 @@ n+1-t, and the P-kind list uses heights n+2-t with no shift and no Q's.
 
 import re
 
+from . import InputError
 from .charts import json_bytes
 from .gradedlin import (
     PrimeFieldMatrix,
@@ -44,7 +45,6 @@ from .steenrod import MAX_FAMILY_HEIGHT, Profile, elt_add_term
 
 __all__ = [
     "FiniteSteenrodModule",
-    "InputError",
     "MargolisHomology",
     "MargolisVerdict",
     "family_margolis_indices",
@@ -56,10 +56,6 @@ __all__ = [
     "subalgebra_dimension",
     "subalgebra_operators",
 ]
-
-
-class InputError(ValueError):
-    """A module or subalgebra name that does not describe a valid job."""
 
 
 _OP_RE = re.compile(r"^(P|Q)\((\d+)(?:,(\d+))?\)$")
@@ -247,22 +243,33 @@ class FiniteSteenrodModule:
 
     @classmethod
     def from_json(cls, data):
-        """Parse and validate a module; every failure is an InputError."""
+        """Parse and validate a module; every failure is an InputError.
+        The prime, each degree and each coef must be JSON integers and
+        even_only a JSON boolean, read as they stand: int() would take
+        2.9 for 2, and bool() the string "no" for true."""
         try:
-            p = int(data["prime"])
-            even = bool(data.get("even_only", False))
-            basis = [(str(b["name"]), int(b["degree"])) for b in data["basis"]]
+            p = _exact(data["prime"], int, "prime")
+            even = _exact(data.get("even_only", False), bool, "even_only")
+            basis = [(str(b["name"]), _exact(b["degree"], int, "degree")) for b in data["basis"]]
             actions = {str(op): {} for op in data.get("operators", ())}
             for row in data.get("actions", ()):
                 table = actions.setdefault(str(row["operator"]), {})
                 table[str(row["on"])] = [
-                    (int(t["coef"]), str(t["to"])) for t in row["terms"]
+                    (_exact(t["coef"], int, "coef"), str(t["to"])) for t in row["terms"]
                 ]
             return cls(p, basis, actions, even_only=even)
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed module data: {exc}") from exc
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+
+
+def _exact(value, kind, what):
+    """value when its type is kind itself: a bool is no integer here."""
+    if type(value) is not kind:
+        name = "boolean" if kind is bool else "integer"
+        raise TypeError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
 
 
 class MargolisHomology:
@@ -461,7 +468,7 @@ def is_free_over(module, subalgebra):
     return MargolisVerdict(subalgebra, tuple(ops), homology, free, rank, witness)
 
 
-def margolis_job(payload, params) -> dict:
+def margolis_job(params, payload) -> dict:
     """The `margolis` job's artifacts, {filename: bytes}: the freeness
     verdict of the module `payload` (parsed JSON) over the subalgebra
     the validated CLI params name.  Bad input raises InputError."""
@@ -473,18 +480,9 @@ def margolis_job(payload, params) -> dict:
         out[f"{base}.json"] = json_bytes(report)
     if "tsv" in params["formats"]:
         witness = report.get("witness") or {}
-        lines = [
-            "subalgebra\tfree\trank\twitness-operator\twitness-degree",
-            "\t".join(
-                str(x)
-                for x in (
-                    report["subalgebra"],
-                    report["free"],
-                    report["rank"] if report["rank"] is not None else "-",
-                    witness.get("operator", "-"),
-                    witness.get("degree", "-"),
-                )
-            ),
-        ]
-        out[f"{base}.tsv"] = ("\n".join(lines) + "\n").encode("utf-8")
+        row = (report["subalgebra"], report["free"],
+               "-" if report["rank"] is None else report["rank"],
+               witness.get("operator", "-"), witness.get("degree", "-"))
+        head = "subalgebra\tfree\trank\twitness-operator\twitness-degree\n"
+        out[f"{base}.tsv"] = (head + "\t".join(map(str, row)) + "\n").encode("utf-8")
     return out

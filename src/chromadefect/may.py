@@ -427,7 +427,7 @@ def chart_from_may_page(page) -> ChartDocument:
     )
 
 
-def may_job(params) -> dict:
+def may_job(params, payload) -> dict:
     """The `may` job's artifacts, {filename: bytes}: E1 and E2 for the
     validated CLI params, in each requested format."""
     p = params["prime"]

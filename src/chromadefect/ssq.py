@@ -502,7 +502,7 @@ def chart_from_snapshot(page) -> ChartDocument:
     )
 
 
-def ko_ss_job(params) -> dict:
+def ko_ss_job(params, payload) -> dict:
     """The `ko-ss` job's artifacts, {filename: bytes}: pages 2 and 4 of
     the chart for the validated CLI params, and the forced-d3 report."""
     variant = params["variant"]

@@ -386,6 +386,31 @@ def test_composite_margolis_prime_exits_2(prime, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.update(prime=2.9), "prime must be a JSON integer, got 2.9"),
+        (lambda m: m.update(prime=True), "prime must be a JSON integer, got True"),
+        (lambda m: m["basis"][1].update(degree=2.5), "degree must be a JSON integer, got 2.5"),
+        (lambda m: m["actions"][0]["terms"][0].update(coef=1.5),
+         "coef must be a JSON integer, got 1.5"),
+        (lambda m: m.update(even_only="no"), "even_only must be a JSON boolean, got 'no'"),
+        (lambda m: m.update(even_only=0), "even_only must be a JSON boolean, got 0"),
+    ],
+    ids=["prime-float", "prime-bool", "degree-float", "coef-float", "even-string", "even-int"],
+)
+def test_malformed_margolis_numbers_exit_2(edit, message, tmp_path, capsys):
+    # int() and bool() would read these as another module than the file holds
+    module = json.loads((INPUTS / "rp4.json").read_text())
+    edit(module)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    argv = ["margolis", "--input", str(path), "--subalgebra", "A(1)", "--no-cache"]
+    assert run(argv, tmp_path / "out") == cli.EXIT_USAGE
+    assert f"error: malformed module data: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_margolis_engine_failure_exits_3(tmp_path, capsys, monkeypatch):
     def refuse(module, op):
         raise ValueError("homology refused to certify")
@@ -446,6 +471,18 @@ def test_no_cache_skips_the_fingerprint(tmp_path, monkeypatch, cache_dir):
     monkeypatch.setattr(cli, "_engine_fingerprint", refuse)
     assert run(["fgl", "--n", "1", "--no-cache"], tmp_path / "out") == cli.EXIT_OK
     assert not cache_dir.exists()
+
+
+def test_unwritable_cache_entry_leaves_no_temporary(tmp_path, capsys, cache_dir):
+    # a directory where the entry belongs: the rename fails, the job
+    # still writes its artifacts, and the cache keeps no temporary file
+    key = cli._config_from_args(cli.parse_args(["fgl", "--n", "1", *FORMATS])).key()
+    (cache_dir / f"{key}.json").mkdir(parents=True)
+    out = tmp_path / "out"
+    assert run(["fgl", "--n", "1"], out) == cli.EXIT_OK
+    assert "warning: cache not written" in capsys.readouterr().err
+    assert written(out) == written(GOLDEN_DIR / "fgl_n1")
+    assert [path.name for path in cache_dir.iterdir()] == [f"{key}.json"]
 
 
 def test_unusable_cache_dir_still_writes_artifacts(tmp_path, capsys, monkeypatch):

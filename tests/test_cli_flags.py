@@ -103,9 +103,14 @@ def test_entry_point(tmp_path):
     done = entry(tmp_path, "--help")
     assert done.returncode == 0
     assert all(name in done.stdout for name in cli.SUBCOMMANDS)
+    assert "Exit codes: 0 done (or help), 2 bad input" in done.stdout
+    assert "3 an engine refused to certify" in done.stdout
+    assert f"${cli.CACHE_ENV}" in done.stdout and "--no-cache" in done.stdout
+    # a subcommand's help names its own formats and default
+    assert "--format {tsv,json}  output format; repeatable (default: json)" in cli._help("fgl")
     done = entry(tmp_path, "ext", "--help")
     assert done.returncode == 0
-    flags = {**cli.SUBCOMMANDS["ext"][1], **cli.COMMON_FLAGS}
+    flags = {**cli.SUBCOMMANDS["ext"].flags, **cli.COMMON_FLAGS}
     assert all(flag in done.stdout for flag in flags)
 
 
@@ -131,6 +136,8 @@ LAZY = {
     "_decimal",
     "numbers",
 }
+# compiled on import, so that no job pays for them
+EAGER = {"chromadefect.ext", "chromadefect.fgl", "chromadefect.defect"}
 RP4 = str(Path(__file__).parent / "golden" / "inputs" / "rp4.json")
 
 
@@ -155,3 +162,4 @@ def test_jobs_import_only_their_engines(argv, loads, tmp_path):
     assert code in (None, cli.EXIT_OK), done.stderr
     assert not (LAZY - loads) & set(added)
     assert loads <= set(loaded)
+    assert EAGER <= set(added)

@@ -17,7 +17,11 @@ Oracles used here:
   * cobar word counts from Poincare series against the enumerated
     words,
   * the Milnor diagonal (tests/oracles/diagonal.py): the letters are
-    the family's generator powers whose reduced diagonal dies.
+    the family's generator powers whose reduced diagonal dies,
+  * Adams' relations in the sphere's Ext (J. F. Adams, "On the
+    non-existence of elements of Hopf invariant one", Ann. Math. 1960):
+    h0 h1 = h1 h2 = h0 h2^2 = 0, h1^3 = h0^2 h2 and h1^2 h3 = h2^3,
+    while over A(1) h1^3 = 0.
 """
 
 import pytest
@@ -267,6 +271,25 @@ class TestNaming:
         assert wide.collisions == narrow.collisions != []
         cells = [*wide.dims, *wide.names, *(cell for *_, cell in wide.collisions)]
         assert max(t - s for s, t in cells) == 13
+
+    def test_adams_relations_on_the_sphere(self):
+        # T(0) at p = 2 is the whole dual Steenrod algebra, so this is the
+        # Adams E2 page of the sphere; h_i is h(1,i) in (1, 2^i)
+        chart = ext_ranks(Profile.T(2, 0), 3, 12)
+        # h0 h1 = 0, h1 h2 = 0, h0 h2^2 = 0: the product cells are empty
+        for cell in ((2, 3), (2, 6), (3, 9)):
+            assert chart.dims.get(cell, 0) == 0, cell
+            assert cell not in chart.names
+        # h0^2 h2 = h1^3 spans (3, 6), and h1^2 h3 = h2^3 lies in (3, 12)
+        assert chart.dims[(3, 6)] == 1
+        assert chart.names[(3, 6)] == ["h(1,0)^2*h(1,2)"]
+        assert ("h(1,0)^2*h(1,2)", "h(1,1)^3", (3, 6)) in chart.collisions
+        assert chart.names[(3, 12)] == ["h(1,1)^2*h(1,3)"]
+        assert ("h(1,1)^2*h(1,3)", "h(1,2)^3", (3, 12)) in chart.collisions
+        # over A(1) h1^3 = 0, and no other class reaches (3, 6)
+        a1 = ext_ranks(Profile.A(2, 1), 3, 12)
+        assert a1.dims[(2, 4)] == 1 and a1.names[(2, 4)] == ["h(1,1)^2"]
+        assert a1.dims.get((3, 6), 0) == 0
 
     def test_polynomial_chart_collision_free(self):
         fam = Profile.E(2, 1)

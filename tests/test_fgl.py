@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chromadefect.fgl as fgl_module
+from chromadefect import InputError
 from chromadefect.fgl import er_defect_witness, honda_multiple
 
 from oracles import honda_series
@@ -359,7 +360,7 @@ class TestDefectWitness:
         assert not jet_equal(inv, F.x(), 4)
 
     def test_guards(self):
-        with pytest.raises(ValueError, match="cannot see degree"):
+        with pytest.raises(InputError, match="cannot see degree"):
             er_defect_witness(2, cap=4)
         with pytest.raises(ValueError, match="at least 1"):
             er_defect_witness(0)

@@ -27,9 +27,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chromadefect import InputError
 from chromadefect.margolis import (
     FiniteSteenrodModule,
-    InputError,
     is_free_over,
     margolis_homology,
     operator_degree,

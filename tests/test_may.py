@@ -245,14 +245,23 @@ class TestPages:
         assert dim(e2, 6, 1) == 0
         assert (6, 1) not in e2.killed
 
-    def test_ext_bounded_by_e2(self):
-        fam = Profile.T(2, 1)
-        chart = ext_ranks(fam, 7, 18)
-        e2 = may_e2(may_e1(1, 2, 12, 7))
-        for stem in range(11):
-            for s in range(6):
-                if e2.trusted(stem, s):
-                    assert chart.dims.get((s, stem + s), 0) <= dim(e2, stem, s), (stem, s)
+    @pytest.mark.parametrize("n, p, stem_max, s_max, larger", [
+        pytest.param(*window, id="n{}-p{}-stem{}-s{}".format(*window))
+        for window in [(1, 2, 12, 7, 4), (0, 2, 20, 6, 50), (1, 3, 120, 8, 71),
+                       (0, 3, 60, 5, 24), (1, 5, 200, 5, 0)]
+    ])
+    def test_ext_bounded_by_e2(self, n, p, stem_max, s_max, larger):
+        # a spectral sequence from E2 to Ext only loses classes: on every
+        # trusted cell dim Ext <= dim E2, strictly in `larger` cells
+        e2 = may_e2(may_e1(n, p, stem_max, s_max))
+        chart = ext_ranks(Profile.T(p, n), s_max, stem_max + s_max)
+        cells = [(stem, s) for stem in range(stem_max + 1) for s in range(s_max + 1)
+                 if e2.trusted(stem, s)]
+        assert cells
+        for stem, s in cells:
+            assert chart.dims.get((s, stem + s), 0) <= dim(e2, stem, s), (stem, s)
+        gaps = [c for c in cells if chart.dims.get((c[1], sum(c)), 0) < dim(e2, *c)]
+        assert len(gaps) == larger
 
     def test_e2_matches_cobar_ext(self):
         # the first differential past d1 in this window, d2(h(3,0)^2),
