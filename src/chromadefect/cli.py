@@ -57,15 +57,17 @@ CACHE_ENV = "CHROMADEFECT_CACHE"
 # so a larger job is refused before it computes
 MAX_FGL_CAP = 520
 # operator pairs (a, b) with deg a + deg b <= t_max, the most products
-# an ext job's resolution can form (ext.operator_pairs).  Products take
-# most of a large job's time; memory stays small.  Whole jobs on a
-# 2 vCPU host, peak RSS read by a small launcher: A(1) at p = 2 through
-# stem 40, s 20 (64 pairs) took 0.12 s and 15 MB peak, A(2) through
-# stem 40, s 10 (4,096) 0.24 s and 15 MB.  Near the limit, T(0) at
-# p = 2 through stem 40, s 8 (187,288) took 4.7 s and 23 MB, T(1)
-# through stem 89, s 4 (188,651) 4.8 s and 29 MB, and A(3) through
-# stem 50, s 4 (196,059) 3.8 s and 21 MB.  T(0) through stem 87, s 1
-# (7.7 million) is refused; its resolution alone took 8.5 s and 33 MB
+# an ext job's resolution can form (ext.operator_pairs); a job resolves
+# only through its stem, so it forms fewer.  Products take most of a
+# large job's time; memory stays small.  Whole jobs on a 2 vCPU host,
+# peak RSS read by a small launcher: A(1) at p = 2 through stem 40,
+# s 20 (64 pairs) took 0.12 s and 15 MB peak, A(2) through stem 40,
+# s 10 (4,096) 0.24 s and 15 MB.  Near the limit, T(0) at p = 2
+# through stem 40, s 8 (187,288 pairs, 53,509 products) took 1.8-2.3 s
+# and 22 MB, T(1) through stem 89, s 4 (188,651) 3.3-4.4 s and 29 MB,
+# and A(3) through stem 50, s 4 (196,059) 3.0-4.0 s and 21 MB.  T(0)
+# through stem 87, s 1 (7.7 million) is refused; its resolution alone
+# took 8.5 s and 33 MB
 MAX_EXT_OPERATOR_PAIRS = 200_000
 # largest ext window, in cells (s_max + 1) * (t_max + 1), checked before
 # the operator pairs are counted; the job visits every cell
@@ -85,12 +87,11 @@ MAX_KO_SS_CELLS = 250_000
 # form through the cap, which costs a Poincare series of cap + 2 terms
 # per family, and the cap names the window each bound certifies.  On a
 # 2 vCPU host the whole job, `python -m chromadefect.cli defect`, took
-# 0.05-0.10 s at caps 1, 24 and 1000, with the package's bytecode
-# cached or not, 14 MB peak read by a small launcher: 0.06-0.07 s of it
-# interpreter start (`python -c pass`), importing chromadefect.cli
-# 28-32 ms without bytecode and 3-4 ms with it, and `main` 2-3 ms at
-# caps 1 and 24 and 3-5 ms at 1000.  The limit is kept as one of the
-# CLI's documented refusals
+# 0.06-0.09 s at caps 1, 24 and 1000 without the package's bytecode,
+# 15 MB peak read by a small launcher: about 0.05 s of it interpreter
+# start (`python -c pass`), importing chromadefect.cli 21-22 ms, and
+# `main` 1.1-1.5 ms at caps 1 and 24 and 2.2-3.5 ms at 1000.  The
+# limit is kept as one of the CLI's documented refusals
 MAX_DEFECT_CAP = 1000
 FORMATS = ("tsv", "json", "svg")
 

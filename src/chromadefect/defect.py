@@ -14,7 +14,7 @@ documented entries, never as computed ones.  The `defect` job
 
 from .charts import json_bytes
 from .ext import cobar_letters, evenness_scan
-from .fgl import er_defect_witness
+from .fgl import er_defect_witness, er_defect_witnesses
 from .steenrod import Profile
 from .valuation import SubgroupSpec, eo_defect
 
@@ -71,13 +71,7 @@ class Evidence:
         self.bound = bound
 
     def to_json(self):
-        return {
-            "engine": self.engine,
-            "operation": self.operation,
-            "detail": self.detail,
-            "kind": self.kind,
-            "bound": self.bound,
-        }
+        return {k: getattr(self, k) for k in self.__slots__}
 
     def __repr__(self):
         b = "" if self.bound is None else f" {self.bound}"
@@ -112,14 +106,8 @@ class DefectVerdict:
         self.evidence = list(evidence)
 
     def to_json(self):
-        return {
-            "subject": self.subject,
-            "prime": self.prime,
-            "phi": self.phi,
-            "phi_p": self.phi_p,
-            "status": self.status,
-            "evidence": [e.to_json() for e in self.evidence],
-        }
+        out = {k: getattr(self, k) for k in self.__slots__}
+        return {**out, "evidence": [e.to_json() for e in self.evidence]}
 
     def __repr__(self):
         if self.status == "documented-infinite":
@@ -223,15 +211,16 @@ def verdict_tmf(stem_cap: int = 24) -> DefectVerdict:
     return assemble("tmf", [upper, note], prime=2)
 
 
-def verdict_er(n: int, cap=None) -> DefectVerdict:
+def verdict_er(n: int, report=None) -> DefectVerdict:
     """Real Johnson-Wilson theory at height n: defect exactly 2^n.
 
     Both bounds come from the formal inverse witness on the height-n
-    law in characteristic 2: the doubling series and obstructed
-    inverses below level n give the upper bound, the first deviation of
-    the formal inverse in degree exactly 2^n gives the lower bound.
+    law in characteristic 2 (er_defect_witness, or the report given):
+    the doubling series and obstructed inverses below level n give the
+    upper bound, the first deviation of the formal inverse in degree
+    exactly 2^n gives the lower bound.
     """
-    report = er_defect_witness(n, cap=cap)
+    report = report or er_defect_witness(n)
     target = 2**n
     if not report["upper_bound_ok"]:
         raise ValueError(f"doubling-degree evidence failed: {report}")
@@ -328,10 +317,11 @@ EO_PRESETS = [
 
 def catalogue(stem_cap: int = 24) -> list:
     """The preset verdict table: the worked examples plus the
-    documented impossibilities."""
+    documented impossibilities.  The ER rows share one witness run,
+    which solves each height's series once, at the largest cap."""
     rows = [verdict_ku(), verdict_ko(stem_cap), verdict_tmf(stem_cap)]
-    for n in (1, 2, 3):
-        rows.append(verdict_er(n))
+    for n, report in er_defect_witnesses(dict.fromkeys((1, 2, 3))).items():
+        rows.append(verdict_er(n, report=report))
     for p, m, h in EO_PRESETS:
         rows.append(verdict_eo(p, m, h))
     rows.append(documented_infinite("finite"))

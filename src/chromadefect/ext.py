@@ -29,6 +29,16 @@ rows before it becomes a new generator of F_{s+1} in degree t, with
 that row as its differential, and a relation among the image rows is
 a kernel vector of d on F_{s+1} in degree t.
 
+A resolution cut at stem N makes no generator past it.  Step (s, t)
+makes stem t - s - 1, and a cell of stem n needs no generator past
+stem n, since by minimality a kernel element in degree t involves only
+generators below degree t.  So column t starts at s0 = max(0, t - N -
+2), and past t = N + 1 step s0 gets no kernel rows: it makes nothing
+and hands on the relations among its images, the kernel that step
+s0 + 1 needs.  The generators left out form a suffix of each F_s, so
+every step made sees the rows and columns of the whole box, in the
+same order, short of zero columns at the end.
+
 Classes are named by products of the degree-one letters (cobar_letters)
 with no chain map lifted.  A letter is a primitive generator power,
 read off the closed-form diagonal with no diagonal expanded: the family
@@ -49,7 +59,7 @@ closed form places every class, so it checks that the family has that
 form through the window and reads the stems off it.
 
 The `ext` job (ext_job) writes a chart's TSV, JSON and dot chart
-(chart_from_ext), cut at the requested stem.
+(chart_from_ext), resolved only through the requested stem.
 """
 
 from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
@@ -70,8 +80,8 @@ __all__ = [
 
 def operator_pairs(profile, t_max):
     """Number of operator pairs (a, b) with deg a + deg b <= t_max: the
-    most products a resolution through t_max can ask for, read off the
-    Poincare series alone."""
+    most products a resolution of the box t <= t_max can ask for, read
+    off the Poincare series alone.  One cut at a stem forms fewer."""
     dims = profile.poincare(t_max)
     below = 0
     prefix = []
@@ -124,7 +134,9 @@ class _Operators:
 
 class Resolution:
     """Minimal free resolution of F_p over the family's dual algebra,
-    through homological degree s_max and internal degree t_max.
+    through homological degree s_max, internal degree t_max and stem
+    stem_max (default t_max, the whole box); no generator past stem_max
+    is made, by the stem rule above.
 
     degrees[s] lists the degrees of the generators of F_s in the order
     they were made, and d[s][g] is the differential of generator g of
@@ -133,23 +145,25 @@ class Resolution:
     t.
     """
 
-    def __init__(self, profile, s_max, t_max):
+    def __init__(self, profile, s_max, t_max, stem_max=None):
         if s_max < 0 or t_max < 0:
             raise ValueError("caps must be nonnegative")
         self.p = profile.p
         self.s_max = s_max
+        self.stem_max = t_max if stem_max is None else stem_max
         self.ops = _Operators(profile, t_max)
         self.degrees = [[0]] + [[] for _ in range(s_max)]
         self.d = [None] + [[] for _ in range(s_max)]
         self.cells = {(0, 0): range(1)}
 
     def column(self, t):
-        """Make every generator of degree t, for s = 1 .. s_max."""
+        """Make every generator of degree t and stem <= stem_max, for
+        s = 1 .. s_max, from step s0 = max(0, t - stem_max - 2) on."""
         p = self.p
         # the augmentation is injective in degree 0 and zero above
-        width = len(self.ops.by_degree[t]) if t else 0
+        width = len(self.ops.by_degree[t]) if 0 < t <= self.stem_max + 1 else 0
         kernel = [vec_from_terms(p, [(i, 1)]) for i in range(width)]
-        for s in range(self.s_max):
+        for s in range(max(0, t - self.stem_max - 2), self.s_max):
             kernel = self._step(s, t, kernel)
 
     def _step(self, s, t, kernel):
@@ -220,26 +234,15 @@ class Resolution:
 class ExtChart:
     """Bigraded Ext dims with named classes."""
 
-    def __init__(self, p, label, s_max, t_max):
+    def __init__(self, p, label, s_max, t_max, stem_max=None):
         self.p = p
         self.label = label
         self.s_max = s_max
         self.t_max = t_max
-        self.stem_max = None
+        self.stem_max = stem_max
         self.dims = {}
         self.names = {}
         self.collisions = []
-
-    def stems_through(self, stem_max):
-        """This chart cut to its cells with stem <= stem_max: a window
-        whose columns are computed whole, since t <= t_max reaches only
-        part of each stem past t_max - s_max."""
-        out = ExtChart(self.p, self.label, self.s_max, self.t_max)
-        out.stem_max = stem_max
-        out.dims = {k: d for k, d in self.dims.items() if k[1] - k[0] <= stem_max}
-        out.names = {k: v for k, v in self.names.items() if k[1] - k[0] <= stem_max}
-        out.collisions = [c for c in self.collisions if c[2][1] - c[2][0] <= stem_max]
-        return out
 
     def to_tsv(self):
         window = f"s <= {self.s_max}, t <= {self.t_max}"
@@ -338,16 +341,17 @@ def _multiset_name(letters, multiset):
     return "*".join(parts) if parts else "1"
 
 
-def ext_ranks(profile, s_max, t_max):
-    """Ext^{s,t}(F_p, F_p) dims over a profile quotient, as an ExtChart.
+def ext_ranks(profile, s_max, t_max, stem_max=None):
+    """Ext^{s,t}(F_p, F_p) dims over a profile quotient, as an ExtChart,
+    in the box s <= s_max, t <= t_max, cut at stem_max when given.
 
     One pass over internal degrees: column t of the resolution is made,
     then each of its cells gets its dim and its class names.  The pass
     stops at the last degree a generator can reach, s_max times the top
     operator degree, which cuts a finite family short.
     """
-    res = Resolution(profile, s_max, t_max)
-    chart = ExtChart(profile.p, f"Ext over {profile!r}", s_max, t_max)
+    res = Resolution(profile, s_max, t_max, stem_max)
+    chart = ExtChart(profile.p, f"Ext over {profile!r}", s_max, t_max, stem_max)
     letters = cobar_letters(profile, t_max)
     ops = [res.ops.number[res.ops.element(mono)] for _, mono in letters]
     products = {(): {0: 1}}
@@ -435,10 +439,8 @@ def chart_from_ext(chart) -> ChartDocument:
 def ext_job(params, payload) -> dict:
     """The `ext` job's artifacts, {filename: bytes}: the chart over the
     family the validated CLI params name, in each requested format."""
-    p, fam, n, s_max = params["prime"], params["family"], params["n"], params["s_max"]
-    # t <= stem_max + s_max sees the stems past stem_max only in part
-    chart = ext_ranks(getattr(Profile, fam)(p, n), s_max, params["stem_max"] + s_max)
-    chart = chart.stems_through(params["stem_max"])
+    p, fam, n, s_max, stem_max = (params[k] for k in ("prime", "family", "n", "s_max", "stem_max"))
+    chart = ext_ranks(getattr(Profile, fam)(p, n), s_max, stem_max + s_max, stem_max)
     base = f"ext_{fam.lower()}{n}_p{p}"
     out = {}
     if "tsv" in params["formats"]:

@@ -13,8 +13,10 @@ recomputation run on plain lists of Python ints indexed by degree,
 and only the gate divides, by b M^j in degree j + 1.  The bivariate
 law is never built.  The validated bivariate law, with its multiples
 read off by substitution, and the rational solver this module
-replaced are the test suite's oracles for these series.  The `fgl`
-job (fgl_job) writes the witness.
+replaced are the test suite's oracles for these series.  Witnesses
+for several heights (er_defect_witnesses, the defect table's) solve
+each series once, at the largest cap, and read each report off a
+prefix.  The `fgl` job (fgl_job) writes the witness.
 """
 
 from math import gcd
@@ -24,7 +26,7 @@ from . import InputError
 from .charts import json_bytes
 from .gradedlin import check_prime
 
-__all__ = ["honda_multiple", "er_defect_witness", "fgl_job"]
+__all__ = ["honda_multiple", "er_defect_witness", "er_defect_witnesses", "fgl_job"]
 
 
 def _honda_log_terms(p, n, cap):
@@ -203,7 +205,8 @@ def honda_multiple(p: int, n: int, c, cap: int) -> list:
 
 
 def _first_difference(f, g):
-    """Lowest degree where two coefficient lists differ, or None."""
+    """Lowest degree where two coefficient lists differ, up to the
+    shorter one's top degree, or None."""
     return next((k for k, (a, b) in enumerate(zip(f, g)) if a != b), None)
 
 
@@ -227,38 +230,42 @@ def er_defect_witness(n: int, cap=None):
     twice, by the independent log(f) recomputation and by the
     2-integrality gate.  A cap below 2^n + 1 is an InputError.
     """
-    if n < 1:
-        raise ValueError("height must be at least 1")
-    target = 2**n
-    if cap is None:
-        cap = target + 8
-    if cap < target + 1:
-        raise InputError(f"cap {cap} cannot see degree {target}; need at least {target + 1}")
-    x = [0, 1] + [0] * (cap - 1)
-    zero = [0] * (cap + 1)
-    doubling = {}
-    obstructed = {}
-    upper = True
-    deviation = None
-    lower = False
-    for h in range(1, n + 1):
-        two = honda_multiple(2, h, 2, cap)
-        inv = honda_multiple(2, h, -1, cap)
-        doubling[h] = _first_difference(two, zero)
-        obstructed[h] = inv[: target + 1] != x[: target + 1]
-        upper = upper and doubling[h] == 2**h and obstructed[h]
-        if h == n:
-            deviation = _first_difference(inv, x)
-            lower = inv[:target] == x[:target] and deviation == target
-    return {
-        "n": n,
-        "cap": cap,
-        "doubling_degrees": doubling,
-        "inverse_obstructed": obstructed,
-        "inverse_deviation_degree": deviation,
-        "upper_bound_ok": upper,
-        "lower_bound_ok": lower,
-    }
+    return er_defect_witnesses({n: cap})[n]
+
+
+def er_defect_witnesses(caps):
+    """{n: er_defect_witness(n, cap)} for a map {n: cap}, a cap of None
+    meaning 2^n + 8.  Each height's two series are solved once, at the
+    largest cap: the solve is triangular, the log check covers every
+    degree and the gate reads one coefficient at a time, so the series
+    at a smaller cap is a prefix, and each report reads its prefix
+    (x and the zero series stop at the report's cap)."""
+    caps = {n: 2**n + 8 if cap is None else cap for n, cap in caps.items()}
+    for n, cap in caps.items():
+        if n < 1:
+            raise ValueError("height must be at least 1")
+        if cap < 2**n + 1:
+            raise InputError(f"cap {cap} cannot see degree {2**n}; need at least {2**n + 1}")
+    top = max(caps.values())
+    series = [(honda_multiple(2, h, 2, top), honda_multiple(2, h, -1, top))
+              for h in range(1, max(caps) + 1)]
+    reports = {}
+    for n, cap in caps.items():
+        target = 2**n
+        x = [0, 1] + [0] * (cap - 1)
+        doubling = {}
+        obstructed = {}
+        for h, (two, inv) in enumerate(series[:n], 1):
+            doubling[h] = _first_difference(two, [0] * (cap + 1))
+            obstructed[h] = inv[: target + 1] != x[: target + 1]
+        deviation = _first_difference(inv, x)
+        reports[n] = {
+            "n": n, "cap": cap, "doubling_degrees": doubling, "inverse_obstructed": obstructed,
+            "inverse_deviation_degree": deviation,
+            "upper_bound_ok": all(doubling[h] == 2**h and obstructed[h] for h in doubling),
+            "lower_bound_ok": inv[:target] == x[:target] and deviation == target,
+        }
+    return reports
 
 
 def fgl_job(params, payload) -> dict:

@@ -10,7 +10,7 @@ bound.
 
 import pytest
 
-from chromadefect import cli, defect
+from chromadefect import cli, defect, fgl
 from chromadefect.defect import (
     DefectVerdict,
     Evidence,
@@ -220,3 +220,32 @@ class TestTableOutput:
 
     def test_deterministic(self):
         assert verdict_table(catalogue(stem_cap=16)) == verdict_table(catalogue(stem_cap=16))
+
+
+class TestSharedWitness:
+    def test_catalogue_solves_each_series_once(self, monkeypatch):
+        # ER(1), ER(2) and ER(3) share [2](x) and [-1](x) at heights
+        # 1..3, each solved once at ER(3)'s cap 16; per row it was 12
+        solves = []
+        solve = fgl.honda_multiple
+        monkeypatch.setattr(fgl, "honda_multiple", lambda *a: solves.append(a) or solve(*a))
+        catalogue()
+        assert sorted(solves) == sorted((2, h, c, 16) for h in (1, 2, 3) for c in (2, -1))
+
+    def test_catalogue_rows_equal_the_per_row_verdicts(self):
+        rows = {v.subject: v.to_json() for v in catalogue()}
+        for n in (1, 2, 3):
+            assert rows[f"ER({n})"] == verdict_er(n).to_json()
+            assert f"(cap {2**n + 8})" in rows[f"ER({n})"]["evidence"][0]["detail"]
+
+    def test_catalogue_refuses_a_corrupted_solve(self, monkeypatch):
+        solve = fgl._solve_log_multiple
+
+        def corrupted(log_terms, c, cap):
+            f = solve(log_terms, c, cap)
+            f[5] += 2
+            return f
+
+        monkeypatch.setattr(fgl, "_solve_log_multiple", corrupted)
+        with pytest.raises(ValueError, match="log of the solved series"):
+            catalogue()

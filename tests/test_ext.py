@@ -264,8 +264,8 @@ class TestNaming:
         # T(1) collides in stems 13 and 15; cutting at 13 keeps one of
         # them, and every kept cell reads as in the narrower window
         fam = Profile.T(2, 1)
-        wide = ext_ranks(fam, 5, 20).stems_through(13)
-        narrow = ext_ranks(fam, 5, 18).stems_through(13)
+        wide = ext_ranks(fam, 5, 20, 13)
+        narrow = ext_ranks(fam, 5, 18, 13)
         assert wide.dims == narrow.dims
         assert wide.names == narrow.names
         assert wide.collisions == narrow.collisions != []
@@ -369,6 +369,66 @@ def apply_d(res, s, terms):
                 key = (ops.by_degree[d][pos], g)
                 out[key] = (out.get(key, 0) + c * c2 * c3) % p
     return {k: v for k, v in out.items() if v}
+
+
+# (family, stem_max, s_max), each with Ext cells past the stem in its box
+STEM_WINDOWS = [
+    (Profile.A(2, 1), 7, 8), (Profile.A(3, 1), 11, 8), (Profile.A(5, 1), 37, 6),
+    (Profile.A(2, 2), 13, 6), (Profile.T(2, 0), 16, 5), (Profile.T(3, 1), 44, 6),
+    (Profile.E(3, 2), 15, 4), (Profile.P(2, 1), 20, 8),
+]
+
+
+class TestStemWindow:
+    @pytest.mark.parametrize("fam, stem_max, s_max", STEM_WINDOWS, ids=repr)
+    def test_equals_the_box_cut_at_the_stem(self, fam, stem_max, s_max):
+        box = ext_ranks(fam, s_max, stem_max + s_max)
+        window = ext_ranks(fam, s_max, stem_max + s_max, stem_max)
+        assert window.stem_max == stem_max and box.stem_max is None
+        assert max(t - s for s, t in box.dims) > stem_max
+        cells = [*window.dims, *window.names, *(cell for *_, cell in window.collisions)]
+        assert max(t - s for s, t in cells) <= stem_max
+
+        def kept(cell):
+            return cell[1] - cell[0] <= stem_max
+
+        assert window.dims == {k: d for k, d in box.dims.items() if kept(k)}
+        assert window.names == {k: v for k, v in box.names.items() if kept(k)}
+        assert window.collisions == [c for c in box.collisions if kept(c[2])]
+
+    @pytest.mark.parametrize("fam, stem_max, s_max", STEM_WINDOWS[:5], ids=repr)
+    def test_generators_are_a_prefix_of_the_box(self, fam, stem_max, s_max):
+        # the generators past the stem form a suffix of each F_s, and
+        # every generator made has the box's differential
+        t_max = stem_max + s_max
+        box = Resolution(fam, s_max, t_max)
+        window = Resolution(fam, s_max, t_max, stem_max)
+        for t in range(t_max + 1):
+            box.column(t)
+            window.column(t)
+        for s in range(1, s_max + 1):
+            k = len(window.degrees[s])
+            assert window.degrees[s] == box.degrees[s][:k]
+            assert window.d[s] == box.d[s][:k]
+            assert all(deg - s > stem_max for deg in box.degrees[s][k:])
+            assert all(deg - s <= stem_max for deg in window.degrees[s])
+        assert window.cells == {k: v for k, v in box.cells.items() if k[1] - k[0] <= stem_max}
+
+    def test_forms_fewer_products(self, monkeypatch):
+        # the box through t <= 36 forms 16,864 products, the window
+        # through stem 30 fewer
+        counts = []
+        for stem_max in (None, 30):
+            seen = set()
+
+            def traced(a, b):
+                seen.add((a, b))
+                return milnor_product(a, b)
+
+            monkeypatch.setattr("chromadefect.ext.milnor_product", traced)
+            ext_ranks(Profile.T(2, 0), 6, 36, stem_max)
+            counts.append(len(seen))
+        assert counts[0] > counts[1] > 0
 
 
 class TestResolution:

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import chromadefect.fgl as fgl_module
 from chromadefect import InputError
-from chromadefect.fgl import er_defect_witness, honda_multiple
+from chromadefect.fgl import er_defect_witness, er_defect_witnesses, honda_multiple
 
 from oracles import honda_series
 from oracles.fgl_law import (
@@ -497,3 +497,29 @@ class TestWitnessAgainstBivariateReference:
     def test_reports_equal_at_tight_and_wide_caps(self):
         for n, cap in ((2, 5), (3, 9), (2, 17)):
             assert er_defect_witness(n, cap) == _bivariate_witness(n, cap)
+
+    @pytest.mark.parametrize("caps", [
+        {1: None, 2: None, 3: None, 4: None},
+        {1: None, 2: 5, 3: 9, 4: None},
+        {2: 17, 3: None},
+    ], ids=["default", "tight", "wide-below-larger-height"])
+    def test_shared_series_reports_equal(self, caps, monkeypatch):
+        # one solve per series at the largest cap; each report reads a
+        # prefix and equals its height's own witness and the reference
+        reports = er_defect_witnesses(caps)
+        assert list(reports) == list(caps)
+        for n, cap in caps.items():
+            assert reports[n] == er_defect_witness(n, cap) == _bivariate_witness(n, cap)
+        solves = []
+        solve = fgl_module.honda_multiple
+        monkeypatch.setattr(fgl_module, "honda_multiple", lambda *a: solves.append(a) or solve(*a))
+        er_defect_witnesses(caps)
+        top = max(2**n + 8 if cap is None else cap for n, cap in caps.items())
+        heights = range(1, max(caps) + 1)
+        assert sorted(solves) == sorted((2, h, c, top) for h in heights for c in (2, -1))
+
+    def test_shared_series_guards(self):
+        with pytest.raises(InputError, match="cannot see degree 8"):
+            er_defect_witnesses({1: None, 3: 8})
+        with pytest.raises(ValueError, match="at least 1"):
+            er_defect_witnesses({2: None, 0: None})

@@ -254,7 +254,7 @@ class TestPages:
         # a spectral sequence from E2 to Ext only loses classes: on every
         # trusted cell dim Ext <= dim E2, strictly in `larger` cells
         e2 = may_e2(may_e1(n, p, stem_max, s_max))
-        chart = ext_ranks(Profile.T(p, n), s_max, stem_max + s_max)
+        chart = ext_ranks(Profile.T(p, n), s_max, stem_max + s_max, stem_max)
         cells = [(stem, s) for stem in range(stem_max + 1) for s in range(s_max + 1)
                  if e2.trusted(stem, s)]
         assert cells
