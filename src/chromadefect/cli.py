@@ -424,11 +424,11 @@ def cache_load(key):
         blob = json.loads(path.read_text(encoding="utf-8"))
         if blob["key"] != key:
             return None  # entry filed under the wrong name
-        return {
-            name: base64.b64decode(data)
-            for name, data in blob["artifacts"].items()
-        }
-    except (ValueError, KeyError, TypeError, OSError):
+        names = blob["artifacts"]
+        if any(Path(n).name != n or n in ("", "..") or "\0" in n for n in names):
+            return None  # a write to such a name could leave --out
+        return {n: base64.b64decode(data) for n, data in names.items()}
+    except (ValueError, KeyError, TypeError, AttributeError, OSError):
         return None  # corrupt entry: fall through to recompute
 
 

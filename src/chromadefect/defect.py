@@ -14,7 +14,7 @@ documented entries, never as computed ones.  The `defect` job
 
 from .charts import json_bytes
 from .ext import cobar_letters, evenness_scan
-from .fgl import er_defect_witness, er_defect_witnesses
+from .fgl import er_defect_witnesses
 from .steenrod import Profile
 from .valuation import SubgroupSpec, eo_defect
 
@@ -211,16 +211,15 @@ def verdict_tmf(stem_cap: int = 24) -> DefectVerdict:
     return assemble("tmf", [upper, note], prime=2)
 
 
-def verdict_er(n: int, report=None) -> DefectVerdict:
+def verdict_er(n: int, report) -> DefectVerdict:
     """Real Johnson-Wilson theory at height n: defect exactly 2^n.
 
     Both bounds come from the formal inverse witness on the height-n
-    law in characteristic 2 (er_defect_witness, or the report given):
+    law in characteristic 2, the report of er_defect_witness(n):
     the doubling series and obstructed inverses below level n give the
     upper bound, the first deviation of the formal inverse in degree
     exactly 2^n gives the lower bound.
     """
-    report = report or er_defect_witness(n)
     target = 2**n
     if not report["upper_bound_ok"]:
         raise ValueError(f"doubling-degree evidence failed: {report}")
@@ -321,7 +320,7 @@ def catalogue(stem_cap: int = 24) -> list:
     which solves each height's series once, at the largest cap."""
     rows = [verdict_ku(), verdict_ko(stem_cap), verdict_tmf(stem_cap)]
     for n, report in er_defect_witnesses(dict.fromkeys((1, 2, 3))).items():
-        rows.append(verdict_er(n, report=report))
+        rows.append(verdict_er(n, report))
     for p, m, h in EO_PRESETS:
         rows.append(verdict_eo(p, m, h))
     rows.append(documented_infinite("finite"))

@@ -40,19 +40,15 @@ every step made sees the rows and columns of the whole box, in the
 same order, short of zero columns at the end.
 
 Classes are named by products of the degree-one letters (cobar_letters)
-with no chain map lifted.  A letter is a primitive generator power,
-read off the closed-form diagonal with no diagonal expanded: the family
-allows xi_i^{p^j} and kills a factor of each cross term
-xi_{i-k}^{p^{k+j}} (x) xi_k^{p^j}, 0 < k < i, or allows tau_t and kills
-a factor of each xi_{t-k}^{p^k} (x) tau_k, 0 <= k < t.  A letter h is
-dual to the operator op_h whose dual monomial is h's monomial.  For x
-in Ext^s, dual to generators of F_s, and a generator g' of F_{s+1},
-(h x)(g') is the sum over g of x(g) times the coefficient of op_h * g
-in d(g').  A product h_1 ... h_s of a sorted multiset applies its
-letters from the right, starting from the class 1 in Ext^{0,0}, and
-its key is the exact coordinate vector on the generators of its cell.
-A zero key names nothing; a key an earlier product took is a
-collision, and the first name stays.
+with no chain map lifted.  A letter h is dual to the operator op_h
+whose dual monomial is h's monomial.  For x in Ext^s, dual to
+generators of F_s, and a generator g' of F_{s+1}, (h x)(g') is the sum
+over g of x(g) times the coefficient of op_h * g in d(g').  A product
+h_1 ... h_s of a sorted multiset applies its letters from the right,
+starting from the class 1 in Ext^{0,0}, and its key is the exact
+coordinate vector on the generators of its cell.  A zero key names
+nothing; a key an earlier product took is a collision, and the first
+name stays.
 
 evenness_scan builds no resolution: over an exterior family the Koszul
 closed form places every class, so it checks that the family has that
@@ -64,7 +60,7 @@ The `ext` job (ext_job) writes a chart's TSV, JSON and dot chart
 
 from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
 from .gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
-from .steenrod import DualMonomial, Profile, milnor_product, tau_gen, xi_gen
+from .steenrod import DualMonomial, Profile, milnor_product
 
 __all__ = [
     "ExtChart",
@@ -266,44 +262,14 @@ class ExtChart:
 
 
 def cobar_letters(profile, t_max):
-    """Named degree-one cocycles: h(i,j) for primitive xi_i^{p^j} and
-    a(t) for primitive tau_t, through internal degree t_max.
-
-    A family monomial is a letter when its reduced diagonal dies in the
-    family.  The diagonal of a generator power has a closed form
-    (J. Milnor, "The Steenrod algebra and its dual", 1958),
-
-        psi(xi_i^{p^j}) = sum_{0<=k<=i} xi_{i-k}^{p^{k+j}} (x) xi_k^{p^j},
-        psi(tau_t)      = tau_t (x) 1 + sum_{0<=k<=t} xi_{t-k}^{p^k} (x) tau_k,
-
-    whose terms all have coefficient 1 and never cancel.  So xi_i^{p^j}
-    is a letter when the family allows it and, for every 0 < k < i,
-    xi_{i-k}^{p^{k+j}} or xi_k^{p^j} dies; tau_t is one when it is
-    allowed and, for every 0 <= k < t, xi_{t-k}^{p^k} or tau_k dies.
-    """
-    p = profile.p
-    allows = profile.allows
-    letters = []
-    i = 1
-    while xi_gen(p, i).degree() <= t_max:
-        j = 0
-        while (mono := xi_gen(p, i, p**j)).degree() <= t_max:
-            if allows(mono) and not any(
-                allows(xi_gen(p, i - k, p ** (k + j))) and allows(xi_gen(p, k, p**j))
-                for k in range(1, i)
-            ):
-                letters.append((f"h({i},{j})", mono))
-            j += 1
-        i += 1
-    if p != 2:
-        t = 0
-        while (mono := tau_gen(p, t)).degree() <= t_max:
-            if allows(mono) and not any(
-                allows(xi_gen(p, t - k, p**k)) and allows(tau_gen(p, k)) for k in range(t)
-            ):
-                letters.append((f"a({t})", mono))
-            t += 1
-    return letters
+    """Named degree-one cocycles through internal degree t_max: h(i,j)
+    for xi_i^{p^j} and a(t) for tau_t, the generator powers with no
+    cross term (Profile.generator_powers)."""
+    return [
+        (f"h({i},{j})" if kind == "h" else f"a({i})", mono)
+        for (kind, i, j), mono, cross in profile.generator_powers(t_max)
+        if not cross
+    ]
 
 
 def _letter_products(letters, s, t):

@@ -6,14 +6,14 @@ The E1 page is the free graded-commutative algebra on letters
     a(i)    s=1, internal degree 2p^i - 1,      weight 2i + 1   (odd p)
     b(i,j)  s=2, internal degree 2p^{j+1}(p^i - 1), weight p(2i - 1) (odd p)
 
-subject to the truncation pattern of the height-n family: at p = 2 the
-letters h(i,j) with i <= n exist only for j = 0; at odd p the h and b
-letters require i > n and every a(i) is present.  At odd p the h's are
-exterior (odd total degree) while a and b are polynomial.
+where h(i,j) and a(i) are the generator powers xi_i^{p^j} and tau_i
+that the Thom quotient T(n) allows (Profile.generator_powers), and
+b(i,j), at odd p, goes with h(i,j).  At odd p the h's are exterior
+(odd total degree) while a and b are polynomial.
 
-d1 comes from the diagonal: d1 h(i,j) = sum_{0<k<i} h(i-k,k+j) h(k,j)
-and d1 a(i) = sum_{0<=k<i} h(i-k,k) a(k), terms with disallowed letters
-dropped.  On a monomial, d1 is the Leibniz sum over positions: the
+d1 of h(i,j) and a(i) is the sum of the cross terms of their diagonal
+that survive in T(n), each read as a product of two letters, and b(i,j)
+is a cycle.  On a monomial, d1 is the Leibniz sum over positions: the
 letter there is replaced by one product g1*g2 of its d1, and the
 factors are brought to canonical form once by normal_form, which
 returns the Koszul sign of sorting the odd letters, or nothing when an
@@ -30,11 +30,9 @@ Window bookkeeping: E2 trusts one stem and one s less than E1, because
 boundaries can enter from just outside the window.
 """
 
-from itertools import count, takewhile
-
 from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
 from .gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms, vec_support
-from .steenrod import elt_add_term
+from .steenrod import Profile, elt_add_term
 
 __all__ = [
     "MayContext",
@@ -126,69 +124,52 @@ def normal_form(p, factors):
 
 
 class MayContext:
-    """Generator bookkeeping for the height-n family at p."""
+    """The letters of the height-n family at p and their d1, read off
+    the generator powers of T(n) through the largest degree asked so far.
+
+    T(n) and T(k) allow the same generator powers below the degree of
+    xi_k, so the table is built over T(min(n, k)), k the first index
+    whose xi_k lies past that degree: a family of height n costs as much
+    as one of height k.
+    """
 
     def __init__(self, n, p):
         if n < 0:
             raise ValueError("height must be nonnegative")
         self.n = n
         self.p = p
-        self._d1_cache = {}
+        self._top = -1
+        self._cross = {}
 
-    def allowed(self, gen):
-        kind, i, j = gen
-        if kind == "h":
-            if i < 1 or j < 0:
-                return False
-            if self.p == 2:
-                return i > self.n or j == 0
-            return i > self.n
-        if kind == "a":
-            return self.p != 2 and i >= 0
-        if kind == "b":
-            return self.p != 2 and i > self.n and j >= 0
-        return False
+    def _powers(self, max_degree):
+        """{letter: d1 pairs} for the h and a letters, through internal
+        degree max_degree at least."""
+        if max_degree > self._top:
+            p = self.p
+            k = 1
+            while gen_t(p, ("h", k, 0)) <= max_degree:
+                k += 1
+            family = Profile.T(p, min(self.n, k))
+            self._cross = {key: cross for key, _, cross in family.generator_powers(max_degree)}
+            self._top = max_degree
+        return self._cross
 
     def generators(self, stem_max, s_max):
-        """All allowed letters with stem <= stem_max, s <= s_max.
-
-        Each kind's letters come in rows of fixed i: a row stops at the
-        first j past the window, and the rows at the first empty row."""
+        """All letters with stem <= stem_max, s <= s_max, in letter order."""
         p = self.p
-        starts = [("h", 1)]
-        if p != 2:
-            starts += [("a", 0)] + [("b", 1)] * (s_max >= 2)
-
-        def in_window(gen):
-            return gen_t(p, gen) - gen_s(gen) <= stem_max
-
-        out = []
-        for kind, i in starts:
-            while True:
-                js = [None] if kind == "a" else count()
-                row = list(takewhile(in_window, ((kind, i, j) for j in js)))
-                if not row:
-                    break
-                out += filter(self.allowed, row)
-                i += 1
-        out.sort(key=_gen_key)
-        return out
+        letters = list(self._powers(stem_max + 1))
+        if p != 2 and s_max >= 2:
+            letters += [("b", i, j) for kind, i, j in letters if kind == "h"]
+        letters = [g for g in letters if gen_t(p, g) - gen_s(g) <= stem_max]
+        return sorted(letters, key=_gen_key)
 
     def d1_pairs(self, gen):
         """d1 of a letter as the diagonal writes it, the letter pairs
-        (g1, g2) of its terms g1*g2 with both letters allowed; cached."""
-        got = self._d1_cache.get(gen)
-        if got is None:
-            kind, i, j = gen
-            if kind == "h":
-                pairs = [(("h", i - k, k + j), ("h", k, j)) for k in range(1, i)]
-            elif kind == "a":
-                pairs = [(("h", i - k, k), ("a", k, None)) for k in range(i)]
-            else:
-                pairs = []
-            got = [(g1, g2) for g1, g2 in pairs if self.allowed(g1) and self.allowed(g2)]
-            self._d1_cache[gen] = got
-        return got
+        (g1, g2) of its terms g1*g2."""
+        if gen[0] == "b":
+            return []
+        got = self._cross.get(gen)
+        return self._powers(gen_t(self.p, gen))[gen] if got is None else got
 
     def d1_element(self, x):
         """Leibniz extension of d1 to an element.

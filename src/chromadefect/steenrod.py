@@ -17,11 +17,10 @@ at the bottom of the module, multiplies two monomials read that way by
 Milnor's matrix formula, so a family's operators are its own monomials
 and the Ext engine resolves over them.
 
-No job needs the diagonal itself: ext.cobar_letters reads the
-primitive letters off the closed-form diagonal of a generator power.
-The full Milnor diagonal, expanded term by term, lives in
-tests/oracles/diagonal.py, and the test suite checks the product
-against it through the dual pairing.
+No job expands the diagonal: Profile.generator_powers gives the cross
+terms of a generator power's closed form.  The full Milnor diagonal
+lives in tests/oracles/diagonal.py, and the test suite checks the
+product and the cross terms against it.
 """
 
 from math import comb
@@ -286,6 +285,39 @@ class Profile:
             if not self.tau_allowed(t):
                 return False
         return True
+
+    def generator_powers(self, max_degree):
+        """(key, monomial, cross) per generator power the family allows
+        through max_degree: xi_i^{p^j}, key ("h", i, j), by i then j, then
+        tau_t, key ("a", t, None).  Its diagonal (J. Milnor, "The Steenrod
+        algebra and its dual", 1958) has distinct terms of coefficient 1,
+
+            psi(xi_i^{p^j}) = sum_{0<=k<=i} xi_{i-k}^{p^{k+j}} (x) xi_k^{p^j},
+            psi(tau_t)      = tau_t (x) 1 + sum_{0<=k<=t} xi_{t-k}^{p^k} (x) tau_k,
+
+        and cross keys those, 0 < k < i or 0 <= k < t, whose two factors
+        (of lower degree) the family allows."""
+        p = self.p
+        powers = {}
+        i = 1
+        while xi_gen(p, i).degree() <= max_degree:
+            j = 0
+            while (mono := xi_gen(p, i, p**j)).degree() <= max_degree:
+                if self.allows(mono):
+                    powers["h", i, j] = mono
+                j += 1
+            i += 1
+        t = 0
+        while p != 2 and (mono := tau_gen(p, t)).degree() <= max_degree:
+            if self.allows(mono):
+                powers["a", t, None] = mono
+            t += 1
+        for (kind, i, j), mono in powers.items():
+            if kind == "h":
+                cross = [(("h", i - k, k + j), ("h", k, j)) for k in range(1, i)]
+            else:
+                cross = [(("h", i - k, k), ("a", k, None)) for k in range(i)]
+            yield (kind, i, j), mono, [c for c in cross if c[0] in powers and c[1] in powers]
 
     # bases ----------------------------------------------------------------
 

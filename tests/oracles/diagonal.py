@@ -10,8 +10,10 @@ The diagonal of a monomial is the product of its generators' diagonals
 
 expanded term by term in B (x) B with the Koszul sign.  A product
 coefficient of milnor_product must equal the matching coefficient of
-the diagonal under the dual pairing, and a letter of ext.cobar_letters
-is a family monomial whose reduced diagonal vanishes in the family.
+the diagonal under the dual pairing, the cross terms that
+Profile.generator_powers lists for a generator power must be its
+reduced diagonal in the family, and a letter of ext.cobar_letters is a
+family monomial whose reduced diagonal vanishes in the family.
 
 _p_part_products is the enumeration the package used before it stepped
 through the matrices in place: each row's entries are filled

@@ -208,6 +208,20 @@ def test_oversized_may_and_ko_ss_exit_2(argv, message, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("prime", ["2", "3"])
+def test_may_at_a_huge_height_matches_a_low_one(prime, tmp_path):
+    # T(100000) and T(64) allow the same letters through stem 3, and the
+    # may job must not pay for the height past them
+    dims = {}
+    for n in ("64", "100000"):
+        argv = ["may", "--prime", prime, "--n", n, "--stem-max", "3", "--s-max", "2",
+                "--format", "json", "--no-cache", "--out", str(tmp_path / n)]
+        assert cli.main(argv) == cli.EXIT_OK
+        dims[n] = [json.loads((tmp_path / n / f"may_n{n}_p{prime}_e{r}.json").read_text())["dims"]
+                   for r in (1, 2)]
+    assert dims["100000"] == dims["64"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -462,6 +476,29 @@ def test_entry_with_a_foreign_key_is_rejected(tmp_path, capsys, cache_dir):
     assert run(["fgl", "--n", "2"], out) == cli.EXIT_OK
     assert "cache hit" not in capsys.readouterr().err
     assert written(out) == written(GOLDEN_DIR / "fgl_n2")
+
+
+@pytest.mark.parametrize(
+    "artifacts",
+    ["escape", {"a/b": ""}, {"..": ""}, {"a\0b": ""}, ["fgl_er2.json"]],
+    ids=["escape", "a/b", "..", "nul", "list"],
+)
+def test_entry_without_plain_artifact_names_is_recomputed(artifacts, tmp_path, capsys, cache_dir):
+    # an entry whose artifacts are not plain file names mapped to bytes
+    # must neither lead a write out of --out nor crash the job: it
+    # counts as corrupt and is rewritten
+    if artifacts == "escape":
+        artifacts = {f"/..{tmp_path}/escaped.txt": "ZXNjYXBlZAo="}
+    key = cli._config_from_args(cli.parse_args(["fgl", "--n", "2", *FORMATS])).key()
+    cache_dir.mkdir()
+    (cache_dir / f"{key}.json").write_text(json.dumps({"key": key, "artifacts": artifacts}))
+    out = tmp_path / "out"
+    assert run(["fgl", "--n", "2"], out) == cli.EXIT_OK
+    assert "cache hit" not in capsys.readouterr().err
+    assert written(out) == written(GOLDEN_DIR / "fgl_n2")
+    files = {path.relative_to(tmp_path) for path in tmp_path.rglob("*") if path.is_file()}
+    assert files == {Path("cache", f"{key}.json"), *(Path("out", n) for n in written(out))}
+    assert cli.cache_load(key) == written(out)
 
 
 def test_no_cache_skips_the_fingerprint(tmp_path, monkeypatch, cache_dir):

@@ -26,6 +26,7 @@ from chromadefect.defect import (
     verdict_tmf,
 )
 from chromadefect.ext import ext_ranks
+from chromadefect.fgl import er_defect_witness
 from chromadefect.steenrod import Profile
 
 
@@ -151,7 +152,7 @@ class TestCatalogueEntries:
 
     def test_er_tower(self):
         for n in (1, 2, 3):
-            v = verdict_er(n)
+            v = verdict_er(n, er_defect_witness(n))
             assert v.phi == 2**n and v.phi_p == n and v.status == "exact"
             kinds = sorted(e.kind for e in v.evidence)
             assert kinds == ["lower", "upper"]
@@ -179,7 +180,7 @@ class TestCatalogueEntries:
         # the formal-inverse witness and the cyclotomic valuation see
         # the same defect for the order-2 group at heights 1..3
         for n in (1, 2, 3):
-            assert verdict_er(n).phi == verdict_eo(2, 1, n).phi == 2**n
+            assert verdict_er(n, er_defect_witness(n)).phi == verdict_eo(2, 1, n).phi == 2**n
 
 
 class TestDocumentedInfinite:
@@ -212,7 +213,7 @@ class TestTableOutput:
         assert "j\t2\tinf\tinf\tdocumented-infinite" in body
 
     def test_json_round_trip_fields(self):
-        v = verdict_er(2)
+        v = verdict_er(2, er_defect_witness(2))
         data = v.to_json()
         assert data["subject"] == "ER(2)"
         assert data["phi"] == 4
@@ -235,7 +236,7 @@ class TestSharedWitness:
     def test_catalogue_rows_equal_the_per_row_verdicts(self):
         rows = {v.subject: v.to_json() for v in catalogue()}
         for n in (1, 2, 3):
-            assert rows[f"ER({n})"] == verdict_er(n).to_json()
+            assert rows[f"ER({n})"] == verdict_er(n, er_defect_witness(n)).to_json()
             assert f"(cap {2**n + 8})" in rows[f"ER({n})"]["evidence"][0]["detail"]
 
     def test_catalogue_refuses_a_corrupted_solve(self, monkeypatch):

@@ -228,11 +228,18 @@ class TestNaming:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_letters_match_the_diagonal(self, family, p):
         # the closed-form rule against the expanded diagonal: names,
-        # monomials and order, heights 0-4
+        # monomials and order, and every generator power's cross terms,
+        # each with coefficient 1, heights 0-4
         for n in range(5):
             fam = family(p, n)
             for t_max in (20, 80, 300):
                 assert cobar_letters(fam, t_max) == diagonal_letters(fam, t_max), (fam, t_max)
+                powers = list(fam.generator_powers(t_max))
+                monos = {key: mono for key, mono, _ in powers}
+                for key, mono, cross in powers:
+                    terms = {(monos[left], monos[right]): 1 for left, right in cross}
+                    assert len(terms) == len(cross)
+                    assert terms == reduced_coproduct(mono, fam), (fam, key)
 
     def test_named_classes_on_chart(self):
         fam = Profile.T(2, 1)

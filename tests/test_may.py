@@ -86,14 +86,16 @@ class TestLetters:
         assert not gen_is_odd(2, H(2, 0))
 
     def test_truncation_pattern(self):
-        ctx2 = MayContext(1, 2)
-        assert ctx2.allowed(H(1, 0)) and not ctx2.allowed(H(1, 1))
-        assert ctx2.allowed(H(2, 3))
-        assert not ctx2.allowed(A(0)) and not ctx2.allowed(B(1, 0))
-        ctx3 = MayContext(1, 3)
-        assert not ctx3.allowed(H(1, 0)) and ctx3.allowed(H(2, 0))
-        assert ctx3.allowed(A(0)) and ctx3.allowed(A(5))
-        assert not ctx3.allowed(B(1, 0)) and ctx3.allowed(B(2, 0))
+        # windows wide enough to reach every letter named: h(2,3) sits
+        # in stem 23 at p = 2, a(5) in stem 484 and b(2,0) in (46, 2) at p = 3
+        gens2 = MayContext(1, 2).generators(23, 2)
+        assert H(1, 0) in gens2 and H(1, 1) not in gens2
+        assert H(2, 3) in gens2
+        assert A(0) not in gens2 and B(1, 0) not in gens2
+        gens3 = MayContext(1, 3).generators(484, 2)
+        assert H(1, 0) not in gens3 and H(2, 0) in gens3
+        assert A(0) in gens3 and A(5) in gens3
+        assert B(1, 0) not in gens3 and B(2, 0) in gens3
 
     def test_generator_window(self):
         gens = MayContext(1, 2).generators(14, 4)
