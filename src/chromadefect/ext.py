@@ -44,11 +44,13 @@ with no chain map lifted.  A letter h is dual to the operator op_h
 whose dual monomial is h's monomial.  For x in Ext^s, dual to
 generators of F_s, and a generator g' of F_{s+1}, (h x)(g') is the sum
 over g of x(g) times the coefficient of op_h * g in d(g').  A product
-h_1 ... h_s of a sorted multiset applies its letters from the right,
-starting from the class 1 in Ext^{0,0}, and its key is the exact
-coordinate vector on the generators of its cell.  A zero key names
-nothing; a key an earlier product took is a collision, and the first
-name stays.
+h_1 ... h_s of a sorted multiset is h_1 times the product h_2 ... h_s,
+which cell (s - 1, t - deg h_1) already holds, and its key is the
+exact coordinate vector on the generators of its cell.  Each cell keeps
+its nonzero products, and the next filtration extends only those, so
+no multiset of letters is enumerated from scratch.  A zero key names
+nothing; a key an earlier product took is a collision, the first name
+stays, and the colliding product is still a tail for the cells above.
 
 evenness_scan builds no resolution: over an exterior family the Koszul
 closed form places every class, so it checks that the family has that
@@ -272,27 +274,6 @@ def cobar_letters(profile, t_max):
     ]
 
 
-def _letter_products(letters, s, t):
-    """Multisets of s letters with total degree t, sorted canonically."""
-    out = []
-
-    def rec(idx, left, budget, acc):
-        if left == 0:
-            if budget == 0:
-                out.append(tuple(acc))
-            return
-        if idx == len(letters):
-            return
-        d = letters[idx][1].degree()
-        c = 0
-        while c <= left and c * d <= budget:
-            rec(idx + 1, left - c, budget - c * d, acc + [idx] * c)
-            c += 1
-
-    rec(0, s, t, [])
-    return sorted(out)
-
-
 def _multiset_name(letters, multiset):
     parts = []
     k = 0
@@ -320,7 +301,7 @@ def ext_ranks(profile, s_max, t_max, stem_max=None):
     chart = ExtChart(profile.p, f"Ext over {profile!r}", s_max, t_max, stem_max)
     letters = cobar_letters(profile, t_max)
     ops = [res.ops.number[res.ops.element(mono)] for _, mono in letters]
-    products = {(): {0: 1}}
+    products = {}
     for t in range(min(t_max, s_max * max(res.ops.degree)) + 1):
         res.column(t)
         for s in range(min(s_max, t) + 1):
@@ -335,20 +316,27 @@ def ext_ranks(profile, s_max, t_max, stem_max=None):
 def _name_cell(chart, res, letters, ops, products, s, t):
     """Name the classes of cell (s, t) by products of letters.
 
-    products maps each sorted multiset named so far to its class; a
-    multiset's class is its first letter times the class of the rest,
-    which lies in a cell named earlier.
+    products[(s, t)] lists the cell's nonzero products as (sorted
+    multiset, class), in multiset order.  Letter h goes in front of each
+    product of cell (s - 1, t - deg h) whose first letter is not smaller
+    than h, so each sorted multiset is formed once, from its tail.
     """
+    if s == 0:
+        formed = [((), {0: 1})]
+    else:
+        formed = sorted(
+            (((h, *rest), y)
+             for h, (_, mono) in enumerate(letters)
+             for rest, x in products.get((s - 1, t - mono.degree()), ())
+             if not rest or rest[0] >= h
+             if (y := res.times(ops[h], s, t, x))),
+            key=lambda product: product[0],
+        )
+    # a colliding product stays a tail for the cells above
+    products[(s, t)] = formed
     seen = {}
     named = []
-    for multiset in _letter_products(letters, s, t):
-        if multiset:
-            x = products.get(multiset[1:])
-            y = products[multiset] = res.times(ops[multiset[0]], s, t, x) if x else {}
-        else:
-            y = products[()]
-        if not y:
-            continue
+    for multiset, y in formed:
         key = tuple(sorted(y.items()))
         name = _multiset_name(letters, multiset)
         if key in seen:

@@ -165,11 +165,16 @@ class MayContext:
 
     def d1_pairs(self, gen):
         """d1 of a letter as the diagonal writes it, the letter pairs
-        (g1, g2) of its terms g1*g2."""
-        if gen[0] == "b":
-            return []
-        got = self._cross.get(gen)
-        return self._powers(gen_t(self.p, gen))[gen] if got is None else got
+        (g1, g2) of its terms g1*g2; b(i,j), at odd p a letter when
+        h(i,j) is, is a cycle.  A letter T(n) lacks is a ValueError."""
+        kind, i, j = gen
+        key = ("h", i, j) if kind == "b" and self.p != 2 else gen
+        cross = self._cross.get(key)
+        if cross is None:
+            cross = self._powers(gen_t(self.p, key)).get(key)
+            if cross is None:
+                raise ValueError(f"{gen_string(gen)} is not a letter of T({self.n}), p = {self.p}")
+        return [] if kind == "b" else cross
 
     def d1_element(self, x):
         """Leibniz extension of d1 to an element.

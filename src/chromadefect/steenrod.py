@@ -17,10 +17,14 @@ at the bottom of the module, multiplies two monomials read that way by
 Milnor's matrix formula, so a family's operators are its own monomials
 and the Ext engine resolves over them.
 
-No job expands the diagonal: Profile.generator_powers gives the cross
-terms of a generator power's closed form.  The full Milnor diagonal
-lives in tests/oracles/diagonal.py, and the test suite checks the
-product and the cross terms against it.
+Profile._generators is the one statement of which generators a family
+keeps and of their exponent caps: basis multiplies out their powers,
+poincare reads their generating function, and generator_powers lists
+the powers xi_i^{p^j} and tau_t with the cross terms of their closed
+form diagonal.  No job expands the diagonal or asks whether a given
+monomial survives: the full Milnor diagonal and the membership rule
+allows live in tests/oracles/diagonal.py, and the test suite checks the
+product, the bases and the cross terms against them.
 """
 
 from math import comb
@@ -267,25 +271,6 @@ class Profile:
                             f"has a surviving diagonal term at j={j}"
                         )
 
-    def allows(self, mono):
-        if mono.p != self.p:
-            raise ValueError("prime mismatch")
-        for i, e in enumerate(mono.xi):
-            if not e:
-                continue
-            if self.even_only:
-                # heights cap powers of the squared generator xi_i^2
-                if e % 2:
-                    return False
-                e //= 2
-            h = self.height(i + 1)
-            if h is not None and e >= self.p**h:
-                return False
-        for t in mono.tau:
-            if not self.tau_allowed(t):
-                return False
-        return True
-
     def generator_powers(self, max_degree):
         """(key, monomial, cross) per generator power the family allows
         through max_degree: xi_i^{p^j}, key ("h", i, j), by i then j, then
@@ -296,22 +281,20 @@ class Profile:
             psi(tau_t)      = tau_t (x) 1 + sum_{0<=k<=t} xi_{t-k}^{p^k} (x) tau_k,
 
         and cross keys those, 0 < k < i or 0 <= k < t, whose two factors
-        (of lower degree) the family allows."""
+        (of lower degree) the family allows.  The powers of a generator
+        of _generators are those below its cap; in an even-only family
+        the generator is xi_i^2, so its powers start at j = 1."""
         p = self.p
+        xis, taus = self._generators(max_degree)
+        first = 1 if self.even_only else 0
         powers = {}
-        i = 1
-        while xi_gen(p, i).degree() <= max_degree:
-            j = 0
-            while (mono := xi_gen(p, i, p**j)).degree() <= max_degree:
-                if self.allows(mono):
-                    powers["h", i, j] = mono
-                j += 1
-            i += 1
-        t = 0
-        while p != 2 and (mono := tau_gen(p, t)).degree() <= max_degree:
-            if self.allows(mono):
-                powers["a", t, None] = mono
-            t += 1
+        for i, d, cap in xis:
+            k = 0
+            while d * p**k <= max_degree and (cap is None or p**k < cap):
+                powers["h", i, first + k] = xi_gen(p, i, p ** (first + k))
+                k += 1
+        for t, _ in taus:
+            powers["a", t, None] = tau_gen(p, t)
         for (kind, i, j), mono in powers.items():
             if kind == "h":
                 cross = [(("h", i - k, k + j), ("h", k, j)) for k in range(1, i)]
@@ -343,43 +326,25 @@ class Profile:
         return xis, taus
 
     def basis(self, max_degree):
-        """All family monomials of degree <= max_degree, sorted."""
-        p = self.p
+        """All family monomials of degree <= max_degree, sorted: each
+        generator's powers below its cap, multiplied onto the monomials
+        built so far within the degree budget."""
         step = 2 if self.even_only else 1
         xis, taus = self._generators(max_degree)
-        found = []
-
-        def rec_tau(idx, chosen, budget):
-            if idx == len(taus):
-                rec_xi(0, {}, budget, tuple(chosen))
-                return
-            rec_tau(idx + 1, chosen, budget)
-            t, d = taus[idx]
-            if d <= budget:
-                chosen.append(t)
-                rec_tau(idx + 1, chosen, budget - d)
-                chosen.pop()
-
-        def rec_xi(idx, exps, budget, tau):
-            if idx == len(xis):
-                xi = [0] * (max((i for i, _, _ in xis), default=0))
-                for i, e in exps.items():
-                    xi[i - 1] = e * step
-                found.append(DualMonomial(p, tuple(xi), tau))
-                return
-            i, d, cap = xis[idx]
-            e = 0
-            while e * d <= budget:
-                if cap is not None and e >= cap:
-                    break
-                if e:
-                    exps[i] = e
-                rec_xi(idx + 1, exps, budget - e * d, tau)
-                exps.pop(i, None)
-                e += 1
-
-        rec_tau(0, [], max_degree)
-        return sorted(found)
+        # (xi exponents, tau indices, degree)
+        built = [((), (), 0)]
+        for t, d in taus:
+            built += [(xi, tau + (t,), deg + d) for xi, tau, deg in built if deg + d <= max_degree]
+        for i, d, cap in xis:
+            grown = []
+            for xi, tau, deg in built:
+                xi += (0,) * (i - 1 - len(xi))
+                e = 0
+                while deg + e * d <= max_degree and (cap is None or e < cap):
+                    grown.append((xi + (e * step,), tau, deg + e * d))
+                    e += 1
+            built = grown
+        return sorted(DualMonomial(self.p, xi, tau) for xi, tau, _ in built)
 
     def poincare(self, max_degree):
         """Family dims by degree through max_degree, from the generating

@@ -10,7 +10,7 @@ from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
 from chromadefect.steenrod import elt_add_term
 
 from oracles.cobar import Comodule, ext_ranks
-from oracles.diagonal import coproduct
+from oracles.diagonal import allows, coproduct
 
 
 def _le(a, b):
@@ -104,7 +104,7 @@ def cotensor_comodule(outer, inner, module, cap):
         for a, name in pairs:
             terms = {}
             for (b1, b2), c in coproduct(a, outer).items():
-                if inner.allows(b2):
+                if allows(inner, b2):
                     elt_add_term(p, terms, (b1, b2, name), c)
             for mono, c, target in module.coaction[name]:
                 elt_add_term(p, terms, (a, mono, target), -c)

@@ -13,20 +13,24 @@ Internal degree t is preserved, so Ext^{s,t} is exact for every t below
 the cap even when the family itself is infinite.  Its word count grows
 exponentially in s, which is why the package resolves instead; the
 complex stays here as the oracle the resolution is checked against,
-and as the only engine that takes module coefficients.
+and as the only engine that takes module coefficients.  The family's
+membership rule is oracles.diagonal.allows.
 
 CobarComplex numbers the family's letters once, in the string order of
 their monomials, and a word is the pair (tuple of letter numbers, cell
 name).  ext_ranks makes one pass over the columns, names each class
 by products of degree-one letters (cobar concatenation), and reads a
 product word that is a cocycle as its residue modulo the boundaries.
+Its candidate products are every multiset of s letters of degree t,
+enumerated from scratch by _letter_products, where the package extends
+the products one filtration below; the two name the same classes.
 """
 
-from chromadefect.ext import ExtChart, _letter_products, _multiset_name, cobar_letters
+from chromadefect.ext import ExtChart, _multiset_name, cobar_letters
 from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms
 from chromadefect.steenrod import DualMonomial, elt_add_term
 
-from oracles.diagonal import coproduct, reduced_coproduct
+from oracles.diagonal import allows, coproduct, reduced_coproduct
 from oracles.linalg import rank, residue
 
 
@@ -65,7 +69,7 @@ class Comodule:
             for mono, coef, target in self.coaction[name]:
                 if target not in self.degree_of:
                     raise ValueError(f"coaction of {name} hits unknown {target}")
-                if not self.profile.allows(mono):
+                if not allows(self.profile, mono):
                     raise ValueError(f"coaction of {name} uses a killed monomial")
                 if mono.degree() + self.degree_of[target] != d:
                     raise ValueError(f"coaction of {name} is not degree-preserving")
@@ -333,6 +337,28 @@ def ext_ranks(profile, module, s_max, t_max):
                     _name_cell(chart, complexes, letters, base, s, t)
         complexes.release_column(t)
     return chart
+
+
+def _letter_products(letters, s, t):
+    """Multisets of s letters with total degree t, sorted canonically:
+    every candidate name of cell (s, t), enumerated from scratch."""
+    out = []
+
+    def rec(idx, left, budget, acc):
+        if left == 0:
+            if budget == 0:
+                out.append(tuple(acc))
+            return
+        if idx == len(letters):
+            return
+        d = letters[idx][1].degree()
+        c = 0
+        while c <= left and c * d <= budget:
+            rec(idx + 1, left - c, budget - c * d, acc + [idx] * c)
+            c += 1
+
+    rec(0, s, t, [])
+    return sorted(out)
 
 
 def _name_cell(chart, complexes, letters, base, s, t):

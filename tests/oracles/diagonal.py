@@ -15,12 +15,37 @@ Profile.generator_powers lists for a generator power must be its
 reduced diagonal in the family, and a letter of ext.cobar_letters is a
 family monomial whose reduced diagonal vanishes in the family.
 
+allows is the family's membership rule, read monomial by monomial off
+the heights and the tau set: the oracles' quotient map, against which
+Profile.basis and Profile.generator_powers, built from
+Profile._generators, are checked.
+
 _p_part_products is the enumeration the package used before it stepped
 through the matrices in place: each row's entries are filled
 recursively, and a matrix whose column sums overrun S is discarded.
 """
 
 from chromadefect.steenrod import DualMonomial, _multinomial, elt_add_term, tau_gen, xi_gen
+
+
+def allows(profile, mono):
+    """Whether a dual monomial survives in the family: each xi_i
+    exponent below p^h (h the height of xi_i), as a power of xi_i^2 in
+    an even-only family, and each tau_t among the surviving tau."""
+    if mono.p != profile.p:
+        raise ValueError("prime mismatch")
+    for i, e in enumerate(mono.xi):
+        if not e:
+            continue
+        if profile.even_only:
+            # heights cap powers of the squared generator xi_i^2
+            if e % 2:
+                return False
+            e //= 2
+        h = profile.height(i + 1)
+        if h is not None and e >= profile.p**h:
+            return False
+    return all(profile.tau_allowed(t) for t in mono.tau)
 
 
 def times(a, b):
@@ -119,7 +144,7 @@ def coproduct(mono, profile=None):
     keep = None
     if profile is not None:
         def keep(key):
-            return profile.allows(key[0]) and profile.allows(key[1])
+            return allows(profile, key[0]) and allows(profile, key[1])
 
     unit = DualMonomial(p)
     acc = {(unit, unit): 1}

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from chromadefect.steenrod import DualMonomial, Profile, elt_add_term, xi_gen
 
-from oracles.diagonal import reduced_coproduct, times
+from oracles.diagonal import allows, reduced_coproduct, times
 
 
 def elt_mul(p, x, y):
@@ -63,7 +63,7 @@ def relative_dual_coalgebra(p, m, cap):
     else:
         base = zeta
     # working in the quotient throughout is valid: reduction is a ring map
-    power = {m: c for m, c in base.items() if profile.allows(m)}
+    power = {m: c for m, c in base.items() if allows(profile, m)}
     primitives = []
     exp = 1
     while power:
@@ -77,7 +77,7 @@ def relative_dual_coalgebra(p, m, cap):
         primitives.append((exp, dict(power), not cop))
         nxt = power
         for _ in range(p - 1):
-            nxt = {m: c for m, c in elt_mul(p, nxt, power).items() if profile.allows(m)}
+            nxt = {m: c for m, c in elt_mul(p, nxt, power).items() if allows(profile, m)}
         power = nxt
         exp *= p
     return profile, basis, primitives

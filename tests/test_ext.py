@@ -18,6 +18,10 @@ Oracles used here:
     words,
   * the Milnor diagonal (tests/oracles/diagonal.py): the letters are
     the family's generator powers whose reduced diagonal dies,
+  * the enumeration of every multiset of letters (oracles.cobar's
+    _letter_products): the names and collisions of the products each
+    cell extends from the cell one filtration below equal those of the
+    multisets enumerated from scratch, over the same resolution,
   * Adams' relations in the sphere's Ext (J. F. Adams, "On the
     non-existence of elements of Hopf invariant one", Ann. Math. 1960):
     h0 h1 = h1 h2 = h0 h2^2 = 0, h1^3 = h0^2 h2 and h1^2 h3 = h2^3,
@@ -27,13 +31,23 @@ Oracles used here:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromadefect.ext import Resolution, _Operators, cobar_letters, evenness_scan, ext_ranks, operator_pairs
+from chromadefect import ext
+from chromadefect.ext import (
+    Resolution,
+    _multiset_name,
+    _Operators,
+    cobar_letters,
+    evenness_scan,
+    ext_ranks,
+    operator_pairs,
+)
 from chromadefect.gradedlin import vec_support
 from chromadefect.steenrod import DualMonomial, Profile, milnor_product, tau_gen, xi_gen
 
 from oracles.change_of_rings import change_of_rings_check
-from oracles.cobar import CobarComplex, Comodule, cobar_dims, ext_ranks as cobar_ext_ranks
-from oracles.diagonal import reduced_coproduct
+from oracles.cobar import CobarComplex, Comodule, _letter_products, cobar_dims
+from oracles.cobar import ext_ranks as cobar_ext_ranks
+from oracles.diagonal import allows, reduced_coproduct
 from oracles.linalg import row_action, vec_zero
 from oracles.modules import coalgebra_self, comodule_suspend
 
@@ -214,8 +228,37 @@ def diagonal_letters(profile, t_max):
     return [
         (name, m)
         for name, m in powers
-        if profile.allows(m) and not reduced_coproduct(m, profile)
+        if allows(profile, m) and not reduced_coproduct(m, profile)
     ]
+
+
+def enumerated_naming(res, letters):
+    """Names and collisions of every cell of a made resolution, each
+    cell's candidates enumerated from scratch (oracles.cobar's
+    _letter_products): a multiset's class is its first letter times its
+    tail's class, driven through Resolution.times, cells in the order
+    ext_ranks names them."""
+    ops = [res.ops.number[res.ops.element(mono)] for _, mono in letters]
+    products = {(): {0: 1}}
+    names, collisions = {}, []
+    for s, t in sorted(res.cells, key=lambda cell: (cell[1], cell[0])):
+        seen = {}
+        for multiset in _letter_products(letters, s, t):
+            if multiset:
+                x = products.get(multiset[1:])
+                y = products[multiset] = res.times(ops[multiset[0]], s, t, x) if x else {}
+            else:
+                y = products[()]
+            if not y:
+                continue
+            key = tuple(sorted(y.items()))
+            name = _multiset_name(letters, multiset)
+            if key in seen:
+                collisions.append((seen[key], name, (s, t)))
+            else:
+                seen[key] = name
+                names.setdefault((s, t), []).append(name)
+    return names, collisions
 
 
 class TestNaming:
@@ -297,6 +340,39 @@ class TestNaming:
         a1 = ext_ranks(Profile.A(2, 1), 3, 12)
         assert a1.dims[(2, 4)] == 1 and a1.names[(2, 4)] == ["h(1,1)^2"]
         assert a1.dims.get((3, 6), 0) == 0
+
+    @pytest.mark.parametrize(
+        "family, p, n, stem_max, s_max",
+        [
+            (Profile.A, 2, 1, 40, 20),
+            (Profile.A, 2, 0, 24, 12),
+            (Profile.A, 2, 2, 40, 10),
+            (Profile.T, 2, 0, 30, 6),
+            (Profile.T, 2, 1, 40, 8),
+            (Profile.A, 3, 1, 60, 8),
+            (Profile.A, 5, 1, 100, 4),
+            (Profile.T, 3, 1, 60, 4),
+            (Profile.P, 2, 1, 30, 6),
+            (Profile.E, 3, 2, 60, 4),
+        ],
+    )
+    def test_names_match_the_enumeration(self, family, p, n, stem_max, s_max, monkeypatch):
+        # each cell's products, extended from the cell one filtration
+        # below, name what every multiset of the cell names, over the
+        # same resolution
+        made = []
+
+        class Recorded(Resolution):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(ext, "Resolution", Recorded)
+        fam = family(p, n)
+        chart = ext_ranks(fam, s_max, stem_max + s_max, stem_max)
+        names, collisions = enumerated_naming(made[0], cobar_letters(fam, stem_max + s_max))
+        assert chart.names == names
+        assert chart.collisions == collisions
 
     def test_polynomial_chart_collision_free(self):
         fam = Profile.E(2, 1)

@@ -12,6 +12,7 @@ Oracles used here:
     whole support by (weight, string).
 """
 
+import re
 from collections import Counter
 
 import pytest
@@ -23,6 +24,7 @@ from chromadefect.may import (
     MayContext,
     e1_monomial_count,
     gen_is_odd,
+    gen_string,
     gen_s,
     gen_t,
     gen_weight,
@@ -157,6 +159,16 @@ class TestD1:
         }
         ctx = MayContext(0, 5)
         assert ctx.d1_element({((H(2, 0), 1),): 1}) == {((H(1, 0), 1), (H(1, 1), 1)): 4}
+
+    @pytest.mark.parametrize(
+        "p, letter",
+        [(2, H(1, 1)), (3, H(1, 0)), (3, B(1, 0)), (2, B(2, 0))],
+    )
+    def test_letter_the_family_lacks_is_refused(self, p, letter):
+        # T(1) kills xi_1^2 at p = 2 and xi_1 at odd p; p = 2 has no b
+        message = f"{gen_string(letter)} is not a letter of T(1), p = {p}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MayContext(1, p).d1_element({((letter, 1),): 1})
 
     def test_squares_vanish_at_two(self):
         ctx = MayContext(1, 2)

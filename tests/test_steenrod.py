@@ -7,11 +7,15 @@ Oracles used here:
   * the recursive Milnor-matrix enumeration the package used before it
     stepped through the matrices in place, on every pair of six bases,
   * independent dimension counts for family bases (partition counting),
+  * the membership rule oracles.diagonal.allows, monomial by monomial:
+    the basis and the generator powers read off Profile._generators
+    are the monomials it accepts,
   * classical identities (conjugate of xi_2, Bockstein relations,
     antipode axiom) checked symbol by symbol.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +34,7 @@ from oracles.change_of_rings import cotensor_comodule, is_quotient_of
 from oracles.cobar import Comodule
 from oracles.cofree import cofree_decompose
 from oracles.diagonal import _p_part_products as recursive_p_part_products
-from oracles.diagonal import coproduct, reduced_coproduct, times
+from oracles.diagonal import allows, coproduct, reduced_coproduct, times
 from oracles.modules import coalgebra_self, operator_basis, thom_height_one
 from oracles.splitting import (
     conjugate_xi,
@@ -83,6 +87,23 @@ def partition_count(degrees_with_caps, top):
                 e += 1
         dims = new
     return dims
+
+
+@lru_cache(maxsize=None)
+def every_monomial(p, top):
+    """Every dual monomial of degree <= top, family aside: all exponent
+    vectors of the xi_i and all sets of tau_t that fit."""
+    xis = [i for i in range(1, top + 2) if xi_gen(p, i).degree() <= top]
+    taus = [t for t in range(top + 1) if p != 2 and tau_gen(p, t).degree() <= top]
+    found = [DualMonomial(p)]
+    for t in taus:
+        found += [DualMonomial(p, m.xi, m.tau + (t,)) for m in found
+                  if m.degree() + tau_gen(p, t).degree() <= top]
+    for i in xis:
+        d = xi_gen(p, i).degree()
+        found = [DualMonomial(p, m.xi + (0,) * (i - 1 - len(m.xi)) + (e,), m.tau)
+                 for m in found for e in range((top - m.degree()) // d + 1)]
+    return found
 
 
 class TestMonomials:
@@ -253,11 +274,28 @@ class TestProfiles:
                     counts[m.degree()] += 1
                 assert fam.poincare(top) == counts, fam
 
+    @pytest.mark.parametrize("family", [Profile.A, Profile.E, Profile.P, Profile.T])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_generators_against_membership(self, family, p):
+        # basis and generator_powers, both read off _generators, against
+        # the oracle's monomial-by-monomial membership rule
+        for n in range(5):
+            fam = family(p, n)
+            for top in (0, 1, 7, 30, 100):
+                kept = [m for m in every_monomial(p, top) if allows(fam, m)]
+                assert fam.basis(top) == sorted(kept), (fam, top)
+                powers = {("h", i, j): xi_gen(p, i, p**j)
+                          for i in range(1, top + 2) for j in range(top.bit_length())}
+                powers |= {("a", t, None): tau_gen(p, t) for t in range(top + 1) if p != 2}
+                powers = {k: m for k, m in powers.items() if m.degree() <= top and allows(fam, m)}
+                got = [(key, mono) for key, mono, _ in fam.generator_powers(top)]
+                assert got == list(powers.items()), (fam, top)
+
     def test_reduce_is_multiplicative(self):
         prof = Profile.T(2, 1)
 
         def reduce(mono):
-            return mono if prof.allows(mono) else None
+            return mono if allows(prof, mono) else None
 
         rng = random.Random(4)
         for _ in range(40):
