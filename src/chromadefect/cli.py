@@ -50,24 +50,29 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 CACHE_ENV = "CHROMADEFECT_CACHE"
-# largest fgl series cap: admits ER(9) at its default cap 2^9 + 8.
-# Whole jobs on a 2 vCPU host: fgl --n 7 took 0.23 s, --n 8 0.55 s and
-# --n 9 3.5 s, each at 20-21 MB peak.  The witness alone at n = 10
-# (cap 1032) took 40 s; the cost grows 6-12x per height from n = 8,
-# so a larger job is refused before it computes
-MAX_FGL_CAP = 520
-# operator pairs (a, b) with deg a + deg b <= t_max, the most products
-# an ext job's resolution can form (ext.operator_pairs); a job resolves
-# only through its stem, so it forms fewer.  Products take most of a
+# largest fgl series cap: admits ER(14) at its default cap 2^14 + 8.
+# The witness solves height h only through degree 2^h + 1, so a job
+# costs the same at any cap its height accepts.  Whole jobs on a 2 vCPU
+# host, peak RSS read by a small launcher: fgl --n 10 took 0.07-0.11 s,
+# --n 12 0.10-0.16 s, --n 13 0.18-0.34 s and --n 14 0.66-1.25 s, each at
+# 15-16 MB peak.  --n 15 took 4.1 s (17 MB), 4-6x --n 14, so a height
+# past 14 is refused before it computes
+MAX_FGL_CAP = 16392
+# operator pairs (a, b) with deg a + deg b <= min(stem_max + 2, t_max),
+# the most products an ext job's resolution can form (ext.operator_pairs
+# and the bound in the ext module docstring).  Products take most of a
 # large job's time; memory stays small.  Whole jobs on a 2 vCPU host,
 # peak RSS read by a small launcher: A(1) at p = 2 through stem 40,
 # s 20 (64 pairs) took 0.12 s and 15 MB peak, A(2) through stem 40,
-# s 10 (4,096) 0.24 s and 15 MB.  Near the limit, T(0) at p = 2
-# through stem 40, s 8 (187,288 pairs, 53,509 products) took 1.8-2.3 s
-# and 22 MB, T(1) through stem 89, s 4 (188,651) 3.3-4.4 s and 29 MB,
-# and A(3) through stem 50, s 4 (196,059) 3.0-4.0 s and 21 MB.  T(0)
-# through stem 87, s 1 (7.7 million) is refused; its resolution alone
-# took 8.5 s and 33 MB
+# s 10 (4,096) 0.24 s and 15 MB, and T(0) through stem 40, s 10
+# (90,339) 1.7 s and 22 MB.  At the largest stem each family admits,
+# with s as large as MAX_EXT_CELLS allows: T(0) at p = 2 through stem
+# 46, s 44 (187,288) took 6.9 s and 35 MB; T(1) through stem 91, s 32
+# (188,651) 10.8 s and 47 MB; A(3) through stem 52, s 42 (196,059)
+# 4.9 s and 27 MB; T(0) at p = 3 through stem 120, s 26 (199,991)
+# 6.8 s and 31 MB; T(1) at p = 3 through stem 318, s 11 (199,556)
+# 10.1 s and 26 MB.  T(0) at p = 2 through stem 87, s 1 (7.7 million)
+# is refused; its resolution alone took 8.5 s and 33 MB
 MAX_EXT_OPERATOR_PAIRS = 200_000
 # largest ext window, in cells (s_max + 1) * (t_max + 1), checked before
 # the operator pairs are counted; the job visits every cell
@@ -175,7 +180,8 @@ def _ext_params(args):
     cells = (args.s_max + 1) * (t_max + 1)
     if cells > MAX_EXT_CELLS:
         raise InputError(f"the Ext window has {cells} cells, over the limit {MAX_EXT_CELLS}")
-    need = ext.operator_pairs(getattr(Profile, args.family)(args.prime, args.n), t_max)
+    profile = getattr(Profile, args.family)(args.prime, args.n)
+    need = ext.operator_pairs(profile, min(args.stem_max + 2, t_max))
     if need > MAX_EXT_OPERATOR_PAIRS:
         raise InputError(
             f"the resolution may multiply {need} operator pairs, "

@@ -317,7 +317,9 @@ EO_PRESETS = [
 def catalogue(stem_cap: int = 24) -> list:
     """The preset verdict table: the worked examples plus the
     documented impossibilities.  The ER rows share one witness run,
-    which solves each height's series once, at the largest cap."""
+    which solves and certifies height h's series once, through degree
+    2^h + 1; each row names its cap 2^n + 8, and its answers hold
+    through it."""
     rows = [verdict_ku(), verdict_ko(stem_cap), verdict_tmf(stem_cap)]
     for n, report in er_defect_witnesses(dict.fromkeys((1, 2, 3))).items():
         rows.append(verdict_er(n, report))

@@ -39,6 +39,15 @@ s0 + 1 needs.  The generators left out form a suffix of each F_s, so
 every step made sees the rows and columns of the whole box, in the
 same order, short of zero columns at the end.
 
+Nor does the cut resolution form a product of degree past N + 2.
+Step (s, t) multiplies each operator op of degree t - deg g' by each
+term a g of d(g'), for g' a generator of F_{s+1} and g one of F_s, so
+deg op + deg a = t - deg g.  The step runs only for t <= N + s + 2,
+and deg g >= s: by minimality every term of a differential has an
+operator of positive degree, so each generator of F_s lies above one
+of F_{s-1}.  So deg op + deg a <= min(N + 2, t_max), and
+operator_pairs through that degree bounds the products a job forms.
+
 Classes are named by products of the degree-one letters (cobar_letters)
 with no chain map lifted.  A letter h is dual to the operator op_h
 whose dual monomial is h's monomial.  For x in Ext^s, dual to
@@ -79,7 +88,8 @@ __all__ = [
 def operator_pairs(profile, t_max):
     """Number of operator pairs (a, b) with deg a + deg b <= t_max: the
     most products a resolution of the box t <= t_max can ask for, read
-    off the Poincare series alone.  One cut at a stem forms fewer."""
+    off the Poincare series alone.  One cut at stem N asks for none
+    past min(N + 2, t_max)."""
     dims = profile.poincare(t_max)
     below = 0
     prefix = []

@@ -106,10 +106,10 @@ def test_artifacts_match_golden_bytes(name, tmp_path):
         (["fgl", "--n", "3", "--cap", "4"], "cannot see degree 8"),
         (["fgl", "--n", "3", "--cap", "8"], "need at least 9"),
         (["fgl", "--n", "0"], "height must be positive"),
-        (["fgl", "--n", "40"], "over the limit 520"),
-        (["fgl", "--n", "10"], "over the limit 520"),
-        (["fgl", "--n", "2", "--cap", "100000"], "cap 100000 is over the limit 520"),
-        (["fgl", "--n", "9", "--cap", "521"], "cap 521 is over the limit 520"),
+        (["fgl", "--n", "40"], "over the limit 16392"),
+        (["fgl", "--n", "15"], "over the limit 16392"),
+        (["fgl", "--n", "2", "--cap", "100000"], "cap 100000 is over the limit 16392"),
+        (["fgl", "--n", "14", "--cap", "16393"], "cap 16393 is over the limit 16392"),
     ],
 )
 def test_bad_fgl_flags_exit_2(argv, message, tmp_path, capsys):
@@ -143,9 +143,9 @@ def test_bad_prime_exits_2(argv, message, tmp_path, capsys):
     "argv, need",
     [
         (["ext", "--prime", "2", "--family", "T", "--n", "0", "--stem-max", "500",
-          "--s-max", "7"], "20011997456543 operator pairs"),
+          "--s-max", "7"], "18075306175645 operator pairs"),
         (["ext", "--prime", "3", "--family", "T", "--n", "0", "--stem-max", "200",
-          "--s-max", "4"], "2963256 operator pairs"),
+          "--s-max", "4"], "2790811 operator pairs"),
     ],
 )
 def test_oversized_ext_exits_2(argv, need, tmp_path, capsys):
@@ -332,6 +332,23 @@ def test_non_exterior_scan_family_exits_3(height, tmp_path, capsys, monkeypatch)
 def test_defect_limit_admits_the_benchmark_cap():
     args = cli.parse_args(["defect", "--cap", "24"])
     assert cli._config_from_args(args).params["stem_cap"] == 24
+
+
+def test_fgl_limit_admits_er12(tmp_path):
+    # ER(12) at its default cap 4104, both bounds holding
+    out = tmp_path / "out"
+    assert cli.main(["fgl", "--n", "12", "--no-cache", "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "fgl_er12.json").read_bytes())
+    assert report["cap"] == 4104 and report["inverse_deviation_degree"] == 4096
+    assert report["upper_bound_ok"] and report["lower_bound_ok"]
+
+
+def test_ext_limit_counts_products_through_the_stem():
+    # T(0) through stem 40, s 10: 235,524 pairs in the box t <= 50, and
+    # 90,339 through degree 42, the most the cut resolution can form
+    args = cli.parse_args(["ext", "--prime", "2", "--family", "T", "--n", "0",
+                           "--stem-max", "40", "--s-max", "10"])
+    assert cli._config_from_args(args).params["stem_max"] == 40
 
 
 def test_golden_argvs_pass_the_size_limits():

@@ -607,6 +607,27 @@ class TestResolution:
             for j in range(t_max + 1 - i)
         )
 
+    @pytest.mark.parametrize("fam, stem_max, s_max", [
+        (Profile.A(2, 1), 7, 8), (Profile.A(2, 2), 13, 6), (Profile.T(2, 0), 16, 5),
+        (Profile.T(2, 1), 20, 4), (Profile.A(3, 1), 11, 8), (Profile.T(3, 0), 20, 4),
+        (Profile.E(3, 2), 15, 4),
+    ], ids=repr)
+    def test_products_within_the_stem_bound(self, fam, stem_max, s_max, monkeypatch):
+        # a resolution cut at stem N forms no product past degree
+        # min(N + 2, t_max), the count the ext job's limit reads
+        seen = set()
+
+        def traced(a, b):
+            seen.add((a, b))
+            return milnor_product(a, b)
+
+        monkeypatch.setattr("chromadefect.ext.milnor_product", traced)
+        t_max = stem_max + s_max
+        ext_ranks(fam, s_max, t_max, stem_max)
+        bound = min(stem_max + 2, t_max)
+        assert seen and max(a.degree() + b.degree() for a, b in seen) <= bound
+        assert len(seen) <= operator_pairs(fam, bound) < operator_pairs(fam, t_max)
+
     def test_operator_pairs(self):
         assert operator_pairs(Profile.A(2, 2), 50) == 64 * 64
         assert operator_pairs(Profile.T(2, 0), 48) == 187_288

@@ -13,10 +13,13 @@ the coefficient lists of `honda_multiple`, and the bivariate defect
 witness kept below is the oracle for `er_defect_witness`.  The rational
 solver in oracles/honda_series.py, the package's earlier
 `honda_multiple`, is the oracle for the integer solver over a grid of
-primes, heights, multiples and caps, refusals included.
+primes, heights, multiples and caps, refusals included.  The full-cap
+witness in oracles/er_witness.py, the package's earlier one, is the
+oracle for the witness that solves each height only through 2^h + 1.
 """
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,10 +27,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chromadefect.fgl as fgl_module
-from chromadefect import InputError
+from chromadefect import InputError, cli
 from chromadefect.fgl import er_defect_witness, er_defect_witnesses, honda_multiple
 
-from oracles import honda_series
+from oracles import er_witness, honda_series
 from oracles.fgl_law import (
     FormalGroupLaw,
     PrimeField,
@@ -429,18 +432,22 @@ class TestHondaMultiple:
 
     @pytest.mark.parametrize("degree", [2, 5, 12])
     def test_log_check_catches_a_corrupted_coefficient(self, monkeypatch, degree):
+        # ER(n) solves height n through degree 2^n + 1, so the degree
+        # lies inside a series ER(n) solves
+        n = {2: 1, 5: 2, 12: 4}[degree]
         solve = fgl_module._solve_log_multiple
 
         def corrupted(log_terms, c, cap):
             f = solve(log_terms, c, cap)
-            f[degree] += 2
+            if degree <= cap:
+                f[degree] += 2
             return f
 
         monkeypatch.setattr(fgl_module, "_solve_log_multiple", corrupted)
         with pytest.raises(ValueError, match=f"log\\(x\\) in degree {degree};"):
             honda_multiple(2, 2, 2, 12)
-        with pytest.raises(ValueError, match="log of the solved series"):
-            er_defect_witness(2)
+        with pytest.raises(ValueError, match=f"log\\(x\\) in degree {degree};"):
+            er_defect_witness(n)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -504,8 +511,9 @@ class TestWitnessAgainstBivariateReference:
         {2: 17, 3: None},
     ], ids=["default", "tight", "wide-below-larger-height"])
     def test_shared_series_reports_equal(self, caps, monkeypatch):
-        # one solve per series at the largest cap; each report reads a
-        # prefix and equals its height's own witness and the reference
+        # one solve per series, height h through degree 2^h + 1 whatever
+        # the caps; each report equals its height's own witness and the
+        # reference
         reports = er_defect_witnesses(caps)
         assert list(reports) == list(caps)
         for n, cap in caps.items():
@@ -514,12 +522,46 @@ class TestWitnessAgainstBivariateReference:
         solve = fgl_module.honda_multiple
         monkeypatch.setattr(fgl_module, "honda_multiple", lambda *a: solves.append(a) or solve(*a))
         er_defect_witnesses(caps)
-        top = max(2**n + 8 if cap is None else cap for n, cap in caps.items())
         heights = range(1, max(caps) + 1)
-        assert sorted(solves) == sorted((2, h, c, top) for h in heights for c in (2, -1))
+        assert sorted(solves) == sorted((2, h, c, 2**h + 1) for h in heights for c in (2, -1))
 
     def test_shared_series_guards(self):
         with pytest.raises(InputError, match="cannot see degree 8"):
             er_defect_witnesses({1: None, 3: 8})
         with pytest.raises(ValueError, match="at least 1"):
             er_defect_witnesses({2: None, 0: None})
+
+
+class TestWitnessAgainstFullCap:
+    """The prefix witness against the full-cap one it replaced
+    (oracles/er_witness.py), which reads every report through its cap."""
+
+    @pytest.mark.parametrize("caps", [
+        *({n: None} for n in range(1, 10)),
+        {3: 200}, {2: 17, 3: 16}, {1: None, 2: None, 3: None}, {4: 100},
+    ], ids=repr)
+    def test_reports_equal(self, caps):
+        assert er_defect_witnesses(caps) == er_witness.er_defect_witnesses(caps)
+
+    @pytest.mark.parametrize("series, which", [
+        ({2: [0], -1: [0, 1]}, "[2](x)"),
+        ({2: [0, 0, 1], -1: [0, 1]}, "[-1](x)"),
+    ], ids=["zero-doubling", "inverse-equals-x"])
+    def test_undecided_prefix_is_refused(self, series, which, monkeypatch, tmp_path, capsys):
+        # a [2](x) with no nonzero, or a [-1](x) equal to x, through
+        # degree 2^h + 1 leaves a field undecided; nothing is re-solved
+        solves = []
+
+        def broken(p, h, c, cap):
+            solves.append(cap)
+            return series[c] + [0] * (cap + 1 - len(series[c]))
+
+        monkeypatch.setattr(fgl_module, "honda_multiple", broken)
+        message = f"{which} at height 1 leaves the witness undecided through degree 3;"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            er_defect_witness(3)
+        assert max(solves) == 3
+        out = tmp_path / "out"
+        assert cli.main(["fgl", "--n", "3", "--no-cache", "--out", str(out)]) == cli.EXIT_COMPUTE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
