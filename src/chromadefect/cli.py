@@ -70,8 +70,8 @@ MAX_FGL_CAP = 16392
 # 46, s 44 (187,288) took 6.9 s and 35 MB; T(1) through stem 91, s 32
 # (188,651) 10.8 s and 47 MB; A(3) through stem 52, s 42 (196,059)
 # 4.9 s and 27 MB; T(0) at p = 3 through stem 120, s 26 (199,991)
-# 6.8 s and 31 MB; T(1) at p = 3 through stem 318, s 11 (199,556)
-# 10.1 s and 26 MB.  T(0) at p = 2 through stem 87, s 1 (7.7 million)
+# 4.5-5.5 s and 24 MB; T(1) at p = 3 through stem 318, s 11 (199,556)
+# 6.6-7.6 s and 23 MB.  T(0) at p = 2 through stem 87, s 1 (7.7 million)
 # is refused; its resolution alone took 8.5 s and 33 MB
 MAX_EXT_OPERATOR_PAIRS = 200_000
 # largest ext window, in cells (s_max + 1) * (t_max + 1), checked before
@@ -81,8 +81,8 @@ MAX_EXT_CELLS = 4096
 # each monomial is an object the pages keep.  The whole job, E1 and E2
 # in every format, on a 2 vCPU host: p = 2, n = 1, stem 60, s 16 (1,037
 # cells, 46,418 monomials) took 1.3-2.0 s and 42 MB peak; p = 3, n = 0,
-# stem 185, s 10 (2,046 cells, 57,858 monomials), 3.0-4.1 s and 55 MB,
-# E2 0.4-0.8 s of it; p = 5, n = 1, stem 9999, s 4 (50,000 cells, 2,999
+# stem 185, s 10 (2,046 cells, 57,858 monomials), 2.2-3.0 s and 50 MB,
+# E2 0.3-0.4 s of it; p = 5, n = 1, stem 9999, s 4 (50,000 cells, 2,999
 # monomials), 0.4-0.5 s and 33 MB
 MAX_MAY_E1_SIZE = 60_000
 # largest ko-ss window, in cells: the laurent pages over 180,901 cells

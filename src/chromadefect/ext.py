@@ -69,8 +69,10 @@ The `ext` job (ext_job) writes a chart's TSV, JSON and dot chart
 (chart_from_ext), resolved only through the requested stem.
 """
 
+from bisect import bisect_left, bisect_right
+
 from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
-from .gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
+from .gradedlin import PrimeFieldMatrix, vec_combine, vec_from_terms, vec_last, vec_support
 from .steenrod import DualMonomial, Profile, milnor_product
 
 __all__ = [
@@ -167,11 +169,13 @@ class Resolution:
     def column(self, t):
         """Make every generator of degree t and stem <= stem_max, for
         s = 1 .. s_max, from step s0 = max(0, t - stem_max - 2) on."""
-        p = self.p
         # the augmentation is injective in degree 0 and zero above
         width = len(self.ops.by_degree[t]) if 0 < t <= self.stem_max + 1 else 0
-        kernel = [vec_from_terms(p, [(i, 1)]) for i in range(width)]
+        kernel = [vec_from_terms(self.p, [(i, 1)]) for i in range(width)]
         for s in range(max(0, t - self.stem_max - 2), self.s_max):
+            # with no kernel and no F_{s+1} yet, no later step makes anything
+            if not kernel and not self.degrees[s + 1]:
+                break
             kernel = self._step(s, t, kernel)
 
     def _step(self, s, t, kernel):
@@ -179,52 +183,38 @@ class Resolution:
         d on F_s in degree t; return the kernel of d on F_{s+1} there."""
         p = self.p
         ops = self.ops
-        offset = []
-        columns = []
-        for g, deg in enumerate(self.degrees[s]):
+        offset = [0]
+        for deg in self.degrees[s]:
             if deg > t:
                 break
-            offset.append(len(columns))
-            columns += [(a, g) for a in ops.by_degree[t - deg]]
+            offset.append(offset[-1] + len(ops.by_degree[t - deg]))
         # images op * d(g') of the generators of F_{s+1} made so far
         rows = []
         for terms, deg in zip(self.d[s + 1], self.degrees[s + 1]):
             for op in ops.by_degree[t - deg]:
-                if p == 2:
-                    row = 0
-                    for a, g, _ in terms:
-                        row ^= ops.product(op, a) << offset[g]
-                else:
-                    row = vec_from_terms(p, [
-                        (offset[g] + i, c * c2)
-                        for a, g, c in terms
-                        for i, c2 in ops.product(op, a)
-                    ])
-                rows.append(row)
+                rows.append(vec_combine(p, ops.product, op, terms, offset))
         images = len(rows)
         rows += kernel
         if not rows:
             return []
-        relations = PrimeFieldMatrix(p, len(rows), len(columns), rows).kernel_vectors()
-        # a relation ends at the row it made vanish; one that ends at an
-        # image is a relation among the images alone
-        vanished = set()
-        next_kernel = []
-        for rel in relations:
-            last = rel.bit_length() - 1 if p == 2 else rel[-1][0]
-            vanished.add(last)
-            if last < images:
-                next_kernel.append(rel)
+        relations = PrimeFieldMatrix(p, len(rows), offset[-1], rows).kernel_vectors()
+        # a relation ends at the row it made vanish, so relations come in
+        # row order, and one that ends at an image is among the images alone
+        ends = [vec_last(p, rel) for rel in relations]
+        vanished = set(ends)
         start = len(self.degrees[s + 1])
         for i in range(images, len(rows)):
             if i not in vanished:
                 self.degrees[s + 1].append(t)
+                # column col lies in the last block that starts at or before it
                 self.d[s + 1].append(
-                    [(a, g, c) for col, c in vec_support(p, rows[i]) for a, g in [columns[col]]]
+                    [(ops.by_degree[t - self.degrees[s][g]][col - offset[g]], g, c)
+                     for col, c in vec_support(p, rows[i])
+                     for g in [bisect_right(offset, col) - 1]]
                 )
         if len(self.degrees[s + 1]) > start:
             self.cells[(s + 1, t)] = range(start, len(self.degrees[s + 1]))
-        return next_kernel
+        return relations[:bisect_left(ends, images)]
 
     def times(self, op, s, t, x):
         """The product h x in cell (s, t), op being h's operator and x a

@@ -3,11 +3,14 @@
 Canonical abelian group presentations live in `.integers`; only the ko
 chart engine (`ssq`) needs them and imports them from there."""
 
+from . import modp
 from .modp import (
     PrimeFieldMatrix,
     SubquotientBasis,
     check_prime,
+    vec_combine,
     vec_from_terms,
+    vec_last,
     vec_support,
 )
 
@@ -15,11 +18,4 @@ from .modp import (
 # record which implementation ran
 BACKEND_NAME = "pure"
 
-__all__ = [
-    "BACKEND_NAME",
-    "PrimeFieldMatrix",
-    "SubquotientBasis",
-    "check_prime",
-    "vec_from_terms",
-    "vec_support",
-]
+__all__ = ["BACKEND_NAME", *modp.__all__]

@@ -1,21 +1,24 @@
 """Exact linear algebra over prime fields.
 
-Vectors over F_2 are int bitmasks.  Vectors over odd primes are sparse:
-tuples of (column, coefficient) pairs with strictly increasing columns
-and coefficients in 1..p-1, so each vector has one encoding, hashes as
-a tuple, and is falsy exactly when it is zero.  Matrices act on row
-vectors: a matrix M with nrows rows and ncols columns is the map
-x -> x.M from F^nrows to F^ncols, row i being the image of the i-th
-basis vector.  That orientation matches how chain differentials are
-assembled everywhere downstream.
+A vector is an int at every prime: coefficient i sits in bits [i w,
+i w + w) as a residue 0..p-1, so it has one encoding, hashes as an int,
+and is falsy exactly when it is zero.  At p = 2, w = 1: a bitmask.  At
+odd p a field also has a carry bit, set exactly when the sum of two
+residues reaches p, so one masked subtraction reduces every field of a
+sum at once.  Only this module reads the encoding.  Matrices act on row
+vectors: a matrix M with nrows rows and ncols columns is the map x ->
+x.M from F^nrows to F^ncols, row i being the image of the i-th basis
+vector.
 
-Each field has one elimination kernel, gf2_eliminate on bitmasks and
-fp_eliminate on pair tuples.  A row's pivot is its first nonzero column
-(the lowest set bit at p = 2), so every nonzero row-space vector starts
+Each field has one elimination kernel, gf2_eliminate by XOR and
+fp_eliminate by packed adds.  A row's pivot is its first nonzero column
+(its lowest set bit, over w), so every nonzero row-space vector starts
 at a pivot column.  Entries at ncols and beyond are never pivots and
 travel with their row, so kernel_vectors appends the unit vector e_i
 there as one entry of row i: no tracked mode.
 """
+
+from functools import lru_cache
 
 from .. import InputError
 
@@ -23,7 +26,9 @@ __all__ = [
     "PrimeFieldMatrix",
     "SubquotientBasis",
     "check_prime",
+    "vec_combine",
     "vec_from_terms",
+    "vec_last",
     "vec_support",
 ]
 
@@ -66,30 +71,76 @@ def _strong_probable_prime(n):
     return True
 
 
+def _width(p):
+    # at p = 2 a sum of two vectors is their XOR, with no carry
+    return (p - 1).bit_length() + p % 2
+
+
+@lru_cache(maxsize=64)
+def _field_ops(p, nfields):
+    """(add, scale) on odd-p vectors of at most nfields fields: a + b,
+    and k * v for 0 < k < p by double-and-add."""
+    w = _width(p)
+    ones = ((1 << w * nfields) - 1) // ((1 << w) - 1)
+    carry, top = ones * ((1 << w - 1) - p), ones << w - 1
+
+    def add(a, b):
+        x = a + b
+        return x - ((x + carry & top) >> w - 1) * p
+
+    def scale(v, k):
+        if k == 1:
+            return v
+        out = v
+        for bit in bin(k)[3:]:
+            out = add(out, out)
+            out = add(out, v) if bit == "1" else out
+        return out
+
+    return add, scale
+
+
 def vec_from_terms(p, terms):
     """The vector sum of c * e_i over the (i, c) terms."""
-    if p == 2:
-        v = 0
-        for i, c in terms:
-            if c % 2:
-                v ^= 1 << i
-        return v
-    acc = {}
+    w = _width(p)
+    v = 0
     for i, c in terms:
-        acc[i] = acc.get(i, 0) + c
-    return tuple(sorted((i, c % p) for i, c in acc.items() if c % p))
+        x = v >> i * w & (1 << w) - 1
+        v += ((x + c) % p - x) << i * w
+    return v
+
+
+def vec_combine(p, f, x, terms, offset):
+    """The vector sum of c * f(x, a) shifted up by offset[g] columns over
+    the (a, g, c) terms, each c in 1..p-1 and each shifted f(x, a)
+    below offset[-1] columns."""
+    v = 0
+    if p == 2:
+        for a, g, _ in terms:
+            v ^= f(x, a) << offset[g]
+        return v
+    w = _width(p)
+    add, scale = _field_ops(p, offset[-1])
+    for a, g, c in terms:
+        v = add(v, scale(f(x, a), c) << offset[g] * w)
+    return v
 
 
 def vec_support(p, v):
-    """List of (index, coefficient) pairs with nonzero coefficient."""
-    if p == 2:
-        out = []
-        while v:
-            low = v & -v
-            out.append((low.bit_length() - 1, 1))
-            v ^= low
-        return out
-    return list(v)
+    """List of (index, coefficient) pairs, nonzero ones, in index order."""
+    w = _width(p)
+    out = []
+    while v:
+        i = ((v & -v).bit_length() - 1) // w
+        c = v >> i * w & (1 << w) - 1
+        out.append((i, c))
+        v ^= c << i * w
+    return out
+
+
+def vec_last(p, v):
+    """The index of v's last nonzero coefficient; -1 for zero."""
+    return (v.bit_length() - 1) // _width(p)
 
 
 def gf2_eliminate(rows, ncols):
@@ -124,47 +175,33 @@ def gf2_eliminate(rows, ncols):
     return pivots, ech, pivot_rows, dependent
 
 
-def _clear(p, v, f, row):
-    """v -= f * row in place, on a {column: coefficient} dict."""
-    for k, b in row:
-        c = (v.get(k, 0) - f * b) % p
-        if c:
-            v[k] = c
-        else:
-            del v[k]
-
-
 def fp_eliminate(p, rows, ncols):
-    """Sparse elimination mod an odd prime; mirrors gf2_eliminate.
-
-    rows are tuples of (column, coefficient) pairs.  A row is worked on
-    as a dict, and its pivot is its lowest column; a column at ncols or
-    past means the row vanishes below ncols.  Clearing a pivot adds
-    only columns past it, so the lowest column never moves left.
-    Echelon rows are pair tuples scaled to a unit pivot, and a
-    dependent row leaves its pairs past ncols, shifted down by ncols.
-    """
+    """Packed elimination mod an odd prime, mirroring gf2_eliminate: a
+    pivot c is cleared by adding p - c times its unit-pivot echelon row,
+    which changes only the fields past it."""
+    w = _width(p)
+    add, scale = _field_ops(p, max((r.bit_length() for r in rows), default=0) // w + 1)
     ech = []
     pivots = []
     pivot_rows = []
     dependent = []
     pivot_at = {}
-    for i, row in enumerate(rows):
-        v = dict(row)
+    for i, v in enumerate(rows):
         while True:
-            col = min(v, default=ncols)
-            if col >= ncols:
-                dependent.append(tuple(sorted((k - ncols, c) for k, c in v.items())))
+            # -1 for a zero row
+            col = ((v & -v).bit_length() - 1) // w
+            if not 0 <= col < ncols:
+                dependent.append(v >> ncols * w)
                 break
+            c = v >> col * w & (1 << w) - 1
             j = pivot_at.get(col)
             if j is None:
-                inv = pow(v[col], p - 2, p)
                 pivot_at[col] = len(ech)
                 pivots.append(col)
-                ech.append(tuple(sorted((k, inv * c % p) for k, c in v.items())))
+                ech.append(scale(v, pow(c, p - 2, p)))
                 pivot_rows.append(i)
                 break
-            _clear(p, v, v[col], ech[j])
+            v = add(v, scale(ech[j], p - c))
     return pivots, ech, pivot_rows, dependent
 
 
@@ -204,11 +241,8 @@ class PrimeFieldMatrix:
         leaves the combination that killed it.  Rows are taken in
         order, so the vector of a vanished row i involves only rows up
         to i, and ends at i with coefficient 1."""
-        n = self.ncols
-        if self.p == 2:
-            rows = [row | 1 << (n + i) for i, row in enumerate(self.rows)]
-        else:
-            rows = [row + ((n + i, 1),) for i, row in enumerate(self.rows)]
+        n, w = self.ncols, _width(self.p)
+        rows = [row | 1 << (n + i) * w for i, row in enumerate(self.rows)]
         return _eliminate(self.p, rows, n)[3]
 
 

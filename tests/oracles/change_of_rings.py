@@ -40,9 +40,7 @@ def is_quotient_of(inner, outer):
 
 
 def vec_entry(p, v, i):
-    if p == 2:
-        return (v >> i) & 1
-    return dict(v).get(i, 0)
+    return dict(vec_support(p, v)).get(i, 0)
 
 
 def solve(mat, v):
@@ -58,10 +56,8 @@ def solve(mat, v):
         c = vec_entry(p, kv, m)
         if not c:
             continue
-        if p == 2:
-            return kv ^ (1 << m)
         f = -pow(c, p - 2, p)
-        return tuple((k, f * x % p) for k, x in kv if k < m)
+        return vec_from_terms(p, [(k, f * x) for k, x in vec_support(p, kv) if k < m])
     return None
 
 

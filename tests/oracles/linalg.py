@@ -1,19 +1,17 @@
-"""Vector arithmetic over F_p, in the package's two encodings (int
-bitmasks at p = 2, sorted (column, coefficient) pair tuples at odd p),
-for checking eliminations by substitution; the rank of a matrix and the
-residue of a vector modulo its row space, read off the package's
-elimination kernels; converters to and from dense residue tuples; and
-the dense odd-prime elimination the package used before its rows
-became sparse, kept as an oracle for the sparse one."""
+"""Vector arithmetic over F_p through the package's vec_from_terms and
+vec_support, for checking eliminations by substitution; the rank of a
+matrix and the residue of a vector modulo its row space, read off the
+package's elimination kernels; converters to and from dense residue
+tuples; and a dense elimination on residue tuples, kept as an oracle
+for the package's packed one."""
 
-from chromadefect.gradedlin.modp import _clear, fp_eliminate, gf2_eliminate
+from chromadefect.gradedlin import vec_from_terms, vec_support
+from chromadefect.gradedlin.modp import _eliminate
 
 
 def eliminate(mat):
     """(pivots, ech, pivot_rows, dependent) of a PrimeFieldMatrix."""
-    if mat.p == 2:
-        return gf2_eliminate(mat.rows, mat.ncols)
-    return fp_eliminate(mat.p, mat.rows, mat.ncols)
+    return _eliminate(mat.p, mat.rows, mat.ncols)
 
 
 def rank(mat):
@@ -25,59 +23,39 @@ def residue(mat, v):
     echelon rows, so it is zero exactly when v lies in the row space,
     and the same for every vector of one coset."""
     pivots, ech = eliminate(mat)[:2]
-    if mat.p == 2:
-        for col, row in sorted(zip(pivots, ech)):
-            if (v >> col) & 1:
-                v ^= row
-        return v
-    v = dict(v)
     for col, row in sorted(zip(pivots, ech)):
-        f = v.get(col)
+        f = dict(vec_support(mat.p, v)).get(col)
         if f:
-            _clear(mat.p, v, f, row)
-    return tuple(sorted(v.items()))
-
-
-def vec_zero(p):
-    return 0 if p == 2 else ()
+            v = vec_add(mat.p, v, vec_scale(mat.p, row, -f))
+    return v
 
 
 def dense(p, v, n):
-    """The odd-prime pair tuple v as a residue tuple of length n."""
+    """The vector v as a residue tuple of length n."""
     out = [0] * n
-    for k, c in v:
+    for k, c in vec_support(p, v):
         out[k] = c
     return tuple(out)
 
 
 def sparse(p, tup):
-    """The residue tuple tup as a pair tuple, entries reduced mod p."""
-    return tuple((k, c % p) for k, c in enumerate(tup) if c % p)
+    """The residue tuple tup as a vector, entries reduced mod p."""
+    return vec_from_terms(p, enumerate(tup))
 
 
 def vec_add(p, a, b):
-    if p == 2:
-        return a ^ b
-    acc = dict(a)
-    for k, c in b:
-        acc[k] = (acc.get(k, 0) + c) % p
-    return tuple(sorted((k, c) for k, c in acc.items() if c))
+    return vec_from_terms(p, vec_support(p, a) + vec_support(p, b))
 
 
 def vec_scale(p, v, c):
-    if p == 2:
-        return v if c % 2 else 0
-    c %= p
-    return tuple((k, c * x % p) for k, x in v) if c else ()
+    return vec_from_terms(p, [(k, c * x) for k, x in vec_support(p, v)])
 
 
 def row_action(mat, x):
     """x.M for a PrimeFieldMatrix M and a vector x over F^nrows."""
-    p = mat.p
-    out = vec_zero(p)
-    coefs = [(i, 1) for i in range(mat.nrows) if (x >> i) & 1] if p == 2 else x
-    for i, c in coefs:
-        out = vec_add(p, out, vec_scale(p, mat.rows[i], c))
+    out = 0
+    for i, c in vec_support(mat.p, x):
+        out = vec_add(mat.p, out, vec_scale(mat.p, mat.rows[i], c))
     return out
 
 
@@ -89,7 +67,7 @@ def in_row_space(mat, v):
 
 
 def dense_eliminate(p, rows, ncols):
-    """Dense elimination mod an odd prime on residue tuples, with the
+    """Dense elimination mod a prime on residue tuples, with the
     (pivots, ech, pivot_rows, dependent) contract of fp_eliminate:
     echelon rows scaled to a unit pivot, and the trailing entries of a
     dependent row as the tuple row[ncols:]."""

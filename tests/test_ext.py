@@ -48,7 +48,7 @@ from oracles.change_of_rings import change_of_rings_check
 from oracles.cobar import CobarComplex, Comodule, _letter_products, cobar_dims
 from oracles.cobar import ext_ranks as cobar_ext_ranks
 from oracles.diagonal import allows, reduced_coproduct
-from oracles.linalg import row_action, vec_zero
+from oracles.linalg import row_action
 from oracles.modules import coalgebra_self, comodule_suspend
 
 
@@ -108,9 +108,8 @@ class TestCobarComplex:
                 for s in range(min(s_max, t) + 1):
                     d = cx.differential_matrix(s, t)
                     d_next = cx.differential_matrix(s + 1, t)
-                    zero = vec_zero(cx.p)
                     for row in d.rows:
-                        assert row_action(d_next, row) == zero, (fam, s, t)
+                        assert row_action(d_next, row) == 0, (fam, s, t)
 
     def test_euler_characteristic_per_column(self):
         # with s_max >= t the whole column is present, so the alternating

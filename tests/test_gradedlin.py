@@ -10,8 +10,11 @@ column being one where the rank of the leading columns grows.  Subquotient repre
 formula and the greedy choice in input order, abelian group
 presentations against their canonical-form validation, and the
 primality gate against a sieve.  Odd-prime vectors are checked to be
-canonical pair tuples wherever they come out of the package, and the
-sparse elimination against the dense one kept in oracles.linalg.
+canonical packed ints (every field a residue below p) wherever they
+come out of the package, and the packed elimination and the row
+combiner against the dense elimination in oracles.linalg and
+vec_from_terms, up to p = 65537.  The Mersenne primes 3, 7 and 127 are
+the tight case, where a field's carry bit leaves room for one more.
 """
 
 import random
@@ -24,7 +27,10 @@ from chromadefect.gradedlin import (
     PrimeFieldMatrix,
     SubquotientBasis,
     check_prime,
+    vec_combine,
     vec_from_terms,
+    vec_last,
+    vec_support,
 )
 from chromadefect.gradedlin.integers import AbelianGroupPresentation
 from chromadefect.gradedlin.modp import fp_eliminate
@@ -40,7 +46,6 @@ from oracles.linalg import (
     sparse,
     vec_add,
     vec_scale,
-    vec_zero,
 )
 
 
@@ -108,13 +113,13 @@ class TestFp:
             r = len(pivots)
             assert len(pivot_rows) == r and len(dependent) == nrows - r
             for col, row in zip(pivots, ech):
-                assert row[0] == (col, 1)
+                assert vec_support(p, row)[0] == (col, 1)
             kernel = m.kernel_vectors()
             assert len(kernel) == nrows - r
             for kv in kernel:
                 acc = [0] * ncols
-                for i, c in kv:
-                    for j, x in rows[i]:
+                for i, c in vec_support(p, kv):
+                    for j, x in vec_support(p, rows[i]):
                         acc[j] = (acc[j] + c * x) % p
                 assert not any(acc)
 
@@ -130,18 +135,22 @@ class TestFromTerms:
 
     def test_entries_inside_accumulate(self, p):
         m = PrimeFieldMatrix.from_terms(p, 2, 3, [(0, 2, 1), (1, 0, 1), (0, 2, p - 1), (1, 2, 1)])
-        assert m.rows == [vec_zero(p), 0b101 if p == 2 else ((0, 1), (2, 1))]
+        # coefficient i in bits [i w, i w + w): w = 1 at p = 2, 3 at p = 3
+        assert m.rows == [0, 0b101 if p == 2 else 0b001_000_001]
+
+
+def width(p):
+    """Bits per field at an odd prime: a residue and a carry bit."""
+    return (p - 1).bit_length() + 1
 
 
 def canonical(p, v):
-    """v is a pair tuple with strictly increasing columns and
-    coefficients in 1..p-1."""
-    cols = [k for k, _ in v]
+    """v is a nonnegative int whose every field is a residue below p."""
+    w = width(p)
     return (
-        type(v) is tuple
-        and all(type(pair) is tuple and len(pair) == 2 for pair in v)
-        and cols == sorted(set(cols))
-        and all(0 < c < p for _, c in v)
+        type(v) is int
+        and v >= 0
+        and all(v >> k & (1 << w) - 1 < p for k in range(0, v.bit_length(), w))
     )
 
 
@@ -152,7 +161,7 @@ def random_sparse_rows(rng, p, nrows, ncols, density):
     ]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 127, 257, 65537])
 class TestSparseRows:
     def test_every_vector_is_canonical(self, p):
         rng = random.Random(71 + p)
@@ -170,10 +179,10 @@ class TestSparseRows:
             assert [v for v in vectors if not canonical(p, v)] == []
 
     def test_cancelling_terms_leave_no_pair(self, p):
-        assert vec_from_terms(p, [(0, 1), (0, p - 1)]) == ()
-        assert vec_from_terms(p, [(4, p), (1, 2 * p), (2, 1), (2, -1)]) == ()
+        assert vec_from_terms(p, [(0, 1), (0, p - 1)]) == 0
+        assert vec_from_terms(p, [(4, p), (1, 2 * p), (2, 1), (2, -1)]) == 0
         m = PrimeFieldMatrix.from_terms(p, 2, 3, [(0, 0, 1), (0, 0, p - 1), (1, 2, p + 1)])
-        assert m.rows == [(), ((2, 1),)]
+        assert m.rows == [0, 1 << 2 * width(p)]
 
     def test_agrees_with_dense_elimination(self, p):
         rng = random.Random(83 + p)
@@ -190,7 +199,7 @@ class TestSparseRows:
                 pivots,
                 [sparse(p, row) for row in ech],
                 pivot_rows,
-                dependent,
+                [sparse(p, row) for row in dependent],
             )
             for _ in range(4):
                 v = random_sparse_rows(rng, p, 1, ncols, 0.2)[0]
@@ -200,11 +209,68 @@ class TestSparseRows:
             kernel = dense_eliminate(p, units, ncols)[3]
             assert [dense(p, kv, nrows) for kv in m.kernel_vectors()] == kernel
 
-    def test_width_costs_nothing(self, p):
+    def test_width_costs_w_bits_per_column(self, p):
+        # a row is as long as its last entry: a 10**6-column row ending
+        # at column 999_999 takes w * 10**6 bits, 375 kB at p = 3
+        w = width(p)
         m = PrimeFieldMatrix.from_terms(p, 2, 10**6, [(0, 7, 1), (1, 999_999, 2)])
-        assert m.rows == [((7, 1),), ((999_999, 2),)]
+        assert m.rows == [1 << 7 * w, 2 << 999_999 * w]
+        assert m.rows[1].bit_length() == 999_999 * w + 2
         assert rank(m) == 2
         assert m.kernel_vectors() == []
+
+    def test_dependent_rows_keep_their_tail(self, p):
+        # entries past ncols travel with their row and come back shifted
+        # down by ncols, as kernel_vectors reads them
+        rng = random.Random(89 + p)
+        for _ in range(20):
+            nrows, ncols, tail = rng.randint(1, 12), rng.randint(1, 8), rng.randint(1, 6)
+            full = [tuple(rng.randrange(p) for _ in range(ncols + tail)) for _ in range(nrows)]
+            rows = [sparse(p, row) for row in full]
+            pivots, ech, pivot_rows, dependent = dense_eliminate(p, full, ncols)
+            assert fp_eliminate(p, rows, ncols) == (
+                pivots,
+                [sparse(p, row) for row in ech],
+                pivot_rows,
+                [sparse(p, row) for row in dependent],
+            )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 127, 257, 65537])
+class TestCombine:
+    def test_every_scalar_and_shift(self, p):
+        rng = random.Random(97 + p)
+        # every field p - 1, so each scalar reaches the largest residues
+        x = sparse(p, [p - 1] * 6)
+        offset = [0, 3, 9, 15]
+        for c in range(1, p):
+            g = rng.randrange(1, 3)
+            want = vec_from_terms(p, [(offset[g] + i, c * y) for i, y in vec_support(p, x)])
+            assert vec_combine(p, lambda x, a: x, x, [(None, g, c)], offset) == want
+
+    def test_sums_match_expanded_terms(self, p):
+        rng = random.Random(101 + p)
+        table = {(x, a): random_vec(rng, p, 5) for x in range(4) for a in range(4)}
+        offset = [0, 2, 5, 9, 14]
+        for _ in range(40):
+            terms = [
+                (rng.randrange(4), rng.randrange(4), rng.randrange(1, p))
+                for _ in range(rng.randint(0, 6))
+            ]
+            x = rng.randrange(4)
+            want = vec_from_terms(p, [
+                (offset[g] + i, c * y)
+                for a, g, c in terms
+                for i, y in vec_support(p, table[(x, a)])
+            ])
+            assert vec_combine(p, lambda x, a: table[(x, a)], x, terms, offset) == want
+
+    def test_last_index(self, p):
+        assert vec_last(p, 0) == -1
+        for i in (0, 1, 7, 300):
+            for c in {1, p - 1}:
+                v = vec_from_terms(p, [(k, 1) for k in range(i)] + [(i, c)])
+                assert vec_last(p, v) == i
 
 
 def random_matrix(rng, p, nrows, ncols):
@@ -222,7 +288,7 @@ def random_combination(rng, m):
 
 def leading(p, v, j):
     """The first j entries of v."""
-    return v & ((1 << j) - 1) if p == 2 else tuple((k, c) for k, c in v if k < j)
+    return vec_from_terms(p, [(k, c) for k, c in vec_support(p, v) if k < j])
 
 
 def pivot_columns(m):
@@ -240,7 +306,7 @@ def pivot_columns(m):
 
 
 def entry(p, v, j):
-    return (v >> j) & 1 if p == 2 else dict(v).get(j, 0)
+    return dict(vec_support(p, v)).get(j, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -250,9 +316,8 @@ class TestResidue:
         for _ in range(40):
             nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
             m = random_matrix(rng, p, nrows, ncols)
-            zero = vec_zero(p)
             for v in [random_vec(rng, p, ncols) for _ in range(4)] + [random_combination(rng, m)]:
-                assert (residue(m, v) == zero) == in_row_space(m, v)
+                assert (residue(m, v) == 0) == in_row_space(m, v)
 
     def test_constant_on_cosets(self, p):
         rng = random.Random(59 + p)

@@ -5,8 +5,13 @@ spectrum (the 8-periodic pattern Z, Z/2, Z/2, 0, Z, 0, 0, 0 with the
 index-2 class in stem 4), hand-computed homology of the monomial
 lattice on small windows, and internal cross-checks (window
 enlargement stability, differential-square vanishing, translation
-periodicity of the fourth page), and the comparison map from the
-polynomial to the Laurent chart (oracles/ko_compare.py).
+periodicity of the fourth page), the comparison map from the
+polynomial to the Laurent chart (oracles/ko_compare.py), and pi_*ko
+read off the minimal resolution over A(1): the Adams spectral sequence
+of ko has E2 = Ext_{A(1)}(F_2, F_2) and collapses (J. F. Adams, Stable
+Homotopy and Generalised Homology, 1974, Part III), so its h0 towers
+and finite h0 chains give the free rank and the 2-torsion order of
+each stem, which the polynomial fourth page must match.
 """
 
 import pytest
@@ -30,7 +35,12 @@ from chromadefect.ssq import (
     turn_page,
 )
 
+from chromadefect.ext import Resolution, cobar_letters
+from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms
+from chromadefect.steenrod import Profile
+
 from oracles.ko_compare import compare_maps
+from oracles.linalg import rank
 
 WIDE = Window(-16, 20, -8, 20)
 
@@ -453,3 +463,82 @@ class TestDifferentialSources:
         for s, f in sources:
             a = (s - f) // 2
             assert a % 2 == 1
+
+
+def ko_from_ext(top, stems):
+    """Per stem n < stems, the free rank of pi_n ko and log2 of its
+    torsion order, read off Ext_{A(1)} through Adams filtration top: a
+    class lies on an infinite h0 tower when h0^(top - s) keeps it
+    nonzero, and every other class is one factor 2 of the torsion."""
+    family = Profile.A(2, 1)
+    res = Resolution(family, top, stems + top, stems)
+    for t in range(stems + top + 1):
+        res.column(t)
+    (h0,) = [mono for name, mono in cobar_letters(family, 1) if name == "h(1,0)"]
+    op = res.ops.number[res.ops.element(h0)]
+    free, torsion = [], []
+    for n in range(stems):
+        classes = towers = 0
+        for s in range(top + 1):
+            cell = res.cells.get((s, n + s), ())
+            images = []
+            for g in cell:
+                x = {g: 1}
+                for k in range(s + 1, top + 1):
+                    x = res.times(op, k, n + k, x)
+                images.append(vec_from_terms(2, x.items()))
+            classes += len(cell)
+            towers += rank(PrimeFieldMatrix(2, len(images), len(res.degrees[top]), images))
+        free.append(len(res.cells.get((top, n + top), ())))
+        torsion.append(classes - towers)
+    return free, torsion
+
+
+def ko_from_chart(window, stems):
+    """The same two lists read off the polynomial fourth page: its Z
+    cells, and log2 of the order of its cyclic cells, per stem."""
+    e4 = run_d3(run_d1(build_e1("polynomial", window)))
+    free, torsion = [0] * stems, [0] * stems
+    for (n, _), c in e4.alive_items():
+        if 0 <= n < stems:
+            if c.order is None:
+                free[n] += 1
+            else:
+                assert c.order & (c.order - 1) == 0, (n, c)
+                torsion[n] += c.order.bit_length() - 1
+    return free, torsion
+
+
+class TestAgainstAdamsResolution:
+    # stems 0-29: every class of Ext_{A(1)} there past filtration 13 lies
+    # on a tower, so filtration 24 separates towers from finite chains
+    STEMS = 30
+
+    @pytest.fixture(scope="class")
+    def from_ext(self):
+        return ko_from_ext(24, self.STEMS)
+
+    def test_ext_reads_the_bott_pattern(self, from_ext):
+        free, torsion = from_ext
+        assert free == [1, 0, 0, 0] * 7 + [1, 0]
+        assert torsion == [0, 1, 1, 0, 0, 0, 0, 0] * 3 + [0, 1, 1, 0, 0, 0]
+
+    @pytest.mark.parametrize("window", [Window(0, 30, 0, 30), Window(-6, 36, -4, 34)])
+    def test_fourth_page_matches_ext(self, from_ext, window):
+        # the window's filtrations reach its top stem, so every
+        # differential into stems below 30 is inside it
+        assert ko_from_chart(window, self.STEMS) == from_ext
+
+    def test_eta_cubed_vanishes(self):
+        # pi_3 ko = 0 above is the laurent chart's premise: h1^3 = 0 in
+        # Ext_{A(1)}, so eta^3 = 0 and ko[eta^-1] = 0
+        family = Profile.A(2, 1)
+        res = Resolution(family, 3, 6)
+        for t in range(7):
+            res.column(t)
+        (h1,) = [mono for name, mono in cobar_letters(family, 2) if name == "h(1,1)"]
+        op = res.ops.number[res.ops.element(h1)]
+        x = {0: 1}
+        for s in (1, 2, 3):
+            x = res.times(op, s, 2 * s, x)
+            assert bool(x) == (s < 3), s
