@@ -61,18 +61,19 @@ MAX_FGL_CAP = 16392
 # operator pairs (a, b) with deg a + deg b <= min(stem_max + 2, t_max),
 # the most products an ext job's resolution can form (ext.operator_pairs
 # and the bound in the ext module docstring).  Products take most of a
-# large job's time; memory stays small.  Whole jobs on a 2 vCPU host,
-# peak RSS read by a small launcher: A(1) at p = 2 through stem 40,
-# s 20 (64 pairs) took 0.12 s and 15 MB peak, A(2) through stem 40,
-# s 10 (4,096) 0.24 s and 15 MB, and T(0) through stem 40, s 10
-# (90,339) 1.7 s and 22 MB.  At the largest stem each family admits,
-# with s as large as MAX_EXT_CELLS allows: T(0) at p = 2 through stem
-# 46, s 44 (187,288) took 6.9 s and 35 MB; T(1) through stem 91, s 32
-# (188,651) 10.8 s and 47 MB; A(3) through stem 52, s 42 (196,059)
-# 4.9 s and 27 MB; T(0) at p = 3 through stem 120, s 26 (199,991)
-# 4.5-5.5 s and 24 MB; T(1) at p = 3 through stem 318, s 11 (199,556)
-# 6.6-7.6 s and 23 MB.  T(0) at p = 2 through stem 87, s 1 (7.7 million)
-# is refused; its resolution alone took 8.5 s and 33 MB
+# large job's time at small s, elimination at large s; memory stays
+# small.  Whole jobs on a 2 vCPU host, two runs each, peak RSS read by a
+# small launcher: A(1) at p = 2 through stem 40, s 20 (64 pairs) took
+# 0.12 s and 15 MB peak, A(2) through stem 40, s 10 (4,096) 0.18 s and
+# 15 MB, and T(0) through stem 40, s 10 (90,339) 1.8-1.9 s and 22 MB.
+# At the largest stem each family admits, with s as large as
+# MAX_EXT_CELLS allows: T(0) at p = 2 through stem 46, s 44 (187,288)
+# took 5.6 s and 35 MB; T(1) through stem 91, s 32 (188,651) 15-16 s
+# and 46 MB; A(3) through stem 52, s 42 (196,059) 4.5-4.9 s and 27 MB;
+# T(0) at p = 3 through stem 120, s 26 (199,991) 5.5-5.7 s and 23 MB;
+# T(1) at p = 3 through stem 318, s 11 (199,556) 9-12 s and 23 MB.
+# T(0) at p = 2 through stem 87, s 1 (7.7 million) is refused; its
+# resolution alone took 5.2 s and 32 MB in process
 MAX_EXT_OPERATOR_PAIRS = 200_000
 # largest ext window, in cells (s_max + 1) * (t_max + 1), checked before
 # the operator pairs are counted; the job visits every cell

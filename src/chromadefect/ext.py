@@ -14,9 +14,10 @@ The resolution is minimal, so Hom_A(F_s, F_p) has zero differential
 and Ext^{s,t} is the number of generators of F_s in degree t.
 
 Operators are the family's monomials through t_max, each read as the
-Milnor basis element dual to it, numbered once in degree order; a
-product comes from milnor_product the first time it is needed, and
-none past t_max is formed.  The p = 2 even-only family P(n) is dual to
+Milnor basis element dual to it, held as its exponent pair (xi, tau)
+and numbered once in degree order; a product comes from
+operator_product the first time it is needed, and none past t_max is
+formed.  The p = 2 even-only family P(n) is dual to
 A(n) with degrees doubled, so its operators are its monomials with
 every exponent halved.  F_s in degree t has the basis op * g over its
 generators g of degree at most t and the operators op of degree
@@ -73,7 +74,7 @@ from bisect import bisect_left, bisect_right
 
 from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
 from .gradedlin import PrimeFieldMatrix, vec_combine, vec_from_terms, vec_last, vec_support
-from .steenrod import DualMonomial, Profile, milnor_product
+from .steenrod import Profile, operator_product
 
 __all__ = [
     "ExtChart",
@@ -114,10 +115,11 @@ class _Operators:
     def __init__(self, profile, t_max):
         self.p = profile.p
         # P(n) at p = 2 multiplies as A(n) with every exponent halved
-        self.scale = 2 if profile.even_only else 1
-        self.elements = [self.element(m) for m in profile.basis(t_max)]
+        self.halved = profile.even_only
+        basis = profile.basis(t_max)
+        self.elements = [self.element(m) for m in basis]
         self.number = {e: a for a, e in enumerate(self.elements)}
-        self.degree = [self.scale * e.degree() for e in self.elements]
+        self.degree = [m.degree() for m in basis]
         self.by_degree = [[] for _ in range(t_max + 1)]
         self.position = []
         for a, d in enumerate(self.degree):
@@ -126,18 +128,16 @@ class _Operators:
         self._products = {}
 
     def element(self, mono):
-        """The operator dual to a family monomial, as milnor_product
-        multiplies it: the monomial itself, halved in P(n) at p = 2."""
-        return mono if self.scale == 1 else DualMonomial(2, [e // 2 for e in mono.xi])
+        """The operator dual to a family monomial, as operator_product
+        multiplies it: the monomial's exponents, halved in P(n) at p = 2."""
+        return (tuple(e // 2 for e in mono.xi), ()) if self.halved else (mono.xi, mono.tau)
 
     def product(self, a, b):
         key = a * len(self.elements) + b
         got = self._products.get(key)
         if got is None:
-            terms = milnor_product(self.elements[a], self.elements[b]).items()
-            got = vec_from_terms(
-                self.p, [(self.position[self.number[e]], c) for e, c in terms]
-            )
+            terms = operator_product(self.p, self.elements[a], self.elements[b]).items()
+            got = vec_from_terms(self.p, [(self.position[self.number[e]], c) for e, c in terms])
             self._products[key] = got
         return got
 

@@ -12,10 +12,11 @@ constraint enforced by the profile.
 
 The operator side (the Milnor basis of the Steenrod algebra itself)
 needs no type of its own: the basis element Q_E P(R) is dual to the
-monomial xi^R tau_E, so a DualMonomial names it too.  milnor_product,
-at the bottom of the module, multiplies two monomials read that way by
-Milnor's matrix formula, so a family's operators are its own monomials
-and the Ext engine resolves over them.
+monomial xi^R tau_E, so its exponents (R, E) name it.
+operator_product, at the bottom of the module, multiplies two such
+exponent pairs by Milnor's matrix formula and returns exponent pairs,
+building no DualMonomial, so a family's operators are its own
+monomials and the Ext engine resolves over them.
 
 Profile._generators is the one statement of which generators a family
 keeps and of their exponent caps: basis multiplies out their powers,
@@ -27,13 +28,14 @@ allows live in tests/oracles/diagonal.py, and the test suite checks the
 product, the bases and the cross terms against them.
 """
 
+from bisect import bisect_right
 from math import comb
 
 __all__ = [
     "DualMonomial",
     "Profile",
     "MAX_FAMILY_HEIGHT",
-    "milnor_product",
+    "operator_product",
     "elt_add_term",
     "xi_gen",
     "tau_gen",
@@ -344,7 +346,8 @@ class Profile:
                     grown.append((xi + (e * step,), tau, deg + e * d))
                     e += 1
             built = grown
-        return sorted(DualMonomial(self.p, xi, tau) for xi, tau, _ in built)
+        monos = (DualMonomial(self.p, xi, tau) for xi, tau, _ in built)
+        return sorted(monos, key=lambda m: (m.degree(), str(m)))
 
     def poincare(self, max_degree):
         """Family dims by degree through max_degree, from the generating
@@ -390,59 +393,61 @@ def _le_num(a, b):
 
 
 # ---------------------------------------------------------------------------
-# operator side: the Milnor product, on the basis elements dual to monomials
+# operator side: the Milnor product, on the exponent tuples of dual monomials
 
 
-def _multinomial(p, parts):
-    total = 0
-    acc = 1
-    for c in parts:
-        total += c
-        acc = acc * comb(total, c) % p
-        if not acc:
-            return 0
-    return acc
+# each Milnor matrix shape's diagonals and column weights, by (p, rows,
+# cols): read-only tuples that depend on the key alone
+_SHAPES = {}
 
 
 def _p_part_products(p, R, S):
     """Milnor matrix expansion of P(R) P(S): [(coef, T)].
 
-    The matrices x, rows 0..len(R) and columns 0..len(S), with x[0][0]
-    unused, row sums sum_j p^j x[i][j] = r_i and column sums
-    sum_i x[i][j] = s_j, are stepped through in place (Milnor's
-    enumeration, as in SageMath's milnor_multiplication): the next
-    matrix moves one unit into the first entry (i, j) that can take it
-    from its column above and p^j from its row's left part, and resets
-    every entry before (i, j).  Diagonal n gives t_n, with the
-    multinomial coefficient of its entries; at p = 2 that is 1 when no
-    two entries share a bit (Lucas) and 0 otherwise.
+    The matrices x, rows 0..len(R) and columns 0..len(S), stored flat
+    (x[i][j] at i * cols + j) with x[0][0] unused, row sums
+    sum_j p^j x[i][j] = r_i and column sums sum_i x[i][j] = s_j, are
+    stepped through in place (Milnor's enumeration, as in SageMath's
+    milnor_multiplication): the next matrix moves one unit into the
+    first entry (i, j) that can take it from its column above and p^j
+    from its row's left part, and resets every entry before (i, j).
+    Diagonal n gives t_n, with the multinomial coefficient of its
+    entries, folded entry by entry as comb(running total, entry); at
+    p = 2 that is 1 when no two entries share a bit (Lucas) and 0
+    otherwise.
     """
     rows = len(R) + 1
     cols = len(S) + 1
-    x = [[0, *S]] + [[r] + [0] * (cols - 1) for r in R]
-    top = x[0]
-    diagonals = [
-        [(i, n - i) for i in range(max(0, n - cols + 1), min(n, rows - 1) + 1)]
-        for n in range(1, rows + cols - 1)
-    ]
-    powers = [p**j for j in range(cols)]
+    shape = _SHAPES.get((p, rows, cols))
+    if shape is None:
+        # diagonal n >= 1 as the flat cells i * cols + j with i + j = n
+        cells = [[i * cols + n - i for i in range(rows) if 0 <= n - i < cols]
+                 for n in range(1, rows + cols - 1)]
+        shape = _SHAPES[p, rows, cols] = tuple(map(tuple, cells)), tuple(p**j for j in range(cols))
+    diagonals, powers = shape
+    x = [0, *S]
+    for r in R:
+        x += [r] + [0] * (cols - 1)
     results = []
     while True:
         T = []
         coef = 1
         for cells in diagonals:
-            if p == 2:
-                total = 0
-                for i, j in cells:
-                    e = x[i][j]
+            total = 0
+            for c in cells:
+                e = x[c]
+                if not e:
+                    continue
+                if p == 2:
                     if total & e:
                         coef = 0
                         break
                     total |= e
-            else:
-                diag = [x[i][j] for i, j in cells]
-                coef = coef * _multinomial(p, diag) % p
-                total = sum(diag)
+                else:
+                    total += e
+                    coef = coef * comb(total, e) % p
+                    if not coef:
+                        break
             if not coef:
                 break
             T.append(total)
@@ -450,38 +455,39 @@ def _p_part_products(p, R, S):
             while T and T[-1] == 0:
                 T.pop()
             results.append((coef, tuple(T)))
-        for i in range(1, rows):
-            row = x[i]
-            left = row[0]
+        for base in range(cols, rows * cols, cols):
+            left = x[base]
             for j in range(1, cols):
-                if left >= powers[j] and any(x[k][j] for k in range(i)):
+                # units in column j above this row, the top margin included
+                if left >= powers[j] and any(x[j:base:cols]):
                     break
-                left += row[j] * powers[j]
+                left += x[base + j] * powers[j]
             else:
                 continue
-            # rows above i and row i left of j go back to their start:
+            # rows above and this row left of j go back to their start:
             # each row's weight in column 0, each column's units on top
-            for k in range(1, i):
-                above = x[k]
+            for above in range(cols, base, cols):
                 for c in range(1, cols):
-                    top[c] += above[c]
-                    above[c] = 0
-                above[0] = R[k - 1]
+                    x[c] += x[above + c]
+                    x[above + c] = 0
+                x[above] = R[above // cols - 1]
             for c in range(1, j):
-                top[c] += row[c]
-                row[c] = 0
-            top[j] -= 1
-            row[j] += 1
-            row[0] = left - powers[j]
+                x[c] += x[base + c]
+                x[base + c] = 0
+            x[j] -= 1
+            x[base + j] += 1
+            x[base] = left - powers[j]
             break
         else:
             return results
 
 
-def milnor_product(a, b):
-    """Product of the Milnor basis elements dual to two monomials:
-    {DualMonomial: coef}, each key read as the element Q_E P(R) dual to
-    its xi^R tau_E (at p = 2, Sq(R) dual to xi^R).
+def operator_product(p, a, b):
+    """Product of the Milnor basis elements named by two exponent pairs
+    (xi, tau): {(xi, tau): coef}, each pair read as the element
+    Q_E P(R) dual to the monomial xi^R tau_E (at p = 2, where tau is
+    empty, Sq(R) dual to xi^R), its xi without trailing zeros and its
+    tau strictly increasing.
 
     Sign convention: this is the dual of the diagonal under the
     unsigned tensor pairing <a (x) b, x' (x) x''> = a(x') b(x''); every
@@ -489,44 +495,35 @@ def milnor_product(a, b):
     exterior generators anticommute, the Bockstein squares to zero, and
     Q_{k+1} = P(p^k) Q_k - Q_k P(p^k).
     """
-    if a.p != b.p:
-        raise ValueError("prime mismatch")
-    p = a.p
-    out = {}
-    if p == 2:
-        for coef, T in _p_part_products(p, a.xi, b.xi):
-            elt_add_term(p, out, DualMonomial(p, T), coef)
-        return out
-    # move each exterior factor of b leftwards through P(a.xi):
-    # P(R) Q_f = sum_j Q_{f+j} P(R - p^f e_j), the j = 0 term leaving R alone
-    states = [(1, a.tau, a.xi)]
-    for f in b.tau:
-        nxt = []
+    (R, qs), (S, fs) = a, b
+    # move each exterior factor of b leftwards through P(R):
+    # P(R) Q_f = sum_j Q_{f+j} P(R - p^f e_j), the j = 0 term leaving R
+    # alone.  Q_q joins the sorted Q's left of the len(qs) - k larger
+    # ones, k = bisect_right(qs, q), and a repeated Q_q kills the term
+    states = [(1, qs, R)]
+    for f in fs:
+        need = p**f
+        grown = []
         for coef, qs, R in states:
             for j in range(len(R) + 1):
-                if j == 0:
-                    nxt.append((coef, qs + (f,), R))
+                if j and R[j - 1] < need:
                     continue
-                need = p**f
-                if R[j - 1] >= need:
-                    R2 = list(R)
-                    R2[j - 1] -= need
-                    while R2 and R2[-1] == 0:
-                        R2.pop()
-                    nxt.append((coef, qs + (f + j,), tuple(R2)))
-        states = nxt
-    for coef, qs, R in states:
-        if len(set(qs)) != len(qs):
-            continue
-        sign = 1
-        seq = list(qs)
-        # parity of the sort
-        inv = sum(
-            1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
-        )
-        if inv & 1:
-            sign = -1
-        qsorted = tuple(sorted(seq))
-        for c2, T in _p_part_products(p, R, b.xi):
-            elt_add_term(p, out, DualMonomial(p, T, qsorted), sign * coef * c2)
+                R2 = R[: j - 1] + (R[j - 1] - need,) + R[j:] if j else R
+                while R2 and R2[-1] == 0:
+                    R2 = R2[:-1]
+                k = bisect_right(qs, f + j)
+                if k and qs[k - 1] == f + j:
+                    continue
+                sign = -coef if (len(qs) - k) & 1 else coef
+                grown.append((sign, qs[:k] + (f + j,) + qs[k:], R2))
+        states = grown
+    out = {}
+    for sign, qs, R in states:
+        for coef, T in _p_part_products(p, R, S):
+            key = T, qs
+            c = (out.get(key, 0) + sign * coef) % p
+            if c:
+                out[key] = c
+            else:
+                del out[key]
     return out

@@ -23,9 +23,37 @@ Profile._generators, are checked.
 _p_part_products is the enumeration the package used before it stepped
 through the matrices in place: each row's entries are filled
 recursively, and a matrix whose column sums overrun S is discarded.
+milnor_product reads the package's product on exponent pairs,
+steenrod.operator_product, as a product of dual monomials, the form
+the oracles and tests compare.
 """
 
-from chromadefect.steenrod import DualMonomial, _multinomial, elt_add_term, tau_gen, xi_gen
+from math import comb
+
+from chromadefect.steenrod import DualMonomial, elt_add_term, operator_product, tau_gen, xi_gen
+
+
+def _multinomial(p, parts):
+    """The multinomial coefficient of parts, mod p."""
+    total = 0
+    acc = 1
+    for c in parts:
+        total += c
+        acc = acc * comb(total, c) % p
+        if not acc:
+            return 0
+    return acc
+
+
+def milnor_product(a, b):
+    """Product of the Milnor basis elements dual to two monomials:
+    {DualMonomial: coef}, each key read as the element Q_E P(R) dual to
+    its xi^R tau_E; steenrod.operator_product states the sign
+    convention."""
+    if a.p != b.p:
+        raise ValueError("prime mismatch")
+    terms = operator_product(a.p, (a.xi, a.tau), (b.xi, b.tau))
+    return {DualMonomial(a.p, xi, tau): c for (xi, tau), c in terms.items()}
 
 
 def allows(profile, mono):

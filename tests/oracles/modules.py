@@ -22,10 +22,10 @@ from chromadefect.margolis import (
     parse_operator,
     subalgebra_operators,
 )
-from chromadefect.steenrod import DualMonomial, Profile, milnor_product, xi_gen
+from chromadefect.steenrod import DualMonomial, Profile, xi_gen
 
 from oracles.cobar import Comodule
-from oracles.diagonal import coproduct
+from oracles.diagonal import coproduct, milnor_product
 
 
 def milnor_name(p, q, r):

@@ -27,7 +27,10 @@ t <= stem-max + s-max computes only in part, left the T-family files,
 and each TSV header gained the stem window.  Both defect_table.json
 files were written again when ko's lower bound moved from the ko
 chart's fourth page onto the letter h(1,1) of Ext over A(1): only ko's
-lower Evidence changed, and the TSVs kept their bytes.  The margolis
+lower Evidence changed, and the TSVs kept their bytes.  ext_t0_p2 (the
+sphere), ext_a1_p5 and ext_p1_p2 (the halved even-only operators) were
+written by the engine whose Milnor product built a DualMonomial per
+term, before products ran on exponent tuples.  The margolis
 inputs live in tests/golden/inputs/, written by the builders in tests/oracles/modules.py
 (free_a1.json is free_module(2, "A", 1, [0, 3]); rp4.json is
 rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json is the malformed
@@ -63,6 +66,12 @@ GOLDEN = {
                   "--stem-max", "12", "--s-max", "6", *FORMATS, "--format", "svg"],
     "ext_t1_p3": ["ext", "--prime", "3", "--family", "T", "--n", "1",
                   "--stem-max", "30", "--s-max", "4", *FORMATS, "--format", "svg"],
+    "ext_t0_p2": ["ext", "--prime", "2", "--family", "T", "--n", "0",
+                  "--stem-max", "20", "--s-max", "6", *FORMATS, "--format", "svg"],
+    "ext_a1_p5": ["ext", "--prime", "5", "--family", "A", "--n", "1",
+                  "--stem-max", "40", "--s-max", "3", *FORMATS, "--format", "svg"],
+    "ext_p1_p2": ["ext", "--prime", "2", "--family", "P", "--n", "1",
+                  "--stem-max", "20", "--s-max", "4", *FORMATS, "--format", "svg"],
     "margolis_free_a1": ["margolis", "--input", str(INPUTS / "free_a1.json"),
                          "--subalgebra", "A(1)", *FORMATS],
     "margolis_rp4": ["margolis", "--input", str(INPUTS / "rp4.json"),

@@ -42,7 +42,7 @@ from chromadefect.ext import (
     operator_pairs,
 )
 from chromadefect.gradedlin import vec_support
-from chromadefect.steenrod import DualMonomial, Profile, milnor_product, tau_gen, xi_gen
+from chromadefect.steenrod import DualMonomial, Profile, operator_product, tau_gen, xi_gen
 
 from oracles.change_of_rings import change_of_rings_check
 from oracles.cobar import CobarComplex, Comodule, _letter_products, cobar_dims
@@ -503,11 +503,11 @@ class TestStemWindow:
         for stem_max in (None, 30):
             seen = set()
 
-            def traced(a, b):
+            def traced(p, a, b):
                 seen.add((a, b))
-                return milnor_product(a, b)
+                return operator_product(p, a, b)
 
-            monkeypatch.setattr("chromadefect.ext.milnor_product", traced)
+            monkeypatch.setattr("chromadefect.ext.operator_product", traced)
             ext_ranks(Profile.T(2, 0), 6, 36, stem_max)
             counts.append(len(seen))
         assert counts[0] > counts[1] > 0
@@ -562,17 +562,16 @@ class TestResolution:
         [Profile.A(2, 1), Profile.T(2, 0), Profile.E(3, 1), Profile.T(3, 0), Profile.P(2, 1)],
         ids=repr,
     )
-    def test_operators_are_the_family_monomials(self, fam, monkeypatch):
-        # each operator is the family's own monomial, halved in P(n) at p = 2;
-        # basis builds new monomials on each call, so the operators read
-        # the very list compared here
+    def test_operators_are_the_family_monomials(self, fam):
+        # each operator is the exponent pair of the family's own
+        # monomial, halved in P(n) at p = 2, with the monomial's degree
         basis = fam.basis(24)
-        monkeypatch.setattr(fam, "basis", lambda t_max: basis)
         ops = _Operators(fam, 24)
         if fam.even_only:
-            assert ops.elements == [DualMonomial(2, [e // 2 for e in m.xi]) for m in basis]
+            assert ops.elements == [(tuple(e // 2 for e in m.xi), ()) for m in basis]
         else:
-            assert all(e is m for e, m in zip(ops.elements, basis, strict=True))
+            assert ops.elements == [(m.xi, m.tau) for m in basis]
+        assert ops.degree == [m.degree() for m in basis]
 
     @pytest.mark.parametrize("fam", [Profile.T(2, 1), Profile.A(3, 1), Profile.P(2, 1)], ids=repr)
     def test_d_squared_zero(self, fam):
@@ -588,11 +587,11 @@ class TestResolution:
         # each product is formed once, and none past t_max
         seen = []
 
-        def traced(a, b):
-            seen.append((a, b))
-            return milnor_product(a, b)
+        def traced(p, a, b):
+            seen.append((DualMonomial(p, *a), DualMonomial(p, *b)))
+            return operator_product(p, a, b)
 
-        monkeypatch.setattr("chromadefect.ext.milnor_product", traced)
+        monkeypatch.setattr("chromadefect.ext.operator_product", traced)
         fam = Profile.T(2, 0)
         t_max = 16
         ext_ranks(fam, 5, t_max)
@@ -616,11 +615,11 @@ class TestResolution:
         # min(N + 2, t_max), the count the ext job's limit reads
         seen = set()
 
-        def traced(a, b):
-            seen.add((a, b))
-            return milnor_product(a, b)
+        def traced(p, a, b):
+            seen.add((DualMonomial(p, *a), DualMonomial(p, *b)))
+            return operator_product(p, a, b)
 
-        monkeypatch.setattr("chromadefect.ext.milnor_product", traced)
+        monkeypatch.setattr("chromadefect.ext.operator_product", traced)
         t_max = stem_max + s_max
         ext_ranks(fam, s_max, t_max, stem_max)
         bound = min(stem_max + 2, t_max)

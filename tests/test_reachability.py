@@ -2,9 +2,8 @@
 
 The package holds what the jobs run; test oracles live under
 tests/oracles/.  This test runs every GOLDEN argv in process under
-`sys.setprofile`, plus one cached run (store, then hit), a small `ext`
-run over the P family, which no golden argv covers, and the top-level
-and `ext` help, and asserts that every function defined under
+`sys.setprofile`, plus one cached run (store, then hit) and the
+top-level and `ext` help, and asserts that every function defined under
 src/chromadefect was entered.
 Dunder methods are exempt.  EXEMPT names the other exemptions, one
 group per planned change that takes them as its main path or replaces
@@ -91,9 +90,6 @@ def test_every_package_function_is_reached(tmp_path, monkeypatch):
             assert cli.main([*argv, "--no-cache", "--out", str(tmp_path / name)]) == 0
         for run in ("store", "hit"):
             assert cli.main(["fgl", "--n", "1", "--out", str(tmp_path / run)]) == 0
-        argv = ["ext", "--family", "P", "--stem-max", "6", "--s-max", "2",
-                "--no-cache", "--out", str(tmp_path / "P")]
-        assert cli.main(argv) == 0
         for argv in (["--help"], ["ext", "--help"]):
             assert cli.main(argv) == 0
 

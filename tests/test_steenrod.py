@@ -3,7 +3,8 @@
 Oracles used here:
   * the dual pairing: a product coefficient must equal the matching
     coefficient in the diagonal of the dual monomial (unsigned pairing),
-    the diagonal being tests/oracles/diagonal.py,
+    the diagonal being tests/oracles/diagonal.py, on random pairs and on
+    every pair of A(1) at p = 3 and 5, absent terms pairing to 0,
   * the recursive Milnor-matrix enumeration the package used before it
     stepped through the matrices in place, on every pair of six bases,
   * independent dimension counts for family bases (partition counting),
@@ -20,21 +21,20 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromadefect.steenrod import (
-    DualMonomial,
-    Profile,
-    _multinomial,
-    elt_add_term,
-    milnor_product,
-    tau_gen,
-    xi_gen,
-)
+from chromadefect.steenrod import DualMonomial, Profile, elt_add_term, tau_gen, xi_gen
 
 from oracles.change_of_rings import cotensor_comodule, is_quotient_of
 from oracles.cobar import Comodule
 from oracles.cofree import cofree_decompose
 from oracles.diagonal import _p_part_products as recursive_p_part_products
-from oracles.diagonal import allows, coproduct, reduced_coproduct, times
+from oracles.diagonal import (
+    _multinomial,
+    allows,
+    coproduct,
+    milnor_product,
+    reduced_coproduct,
+    times,
+)
 from oracles.modules import coalgebra_self, operator_basis, thom_height_one
 from oracles.splitting import (
     conjugate_xi,
@@ -379,6 +379,23 @@ class TestMilnorProduct:
         for T in operator_basis(Profile.A(2, 2)):
             if T.degree() == deg and T not in prod:
                 assert self._pairing_coef(2, a, b, T) == 0
+
+    @pytest.mark.parametrize("p, size", [(3, 12), (5, 20)])
+    def test_pairing_oracle_whole_a1_odd(self, p, size):
+        # every pair of A(1) at p against every basis element of its
+        # degree: a present term pairs to its coefficient, an absent one
+        # to 0, so a wrong exterior sign or a kept repeated Q_q fails
+        basis = operator_basis(Profile.A(p, 1))
+        assert len(basis) == size
+        diagonals = {x: coproduct(x) for x in basis}
+        for a in basis:
+            for b in basis:
+                prod = milnor_product(a, b)
+                assert set(prod) <= set(diagonals), (a, b)
+                deg = a.degree() + b.degree()
+                for x, psi in diagonals.items():
+                    if x.degree() == deg:
+                        assert prod.get(x, 0) == psi.get((a, b), 0), (a, b, x)
 
     @pytest.mark.parametrize(
         "family, top",
