@@ -172,7 +172,7 @@ def verdict_ko(stem_cap: int = 24) -> DefectVerdict:
         "upper",
         2,
     )
-    if "h(1,1)" not in dict(cobar_letters(Profile.A(2, 1), 2)):
+    if "h(1,1)" not in [name for name, _, _ in cobar_letters(Profile.A(2, 1), 2)]:
         raise ValueError("expected the primitive h(1,1) detecting eta in Ext_A(1)^{1,2}")
     lower = Evidence(
         "ext",

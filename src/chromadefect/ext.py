@@ -14,12 +14,13 @@ The resolution is minimal, so Hom_A(F_s, F_p) has zero differential
 and Ext^{s,t} is the number of generators of F_s in degree t.
 
 Operators are the family's monomials through t_max, each read as the
-Milnor basis element dual to it, held as its exponent pair (xi, tau)
-and numbered once in degree order; a product comes from
-operator_product the first time it is needed, and none past t_max is
-formed.  The p = 2 even-only family P(n) is dual to
-A(n) with degrees doubled, so its operators are its monomials with
-every exponent halved.  F_s in degree t has the basis op * g over its
+Milnor basis element dual to it: Profile.basis hands out each
+monomial's exponent pair (xi, tau) with its degree, and the operators
+are those pairs, numbered once in the basis order; a product comes
+from operator_product the first time it is needed, and none past
+t_max is formed.  The p = 2 even-only family P(n) is dual to A(n) with
+degrees doubled, so its operators are its monomials with every
+exponent halved.  F_s in degree t has the basis op * g over its
 generators g of degree at most t and the operators op of degree
 t - deg g.  Step (s, t) eliminates one matrix: the images op * d(g')
 of the generators g' of F_{s+1} below degree t, then a basis of the
@@ -51,7 +52,7 @@ operator_pairs through that degree bounds the products a job forms.
 
 Classes are named by products of the degree-one letters (cobar_letters)
 with no chain map lifted.  A letter h is dual to the operator op_h
-whose dual monomial is h's monomial.  For x in Ext^s, dual to
+whose exponent pair is h's.  For x in Ext^s, dual to
 generators of F_s, and a generator g' of F_{s+1}, (h x)(g') is the sum
 over g of x(g) times the coefficient of op_h * g in d(g').  A product
 h_1 ... h_s of a sorted multiset is h_1 times the product h_2 ... h_s,
@@ -117,9 +118,9 @@ class _Operators:
         # P(n) at p = 2 multiplies as A(n) with every exponent halved
         self.halved = profile.even_only
         basis = profile.basis(t_max)
-        self.elements = [self.element(m) for m in basis]
+        self.elements = [self.element(pair) for _, pair in basis]
         self.number = {e: a for a, e in enumerate(self.elements)}
-        self.degree = [m.degree() for m in basis]
+        self.degree = [d for d, _ in basis]
         self.by_degree = [[] for _ in range(t_max + 1)]
         self.position = []
         for a, d in enumerate(self.degree):
@@ -127,10 +128,10 @@ class _Operators:
             self.by_degree[d].append(a)
         self._products = {}
 
-    def element(self, mono):
-        """The operator dual to a family monomial, as operator_product
-        multiplies it: the monomial's exponents, halved in P(n) at p = 2."""
-        return (tuple(e // 2 for e in mono.xi), ()) if self.halved else (mono.xi, mono.tau)
+    def element(self, pair):
+        """The operator dual to a family monomial's exponent pair, as
+        operator_product multiplies it: the pair, halved in P(n) at p = 2."""
+        return (tuple(e // 2 for e in pair[0]), ()) if self.halved else pair
 
     def product(self, a, b):
         key = a * len(self.elements) + b
@@ -264,12 +265,12 @@ class ExtChart:
 
 
 def cobar_letters(profile, t_max):
-    """Named degree-one cocycles through internal degree t_max: h(i,j)
-    for xi_i^{p^j} and a(t) for tau_t, the generator powers with no
-    cross term (Profile.generator_powers)."""
+    """Named degree-one cocycles through internal degree t_max, as
+    (name, degree, pair): h(i,j) for xi_i^{p^j} and a(t) for tau_t, the
+    generator powers with no cross term (Profile.generator_powers)."""
     return [
-        (f"h({i},{j})" if kind == "h" else f"a({i})", mono)
-        for (kind, i, j), mono, cross in profile.generator_powers(t_max)
+        (f"h({i},{j})" if kind == "h" else f"a({i})", degree, pair)
+        for (kind, i, j), degree, pair, cross in profile.generator_powers(t_max)
         if not cross
     ]
 
@@ -300,7 +301,7 @@ def ext_ranks(profile, s_max, t_max, stem_max=None):
     res = Resolution(profile, s_max, t_max, stem_max)
     chart = ExtChart(profile.p, f"Ext over {profile!r}", s_max, t_max, stem_max)
     letters = cobar_letters(profile, t_max)
-    ops = [res.ops.number[res.ops.element(mono)] for _, mono in letters]
+    ops = [res.ops.number[res.ops.element(pair)] for _, _, pair in letters]
     products = {}
     for t in range(min(t_max, s_max * max(res.ops.degree)) + 1):
         res.column(t)
@@ -326,8 +327,8 @@ def _name_cell(chart, res, letters, ops, products, s, t):
     else:
         formed = sorted(
             (((h, *rest), y)
-             for h, (_, mono) in enumerate(letters)
-             for rest, x in products.get((s - 1, t - mono.degree()), ())
+             for h, (_, degree, _) in enumerate(letters)
+             for rest, x in products.get((s - 1, t - degree), ())
              if not rest or rest[0] >= h
              if (y := res.times(ops[h], s, t, x))),
             key=lambda product: product[0],
@@ -364,7 +365,7 @@ def evenness_scan(n, p, stem_max):
     """
     family = Profile.E(p, n)
     top = stem_max + 1
-    degrees = [mono.degree() for _, mono in cobar_letters(family, top)]
+    degrees = [degree for _, degree, _ in cobar_letters(family, top)]
     exterior = [1] + [0] * top
     for d in degrees:
         for k in range(top, d - 1, -1):

@@ -150,7 +150,7 @@ class MayContext:
             while gen_t(p, ("h", k, 0)) <= max_degree:
                 k += 1
             family = Profile.T(p, min(self.n, k))
-            self._cross = {key: cross for key, _, cross in family.generator_powers(max_degree)}
+            self._cross = {key: cross for key, _, _, cross in family.generator_powers(max_degree)}
             self._top = max_degree
         return self._cross
 

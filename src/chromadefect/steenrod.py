@@ -3,127 +3,50 @@
 Dual monomials are products of polynomial generators xi_i and, at odd
 primes, exterior generators tau_t.  At p = 2 the degree of xi_i is
 2^i - 1; at odd p the degrees are |xi_i| = 2(p^i - 1) and
-|tau_t| = 2 p^t - 1.  Quotient families are described by a height
-function: height h at index i imposes xi_i^{p^h} = 0 (h = None means no
-relation), together with a set of surviving tau indices at odd primes.
-Even-only families (the p = 2 sub-Hopf-algebras generated by the
-squares xi_i^2) reuse the same monomial type with the evenness
-constraint enforced by the profile.
+|tau_t| = 2 p^t - 1.  A monomial xi^R tau_E is held as its exponent
+pair (xi, tau): xi the exponents of xi_1, xi_2, ... with no trailing
+zero, tau the strictly increasing indices of its tau_t (empty at
+p = 2).  A profile hands out each pair beside its degree, which its
+builder tracks, so no consumer computes a degree again.  Quotient
+families are described by a height function: height h at index i
+imposes xi_i^{p^h} = 0 (h = None means no relation), together with a
+set of surviving tau indices at odd primes.  Even-only families (the
+p = 2 sub-Hopf-algebras generated by the squares xi_i^2) use the same
+pairs with the evenness constraint enforced by the profile.
 
 The operator side (the Milnor basis of the Steenrod algebra itself)
 needs no type of its own: the basis element Q_E P(R) is dual to the
 monomial xi^R tau_E, so its exponents (R, E) name it.
 operator_product, at the bottom of the module, multiplies two such
 exponent pairs by Milnor's matrix formula and returns exponent pairs,
-building no DualMonomial, so a family's operators are its own
-monomials and the Ext engine resolves over them.
+so a family's operators are its own monomials and the Ext engine
+resolves over them.
 
 Profile._generators is the one statement of which generators a family
 keeps and of their exponent caps: basis multiplies out their powers,
 poincare reads their generating function, and generator_powers lists
 the powers xi_i^{p^j} and tau_t with the cross terms of their closed
 form diagonal.  No job expands the diagonal or asks whether a given
-monomial survives: the full Milnor diagonal and the membership rule
-allows live in tests/oracles/diagonal.py, and the test suite checks the
-product, the bases and the cross terms against them.
+monomial survives: tests/oracles/diagonal.py holds a monomial type
+with names and ordering, the full Milnor diagonal and the membership
+rule allows, and the test suite checks the product, the bases and the
+cross terms against them.
 """
 
 from bisect import bisect_right
 from math import comb
 
 __all__ = [
-    "DualMonomial",
     "Profile",
     "MAX_FAMILY_HEIGHT",
     "operator_product",
     "elt_add_term",
-    "xi_gen",
-    "tau_gen",
 ]
 
 
-# ---------------------------------------------------------------------------
+# elements are sparse dicts {key: coefficient mod p}; the keys are May
+# monomials, the basis names of a finite module, or the test oracles'
 # dual monomials
-
-
-class DualMonomial:
-    """Monomial xi_1^{e_1} ... xi_k^{e_k} * tau_{t_1} ... tau_{t_r}.
-
-    xi: tuple of exponents, index i-1 storing the exponent of xi_i,
-    trailing zeros stripped.  tau: strictly increasing tuple of indices
-    (always empty at p = 2).
-    """
-
-    __slots__ = ("p", "xi", "tau", "_degree", "_str")
-
-    def __init__(self, p, xi=(), tau=()):
-        xi = tuple(xi)
-        while xi and xi[-1] == 0:
-            xi = xi[:-1]
-        if any(e < 0 for e in xi):
-            raise ValueError("negative exponent")
-        tau = tuple(tau)
-        if tuple(sorted(set(tau))) != tau:
-            raise ValueError("tau indices must be strictly increasing")
-        if p == 2 and tau:
-            raise ValueError("no tau generators at p = 2")
-        self.p = p
-        self.xi = xi
-        self.tau = tau
-        self._degree = None
-        self._str = None
-
-    def degree(self):
-        if self._degree is None:
-            p = self.p
-            if p == 2:
-                d = sum(e * (2 ** (i + 1) - 1) for i, e in enumerate(self.xi))
-            else:
-                d = sum(2 * e * (p ** (i + 1) - 1) for i, e in enumerate(self.xi))
-                d += sum(2 * p**t - 1 for t in self.tau)
-            self._degree = d
-        return self._degree
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DualMonomial)
-            and self.p == other.p
-            and self.xi == other.xi
-            and self.tau == other.tau
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.xi, self.tau))
-
-    def __lt__(self, other):
-        return (self.degree(), str(self)) < (other.degree(), str(other))
-
-    def __str__(self):
-        if self._str is None:
-            parts = []
-            for i, e in enumerate(self.xi):
-                if e == 1:
-                    parts.append(f"xi{i + 1}")
-                elif e:
-                    parts.append(f"xi{i + 1}^{e}")
-            parts.extend(f"tau{t}" for t in self.tau)
-            self._str = "*".join(parts) if parts else "1"
-        return self._str
-
-    def __repr__(self):
-        return f"DualMonomial({self.p}, {self})"
-
-
-def xi_gen(p, i, power=1):
-    return DualMonomial(p, (0,) * (i - 1) + (power,))
-
-
-def tau_gen(p, t):
-    return DualMonomial(p, (), (t,))
-
-
-# elements are sparse dicts {key: coefficient mod p}; the keys are dual
-# monomials, May monomials or the basis names of a finite module
 
 
 def elt_add_term(p, acc, key, coef):
@@ -274,10 +197,11 @@ class Profile:
                         )
 
     def generator_powers(self, max_degree):
-        """(key, monomial, cross) per generator power the family allows
-        through max_degree: xi_i^{p^j}, key ("h", i, j), by i then j, then
-        tau_t, key ("a", t, None).  Its diagonal (J. Milnor, "The Steenrod
-        algebra and its dual", 1958) has distinct terms of coefficient 1,
+        """(key, degree, pair, cross) per generator power the family
+        allows through max_degree, pair its exponent pair: xi_i^{p^j}, key
+        ("h", i, j), by i then j, then tau_t, key ("a", t, None).  Its
+        diagonal (J. Milnor, "The Steenrod algebra and its dual", 1958)
+        has distinct terms of coefficient 1,
 
             psi(xi_i^{p^j}) = sum_{0<=k<=i} xi_{i-k}^{p^{k+j}} (x) xi_k^{p^j},
             psi(tau_t)      = tau_t (x) 1 + sum_{0<=k<=t} xi_{t-k}^{p^k} (x) tau_k,
@@ -293,16 +217,16 @@ class Profile:
         for i, d, cap in xis:
             k = 0
             while d * p**k <= max_degree and (cap is None or p**k < cap):
-                powers["h", i, first + k] = xi_gen(p, i, p ** (first + k))
+                powers["h", i, first + k] = d * p**k, ((0,) * (i - 1) + (p ** (first + k),), ())
                 k += 1
-        for t, _ in taus:
-            powers["a", t, None] = tau_gen(p, t)
-        for (kind, i, j), mono in powers.items():
+        for t, d in taus:
+            powers["a", t, None] = d, ((), (t,))
+        for (kind, i, j), (d, pair) in powers.items():
             if kind == "h":
                 cross = [(("h", i - k, k + j), ("h", k, j)) for k in range(1, i)]
             else:
                 cross = [(("h", i - k, k), ("a", k, None)) for k in range(i)]
-            yield (kind, i, j), mono, [c for c in cross if c[0] in powers and c[1] in powers]
+            yield (kind, i, j), d, pair, [c for c in cross if c[0] in powers and c[1] in powers]
 
     # bases ----------------------------------------------------------------
 
@@ -314,7 +238,7 @@ class Profile:
         step = 2 if self.even_only else 1
         xis = []
         i = 1
-        while (d := xi_gen(p, i, step).degree()) <= max_degree:
+        while (d := step * (2**i - 1) if p == 2 else 2 * (p**i - 1)) <= max_degree:
             h = self.height(i)
             if h != 0:
                 xis.append((i, d, None if h is None else p**h))
@@ -328,9 +252,10 @@ class Profile:
         return xis, taus
 
     def basis(self, max_degree):
-        """All family monomials of degree <= max_degree, sorted: each
-        generator's powers below its cap, multiplied onto the monomials
-        built so far within the degree budget."""
+        """All family monomials of degree <= max_degree as (degree, (xi,
+        tau)), sorted by degree, then by name: each generator's powers
+        below its cap, multiplied onto the monomials built so far within
+        the degree budget."""
         step = 2 if self.even_only else 1
         xis, taus = self._generators(max_degree)
         # (xi exponents, tau indices, degree)
@@ -340,14 +265,16 @@ class Profile:
         for i, d, cap in xis:
             grown = []
             for xi, tau, deg in built:
+                grown.append((xi, tau, deg))
+                # a positive exponent pads xi to xi_i; zero leaves it bare
                 xi += (0,) * (i - 1 - len(xi))
-                e = 0
+                e = 1
                 while deg + e * d <= max_degree and (cap is None or e < cap):
                     grown.append((xi + (e * step,), tau, deg + e * d))
                     e += 1
             built = grown
-        monos = (DualMonomial(self.p, xi, tau) for xi, tau, _ in built)
-        return sorted(monos, key=lambda m: (m.degree(), str(m)))
+        return sorted(((deg, (xi, tau)) for xi, tau, deg in built),
+                      key=lambda m: (m[0], _monomial_name(*m[1])))
 
     def poincare(self, max_degree):
         """Family dims by degree through max_degree, from the generating
@@ -383,6 +310,14 @@ class Profile:
         return self.label or (
             f"Profile(p={self.p}, heights={self.heights}, tail={self.tail})"
         )
+
+
+def _monomial_name(xi, tau):
+    """The name that orders a degree of the basis: xi1^2*xi3*tau0*tau2,
+    1 for the unit."""
+    parts = [f"xi{i}" if e == 1 else f"xi{i}^{e}" for i, e in enumerate(xi, 1) if e]
+    parts += [f"tau{t}" for t in tau]
+    return "*".join(parts) or "1"
 
 
 def _le_num(a, b):

@@ -10,7 +10,7 @@ from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
 from chromadefect.steenrod import elt_add_term
 
 from oracles.cobar import Comodule, ext_ranks
-from oracles.diagonal import allows, coproduct
+from oracles.diagonal import allows, coproduct, monomials
 
 
 def _le(a, b):
@@ -73,7 +73,7 @@ def cotensor_comodule(outer, inner, module, cap):
     if module.profile.p != outer.p:
         raise ValueError("prime mismatch")
     p = outer.p
-    amb = outer.basis(cap)
+    amb = monomials(outer, cap)
     # pairs (a, m) graded by total degree
     pairs_by_deg = {}
     for a in amb:

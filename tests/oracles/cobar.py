@@ -28,9 +28,9 @@ the products one filtration below; the two name the same classes.
 
 from chromadefect.ext import ExtChart, _multiset_name, cobar_letters
 from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms
-from chromadefect.steenrod import DualMonomial, elt_add_term
+from chromadefect.steenrod import elt_add_term
 
-from oracles.diagonal import allows, coproduct, reduced_coproduct
+from oracles.diagonal import DualMonomial, allows, coproduct, monomials, reduced_coproduct
 from oracles.linalg import rank, residue
 
 
@@ -167,7 +167,7 @@ class CobarComplex:
             basis = [(n, module.degree_of[n]) for n in module.names]
             module = Comodule(profile, basis, module.coaction)
         self.module = module
-        self.letters = sorted((m for m in profile.basis(t_max) if m.degree()), key=str)
+        self.letters = sorted((m for m in monomials(profile, t_max) if m.degree()), key=str)
         self.number = {m: i for i, m in enumerate(self.letters)}
         self._degrees = [m.degree() for m in self.letters]
         # a word of s letters has internal degree at most s * top_letter
@@ -351,7 +351,7 @@ def _letter_products(letters, s, t):
             return
         if idx == len(letters):
             return
-        d = letters[idx][1].degree()
+        d = letters[idx][1]
         c = 0
         while c <= left and c * d <= budget:
             rec(idx + 1, left - c, budget - c * d, acc + [idx] * c)
@@ -373,12 +373,13 @@ def _name_cell(chart, complexes, letters, base, s, t):
     products = _letter_products(letters, s, t)
     if not products:
         return
+    monos = [DualMonomial(chart.p, *pair) for _, _, pair in letters]
     index = complexes._index_for(s, t)
     boundaries = complexes.differential_matrix(s - 1, t)
     seen = {}
     named = []
     for multiset in products:
-        word = (tuple(complexes.number[letters[i][1]] for i in multiset), base)
+        word = (tuple(complexes.number[monos[i]] for i in multiset), base)
         col = index.get(word)
         # off the cell's basis, or not a cocycle (nontrivial coaction)
         if col is None or complexes._d_word(word):

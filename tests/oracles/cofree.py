@@ -8,7 +8,8 @@ check this against Ext over the same family.
 """
 
 from chromadefect.margolis import FiniteSteenrodModule, family_margolis_indices, margolis_homology
-from chromadefect.steenrod import tau_gen, xi_gen
+
+from oracles.diagonal import tau_gen, xi_gen
 
 
 def _dual_operations(profile):

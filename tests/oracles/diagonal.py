@@ -2,6 +2,11 @@
 Milnor-matrix enumeration: the references the package's product and
 letters are checked against.
 
+DualMonomial (with xi_gen and tau_gen) is the oracles' monomial type,
+validated, hashable, named and ordered by degree then name.  The
+package holds a monomial as its bare exponent pair (xi, tau) beside
+its degree; monomials reads Profile.basis back as DualMonomials.
+
 The diagonal of a monomial is the product of its generators' diagonals
 (J. Milnor, "The Steenrod algebra and its dual", 1958),
 
@@ -30,7 +35,87 @@ the oracles and tests compare.
 
 from math import comb
 
-from chromadefect.steenrod import DualMonomial, elt_add_term, operator_product, tau_gen, xi_gen
+from chromadefect.steenrod import elt_add_term, operator_product
+
+
+# ---------------------------------------------------------------------------
+# dual monomials
+
+
+class DualMonomial:
+    """Monomial xi_1^{e_1} ... xi_k^{e_k} * tau_{t_1} ... tau_{t_r}.
+
+    xi: tuple of exponents, index i-1 storing the exponent of xi_i,
+    trailing zeros stripped.  tau: strictly increasing tuple of indices
+    (always empty at p = 2).
+    """
+
+    __slots__ = ("p", "xi", "tau", "_degree", "_str")
+
+    def __init__(self, p, xi=(), tau=()):
+        xi = tuple(xi)
+        while xi and xi[-1] == 0:
+            xi = xi[:-1]
+        if any(e < 0 for e in xi):
+            raise ValueError("negative exponent")
+        tau = tuple(tau)
+        if tuple(sorted(set(tau))) != tau:
+            raise ValueError("tau indices must be strictly increasing")
+        if p == 2 and tau:
+            raise ValueError("no tau generators at p = 2")
+        self.p = p
+        self.xi = xi
+        self.tau = tau
+        self._degree = None
+        self._str = None
+
+    def degree(self):
+        if self._degree is None:
+            p = self.p
+            if p == 2:
+                d = sum(e * (2 ** (i + 1) - 1) for i, e in enumerate(self.xi))
+            else:
+                d = sum(2 * e * (p ** (i + 1) - 1) for i, e in enumerate(self.xi))
+                d += sum(2 * p**t - 1 for t in self.tau)
+            self._degree = d
+        return self._degree
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DualMonomial)
+            and self.p == other.p
+            and self.xi == other.xi
+            and self.tau == other.tau
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.xi, self.tau))
+
+    def __lt__(self, other):
+        return (self.degree(), str(self)) < (other.degree(), str(other))
+
+    def __str__(self):
+        if self._str is None:
+            parts = []
+            for i, e in enumerate(self.xi):
+                if e == 1:
+                    parts.append(f"xi{i + 1}")
+                elif e:
+                    parts.append(f"xi{i + 1}^{e}")
+            parts.extend(f"tau{t}" for t in self.tau)
+            self._str = "*".join(parts) if parts else "1"
+        return self._str
+
+    def __repr__(self):
+        return f"DualMonomial({self.p}, {self})"
+
+
+def xi_gen(p, i, power=1):
+    return DualMonomial(p, (0,) * (i - 1) + (power,))
+
+
+def tau_gen(p, t):
+    return DualMonomial(p, (), (t,))
 
 
 def _multinomial(p, parts):
@@ -74,6 +159,11 @@ def allows(profile, mono):
         if h is not None and e >= profile.p**h:
             return False
     return all(profile.tau_allowed(t) for t in mono.tau)
+
+
+def monomials(profile, max_degree):
+    """Profile.basis as DualMonomials, in its order."""
+    return [DualMonomial(profile.p, xi, tau) for _, (xi, tau) in profile.basis(max_degree)]
 
 
 def times(a, b):

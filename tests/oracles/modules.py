@@ -22,10 +22,10 @@ from chromadefect.margolis import (
     parse_operator,
     subalgebra_operators,
 )
-from chromadefect.steenrod import DualMonomial, Profile, xi_gen
+from chromadefect.steenrod import Profile
 
 from oracles.cobar import Comodule
-from oracles.diagonal import coproduct, milnor_product
+from oracles.diagonal import DualMonomial, coproduct, milnor_product, monomials, xi_gen
 
 
 def milnor_name(p, q, r):
@@ -166,7 +166,7 @@ def module_json(module):
 def coalgebra_self(profile, cap):
     """The family itself as a comodule via its diagonal, through degree
     cap (valid because the diagonal never raises degree)."""
-    monos = profile.basis(cap)
+    monos = monomials(profile, cap)
     names = {m: str(m) for m in monos}
     basis = [(names[m], m.degree()) for m in monos]
     coaction = {

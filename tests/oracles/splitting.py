@@ -3,14 +3,14 @@ Poincare series identities of the Thom splittings.
 
 No CLI job runs these; they are the reference for a Thom comodule
 check.  Elements are dicts {DualMonomial: coefficient mod p}, as in
-chromadefect.steenrod.
+oracles.diagonal.
 """
 
 from functools import lru_cache
 
-from chromadefect.steenrod import DualMonomial, Profile, elt_add_term, xi_gen
+from chromadefect.steenrod import Profile, elt_add_term
 
-from oracles.diagonal import allows, reduced_coproduct, times
+from oracles.diagonal import DualMonomial, allows, monomials, reduced_coproduct, times, xi_gen
 
 
 def elt_mul(p, x, y):
@@ -56,7 +56,7 @@ def relative_dual_coalgebra(p, m, cap):
     while p ** (n + 1) <= m:
         n += 1
     profile = Profile.T(p, n)
-    basis = profile.basis(cap)
+    basis = monomials(profile, cap)
     zeta = conjugate_xi(p, n + 1)
     if p == 2:
         base = elt_mul(p, zeta, zeta)

@@ -133,7 +133,7 @@ class TestCatalogueEntries:
         letters = defect.cobar_letters
 
         def drop_h11(profile, t_max):
-            return [(n, m) for n, m in letters(profile, t_max) if n != "h(1,1)"]
+            return [letter for letter in letters(profile, t_max) if letter[0] != "h(1,1)"]
 
         monkeypatch.setattr(defect, "cobar_letters", drop_h11)
         with pytest.raises(ValueError, match="h\\(1,1\\)"):

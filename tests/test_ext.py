@@ -42,12 +42,12 @@ from chromadefect.ext import (
     operator_pairs,
 )
 from chromadefect.gradedlin import vec_support
-from chromadefect.steenrod import DualMonomial, Profile, operator_product, tau_gen, xi_gen
+from chromadefect.steenrod import Profile, operator_product
 
 from oracles.change_of_rings import change_of_rings_check
 from oracles.cobar import CobarComplex, Comodule, _letter_products, cobar_dims
 from oracles.cobar import ext_ranks as cobar_ext_ranks
-from oracles.diagonal import allows, reduced_coproduct
+from oracles.diagonal import DualMonomial, allows, monomials, reduced_coproduct, tau_gen, xi_gen
 from oracles.linalg import row_action
 from oracles.modules import coalgebra_self, comodule_suspend
 
@@ -88,7 +88,7 @@ class TestCobarComplex:
         # degrees keep every class in an even stem
         fam = Profile.E(p, n)
         t_max = 24 + s_max
-        degrees = [mono.degree() for _, mono in cobar_letters(fam, t_max)]
+        degrees = [degree for _, degree, _ in cobar_letters(fam, t_max)]
         cx = CobarComplex(fam, Comodule.trivial(fam, [0]), s_max, t_max)
         for t in range(t_max + 1):
             for s in range(min(s_max, t) + 1):
@@ -237,7 +237,7 @@ def enumerated_naming(res, letters):
     _letter_products): a multiset's class is its first letter times its
     tail's class, driven through Resolution.times, cells in the order
     ext_ranks names them."""
-    ops = [res.ops.number[res.ops.element(mono)] for _, mono in letters]
+    ops = [res.ops.number[res.ops.element(pair)] for _, _, pair in letters]
     products = {(): {0: 1}}
     names, collisions = {}, []
     for s, t in sorted(res.cells, key=lambda cell: (cell[1], cell[0])):
@@ -263,25 +263,31 @@ def enumerated_naming(res, letters):
 class TestNaming:
     def test_letters_for_height_family(self):
         fam = Profile.T(2, 1)
-        names = [n for n, _ in cobar_letters(fam, 14)]
+        names = [n for n, _, _ in cobar_letters(fam, 14)]
         assert names == ["h(1,0)", "h(2,0)", "h(2,1)", "h(2,2)", "h(3,1)"]
 
     @pytest.mark.parametrize("family", [Profile.A, Profile.E, Profile.P, Profile.T])
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_letters_match_the_diagonal(self, family, p):
         # the closed-form rule against the expanded diagonal: names,
-        # monomials and order, and every generator power's cross terms,
-        # each with coefficient 1, heights 0-4
+        # monomials, degrees and order, and every generator power's
+        # cross terms, each with coefficient 1, heights 0-4
         for n in range(5):
             fam = family(p, n)
             for t_max in (20, 80, 300):
-                assert cobar_letters(fam, t_max) == diagonal_letters(fam, t_max), (fam, t_max)
+                letters = cobar_letters(fam, t_max)
+                want = diagonal_letters(fam, t_max)
+                assert [(name, pair) for name, _, pair in letters] == [
+                    (name, (m.xi, m.tau)) for name, m in want
+                ], (fam, t_max)
+                assert [d for _, d, _ in letters] == [m.degree() for _, m in want], (fam, t_max)
                 powers = list(fam.generator_powers(t_max))
-                monos = {key: mono for key, mono, _ in powers}
-                for key, mono, cross in powers:
+                monos = {key: DualMonomial(p, *pair) for key, _, pair, _ in powers}
+                for key, degree, _, cross in powers:
+                    assert degree == monos[key].degree(), (fam, key)
                     terms = {(monos[left], monos[right]): 1 for left, right in cross}
                     assert len(terms) == len(cross)
-                    assert terms == reduced_coproduct(mono, fam), (fam, key)
+                    assert terms == reduced_coproduct(monos[key], fam), (fam, key)
 
     def test_named_classes_on_chart(self):
         fam = Profile.T(2, 1)
@@ -413,11 +419,11 @@ class TestColumnPass:
         fam = Profile.E(2, n)
         t_max = stem_max + s_max
         chart = ext_ranks(fam, s_max, t_max)
-        degrees = [mono.degree() for _, mono in cobar_letters(fam, t_max)]
+        degrees = [degree for _, degree, _ in cobar_letters(fam, t_max)]
         for t in range(t_max + 1):
             for s in range(s_max + 1):
                 assert chart.dims.get((s, t), 0) == poly_dim(degrees, s, t), (s, t)
-        top = max(mono.degree() for mono in fam.basis(t_max))
+        top = max(degree for degree, _ in fam.basis(t_max))
         assert max(built) == s_max * top
 
 
@@ -532,7 +538,7 @@ class TestResolution:
         fam = Profile.E(p, n)
         s_max, t_max = 8, 68
         chart = ext_ranks(fam, s_max, t_max)
-        degrees = [mono.degree() for _, mono in cobar_letters(fam, t_max)]
+        degrees = [degree for _, degree, _ in cobar_letters(fam, t_max)]
         for t in range(t_max + 1):
             for s in range(s_max + 1):
                 assert chart.dims.get((s, t), 0) == poly_dim(degrees, s, t), (s, t)
@@ -565,7 +571,7 @@ class TestResolution:
     def test_operators_are_the_family_monomials(self, fam):
         # each operator is the exponent pair of the family's own
         # monomial, halved in P(n) at p = 2, with the monomial's degree
-        basis = fam.basis(24)
+        basis = monomials(fam, 24)
         ops = _Operators(fam, 24)
         if fam.even_only:
             assert ops.elements == [(tuple(e // 2 for e in m.xi), ()) for m in basis]

@@ -474,7 +474,7 @@ def ko_from_ext(top, stems):
     res = Resolution(family, top, stems + top, stems)
     for t in range(stems + top + 1):
         res.column(t)
-    (h0,) = [mono for name, mono in cobar_letters(family, 1) if name == "h(1,0)"]
+    (h0,) = [pair for name, _, pair in cobar_letters(family, 1) if name == "h(1,0)"]
     op = res.ops.number[res.ops.element(h0)]
     free, torsion = [], []
     for n in range(stems):
@@ -536,7 +536,7 @@ class TestAgainstAdamsResolution:
         res = Resolution(family, 3, 6)
         for t in range(7):
             res.column(t)
-        (h1,) = [mono for name, mono in cobar_letters(family, 2) if name == "h(1,1)"]
+        (h1,) = [pair for name, _, pair in cobar_letters(family, 2) if name == "h(1,1)"]
         op = res.ops.number[res.ops.element(h1)]
         x = {0: 1}
         for s in (1, 2, 3):

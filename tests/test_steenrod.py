@@ -21,19 +21,23 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromadefect.steenrod import DualMonomial, Profile, elt_add_term, tau_gen, xi_gen
+from chromadefect.steenrod import Profile, elt_add_term
 
 from oracles.change_of_rings import cotensor_comodule, is_quotient_of
 from oracles.cobar import Comodule
 from oracles.cofree import cofree_decompose
 from oracles.diagonal import _p_part_products as recursive_p_part_products
 from oracles.diagonal import (
+    DualMonomial,
     _multinomial,
     allows,
     coproduct,
     milnor_product,
+    monomials,
     reduced_coproduct,
+    tau_gen,
     times,
+    xi_gen,
 )
 from oracles.modules import coalgebra_self, operator_basis, thom_height_one
 from oracles.splitting import (
@@ -240,7 +244,7 @@ class TestProfiles:
     def test_exterior_tau_quotient_is_valid(self):
         # killing everything except tau_1 is a legitimate quotient
         prof = Profile(3, (0,), 0, frozenset({1}))
-        assert [str(m) for m in prof.basis(20)] == ["1", "tau1"]
+        assert [str(m) for m in monomials(prof, 20)] == ["1", "tau1"]
 
     def test_thom_family_poincare(self):
         # height 1 at p = 2: exterior xi_1 times polynomial xi_2, xi_3, ...
@@ -251,10 +255,10 @@ class TestProfiles:
         # odd primes: every exterior generator survives, including tau_0
         prof = Profile.T(3, 1)
         assert prof.tau_allowed(0) and prof.tau_allowed(5)
-        assert [str(m) for m in prof.basis(6)] == ["1", "tau0", "tau1", "tau0*tau1"]
+        assert [str(m) for m in monomials(prof, 6)] == ["1", "tau0", "tau1", "tau0*tau1"]
 
     def test_a1_basis_degrees(self):
-        assert [m.degree() for m in Profile.A(2, 1).basis(10)] == [0, 1, 2, 3, 3, 4, 5, 6]
+        assert [d for d, _ in Profile.A(2, 1).basis(10)] == [0, 1, 2, 3, 3, 4, 5, 6]
 
     def test_even_family_basis(self):
         P1 = Profile.P(2, 1)
@@ -270,26 +274,35 @@ class TestProfiles:
             for n in range(3):
                 fam = family(p, n)
                 counts = [0] * (top + 1)
-                for m in fam.basis(top):
-                    counts[m.degree()] += 1
+                for d, _ in fam.basis(top):
+                    counts[d] += 1
                 assert fam.poincare(top) == counts, fam
 
     @pytest.mark.parametrize("family", [Profile.A, Profile.E, Profile.P, Profile.T])
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_generators_against_membership(self, family, p):
         # basis and generator_powers, both read off _generators, against
-        # the oracle's monomial-by-monomial membership rule
+        # the oracle's monomial-by-monomial membership rule: bare pairs
+        # (no trailing zero in xi, tau increasing and empty at p = 2),
+        # each beside its oracle degree, in the oracle's (degree, name)
+        # order, which numbers the resolution's operators
         for n in range(5):
             fam = family(p, n)
             for top in (0, 1, 7, 30, 100):
+                basis = fam.basis(top)
+                for degree, (xi, tau) in basis:
+                    assert not xi or xi[-1], (fam, xi)
+                    assert list(tau) == sorted(set(tau)) and not (p == 2 and tau), (fam, tau)
+                    assert degree == DualMonomial(p, xi, tau).degree(), (fam, xi, tau)
                 kept = [m for m in every_monomial(p, top) if allows(fam, m)]
-                assert fam.basis(top) == sorted(kept), (fam, top)
+                kept.sort(key=lambda m: (m.degree(), str(m)))
+                assert basis == [(m.degree(), (m.xi, m.tau)) for m in kept], (fam, top)
                 powers = {("h", i, j): xi_gen(p, i, p**j)
                           for i in range(1, top + 2) for j in range(top.bit_length())}
                 powers |= {("a", t, None): tau_gen(p, t) for t in range(top + 1) if p != 2}
                 powers = {k: m for k, m in powers.items() if m.degree() <= top and allows(fam, m)}
-                got = [(key, mono) for key, mono, _ in fam.generator_powers(top)]
-                assert got == list(powers.items()), (fam, top)
+                got = [(key, degree, pair) for key, degree, pair, _ in fam.generator_powers(top)]
+                assert got == [(k, m.degree(), (m.xi, m.tau)) for k, m in powers.items()], (fam, top)
 
     def test_reduce_is_multiplicative(self):
         prof = Profile.T(2, 1)
@@ -411,7 +424,7 @@ class TestMilnorProduct:
     def test_matches_recursive_enumeration(self, family, top, monkeypatch):
         # every pair of monomials with degrees summing to at most top;
         # the finite families are whole at these tops
-        basis = family.basis(top)
+        basis = monomials(family, top)
         pairs = [(a, b) for a in basis for b in basis if a.degree() + b.degree() <= top]
         got = [milnor_product(a, b) for a, b in pairs]
         monkeypatch.setattr("chromadefect.steenrod._p_part_products", recursive_p_part_products)
