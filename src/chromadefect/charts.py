@@ -10,9 +10,17 @@ writers and `json_bytes`, the one JSON artifact encoding every job
 shares.  Each chart builder sits beside the engine it draws, so a job
 loads only its own: ext.chart_from_ext, may.chart_from_may_page and
 ssq.chart_from_snapshot.
+
+`json_bytes` writes exactly the bytes of
+`json.dumps(obj, indent=1, sort_keys=True) + "\\n"` (the reference kept
+in tests/oracles/json_artifact.py; a property test compares the two
+byte for byte).  It is its own writer because CPython 3.11's C encoder
+serves only `indent=None`: an indented dump runs the pure-Python
+`_make_iterencode` generators, one frame per nesting level per token,
+which took about a sixth of a `defect --cap 24` job.
 """
 
-import json
+from json.encoder import encode_basestring_ascii
 
 __all__ = [
     "ChartDocument",
@@ -218,5 +226,62 @@ def _escape(text: str) -> str:
 
 
 def json_bytes(obj) -> bytes:
-    """A JSON artifact: sorted keys, one-space indent, final newline."""
-    return (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode("utf-8")
+    """A JSON artifact: sorted keys, one-space indent, final newline.
+
+    The bytes equal `json.dumps(obj, indent=1, sort_keys=True) + "\\n"`,
+    written in one pass into one list.  Only the types artifacts hold
+    are encoded: str, int, bool and None; lists and tuples; dicts with
+    str or int keys, sorted by the key itself before an int key becomes
+    a string, as the stdlib sorts.  Anything else raises TypeError.
+    """
+    out = []
+    _write(obj, out.append, "\n")
+    out.append("\n")
+    return "".join(out).encode("ascii")
+
+
+def _write(obj, emit, nl):
+    """Emit the text of obj; nl is a newline and the indent of obj's line."""
+    kind = type(obj)
+    if kind is str:
+        emit(encode_basestring_ascii(obj))
+    elif kind is int:
+        emit(int.__repr__(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif kind is dict:
+        if not obj:
+            emit("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key in sorted(obj):
+            name = encode_basestring_ascii(key) if type(key) is str else _int_key(key)
+            emit(sep + name + ": ")
+            _write(obj[key], emit, inner)
+            sep = "," + inner
+        emit(nl + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            emit("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for item in obj:
+            emit(sep)
+            _write(item, emit, inner)
+            sep = "," + inner
+        emit(nl + "]")
+    else:
+        raise TypeError(f"json_bytes cannot encode a {kind.__name__}")
+
+
+def _int_key(key) -> str:
+    """An int key, quoted; json_bytes sorted it as an int."""
+    if type(key) is not int:
+        raise TypeError(f"json_bytes cannot encode a {type(key).__name__} key")
+    return f'"{int.__repr__(key)}"'

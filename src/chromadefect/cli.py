@@ -398,7 +398,7 @@ def _config_from_args(args) -> JobConfig:
     if "--input" in row.flags:
         try:
             payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise InputError(f"unreadable input {args.input}: {exc}") from None
     params = {"formats": sorted(set(formats)), **row.params(args)}
     return JobConfig(
@@ -435,7 +435,7 @@ def cache_load(key):
         if any(Path(n).name != n or n in ("", "..") or "\0" in n for n in names):
             return None  # a write to such a name could leave --out
         return {n: base64.b64decode(data) for n, data in names.items()}
-    except (ValueError, KeyError, TypeError, AttributeError, OSError):
+    except (ValueError, KeyError, TypeError, AttributeError, OSError, RecursionError):
         return None  # corrupt entry: fall through to recompute
 
 

@@ -409,6 +409,17 @@ def test_bad_margolis_input_exits_2(module, subalgebra, message, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_deeply_nested_margolis_input_exits_2(tmp_path, capsys):
+    # the decoder runs out of recursion on 5,000 nested arrays; that is
+    # an unreadable file, not an engine crash
+    path = tmp_path / "module.json"
+    path.write_text('{"prime": 2, "basis": ' + "[" * 5000 + "]" * 5000 + "}")
+    argv = ["margolis", "--input", str(path), "--subalgebra", "A(1)", "--no-cache"]
+    assert run(argv, tmp_path / "out") == cli.EXIT_USAGE
+    assert f"error: unreadable input {path}: maximum recursion depth" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("prime", [4, 9])
 def test_composite_margolis_prime_exits_2(prime, tmp_path, capsys):
     # a verdict over Z/4 or Z/9 is no freeness verdict: nothing is written
@@ -502,6 +513,19 @@ def test_entry_with_a_foreign_key_is_rejected(tmp_path, capsys, cache_dir):
     assert run(["fgl", "--n", "2"], out) == cli.EXIT_OK
     assert "cache hit" not in capsys.readouterr().err
     assert written(out) == written(GOLDEN_DIR / "fgl_n2")
+
+
+def test_deeply_nested_entry_is_recomputed(tmp_path, capsys, cache_dir):
+    # an entry the decoder cannot finish counts as corrupt, like any other
+    key = cli._config_from_args(cli.parse_args(["fgl", "--n", "1", *FORMATS])).key()
+    cache_dir.mkdir()
+    (cache_dir / f"{key}.json").write_text("[" * 100_000)
+    assert cli.cache_load(key) is None
+    out = tmp_path / "out"
+    assert run(["fgl", "--n", "1"], out) == cli.EXIT_OK
+    assert "cache hit" not in capsys.readouterr().err
+    assert written(out) == written(GOLDEN_DIR / "fgl_n1")
+    assert cli.cache_load(key) == written(out)
 
 
 @pytest.mark.parametrize(
