@@ -1,7 +1,7 @@
 """chromadefect: exact computations around quotients of the dual
 Steenrod algebra, their Ext charts and May spectral sequences, Margolis
-homology freeness tests, formal group law arithmetic, cyclotomic
-valuation bookkeeping, and the two Adams-Novikov style charts for ko.
+homology freeness tests, formal group law arithmetic, the chromatic
+defect table, and the two Adams-Novikov style charts for ko.
 """
 
 __version__ = "0.1.0"

@@ -6,17 +6,17 @@ orientable spectrum, together with the machine evidence for each bound.
 Verdicts are exact only when an upper and a lower bound meet; bounds
 come from the other engines (the Koszul closed form of Ext over
 exterior families, the primitive that detects eta in Adams filtration
-one, formal inverse witnesses, ramification valuations), and
-impossibility facts for which no computation exists are carried as
-documented entries, never as computed ones.  The `defect` job
-(defect_job) writes the catalogue's table.
+one, formal inverse witnesses, the closed form of the cyclic fixed
+point defect), and impossibility facts for which no computation exists
+are carried as documented entries, never as computed ones.  The
+`defect` job (defect_job) writes the catalogue's table.
 """
 
 from .charts import json_bytes
 from .ext import cobar_letters, evenness_scan
 from .fgl import er_defect_witnesses
+from .gradedlin import check_prime
 from .steenrod import Profile
-from .valuation import SubgroupSpec, eo_defect
 
 __all__ = [
     "Evidence",
@@ -27,6 +27,7 @@ __all__ = [
     "verdict_ko",
     "verdict_tmf",
     "verdict_er",
+    "eo_defect",
     "verdict_eo",
     "catalogue",
     "defect_job",
@@ -243,12 +244,44 @@ def verdict_er(n: int, report) -> DefectVerdict:
     return assemble(f"ER({n})", [upper, lower], prime=2)
 
 
+def eo_defect(p: int, m: int, height: int):
+    """N with defect p^N for the fixed points of height-h Morava
+    E-theory under a cyclic group of order p^m, or None for the trivial
+    group, whose fixed points are complex orientable.
+
+    N is h * max v(g - 1) over the nontrivial elements g, for the
+    valuation with v(p) = 1.  An element of order p^k is a primitive
+    p^k-th root of unity, and Q_p of it is totally ramified of degree
+    p^(k-1)(p-1), so v(g - 1) = 1/(p^(k-1)(p-1)).  The largest
+    valuation therefore belongs to the elements of order p, which every
+    nontrivial cyclic p-group has: it is 1/(p-1) whatever m is, and
+    N = h/(p-1).  The group embeds in the endomorphism division algebra
+    exactly when its generator's degree p^(m-1)(p-1) divides h
+    (C. Hewett, "Finite subgroups of division algebras over local
+    fields", 1995), which makes the quotient exact.
+    """
+    check_prime(p)
+    if m < 0:
+        raise ValueError("the order exponent must be nonnegative")
+    if height < 1:
+        raise ValueError("height must be positive")
+    if m == 0:
+        return None
+    degree = p ** (m - 1) * (p - 1)
+    if height % degree:
+        raise ValueError(
+            f"no embedding: the cyclotomic degree {degree} does not "
+            f"divide the height {height}"
+        )
+    return height // (p - 1)
+
+
 def verdict_eo(p: int, m: int, height: int) -> DefectVerdict:
     """Fixed points of height-h Morava E-theory under a cyclic group of
-    order p^m: the ramification valuation equality gives the defect."""
-    report = eo_defect(SubgroupSpec(p, m, height))
+    order p^m: the closed form of eo_defect gives the defect."""
+    N = eo_defect(p, m, height)
     label = f"EO_{height}(C_{p**m}) at p={p}"
-    if report["N"] is None:
+    if N is None:
         e = Evidence(
             "valuation",
             f"eo_defect(C_1, height={height})",
@@ -260,9 +293,9 @@ def verdict_eo(p: int, m: int, height: int) -> DefectVerdict:
     e = Evidence(
         "valuation",
         f"eo_defect(C_{p**m}, height={height})",
-        f"N = height * max cyclotomic valuation = {report['N']}, an equality",
+        f"N = height * max cyclotomic valuation = {N}, an equality",
         "exact",
-        report["phi"],
+        p**N,
     )
     return assemble(label, [e], prime=p)
 

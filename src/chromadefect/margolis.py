@@ -246,15 +246,20 @@ class FiniteSteenrodModule:
         """Parse and validate a module; every failure is an InputError.
         The prime, each degree and each coef must be JSON integers and
         even_only a JSON boolean, read as they stand: int() would take
-        2.9 for 2, and bool() the string "no" for true."""
+        2.9 for 2, and bool() the string "no" for true.  Each (operator,
+        on) pair has at most one action row, since a second row would
+        silently replace the first."""
         try:
             p = _exact(data["prime"], int, "prime")
             even = _exact(data.get("even_only", False), bool, "even_only")
             basis = [(str(b["name"]), _exact(b["degree"], int, "degree")) for b in data["basis"]]
             actions = {str(op): {} for op in data.get("operators", ())}
             for row in data.get("actions", ()):
-                table = actions.setdefault(str(row["operator"]), {})
-                table[str(row["on"])] = [
+                op, on = str(row["operator"]), str(row["on"])
+                table = actions.setdefault(op, {})
+                if on in table:
+                    raise ValueError(f"action of {op} on {on} is declared twice")
+                table[on] = [
                     (_exact(t["coef"], int, "coef"), str(t["to"])) for t in row["terms"]
                 ]
             return cls(p, basis, actions, even_only=even)

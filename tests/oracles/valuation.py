@@ -1,5 +1,9 @@
 """Cyclotomic ramification valuations and defect formulas for fixed
-point theories of Morava E-theory under finite cyclic subgroups.
+point theories of Morava E-theory under finite cyclic subgroups: the
+element-by-element enumeration the package used before it read the
+defect off its closed form.  `chromadefect.defect.eo_defect` must give
+the N and the refusal of this module's SubgroupSpec, group_N and
+eo_defect on every spec.
 
 The ambient facts: the p^n-th cyclotomic extension of the p-adics is
 totally ramified of degree p^(n-1)(p-1), the valuation normalized by
@@ -15,7 +19,7 @@ integer e and everything is integer arithmetic: the largest
 valuation is the smallest degree, and N = h / e is an exact quotient.
 """
 
-from .gradedlin import check_prime
+from chromadefect.gradedlin import check_prime
 
 
 class CycloElement:

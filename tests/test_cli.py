@@ -437,6 +437,21 @@ def test_composite_margolis_prime_exits_2(prime, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_repeated_margolis_action_exits_2(tmp_path, capsys):
+    # a second row for one (operator, on) pair would silently replace
+    # the first and change the verdict
+    module = json.loads((INPUTS / "rp4.json").read_text())
+    module["actions"].append(module["actions"][0])
+    row = module["actions"][0]
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    argv = ["margolis", "--input", str(path), "--subalgebra", "A(1)", "--no-cache"]
+    assert run(argv, tmp_path / "out") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: action of {row['operator']} on {row['on']} is declared twice" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -3,9 +3,10 @@
 Oracles: hand values for the classical catalogue (real K-theory at 2,
 the real Johnson-Wilson tower doubling, cyclic fixed point theories via
 cyclotomic ramification), plus cross-engine agreement between the
-formal inverse witness and the valuation formula at matching heights,
-and the resolution's Ext_{A(1)}^{1,2} for the letter behind ko's lower
-bound.
+formal inverse witness and the EO closed form at matching heights, the
+element-by-element valuation enumeration for each EO row of the
+catalogue, and the resolution's Ext_{A(1)}^{1,2} for the letter behind
+ko's lower bound.
 """
 
 import pytest
@@ -28,6 +29,9 @@ from chromadefect.defect import (
 from chromadefect.ext import ext_ranks
 from chromadefect.fgl import er_defect_witness
 from chromadefect.steenrod import Profile
+
+from oracles.valuation import SubgroupSpec
+from oracles.valuation import eo_defect as enumerated_eo_defect
 
 
 def ev(kind, bound=None, engine="test", op="op", detail="d"):
@@ -175,6 +179,19 @@ class TestCatalogueEntries:
         # the real theory sits over the complex one along a ring map,
         # so its defect can only be larger
         assert verdict_ko(stem_cap=16).phi >= verdict_ku().phi == 1
+
+    def test_catalogue_eo_rows_match_the_enumeration(self):
+        # each preset row of the table, not only the helper, against the
+        # minimum over the group's p^m - 1 nontrivial elements
+        rows = {v.subject: v for v in catalogue(stem_cap=8)}
+        for p, m, h in defect.EO_PRESETS:
+            report = enumerated_eo_defect(SubgroupSpec(p, m, h))
+            v = rows[f"EO_{h}(C_{p**m}) at p={p}"]
+            assert (v.prime, v.phi, v.phi_p, v.status) == (p, report["phi"], report["phi_p"], "exact")
+            [e] = v.evidence
+            assert (e.engine, e.kind, e.bound) == ("valuation", "exact", report["phi"])
+            assert e.operation == f"eo_defect(C_{report['order']}, height={h})"
+            assert e.detail == f"N = height * max cyclotomic valuation = {report['N']}, an equality"
 
     def test_cross_engine_agreement(self):
         # the formal-inverse witness and the cyclotomic valuation see

@@ -22,6 +22,9 @@ Oracles used here:
     _letter_products): the names and collisions of the products each
     cell extends from the cell one filtration below equal those of the
     multisets enumerated from scratch, over the same resolution,
+  * the Wood cofibre sequence ko smash C(eta) = ku read at E2: the
+    long exact sequence of h1 over A(1) gives Ext over E(1), which a
+    second resolution computes,
   * Adams' relations in the sphere's Ext (J. F. Adams, "On the
     non-existence of elements of Hopf invariant one", Ann. Math. 1960):
     h0 h1 = h1 h2 = h0 h2^2 = 0, h1^3 = h0^2 h2 and h1^2 h3 = h2^3,
@@ -41,7 +44,7 @@ from chromadefect.ext import (
     ext_ranks,
     operator_pairs,
 )
-from chromadefect.gradedlin import vec_support
+from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
 from chromadefect.steenrod import Profile, operator_product
 
 from oracles.change_of_rings import change_of_rings_check
@@ -679,6 +682,53 @@ class TestChangeOfRings:
         )
         assert equal
         assert inner[(0, 0)] == 1 and inner[(0, 1)] == 1
+
+
+def resolved(profile, s_max, t_max, stem_max):
+    res = Resolution(profile, s_max, t_max, stem_max)
+    for t in range(t_max + 1):
+        res.column(t)
+    return res
+
+
+class TestWoodCofibre:
+    def test_c_eta_over_a1_is_ext_over_e1(self):
+        # ko smash C(eta) = ku at E2: H^*C(eta) = A(1)//E(1), so Ext_{E(1)}
+        # is Ext_{A(1)} of the two cells 0 and 2, and the cofibre
+        # sequence of eta, whose connecting map is h1, gives
+        # dim Ext_{E(1)}^{s,t} = dim coker(h1: Ext^{s-1,t-2} -> Ext^{s,t})
+        #                      + dim ker(h1: Ext^{s,t-2} -> Ext^{s+1,t})
+        s_max, t_max, stem_max = 12, 60, 46
+        a1 = resolved(Profile.A(2, 1), s_max + 1, t_max, stem_max)
+        e1 = resolved(Profile.E(2, 1), s_max, t_max, stem_max)
+        [h1] = [a1.ops.number[a1.ops.element(pair)]
+                for name, _, pair in cobar_letters(Profile.A(2, 1), 2) if name == "h(1,1)"]
+
+        def rank_h1(s, t):
+            """Rank of h1: Ext_{A(1)}^{s,t} -> Ext_{A(1)}^{s+1,t+2}."""
+            source, target = a1.cells.get((s, t), ()), a1.cells.get((s + 1, t + 2), ())
+            rows = [
+                vec_from_terms(2, [(g2 - target.start, c)
+                                   for g2, c in a1.times(h1, s + 1, t + 2, {g: 1}).items()])
+                for g in source
+            ] if target else []
+            return len(rows) - len(PrimeFieldMatrix(2, len(rows), len(target), rows).kernel_vectors())
+
+        def dim(res, s, t):
+            return len(res.cells.get((s, t), ()))
+
+        cells = ranks = 0
+        for s in range(s_max + 1):
+            for t in range(s, min(t_max, s + stem_max) + 1):
+                into, out = rank_h1(s - 1, t - 2), rank_h1(s, t - 2)
+                coker, ker = dim(a1, s, t) - into, dim(a1, s, t - 2) - out
+                assert dim(e1, s, t) == coker + ker, (s, t)
+                cells += 1
+                ranks += out
+        assert cells == 611
+        # h1 b^l for l <= 3 and h1^2 b^l for l <= 2 lie in the window:
+        # the connecting map is no zero map
+        assert ranks == 7
 
 
 class TestDeterminism:

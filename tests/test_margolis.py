@@ -535,6 +535,19 @@ class TestJson:
         with pytest.raises(ValueError, match="malformed"):
             FiniteSteenrodModule.from_json({"prime": 2})
 
+    def test_repeated_action_row_rejected(self):
+        # Sq^1 a = b makes the two cells free over A(0); a second row
+        # for the same (operator, on) pair used to replace the first,
+        # and its zero action turned the verdict to not free
+        sq1 = {"operator": "P(1,0)", "on": "a", "terms": [{"coef": 1, "to": "b"}]}
+        data = {"prime": 2, "basis": [{"name": "a", "degree": 0}, {"name": "b", "degree": 1}],
+                "actions": [sq1]}
+        v = is_free_over(FiniteSteenrodModule.from_json(data), "A(0)")
+        assert v.free and v.rank == 1
+        data["actions"].append({**sq1, "terms": [{"coef": 0, "to": "b"}]})
+        with pytest.raises(InputError, match=r"^action of P\(1,0\) on a is declared twice$"):
+            FiniteSteenrodModule.from_json(data)
+
 
 def _assert_same_up_to_shift(dual, alg, shift):
     """Equal graded dims and equal ranks of every operator in every

@@ -1,27 +1,36 @@
-"""Tests for cyclotomic valuations and fixed point defect formulas.
+"""Tests for the cyclic fixed point defect and the cyclotomic
+valuations behind it.
 
-A valuation 1/e is carried as its ramification degree e, so each
-assertion below compares degrees.  Oracles: hand-checked ramification
-theory (the p^n-th cyclotomic extension of Q_p is totally ramified of
-degree p^(n-1)(p-1), so the normalized valuation of zeta - 1 is the
-reciprocal of that degree); the classical v(zeta_p - 1) = 1/(p-1); and
-cross-checks against the formal group law module, where the height-n
-Honda law over F_2 has its formal inverse deviating from the identity
-first in degree 2^n.
+The package reads N off its closed form, defect.eo_defect; the
+enumeration it replaced, one valuation per nontrivial group element,
+lives in oracles/valuation.py and is checked here first.  A valuation
+1/e is carried as its ramification degree e, so each oracle assertion
+compares degrees.  Oracles for the enumeration: hand-checked
+ramification theory (the p^n-th cyclotomic extension of Q_p is totally
+ramified of degree p^(n-1)(p-1), so the normalized valuation of
+zeta - 1 is the reciprocal of that degree) and the classical
+v(zeta_p - 1) = 1/(p-1).  The closed form must equal the enumeration
+on a grid of specs, refusals included, and agree with the formal group
+law module, where the height-n Honda law over F_2 has its formal
+inverse deviating from the identity first in degree 2^n.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chromadefect.defect import eo_defect
 from chromadefect.fgl import er_defect_witness
-from chromadefect.valuation import (
+
+from oracles.valuation import (
     CycloElement,
     SubgroupSpec,
     cyclo_valuation,
     embedding_admissible,
-    eo_defect,
     group_N,
 )
+from oracles.valuation import eo_defect as enumerated_eo_defect
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -206,23 +215,18 @@ class TestEoDefect:
     def test_prime_cyclic_defects(self):
         # defect p^k for C_p acting at height k(p-1)
         for p, k in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]:
-            report = eo_defect(SubgroupSpec(p, 1, k * (p - 1)))
-            assert report["phi"] == p**k
-            assert report["phi_p"] == k
-            assert report["N"] == k
-            assert report["height"] == k * (p - 1)
+            assert eo_defect(p, 1, k * (p - 1)) == k
 
     def test_prime_power_cyclic_defects(self):
+        # C_{p^n} at height p^(n-1)(p-1)m: N = p^(n-1)m
         for p, n, m in [(2, 2, 1), (3, 2, 1)]:
             h = p ** (n - 1) * (p - 1) * m
-            report = eo_defect(SubgroupSpec(p, n, h))
-            assert report["phi"] == p ** (p ** (n - 1) * m)
-            assert report["order"] == p**n
+            assert eo_defect(p, n, h) == p ** (n - 1) * m
 
     def test_real_k_theory_point(self):
         # C_2 at height 1: defect 2
-        report = eo_defect(SubgroupSpec(2, 1, 1))
-        assert report == {
+        assert eo_defect(2, 1, 1) == 1
+        assert enumerated_eo_defect(SubgroupSpec(2, 1, 1)) == {
             "p": 2,
             "order": 2,
             "height": 1,
@@ -232,18 +236,48 @@ class TestEoDefect:
         }
 
     def test_trivial_group_is_orientable(self):
-        report = eo_defect(SubgroupSpec(3, 0, 7))
-        assert report["phi"] == 1
-        assert report["phi_p"] == 0
-        assert report["N"] is None
+        assert eo_defect(3, 0, 7) is None
+        report = enumerated_eo_defect(SubgroupSpec(3, 0, 7))
+        assert report["phi"] == 1 and report["phi_p"] == 0 and report["N"] is None
 
     def test_agreement_with_formal_inverse_witness(self):
         # the defect of C_2 at height n is 2^n; the formal group side
         # sees the same number as the first deviation degree of the
         # formal inverse for the height-n law over F_2
         for n in [1, 2, 3]:
-            report = eo_defect(SubgroupSpec(2, 1, n))
+            N = eo_defect(2, 1, n)
             witness = er_defect_witness(n)
-            assert report["phi"] == 2**n
-            assert witness["inverse_deviation_degree"] == report["phi"]
+            assert N == n
+            assert witness["inverse_deviation_degree"] == 2**N
             assert witness["upper_bound_ok"] and witness["lower_bound_ok"]
+
+    def test_matches_the_enumeration_on_the_grid(self):
+        # every spec with p <= 13, m <= 3 and h <= 120: the same N, or
+        # the same refusal, as the minimum over the p^m - 1 elements
+        outcomes = {"admissible": 0, "refused": 0, "trivial": 0}
+        for p in SMALL_PRIMES:
+            for m in range(4):
+                for h in range(1, 121):
+                    try:
+                        G = SubgroupSpec(p, m, h)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as refused:
+                            eo_defect(p, m, h)
+                        assert str(refused.value) == str(exc), (p, m, h)
+                        outcomes["refused"] += 1
+                        continue
+                    report = enumerated_eo_defect(G)
+                    assert eo_defect(p, m, h) == report["N"], (p, m, h)
+                    outcomes["trivial" if report["N"] is None else "admissible"] += 1
+        assert outcomes == {"admissible": 378, "refused": 1782, "trivial": 720}
+
+    @pytest.mark.parametrize(
+        "p, m, h",
+        [(4, 1, 3), (1, 1, 1), (3, -1, 2), (2, 1, 0), (2, 0, -1)],
+        ids=["composite", "unit", "negative-order", "zero-height", "negative-height"],
+    )
+    def test_refuses_like_the_enumeration(self, p, m, h):
+        with pytest.raises(ValueError) as expected:
+            SubgroupSpec(p, m, h)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            eo_defect(p, m, h)
