@@ -18,7 +18,8 @@ None for a subcommand without it.  The params and the payload are the
 job's config; its canonical JSON and the sha256 of the package's own
 sources make the cache key, so a changed engine never reads an older
 engine's bytes.  Artifacts are pure functions of the config: no
-timestamps and no filesystem paths inside the bytes.
+timestamps and no filesystem paths inside the bytes.  One all-or-nothing
+writer, _write_artifacts, files the artifacts and each cache entry.
 
 Exit codes: 0 success or help; 2 chromadefect.InputError, raised for an
 argv the table refuses, a config over a limit or bad input, here or in
@@ -92,12 +93,11 @@ MAX_KO_SS_CELLS = 250_000
 # largest defect stem cap: the ko and tmf bounds read the Koszul closed
 # form through the cap, which costs a Poincare series of cap + 2 terms
 # per family, and the cap names the window each bound certifies.  On a
-# 2 vCPU host the whole job, `python -m chromadefect.cli defect`, took
-# 0.06-0.09 s at caps 1, 24 and 1000 without the package's bytecode,
-# 15 MB peak read by a small launcher: about 0.05 s of it interpreter
-# start (`python -c pass`), importing chromadefect.cli 21-22 ms, and
-# `main` 1.1-1.5 ms at caps 1 and 24 and 2.2-3.5 ms at 1000.  The
-# limit is kept as one of the CLI's documented refusals
+# 2 vCPU host `python -m chromadefect.cli defect` took 0.07-0.11 s at
+# caps 1, 24 and 1000 without bytecode, 15 MB peak: about 0.07 s of it
+# interpreter start, importing chromadefect.cli 24-42 ms, and `main`
+# 0.8-1.9 ms at caps 1 and 24 and 1.9-3.0 ms at 1000.  The limit is
+# kept as one of the CLI's documented refusals
 MAX_DEFECT_CAP = 1000
 FORMATS = ("tsv", "json", "svg")
 
@@ -414,21 +414,21 @@ def _config_from_args(args) -> JobConfig:
 # cache and artifacts
 
 
-def _cache_dir() -> Path:
+def _cache_dir() -> str:
     root = os.environ.get(CACHE_ENV)
     if root:
-        return Path(root)
-    return Path.home() / ".cache" / "chromadefect"
+        return root
+    home = os.path.expanduser("~")
+    if home == "~":  # no home directory: no cache, rather than one in ./~
+        raise FileNotFoundError(errno.ENOENT, f"no home directory; set {CACHE_ENV}")
+    return os.path.join(home, ".cache", "chromadefect")
 
 
 def cache_load(key):
     import base64
 
-    path = _cache_dir() / f"{key}.json"
-    if not path.is_file():
-        return None
-    try:
-        blob = json.loads(path.read_text(encoding="utf-8"))
+    try:  # a missing entry raises FileNotFoundError, an OSError
+        blob = json.loads(Path(_cache_dir(), f"{key}.json").read_text(encoding="utf-8"))
         if blob["key"] != key:
             return None  # entry filed under the wrong name
         names = blob["artifacts"]
@@ -440,47 +440,51 @@ def cache_load(key):
 
 
 def cache_store(key, artifacts):
-    """File the artifacts under key: written to a temporary name of this
-    process, renamed into place, and the temporary removed if either
-    step fails."""
+    """File the artifacts under key: one JSON entry, written by _write_artifacts."""
     import base64
 
-    root = _cache_dir()
-    root.mkdir(parents=True, exist_ok=True)
-    blob = {
-        "key": key,
-        "artifacts": {
-            name: base64.b64encode(data).decode("ascii")
-            for name, data in sorted(artifacts.items())
-        },
-    }
-    tmp = root / f".{key}.{os.getpid()}.tmp"
-    try:
-        tmp.write_text(json.dumps(blob, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, root / f"{key}.json")
-    finally:
-        tmp.unlink(missing_ok=True)
+    coded = {name: base64.b64encode(data).decode("ascii") for name, data in artifacts.items()}
+    blob = json.dumps({"key": key, "artifacts": coded}, sort_keys=True).encode("ascii")
+    _write_artifacts(_cache_dir(), {f"{key}.json": blob})
 
 
-def _write_artifacts(root, artifacts):
-    """Write every artifact into root, or none of them: an artifact name
-    taken by a directory stops the job before any write, and each file
-    goes to a temporary name, renamed into place only once every write
-    has succeeded."""
-    root.mkdir(parents=True, exist_ok=True)
-    for name in artifacts:
-        if (root / name).is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(root / name))
+def _write_artifacts(out_dir, artifacts):
+    """Write every artifact into the directory out_dir, or none of them,
+    and return the paths written, out_dir joined with each name.  A name
+    taken by a directory stops the write before any file is made; each
+    file goes to a temporary `.<name>.<pid>.tmp`, renamed into place once
+    every write has succeeded, and a failure's temporaries are removed.
+    Plain os calls: pathlib objects took a third of a small job's write."""
+    prefix = "" if out_dir == "." else out_dir if out_dir.endswith("/") else out_dir + "/"
+    names = sorted(artifacts)
+    os.makedirs(out_dir, exist_ok=True)
+    for name in names:
+        if os.path.isdir(prefix + name):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), prefix + name)
     temps = {}
     try:
-        for name in sorted(artifacts):
-            temps[name] = root / f".{name}.{os.getpid()}.tmp"
-            temps[name].write_bytes(artifacts[name])
-        for name in list(temps):
-            os.replace(temps.pop(name), root / name)
+        for name in names:
+            temps[name] = f"{prefix}.{name}.{os.getpid()}.tmp"
+            with open(temps[name], "wb") as file:
+                file.write(artifacts[name])
+        for name in names:
+            os.replace(temps[name], prefix + name)
+            del temps[name]
     finally:
         for tmp in temps.values():
-            tmp.unlink(missing_ok=True)
+            if os.path.lexists(tmp):
+                os.remove(tmp)
+    return [prefix + name for name in names]
+
+
+def _print(text) -> int:
+    """Write text to stdout; a reader that closed it is no error."""
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: aim it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +495,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if "help" in vars(args):
-            print(args.help, end="")
-            return EXIT_OK
+            return _print(args.help)
         cfg = _config_from_args(args)
         key = cfg.key() if cfg.use_cache else None
         artifacts = cache_load(key) if key else None
@@ -516,15 +519,12 @@ def main(argv=None) -> int:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
-    out_root = Path(cfg.out_dir)
     try:
-        _write_artifacts(out_root, artifacts)
+        paths = _write_artifacts(str(Path(cfg.out_dir)), artifacts)  # as `wrote` spells it
     except OSError as exc:
         print(f"error: cannot write to --out {cfg.out_dir}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for name in sorted(artifacts):
-        print(f"wrote {out_root / name}")
-    return EXIT_OK
+    return _print("".join(f"wrote {path}\n" for path in paths))
 
 
 if __name__ == "__main__":

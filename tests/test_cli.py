@@ -39,6 +39,9 @@ module {}).  Any change to the artifact bytes of those jobs fails here.
 
 import errno
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -597,6 +600,31 @@ def test_unusable_cache_dir_still_writes_artifacts(tmp_path, capsys, monkeypatch
     assert written(out) == written(GOLDEN_DIR / "fgl_n1")
 
 
+@pytest.mark.parametrize("out, shown, lands", [
+    (".", "", ""),
+    ("", "", ""),
+    ("./x", "x/", "x"),
+    ("a//b/", "a/b/", "a/b"),
+    ("x/../y", "x/../y/", "y"),
+    ("ABS//abs/", "ABS/abs/", "abs"),
+    # POSIX keeps exactly two leading slashes, and pathlib with it
+    ("/ABS/two", "/ABS/two/", "two"),
+    ("//ABS/three", "ABS/three/", "three"),
+], ids=["dot", "empty", "dot-slash", "doubled-and-trailing-slash", "dot-dot", "absolute",
+        "two-leading-slashes", "three-leading-slashes"])
+def test_wrote_lines_name_the_out_dir_as_pathlib_does(out, shown, lands, tmp_path, capsys,
+                                                      monkeypatch):
+    # one `wrote` line per artifact, its directory spelled as
+    # str(pathlib.Path(--out)) spells it; the files land in that directory
+    monkeypatch.chdir(tmp_path)
+    out, shown = (s.replace("ABS", str(tmp_path)) for s in (out, shown))
+    assert run(["fgl", "--n", "1", "--no-cache"], out) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"wrote {shown}fgl_er1.json\nwrote {shown}fgl_er1.tsv\n"
+    assert written(tmp_path / lands if lands else tmp_path) == written(GOLDEN_DIR / "fgl_n1")
+    if out == "x/../y":
+        assert list((tmp_path / "x").iterdir()) == []
+
+
 @pytest.mark.parametrize("where", [
     "file", "below-a-file", "artifact-is-a-directory", "later-artifact-is-a-directory",
 ])
@@ -621,22 +649,96 @@ def test_unwritable_out_exits_2(where, tmp_path, capsys):
         assert blocker.read_text() == "kept"
 
 
-def test_failed_write_leaves_nothing(tmp_path, capsys, monkeypatch):
-    write_bytes = Path.write_bytes
+def faulty_open(fails):
+    """open for cli's writer, raising ENOSPC once the file is made on
+    each path that fails(path) accepts, as a full disk would."""
+    def call(path, mode):
+        file = open(path, mode)
+        if fails(path):
+            file.close()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return file
+
+    return call
+
+
+@pytest.mark.parametrize("fault", [("open", 1), ("open", 2), ("replace", 1)],
+                         ids=["first-write", "second-write", "first-rename"])
+def test_failed_write_leaves_nothing(fault, tmp_path, capsys, monkeypatch):
+    # faults at the writer's own primitives; the temporaries are
+    # written, then renamed, in name order
     calls = []
 
-    def second_fails(path, data):
-        calls.append(path)
-        if len(calls) == 2:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return write_bytes(path, data)
+    def nth(primitive):
+        calls.append(primitive)
+        return (primitive, calls.count(primitive)) == fault
 
-    monkeypatch.setattr(Path, "write_bytes", second_fails)
+    replace = os.replace
+
+    def faulty_replace(src, dst):
+        if nth("replace"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return replace(src, dst)
+
+    monkeypatch.setattr(cli, "open", faulty_open(lambda path: nth("open")), raising=False)
+    monkeypatch.setattr(cli.os, "replace", faulty_replace)
     out = tmp_path / "out"
     assert run(["fgl", "--n", "1", "--no-cache"], out) == cli.EXIT_USAGE
-    assert len(calls) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write to --out {out}: ")
+    assert calls.count(fault[0]) == fault[1]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write to --out {out}: ")
     assert list(out.iterdir()) == []
+
+
+def test_failed_cache_write_leaves_no_temporary(tmp_path, capsys, cache_dir, monkeypatch):
+    monkeypatch.setattr(cli, "open", faulty_open(lambda path: path.startswith(str(cache_dir))),
+                        raising=False)
+    out = tmp_path / "out"
+    assert run(["fgl", "--n", "1"], out) == cli.EXIT_OK
+    assert "warning: cache not written: [Errno 28]" in capsys.readouterr().err
+    assert list(cache_dir.iterdir()) == []
+    assert written(out) == written(GOLDEN_DIR / "fgl_n1")
+
+
+def test_no_home_directory_skips_the_cache(tmp_path, capsys, monkeypatch):
+    # HOME unset and the uid without a passwd entry: os.path.expanduser
+    # returns "~" as given, and the cache must not become ./~
+    import pwd
+
+    def no_entry(uid):
+        raise KeyError(uid)
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.delenv("HOME", raising=False)
+    monkeypatch.setattr(pwd, "getpwuid", no_entry)
+    monkeypatch.chdir(tmp_path)
+    assert run(["fgl", "--n", "1"], "out") == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert f"warning: cache not written: [Errno 2] no home directory; set {cli.CACHE_ENV}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert written(tmp_path / "out") == written(GOLDEN_DIR / "fgl_n1")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["fgl", "--n", "1", *FORMATS, "--no-cache", "--out", "out"],
+                                  ["--help"]],
+                         ids=["job", "help"])
+def test_closed_stdout_exits_0(argv, unbuffered, tmp_path):
+    # a reader that quits before the first line, as `| head -0` does:
+    # no traceback, exit 0, and the artifacts stand
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "chromadefect.cli", *argv], cwd=tmp_path,
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_OK
+    assert err == b""
+    if argv[0] == "fgl":
+        assert written(tmp_path / "out") == written(GOLDEN_DIR / "fgl_n1")
 
 
 def test_cache_key_follows_the_module(tmp_path):
