@@ -65,14 +65,14 @@ MAX_FGL_CAP = 16392
 # large job's time at small s, elimination at large s; memory stays
 # small.  Whole jobs on a 2 vCPU host, two runs each, peak RSS read by a
 # small launcher: A(1) at p = 2 through stem 40, s 20 (64 pairs) took
-# 0.12 s and 15 MB peak, A(2) through stem 40, s 10 (4,096) 0.18 s and
-# 15 MB, and T(0) through stem 40, s 10 (90,339) 1.8-1.9 s and 22 MB.
+# 0.09 s and 15 MB peak, A(2) through stem 40, s 10 (4,096) 0.12-0.15 s
+# and 15 MB, and T(0) through stem 40, s 10 (90,339) 1.3 s and 22 MB.
 # At the largest stem each family admits, with s as large as
 # MAX_EXT_CELLS allows: T(0) at p = 2 through stem 46, s 44 (187,288)
-# took 5.6 s and 35 MB; T(1) through stem 91, s 32 (188,651) 15-16 s
-# and 46 MB; A(3) through stem 52, s 42 (196,059) 4.5-4.9 s and 27 MB;
-# T(0) at p = 3 through stem 120, s 26 (199,991) 5.5-5.7 s and 23 MB;
-# T(1) at p = 3 through stem 318, s 11 (199,556) 9-12 s and 23 MB.
+# took 3.6-4.0 s and 35 MB; T(1) through stem 91, s 32 (188,651)
+# 9.5-11 s and 45 MB; A(3) through stem 52, s 42 (196,059) 4.1-4.5 s and
+# 27 MB; T(0) at p = 3 through stem 120, s 26 (199,991) 3.2-3.8 s and
+# 23 MB; T(1) at p = 3 through stem 318, s 11 (199,556) 5.9-6.4 s and 23 MB.
 # T(0) at p = 2 through stem 87, s 1 (7.7 million) is refused; its
 # resolution alone took 5.2 s and 32 MB in process
 MAX_EXT_OPERATOR_PAIRS = 200_000
@@ -344,17 +344,19 @@ def parse_args(argv) -> SimpleNamespace:
     subcommand = rest.pop(0) if rest and rest[0] in SUBCOMMANDS else None
     flags = {**SUBCOMMANDS[subcommand].flags, **COMMON_FLAGS} if subcommand else {}
     args = {flag: default for flag, (_, default, _) in flags.items()}
-    known = [*flags, *HELP_FLAGS]
-    need = f"need a subcommand first: {', '.join(SUBCOMMANDS)}"
     while rest:
         token = rest.pop(0)
-        name, eq, value = token.partition("=")
-        hits = [f for f in known if name == f or len(name) > 2 and f.startswith(name)]
-        if len(hits) > 1 and name not in hits:
-            raise InputError(f"ambiguous flag {name}: could be {', '.join(hits)}")
-        if not hits:
-            raise InputError(f"unrecognized argument {token!r}" if subcommand else need)
-        flag = name if name in hits else hits[0]
+        flag, eq, value = token.partition("=")
+        if flag not in flags and flag not in HELP_FLAGS:
+            # a unique prefix of a flag stands for it
+            hits = [f for f in (*flags, *HELP_FLAGS) if len(flag) > 2 and f.startswith(flag)]
+            if len(hits) > 1:
+                raise InputError(f"ambiguous flag {flag}: could be {', '.join(hits)}")
+            if not hits and subcommand is None:
+                break  # refused below, as a missing subcommand
+            if not hits:
+                raise InputError(f"unrecognized argument {token!r}")
+            flag = hits[0]
         kind = flags[flag][0] if flag in flags else bool  # help is a switch too
         count = 0 if kind is bool else 4 if kind is list else 1
         values = [value] if eq else []
@@ -375,7 +377,7 @@ def parse_args(argv) -> SimpleNamespace:
         keep_list = kind is list or flag == "--format"
         args[flag] = True if kind is bool else values if keep_list else values[0]
     if subcommand is None:
-        raise InputError(need)
+        raise InputError(f"need a subcommand first: {', '.join(SUBCOMMANDS)}")
     missing = [flag for flag, value in args.items() if value is ...]
     if missing:
         raise InputError(f"{subcommand} needs {', '.join(missing)}")

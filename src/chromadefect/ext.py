@@ -24,12 +24,12 @@ exponent halved.  F_s in degree t has the basis op * g over its
 generators g of degree at most t and the operators op of degree
 t - deg g.  Step (s, t) eliminates one matrix: the images op * d(g')
 of the generators g' of F_{s+1} below degree t, then a basis of the
-kernel of d on F_s in degree t.  Each row carries its unit vector
-(PrimeFieldMatrix.kernel_vectors), so the one elimination gives both
-what the next step needs: a kernel row that stays independent of the
-rows before it becomes a new generator of F_{s+1} in degree t, with
-that row as its differential, and a relation among the image rows is
-a kernel vector of d on F_{s+1} in degree t.
+kernel of d on F_s in degree t.  Each image row carries its unit
+vector and no kernel row does (gradedlin.subquotient), so the one
+elimination gives both what the next step needs: a kernel row that
+stays independent of the rows before it becomes a new generator of
+F_{s+1} in degree t, with that row as its differential, and a relation
+among the image rows is a kernel vector of d on F_{s+1} in degree t.
 
 A resolution cut at stem N makes no generator past it.  Step (s, t)
 makes stem t - s - 1, and a cell of stem n needs no generator past
@@ -71,10 +71,10 @@ The `ext` job (ext_job) writes a chart's TSV, JSON and dot chart
 (chart_from_ext), resolved only through the requested stem.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
-from .gradedlin import PrimeFieldMatrix, vec_combine, vec_from_terms, vec_last, vec_support
+from .gradedlin import subquotient, vec_combine, vec_from_terms, vec_support
 from .steenrod import Profile, operator_product
 
 __all__ = [
@@ -194,28 +194,21 @@ class Resolution:
         for terms, deg in zip(self.d[s + 1], self.degrees[s + 1]):
             for op in ops.by_degree[t - deg]:
                 rows.append(vec_combine(p, ops.product, op, terms, offset))
-        images = len(rows)
-        rows += kernel
-        if not rows:
+        if not rows and not kernel:
             return []
-        relations = PrimeFieldMatrix(p, len(rows), offset[-1], rows).kernel_vectors()
-        # a relation ends at the row it made vanish, so relations come in
-        # row order, and one that ends at an image is among the images alone
-        ends = [vec_last(p, rel) for rel in relations]
-        vanished = set(ends)
+        relations, kept = subquotient(p, offset[-1], rows, kernel)
         start = len(self.degrees[s + 1])
-        for i in range(images, len(rows)):
-            if i not in vanished:
-                self.degrees[s + 1].append(t)
-                # column col lies in the last block that starts at or before it
-                self.d[s + 1].append(
-                    [(ops.by_degree[t - self.degrees[s][g]][col - offset[g]], g, c)
-                     for col, c in vec_support(p, rows[i])
-                     for g in [bisect_right(offset, col) - 1]]
-                )
-        if len(self.degrees[s + 1]) > start:
-            self.cells[(s + 1, t)] = range(start, len(self.degrees[s + 1]))
-        return relations[:bisect_left(ends, images)]
+        for i in kept:
+            self.degrees[s + 1].append(t)
+            # column col lies in the last block that starts at or before it
+            self.d[s + 1].append(
+                [(ops.by_degree[t - self.degrees[s][g]][col - offset[g]], g, c)
+                 for col, c in vec_support(p, kernel[i])
+                 for g in [bisect_right(offset, col) - 1]]
+            )
+        if kept:
+            self.cells[(s + 1, t)] = range(start, start + len(kept))
+        return relations
 
     def times(self, op, s, t, x):
         """The product h x in cell (s, t), op being h's operator and x a

@@ -8,9 +8,9 @@ from .modp import (
     PrimeFieldMatrix,
     SubquotientBasis,
     check_prime,
+    subquotient,
     vec_combine,
     vec_from_terms,
-    vec_last,
     vec_support,
 )
 

@@ -11,11 +11,11 @@ x.M from F^nrows to F^ncols, row i being the image of the i-th basis
 vector.
 
 Each field has one elimination kernel, gf2_eliminate by XOR and
-fp_eliminate by packed adds.  A row's pivot is its first nonzero column
-(its lowest set bit, over w), so every nonzero row-space vector starts
-at a pivot column.  Entries at ncols and beyond are never pivots and
-travel with their row, so kernel_vectors appends the unit vector e_i
-there as one entry of row i: no tracked mode.
+fp_eliminate by packed adds, entered through subquotient.  A row's
+pivot is its first nonzero column (its lowest set bit, over w), so
+every nonzero row-space vector starts at a pivot column.  Entries at
+ncols and beyond are never pivots and travel with their row, so
+subquotient appends e_i there to image row i alone: no tracked mode.
 """
 
 from functools import lru_cache
@@ -26,9 +26,9 @@ __all__ = [
     "PrimeFieldMatrix",
     "SubquotientBasis",
     "check_prime",
+    "subquotient",
     "vec_combine",
     "vec_from_terms",
-    "vec_last",
     "vec_support",
 ]
 
@@ -138,12 +138,7 @@ def vec_support(p, v):
     return out
 
 
-def vec_last(p, v):
-    """The index of v's last nonzero coefficient; -1 for zero."""
-    return (v.bit_length() - 1) // _width(p)
-
-
-def gf2_eliminate(rows, ncols):
+def gf2_eliminate(rows, ncols, tailed=-1):
     """Forward elimination over F2 on the columns below ncols.
 
     rows are int bitmasks; bits at ncols and above travel with their
@@ -151,6 +146,8 @@ def gf2_eliminate(rows, ncols):
     ech[k], with pivot column pivots[k] (its lowest set bit), made from
     input row pivot_rows[k]; dependent holds, in input order, the bits
     past ncols (shifted down) of each input row that vanishes below it.
+    Rows from index tailed on carry no such bits and gain none, as the
+    echelon rows drop theirs there; each that vanishes leaves 0.
     """
     ech = []
     pivots = []
@@ -158,6 +155,8 @@ def gf2_eliminate(rows, ncols):
     dependent = []
     pivot_at = {}
     for i, v in enumerate(rows):
+        if i == tailed:
+            ech = [e & (1 << ncols) - 1 for e in ech]
         while True:
             # -1 for a zero row
             col = (v & -v).bit_length() - 1
@@ -175,12 +174,12 @@ def gf2_eliminate(rows, ncols):
     return pivots, ech, pivot_rows, dependent
 
 
-def fp_eliminate(p, rows, ncols):
-    """Packed elimination mod an odd prime, mirroring gf2_eliminate: a
-    pivot c is cleared by adding p - c times its unit-pivot echelon row,
-    which changes only the fields past it."""
+def fp_eliminate(p, rows, ncols, nfields):
+    """Packed elimination mod an odd prime, mirroring gf2_eliminate, on
+    rows of nfields fields at most: a pivot c is cleared by adding p - c
+    times its unit-pivot echelon row, changing only the fields past it."""
     w = _width(p)
-    add, scale = _field_ops(p, max((r.bit_length() for r in rows), default=0) // w + 1)
+    add, scale = _field_ops(p, nfields)
     ech = []
     pivots = []
     pivot_rows = []
@@ -205,10 +204,25 @@ def fp_eliminate(p, rows, ncols):
     return pivots, ech, pivot_rows, dependent
 
 
-def _eliminate(p, rows, ncols):
+def subquotient(p, ncols, images, cycles):
+    """(relations, kept) for lists of image and cycle rows in F^ncols.
+
+    relations is a basis of {x : x.images = 0}.  Image row i carries e_i
+    past the last column, so one that vanishes leaves the combination
+    that killed it, which ends at i with coefficient 1.  kept indexes the
+    cycle rows independent of the images and of the cycles before them.
+    No cycle row carries a tail, so every row fits ncols + len(images)
+    fields."""
+    m = len(images)
+    w = _width(p)
+    rows = [v | 1 << (ncols + i) * w for i, v in enumerate(images)] + cycles
     if p == 2:
-        return gf2_eliminate(rows, ncols)
-    return fp_eliminate(p, rows, ncols)
+        pivot_rows, dependent = gf2_eliminate(rows, ncols, m)[2:]
+    else:
+        pivot_rows, dependent = fp_eliminate(p, rows, ncols, ncols + m)[2:]
+    kept = [i - m for i in pivot_rows if i >= m]
+    # the vanished images lead the dependents
+    return dependent[:m - len(pivot_rows) + len(kept)], kept
 
 
 class PrimeFieldMatrix:
@@ -236,28 +250,19 @@ class PrimeFieldMatrix:
         return cls(p, nrows, ncols, [vec_from_terms(p, row) for row in rows])
 
     def kernel_vectors(self):
-        """Basis of {x in F^nrows : x.M = 0}: row i carries the unit
-        vector e_i past the last column, and each row that vanishes
-        leaves the combination that killed it.  Rows are taken in
-        order, so the vector of a vanished row i involves only rows up
-        to i, and ends at i with coefficient 1."""
-        n, w = self.ncols, _width(self.p)
-        rows = [row | 1 << (n + i) * w for i, row in enumerate(self.rows)]
-        return _eliminate(self.p, rows, n)[3]
+        """Basis of {x in F^nrows : x.M = 0}, the relations among the
+        rows as subquotient gives them: the vector of a vanished row i
+        involves only rows up to i, and ends at i with coefficient 1."""
+        return subquotient(self.p, self.ncols, self.rows, [])[0]
 
 
 class SubquotientBasis:
-    """Coset representatives for ker/im inside F_p^ncols.
-
-    image_rows span the boundary subspace, kernel_vectors span the
-    cycles; both live in the same ambient row space.  Representatives
-    are chosen greedily in input order: a kernel vector is one exactly
-    when it is independent of the image and the earlier kernel vectors,
-    i.e. when its row becomes a pivot in the elimination of
-    image_rows + kernel_vectors.
-    """
+    """Coset representatives for ker/im inside F_p^ncols, chosen greedily
+    in input order: a kernel vector is one exactly when it is
+    independent of image_rows and of the kernel vectors before it."""
 
     def __init__(self, p, ncols, image_rows, kernel_vectors):
+        # all rows as cycles, so that none carries a tail
         rows = list(image_rows) + list(kernel_vectors)
-        pivot_rows = _eliminate(p, rows, ncols)[2]
-        self.reps = [rows[i] for i in pivot_rows if i >= len(image_rows)]
+        kept = subquotient(p, ncols, [], rows)[1]
+        self.reps = [rows[i] for i in kept if i >= len(image_rows)]

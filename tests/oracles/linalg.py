@@ -1,17 +1,21 @@
 """Vector arithmetic over F_p through the package's vec_from_terms and
-vec_support, for checking eliminations by substitution; the rank of a
-matrix and the residue of a vector modulo its row space, read off the
-package's elimination kernels; converters to and from dense residue
-tuples; and a dense elimination on residue tuples, kept as an oracle
-for the package's packed one."""
+vec_support, for checking eliminations by substitution; the index of a
+vector's last entry; the rank of a matrix and the residue of a vector
+modulo its row space, read off the package's elimination kernels;
+converters to and from dense residue tuples; and a dense elimination on
+residue tuples, kept as an oracle for the package's packed one."""
 
 from chromadefect.gradedlin import vec_from_terms, vec_support
-from chromadefect.gradedlin.modp import _eliminate
+from chromadefect.gradedlin.modp import fp_eliminate, gf2_eliminate
 
 
 def eliminate(mat):
-    """(pivots, ech, pivot_rows, dependent) of a PrimeFieldMatrix."""
-    return _eliminate(mat.p, mat.rows, mat.ncols)
+    """(pivots, ech, pivot_rows, dependent) of a PrimeFieldMatrix, over
+    as many fields as its rows reach."""
+    if mat.p == 2:
+        return gf2_eliminate(mat.rows, mat.ncols)
+    nfields = max([vec_last(mat.p, row) + 1 for row in mat.rows] + [mat.ncols])
+    return fp_eliminate(mat.p, mat.rows, mat.ncols, nfields)
 
 
 def rank(mat):
@@ -28,6 +32,12 @@ def residue(mat, v):
         if f:
             v = vec_add(mat.p, v, vec_scale(mat.p, row, -f))
     return v
+
+
+def vec_last(p, v):
+    """The index of v's last nonzero coefficient; -1 for zero."""
+    support = vec_support(p, v)
+    return support[-1][0] if support else -1
 
 
 def dense(p, v, n):

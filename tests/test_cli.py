@@ -47,7 +47,7 @@ from pathlib import Path
 
 import pytest
 
-from chromadefect import cli, margolis
+from chromadefect import cli, ext, margolis
 from chromadefect.gradedlin import modp
 from chromadefect.steenrod import Profile
 
@@ -303,7 +303,7 @@ def test_huge_operator_index_exits_2(prime, op, tmp_path, capsys):
 
 def test_ext_jobs_eliminate_each_matrix_once(tmp_path, monkeypatch):
     # each resolution step eliminates one matrix, once, through
-    # kernel_vectors, and names are read off the differentials with no
+    # subquotient, and names are read off the differentials with no
     # elimination of their own
     eliminated = []
     for name in ("gf2_eliminate", "fp_eliminate"):
@@ -313,21 +313,20 @@ def test_ext_jobs_eliminate_each_matrix_once(tmp_path, monkeypatch):
             return _eliminate(*args)
 
         monkeypatch.setattr(modp, name, traced)
-    kernels = []
-    kernel_vectors = modp.PrimeFieldMatrix.kernel_vectors
+    steps = []
 
-    def traced_kernel(self):
-        kernels.append(self)
-        return kernel_vectors(self)
+    def traced_subquotient(*args):
+        steps.append(args)
+        return modp.subquotient(*args)
 
-    monkeypatch.setattr(modp.PrimeFieldMatrix, "kernel_vectors", traced_kernel)
+    monkeypatch.setattr(ext, "subquotient", traced_subquotient)
     for name in ("ext_a1_p2", "ext_a1_p3"):
         out = tmp_path / name
         assert cli.main([*GOLDEN[name], "--no-cache", "--out", str(out)]) == cli.EXIT_OK
         assert written(out) == written(GOLDEN_DIR / name)
     ids = [id(rows) for rows in eliminated]
     assert eliminated and len(set(ids)) == len(ids)
-    assert len(kernels) == len(eliminated)
+    assert len(steps) == len(eliminated)
 
 
 @pytest.mark.parametrize("height", [1, 2], ids=["ko", "tmf"])

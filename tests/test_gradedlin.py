@@ -15,21 +15,28 @@ come out of the package, and the packed elimination and the row
 combiner against the dense elimination in oracles.linalg and
 vec_from_terms, up to p = 65537.  The Mersenne primes 3, 7 and 127 are
 the tight case, where a field's carry bit leaves room for one more.
+subquotient, the one elimination the engines call, is checked at p = 2,
+3, 5 and 7 against the dense elimination of its images with their unit
+vectors appended: its relations, the cycle rows it keeps, and the rows
+and field count it hands the kernel.
 """
 
 import random
 import time
 from math import isqrt
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromadefect.gradedlin import (
     PrimeFieldMatrix,
     SubquotientBasis,
     check_prime,
+    modp,
+    subquotient,
     vec_combine,
     vec_from_terms,
-    vec_last,
     vec_support,
 )
 from chromadefect.gradedlin.integers import AbelianGroupPresentation
@@ -45,6 +52,7 @@ from oracles.linalg import (
     row_action,
     sparse,
     vec_add,
+    vec_last,
     vec_scale,
 )
 
@@ -109,7 +117,7 @@ class TestFp:
             ncols = rng.randint(1, 7)
             rows = [random_vec(rng, p, ncols) for _ in range(nrows)]
             m = PrimeFieldMatrix(p, nrows, ncols, rows)
-            pivots, ech, pivot_rows, dependent = fp_eliminate(p, rows, ncols)
+            pivots, ech, pivot_rows, dependent = fp_eliminate(p, rows, ncols, ncols)
             r = len(pivots)
             assert len(pivot_rows) == r and len(dependent) == nrows - r
             for col, row in zip(pivots, ech):
@@ -172,7 +180,7 @@ class TestSparseRows:
                 for _ in range(rng.randint(0, 3 * nrows))
             ]
             m = PrimeFieldMatrix.from_terms(p, nrows, ncols, terms)
-            pivots, ech, _, dependent = fp_eliminate(p, m.rows, ncols)
+            pivots, ech, _, dependent = fp_eliminate(p, m.rows, ncols, ncols)
             vectors = [vec_from_terms(p, [(j, c) for _, j, c in terms])]
             vectors += m.rows + ech + dependent + m.kernel_vectors()
             vectors += [residue(m, random_vec(rng, p, ncols)) for _ in range(3)]
@@ -195,7 +203,7 @@ class TestSparseRows:
             full = [dense(p, row, ncols) for row in rows]
             pivots, ech, pivot_rows, dependent = dense_eliminate(p, full, ncols)
             assert rank(m) == len(pivots)
-            assert fp_eliminate(p, rows, ncols) == (
+            assert fp_eliminate(p, rows, ncols, ncols) == (
                 pivots,
                 [sparse(p, row) for row in ech],
                 pivot_rows,
@@ -228,7 +236,7 @@ class TestSparseRows:
             full = [tuple(rng.randrange(p) for _ in range(ncols + tail)) for _ in range(nrows)]
             rows = [sparse(p, row) for row in full]
             pivots, ech, pivot_rows, dependent = dense_eliminate(p, full, ncols)
-            assert fp_eliminate(p, rows, ncols) == (
+            assert fp_eliminate(p, rows, ncols, ncols + tail) == (
                 pivots,
                 [sparse(p, row) for row in ech],
                 pivot_rows,
@@ -378,6 +386,94 @@ class TestSubquotient:
                     want.append(kv)
                 span.append(kv)
             assert sq.reps == want
+
+
+@st.composite
+def step_rows(draw, p):
+    """(ncols, images, cycles) as residue tuples, some rows zero and some
+    combinations of rows drawn before them, so that some vanish."""
+    ncols = draw(st.integers(0, 6))
+    residues = st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols)
+    drawn = []
+
+    def row():
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "zero" or not ncols:
+            out = (0,) * ncols
+        elif kind == "combination" and drawn:
+            a, b = draw(st.sampled_from(drawn)), draw(st.sampled_from(drawn))
+            c = draw(st.integers(1, p - 1))
+            out = tuple((x + c * y) % p for x, y in zip(a, b))
+        else:
+            out = tuple(draw(residues))
+        drawn.append(out)
+        return out
+
+    images = [row() for _ in range(draw(st.integers(0, 6)))]
+    cycles = [row() for _ in range(draw(st.integers(0, 6)))]
+    return ncols, images, cycles
+
+
+def check_subquotient(p, ncols, images, cycles):
+    """Run subquotient on residue-tuple rows against the dense
+    elimination of the images, each with its unit vector appended,
+    followed by the cycles with zeros; return the image row each
+    relation ends at, and the kept cycle rows."""
+    m = len(images)
+    full = [r + tuple(int(k == i) for k in range(m)) for i, r in enumerate(images)]
+    full += [r + (0,) * m for r in cycles]
+    calls = []
+
+    def spy(kernel):
+        def traced(*args):
+            # only the images carry a tail, and every row fits the field
+            # count the caller gives, checked before a wrong count can
+            # leave a pivot unreduced
+            rows, last = (args[0], args[2]) if p == 2 else (args[1], args[3])
+            assert last == (m if p == 2 else ncols + m)
+            assert [dense(p, v, ncols + m) for v in rows] == full
+            calls.append(args)
+            return kernel(*args)
+        return traced
+
+    with mock.patch.object(modp, "gf2_eliminate", spy(modp.gf2_eliminate)), \
+            mock.patch.object(modp, "fp_eliminate", spy(modp.fp_eliminate)):
+        relations, kept = subquotient(p, ncols, [sparse(p, r) for r in images],
+                                      [sparse(p, r) for r in cycles])
+    assert len(calls) == 1
+
+    _, _, pivot_rows, dependent = dense_eliminate(p, full, ncols)
+    assert kept == [i - m for i in pivot_rows if i >= m]
+    vanished = [i for i in range(m) if i not in pivot_rows]
+    assert [dense(p, x, m) for x in relations] == dependent[:len(vanished)]
+    # a basis of the left kernel among the images: each relation kills
+    # them and ends at its own vanished row with coefficient 1
+    assert len(relations) == m - len(dense_eliminate(p, images, ncols)[0])
+    mat = PrimeFieldMatrix(p, m, ncols, [sparse(p, r) for r in images])
+    for x, i in zip(relations, vanished):
+        assert row_action(mat, x) == 0
+        assert vec_support(p, x)[-1] == (i, 1)
+    return vanished, kept
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+class TestSubquotientStep:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_elimination(self, p, data):
+        check_subquotient(p, *data.draw(step_rows(p)))
+
+    @pytest.mark.parametrize(
+        "ncols, images, cycles, want",
+        [(3, [], [(1, 0, 0), (1, 0, 0), (0, 0, 0)], ([], [0])),
+         (3, [(0, 1, 0), (0, 0, 0), (0, 1, 0)], [], ([1, 2], [])),
+         (3, [(0, 0, 0), (1, 1, 0)], [(0, 0, 0), (1, 1, 0), (0, 0, 1)], ([0], [2])),
+         (0, [(), ()], [()], ([0, 1], [])),
+         (2, [], [], ([], []))],
+        ids=["no-images", "no-cycles", "zero-rows", "no-columns", "nothing"],
+    )
+    def test_edges(self, p, ncols, images, cycles, want):
+        assert check_subquotient(p, ncols, images, cycles) == want
 
 
 class TestPresentations:
