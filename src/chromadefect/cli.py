@@ -87,8 +87,10 @@ MAX_EXT_CELLS = 4096
 # E2 0.3-0.4 s of it; p = 5, n = 1, stem 9999, s 4 (50,000 cells, 2,999
 # monomials), 0.4-0.5 s and 33 MB
 MAX_MAY_E1_SIZE = 60_000
-# largest ko-ss window, in cells: the laurent pages over 180,901 cells
-# took 2.8 s and 79 MB, over 501,501 cells 9.5 s and 177 MB
+# largest ko-ss window, in cells.  Whole jobs on a 2 vCPU host, every
+# format, peak RSS read by a small launcher: the laurent chart over
+# -150..150 x -300..300 (180,901 cells) took 1.7-2.1 s and 75 MB in ten
+# runs.  Over 501,501 cells the job alone took 5.6 s and 171 MB in process
 MAX_KO_SS_CELLS = 250_000
 # largest defect stem cap: the ko and tmf bounds read the Koszul closed
 # form through the cap, which costs a Poincare series of cap + 2 terms
@@ -214,7 +216,9 @@ def _margolis_params(args):
 
 
 def _fgl_params(args):
-    """Refuse a cap over MAX_FGL_CAP; fgl_job refuses one too small."""
+    """Refuse a cap over MAX_FGL_CAP; fgl_job refuses one too small.
+    The default cap is resolved here, so spelling it out keys the same
+    cache entry."""
     n = _check_positive("height", args.n)
     # compare exponents first, so a huge height never builds 2^n
     if n >= MAX_FGL_CAP.bit_length():
@@ -222,7 +226,7 @@ def _fgl_params(args):
     cap = 2**n + 8 if args.cap is None else args.cap
     if cap > MAX_FGL_CAP:
         raise InputError(f"cap {cap} is over the limit {MAX_FGL_CAP}")
-    return {"n": n, "cap": args.cap}
+    return {"n": n, "cap": cap}
 
 
 def _defect_params(args):

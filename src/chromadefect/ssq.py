@@ -4,13 +4,19 @@ complexification.
 The underlying object is the monomial lattice Z{u^a eta^b} with u in
 (stem 2, filtration 0) and eta in (stem 1, filtration 1).  The
 polynomial variant allows eta-exponents >= 0; the laurent variant
-inverts eta and fills the whole plane.  Differentials are closed-form
-monomial rules (signs dropped throughout, since every assertion made
-here is about isomorphism type).  Each lattice cell is free of rank at
-most one, so a page can track, per cell, the surviving subquotient
-kappa*Z / iota*Z of the original cell.  All page groups and named
-generators are exact integer data; a cell's group is 0, Z or the
-cyclic group of order iota/kappa, read off those two integers.
+inverts eta and fills the whole plane.  Each cell holds at most one
+monomial (monomial_at), free of rank one, so a page can track, per
+cell, the surviving subquotient kappa*Z / iota*Z of the original cell.
+All page groups and named generators are exact integer data; a cell's
+group is 0, Z or the cyclic group of order iota/kappa, read off those
+two integers.
+
+The differentials are the functions d1 and d3: d_r(u^a eta^b) is
+(coefficient, (a', b')) with the target at (stem - 1, filtration + r),
+or None.  The closed forms are already the multiplicative extensions of
+the generator images, so no Leibniz expansion happens at runtime, and
+signs are dropped, since every assertion made here is about
+isomorphism type.
 
 Windows truncate the plane for computation.  Cells within the masking
 radius of the window edge see clipped differentials and are excluded
@@ -23,13 +29,12 @@ from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
 from .gradedlin.integers import AbelianGroupPresentation
 
 __all__ = [
-    "MonomialLattice",
-    "DifferentialRule",
+    "monomial_at",
+    "d1",
+    "d3",
     "Window",
     "Cell",
     "PageSnapshot",
-    "d1_rule",
-    "d3_rule",
     "build_e1",
     "turn_page",
     "run_d1",
@@ -60,80 +65,29 @@ def monomial_str(a: int, b: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
-class MonomialLattice:
-    """The free bigraded lattice on u^a eta^b, one generator per cell.
-
-    a >= 0 always; b >= 0 in the polynomial variant, b in Z in the
-    laurent variant.  Exactly zero or one monomial sits in each
-    (stem, filtration) spot.
-    """
-
-    __slots__ = ("variant",)
-
-    def __init__(self, variant: str):
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        self.variant = variant
-
-    def monomial_at(self, stem: int, fil: int):
-        """(a, b) for the monomial in the cell, or None."""
-        b = fil
-        if self.variant == "polynomial" and b < 0:
-            return None
-        if (stem - b) % U_STEM:
-            return None
-        a = (stem - b) // U_STEM
-        if a < 0:
-            return None
-        return (a, b)
-
-    def __repr__(self):
-        return f"MonomialLattice({self.variant!r})"
-
-
-class DifferentialRule:
-    """Closed-form monomial differential for one page.
-
-    image(a, b) returns (coefficient, (a', b')) or None; the target
-    bidegree must sit at (stem - 1, filtration + page).  The closed
-    forms are already the multiplicative extensions of the generator
-    images, so no Leibniz expansion happens at runtime, and global
-    signs are dropped.
-    """
-
-    __slots__ = ("page", "image", "label")
-
-    def __init__(self, page: int, image, label: str = ""):
-        if page < 1:
-            raise ValueError("page must be at least 1")
-        self.page = page
-        self.image = image
-        self.label = label or f"d{page}"
-
-    def __repr__(self):
-        return f"DifferentialRule({self.label})"
-
-
-def d1_rule() -> DifferentialRule:
-    # odd powers of u map by twice eta; even powers and pure eta
-    # powers are cycles
-    def image(a, b):
-        if a % 2:
-            return 2, (a - 1, b + 1)
+def monomial_at(variant: str, stem: int, fil: int):
+    """(a, b) for the monomial u^a eta^b in the cell, or None: a >= 0
+    always, b >= 0 in the polynomial variant and b in Z in the laurent."""
+    a, odd = divmod(stem - fil, U_STEM)
+    if odd or a < 0 or (variant == "polynomial" and fil < 0):
         return None
+    return (a, fil)
 
-    return DifferentialRule(1, image, "d1")
+
+def d1(a: int, b: int):
+    """Odd powers of u map by twice eta; even powers and pure eta
+    powers are cycles."""
+    if a % 2:
+        return 2, (a - 1, b + 1)
+    return None
 
 
-def d3_rule() -> DifferentialRule:
-    # the square of u maps to the cube of eta; on the surviving even
-    # powers u^{2c} the multiplicative extension carries coefficient c
-    def image(a, b):
-        if a >= 2 and a % 2 == 0:
-            return a // 2, (a - 2, b + 3)
-        return None
-
-    return DifferentialRule(3, image, "d3")
+def d3(a: int, b: int):
+    """The square of u maps to the cube of eta; on the surviving even
+    powers u^{2c} the multiplicative extension carries coefficient c."""
+    if a >= 2 and a % 2 == 0:
+        return a // 2, (a - 2, b + 3)
+    return None
 
 
 class Window:
@@ -167,9 +121,6 @@ class Window:
             self.fil_lo,
             self.fil_hi,
         ) == (other.stem_lo, other.stem_hi, other.fil_lo, other.fil_hi)
-
-    def __hash__(self):
-        return hash((self.stem_lo, self.stem_hi, self.fil_lo, self.fil_hi))
 
     def __repr__(self):
         return (
@@ -268,10 +219,10 @@ class PageSnapshot:
     def interior_alive(self, radius: int = 3):
         return [(k, c) for k, c in self.interior_items(radius) if c.alive]
 
-    def to_tsv(self, radius: int = 3) -> str:
+    def to_tsv(self) -> str:
         lines = ["stem\tfiltration\tgroup\tgenerator\tstatus"]
         for (s, f), c in sorted(self.cells.items()):
-            status = "interior" if self.window.is_interior(s, f, radius) else "edge"
+            status = "interior" if self.window.is_interior(s, f) else "edge"
             lines.append(
                 f"{s}\t{f}\t{c.presentation!r}\t{c.generator_str()}\t{status}"
             )
@@ -287,11 +238,12 @@ class PageSnapshot:
 
 def build_e1(variant: str, window: Window) -> PageSnapshot:
     """First page: every lattice monomial in the window, free of rank 1."""
-    lattice = MonomialLattice(variant)
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
     cells = {}
     for s in range(window.stem_lo, window.stem_hi + 1):
         for f in range(window.fil_lo, window.fil_hi + 1):
-            mono = lattice.monomial_at(s, f)
+            mono = monomial_at(variant, s, f)
             if mono is not None:
                 cells[(s, f)] = Cell(mono[0], mono[1], 1, 0)
     return PageSnapshot(variant, 1, window, cells)
@@ -315,8 +267,9 @@ def _induced_entry(src: Cell, amb: int, tgt: Cell):
     return amb // tgt.cycle
 
 
-def turn_page(page: PageSnapshot, rule: DifferentialRule) -> PageSnapshot:
-    """Homology of one differential rule: the next page snapshot.
+def turn_page(page: PageSnapshot, r: int, rule) -> PageSnapshot:
+    """Homology of the length-r differential `rule` (d1 or d3): the next
+    page snapshot.
 
     Targets or sources outside the stored window are treated as zero;
     the affected cells are exactly the non-interior ones.
@@ -328,15 +281,15 @@ def turn_page(page: PageSnapshot, rule: DifferentialRule) -> PageSnapshot:
     for key, c in cells.items():
         if not c.alive:
             continue
-        img = rule.image(c.u_exp, c.eta_exp)
+        img = rule(c.u_exp, c.eta_exp)
         if img is None:
             continue
         k, (a2, b2) = img
         if k == 0:
             continue
-        tkey = (key[0] - 1, key[1] + rule.page)
+        tkey = (key[0] - 1, key[1] + r)
         if monomial_bidegree(a2, b2) != tkey:
-            raise ValueError(f"{rule.label} violates the bidegree shift at {key}")
+            raise ValueError(f"d{r} violates the bidegree shift at {key}")
         tgt = cells.get(tkey)
         if tgt is None or not tgt.alive:
             continue  # window clipping, or the zero group absorbs the image
@@ -354,11 +307,11 @@ def turn_page(page: PageSnapshot, rule: DifferentialRule) -> PageSnapshot:
         u = cells[ukey]
         comp = cells[key].cycle * k * k2
         if comp % u.cycle:
-            raise ValueError(f"{rule.label} squared is nonzero from {key}")
+            raise ValueError(f"d{r} squared is nonzero from {key}")
         entry = comp // u.cycle
         order = u.order
         if (order is None and entry) or (order is not None and entry % order):
-            raise ValueError(f"{rule.label} squared is nonzero from {key}")
+            raise ValueError(f"d{r} squared is nonzero from {key}")
 
     new_cells = {}
     for key, c in cells.items():
@@ -383,12 +336,12 @@ def turn_page(page: PageSnapshot, rule: DifferentialRule) -> PageSnapshot:
             # outgoing map injective: anything incoming must already be
             # a boundary, or the two differentials fail to compose to 0
             if inc and (c.boundary == 0 or inc % c.boundary):
-                raise ValueError(f"{rule.label} does not square to zero into {key}")
+                raise ValueError(f"d{r} does not square to zero into {key}")
             new_cells[key] = Cell(c.u_exp, c.eta_exp, 0, 0)
             continue
         kappa = c.cycle * mult
         if inc and inc % kappa:
-            raise ValueError(f"{rule.label} does not square to zero into {key}")
+            raise ValueError(f"d{r} does not square to zero into {key}")
         new_cells[key] = Cell(c.u_exp, c.eta_exp, kappa, inc)
 
     return PageSnapshot(page.variant, page.page + 1, page.window, new_cells)
@@ -398,7 +351,7 @@ def run_d1(page: PageSnapshot) -> PageSnapshot:
     """First page to second page."""
     if page.page != 1:
         raise ValueError("run_d1 expects a first-page snapshot")
-    return turn_page(page, d1_rule())
+    return turn_page(page, 1, d1)
 
 
 def run_d3(page: PageSnapshot) -> PageSnapshot:
@@ -411,27 +364,26 @@ def run_d3(page: PageSnapshot) -> PageSnapshot:
     """
     if page.page != 2:
         raise ValueError("run_d3 expects a second-page snapshot")
-    lattice = MonomialLattice(page.variant)
     for (s, f), c in page.cells.items():
-        if c.alive and lattice.monomial_at(s - 1, f + 2) is not None:
-            tgt = page.cells.get((s - 1, f + 2))
-            if tgt is not None and tgt.alive:
-                raise ValueError("length-two differential has a live target")
+        tgt = page.cells.get((s - 1, f + 2))
+        if c.alive and tgt is not None and tgt.alive:
+            raise ValueError("length-two differential has a live target")
     bumped = PageSnapshot(page.variant, 3, page.window, page.cells)
-    return turn_page(bumped, d3_rule())
+    return turn_page(bumped, 3, d3)
 
 
-def differential_sources(page: PageSnapshot, rule: DifferentialRule, min_fil: int = 0, radius: int = 3):
-    """Interior cells from which the rule induces a nonzero map."""
+def differential_sources(page: PageSnapshot, r: int, rule, min_fil: int = 0, radius: int = 3):
+    """Interior cells from which the length-r differential `rule` induces
+    a nonzero map."""
     out = []
     for (s, f), c in page.interior_alive(radius):
         if f < min_fil:
             continue
-        img = rule.image(c.u_exp, c.eta_exp)
+        img = rule(c.u_exp, c.eta_exp)
         if img is None or img[0] == 0:
             continue
         k, _ = img
-        tgt = page.cells.get((s - 1, f + rule.page))
+        tgt = page.cells.get((s - 1, f + r))
         if tgt is None or not tgt.alive:
             continue
         entry = _induced_entry(c, c.cycle * k, tgt)
@@ -441,7 +393,7 @@ def differential_sources(page: PageSnapshot, rule: DifferentialRule, min_fil: in
     return out
 
 
-def forced_d3_detector(window: Window, radius: int = 3) -> dict:
+def forced_d3_detector(window: Window) -> dict:
     """Detects that the length-three differential is forced.
 
     The laurent chart must converge to zero.  Without that differential
@@ -451,9 +403,9 @@ def forced_d3_detector(window: Window, radius: int = 3) -> dict:
     """
     e2 = run_d1(build_e1("laurent", window))
     witnesses = [
-        (s, f, c.generator_str()) for (s, f), c in e2.interior_alive(radius)
+        (s, f, c.generator_str()) for (s, f), c in e2.interior_alive()
     ]
-    cleared = not run_d3(e2).interior_alive(radius)
+    cleared = not run_d3(e2).interior_alive()
     if not witnesses:
         return {
             "verdict": "inconclusive",
@@ -487,8 +439,7 @@ def chart_from_snapshot(page) -> ChartDocument:
             lines.append(("eta", key, up))
     arrows = []
     if page.page == 2:
-        rule = d3_rule()
-        for (s, f) in differential_sources(page, rule, min_fil=page.window.fil_lo, radius=0):
+        for (s, f) in differential_sources(page, 3, d3, min_fil=page.window.fil_lo, radius=0):
             tgt = (s - 1, f + 3)
             if tgt in dots:
                 arrows.append((3, (s, f), tgt))

@@ -9,7 +9,7 @@ off two pages the package computed.
 
 from math import gcd
 
-from chromadefect.ssq import Cell, PageSnapshot, d3_rule, differential_sources
+from chromadefect.ssq import Cell, PageSnapshot, d3, differential_sources
 
 
 def _map_verdict(src: Cell, dst: Cell) -> str:
@@ -58,9 +58,8 @@ def compare_maps(polynomial_page: PageSnapshot, laurent_page: PageSnapshot, radi
     for (s, f), lcell in laurent_page.interior_items(radius):
         pcell = polynomial_page.cells.get((s, f), dead)
         verdicts[(s, f)] = _map_verdict(pcell, lcell)
-    rule = d3_rule()
-    left = differential_sources(polynomial_page, rule, min_fil=0, radius=radius)
-    right = differential_sources(laurent_page, rule, min_fil=0, radius=radius)
+    left = differential_sources(polynomial_page, 3, d3, min_fil=0, radius=radius)
+    right = differential_sources(laurent_page, 3, d3, min_fil=0, radius=radius)
     return {
         "page": polynomial_page.page,
         "verdicts": verdicts,

@@ -392,7 +392,7 @@ def test_ext_artifacts_stop_at_stem_max(prime, stem_max, s_max, tmp_path):
 
 def test_fgl_cap_limit_admits_er9_default():
     args = cli.parse_args(["fgl", "--n", "9"])
-    assert cli._config_from_args(args).params["cap"] is None
+    assert cli._config_from_args(args).params["cap"] == 2**9 + 8
 
 
 @pytest.mark.parametrize(
@@ -507,6 +507,16 @@ def test_cache_hit_serves_the_same_bytes(tmp_path, capsys, cache_dir):
     assert run(["fgl", "--n", "2"], tmp_path / "a") == cli.EXIT_OK
     assert "cache hit" not in capsys.readouterr().err
     assert run(["fgl", "--n", "2"], tmp_path / "b") == cli.EXIT_OK
+    assert "cache hit" in capsys.readouterr().err
+    assert written(tmp_path / "b") == written(tmp_path / "a")
+    assert len(list(cache_dir.glob("*.json"))) == 1
+
+
+def test_default_cap_spelled_out_hits_the_cache(tmp_path, capsys, cache_dir):
+    # --cap 16 is ER(3)'s default 2^3 + 8: one job, one cache entry
+    assert run(["fgl", "--n", "3"], tmp_path / "a") == cli.EXIT_OK
+    assert "cache hit" not in capsys.readouterr().err
+    assert run(["fgl", "--n", "3", "--cap", "16"], tmp_path / "b") == cli.EXIT_OK
     assert "cache hit" in capsys.readouterr().err
     assert written(tmp_path / "b") == written(tmp_path / "a")
     assert len(list(cache_dir.glob("*.json"))) == 1

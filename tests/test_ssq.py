@@ -19,15 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from chromadefect.ssq import (
     Cell,
-    DifferentialRule,
-    MonomialLattice,
     PageSnapshot,
     Window,
     build_e1,
-    d1_rule,
-    d3_rule,
+    d1,
+    d3,
     differential_sources,
     forced_d3_detector,
+    monomial_at,
     monomial_bidegree,
     monomial_str,
     run_d1,
@@ -51,21 +50,19 @@ def presentation_str(page, stem, fil):
 
 class TestLattice:
     def test_polynomial_monomials(self):
-        lat = MonomialLattice("polynomial")
-        assert lat.monomial_at(0, 0) == (0, 0)
-        assert lat.monomial_at(2, 0) == (1, 0)
-        assert lat.monomial_at(1, 1) == (0, 1)
-        assert lat.monomial_at(3, 1) == (1, 1)
-        assert lat.monomial_at(1, 0) is None  # odd stem needs eta
-        assert lat.monomial_at(1, -1) is None  # no negative eta powers
-        assert lat.monomial_at(-2, 0) is None  # no negative u powers
+        assert monomial_at("polynomial", 0, 0) == (0, 0)
+        assert monomial_at("polynomial", 2, 0) == (1, 0)
+        assert monomial_at("polynomial", 1, 1) == (0, 1)
+        assert monomial_at("polynomial", 3, 1) == (1, 1)
+        assert monomial_at("polynomial", 1, 0) is None  # odd stem needs eta
+        assert monomial_at("polynomial", 1, -1) is None  # no negative eta powers
+        assert monomial_at("polynomial", -2, 0) is None  # no negative u powers
 
     def test_laurent_monomials(self):
-        lat = MonomialLattice("laurent")
-        assert lat.monomial_at(1, -1) == (1, -1)
-        assert lat.monomial_at(0, -2) == (1, -2)
-        assert lat.monomial_at(-3, -3) == (0, -3)
-        assert lat.monomial_at(-1, 0) is None  # u exponent would be negative
+        assert monomial_at("laurent", 1, -1) == (1, -1)
+        assert monomial_at("laurent", 0, -2) == (1, -2)
+        assert monomial_at("laurent", -3, -3) == (0, -3)
+        assert monomial_at("laurent", -1, 0) is None  # u exponent would be negative
 
     def test_bidegrees(self):
         assert monomial_bidegree(1, 0) == (2, 0)
@@ -73,8 +70,8 @@ class TestLattice:
         assert monomial_bidegree(3, -2) == (4, -2)
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            MonomialLattice("periodic")
+        with pytest.raises(ValueError, match="variant must be one of"):
+            build_e1("periodic", Window(0, 1, 0, 1))
 
     def test_monomial_strings(self):
         assert monomial_str(0, 0) == "1"
@@ -127,34 +124,26 @@ class TestCell:
 
 class TestRules:
     def test_d1_closed_form(self):
-        rule = d1_rule()
-        assert rule.page == 1
-        assert rule.image(1, 0) == (2, (0, 1))
-        assert rule.image(3, 2) == (2, (2, 3))
-        assert rule.image(2, 0) is None
-        assert rule.image(0, 5) is None
+        assert d1(1, 0) == (2, (0, 1))
+        assert d1(3, 2) == (2, (2, 3))
+        assert d1(2, 0) is None
+        assert d1(0, 5) is None
 
     def test_d3_closed_form(self):
-        rule = d3_rule()
-        assert rule.page == 3
-        assert rule.image(2, 0) == (1, (0, 3))
-        assert rule.image(4, -1) == (2, (2, 2))
-        assert rule.image(6, 0) == (3, (4, 3))
-        assert rule.image(0, 3) is None
-        assert rule.image(3, 0) is None  # odd powers never survive to page 2
+        assert d3(2, 0) == (1, (0, 3))
+        assert d3(4, -1) == (2, (2, 2))
+        assert d3(6, 0) == (3, (4, 3))
+        assert d3(0, 3) is None
+        assert d3(3, 0) is None  # odd powers never survive to page 2
 
     @settings(max_examples=80, deadline=None)
     @given(a=st.integers(min_value=0, max_value=30), b=st.integers(min_value=-10, max_value=10))
     def test_bidegree_shift(self, a, b):
         s, f = monomial_bidegree(a, b)
-        for rule in (d1_rule(), d3_rule()):
-            img = rule.image(a, b)
+        for r, rule in ((1, d1), (3, d3)):
+            img = rule(a, b)
             if img is not None:
-                assert monomial_bidegree(*img[1]) == (s - 1, f + rule.page)
-
-    def test_page_validation(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            DifferentialRule(0, lambda a, b: None)
+                assert monomial_bidegree(*img[1]) == (s - 1, f + r)
 
 
 class TestBuildE1:
@@ -319,10 +308,9 @@ class TestEngineChecks:
                 return 1, (a - 1, b + 1)
             return None
 
-        bad = DifferentialRule(1, image, "bad")
         e1 = build_e1("polynomial", Window(0, 8, 0, 8))
-        with pytest.raises(ValueError, match="squared is nonzero"):
-            turn_page(e1, bad)
+        with pytest.raises(ValueError, match=r"^d1 squared is nonzero"):
+            turn_page(e1, 1, image)
 
     def test_bidegree_violation_aborts(self):
         def image(a, b):
@@ -330,10 +318,9 @@ class TestEngineChecks:
                 return 1, (a - 1, b)  # wrong target spot
             return None
 
-        bad = DifferentialRule(1, image, "skew")
         e1 = build_e1("polynomial", Window(0, 8, 0, 8))
-        with pytest.raises(ValueError, match="bidegree"):
-            turn_page(e1, bad)
+        with pytest.raises(ValueError, match=r"^d1 violates the bidegree shift"):
+            turn_page(e1, 1, image)
 
 
 class TestWindowStability:
@@ -456,7 +443,7 @@ class TestTsv:
 class TestDifferentialSources:
     def test_d1_sources_are_odd_u_powers(self):
         e1 = build_e1("polynomial", WIDE)
-        sources = differential_sources(e1, d1_rule(), min_fil=0)
+        sources = differential_sources(e1, 1, d1, min_fil=0)
         assert (2, 0) in sources
         assert (3, 1) in sources
         assert (4, 0) not in sources
