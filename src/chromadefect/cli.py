@@ -89,8 +89,9 @@ MAX_EXT_CELLS = 4096
 MAX_MAY_E1_SIZE = 60_000
 # largest ko-ss window, in cells.  Whole jobs on a 2 vCPU host, every
 # format, peak RSS read by a small launcher: the laurent chart over
-# -150..150 x -300..300 (180,901 cells) took 1.7-2.1 s and 75 MB in ten
-# runs.  Over 501,501 cells the job alone took 5.6 s and 171 MB in process
+# -150..150 x -300..300 (180,901 cells) took 1.2-1.4 s and 75 MB in ten
+# runs, the polynomial one 0.7-0.9 s and 45 MB in six.  Over 501,501
+# cells the laurent job alone took 3.8-4.2 s and 171 MB in process
 MAX_KO_SS_CELLS = 250_000
 # largest defect stem cap: the ko and tmf bounds read the Koszul closed
 # form through the cap, which costs a Poincare series of cap + 2 terms

@@ -9,8 +9,12 @@ homology; a finite module is free over one of the standard subalgebras
 exactly when all of those homologies vanish, and that is the test
 is_free_over runs.
 
+margolis_homology(module, op) returns {degree: [class, ...]} over the
+degrees where the homology is nonzero, each class a {basis name: coef}
+cycle.  is_free_over returns the verdict report as plain JSON data.
+
 The `margolis` job (margolis_job) reads a module from JSON
-(FiniteSteenrodModule.from_json) and runs is_free_over on it.  Errors
+(FiniteSteenrodModule.from_json) and writes is_free_over's report.  Errors
 in that input, or in the subalgebra name, raise chromadefect.InputError;
 any other ValueError is the engine refusing to certify.  The modules
 the tests feed it (subalgebras over themselves, free modules,
@@ -45,8 +49,6 @@ from .steenrod import MAX_FAMILY_HEIGHT, Profile, elt_add_term
 
 __all__ = [
     "FiniteSteenrodModule",
-    "MargolisHomology",
-    "MargolisVerdict",
     "family_margolis_indices",
     "is_free_over",
     "margolis_homology",
@@ -96,25 +98,10 @@ def operator_degree(p, name):
     return 2 * p**s * (p**t - 1)
 
 
-def _margolis_type(name, p, even_only):
-    """Operators that differentiate every module of this mode: nilpotent
-    of the order _nilpotence_order reports."""
-    kind, t, s = parse_operator(name)
-    if kind == "Q":
-        return True
-    if even_only:
-        # degree-doubling moves P(t,s) down to P(t,s-1)
-        return s - 1 < t
-    return s < t
-
-
 def _nilpotence_order(name, p):
     """2 for the honest differentials; the P-operators at odd primes
     generate a height-p truncated polynomial algebra instead."""
-    kind, t, s = parse_operator(name)
-    if kind == "Q" or p == 2:
-        return 2
-    return p
+    return 2 if p == 2 or name.startswith("Q") else p
 
 
 class FiniteSteenrodModule:
@@ -173,7 +160,8 @@ class FiniteSteenrodModule:
                         raise ValueError(
                             f"action of {op} on {src} is not degree-preserving"
                         )
-            if _margolis_type(op, self.p, self.even_only):
+            # even-only mode: degree-doubling moves P(t,s) down to P(t,s-1)
+            if kind == "Q" or s - self.even_only < t:
                 bad = self._nilpotence_failure(op)
                 if bad is not None:
                     raise ValueError(bad)
@@ -277,27 +265,6 @@ def _exact(value, kind, what):
     return value
 
 
-class MargolisHomology:
-    """Graded homology of one square-zero operator.
-
-    dims holds the nonzero graded dimensions; witnesses holds chosen
-    representative cycles per degree as {basis name: coef} dicts.
-    """
-
-    __slots__ = ("operator", "dims", "witnesses")
-
-    def __init__(self, operator, dims, witnesses):
-        self.operator = operator
-        self.dims = dims
-        self.witnesses = witnesses
-
-    def is_zero(self):
-        return not self.dims
-
-    def __repr__(self):
-        return f"MargolisHomology({self.operator}, total={sum(self.dims.values())})"
-
-
 def margolis_homology(module, op):
     """Homology of a finite module under one nilpotent operator.
 
@@ -308,6 +275,11 @@ def margolis_homology(module, op):
     over the truncated algebra the operator generates.  An operator
     whose nilpotence fails on the module is rejected with an offending
     basis element named.
+
+    Returns {degree: [class, ...]} over the degrees where the homology
+    is nonzero, in increasing degree; each class is a representative
+    cycle as a {basis name: coef} dict, and the list's length is the
+    graded dimension.  An acyclic operator gives {}.
     """
     module._table(op)
     p = module.p
@@ -316,64 +288,15 @@ def margolis_homology(module, op):
     if bad is not None:
         raise ValueError(bad)
     step = operator_degree(p, op)
-    dims = {}
-    wits = {}
+    classes = {}
     for d in module.degrees():
         cur = module.slice_names(d)
         kernel = module.operator_matrix(op, d).kernel_vectors()
         image = module.operator_matrix(op, d - step * (k - 1), power=k - 1).rows
         reps = SubquotientBasis(p, len(cur), image, kernel).reps
         if reps:
-            dims[d] = len(reps)
-            wits[d] = [
-                {cur[i]: c for i, c in vec_support(p, rep)}
-                for rep in reps
-            ]
-    return MargolisHomology(op, dims, wits)
-
-
-class MargolisVerdict:
-    """Freeness verdict over a named subalgebra.
-
-    homology maps each operator to its nonzero graded dims; free holds
-    exactly when every one is empty, rank is then the generator count,
-    and witness otherwise carries (operator, degree, class) for the
-    first nonvanishing homology.
-    """
-
-    __slots__ = ("subalgebra", "operators", "homology", "free", "rank", "witness")
-
-    def __init__(self, subalgebra, operators, homology, free, rank, witness):
-        self.subalgebra = subalgebra
-        self.operators = operators
-        self.homology = homology
-        self.free = free
-        self.rank = rank
-        self.witness = witness
-
-    def to_json(self):
-        witness = None
-        if self.witness is not None:
-            witness = {
-                "operator": self.witness[0],
-                "degree": self.witness[1],
-                "class": self.witness[2],
-            }
-        return {
-            "subalgebra": self.subalgebra,
-            "operators": list(self.operators),
-            "free": self.free,
-            "rank": self.rank,
-            "homology": {
-                op: {str(d): v for d, v in sorted(h.items())}
-                for op, h in self.homology.items()
-            },
-            "witness": witness,
-        }
-
-    def __repr__(self):
-        tag = f"free, rank {self.rank}" if self.free else "not free"
-        return f"MargolisVerdict({self.subalgebra}: {tag})"
+            classes[d] = [{cur[i]: c for i, c in vec_support(p, rep)} for rep in reps]
+    return classes
 
 
 def _parse_subalgebra(spec):
@@ -385,14 +308,6 @@ def _parse_subalgebra(spec):
     if len(digits) > len(str(MAX_FAMILY_HEIGHT)) or int(digits) > MAX_FAMILY_HEIGHT:
         raise InputError(f"subalgebra level {digits} is over the limit {MAX_FAMILY_HEIGHT}")
     return m.group(1), int(digits)
-
-
-def _profile_for(p, kind, level):
-    if kind == "A":
-        return Profile.A(p, level)
-    if kind == "P":
-        return Profile.P(p, level)
-    raise ValueError("subalgebra kind must be 'A' or 'P'")
 
 
 def family_margolis_indices(profile):
@@ -429,7 +344,7 @@ def subalgebra_operators(p, kind, level):
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    xi_ops, tau_ops = family_margolis_indices(_profile_for(p, kind, level))
+    xi_ops, tau_ops = family_margolis_indices(getattr(Profile, kind)(p, level))
     shift = 1 if p == 2 and kind == "P" else 0
     out = [f"Q({t})" for t in tau_ops]
     out += [f"P({t},{s + shift})" for t, s in xi_ops]
@@ -437,7 +352,7 @@ def subalgebra_operators(p, kind, level):
 
 
 def subalgebra_dimension(p, kind, level):
-    return _profile_for(p, kind, level).total_dimension()
+    return getattr(Profile, kind)(p, level).total_dimension()
 
 
 def is_free_over(module, subalgebra):
@@ -446,7 +361,12 @@ def is_free_over(module, subalgebra):
 
     Every required operator must be declared on the module, and P-kind
     tests at p = 2 need even-only mode, where the shifted operators
-    square to zero.
+    square to zero.  Returns the report the `margolis` job writes:
+    homology maps each operator to {str(degree): dim} over its nonzero
+    degrees (string keys sort as text, so the artifact lists "16" before
+    "6"); free holds exactly when every one is empty, rank is then the
+    generator count, and witness otherwise names the operator, degree
+    and class of the first nonvanishing homology.
     """
     kind, level = _parse_subalgebra(subalgebra)
     if module.p == 2 and kind == "P" and not module.even_only:
@@ -459,18 +379,23 @@ def is_free_over(module, subalgebra):
             f"needed for freeness over {subalgebra}"
         )
     homology = {}
-    free = True
     witness = None
     for op in ops:
         h = margolis_homology(module, op)
-        homology[op] = dict(h.dims)
-        if not h.is_zero():
-            free = False
-            if witness is None:
-                d = min(h.dims)
-                witness = (op, d, h.witnesses[d][0])
+        homology[op] = {str(d): len(c) for d, c in h.items()}
+        if h and witness is None:
+            d = min(h)
+            witness = {"operator": op, "degree": d, "class": h[d][0]}
+    free = witness is None
     rank = module.dim() // subalgebra_dimension(module.p, kind, level) if free else None
-    return MargolisVerdict(subalgebra, tuple(ops), homology, free, rank, witness)
+    return {
+        "subalgebra": subalgebra,
+        "operators": ops,
+        "free": free,
+        "rank": rank,
+        "homology": homology,
+        "witness": witness,
+    }
 
 
 def margolis_job(params, payload) -> dict:
@@ -478,7 +403,7 @@ def margolis_job(params, payload) -> dict:
     verdict of the module `payload` (parsed JSON) over the subalgebra
     the validated CLI params name.  Bad input raises InputError."""
     module = FiniteSteenrodModule.from_json(payload)
-    report = is_free_over(module, params["subalgebra"]).to_json()
+    report = is_free_over(module, params["subalgebra"])
     base = "margolis_verdict"
     out = {}
     if "json" in params["formats"]:

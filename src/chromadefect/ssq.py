@@ -393,32 +393,27 @@ def differential_sources(page: PageSnapshot, r: int, rule, min_fil: int = 0, rad
     return out
 
 
-def forced_d3_detector(window: Window) -> dict:
-    """Detects that the length-three differential is forced.
+def forced_d3_detector(e2: PageSnapshot, e4: PageSnapshot) -> dict:
+    """Detects the forced length-three differential on laurent pages 2 and 4.
 
     The laurent chart must converge to zero.  Without that differential
     page four would repeat page two, whose live interior cells each
     witness the contradiction.  Running it clears the interior, so the
     differential is exactly what repairs convergence.
     """
-    e2 = run_d1(build_e1("laurent", window))
-    witnesses = [
-        (s, f, c.generator_str()) for (s, f), c in e2.interior_alive()
-    ]
-    cleared = not run_d3(e2).interior_alive()
-    if not witnesses:
-        return {
-            "verdict": "inconclusive",
-            "message": "window interior too small to see any live cell",
-            "witnesses": [],
-            "cleared_with_d3": cleared,
-        }
+    if (e2.variant, e2.page, e4.variant, e4.page) != ("laurent", 2, "laurent", 4):
+        raise ValueError("forced_d3_detector reads the laurent second and fourth pages")
+    witnesses = [(s, f, c.generator_str()) for (s, f), c in e2.interior_alive()]
+    message = (
+        "d3(u^2) = eta^3 forced: without it the laurent chart "
+        "retains live interior cells on page 4 and cannot converge to zero"
+        if witnesses else "window interior too small to see any live cell"
+    )
     return {
-        "verdict": "forced",
-        "message": "d3(u^2) = eta^3 forced: without it the laurent chart "
-        "retains live interior cells on page 4 and cannot converge to zero",
+        "verdict": "forced" if witnesses else "inconclusive",
+        "message": message,
         "witnesses": witnesses,
-        "cleared_with_d3": cleared,
+        "cleared_with_d3": not e4.interior_alive(),
     }
 
 
@@ -471,5 +466,10 @@ def ko_ss_job(params, payload) -> dict:
             out[f"{base}_e{page.page}.svg"] = render_chart(doc)
             out[f"{base}_e{page.page}_chart.tsv"] = chart_to_tsv(doc).encode("utf-8")
     if "json" in params["formats"]:
-        out[f"{base}_forced_d3.json"] = json_bytes(forced_d3_detector(window))
+        if variant != "laurent":
+            e2 = run_d1(build_e1("laurent", window))
+            e4 = run_d3(e2)
+        report = forced_d3_detector(e2, e4)
+        del e2, e4  # a polynomial job's laurent pages go before the write
+        out[f"{base}_forced_d3.json"] = json_bytes(report)
     return out

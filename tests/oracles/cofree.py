@@ -66,7 +66,7 @@ def cofree_decompose(comodule):
         raise ValueError("expected an even-only family at p = 2")
     module = dual_module(comodule)
     for op, _ in _dual_operations(profile):
-        total = sum(margolis_homology(module, op).dims.values())
+        total = sum(map(len, margolis_homology(module, op).values()))
         if total:
             return False, (op, total)
     top = max(comodule.degree_of.values(), default=0)

@@ -39,7 +39,7 @@ def _map_verdict(src: Cell, dst: Cell) -> str:
     return "none"
 
 
-def compare_maps(polynomial_page: PageSnapshot, laurent_page: PageSnapshot, radius: int = 3) -> dict:
+def compare_maps(polynomial_page: PageSnapshot, laurent_page: PageSnapshot) -> dict:
     """Cellwise comparison from the polynomial chart to the laurent one.
 
     Verdicts cover every interior lattice spot of the laurent page; the
@@ -55,11 +55,11 @@ def compare_maps(polynomial_page: PageSnapshot, laurent_page: PageSnapshot, radi
         raise ValueError("window mismatch")
     dead = Cell(0, 0, 0, 0)
     verdicts = {}
-    for (s, f), lcell in laurent_page.interior_items(radius):
+    for (s, f), lcell in laurent_page.interior_items(3):
         pcell = polynomial_page.cells.get((s, f), dead)
         verdicts[(s, f)] = _map_verdict(pcell, lcell)
-    left = differential_sources(polynomial_page, 3, d3, min_fil=0, radius=radius)
-    right = differential_sources(laurent_page, 3, d3, min_fil=0, radius=radius)
+    left = differential_sources(polynomial_page, 3, d3, min_fil=0, radius=3)
+    right = differential_sources(laurent_page, 3, d3, min_fil=0, radius=3)
     return {
         "page": polynomial_page.page,
         "verdicts": verdicts,

@@ -33,8 +33,12 @@ written by the engine whose Milnor product built a DualMonomial per
 term, before products ran on exponent tuples.  The margolis
 inputs live in tests/golden/inputs/, written by the builders in tests/oracles/modules.py
 (free_a1.json is free_module(2, "A", 1, [0, 3]); rp4.json is
-rp_module(4, ops=("P(1,0)", "P(2,0)")); empty.json is the malformed
-module {}).  Any change to the artifact bytes of those jobs fails here.
+rp_module(4, ops=("P(1,0)", "P(2,0)")); cp9_p3.json is
+cp_module(3, 9, ops=("P(1,0)",)), whose homology in degrees 6 and 16
+pins the text order of the degree keys and the order-p image; empty.json
+is the malformed module {}).  margolis_cp9_p3 was written by the engine
+whose homology and verdict were classes, before they became plain
+dicts.  Any change to the artifact bytes of those jobs fails here.
 """
 
 import errno
@@ -79,6 +83,8 @@ GOLDEN = {
                          "--subalgebra", "A(1)", *FORMATS],
     "margolis_rp4": ["margolis", "--input", str(INPUTS / "rp4.json"),
                      "--subalgebra", "A(1)", *FORMATS],
+    "margolis_cp9_p3": ["margolis", "--input", str(INPUTS / "cp9_p3.json"),
+                        "--subalgebra", "P(0)", *FORMATS],
     "may_default": ["may", *FORMATS, "--format", "svg"],
     "may_p3_n1": ["may", "--prime", "3", "--n", "1", "--stem-max", "20",
                   "--s-max", "4", *FORMATS, "--format", "svg"],

@@ -402,9 +402,14 @@ class TestCompare:
             compare_maps(e2l, e2l)
 
 
+def laurent_detector(window):
+    e2 = run_d1(build_e1("laurent", window))
+    return forced_d3_detector(e2, run_d3(e2))
+
+
 class TestForcedDetector:
     def test_forced_on_two_periods(self):
-        report = forced_d3_detector(Window(-12, 12, -12, 12))
+        report = laurent_detector(Window(-12, 12, -12, 12))
         assert report["verdict"] == "forced"
         assert "forced" in report["message"]
         assert report["cleared_with_d3"]
@@ -413,14 +418,22 @@ class TestForcedDetector:
         assert {-8, -4, 0, 4, 8} <= stems
 
     def test_witnesses_carry_generators(self):
-        report = forced_d3_detector(Window(-12, 12, -12, 12))
+        report = laurent_detector(Window(-12, 12, -12, 12))
         names = {g for s, f, g in report["witnesses"]}
         assert "1" in names or "eta" in names  # fundamental cells present
 
     def test_degenerate_window_inconclusive(self):
-        report = forced_d3_detector(Window(0, 0, 0, 0))
+        report = laurent_detector(Window(0, 0, 0, 0))
         assert report["verdict"] == "inconclusive"
         assert report["witnesses"] == []
+
+    def test_refuses_pages_that_are_not_laurent(self):
+        window = Window(-12, 12, -12, 12)
+        poly = run_d1(build_e1("polynomial", window))
+        laurent = run_d1(build_e1("laurent", window))
+        for e2, e4 in ((poly, run_d3(poly)), (laurent, run_d3(poly)), (laurent, laurent)):
+            with pytest.raises(ValueError, match="reads the laurent second and fourth pages"):
+                forced_d3_detector(e2, e4)
 
 
 class TestTsv:
