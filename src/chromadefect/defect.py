@@ -8,8 +8,9 @@ come from the other engines (the Koszul closed form of Ext over
 exterior families, the primitive that detects eta in Adams filtration
 one, formal inverse witnesses, the closed form of the cyclic fixed
 point defect), and impossibility facts for which no computation exists
-are carried as documented entries, never as computed ones.  The
-`defect` job (defect_job) writes the catalogue's table.
+are carried as documented entries, never as computed ones.  A verdict
+and each of its evidence items are plain dicts, the JSON rows that the
+`defect` job (defect_job) writes for the catalogue's table.
 """
 
 from .charts import json_bytes
@@ -19,8 +20,7 @@ from .gradedlin import check_prime
 from .steenrod import Profile
 
 __all__ = [
-    "Evidence",
-    "DefectVerdict",
+    "evidence",
     "assemble",
     "documented_infinite",
     "verdict_ku",
@@ -34,9 +34,6 @@ __all__ = [
     "verdict_table",
 ]
 
-KINDS = ("upper", "lower", "exact", "fact")
-STATUSES = ("exact", "upper-bound-only", "documented-infinite")
-
 
 def floor_log(p: int, value: int) -> int:
     if value < 1:
@@ -47,77 +44,17 @@ def floor_log(p: int, value: int) -> int:
     return e
 
 
-class Evidence:
-    """One engine-backed bound or catalogued fact.
+def evidence(engine: str, operation: str, detail: str, kind: str, bound=None) -> dict:
+    """One engine-backed bound or catalogued fact, as the table's row.
 
     kind "upper"/"lower" carry a bound; "exact" supplies both sides at
     once (an equality theorem); "fact" is a documented note with no
     bound arithmetic attached.
     """
-
-    __slots__ = ("engine", "operation", "detail", "kind", "bound")
-
-    def __init__(self, engine: str, operation: str, detail: str, kind: str, bound=None):
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
-        if kind == "fact":
-            if bound is not None:
-                raise ValueError("facts carry no bound")
-        elif not isinstance(bound, int) or bound < 1:
-            raise ValueError("bound must be a positive integer")
-        self.engine = engine
-        self.operation = operation
-        self.detail = detail
-        self.kind = kind
-        self.bound = bound
-
-    def to_json(self):
-        return {k: getattr(self, k) for k in self.__slots__}
-
-    def __repr__(self):
-        b = "" if self.bound is None else f" {self.bound}"
-        return f"Evidence({self.engine}.{self.operation}: {self.kind}{b})"
+    return dict(engine=engine, operation=operation, detail=detail, kind=kind, bound=bound)
 
 
-class DefectVerdict:
-    """Defect value (or bound) for one subject, with its evidence."""
-
-    __slots__ = ("subject", "prime", "phi", "phi_p", "status", "evidence")
-
-    def __init__(self, subject, prime, phi, phi_p, status, evidence):
-        if status not in STATUSES:
-            raise ValueError(f"status must be one of {STATUSES}")
-        if status == "documented-infinite":
-            if phi is not None or phi_p is not None:
-                raise ValueError("infinite verdicts carry no finite value")
-        else:
-            if phi is None or phi < 1:
-                raise ValueError("finite verdicts need a positive value")
-            if phi_p != floor_log(prime, phi):
-                raise ValueError("defect logarithm is inconsistent with the value")
-            if status == "exact":
-                kinds = {e.kind for e in evidence}
-                if not ("exact" in kinds or ("upper" in kinds and "lower" in kinds)):
-                    raise ValueError("an exact verdict needs evidence on both sides")
-        self.subject = subject
-        self.prime = prime
-        self.phi = phi
-        self.phi_p = phi_p
-        self.status = status
-        self.evidence = list(evidence)
-
-    def to_json(self):
-        out = {k: getattr(self, k) for k in self.__slots__}
-        return {**out, "evidence": [e.to_json() for e in self.evidence]}
-
-    def __repr__(self):
-        if self.status == "documented-infinite":
-            return f"DefectVerdict({self.subject}: infinite)"
-        tag = "" if self.status == "exact" else " (upper bound)"
-        return f"DefectVerdict({self.subject}: {self.phi}{tag})"
-
-
-def assemble(subject: str, evidence, prime: int = 2) -> DefectVerdict:
+def assemble(subject: str, items, prime: int = 2) -> dict:
     """Tightest consistent verdict from verified evidence items.
 
     The upper bound is the minimum over upper and exact items, the
@@ -125,22 +62,28 @@ def assemble(subject: str, evidence, prime: int = 2) -> DefectVerdict:
     the verdict exact.  A lower bound above the upper bound means two
     engines contradict each other and is an error.
     """
-    evidence = list(evidence)
-    uppers = [e.bound for e in evidence if e.kind in ("upper", "exact")]
-    lowers = [e.bound for e in evidence if e.kind in ("lower", "exact")]
+    items = list(items)
+    uppers = [e["bound"] for e in items if e["kind"] in ("upper", "exact")]
+    lowers = [e["bound"] for e in items if e["kind"] in ("lower", "exact")]
     if not uppers:
         raise ValueError(f"{subject}: no upper bound evidence, cannot state a value")
     upper = min(uppers)
     lower = max(lowers) if lowers else None
     if lower is not None and lower > upper:
         raise ValueError(f"{subject}: lower bound {lower} exceeds upper bound {upper}")
-    status = "exact" if lower == upper else "upper-bound-only"
-    return DefectVerdict(subject, prime, upper, floor_log(prime, upper), status, evidence)
+    return {
+        "subject": subject,
+        "prime": prime,
+        "phi": upper,
+        "phi_p": floor_log(prime, upper),
+        "status": "exact" if lower == upper else "upper-bound-only",
+        "evidence": items,
+    }
 
 
-def verdict_ku() -> DefectVerdict:
+def verdict_ku() -> dict:
     """Complex K-theory is complex orientable, so its defect is 1."""
-    e = Evidence(
+    e = evidence(
         "catalogue",
         "complex-orientation",
         "carries a complex orientation, so already the first stage suffices",
@@ -150,7 +93,7 @@ def verdict_ku() -> DefectVerdict:
     return assemble("ku", [e], prime=2)
 
 
-def verdict_ko(stem_cap: int = 24) -> DefectVerdict:
+def verdict_ko(stem_cap: int = 24) -> dict:
     """Real connective K-theory: defect exactly 2.
 
     Upper bound: Ext over the height-1 exterior family with trivial
@@ -166,7 +109,7 @@ def verdict_ko(stem_cap: int = 24) -> DefectVerdict:
     1974).  So X(1) does not suffice, with no convergence assumption.
     """
     evenness_scan(1, 2, stem_cap)
-    upper = Evidence(
+    upper = evidence(
         "ext",
         f"evenness_scan(n=1, stems<={stem_cap})",
         "no odd obstruction classes over the height-1 exterior family",
@@ -175,7 +118,7 @@ def verdict_ko(stem_cap: int = 24) -> DefectVerdict:
     )
     if "h(1,1)" not in [name for name, _, _ in cobar_letters(Profile.A(2, 1), 2)]:
         raise ValueError("expected the primitive h(1,1) detecting eta in Ext_A(1)^{1,2}")
-    lower = Evidence(
+    lower = evidence(
         "ext",
         "cobar_letters(A(1), t<=2): h(1,1)",
         "eta is detected by the primitive h(1,1) = [xi_1^2] in Ext^{1,2}, "
@@ -187,7 +130,7 @@ def verdict_ko(stem_cap: int = 24) -> DefectVerdict:
     return assemble("ko", [upper, lower], prime=2)
 
 
-def verdict_tmf(stem_cap: int = 24) -> DefectVerdict:
+def verdict_tmf(stem_cap: int = 24) -> dict:
     """Topological modular forms: machine upper bound 4.
 
     The Koszul closed form of Ext over the height-2 exterior family
@@ -196,14 +139,14 @@ def verdict_tmf(stem_cap: int = 24) -> DefectVerdict:
     behind it here, so the verdict stays a bound with a note.
     """
     evenness_scan(2, 2, stem_cap)
-    upper = Evidence(
+    upper = evidence(
         "ext",
         f"evenness_scan(n=2, stems<={stem_cap})",
         "no odd obstruction classes over the height-2 exterior family",
         "upper",
         4,
     )
-    note = Evidence(
+    note = evidence(
         "catalogue",
         "defect-of-tmf",
         "the value is known to be exactly 4; the lower bound is not machine-checked here",
@@ -212,7 +155,7 @@ def verdict_tmf(stem_cap: int = 24) -> DefectVerdict:
     return assemble("tmf", [upper, note], prime=2)
 
 
-def verdict_er(n: int, report) -> DefectVerdict:
+def verdict_er(n: int, report) -> dict:
     """Real Johnson-Wilson theory at height n: defect exactly 2^n.
 
     Both bounds come from the formal inverse witness on the height-n
@@ -226,7 +169,7 @@ def verdict_er(n: int, report) -> DefectVerdict:
         raise ValueError(f"doubling-degree evidence failed: {report}")
     if not report["lower_bound_ok"]:
         raise ValueError(f"inverse-deviation evidence failed: {report}")
-    upper = Evidence(
+    upper = evidence(
         "fgl",
         f"er_defect_witness({n})",
         "doubling degrees hit 2^h with obstructed inverses through level "
@@ -234,7 +177,7 @@ def verdict_er(n: int, report) -> DefectVerdict:
         "upper",
         target,
     )
-    lower = Evidence(
+    lower = evidence(
         "fgl",
         f"er_defect_witness({n})",
         f"formal inverse first deviates from the identity in degree {target}",
@@ -276,63 +219,48 @@ def eo_defect(p: int, m: int, height: int):
     return height // (p - 1)
 
 
-def verdict_eo(p: int, m: int, height: int) -> DefectVerdict:
+def verdict_eo(p: int, m: int, height: int) -> dict:
     """Fixed points of height-h Morava E-theory under a cyclic group of
     order p^m: the closed form of eo_defect gives the defect."""
     N = eo_defect(p, m, height)
-    label = f"EO_{height}(C_{p**m}) at p={p}"
     if N is None:
-        e = Evidence(
-            "valuation",
-            f"eo_defect(C_1, height={height})",
-            "the trivial group leaves the theory complex orientable",
-            "exact",
-            1,
-        )
-        return assemble(label, [e], prime=p)
-    e = Evidence(
-        "valuation",
-        f"eo_defect(C_{p**m}, height={height})",
-        f"N = height * max cyclotomic valuation = {N}, an equality",
-        "exact",
-        p**N,
-    )
-    return assemble(label, [e], prime=p)
+        detail, bound = "the trivial group leaves the theory complex orientable", 1
+    else:
+        detail, bound = f"N = height * max cyclotomic valuation = {N}, an equality", p**N
+    e = evidence("valuation", f"eo_defect(C_{p**m}, height={height})", detail, "exact", bound)
+    return assemble(f"EO_{height}(C_{p**m}) at p={p}", [e], prime=p)
 
 
-def documented_infinite(subject: str) -> DefectVerdict:
+# the notes behind each documented-infinite subject, keyed by the
+# subject as the table writes it: (operation, detail) per fact
+INFINITE = {
+    "finite spectra (nontrivial)": [
+        ("finite-spectra", "every nontrivial finite spectrum has infinite defect"),
+    ],
+    "j": [
+        ("image-of-j", "the connective image of J spectrum has infinite defect"),
+        (
+            "image-of-j",
+            "hence no finite complex with projective homology makes it "
+            "complex orientable",
+        ),
+    ],
+}
+
+
+def documented_infinite(subject: str) -> dict:
     """Catalogued infinite-defect subjects; nothing is computed."""
-    key = subject.strip().lower()
-    if key in ("finite", "finite spectra", "finite spectrum"):
-        ev = [
-            Evidence(
-                "catalogue",
-                "finite-spectra",
-                "every nontrivial finite spectrum has infinite defect",
-                "fact",
-            )
-        ]
-        return DefectVerdict(
-            "finite spectra (nontrivial)", 2, None, None, "documented-infinite", ev
-        )
-    if key == "j":
-        ev = [
-            Evidence(
-                "catalogue",
-                "image-of-j",
-                "the connective image of J spectrum has infinite defect",
-                "fact",
-            ),
-            Evidence(
-                "catalogue",
-                "image-of-j",
-                "hence no finite complex with projective homology makes it "
-                "complex orientable",
-                "fact",
-            ),
-        ]
-        return DefectVerdict("j", 2, None, None, "documented-infinite", ev)
-    raise ValueError(f"unknown subject {subject!r}")
+    if subject not in INFINITE:
+        raise ValueError(f"unknown subject {subject!r}")
+    notes = [evidence("catalogue", op, detail, "fact") for op, detail in INFINITE[subject]]
+    return {
+        "subject": subject,
+        "prime": 2,
+        "phi": None,
+        "phi_p": None,
+        "status": "documented-infinite",
+        "evidence": notes,
+    }
 
 
 EO_PRESETS = [
@@ -358,8 +286,7 @@ def catalogue(stem_cap: int = 24) -> list:
         rows.append(verdict_er(n, report))
     for p, m, h in EO_PRESETS:
         rows.append(verdict_eo(p, m, h))
-    rows.append(documented_infinite("finite"))
-    rows.append(documented_infinite("j"))
+    rows.extend(documented_infinite(subject) for subject in INFINITE)
     return rows
 
 
@@ -367,13 +294,14 @@ def verdict_table(verdicts) -> str:
     """TSV table, one verdict per row."""
     lines = ["subject\tprime\tphi\tphi_p\tstatus"]
     for v in verdicts:
-        if v.status == "documented-infinite":
+        status = v["status"]
+        if status == "documented-infinite":
             phi, phi_p = "inf", "inf"
-        elif v.status == "upper-bound-only":
-            phi, phi_p = f"<={v.phi}", f"<={v.phi_p}"
+        elif status == "upper-bound-only":
+            phi, phi_p = f"<={v['phi']}", f"<={v['phi_p']}"
         else:
-            phi, phi_p = str(v.phi), str(v.phi_p)
-        lines.append(f"{v.subject}\t{v.prime}\t{phi}\t{phi_p}\t{v.status}")
+            phi, phi_p = str(v["phi"]), str(v["phi_p"])
+        lines.append(f"{v['subject']}\t{v['prime']}\t{phi}\t{phi_p}\t{status}")
     return "\n".join(lines) + "\n"
 
 
@@ -385,5 +313,5 @@ def defect_job(params, payload) -> dict:
     if "tsv" in params["formats"]:
         out["defect_table.tsv"] = verdict_table(verdicts).encode("utf-8")
     if "json" in params["formats"]:
-        out["defect_table.json"] = json_bytes([v.to_json() for v in verdicts])
+        out["defect_table.json"] = json_bytes(verdicts)
     return out

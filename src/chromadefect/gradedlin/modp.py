@@ -177,7 +177,9 @@ def gf2_eliminate(rows, ncols, tailed=-1):
 def fp_eliminate(p, rows, ncols, nfields):
     """Packed elimination mod an odd prime, mirroring gf2_eliminate, on
     rows of nfields fields at most: a pivot c is cleared by adding p - c
-    times its unit-pivot echelon row, changing only the fields past it."""
+    times its unit-pivot echelon row, changing only the fields past it.
+    A row with a nonzero field at or past nfields raises ValueError: the
+    packed adds reduce only the first nfields fields."""
     w = _width(p)
     add, scale = _field_ops(p, nfields)
     ech = []
@@ -186,6 +188,8 @@ def fp_eliminate(p, rows, ncols, nfields):
     dependent = []
     pivot_at = {}
     for i, v in enumerate(rows):
+        if v >> nfields * w:
+            raise ValueError(f"row {i} has a nonzero field past its first {nfields}")
         while True:
             # -1 for a zero row
             col = ((v & -v).bit_length() - 1) // w
@@ -212,7 +216,9 @@ def subquotient(p, ncols, images, cycles):
     that killed it, which ends at i with coefficient 1.  kept indexes the
     cycle rows independent of the images and of the cycles before them.
     No cycle row carries a tail, so every row fits ncols + len(images)
-    fields."""
+    fields.  The rows are vectors in F^ncols; at an odd prime a row with
+    a nonzero field at or past ncols + len(images) raises ValueError, as
+    fp_eliminate does."""
     m = len(images)
     w = _width(p)
     rows = [v | 1 << (ncols + i) * w for i, v in enumerate(images)] + cycles

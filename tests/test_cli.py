@@ -27,7 +27,7 @@ t <= stem-max + s-max computes only in part, left the T-family files,
 and each TSV header gained the stem window.  Both defect_table.json
 files were written again when ko's lower bound moved from the ko
 chart's fourth page onto the letter h(1,1) of Ext over A(1): only ko's
-lower Evidence changed, and the TSVs kept their bytes.  ext_t0_p2 (the
+lower-bound evidence row changed, and the TSVs kept their bytes.  ext_t0_p2 (the
 sphere), ext_a1_p5 and ext_p1_p2 (the halved even-only operators) were
 written by the engine whose Milnor product built a DualMonomial per
 term, before products ran on exponent tuples.  The margolis

@@ -15,15 +15,21 @@ come out of the package, and the packed elimination and the row
 combiner against the dense elimination in oracles.linalg and
 vec_from_terms, up to p = 65537.  The Mersenne primes 3, 7 and 127 are
 the tight case, where a field's carry bit leaves room for one more.
+The packed elimination refuses a row with a field past its field
+count, checked in a child process so that a hang fails the test.
 subquotient, the one elimination the engines call, is checked at p = 2,
 3, 5 and 7 against the dense elimination of its images with their unit
 vectors appended: its relations, the cycle rows it keeps, and the rows
 and field count it hands the kernel.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from math import isqrt
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -130,6 +136,25 @@ class TestFp:
                     for j, x in vec_support(p, rows[i]):
                         acc[j] = (acc[j] + c * x) % p
                 assert not any(acc)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_field_past_the_count_refused(self, p):
+        # the packed adds never reduce a field at or past nfields, so
+        # such a pivot could reach p and never clear; a child process
+        # with a timeout makes a regression fail instead of hang
+        code = (
+            "from chromadefect.gradedlin.modp import _width, fp_eliminate\n"
+            f"w = _width({p})\n"
+            "try:\n"
+            f"    fp_eliminate({p}, [1 << 2 * w, 2 << 2 * w], 3, 2)\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(modp.__file__).resolve().parents[2])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "row 0 has a nonzero field past its first 2\n"
 
 
 @pytest.mark.parametrize("p", [2, 3])
