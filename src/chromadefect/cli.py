@@ -83,11 +83,11 @@ MAX_EXT_OPERATOR_PAIRS = 200_000
 MAX_EXT_CELLS = 4096
 # largest may E1 page, in window cells plus monomials; each cell and
 # each monomial is an object the pages keep.  The whole job, E1 and E2
-# in every format, on a 2 vCPU host: p = 2, n = 1, stem 60, s 16 (1,037
-# cells, 46,418 monomials) took 1.3-2.0 s and 42 MB peak; p = 3, n = 0,
-# stem 185, s 10 (2,046 cells, 57,858 monomials), 2.2-3.0 s and 50 MB,
-# E2 0.3-0.4 s of it; p = 5, n = 1, stem 9999, s 4 (50,000 cells, 2,999
-# monomials), 0.4-0.5 s and 33 MB
+# in every format, on a 2 vCPU host (14 runs each): p = 2, n = 1, stem
+# 60, s 16 (1,037 cells, 46,418 monomials) took 1.2-2.4 s and 42 MB
+# peak; p = 3, n = 0, stem 185, s 10 (2,046 cells, 57,858 monomials),
+# 2.1-3.7 s and 50 MB, E2 0.3-0.4 s of it; p = 5, n = 1, stem 9999, s 4
+# (50,000 cells, 2,999 monomials), 0.3-0.5 s and 32 MB
 MAX_MAY_E1_SIZE = 60_000
 # largest ko-ss window, in cells.  Whole jobs on a 2 vCPU host, every
 # format, peak RSS read by a small launcher: the laurent chart over

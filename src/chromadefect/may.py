@@ -13,13 +13,16 @@ b(i,j), at odd p, goes with h(i,j).  At odd p the h's are exterior
 
 d1 of h(i,j) and a(i) is the sum of the cross terms of their diagonal
 that survive in T(n), each read as a product of two letters, and b(i,j)
-is a cycle.  On a monomial, d1 is the Leibniz sum over positions: the
-letter there is replaced by one product g1*g2 of its d1, and the
-factors are brought to canonical form once by normal_form, which
-returns the Koszul sign of sorting the odd letters, or nothing when an
-exterior letter repeats.  may_e1 differentiates each E1 monomial once
-and keeps d1 as one matrix per cell in monomial coordinates; may_e2
-reads E2 = ker d1 / im d1 off those matrices.  No later differential
+is a cycle.  d1_table lists those products, {letter: d1 pairs}, once
+per window.  On a monomial, d1 (d1_element) is the Leibniz sum over
+positions: the letter there is replaced by one product g1*g2 of its
+d1, and the factors are brought to canonical form once by normal_form,
+which returns the Koszul sign of sorting the odd letters, or nothing
+when an exterior letter repeats.  may_e1 differentiates each E1
+monomial once and keeps d1 as one matrix per cell in monomial
+coordinates; may_e2 reads E2 = ker d1 / im d1 off those matrices.  A
+page is a plain dict (its keys are listed at may_e1), which page_tsv,
+dims, trusted and chart_from_may_page read.  No later differential
 is derived.  d1 strictly lowers total may weight (the filtration is by
 increasing weight, so this is the convergence direction), checked on
 every monomial.
@@ -35,14 +38,18 @@ from .gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms, vec_s
 from .steenrod import Profile, elt_add_term
 
 __all__ = [
-    "MayContext",
-    "MayPage",
     "chart_from_may_page",
+    "d1_element",
+    "d1_table",
+    "dims",
     "e1_monomial_count",
+    "generators",
     "may_e1",
     "may_e2",
     "may_job",
     "monomial_string",
+    "page_tsv",
+    "trusted",
 ]
 
 _KIND_RANK = {"a": 0, "b": 1, "h": 2}
@@ -123,149 +130,125 @@ def normal_form(p, factors):
     return sign, tuple(sorted(merged.items(), key=lambda b: _gen_key(b[0])))
 
 
-class MayContext:
-    """The letters of the height-n family at p and their d1, read off
-    the generator powers of T(n) through the largest degree asked so far.
+def d1_table(n, p, max_degree):
+    """{letter: d1 pairs} for the h and a letters of the height-n family
+    at p through internal degree max_degree: the letter pairs (g1, g2)
+    of the terms g1*g2 of the letter's diagonal that T(n) allows.
 
     T(n) and T(k) allow the same generator powers below the degree of
     xi_k, so the table is built over T(min(n, k)), k the first index
-    whose xi_k lies past that degree: a family of height n costs as much
+    whose xi_k lies past max_degree: a family of height n costs as much
     as one of height k.
     """
-
-    def __init__(self, n, p):
-        if n < 0:
-            raise ValueError("height must be nonnegative")
-        self.n = n
-        self.p = p
-        self._top = -1
-        self._cross = {}
-
-    def _powers(self, max_degree):
-        """{letter: d1 pairs} for the h and a letters, through internal
-        degree max_degree at least."""
-        if max_degree > self._top:
-            p = self.p
-            k = 1
-            while gen_t(p, ("h", k, 0)) <= max_degree:
-                k += 1
-            family = Profile.T(p, min(self.n, k))
-            self._cross = {key: cross for key, _, _, cross in family.generator_powers(max_degree)}
-            self._top = max_degree
-        return self._cross
-
-    def generators(self, stem_max, s_max):
-        """All letters with stem <= stem_max, s <= s_max, in letter order."""
-        p = self.p
-        letters = list(self._powers(stem_max + 1))
-        if p != 2 and s_max >= 2:
-            letters += [("b", i, j) for kind, i, j in letters if kind == "h"]
-        letters = [g for g in letters if gen_t(p, g) - gen_s(g) <= stem_max]
-        return sorted(letters, key=_gen_key)
-
-    def d1_pairs(self, gen):
-        """d1 of a letter as the diagonal writes it, the letter pairs
-        (g1, g2) of its terms g1*g2; b(i,j), at odd p a letter when
-        h(i,j) is, is a cycle.  A letter T(n) lacks is a ValueError."""
-        kind, i, j = gen
-        key = ("h", i, j) if kind == "b" and self.p != 2 else gen
-        cross = self._cross.get(key)
-        if cross is None:
-            cross = self._powers(gen_t(self.p, key)).get(key)
-            if cross is None:
-                raise ValueError(f"{gen_string(gen)} is not a letter of T({self.n}), p = {self.p}")
-        return [] if kind == "b" else cross
-
-    def d1_element(self, x):
-        """Leibniz extension of d1 to an element.
-
-        The term of a monomial at position k replaces its letter g^e by
-        g^(e-1) * g1*g2 for each pair of d1_pairs(g), in place, and brings
-        those factors to canonical form once through normal_form.  It is
-        multiplied by e and by (-1) to the number of odd letters before
-        position k."""
-        p = self.p
-        out = {}
-        for mono, coef in x.items():
-            for pos, (gen, e) in enumerate(mono):
-                c = e * coef
-                if c % p:
-                    left = mono[:pos] + (((gen, e - 1),) if e > 1 else ())
-                    right = mono[pos + 1 :]
-                    for g1, g2 in self.d1_pairs(gen):
-                        got = normal_form(p, left + ((g1, 1), (g2, 1)) + right)
-                        if got is not None:
-                            elt_add_term(p, out, got[1], got[0] * c)
-                if gen_is_odd(p, gen) and e % 2:
-                    coef = -coef
-        return out
+    if n < 0:
+        raise ValueError("height must be nonnegative")
+    k = 1
+    while gen_t(p, ("h", k, 0)) <= max_degree:
+        k += 1
+    family = Profile.T(p, min(n, k))
+    return {key: cross for key, _, _, cross in family.generator_powers(max_degree)}
 
 
-class MayPage:
-    """One page of the spectral sequence over a fixed E1 window.
+def generators(p, table, stem_max, s_max):
+    """The letters of a d1 table with stem <= stem_max, s <= s_max, in
+    letter order; b(i,j) joins at odd p when h(i,j) is in the table."""
+    letters = list(table)
+    if p != 2 and s_max >= 2:
+        letters += [("b", i, j) for kind, i, j in letters if kind == "h"]
+    letters = [g for g in letters if gen_t(p, g) - gen_s(g) <= stem_max]
+    return sorted(letters, key=_gen_key)
 
-    classes[(stem, s)] lists the lead monomial of each class
-    representative (on E1, the monomials themselves, sorted by weight
-    and name), and killed[(stem, s)] the lead monomials of the
+
+def d1_element(n, p, table, x):
+    """Leibniz extension of d1 to an element, its letters read off the
+    d1 table of the height-n family at p; the table must reach the
+    degree of every letter of x (of h(i,j) for b(i,j)).
+
+    The term of a monomial at position k replaces its letter g^e by
+    g^(e-1) * g1*g2 for each d1 pair (g1, g2) of g, in place, and
+    brings those factors to canonical form once through normal_form.
+    It is multiplied by e and by (-1) to the number of odd letters
+    before position k.  b(i,j), at odd p a letter when h(i,j) is, is a
+    cycle.  A letter the table lacks is a ValueError."""
+    out = {}
+    for mono, coef in x.items():
+        for pos, (gen, e) in enumerate(mono):
+            c = e * coef
+            if c % p:
+                kind, i, j = gen
+                pairs = table.get(("h", i, j) if kind == "b" and p != 2 else gen)
+                if pairs is None:
+                    raise ValueError(f"{gen_string(gen)} is not a letter of T({n}), p = {p}")
+                if kind == "b":
+                    pairs = ()
+                left = mono[:pos] + (((gen, e - 1),) if e > 1 else ())
+                right = mono[pos + 1 :]
+                for g1, g2 in pairs:
+                    got = normal_form(p, left + ((g1, 1), (g2, 1)) + right)
+                    if got is not None:
+                        elt_add_term(p, out, got[1], got[0] * c)
+            if gen_is_odd(p, gen) and e % 2:
+                coef = -coef
+    return out
+
+
+def dims(page):
+    """{(stem, s): number of classes} over the page's nonzero cells."""
+    return {key: len(leads) for key, leads in page["classes"].items() if leads}
+
+
+def trusted(page, stem, s):
+    """Whether (stem, s) lies where the window edge cannot change the
+    page's classes."""
+    return stem <= page["trusted_stem_max"] and s <= page["trusted_s_max"]
+
+
+def page_tsv(page):
+    """A page's TSV artifact: one row per class and per boundary."""
+    weights = page["weights"]
+    lines = [
+        f"# may page r={page['r']}: height {page['n']}, p={page['p']}",
+        f"# window: stem <= {page['stem_cap']}, s <= {page['s_cap']}; "
+        f"trusted through stem {page['trusted_stem_max']}, s {page['trusted_s_max']}",
+        "stem\ts\tweight\tmonomial\tstatus",
+    ]
+    rows = []
+    for (stem, s), leads in page["classes"].items():
+        status = "live" if trusted(page, stem, s) else "indeterminate"
+        for mono in leads:
+            rows.append((stem, s, weights[mono], monomial_string(mono), status))
+    for (stem, s), monos in page["killed"].items():
+        for mono in monos:
+            rows.append((stem, s, weights[mono], monomial_string(mono), "boundary"))
+    rows.sort()
+    for row in rows:
+        lines.append("\t".join(map(str, row)))
+    return "\n".join(lines) + "\n"
+
+
+def may_e1(n, p, stem_max, s_max):
+    """E1 page of the height-n family through (stem_max, s_max), with
+    d1 of every monomial computed once.
+
+    A page is a dict: n, p, the page number r, the window caps
+    stem_cap and s_cap, and the trusted bounds trusted_stem_max and
+    trusted_s_max.  classes[(stem, s)] lists the lead monomial of each
+    class representative (on E1, the monomials themselves, sorted by
+    weight and name), and killed[(stem, s)] the lead monomials of the
     boundaries this page divided out.  differential[(stem, s)] is the
     page's derived differential out of the cell, one row per class over
     the target cell's classes, kept only where it is nonzero; E1 holds
     d1, and later pages hold none.  weights maps each E1 monomial to its
     May weight, computed once and shared by every page of the window.
+
+    The d1 table is built once, through degree stem_max + 1: every
+    h or a letter of the window has t = stem + 1 <= stem_max + 1, and
+    the h(i,j) of a b(i,j) has t = t(b)/p, less still.
     """
-
-    def __init__(self, context, r, stem_cap, s_cap, trusted_stem_max, trusted_s_max, weights):
-        self.context = context
-        self.r = r
-        self.stem_cap = stem_cap
-        self.s_cap = s_cap
-        self.trusted_stem_max = trusted_stem_max
-        self.trusted_s_max = trusted_s_max
-        self.weights = weights
-        self.classes = {}
-        self.killed = {}
-        self.differential = {}
-
-    @property
-    def p(self):
-        return self.context.p
-
-    def dims(self):
-        return {key: len(leads) for key, leads in self.classes.items() if leads}
-
-    def trusted(self, stem, s):
-        return stem <= self.trusted_stem_max and s <= self.trusted_s_max
-
-    def to_tsv(self):
-        ctx = self.context
-        weights = self.weights
-        lines = [
-            f"# may page r={self.r}: height {ctx.n}, p={ctx.p}",
-            f"# window: stem <= {self.stem_cap}, s <= {self.s_cap}; "
-            f"trusted through stem {self.trusted_stem_max}, s {self.trusted_s_max}",
-            "stem\ts\tweight\tmonomial\tstatus",
-        ]
-        rows = []
-        for (stem, s), leads in self.classes.items():
-            status = "live" if self.trusted(stem, s) else "indeterminate"
-            for mono in leads:
-                rows.append((stem, s, weights[mono], monomial_string(mono), status))
-        for (stem, s), monos in self.killed.items():
-            for mono in monos:
-                rows.append((stem, s, weights[mono], monomial_string(mono), "boundary"))
-        rows.sort()
-        for row in rows:
-            lines.append("\t".join(map(str, row)))
-        return "\n".join(lines) + "\n"
-
-
-def may_e1(n, p, stem_max, s_max):
-    """E1 page of the height-n family through (stem_max, s_max), with
-    d1 of every monomial computed once."""
     if stem_max < 0 or s_max < 1:
         raise ValueError("caps must be positive")
-    ctx = MayContext(n, p)
-    letters = ctx.generators(stem_max, s_max)
+    table = d1_table(n, p, stem_max + 1)
+    letters = generators(p, table, stem_max, s_max)
     cells = {}
     for stem in range(stem_max + 1):
         for s in range(0, s_max + 1):
@@ -290,29 +273,31 @@ def may_e1(n, p, stem_max, s_max):
 
     rec(0, 0, 0, ())
     weights = {m: mono_weight(p, m) for monos in cells.values() for m in monos}
-    page = MayPage(ctx, 1, stem_max, s_max, stem_max, s_max, weights)
     for monos in cells.values():
         monos.sort(key=lambda m: (weights[m], monomial_string(m)))
-    page.classes = cells
+    differential = {}
     for (stem, s), monos in cells.items():
         target = cells.get((stem - 1, s + 1))
         if monos and target:
-            rows = _d1_rows(ctx, weights, monos, target)
+            rows = _d1_rows(n, p, table, weights, monos, target)
             if rows:
-                page.differential[(stem, s)] = rows
-    return page
+                differential[(stem, s)] = rows
+    return {
+        "n": n, "p": p, "r": 1, "stem_cap": stem_max, "s_cap": s_max,
+        "trusted_stem_max": stem_max, "trusted_s_max": s_max, "weights": weights,
+        "classes": cells, "killed": {}, "differential": differential,
+    }
 
 
-def _d1_rows(ctx, weights, monos, target):
+def _d1_rows(n, p, table, weights, monos, target):
     """d1 of each monomial, as rows over the target cell's monomials;
     [] when d1 vanishes on every monomial.  Every image monomial must
     weigh less than its source (strict weight descent)."""
-    p = ctx.p
     index = {m: k for k, m in enumerate(target)}
     rows = []
     nonzero = False
     for mono in monos:
-        image = ctx.d1_element({mono: 1})
+        image = d1_element(n, p, table, {mono: 1})
         terms = []
         if image:
             nonzero = True
@@ -338,26 +323,21 @@ def may_e2(e1):
     would leave the window.  Such cycles, and boundaries from outside
     the window, are unknown, so E2 trusts one stem and one s less.
     """
-    p = e1.p
-    e2 = MayPage(
-        e1.context,
-        2,
-        e1.stem_cap,
-        e1.s_cap,
-        e1.trusted_stem_max - 1,
-        e1.trusted_s_max - 1,
-        e1.weights,
-    )
-    for (stem, s), monos in e1.classes.items():
+    p = e1["p"]
+    e2 = {
+        **e1, "r": 2, "trusted_stem_max": e1["trusted_stem_max"] - 1,
+        "trusted_s_max": e1["trusted_s_max"] - 1, "classes": {}, "killed": {}, "differential": {},
+    }
+    for (stem, s), monos in e1["classes"].items():
         dim = len(monos)
         if not dim:
             continue
-        out_rows = e1.differential.get((stem, s))
-        in_rows = e1.differential.get((stem + 1, s - 1), [])
+        out_rows = e1["differential"].get((stem, s))
+        in_rows = e1["differential"].get((stem + 1, s - 1), [])
         if out_rows is None:
             kernel = [vec_from_terms(p, [(k, 1)]) for k in range(dim)]
         else:
-            tgt_dim = len(e1.classes[(stem - 1, s + 1)])
+            tgt_dim = len(e1["classes"][(stem - 1, s + 1)])
             kernel = PrimeFieldMatrix(p, dim, tgt_dim, out_rows).kernel_vectors()
 
         def lead(vec):
@@ -366,10 +346,10 @@ def may_e2(e1):
             return monos[vec_support(p, vec)[0][0]]
 
         reps = SubquotientBasis(p, dim, in_rows, kernel).reps
-        e2.classes[(stem, s)] = [lead(vec) for vec in reps]
+        e2["classes"][(stem, s)] = [lead(vec) for vec in reps]
         killed = {lead(row) for row in in_rows if row}
         if killed:
-            e2.killed[(stem, s)] = sorted(killed)
+            e2["killed"][(stem, s)] = sorted(killed)
     return e2
 
 
@@ -379,7 +359,7 @@ def e1_monomial_count(n, p, stem_max, s_max):
     over the letters, the exterior ones used at most once."""
     counts = [[0] * (s_max + 1) for _ in range(stem_max + 1)]
     counts[0][0] = 1
-    for gen in MayContext(n, p).generators(stem_max, s_max):
+    for gen in generators(p, d1_table(n, p, stem_max + 1), stem_max, s_max):
         g_stem, g_s = gen_t(p, gen) - gen_s(gen), gen_s(gen)
         if gen_is_odd(p, gen):
             stems, ss = range(stem_max, g_stem - 1, -1), range(s_max, g_s - 1, -1)
@@ -400,15 +380,15 @@ def chart_from_may_page(page) -> ChartDocument:
     the May differential always steps filtration by one.  Only E1
     carries its differential, so later pages are dots alone.
     """
-    dots = {key: (d, "") for key, d in page.dims().items()}
-    arrows = [(page.r, (stem, s), (stem - 1, s + 1)) for stem, s in page.differential]
+    dots = {key: (d, "") for key, d in dims(page).items()}
+    arrows = [(page["r"], (stem, s), (stem - 1, s + 1)) for stem, s in page["differential"]]
     return ChartDocument(
-        f"may page {page.r} height {page.context.n} p={page.p}",
+        f"may page {page['r']} height {page['n']} p={page['p']}",
         dots,
         [],
         arrows,
-        (0, page.stem_cap),
-        (0, page.s_cap),
+        (0, page["stem_cap"]),
+        (0, page["s_cap"]),
         arrow_rule="filtration-step",
     )
 
@@ -421,13 +401,13 @@ def may_job(params, payload) -> dict:
     e1 = may_e1(n, p, params["stem_max"], params["s_max"])
     out = {}
     for page in (e1, may_e2(e1)):
-        base = f"may_n{n}_p{p}_e{page.r}"
+        base = f"may_n{n}_p{p}_e{page['r']}"
         if "tsv" in params["formats"]:
-            out[f"{base}.tsv"] = page.to_tsv().encode("utf-8")
+            out[f"{base}.tsv"] = page_tsv(page).encode("utf-8")
         if "json" in params["formats"]:
-            dims = [[stem, s, d] for (stem, s), d in sorted(page.dims().items())]
+            cells = [[stem, s, d] for (stem, s), d in sorted(dims(page).items())]
             out[f"{base}.json"] = json_bytes(
-                {"height": n, "prime": p, "page": page.r, "dims": dims}
+                {"height": n, "prime": p, "page": page["r"], "dims": cells}
             )
         if "svg" in params["formats"]:
             doc = chart_from_may_page(page)
