@@ -91,9 +91,10 @@ MAX_EXT_CELLS = 4096
 MAX_MAY_E1_SIZE = 60_000
 # largest ko-ss window, in cells.  Whole jobs on a 2 vCPU host, every
 # format, peak RSS read by a small launcher: the laurent chart over
-# -150..150 x -300..300 (180,901 cells) took 1.2-1.4 s and 75 MB in ten
-# runs, the polynomial one 0.7-0.9 s and 45 MB in six.  Over 501,501
-# cells the laurent job alone took 3.8-4.2 s and 171 MB in process
+# -150..150 x -300..300 (180,901 cells) took 0.8-1.0 s and 73 MB in
+# eight runs, the polynomial one 0.4-0.7 s and 43 MB in eight.  Over
+# 501,501 cells the laurent job alone took 2.2-2.3 s and 166 MB in
+# process
 MAX_KO_SS_CELLS = 250_000
 # largest defect stem cap: the ko and tmf bounds read the Koszul closed
 # form through the cap, which costs a Poincare series of cap + 2 terms

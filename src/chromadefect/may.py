@@ -29,7 +29,7 @@ every monomial.
 
 All pages are plotted in Adams bigrading (stem, s) = (t-s, s); every
 differential has the signature of an Adams d1 (s+1, stem-1, t fixed).
-Window bookkeeping: E2 trusts one stem and one s less than E1, because
+Trusted range: E2 trusts one stem and one s less than E1, because
 boundaries can enter from just outside the window.
 """
 

@@ -5,11 +5,15 @@ The underlying object is the monomial lattice Z{u^a eta^b} with u in
 (stem 2, filtration 0) and eta in (stem 1, filtration 1).  The
 polynomial variant allows eta-exponents >= 0; the laurent variant
 inverts eta and fills the whole plane.  Each cell holds at most one
-monomial (monomial_at), free of rank one, so a page can track, per
-cell, the surviving subquotient kappa*Z / iota*Z of the original cell.
-All page groups and named generators are exact integer data; a cell's
-group is 0, Z or the cyclic group of order iota/kappa, read off those
-two integers.
+monomial (monomial_at), free of rank one.
+
+Pages are plain data.  A cell is the tuple (u_exp, eta_exp, cycle,
+boundary) that `cell` makes: the surviving subquotient cycle*Z /
+boundary*Z of its monomial, whose order, group and generator
+`cell_order`, `cell_group` and `cell_generator` read.  A page is a dict
+of its "variant", its "page" number, its "window" and its "cells",
+{(stem, filtration): cell} for every window spot the lattice
+populates; `page_tsv` writes it.
 
 The differentials are the functions d1 and d3: d_r(u^a eta^b) is
 (coefficient, (a', b')) with the target at (stem - 1, filtration + r),
@@ -18,9 +22,10 @@ the generator images, so no Leibniz expansion happens at runtime, and
 signs are dropped, since every assertion made here is about
 isomorphism type.
 
-Windows truncate the plane for computation.  Cells within the masking
-radius of the window edge see clipped differentials and are excluded
-from every assertion; the radius equals the longest differential used.
+A window (stem_lo, stem_hi, fil_lo, fil_hi) truncates the plane for
+computation.  Cells within the masking radius of its edge
+(`is_interior`) see clipped differentials and are excluded from every
+assertion; the radius equals the longest differential used.
 """
 
 from math import gcd
@@ -32,9 +37,13 @@ __all__ = [
     "monomial_at",
     "d1",
     "d3",
-    "Window",
-    "Cell",
-    "PageSnapshot",
+    "is_interior",
+    "cell",
+    "cell_order",
+    "cell_group",
+    "cell_generator",
+    "interior_alive",
+    "page_tsv",
     "build_e1",
     "turn_page",
     "run_d1",
@@ -90,198 +99,130 @@ def d3(a: int, b: int):
     return None
 
 
-class Window:
-    """Rectangular truncation [stem_lo, stem_hi] x [fil_lo, fil_hi]."""
-
-    __slots__ = ("stem_lo", "stem_hi", "fil_lo", "fil_hi")
-
-    def __init__(self, stem_lo: int, stem_hi: int, fil_lo: int, fil_hi: int):
-        if stem_lo > stem_hi or fil_lo > fil_hi:
-            raise ValueError("window ranges must be nonempty")
-        self.stem_lo = stem_lo
-        self.stem_hi = stem_hi
-        self.fil_lo = fil_lo
-        self.fil_hi = fil_hi
-
-    def is_interior(self, stem: int, fil: int, radius: int = 3) -> bool:
-        """Cells whose incoming and outgoing differentials of length up
-        to the radius stay inside the window."""
-        return (
-            self.stem_lo + 1 <= stem <= self.stem_hi - 1
-            and self.fil_lo + radius <= fil
-            and fil + radius <= self.fil_hi
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Window):
-            return NotImplemented
-        return (
-            self.stem_lo,
-            self.stem_hi,
-            self.fil_lo,
-            self.fil_hi,
-        ) == (other.stem_lo, other.stem_hi, other.fil_lo, other.fil_hi)
-
-    def __repr__(self):
-        return (
-            f"Window(stems {self.stem_lo}..{self.stem_hi}, "
-            f"filtrations {self.fil_lo}..{self.fil_hi})"
-        )
+def is_interior(window, stem: int, fil: int, radius: int = 3) -> bool:
+    """Cells whose incoming and outgoing differentials of length up to
+    the radius stay inside the window."""
+    stem_lo, stem_hi, fil_lo, fil_hi = window
+    return stem_lo < stem < stem_hi and fil_lo + radius <= fil <= fil_hi - radius
 
 
-class Cell:
-    """Surviving subquotient kappa*Z / iota*Z of one lattice cell.
+def cell(u_exp: int, eta_exp: int, cycle: int, boundary: int):
+    """The cell (u_exp, eta_exp, cycle, boundary): the subquotient
+    cycle*Z / boundary*Z of the monomial u^u_exp eta^eta_exp.
 
-    kappa = 0 encodes the dead cell.  Alive cells have iota = 0 (a free
-    summand Z on kappa times the monomial) or iota a proper multiple of
-    kappa (a cyclic group of order iota/kappa).
+    cycle = 0 encodes the dead cell.  Alive cells have boundary = 0 (a
+    free summand Z on cycle times the monomial) or boundary a proper
+    multiple of cycle (a cyclic group of order boundary/cycle); Z/1
+    becomes the dead cell.
     """
-
-    __slots__ = ("u_exp", "eta_exp", "cycle", "boundary")
-
-    def __init__(self, u_exp: int, eta_exp: int, cycle: int, boundary: int):
-        if cycle < 0 or boundary < 0:
-            raise ValueError("cell data must be nonnegative")
-        if cycle == 0 and boundary:
-            raise ValueError("dead cell cannot carry boundaries")
-        if cycle and boundary:
-            if boundary % cycle:
-                raise ValueError("boundary lattice must sit inside the cycle lattice")
-            if boundary == cycle:
-                cycle = boundary = 0  # Z/1, normalize to the dead cell
-        self.u_exp = u_exp
-        self.eta_exp = eta_exp
-        self.cycle = cycle
-        self.boundary = boundary
-
-    @property
-    def alive(self) -> bool:
-        return self.cycle > 0
-
-    @property
-    def order(self):
-        """Group order: None for Z, 1 for the dead cell."""
-        if not self.alive:
-            return 1
-        return None if self.boundary == 0 else self.boundary // self.cycle
-
-    @property
-    def presentation(self) -> AbelianGroupPresentation:
-        if not self.alive:
-            return AbelianGroupPresentation(0)
-        if self.boundary == 0:
-            return AbelianGroupPresentation(1)
-        return AbelianGroupPresentation(0, (self.boundary // self.cycle,))
-
-    @property
-    def generator(self):
-        """(coefficient, "name") of the surviving generator, or None."""
-        if not self.alive:
-            return None
-        return (self.cycle, monomial_str(self.u_exp, self.eta_exp))
-
-    def generator_str(self) -> str:
-        g = self.generator
-        if g is None:
-            return "-"
-        coef, name = g
-        return name if coef == 1 else f"{coef}*{name}"
-
-    def __repr__(self):
-        return f"Cell({monomial_str(self.u_exp, self.eta_exp)}: {self.presentation!r})"
+    if cycle < 0 or boundary < 0:
+        raise ValueError("cell data must be nonnegative")
+    if cycle == 0 and boundary:
+        raise ValueError("dead cell cannot carry boundaries")
+    if cycle and boundary:
+        if boundary % cycle:
+            raise ValueError("boundary lattice must sit inside the cycle lattice")
+        if boundary == cycle:
+            cycle = boundary = 0  # Z/1, normalize to the dead cell
+    return (u_exp, eta_exp, cycle, boundary)
 
 
-class PageSnapshot:
-    """One page of the chart over a window.
-
-    cells maps (stem, filtration) to a Cell for every window spot the
-    lattice populates; spots with no monomial are simply absent.
-    """
-
-    __slots__ = ("variant", "page", "window", "cells")
-
-    def __init__(self, variant: str, page: int, window: Window, cells: dict):
-        self.variant = variant
-        self.page = page
-        self.window = window
-        self.cells = cells
-
-    def alive_items(self):
-        return [(k, c) for k, c in sorted(self.cells.items()) if c.alive]
-
-    def interior_items(self, radius: int = 3):
-        return [
-            (k, c)
-            for k, c in sorted(self.cells.items())
-            if self.window.is_interior(*k, radius=radius)
-        ]
-
-    def interior_alive(self, radius: int = 3):
-        return [(k, c) for k, c in self.interior_items(radius) if c.alive]
-
-    def to_tsv(self) -> str:
-        lines = ["stem\tfiltration\tgroup\tgenerator\tstatus"]
-        for (s, f), c in sorted(self.cells.items()):
-            status = "interior" if self.window.is_interior(s, f) else "edge"
-            lines.append(
-                f"{s}\t{f}\t{c.presentation!r}\t{c.generator_str()}\t{status}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def __repr__(self):
-        alive = sum(1 for _, c in self.cells.items() if c.alive)
-        return (
-            f"PageSnapshot({self.variant}, page {self.page}, "
-            f"{alive} live cells on {self.window!r})"
-        )
+def cell_order(c):
+    """Group order: None for Z, 1 for the dead cell."""
+    _, _, cycle, boundary = c
+    if not cycle:
+        return 1
+    return boundary // cycle if boundary else None
 
 
-def build_e1(variant: str, window: Window) -> PageSnapshot:
+def cell_group(c) -> AbelianGroupPresentation:
+    order = cell_order(c)
+    if order is None:
+        return AbelianGroupPresentation(1)
+    return AbelianGroupPresentation(0, (order,) if order > 1 else ())
+
+
+def cell_generator(c) -> str:
+    """The surviving generator, "coefficient*monomial", or "-"."""
+    a, b, cycle, _ = c
+    if not cycle:
+        return "-"
+    name = monomial_str(a, b)
+    return name if cycle == 1 else f"{cycle}*{name}"
+
+
+def interior_alive(page, radius: int = 3):
+    """(key, cell) for the live interior cells, sorted by key."""
+    window = page["window"]
+    return [
+        (k, c)
+        for k, c in sorted(page["cells"].items())
+        if c[2] and is_interior(window, *k, radius)
+    ]
+
+
+def page_tsv(page) -> str:
+    """A page's TSV artifact: one row per lattice cell of the window."""
+    window = page["window"]
+    lines = ["stem\tfiltration\tgroup\tgenerator\tstatus"]
+    for (s, f), c in sorted(page["cells"].items()):
+        status = "interior" if is_interior(window, s, f) else "edge"
+        lines.append(f"{s}\t{f}\t{cell_group(c)!r}\t{cell_generator(c)}\t{status}")
+    return "\n".join(lines) + "\n"
+
+
+def build_e1(variant: str, window):
     """First page: every lattice monomial in the window, free of rank 1."""
+    stem_lo, stem_hi, fil_lo, fil_hi = window
+    if stem_lo > stem_hi or fil_lo > fil_hi:
+        raise ValueError("window ranges must be nonempty")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     cells = {}
-    for s in range(window.stem_lo, window.stem_hi + 1):
-        for f in range(window.fil_lo, window.fil_hi + 1):
+    for s in range(stem_lo, stem_hi + 1):
+        for f in range(fil_lo, fil_hi + 1):
             mono = monomial_at(variant, s, f)
             if mono is not None:
-                cells[(s, f)] = Cell(mono[0], mono[1], 1, 0)
-    return PageSnapshot(variant, 1, window, cells)
+                cells[(s, f)] = cell(*mono, 1, 0)
+    return {"variant": variant, "page": 1, "window": tuple(window), "cells": cells}
 
 
-def _induced_entry(src: Cell, amb: int, tgt: Cell):
+def _induced_entry(src, amb: int, tgt):
     """Map on page groups induced by generator -> amb * (target monomial).
 
     Returns the integer entry in target-generator coordinates, checking
     that the ambient image is a cycle and that torsion maps to torsion.
     """
-    if amb % tgt.cycle:
+    _, _, cycle, boundary = src
+    _, _, tgt_cycle, tgt_boundary = tgt
+    if amb % tgt_cycle:
         raise ValueError("differential image is not a cycle on this page")
-    if src.boundary:
-        rel_image = (src.boundary // src.cycle) * amb
-        if tgt.boundary == 0:
+    if boundary:
+        rel_image = (boundary // cycle) * amb
+        if tgt_boundary == 0:
             if rel_image:
                 raise ValueError("differential is not well defined on the page")
-        elif rel_image % tgt.boundary:
+        elif rel_image % tgt_boundary:
             raise ValueError("differential is not well defined on the page")
-    return amb // tgt.cycle
+    return amb // tgt_cycle
 
 
-def turn_page(page: PageSnapshot, r: int, rule) -> PageSnapshot:
+def turn_page(page, r: int, rule):
     """Homology of the length-r differential `rule` (d1 or d3): the next
-    page snapshot.
+    page.
 
     Targets or sources outside the stored window are treated as zero;
     the affected cells are exactly the non-interior ones.
     """
-    cells = page.cells
+    cells = page["cells"]
     outgoing = {}  # key -> (target key, ambient coefficient, rule coefficient)
     incoming = {}  # key -> gcd of ambient images landing there
 
     for key, c in cells.items():
-        if not c.alive:
+        a, b, cycle, _ = c
+        if not cycle:
             continue
-        img = rule(c.u_exp, c.eta_exp)
+        img = rule(a, b)
         if img is None:
             continue
         k, (a2, b2) = img
@@ -291,9 +232,9 @@ def turn_page(page: PageSnapshot, r: int, rule) -> PageSnapshot:
         if monomial_bidegree(a2, b2) != tkey:
             raise ValueError(f"d{r} violates the bidegree shift at {key}")
         tgt = cells.get(tkey)
-        if tgt is None or not tgt.alive:
+        if tgt is None or not tgt[2]:
             continue  # window clipping, or the zero group absorbs the image
-        amb = c.cycle * k
+        amb = cycle * k
         _induced_entry(c, amb, tgt)
         outgoing[key] = (tkey, amb, k)
         incoming[tkey] = gcd(incoming.get(tkey, 0), amb)
@@ -305,18 +246,19 @@ def turn_page(page: PageSnapshot, r: int, rule) -> PageSnapshot:
             continue
         ukey, _, k2 = follow
         u = cells[ukey]
-        comp = cells[key].cycle * k * k2
-        if comp % u.cycle:
+        comp = cells[key][2] * k * k2
+        if comp % u[2]:
             raise ValueError(f"d{r} squared is nonzero from {key}")
-        entry = comp // u.cycle
-        order = u.order
+        entry = comp // u[2]
+        order = cell_order(u)
         if (order is None and entry) or (order is not None and entry % order):
             raise ValueError(f"d{r} squared is nonzero from {key}")
 
     new_cells = {}
     for key, c in cells.items():
-        if not c.alive:
-            new_cells[key] = Cell(c.u_exp, c.eta_exp, 0, 0)
+        a, b, cycle, boundary = c
+        if not cycle:
+            new_cells[key] = c
             continue
         out = outgoing.get(key)
         if out is None:
@@ -325,36 +267,36 @@ def turn_page(page: PageSnapshot, r: int, rule) -> PageSnapshot:
             tkey, amb, _ = out
             tgt = cells[tkey]
             entry = _induced_entry(c, amb, tgt)
-            order = tgt.order
+            order = cell_order(tgt)
             if order is None:
                 mult = 1 if entry == 0 else 0
             else:
                 entry %= order
                 mult = 1 if entry == 0 else order // gcd(entry, order)
-        inc = gcd(c.boundary, incoming.get(key, 0))
+        inc = gcd(boundary, incoming.get(key, 0))
         if mult == 0:
             # outgoing map injective: anything incoming must already be
             # a boundary, or the two differentials fail to compose to 0
-            if inc and (c.boundary == 0 or inc % c.boundary):
+            if inc and (boundary == 0 or inc % boundary):
                 raise ValueError(f"d{r} does not square to zero into {key}")
-            new_cells[key] = Cell(c.u_exp, c.eta_exp, 0, 0)
+            new_cells[key] = cell(a, b, 0, 0)
             continue
-        kappa = c.cycle * mult
+        kappa = cycle * mult
         if inc and inc % kappa:
             raise ValueError(f"d{r} does not square to zero into {key}")
-        new_cells[key] = Cell(c.u_exp, c.eta_exp, kappa, inc)
+        new_cells[key] = cell(a, b, kappa, inc)
 
-    return PageSnapshot(page.variant, page.page + 1, page.window, new_cells)
+    return dict(page, page=page["page"] + 1, cells=new_cells)
 
 
-def run_d1(page: PageSnapshot) -> PageSnapshot:
+def run_d1(page):
     """First page to second page."""
-    if page.page != 1:
+    if page["page"] != 1:
         raise ValueError("run_d1 expects a first-page snapshot")
     return turn_page(page, 1, d1)
 
 
-def run_d3(page: PageSnapshot) -> PageSnapshot:
+def run_d3(page):
     """Second page to fourth page.
 
     The intermediate differential vanishes for parity reasons: live
@@ -362,38 +304,39 @@ def run_d3(page: PageSnapshot) -> PageSnapshot:
     two differential lands where it is odd, an empty part of the
     lattice.  That is checked, not assumed.
     """
-    if page.page != 2:
+    if page["page"] != 2:
         raise ValueError("run_d3 expects a second-page snapshot")
-    for (s, f), c in page.cells.items():
-        tgt = page.cells.get((s - 1, f + 2))
-        if c.alive and tgt is not None and tgt.alive:
+    cells = page["cells"]
+    for (s, f), c in cells.items():
+        tgt = cells.get((s - 1, f + 2))
+        if c[2] and tgt is not None and tgt[2]:
             raise ValueError("length-two differential has a live target")
-    bumped = PageSnapshot(page.variant, 3, page.window, page.cells)
-    return turn_page(bumped, 3, d3)
+    return turn_page(dict(page, page=3), 3, d3)
 
 
-def differential_sources(page: PageSnapshot, r: int, rule, min_fil: int = 0, radius: int = 3):
+def differential_sources(page, r: int, rule, min_fil: int = 0, radius: int = 3):
     """Interior cells from which the length-r differential `rule` induces
     a nonzero map."""
     out = []
-    for (s, f), c in page.interior_alive(radius):
+    for (s, f), c in interior_alive(page, radius):
         if f < min_fil:
             continue
-        img = rule(c.u_exp, c.eta_exp)
+        a, b, cycle, _ = c
+        img = rule(a, b)
         if img is None or img[0] == 0:
             continue
         k, _ = img
-        tgt = page.cells.get((s - 1, f + r))
-        if tgt is None or not tgt.alive:
+        tgt = page["cells"].get((s - 1, f + r))
+        if tgt is None or not tgt[2]:
             continue
-        entry = _induced_entry(c, c.cycle * k, tgt)
-        order = tgt.order
+        entry = _induced_entry(c, cycle * k, tgt)
+        order = cell_order(tgt)
         if (order is None and entry) or (order is not None and entry % order):
             out.append((s, f))
     return out
 
 
-def forced_d3_detector(e2: PageSnapshot, e4: PageSnapshot) -> dict:
+def forced_d3_detector(e2, e4) -> dict:
     """Detects the forced length-three differential on laurent pages 2 and 4.
 
     The laurent chart must converge to zero.  Without that differential
@@ -401,9 +344,9 @@ def forced_d3_detector(e2: PageSnapshot, e4: PageSnapshot) -> dict:
     witness the contradiction.  Running it clears the interior, so the
     differential is exactly what repairs convergence.
     """
-    if (e2.variant, e2.page, e4.variant, e4.page) != ("laurent", 2, "laurent", 4):
+    if (e2["variant"], e2["page"], e4["variant"], e4["page"]) != ("laurent", 2, "laurent", 4):
         raise ValueError("forced_d3_detector reads the laurent second and fourth pages")
-    witnesses = [(s, f, c.generator_str()) for (s, f), c in e2.interior_alive()]
+    witnesses = [(s, f, cell_generator(c)) for (s, f), c in interior_alive(e2)]
     message = (
         "d3(u^2) = eta^3 forced: without it the laurent chart "
         "retains live interior cells on page 4 and cannot converge to zero"
@@ -413,7 +356,7 @@ def forced_d3_detector(e2: PageSnapshot, e4: PageSnapshot) -> dict:
         "verdict": "forced" if witnesses else "inconclusive",
         "message": message,
         "witnesses": witnesses,
-        "cleared_with_d3": not e4.interior_alive(),
+        "cleared_with_d3": not interior_alive(e4),
     }
 
 
@@ -424,27 +367,26 @@ def chart_from_snapshot(page) -> ChartDocument:
     class draws the structure lines, and on the second page the
     length-three differentials appear as arrows.
     """
-    dots = {}
-    for (s, f), c in page.alive_items():
-        dots[(s, f)] = (1, c.generator_str())
+    stem_lo, stem_hi, fil_lo, fil_hi = page["window"]
+    dots = {k: (1, cell_generator(c)) for k, c in sorted(page["cells"].items()) if c[2]}
     lines = []
     for key in sorted(dots):
         up = (key[0] + 1, key[1] + 1)
         if up in dots:
             lines.append(("eta", key, up))
     arrows = []
-    if page.page == 2:
-        for (s, f) in differential_sources(page, 3, d3, min_fil=page.window.fil_lo, radius=0):
+    if page["page"] == 2:
+        for (s, f) in differential_sources(page, 3, d3, min_fil=fil_lo, radius=0):
             tgt = (s - 1, f + 3)
             if tgt in dots:
                 arrows.append((3, (s, f), tgt))
     return ChartDocument(
-        f"{page.variant} chart page {page.page}",
+        f"{page['variant']} chart page {page['page']}",
         dots,
         lines,
         arrows,
-        (page.window.stem_lo, page.window.stem_hi),
-        (page.window.fil_lo, page.window.fil_hi),
+        (stem_lo, stem_hi),
+        (fil_lo, fil_hi),
     )
 
 
@@ -452,19 +394,19 @@ def ko_ss_job(params, payload) -> dict:
     """The `ko-ss` job's artifacts, {filename: bytes}: pages 2 and 4 of
     the chart for the validated CLI params, and the forced-d3 report."""
     variant = params["variant"]
-    window = Window(*params["window"])
+    window = params["window"]
     e2 = run_d1(build_e1(variant, window))
     e4 = run_d3(e2)
     base = f"ko_{variant}"
     out = {}
     if "tsv" in params["formats"]:
-        out[f"{base}_e2.tsv"] = e2.to_tsv().encode("utf-8")
-        out[f"{base}_e4.tsv"] = e4.to_tsv().encode("utf-8")
+        out[f"{base}_e2.tsv"] = page_tsv(e2).encode("utf-8")
+        out[f"{base}_e4.tsv"] = page_tsv(e4).encode("utf-8")
     if "svg" in params["formats"]:
         for page in (e2, e4):
             doc = chart_from_snapshot(page)
-            out[f"{base}_e{page.page}.svg"] = render_chart(doc)
-            out[f"{base}_e{page.page}_chart.tsv"] = chart_to_tsv(doc).encode("utf-8")
+            out[f"{base}_e{page['page']}.svg"] = render_chart(doc)
+            out[f"{base}_e{page['page']}_chart.tsv"] = chart_to_tsv(doc).encode("utf-8")
     if "json" in params["formats"]:
         if variant != "laurent":
             e2 = run_d1(build_e1("laurent", window))

@@ -1,10 +1,17 @@
 """The benchmark's layer tracer installs against the package.
 
 benchmark/layers.py wraps engine functions by name from outside the
-package; a target the package no longer defines is recorded as missing
-and reads 0.  A rename can still break the install itself, and every
-traced benchmark job with it, so the install runs here in a fresh
-interpreter, where its wrappers cannot leak into other tests.
+package.  A function or method that the package no longer defines is
+recorded as missing, and its layer reads 0.  Two removals break
+`Tracer.install` itself instead, and every traced benchmark job with
+it.  A target module that no longer exists makes `import_module` raise
+`ModuleNotFoundError`: `chromadefect.gradedlin.integers` must stay while
+the `gradedlin.snf` layer names it, though its `_snf` is long gone.  A
+`Class.__init__` target whose class is gone reads `NoneType.__init__`
+instead of recording the target as missing, and the install fails
+with `AttributeError` (`SubquotientBasis.__init__`, say).  So the
+install runs here in a fresh interpreter, where its wrappers cannot
+leak into other tests.
 """
 
 import os
