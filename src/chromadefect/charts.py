@@ -109,19 +109,19 @@ DEFAULT_STYLE = {
 }
 
 
-def _fmt(v) -> str:
-    return f"{v:.1f}"
-
-
 def render_chart(doc: ChartDocument) -> bytes:
     """Deterministic standalone SVG for a chart document."""
     st = DEFAULT_STYLE
     unit = st["unit"]
     margin = st["margin"]
+    radius = st["dot_radius"]
+    font, axis_color, dot_color = st["font"], st["axis_color"], st["dot_color"]
     s_lo, s_hi = doc.stem_range
     f_lo, f_hi = doc.fil_range
     width = 2 * margin + (s_hi - s_lo) * unit
     height = 2 * margin + (f_hi - f_lo) * unit
+    middle, end = ' text-anchor="middle"', ' text-anchor="end"'
+    out = []
 
     def x(stem):
         return margin + (stem - s_lo) * unit
@@ -129,7 +129,23 @@ def render_chart(doc: ChartDocument) -> bytes:
     def y(fil):
         return margin + (f_hi - fil) * unit
 
-    out = []
+    # one helper per element kind, coordinates in chart units
+    def line(s1, f1, s2, f2, stroke, stroke_width, close="/>"):
+        out.append(
+            f'<line x1="{x(s1):.1f}" y1="{y(f1):.1f}" x2="{x(s2):.1f}" y2="{y(f2):.1f}" '
+            f'stroke="{stroke}" stroke-width="{stroke_width}"{close}'
+        )
+
+    # text and circle take pixels
+    def text(px, py, body, fill=axis_color, anchor=""):
+        out.append(
+            f'<text x="{px:.1f}" y="{py:.1f}"{anchor} style="font:{font}" fill="{fill}">'
+            f"{body}</text>"
+        )
+
+    def circle(px, py):
+        out.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="{radius:.1f}" fill="{dot_color}"/>')
+
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
@@ -141,77 +157,35 @@ def render_chart(doc: ChartDocument) -> bytes:
     )
     out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
     if doc.title:
-        out.append(
-            f'<text x="{_fmt(margin)}" y="{_fmt(margin / 2)}" '
-            f'style="font:{st["font"]}" fill="{st["axis_color"]}">{_escape(doc.title)}</text>'
-        )
+        text(margin, margin / 2, _escape(doc.title))
     # grid and tick labels
+    grid = st["grid_color"]
     tick = 1 if (s_hi - s_lo) <= 40 else 2
     for s in range(s_lo, s_hi + 1):
-        out.append(
-            f'<line x1="{_fmt(x(s))}" y1="{_fmt(y(f_lo))}" x2="{_fmt(x(s))}" '
-            f'y2="{_fmt(y(f_hi))}" stroke="{st["grid_color"]}" stroke-width="1"/>'
-        )
+        line(s, f_lo, s, f_hi, grid, "1")
         if (s - s_lo) % tick == 0:
-            out.append(
-                f'<text x="{_fmt(x(s))}" y="{_fmt(y(f_lo) + 16)}" text-anchor="middle" '
-                f'style="font:{st["font"]}" fill="{st["axis_color"]}">{s}</text>'
-            )
+            text(x(s), y(f_lo) + 16, s, anchor=middle)
     for f in range(f_lo, f_hi + 1):
-        out.append(
-            f'<line x1="{_fmt(x(s_lo))}" y1="{_fmt(y(f))}" x2="{_fmt(x(s_hi))}" '
-            f'y2="{_fmt(y(f))}" stroke="{st["grid_color"]}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(x(s_lo) - 10)}" y="{_fmt(y(f) + 3)}" text-anchor="end" '
-            f'style="font:{st["font"]}" fill="{st["axis_color"]}">{f}</text>'
-        )
+        line(s_lo, f, s_hi, f, grid, "1")
+        text(x(s_lo) - 10, y(f) + 3, f, anchor=end)
     # axes
-    out.append(
-        f'<line x1="{_fmt(x(s_lo))}" y1="{_fmt(y(f_lo))}" x2="{_fmt(x(s_hi))}" '
-        f'y2="{_fmt(y(f_lo))}" stroke="{st["axis_color"]}" stroke-width="1.5"/>'
-    )
-    out.append(
-        f'<line x1="{_fmt(x(s_lo))}" y1="{_fmt(y(f_lo))}" x2="{_fmt(x(s_lo))}" '
-        f'y2="{_fmt(y(f_hi))}" stroke="{st["axis_color"]}" stroke-width="1.5"/>'
-    )
+    line(s_lo, f_lo, s_hi, f_lo, axis_color, "1.5")
+    line(s_lo, f_lo, s_lo, f_hi, axis_color, "1.5")
     for name, (s1, f1), (s2, f2) in doc.lines:
-        out.append(
-            f'<line x1="{_fmt(x(s1))}" y1="{_fmt(y(f1))}" x2="{_fmt(x(s2))}" '
-            f'y2="{_fmt(y(f2))}" stroke="{st["line_color"]}" stroke-width="1.2">'
-            f"<title>{_escape(name)}</title></line>"
-        )
+        line(s1, f1, s2, f2, st["line_color"], "1.2", f"><title>{_escape(name)}</title></line>")
     for r, (s1, f1), (s2, f2) in doc.arrows:
         color = st["arrow_colors"].get(r, st["arrow_default"])
-        out.append(
-            f'<line x1="{_fmt(x(s1))}" y1="{_fmt(y(f1))}" x2="{_fmt(x(s2))}" '
-            f'y2="{_fmt(y(f2))}" stroke="{color}" stroke-width="1.4" '
-            'marker-end="url(#tip)"/>'
-        )
-    radius = st["dot_radius"]
+        line(s1, f1, s2, f2, color, "1.4", ' marker-end="url(#tip)"/>')
     for (s, f), (mult, label) in sorted(doc.dots.items()):
         cx, cy = x(s), y(f)
         if mult <= 4:
             for i in range(mult):
-                off = (i - (mult - 1) / 2) * (2.6 * radius)
-                out.append(
-                    f'<circle cx="{_fmt(cx + off)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
-                    f'fill="{st["dot_color"]}"/>'
-                )
+                circle(cx + (i - (mult - 1) / 2) * (2.6 * radius), cy)
         else:
-            out.append(
-                f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
-                f'fill="{st["dot_color"]}"/>'
-            )
-            out.append(
-                f'<text x="{_fmt(cx + 2 * radius)}" y="{_fmt(cy + 3)}" '
-                f'style="font:{st["font"]}" fill="{st["dot_color"]}">x{mult}</text>'
-            )
+            circle(cx, cy)
+            text(cx + 2 * radius, cy + 3, f"x{mult}", dot_color)
         if label:
-            out.append(
-                f'<text x="{_fmt(cx)}" y="{_fmt(cy - 2.5 * radius)}" text-anchor="middle" '
-                f'style="font:{st["font"]}" fill="{st["dot_color"]}">{_escape(label)}</text>'
-            )
+            text(cx, cy - 2.5 * radius, _escape(label), dot_color, middle)
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode("utf-8")
 

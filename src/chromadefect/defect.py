@@ -10,9 +10,11 @@ one, formal inverse witnesses, the closed form of the cyclic fixed
 point defect), and impossibility facts for which no computation exists
 are carried as documented entries, never as computed ones.  A verdict
 and each of its evidence items are plain dicts, the JSON rows that the
-`defect` job (defect_job) writes for the catalogue's table.
+`defect` job (defect_job) writes for the catalogue's table, through the
+stem cap defect_params reads from its flags.
 """
 
+from . import InputError, check_positive
 from .charts import json_bytes
 from .ext import cobar_letters, evenness_scan
 from .fgl import er_defect_witnesses
@@ -31,6 +33,7 @@ __all__ = [
     "verdict_eo",
     "catalogue",
     "defect_job",
+    "defect_params",
     "verdict_table",
 ]
 
@@ -303,6 +306,27 @@ def verdict_table(verdicts) -> str:
             phi, phi_p = str(v["phi"]), str(v["phi_p"])
         lines.append(f"{v['subject']}\t{v['prime']}\t{phi}\t{phi_p}\t{status}")
     return "\n".join(lines) + "\n"
+
+
+# largest defect stem cap: the ko and tmf bounds read the Koszul closed
+# form through the cap, which costs a Poincare series of cap + 2 terms
+# per family, and the cap names the window each bound certifies.  On a
+# 2 vCPU host `python -m chromadefect.cli defect` took 0.07-0.11 s at
+# caps 1, 24 and 1000 without bytecode, 15 MB peak: about 0.07 s of it
+# interpreter start, importing chromadefect.cli 19-24 ms (10th to 90th
+# percentile of 160 fresh processes, CPython 3.11.7, median 20 ms), and
+# `main` 0.8-1.9 ms at caps 1 and 24 and 1.9-3.0 ms at 1000.  The limit
+# is kept as one of the CLI's documented refusals
+MAX_DEFECT_CAP = 1000
+
+
+def defect_params(args):
+    """The `defect` job's params from its flags: the stem cap, refused
+    over MAX_DEFECT_CAP."""
+    stem_cap = check_positive("stem cap", args.cap)
+    if stem_cap > MAX_DEFECT_CAP:
+        raise InputError(f"stem cap {stem_cap} is over the limit {MAX_DEFECT_CAP}")
+    return {"stem_cap": stem_cap}
 
 
 def defect_job(params, payload) -> dict:

@@ -68,14 +68,16 @@ closed form places every class, so it checks that the family has that
 form through the window and reads the stems off it.
 
 The `ext` job (ext_job) writes a chart's TSV, JSON and dot chart
-(chart_from_ext), resolved only through the requested stem.
+(chart_from_ext), resolved only through the requested stem, for the
+params ext_params reads from its flags.
 """
 
 from bisect import bisect_right
 
+from . import InputError, check_positive
 from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
-from .gradedlin import subquotient, vec_combine, vec_from_terms, vec_support
-from .steenrod import Profile, operator_product
+from .gradedlin import check_prime, subquotient, vec_combine, vec_from_terms, vec_support
+from .steenrod import MAX_FAMILY_HEIGHT, Profile, operator_product
 
 __all__ = [
     "ExtChart",
@@ -86,6 +88,8 @@ __all__ = [
     "evenness_scan",
     "cobar_letters",
     "operator_pairs",
+    "ext_params",
+    "window_params",
 ]
 
 
@@ -382,6 +386,64 @@ def chart_from_ext(chart) -> ChartDocument:
             fil_hi = max(fil_hi, s)
     return ChartDocument(f"ext chart {chart.label}", dots, [], [],
                          (0, max(stem_hi, 1)), (0, max(fil_hi, 1)))
+
+
+# operator pairs (a, b) with deg a + deg b <= min(stem_max + 2, t_max),
+# the most products an ext job's resolution can form (operator_pairs
+# and the bound in the module docstring).  Products take most of a
+# large job's time at small s, elimination at large s; memory stays
+# small.  Whole jobs on a 2 vCPU host, two runs each, peak RSS read by a
+# small launcher: A(1) at p = 2 through stem 40, s 20 (64 pairs) took
+# 0.09 s and 15 MB peak, A(2) through stem 40, s 10 (4,096) 0.12-0.15 s
+# and 15 MB, and T(0) through stem 40, s 10 (90,339) 1.3 s and 22 MB.
+# At the largest stem each family admits, with s as large as
+# MAX_EXT_CELLS allows: T(0) at p = 2 through stem 46, s 44 (187,288)
+# took 3.6-4.0 s and 35 MB; T(1) through stem 91, s 32 (188,651)
+# 9.5-11 s and 45 MB; A(3) through stem 52, s 42 (196,059) 4.1-4.5 s and
+# 27 MB; T(0) at p = 3 through stem 120, s 26 (199,991) 3.2-3.8 s and
+# 23 MB; T(1) at p = 3 through stem 318, s 11 (199,556) 5.9-6.4 s and 23 MB.
+# T(0) at p = 2 through stem 87, s 1 (7.7 million) is refused; its
+# resolution alone took 5.2 s and 32 MB in process
+MAX_EXT_OPERATOR_PAIRS = 200_000
+# largest ext window, in cells (s_max + 1) * (t_max + 1), checked before
+# the operator pairs are counted; the job visits every cell
+MAX_EXT_CELLS = 4096
+
+
+def window_params(args):
+    """The prime, height and window every ext and may job reads."""
+    prime = check_prime(args.prime)
+    if args.n < 0:
+        raise InputError(f"height must be nonnegative, got {args.n}")
+    return {
+        "prime": prime,
+        "n": args.n,
+        "stem_max": check_positive("stem cap", args.stem_max),
+        "s_max": check_positive("s cap", args.s_max),
+    }
+
+
+def ext_params(args):
+    """The `ext` job's params from its flags.  Refuse a height over
+    MAX_FAMILY_HEIGHT, a window over MAX_EXT_CELLS cells, then a job
+    whose operator pairs pass MAX_EXT_OPERATOR_PAIRS; bounding the
+    window first keeps the Poincare series short."""
+    params = window_params(args)
+    if args.n > MAX_FAMILY_HEIGHT:
+        raise InputError(f"height {args.n} is over the limit {MAX_FAMILY_HEIGHT}")
+    params["family"] = args.family
+    t_max = args.stem_max + args.s_max
+    cells = (args.s_max + 1) * (t_max + 1)
+    if cells > MAX_EXT_CELLS:
+        raise InputError(f"the Ext window has {cells} cells, over the limit {MAX_EXT_CELLS}")
+    profile = getattr(Profile, args.family)(args.prime, args.n)
+    need = operator_pairs(profile, min(args.stem_max + 2, t_max))
+    if need > MAX_EXT_OPERATOR_PAIRS:
+        raise InputError(
+            f"the resolution may multiply {need} operator pairs, "
+            f"over the limit {MAX_EXT_OPERATOR_PAIRS}"
+        )
+    return params
 
 
 def ext_job(params, payload) -> dict:

@@ -16,17 +16,24 @@ read off by substitution, and the rational solver this module
 replaced are the test suite's oracles for these series.  The ER(n)
 witness solves height h's two series only through degree 2^h + 1,
 which decides its answers whatever its cap, and shares them across
-heights.  The `fgl` job (fgl_job) writes the witness.
+heights.  The `fgl` job (fgl_job) writes the witness for the params
+fgl_params reads from its flags.
 """
 
 from math import gcd
 from operator import mul
 
-from . import InputError
+from . import InputError, check_positive
 from .charts import json_bytes
 from .gradedlin import check_prime
 
-__all__ = ["honda_multiple", "er_defect_witness", "er_defect_witnesses", "fgl_job"]
+__all__ = [
+    "honda_multiple",
+    "er_defect_witness",
+    "er_defect_witnesses",
+    "fgl_job",
+    "fgl_params",
+]
 
 
 def _honda_log_terms(p, n, cap):
@@ -261,6 +268,30 @@ def er_defect_witnesses(caps):
             "lower_bound_ok": deviation[n] == 2**n,
         }
     return reports
+
+
+# largest fgl series cap: admits ER(14) at its default cap 2^14 + 8.
+# The witness solves height h only through degree 2^h + 1, so a job
+# costs the same at any cap its height accepts.  Whole jobs on a 2 vCPU
+# host, peak RSS read by a small launcher: fgl --n 10 took 0.07-0.11 s,
+# --n 12 0.10-0.16 s, --n 13 0.18-0.34 s and --n 14 0.66-1.25 s, each at
+# 15-16 MB peak.  --n 15 took 4.1 s (17 MB), 4-6x --n 14, so a height
+# past 14 is refused before it computes
+MAX_FGL_CAP = 16392
+
+
+def fgl_params(args):
+    """The `fgl` job's params from its flags.  Refuse a cap over
+    MAX_FGL_CAP; fgl_job refuses one too small.  The default cap is
+    resolved here, so spelling it out keys the same cache entry."""
+    n = check_positive("height", args.n)
+    # compare exponents first, so a huge height never builds 2^n
+    if n >= MAX_FGL_CAP.bit_length():
+        raise InputError(f"height {n} needs a cap above 2^{n}, over the limit {MAX_FGL_CAP}")
+    cap = 2**n + 8 if args.cap is None else args.cap
+    if cap > MAX_FGL_CAP:
+        raise InputError(f"cap {cap} is over the limit {MAX_FGL_CAP}")
+    return {"n": n, "cap": cap}
 
 
 def fgl_job(params, payload) -> dict:

@@ -1,11 +1,11 @@
-"""Exact graded linear algebra: prime-field elimination.
+"""Exact graded linear algebra: prime-field elimination on packed
+vectors, a matrix being the list of its rows (see `.modp`).
 
 Canonical abelian group presentations live in `.integers`; only the ko
 chart engine (`ssq`) needs them and imports them from there."""
 
 from . import modp
 from .modp import (
-    PrimeFieldMatrix,
     SubquotientBasis,
     check_prime,
     subquotient,

@@ -5,10 +5,10 @@ i w + w) as a residue 0..p-1, so it has one encoding, hashes as an int,
 and is falsy exactly when it is zero.  At p = 2, w = 1: a bitmask.  At
 odd p a field also has a carry bit, set exactly when the sum of two
 residues reaches p, so one masked subtraction reduces every field of a
-sum at once.  Only this module reads the encoding.  Matrices act on row
-vectors: a matrix M with nrows rows and ncols columns is the map x ->
-x.M from F^nrows to F^ncols, row i being the image of the i-th basis
-vector.
+sum at once.  Only this module reads the encoding.  A matrix is the
+list of its row vectors, with no class around it: M with nrows rows
+and ncols columns is the map x -> x.M from F^nrows to F^ncols, row i
+being the image of the i-th basis vector.
 
 Each field has one elimination kernel, gf2_eliminate by XOR and
 fp_eliminate by packed adds, entered through subquotient.  A row's
@@ -23,7 +23,6 @@ from functools import lru_cache
 from .. import InputError
 
 __all__ = [
-    "PrimeFieldMatrix",
     "SubquotientBasis",
     "check_prime",
     "subquotient",
@@ -229,37 +228,6 @@ def subquotient(p, ncols, images, cycles):
     kept = [i - m for i in pivot_rows if i >= m]
     # the vanished images lead the dependents
     return dependent[:m - len(pivot_rows) + len(kept)], kept
-
-
-class PrimeFieldMatrix:
-    """Row-major matrix over F_p."""
-
-    def __init__(self, p, nrows, ncols, rows):
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
-        self.p = p
-        self.nrows = nrows
-        self.ncols = ncols
-        if len(rows) != nrows:
-            raise ValueError("row count mismatch")
-        self.rows = list(rows)
-
-    @classmethod
-    def from_terms(cls, p, nrows, ncols, terms):
-        """terms: iterable of (row, col, coefficient), with 0 <= row <
-        nrows and 0 <= col < ncols; ValueError for an entry outside."""
-        rows = [[] for _ in range(nrows)]
-        for i, j, c in terms:
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise ValueError(f"entry ({i}, {j}) outside a {nrows} x {ncols} matrix")
-            rows[i].append((j, c))
-        return cls(p, nrows, ncols, [vec_from_terms(p, row) for row in rows])
-
-    def kernel_vectors(self):
-        """Basis of {x in F^nrows : x.M = 0}, the relations among the
-        rows as subquotient gives them: the vector of a vanished row i
-        involves only rows up to i, and ends at i with coefficient 1."""
-        return subquotient(self.p, self.ncols, self.rows, [])[0]
 
 
 class SubquotientBasis:

@@ -39,12 +39,7 @@ import re
 
 from . import InputError
 from .charts import json_bytes
-from .gradedlin import (
-    PrimeFieldMatrix,
-    SubquotientBasis,
-    check_prime,
-    vec_support,
-)
+from .gradedlin import SubquotientBasis, check_prime, subquotient, vec_from_terms, vec_support
 from .steenrod import MAX_FAMILY_HEIGHT, Profile, elt_add_term
 
 __all__ = [
@@ -53,10 +48,12 @@ __all__ = [
     "is_free_over",
     "margolis_homology",
     "margolis_job",
+    "margolis_params",
     "operator_degree",
     "parse_operator",
     "subalgebra_dimension",
     "subalgebra_operators",
+    "total_dimension",
 ]
 
 
@@ -209,23 +206,24 @@ class FiniteSteenrodModule:
         return None
 
     def operator_matrix(self, op, degree, power=1):
-        """Matrix of the power-fold composite of op out of the degree
-        slice, rows following slice order."""
+        """Rows of the power-fold composite of op out of the degree
+        slice, one vector over the target slice per source element, in
+        slice order; ValueError for an image outside the target slice."""
         self._table(op)
         step = operator_degree(self.p, op) * power
-        src = self.slice_names(degree)
         tgt = self.slice_names(degree + step)
         pos = {n: j for j, n in enumerate(tgt)}
-        terms = []
-        for i, name in enumerate(src):
+        rows = []
+        for name in self.slice_names(degree):
             v = {name: 1}
             for _ in range(power):
                 v = self.act(op, v)
                 if not v:
                     break
-            for t, coef in v.items():
-                terms.append((i, pos[t], coef))
-        return PrimeFieldMatrix.from_terms(self.p, len(src), len(tgt), terms)
+            if not v.keys() <= pos.keys():
+                raise ValueError(f"{op} maps {name} outside degree {degree + step}")
+            rows.append(vec_from_terms(self.p, [(pos[t], coef) for t, coef in v.items()]))
+        return rows
 
     # serialization -----------------------------------------------------
 
@@ -291,8 +289,9 @@ def margolis_homology(module, op):
     classes = {}
     for d in module.degrees():
         cur = module.slice_names(d)
-        kernel = module.operator_matrix(op, d).kernel_vectors()
-        image = module.operator_matrix(op, d - step * (k - 1), power=k - 1).rows
+        width = len(module.slice_names(d + step))
+        kernel = subquotient(p, width, module.operator_matrix(op, d), [])[0]
+        image = module.operator_matrix(op, d - step * (k - 1), power=k - 1)
         reps = SubquotientBasis(p, len(cur), image, kernel).reps
         if reps:
             classes[d] = [{cur[i]: c for i, c in vec_support(p, rep)} for rep in reps]
@@ -320,7 +319,7 @@ def family_margolis_indices(profile):
     at p = 2 and has vanishing p-th power at odd primes.  tau_ops lists
     the exterior indices (odd primes), whose operations square to zero.
     """
-    if profile.total_dimension() is None:
+    if total_dimension(profile) is None:
         raise ValueError("family must be finite")
     xi_ops = []
     for i, h in enumerate(profile.heights):
@@ -351,8 +350,24 @@ def subalgebra_operators(p, kind, level):
     return out
 
 
+def total_dimension(profile):
+    """Dimension of a family when it is finite, else None."""
+    if profile.tail is None:
+        return None
+    if profile.p != 2 and profile.tau == "all":
+        return None
+    total = 1
+    for h in profile.heights:
+        if h is None:
+            return None
+        total *= profile.p**h
+    if profile.p != 2:
+        total *= 2 ** len(profile.tau)
+    return total
+
+
 def subalgebra_dimension(p, kind, level):
-    return getattr(Profile, kind)(p, level).total_dimension()
+    return total_dimension(getattr(Profile, kind)(p, level))
 
 
 def is_free_over(module, subalgebra):
@@ -396,6 +411,12 @@ def is_free_over(module, subalgebra):
         "homology": homology,
         "witness": witness,
     }
+
+
+def margolis_params(args):
+    """The `margolis` job's params from its flags: the subalgebra name,
+    which margolis_job checks with the module."""
+    return {"subalgebra": args.subalgebra}
 
 
 def margolis_job(params, payload) -> dict:

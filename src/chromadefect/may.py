@@ -33,8 +33,10 @@ Trusted range: E2 trusts one stem and one s less than E1, because
 boundaries can enter from just outside the window.
 """
 
+from . import InputError
 from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
-from .gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms, vec_support
+from .ext import window_params
+from .gradedlin import SubquotientBasis, subquotient, vec_from_terms, vec_support
 from .steenrod import Profile, elt_add_term
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "may_e1",
     "may_e2",
     "may_job",
+    "may_params",
     "monomial_string",
     "page_tsv",
     "trusted",
@@ -338,7 +341,7 @@ def may_e2(e1):
             kernel = [vec_from_terms(p, [(k, 1)]) for k in range(dim)]
         else:
             tgt_dim = len(e1["classes"][(stem - 1, s + 1)])
-            kernel = PrimeFieldMatrix(p, dim, tgt_dim, out_rows).kernel_vectors()
+            kernel = subquotient(p, tgt_dim, out_rows, [])[0]
 
         def lead(vec):
             # may_e1 sorted monos by (weight, string): the lowest
@@ -391,6 +394,32 @@ def chart_from_may_page(page) -> ChartDocument:
         (0, page["s_cap"]),
         arrow_rule="filtration-step",
     )
+
+
+# largest may E1 page, in window cells plus monomials; each cell and
+# each monomial is an object the pages keep.  The whole job, E1 and E2
+# in every format, on a 2 vCPU host (14 runs each): p = 2, n = 1, stem
+# 60, s 16 (1,037 cells, 46,418 monomials) took 1.2-2.4 s and 42 MB
+# peak; p = 3, n = 0, stem 185, s 10 (2,046 cells, 57,858 monomials),
+# 2.1-3.7 s and 50 MB, E2 0.3-0.4 s of it; p = 5, n = 1, stem 9999, s 4
+# (50,000 cells, 2,999 monomials), 0.3-0.5 s and 32 MB
+MAX_MAY_E1_SIZE = 60_000
+
+
+def may_params(args):
+    """The `may` job's params from its flags.  Refuse a page over
+    MAX_MAY_E1_SIZE window cells plus E1 monomials, bounding the window
+    before counting monomials in it."""
+    params = window_params(args)
+    cells = (args.stem_max + 1) * (args.s_max + 1)
+    if cells > MAX_MAY_E1_SIZE:
+        raise InputError(f"the E1 window has {cells} cells, over the limit {MAX_MAY_E1_SIZE}")
+    size = cells + e1_monomial_count(args.n, params["prime"], args.stem_max, args.s_max)
+    if size > MAX_MAY_E1_SIZE:
+        raise InputError(
+            f"the E1 page has {size} cells and monomials, over the limit {MAX_MAY_E1_SIZE}"
+        )
+    return params
 
 
 def may_job(params, payload) -> dict:

@@ -291,21 +291,6 @@ class Profile:
                 dims[k] += dims[k - d]
         return dims
 
-    def total_dimension(self):
-        """Dimension when the family is finite, else None."""
-        if self.tail is None:
-            return None
-        if self.p != 2 and self.tau == "all":
-            return None
-        total = 1
-        for i, h in enumerate(self.heights):
-            if h is None:
-                return None
-            total *= self.p**h
-        if self.p != 2:
-            total *= 2 ** len(self.tau)
-        return total
-
     def __repr__(self):
         return self.label or (
             f"Profile(p={self.p}, heights={self.heights}, tail={self.tail})"

@@ -6,11 +6,12 @@ comodule is built degree by degree as the kernel of the cotensor
 condition, and change_of_rings_check compares the two Ext charts.
 """
 
-from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
+from chromadefect.gradedlin import vec_from_terms, vec_support
 from chromadefect.steenrod import elt_add_term
 
 from oracles.cobar import Comodule, ext_ranks
 from oracles.diagonal import allows, coproduct, monomials
+from oracles.linalg import PrimeFieldMatrix
 
 
 def _le(a, b):

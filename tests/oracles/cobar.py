@@ -27,11 +27,11 @@ the products one filtration below; the two name the same classes.
 """
 
 from chromadefect.ext import ExtChart, _multiset_name, cobar_letters
-from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms
+from chromadefect.gradedlin import vec_from_terms
 from chromadefect.steenrod import elt_add_term
 
 from oracles.diagonal import DualMonomial, allows, coproduct, monomials, reduced_coproduct
-from oracles.linalg import rank, residue
+from oracles.linalg import PrimeFieldMatrix, rank, residue
 
 
 class Comodule:

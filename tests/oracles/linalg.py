@@ -1,12 +1,45 @@
-"""Vector arithmetic over F_p through the package's vec_from_terms and
-vec_support, for checking eliminations by substitution; the index of a
-vector's last entry; the rank of a matrix and the residue of a vector
-modulo its row space, read off the package's elimination kernels;
-converters to and from dense residue tuples; and a dense elimination on
-residue tuples, kept as an oracle for the package's packed one."""
+"""A matrix type over F_p, PrimeFieldMatrix, which the package left
+for plain lists of row vectors; vector arithmetic over F_p through the
+package's vec_from_terms and vec_support, for checking eliminations by
+substitution; the index of a vector's last entry; the rank of a matrix
+and the residue of a vector modulo its row space, read off the
+package's elimination kernels; converters to and from dense residue
+tuples; and a dense elimination on residue tuples, kept as an oracle
+for the package's packed one."""
 
-from chromadefect.gradedlin import vec_from_terms, vec_support
+from chromadefect.gradedlin import subquotient, vec_from_terms, vec_support
 from chromadefect.gradedlin.modp import fp_eliminate, gf2_eliminate
+
+
+class PrimeFieldMatrix:
+    """Row-major matrix over F_p."""
+
+    def __init__(self, p, nrows, ncols, rows):
+        if p < 2:
+            raise ValueError("p must be a prime >= 2")
+        self.p = p
+        self.nrows = nrows
+        self.ncols = ncols
+        if len(rows) != nrows:
+            raise ValueError("row count mismatch")
+        self.rows = list(rows)
+
+    @classmethod
+    def from_terms(cls, p, nrows, ncols, terms):
+        """terms: iterable of (row, col, coefficient), with 0 <= row <
+        nrows and 0 <= col < ncols; ValueError for an entry outside."""
+        rows = [[] for _ in range(nrows)]
+        for i, j, c in terms:
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError(f"entry ({i}, {j}) outside a {nrows} x {ncols} matrix")
+            rows[i].append((j, c))
+        return cls(p, nrows, ncols, [vec_from_terms(p, row) for row in rows])
+
+    def kernel_vectors(self):
+        """Basis of {x in F^nrows : x.M = 0}, the relations among the
+        rows as subquotient gives them: the vector of a vanished row i
+        involves only rows up to i, and ends at i with coefficient 1."""
+        return subquotient(self.p, self.ncols, self.rows, [])[0]
 
 
 def eliminate(mat):

@@ -21,6 +21,7 @@ from chromadefect.margolis import (
     operator_degree,
     parse_operator,
     subalgebra_operators,
+    total_dimension,
 )
 from chromadefect.steenrod import Profile
 
@@ -47,7 +48,7 @@ def operator_basis(profile):
     height's cap, times every subset of the surviving tau indices."""
     if profile.even_only:
         raise ValueError("even-only families have no separate operator basis here")
-    dim = profile.total_dimension()
+    dim = total_dimension(profile)
     if dim is None:
         raise ValueError("family must be finite")
     p = profile.p

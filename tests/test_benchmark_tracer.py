@@ -2,7 +2,9 @@
 
 benchmark/layers.py wraps engine functions by name from outside the
 package.  A function or method that the package no longer defines is
-recorded as missing, and its layer reads 0.  Two removals break
+recorded as missing, and its layer reads 0; a gone class's ordinary
+method is too (`PrimeFieldMatrix.rank` and `.kernel_vectors`, since
+that class moved to tests/oracles/linalg.py).  Two removals break
 `Tracer.install` itself instead, and every traced benchmark job with
 it.  A target module that no longer exists makes `import_module` raise
 `ModuleNotFoundError`: `chromadefect.gradedlin.integers` must stay while

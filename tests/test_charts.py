@@ -1,10 +1,13 @@
-"""Tests for chart documents and the JSON artifact writer.
+"""Tests for chart documents, the SVG writer and the JSON artifact writer.
 
 Oracles: `json.dumps(obj, indent=1, sort_keys=True) + "\\n"`, the
 encoding every artifact had before `charts.json_bytes` wrote it in one
 pass (oracles/json_artifact.py), compared byte for byte on random
-nested values and on every committed golden JSON file; and the
-invariants `ChartDocument` states in its docstring, each broken once.
+nested values and on every committed golden JSON file; the SVG writer
+before `render_chart` drew each element kind with one helper
+(oracles/svg_chart.py), compared byte for byte on random chart
+documents; and the invariants `ChartDocument` states in its docstring,
+each broken once.
 """
 
 import json
@@ -15,8 +18,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromadefect.charts import ChartDocument, json_bytes
+from chromadefect.charts import ARROW_RULES, ChartDocument, json_bytes, render_chart
 from oracles.json_artifact import json_bytes as stdlib_json_bytes
+from oracles.svg_chart import render_chart as reference_render_chart
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_JSON = sorted(GOLDEN_DIR.glob("**/*.json"))
@@ -88,6 +92,57 @@ class TestJsonBytes:
         # so the writer refuses them by name
         with pytest.raises(TypeError, match=f"cannot encode a {name}"):
             json_bytes(value)
+
+
+# titles, labels and line names, with every character the SVG escapes
+SVG_TEXT = st.text(st.sampled_from('&<>"ah0 é'), max_size=6)
+
+
+@st.composite
+def chart_documents(draw):
+    """A valid ChartDocument: negative stems and filtrations, up to 48
+    stems (so the tick step is 2 past 40), multiplicities 1-7, arrows
+    d1-d5 under either rule, each endpoint made a dot."""
+    rule = draw(st.sampled_from(ARROW_RULES))
+    s_lo = draw(st.integers(-12, 4))
+    s_hi = s_lo + draw(st.integers(0, 48))
+    f_lo = draw(st.integers(-3, 3))
+    f_hi = f_lo + draw(st.integers(0, 10))
+    spot = st.tuples(st.integers(s_lo, s_hi), st.integers(f_lo, f_hi))
+    dot = st.tuples(st.integers(1, 7), SVG_TEXT)
+    dots = draw(st.dictionaries(spot, dot, max_size=12))
+    arrows = []
+    for r, src in draw(st.lists(st.tuples(st.integers(1, 5), spot), max_size=6)):
+        tgt = (src[0] - 1, src[1] + (1 if rule == "filtration-step" else r))
+        for key in (src, tgt):
+            if key not in dots:
+                dots[key] = draw(dot)
+        arrows.append((r, src, tgt))
+    lines = []
+    if dots:
+        ends = st.sampled_from(sorted(dots))
+        lines = draw(st.lists(st.tuples(SVG_TEXT, ends, ends), max_size=6))
+    title = draw(SVG_TEXT)
+    return ChartDocument(title, dots, lines, arrows, (s_lo, s_hi), (f_lo, f_hi), rule)
+
+
+class TestRenderChart:
+    @settings(max_examples=200, deadline=None)
+    @given(chart_documents())
+    def test_matches_the_reference(self, doc):
+        assert render_chart(doc) == reference_render_chart(doc)
+
+    def test_every_branch_matches_the_reference(self):
+        # 45 stems from -3, every multiplicity, coloured and default
+        # arrows under each rule, and text that needs every escape
+        dots = {(s, 0): (s % 7 + 1, '&<>"' * (s % 2)) for s in range(-3, 42)}
+        for rule, targets in [("page-step", range(1, 6)), ("filtration-step", [1] * 5)]:
+            dots.update({(s - 1, f): (2, "t") for s, f in zip(range(1, 6), targets)})
+            arrows = [(r, (r, 0), (r - 1, f)) for r, f in zip(range(1, 6), targets)]
+            doc = ChartDocument('a & <b> "c"', dots, [('h"<1>&', (0, 0), (1, 0))], arrows,
+                                (-3, 42), (-1, 6), rule)
+            assert "x7</text>" in render_chart(doc).decode()
+            assert render_chart(doc) == reference_render_chart(doc)
 
 
 DOTS = {(0, 0): (1, "1"), (0, 1): (1, "h0"), (1, 0): (2, "")}

@@ -3,8 +3,9 @@ entry point.
 
 Every GOLDEN argv and every spelling below must give `cli.parse_args`
 the namespace the argparse oracle gives; every refusal below must make
-the oracle exit 2 and `cli.main` return 2 with nothing written.  The
-entry point runs as `python -m chromadefect.cli` in a fresh interpreter,
+the oracle exit 2 and `cli.main` return 2 with nothing written.  Every
+row of the table names its job and its flags reader in one engine
+module, `<engine>.<x>_job` and `<engine>.<x>_params`.  The entry point runs as `python -m chromadefect.cli` in a fresh interpreter,
 so `main()` reads sys.argv itself, and its imports are listed by
 `-X importtime`.  The import surface is read in a fresh interpreter as
 the modules a job adds to those `site` had already loaded.
@@ -14,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,17 @@ def test_refused_like_argparse(argv, tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand", list(cli.SUBCOMMANDS))
+def test_row_names_a_job_and_its_reader_in_one_engine(subcommand):
+    row = cli.SUBCOMMANDS[subcommand]
+    engine, _, job = row.job.partition(".")
+    reader_engine, _, reader = row.params.partition(".")
+    assert reader_engine == engine and job.endswith("_job")
+    assert reader == job.removesuffix("_job") + "_params"
+    module = import_module(f"chromadefect.{engine}")
+    assert callable(getattr(module, job)) and callable(getattr(module, reader))
 
 
 def entry(tmp_path, *argv, via=("-X", "importtime", "-m", "chromadefect.cli")):

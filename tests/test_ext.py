@@ -44,14 +44,14 @@ from chromadefect.ext import (
     ext_ranks,
     operator_pairs,
 )
-from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms, vec_support
+from chromadefect.gradedlin import vec_from_terms, vec_support
 from chromadefect.steenrod import Profile, operator_product
 
 from oracles.change_of_rings import change_of_rings_check
 from oracles.cobar import CobarComplex, Comodule, _letter_products, cobar_dims
 from oracles.cobar import ext_ranks as cobar_ext_ranks
 from oracles.diagonal import DualMonomial, allows, monomials, reduced_coproduct, tau_gen, xi_gen
-from oracles.linalg import row_action
+from oracles.linalg import PrimeFieldMatrix, row_action
 from oracles.modules import coalgebra_self, comodule_suspend
 
 

@@ -36,7 +36,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromadefect.gradedlin import (
-    PrimeFieldMatrix,
     SubquotientBasis,
     check_prime,
     modp,
@@ -49,6 +48,7 @@ from chromadefect.gradedlin.integers import AbelianGroupPresentation
 from chromadefect.gradedlin.modp import fp_eliminate
 
 from oracles.linalg import (
+    PrimeFieldMatrix,
     dense,
     dense_eliminate,
     dense_residue,

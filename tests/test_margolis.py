@@ -42,7 +42,7 @@ from chromadefect.margolis import (
 from chromadefect.steenrod import Profile
 
 from oracles.cobar import Comodule, ext_ranks
-from oracles.linalg import rank
+from oracles.linalg import PrimeFieldMatrix, rank
 from oracles.cofree import cofree_decompose, dual_module
 from oracles.modules import (
     coalgebra_self,
@@ -577,10 +577,14 @@ def _assert_same_up_to_shift(dual, alg, shift):
         assert not margolis_homology(dual, op)
         assert not margolis_homology(alg, op)
         for d in alg.degrees():
-            assert (
-                rank(dual.operator_matrix(op, d - shift))
-                == rank(alg.operator_matrix(op, d))
-            )
+            assert operator_rank(dual, op, d - shift) == operator_rank(alg, op, d)
+
+
+def operator_rank(module, op, degree):
+    """Rank of op out of the degree slice of a module."""
+    rows = module.operator_matrix(op, degree)
+    width = len(module.slice_names(degree + operator_degree(module.p, op)))
+    return rank(PrimeFieldMatrix(module.p, len(rows), width, rows))
 
 
 class TestComoduleCrossOracle:

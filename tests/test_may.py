@@ -19,7 +19,7 @@ import pytest
 
 from chromadefect import cli, may
 from chromadefect.ext import ext_ranks
-from chromadefect.gradedlin import PrimeFieldMatrix, SubquotientBasis, vec_from_terms, vec_support
+from chromadefect.gradedlin import SubquotientBasis, vec_from_terms, vec_support
 from chromadefect.may import (
     d1_element,
     d1_table,
@@ -41,6 +41,7 @@ from chromadefect.may import (
 from chromadefect.steenrod import Profile
 
 from oracles.cobar import Comodule, ext_ranks as cobar_ext_ranks
+from oracles.linalg import PrimeFieldMatrix
 
 H = lambda i, j: ("h", i, j)
 A = lambda i: ("a", i, None)

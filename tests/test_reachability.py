@@ -11,26 +11,37 @@ group per planned change that takes them as its main path or replaces
 them; no group is left, so EXEMPT is empty.  An exempt function that a
 job enters fails the test too, so a group shrinks as soon as its code
 gets a path.
-A second test holds every package module's `__all__` to names the
-module defines, so a deleted function leaves no stale export.
+A second test holds the eager import to the eager jobs: every
+function in the modules `import chromadefect.cli` loads, read in a
+fresh interpreter, must be entered by the ext, fgl and defect GOLDEN
+argvs alone, save the names in EAGER_UNREACHED.  Code that only the
+lazy may, margolis and ko-ss jobs run belongs in their engines, so no
+other job compiles it.  A third test holds every package module's
+`__all__` to names the module defines, so a deleted function leaves no
+stale export.
 """
 
 import ast
 import contextlib
 import importlib
 import io
+import json
 import sys
 from pathlib import Path
 
 from chromadefect import cli
 
 from test_cli import GOLDEN
+from test_cli_flags import EAGER, IMPORTS_OF, entry
 
 SRC = Path(cli.__file__).resolve().parent
 
 # Exemptions name a function, a class (all its methods) or an outer
 # function (all its nested functions).
 EXEMPT = set()
+# eager functions that no eager job enters: steenrod's sparse term
+# accumulator, which the may and margolis engines share
+EAGER_UNREACHED = {"steenrod.py:elt_add_term"}
 
 
 def dunder(name):
@@ -83,13 +94,17 @@ def entered_during(jobs):
     return seen
 
 
-def test_every_package_function_is_reached(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
+def clear_package_caches():
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "chromadefect":
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+
+
+def test_every_package_function_is_reached(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
+    clear_package_caches()
 
     def jobs():
         for name, argv in GOLDEN.items():
@@ -114,6 +129,32 @@ def test_every_package_function_is_reached(tmp_path, monkeypatch):
         e for e in EXEMPT if e not in names and not any(n.startswith(e + ".") for n in names)
     )
     assert not stale, f"exempt names that are not defined: {stale}"
+
+
+def test_eager_import_compiles_only_eager_code(tmp_path):
+    done = entry(tmp_path, via=("-c", IMPORTS_OF))
+    assert done.returncode == 0, done.stderr
+    added = json.loads(done.stdout.splitlines()[-1])[1]
+    assert EAGER <= set(added)
+    eager = {
+        str(Path(importlib.import_module(name).__file__).resolve())
+        for name in added
+        if name.split(".")[0] == "chromadefect"
+    }
+    clear_package_caches()
+
+    def jobs():
+        for name, argv in GOLDEN.items():
+            if argv[0] in ("ext", "fgl", "defect"):
+                assert cli.main([*argv, "--no-cache", "--out", str(tmp_path / name)]) == 0
+
+    seen = {(str(Path(f).resolve()), line) for f, line in entered_during(jobs)}
+    missed = sorted(
+        name
+        for where, name in defined_functions().items()
+        if where[0] in eager and where not in seen and not dunder(name)
+    )
+    assert missed == sorted(EAGER_UNREACHED), "eager functions no eager job enters"
 
 
 def test_every_export_is_defined():

@@ -45,11 +45,12 @@ from chromadefect.ssq import (
 )
 
 from chromadefect.ext import Resolution, cobar_letters
-from chromadefect.gradedlin import PrimeFieldMatrix, vec_from_terms
+from chromadefect.gradedlin import vec_from_terms
+from chromadefect.gradedlin.integers import AbelianGroupPresentation
 from chromadefect.steenrod import Profile
 
 from oracles.ko_compare import compare_maps
-from oracles.linalg import rank
+from oracles.linalg import PrimeFieldMatrix, rank
 
 WIDE = (-16, 20, -8, 20)
 
@@ -473,6 +474,27 @@ class TestTsv:
         a = page_tsv(run_d1(build_e1("laurent", (-6, 6, -6, 6))))
         b = page_tsv(run_d1(build_e1("laurent", (-6, 6, -6, 6))))
         assert a == b
+
+    def test_one_group_per_order(self, monkeypatch):
+        # a page's rows share one presentation per group order
+        built = []
+
+        class Counted(AbelianGroupPresentation):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(repr(self))
+
+        monkeypatch.setattr(ssq, "AbelianGroupPresentation", Counted)
+        ssq._group_of_order.cache_clear()
+        try:
+            for variant in ssq.VARIANTS:
+                e2 = run_d1(build_e1(variant, WIDE))
+                for page in (e2, run_d3(e2)):
+                    rows = page_tsv(page).splitlines()[1:]
+                    assert len(rows) == len(page["cells"]) > 3 * len(built)
+        finally:
+            ssq._group_of_order.cache_clear()
+        assert sorted(built) == ["0", "Z", "Z/2"]
 
 
 class TestDifferentialSources:
