@@ -32,11 +32,11 @@ from .cli import CACHE_ENV, _write_artifacts
 __all__ = ["key", "cache_load", "cache_store"]
 
 
-def key(cfg) -> str:
-    """The cache key of the JobConfig cfg."""
-    config = {"subcommand": cfg.subcommand, "params": cfg.params}
+def key(subcommand, params, payload) -> str:
+    """The cache key of a job: its subcommand, params and payload."""
+    config = {"subcommand": subcommand, "params": params}
     blob = "\n".join([json.dumps(config, sort_keys=True, separators=(",", ":")),
-                      json.dumps(cfg.payload, separators=(",", ":")),
+                      json.dumps(payload, separators=(",", ":")),
                       _engine_fingerprint()])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -2,14 +2,16 @@
 
 A chart is dots on the (stem, filtration) plane with optional
 structure lines (multiplication by a named class of stem 1) and
-differential arrows.  Documents are built from recomputed engine data,
-exported to TSV and rendered; every code path keeps a fixed element
-order and fixed numeric formatting so the same document always produces
-the same bytes.  This module holds the document type, its TSV and SVG
-writers and `json_bytes`, the one JSON artifact encoding every job
-shares.  Each chart builder sits beside the engine it draws, so a job
-loads only its own: ext.chart_from_ext, may.chart_from_may_page and
-ssq.chart_from_snapshot.
+differential arrows.  A document is a plain dict that chart_document
+checks and returns; each chart builder passes its chart through it
+once, before anything is drawn.  Documents are built from recomputed
+engine data, exported to TSV and rendered; every code path keeps a
+fixed element order and fixed numeric formatting so the same document
+always produces the same bytes.  This module holds chart_document, the
+TSV and SVG writers and `json_bytes`, the one JSON artifact encoding
+every job shares.  Each chart builder sits beside the engine it draws,
+so a job loads only its own: ext.chart_from_ext, may.chart_from_may_page
+and ssq.chart_from_snapshot.
 
 `json_bytes` writes exactly the bytes of
 `json.dumps(obj, indent=1, sort_keys=True) + "\\n"` (the reference kept
@@ -23,7 +25,7 @@ which took about a sixth of a `defect --cap 24` job.
 from json.encoder import encode_basestring_ascii
 
 __all__ = [
-    "ChartDocument",
+    "chart_document",
     "chart_to_tsv",
     "json_bytes",
     "render_chart",
@@ -32,65 +34,57 @@ __all__ = [
 ARROW_RULES = ("page-step", "filtration-step")
 
 
-class ChartDocument:
-    """Dots, structure lines, and differential arrows over fixed axes.
+def chart_document(title, dots, lines, arrows, stem_range, fil_range,
+                   arrow_rule="page-step") -> dict:
+    """A checked chart document: dots, structure lines and differential
+    arrows over fixed axes, as the dict chart_to_tsv and render_chart
+    read, its keys this function's arguments.
 
-    dots: {(stem, fil): (multiplicity, label)}; lines: (name, source,
-    target); arrows: (r, source, target).  Arrow targets obey the shift
-    policy: "page-step" moves (stem - 1, fil + r), "filtration-step"
-    moves (stem - 1, fil + 1) for every r.  Both endpoints of every
-    line and arrow must be dots.
+    dots: {(stem, fil): (multiplicity, label)}, copied; lines: (name,
+    source, target) and arrows: (r, source, target), each sorted.  Arrow
+    targets obey the shift policy: "page-step" moves (stem - 1, fil + r),
+    "filtration-step" moves (stem - 1, fil + 1) for every r.  Both
+    endpoints of every line and arrow must be dots.  Raises ValueError
+    for a chart that breaks any of these, or with an empty axis range.
     """
-
-    __slots__ = ("title", "dots", "lines", "arrows", "stem_range", "fil_range", "arrow_rule")
-
-    def __init__(self, title, dots, lines, arrows, stem_range, fil_range,
-                 arrow_rule="page-step"):
-        if arrow_rule not in ARROW_RULES:
-            raise ValueError(f"arrow_rule must be one of {ARROW_RULES}")
-        if stem_range[0] > stem_range[1] or fil_range[0] > fil_range[1]:
-            raise ValueError("axis ranges must be nonempty")
-        self.title = title
-        self.dots = dict(dots)
-        self.lines = sorted(lines)
-        self.arrows = sorted(arrows)
-        self.stem_range = tuple(stem_range)
-        self.fil_range = tuple(fil_range)
-        self.arrow_rule = arrow_rule
-        for key, (mult, _label) in self.dots.items():
-            if mult < 1:
-                raise ValueError(f"dot {key} has multiplicity {mult}")
-        for name, src, tgt in self.lines:
-            if src not in self.dots or tgt not in self.dots:
-                raise ValueError(f"line {name} at {src} has a dangling endpoint")
-        for r, src, tgt in self.arrows:
-            if src not in self.dots or tgt not in self.dots:
-                raise ValueError(f"arrow d{r} at {src} has a dangling endpoint")
-            step = 1 if self.arrow_rule == "filtration-step" else r
-            if tgt != (src[0] - 1, src[1] + step):
-                raise ValueError(f"arrow d{r} at {src} violates the bidegree shift")
-
-    def __repr__(self):
-        return (
-            f"ChartDocument({self.title!r}: {len(self.dots)} dots, "
-            f"{len(self.lines)} lines, {len(self.arrows)} arrows)"
-        )
+    if arrow_rule not in ARROW_RULES:
+        raise ValueError(f"arrow_rule must be one of {ARROW_RULES}")
+    if stem_range[0] > stem_range[1] or fil_range[0] > fil_range[1]:
+        raise ValueError("axis ranges must be nonempty")
+    dots = dict(dots)
+    lines = sorted(lines)
+    arrows = sorted(arrows)
+    for key, (mult, _label) in dots.items():
+        if mult < 1:
+            raise ValueError(f"dot {key} has multiplicity {mult}")
+    for name, src, tgt in lines:
+        if src not in dots or tgt not in dots:
+            raise ValueError(f"line {name} at {src} has a dangling endpoint")
+    for r, src, tgt in arrows:
+        if src not in dots or tgt not in dots:
+            raise ValueError(f"arrow d{r} at {src} has a dangling endpoint")
+        step = 1 if arrow_rule == "filtration-step" else r
+        if tgt != (src[0] - 1, src[1] + step):
+            raise ValueError(f"arrow d{r} at {src} violates the bidegree shift")
+    return {"title": title, "dots": dots, "lines": lines, "arrows": arrows,
+            "stem_range": tuple(stem_range), "fil_range": tuple(fil_range),
+            "arrow_rule": arrow_rule}
 
 
-def chart_to_tsv(doc: ChartDocument) -> str:
+def chart_to_tsv(doc) -> str:
     """Typed-row TSV encoding of a chart document."""
     lines = [
-        f"# chart\t{doc.title}",
-        f"# stems\t{doc.stem_range[0]}\t{doc.stem_range[1]}",
-        f"# filtrations\t{doc.fil_range[0]}\t{doc.fil_range[1]}",
-        f"# arrow-rule\t{doc.arrow_rule}",
+        f"# chart\t{doc['title']}",
+        f"# stems\t{doc['stem_range'][0]}\t{doc['stem_range'][1]}",
+        f"# filtrations\t{doc['fil_range'][0]}\t{doc['fil_range'][1]}",
+        f"# arrow-rule\t{doc['arrow_rule']}",
         "kind\tname\tstem\tfil\tstem2\tfil2\tmult\tlabel",
     ]
-    for (s, f), (mult, label) in sorted(doc.dots.items()):
+    for (s, f), (mult, label) in sorted(doc["dots"].items()):
         lines.append(f"dot\t-\t{s}\t{f}\t-\t-\t{mult}\t{label}")
-    for name, (s, f), (s2, f2) in doc.lines:
+    for name, (s, f), (s2, f2) in doc["lines"]:
         lines.append(f"line\t{name}\t{s}\t{f}\t{s2}\t{f2}\t-\t")
-    for r, (s, f), (s2, f2) in doc.arrows:
+    for r, (s, f), (s2, f2) in doc["arrows"]:
         lines.append(f"arrow\t{r}\t{s}\t{f}\t{s2}\t{f2}\t-\t")
     return "\n".join(lines) + "\n"
 
@@ -109,15 +103,15 @@ DEFAULT_STYLE = {
 }
 
 
-def render_chart(doc: ChartDocument) -> bytes:
+def render_chart(doc) -> bytes:
     """Deterministic standalone SVG for a chart document."""
     st = DEFAULT_STYLE
     unit = st["unit"]
     margin = st["margin"]
     radius = st["dot_radius"]
     font, axis_color, dot_color = st["font"], st["axis_color"], st["dot_color"]
-    s_lo, s_hi = doc.stem_range
-    f_lo, f_hi = doc.fil_range
+    s_lo, s_hi = doc["stem_range"]
+    f_lo, f_hi = doc["fil_range"]
     width = 2 * margin + (s_hi - s_lo) * unit
     height = 2 * margin + (f_hi - f_lo) * unit
     middle, end = ' text-anchor="middle"', ' text-anchor="end"'
@@ -156,8 +150,8 @@ def render_chart(doc: ChartDocument) -> bytes:
         f'fill="{st["arrow_default"]}"/></marker></defs>'
     )
     out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
-    if doc.title:
-        text(margin, margin / 2, _escape(doc.title))
+    if doc["title"]:
+        text(margin, margin / 2, _escape(doc["title"]))
     # grid and tick labels
     grid = st["grid_color"]
     tick = 1 if (s_hi - s_lo) <= 40 else 2
@@ -171,12 +165,12 @@ def render_chart(doc: ChartDocument) -> bytes:
     # axes
     line(s_lo, f_lo, s_hi, f_lo, axis_color, "1.5")
     line(s_lo, f_lo, s_lo, f_hi, axis_color, "1.5")
-    for name, (s1, f1), (s2, f2) in doc.lines:
+    for name, (s1, f1), (s2, f2) in doc["lines"]:
         line(s1, f1, s2, f2, st["line_color"], "1.2", f"><title>{_escape(name)}</title></line>")
-    for r, (s1, f1), (s2, f2) in doc.arrows:
+    for r, (s1, f1), (s2, f2) in doc["arrows"]:
         color = st["arrow_colors"].get(r, st["arrow_default"])
         line(s1, f1, s2, f2, color, "1.4", ' marker-end="url(#tip)"/>')
-    for (s, f), (mult, label) in sorted(doc.dots.items()):
+    for (s, f), (mult, label) in sorted(doc["dots"].items()):
         cx, cy = x(s), y(f)
         if mult <= 4:
             for i in range(mult):

@@ -49,32 +49,13 @@ from types import SimpleNamespace
 from . import InputError, defect, ext, fgl  # noqa: F401  (the eager engines)
 from .steenrod import MAX_FAMILY_HEIGHT
 
-__all__ = ["JobConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 CACHE_ENV = "CHROMADEFECT_CACHE"
 FORMATS = ("tsv", "json", "svg")
-
-
-class JobConfig:
-    """One validated CLI job.
-
-    `params` and `payload` (the JSON --input names) hold everything that
-    can change the artifact bytes; everything that cannot (output
-    directory, cache toggle) stays out, so the cache key never splits
-    on plumbing.
-    """
-
-    __slots__ = ("subcommand", "params", "out_dir", "use_cache", "payload")
-
-    def __init__(self, subcommand, params, out_dir=".", use_cache=True, payload=None):
-        self.subcommand = subcommand
-        self.params = dict(params)
-        self.out_dir = out_dir
-        self.use_cache = use_cache
-        self.payload = payload
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +180,10 @@ def _engine_function(name):
     return getattr(import_module(f".{engine}", __package__), function)
 
 
-def _config_from_args(args) -> JobConfig:
+def _config_from_args(args):
+    """The job's params and payload: everything that can change its
+    artifact bytes.  The output directory and the cache switch stay in
+    args, so the cache key never splits on plumbing."""
     row = SUBCOMMANDS[args.subcommand]
     formats = args.formats or row.default
     for fmt in formats:
@@ -215,13 +199,7 @@ def _config_from_args(args) -> JobConfig:
         except (OSError, ValueError, RecursionError) as exc:
             raise InputError(f"unreadable input {args.input}: {exc}") from None
     params = {"formats": sorted(set(formats)), **_engine_function(row.params)(args)}
-    return JobConfig(
-        args.subcommand,
-        params,
-        out_dir=args.out,
-        use_cache=not args.no_cache,
-        payload=payload,
-    )
+    return params, payload
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +254,17 @@ def main(argv=None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if "help" in vars(args):
             return _print(args.help)
-        cfg = _config_from_args(args)
+        params, payload = _config_from_args(args)
         artifacts = None
-        if cfg.use_cache:
+        if not args.no_cache:
             from . import cache
 
-            key = cache.key(cfg)
+            key = cache.key(args.subcommand, params, payload)
             artifacts = cache.cache_load(key)
         if artifacts is None:
-            job = _engine_function(SUBCOMMANDS[cfg.subcommand].job)
-            artifacts = job(cfg.params, cfg.payload)
-            if cfg.use_cache:
+            job = _engine_function(SUBCOMMANDS[args.subcommand].job)
+            artifacts = job(params, payload)
+            if not args.no_cache:
                 try:
                     cache.cache_store(key, artifacts)
                 except OSError as exc:
@@ -302,9 +280,9 @@ def main(argv=None) -> int:
         return EXIT_COMPUTE
 
     try:
-        paths = _write_artifacts(str(Path(cfg.out_dir)), artifacts)  # as `wrote` spells it
+        paths = _write_artifacts(str(Path(args.out)), artifacts)  # as `wrote` spells it
     except OSError as exc:
-        print(f"error: cannot write to --out {cfg.out_dir}: {exc}", file=sys.stderr)
+        print(f"error: cannot write to --out {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return _print("".join(f"wrote {path}\n" for path in paths))
 

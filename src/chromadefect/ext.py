@@ -67,24 +67,25 @@ evenness_scan builds no resolution: over an exterior family the Koszul
 closed form places every class, so it checks that the family has that
 form through the window and reads the stems off it.
 
-The `ext` job (ext_job) writes a chart's TSV, JSON and dot chart
-(chart_from_ext), resolved only through the requested stem, for the
-params ext_params reads from its flags.
+The chart ext_ranks returns is a plain dict (its keys are listed
+there).  The `ext` job (ext_job) writes its TSV (ext_tsv), JSON and dot
+chart (chart_from_ext), resolved only through the requested stem, for
+the params ext_params reads from its flags.
 """
 
 from bisect import bisect_right
 
 from . import InputError, check_positive
-from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
+from .charts import chart_document, chart_to_tsv, json_bytes, render_chart
 from .gradedlin import check_prime, subquotient, vec_combine, vec_from_terms, vec_support
 from .steenrod import MAX_FAMILY_HEIGHT, Profile, operator_product
 
 __all__ = [
-    "ExtChart",
     "Resolution",
     "chart_from_ext",
     "ext_job",
     "ext_ranks",
+    "ext_tsv",
     "evenness_scan",
     "cobar_letters",
     "operator_pairs",
@@ -227,40 +228,6 @@ class Resolution:
         return out
 
 
-class ExtChart:
-    """Bigraded Ext dims with named classes."""
-
-    def __init__(self, p, label, s_max, t_max, stem_max=None):
-        self.p = p
-        self.label = label
-        self.s_max = s_max
-        self.t_max = t_max
-        self.stem_max = stem_max
-        self.dims = {}
-        self.names = {}
-        self.collisions = []
-
-    def to_tsv(self):
-        window = f"s <= {self.s_max}, t <= {self.t_max}"
-        if self.stem_max is not None:
-            window += f", stem <= {self.stem_max}"
-        lines = [
-            f"# ext chart: {self.label}",
-            f"# window: {window}",
-            "s\tt\tstem\tdim\tclass-names",
-        ]
-        rows = []
-        for (s, t), d in self.dims.items():
-            if not d:
-                continue
-            names = ";".join(self.names.get((s, t), ()))
-            rows.append((t - s, s, t, d, names))
-        rows.sort()
-        for stem, s, t, d, names in rows:
-            lines.append(f"{s}\t{t}\t{stem}\t{d}\t{names}")
-        return "\n".join(lines) + "\n"
-
-
 def cobar_letters(profile, t_max):
     """Named degree-one cocycles through internal degree t_max, as
     (name, degree, pair): h(i,j) for xi_i^{p^j} and a(t) for tau_t, the
@@ -287,8 +254,11 @@ def _multiset_name(letters, multiset):
 
 
 def ext_ranks(profile, s_max, t_max, stem_max=None):
-    """Ext^{s,t}(F_p, F_p) dims over a profile quotient, as an ExtChart,
-    in the box s <= s_max, t <= t_max, cut at stem_max when given.
+    """Ext^{s,t}(F_p, F_p) dims over a profile quotient in the box
+    s <= s_max, t <= t_max, cut at stem_max when given, as a chart: a
+    dict of the prime "p", a "label", the window "s_max", "t_max" and
+    "stem_max", "dims" {(s, t): dim}, "names" {(s, t): [class name]}
+    and "collisions" [(first name, colliding name, (s, t))].
 
     One pass over internal degrees: column t of the resolution is made,
     then each of its cells gets its dim and its class names.  The pass
@@ -296,7 +266,8 @@ def ext_ranks(profile, s_max, t_max, stem_max=None):
     operator degree, which cuts a finite family short.
     """
     res = Resolution(profile, s_max, t_max, stem_max)
-    chart = ExtChart(profile.p, f"Ext over {profile!r}", s_max, t_max, stem_max)
+    chart = {"p": profile.p, "label": f"Ext over {profile!r}", "s_max": s_max,
+             "t_max": t_max, "stem_max": stem_max, "dims": {}, "names": {}, "collisions": []}
     letters = cobar_letters(profile, t_max)
     ops = [res.ops.number[res.ops.element(pair)] for _, _, pair in letters]
     products = {}
@@ -305,7 +276,7 @@ def ext_ranks(profile, s_max, t_max, stem_max=None):
         for s in range(min(s_max, t) + 1):
             gens = res.cells.get((s, t))
             if gens:
-                chart.dims[(s, t)] = len(gens)
+                chart["dims"][(s, t)] = len(gens)
                 if letters:
                     _name_cell(chart, res, letters, ops, products, s, t)
     return chart
@@ -338,12 +309,12 @@ def _name_cell(chart, res, letters, ops, products, s, t):
         key = tuple(sorted(y.items()))
         name = _multiset_name(letters, multiset)
         if key in seen:
-            chart.collisions.append((seen[key], name, (s, t)))
+            chart["collisions"].append((seen[key], name, (s, t)))
             continue
         seen[key] = name
         named.append(name)
     if named:
-        chart.names[(s, t)] = named
+        chart["names"][(s, t)] = named
 
 
 def evenness_scan(n, p, stem_max):
@@ -374,18 +345,41 @@ def evenness_scan(n, p, stem_max):
         raise ValueError(f"{family!r} has primitives in even degrees {even}")
 
 
-def chart_from_ext(chart) -> ChartDocument:
+def ext_tsv(chart) -> str:
+    """TSV of an ext_ranks chart: its window, then one row per nonzero
+    cell in (stem, s, t) order, with the cell's class names."""
+    window = f"s <= {chart['s_max']}, t <= {chart['t_max']}"
+    if chart["stem_max"] is not None:
+        window += f", stem <= {chart['stem_max']}"
+    lines = [
+        f"# ext chart: {chart['label']}",
+        f"# window: {window}",
+        "s\tt\tstem\tdim\tclass-names",
+    ]
+    rows = []
+    for (s, t), d in chart["dims"].items():
+        if not d:
+            continue
+        names = ";".join(chart["names"].get((s, t), ()))
+        rows.append((t - s, s, t, d, names))
+    rows.sort()
+    for stem, s, t, d, names in rows:
+        lines.append(f"{s}\t{t}\t{stem}\t{d}\t{names}")
+    return "\n".join(lines) + "\n"
+
+
+def chart_from_ext(chart) -> dict:
     """Dot chart of an Ext rank table (no lines, no arrows)."""
     dots = {}
     stem_hi = fil_hi = 0
-    for (s, t), d in sorted(chart.dims.items()):
+    for (s, t), d in sorted(chart["dims"].items()):
         if d:
             stem = t - s
             dots[(stem, s)] = (d, "")
             stem_hi = max(stem_hi, stem)
             fil_hi = max(fil_hi, s)
-    return ChartDocument(f"ext chart {chart.label}", dots, [], [],
-                         (0, max(stem_hi, 1)), (0, max(fil_hi, 1)))
+    return chart_document(f"ext chart {chart['label']}", dots, [], [],
+                          (0, max(stem_hi, 1)), (0, max(fil_hi, 1)))
 
 
 # operator pairs (a, b) with deg a + deg b <= min(stem_max + 2, t_max),
@@ -454,11 +448,11 @@ def ext_job(params, payload) -> dict:
     base = f"ext_{fam.lower()}{n}_p{p}"
     out = {}
     if "tsv" in params["formats"]:
-        out[f"{base}.tsv"] = chart.to_tsv().encode("utf-8")
+        out[f"{base}.tsv"] = ext_tsv(chart).encode("utf-8")
     if "json" in params["formats"]:
         cells = [{"s": s, "t": t, "stem": t - s, "dim": d}
-                 for (s, t), d in sorted(chart.dims.items()) if d]
-        out[f"{base}.json"] = json_bytes({"label": chart.label, "cells": cells})
+                 for (s, t), d in sorted(chart["dims"].items()) if d]
+        out[f"{base}.json"] = json_bytes({"label": chart["label"], "cells": cells})
     if "svg" in params["formats"]:
         doc = chart_from_ext(chart)
         out[f"{base}.svg"] = render_chart(doc)

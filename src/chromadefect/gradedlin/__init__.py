@@ -14,8 +14,9 @@ from .modp import (
     vec_support,
 )
 
-# the elimination kernels are pure python; kept for callers that
-# record which implementation ran
+# the elimination kernels are pure python.  benchmark/child.py reads
+# this name on every run to record which implementation ran, so
+# deleting it fails every benchmark workload
 BACKEND_NAME = "pure"
 
 __all__ = ["BACKEND_NAME", *modp.__all__]

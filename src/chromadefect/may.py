@@ -34,7 +34,7 @@ boundaries can enter from just outside the window.
 """
 
 from . import InputError
-from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
+from .charts import chart_document, chart_to_tsv, json_bytes, render_chart
 from .ext import window_params
 from .gradedlin import SubquotientBasis, subquotient, vec_from_terms, vec_support
 from .steenrod import Profile, elt_add_term
@@ -375,7 +375,7 @@ def e1_monomial_count(n, p, stem_max, s_max):
     return sum(map(sum, counts))
 
 
-def chart_from_may_page(page) -> ChartDocument:
+def chart_from_may_page(page) -> dict:
     """Dot chart of a May page with its differential arrows.
 
     A cell draws one arrow when the page keeps a nonzero differential
@@ -385,7 +385,7 @@ def chart_from_may_page(page) -> ChartDocument:
     """
     dots = {key: (d, "") for key, d in dims(page).items()}
     arrows = [(page["r"], (stem, s), (stem - 1, s + 1)) for stem, s in page["differential"]]
-    return ChartDocument(
+    return chart_document(
         f"may page {page['r']} height {page['n']} p={page['p']}",
         dots,
         [],

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import InputError
-from .charts import ChartDocument, chart_to_tsv, json_bytes, render_chart
+from .charts import chart_document, chart_to_tsv, json_bytes, render_chart
 from .gradedlin.integers import AbelianGroupPresentation
 
 __all__ = [
@@ -368,7 +368,7 @@ def forced_d3_detector(e2, e4) -> dict:
     }
 
 
-def chart_from_snapshot(page) -> ChartDocument:
+def chart_from_snapshot(page) -> dict:
     """Chart of a page of the K-theory engine.
 
     Live cells become labeled dots, multiplication by the filtration-one
@@ -388,7 +388,7 @@ def chart_from_snapshot(page) -> ChartDocument:
             tgt = (s - 1, f + 3)
             if tgt in dots:
                 arrows.append((3, (s, f), tgt))
-    return ChartDocument(
+    return chart_document(
         f"{page['variant']} chart page {page['page']}",
         dots,
         lines,

@@ -168,7 +168,7 @@ def change_of_rings_check(outer, inner, module, s_max, t_max):
     coinduced = cotensor_comodule(outer, inner, module, t_max)
     outer_chart = ext_ranks(outer, coinduced, s_max, t_max)
     return (
-        inner_chart.dims == outer_chart.dims,
-        inner_chart.dims,
-        outer_chart.dims,
+        inner_chart["dims"] == outer_chart["dims"],
+        inner_chart["dims"],
+        outer_chart["dims"],
     )

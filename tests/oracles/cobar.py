@@ -26,7 +26,7 @@ enumerated from scratch by _letter_products, where the package extends
 the products one filtration below; the two name the same classes.
 """
 
-from chromadefect.ext import ExtChart, _multiset_name, cobar_letters
+from chromadefect.ext import _multiset_name, cobar_letters
 from chromadefect.gradedlin import vec_from_terms
 from chromadefect.steenrod import elt_add_term
 
@@ -307,7 +307,8 @@ class CobarComplex:
 
 
 def ext_ranks(profile, module, s_max, t_max):
-    """Ext^{s,t} dims over a profile quotient, as an ExtChart.
+    """Ext^{s,t} dims over a profile quotient, as a chart dict of the
+    shape chromadefect.ext.ext_ranks returns, with no stem cut.
 
     One pass over internal degrees: each cell of column t gets its dim
     and its class names, then the column's words and matrices are
@@ -317,12 +318,8 @@ def ext_ranks(profile, module, s_max, t_max):
     degree on the top module cell, which cuts a finite family short.
     """
     complexes = CobarComplex(profile, module, s_max, t_max)
-    chart = ExtChart(
-        profile.p,
-        f"Ext over {profile!r}",
-        s_max,
-        t_max,
-    )
+    chart = {"p": profile.p, "label": f"Ext over {profile!r}", "s_max": s_max,
+             "t_max": t_max, "stem_max": None, "dims": {}, "names": {}, "collisions": []}
     letters = cobar_letters(profile, t_max)
     # letter products are only meaningful against a degree-0 cell of M
     degree_of = complexes.module.degree_of
@@ -332,7 +329,7 @@ def ext_ranks(profile, module, s_max, t_max):
         for s in range(0, min(s_max, t) + 1):
             d = complexes.ext_dim(s, t)
             if d:
-                chart.dims[(s, t)] = d
+                chart["dims"][(s, t)] = d
                 if letters and base is not None:
                     _name_cell(chart, complexes, letters, base, s, t)
         complexes.release_column(t)
@@ -373,7 +370,7 @@ def _name_cell(chart, complexes, letters, base, s, t):
     products = _letter_products(letters, s, t)
     if not products:
         return
-    monos = [DualMonomial(chart.p, *pair) for _, _, pair in letters]
+    monos = [DualMonomial(chart["p"], *pair) for _, _, pair in letters]
     index = complexes._index_for(s, t)
     boundaries = complexes.differential_matrix(s - 1, t)
     seen = {}
@@ -384,14 +381,14 @@ def _name_cell(chart, complexes, letters, base, s, t):
         # off the cell's basis, or not a cocycle (nontrivial coaction)
         if col is None or complexes._d_word(word):
             continue
-        key = residue(boundaries, vec_from_terms(chart.p, [(col, 1)]))
+        key = residue(boundaries, vec_from_terms(chart["p"], [(col, 1)]))
         if not key:
             continue
         name = _multiset_name(letters, multiset)
         if key in seen:
-            chart.collisions.append((seen[key], name, (s, t)))
+            chart["collisions"].append((seen[key], name, (s, t)))
             continue
         seen[key] = name
         named.append(name)
     if named:
-        chart.names[(s, t)] = named
+        chart["names"][(s, t)] = named

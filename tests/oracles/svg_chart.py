@@ -5,20 +5,20 @@ element kind with one local helper: the reference for
 `render_chart` must return these bytes for every chart document.
 """
 
-from chromadefect.charts import DEFAULT_STYLE, ChartDocument
+from chromadefect.charts import DEFAULT_STYLE
 
 
 def _fmt(v) -> str:
     return f"{v:.1f}"
 
 
-def render_chart(doc: ChartDocument) -> bytes:
+def render_chart(doc) -> bytes:
     """Deterministic standalone SVG for a chart document."""
     st = DEFAULT_STYLE
     unit = st["unit"]
     margin = st["margin"]
-    s_lo, s_hi = doc.stem_range
-    f_lo, f_hi = doc.fil_range
+    s_lo, s_hi = doc["stem_range"]
+    f_lo, f_hi = doc["fil_range"]
     width = 2 * margin + (s_hi - s_lo) * unit
     height = 2 * margin + (f_hi - f_lo) * unit
 
@@ -39,10 +39,10 @@ def render_chart(doc: ChartDocument) -> bytes:
         f'fill="{st["arrow_default"]}"/></marker></defs>'
     )
     out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
-    if doc.title:
+    if doc["title"]:
         out.append(
             f'<text x="{_fmt(margin)}" y="{_fmt(margin / 2)}" '
-            f'style="font:{st["font"]}" fill="{st["axis_color"]}">{_escape(doc.title)}</text>'
+            f'style="font:{st["font"]}" fill="{st["axis_color"]}">{_escape(doc["title"])}</text>'
         )
     # grid and tick labels
     tick = 1 if (s_hi - s_lo) <= 40 else 2
@@ -74,13 +74,13 @@ def render_chart(doc: ChartDocument) -> bytes:
         f'<line x1="{_fmt(x(s_lo))}" y1="{_fmt(y(f_lo))}" x2="{_fmt(x(s_lo))}" '
         f'y2="{_fmt(y(f_hi))}" stroke="{st["axis_color"]}" stroke-width="1.5"/>'
     )
-    for name, (s1, f1), (s2, f2) in doc.lines:
+    for name, (s1, f1), (s2, f2) in doc["lines"]:
         out.append(
             f'<line x1="{_fmt(x(s1))}" y1="{_fmt(y(f1))}" x2="{_fmt(x(s2))}" '
             f'y2="{_fmt(y(f2))}" stroke="{st["line_color"]}" stroke-width="1.2">'
             f"<title>{_escape(name)}</title></line>"
         )
-    for r, (s1, f1), (s2, f2) in doc.arrows:
+    for r, (s1, f1), (s2, f2) in doc["arrows"]:
         color = st["arrow_colors"].get(r, st["arrow_default"])
         out.append(
             f'<line x1="{_fmt(x(s1))}" y1="{_fmt(y(f1))}" x2="{_fmt(x(s2))}" '
@@ -88,7 +88,7 @@ def render_chart(doc: ChartDocument) -> bytes:
             'marker-end="url(#tip)"/>'
         )
     radius = st["dot_radius"]
-    for (s, f), (mult, label) in sorted(doc.dots.items()):
+    for (s, f), (mult, label) in sorted(doc["dots"].items()):
         cx, cy = x(s), y(f)
         if mult <= 4:
             for i in range(mult):

@@ -6,8 +6,9 @@ pass (oracles/json_artifact.py), compared byte for byte on random
 nested values and on every committed golden JSON file; the SVG writer
 before `render_chart` drew each element kind with one helper
 (oracles/svg_chart.py), compared byte for byte on random chart
-documents; and the invariants `ChartDocument` states in its docstring,
-each broken once.
+documents; and the invariants `chart_document` checks, as its
+docstring states them, each broken once, and once through a chart
+builder.
 """
 
 import json
@@ -18,7 +19,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromadefect.charts import ARROW_RULES, ChartDocument, json_bytes, render_chart
+from chromadefect.charts import ARROW_RULES, chart_document, json_bytes, render_chart
+from chromadefect.may import chart_from_may_page
 from oracles.json_artifact import json_bytes as stdlib_json_bytes
 from oracles.svg_chart import render_chart as reference_render_chart
 
@@ -100,7 +102,7 @@ SVG_TEXT = st.text(st.sampled_from('&<>"ah0 é'), max_size=6)
 
 @st.composite
 def chart_documents(draw):
-    """A valid ChartDocument: negative stems and filtrations, up to 48
+    """A valid chart document: negative stems and filtrations, up to 48
     stems (so the tick step is 2 past 40), multiplicities 1-7, arrows
     d1-d5 under either rule, each endpoint made a dot."""
     rule = draw(st.sampled_from(ARROW_RULES))
@@ -123,7 +125,7 @@ def chart_documents(draw):
         ends = st.sampled_from(sorted(dots))
         lines = draw(st.lists(st.tuples(SVG_TEXT, ends, ends), max_size=6))
     title = draw(SVG_TEXT)
-    return ChartDocument(title, dots, lines, arrows, (s_lo, s_hi), (f_lo, f_hi), rule)
+    return chart_document(title, dots, lines, arrows, (s_lo, s_hi), (f_lo, f_hi), rule)
 
 
 class TestRenderChart:
@@ -139,8 +141,8 @@ class TestRenderChart:
         for rule, targets in [("page-step", range(1, 6)), ("filtration-step", [1] * 5)]:
             dots.update({(s - 1, f): (2, "t") for s, f in zip(range(1, 6), targets)})
             arrows = [(r, (r, 0), (r - 1, f)) for r, f in zip(range(1, 6), targets)]
-            doc = ChartDocument('a & <b> "c"', dots, [('h"<1>&', (0, 0), (1, 0))], arrows,
-                                (-3, 42), (-1, 6), rule)
+            doc = chart_document('a & <b> "c"', dots, [('h"<1>&', (0, 0), (1, 0))], arrows,
+                                 (-3, 42), (-1, 6), rule)
             assert "x7</text>" in render_chart(doc).decode()
             assert render_chart(doc) == reference_render_chart(doc)
 
@@ -169,6 +171,17 @@ def test_invalid_chart_documents_raise(change, message):
     fields = {"title": "t", "dots": DOTS, "lines": [("h0", (0, 0), (0, 1))],
               "arrows": [(1, (1, 0), (0, 1))], "stem_range": (0, 2), "fil_range": (0, 2),
               "arrow_rule": "page-step"}
-    ChartDocument(**fields)
+    chart_document(**fields)
     with pytest.raises(ValueError, match=re.escape(message)):
-        ChartDocument(**{**fields, **change})
+        chart_document(**{**fields, **change})
+
+
+def test_builder_refuses_a_dangling_arrow():
+    # a May page whose differential leaves (1, 0), a cell with no
+    # classes: chart_from_may_page passes the chart through
+    # chart_document, which refuses it before anything is drawn
+    page = {"r": 1, "n": 1, "p": 2, "stem_cap": 2, "s_cap": 2,
+            "classes": {(0, 0): [(0,)], (0, 1): [(1,)], (1, 0): []},
+            "differential": {(1, 0): [[1]]}}
+    with pytest.raises(ValueError, match=re.escape("arrow d1 at (1, 0) has a dangling endpoint")):
+        chart_from_may_page(page)

@@ -111,6 +111,11 @@ def written(out):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
+def job_key(argv):
+    args = cli.parse_args(argv)
+    return cache.key(args.subcommand, *cli._config_from_args(args))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifacts_match_golden_bytes(name, tmp_path):
     out = tmp_path / "out"
@@ -194,7 +199,7 @@ def test_oversized_ext_exits_2(argv, need, tmp_path, capsys):
 )
 def test_ext_limit_admits_measured_windows(window):
     args = cli.parse_args(["ext", "--family", "A", "--n", "1", *window])
-    assert cli._config_from_args(args).subcommand == "ext"
+    assert cli._config_from_args(args)[0]["family"] == args.family
 
 
 @pytest.mark.parametrize("n, s_max", [("1", "20"), ("2", "10")], ids=["A(1)", "A(2)"])
@@ -348,7 +353,7 @@ def test_non_exterior_scan_family_exits_3(height, tmp_path, capsys, monkeypatch)
 
 def test_defect_limit_admits_the_benchmark_cap():
     args = cli.parse_args(["defect", "--cap", "24"])
-    assert cli._config_from_args(args).params["stem_cap"] == 24
+    assert cli._config_from_args(args)[0]["stem_cap"] == 24
 
 
 def test_fgl_limit_admits_er12(tmp_path):
@@ -365,13 +370,14 @@ def test_ext_limit_counts_products_through_the_stem():
     # 90,339 through degree 42, the most the cut resolution can form
     args = cli.parse_args(["ext", "--prime", "2", "--family", "T", "--n", "0",
                            "--stem-max", "40", "--s-max", "10"])
-    assert cli._config_from_args(args).params["stem_max"] == 40
+    assert cli._config_from_args(args)[0]["stem_max"] == 40
 
 
 def test_golden_argvs_pass_the_size_limits():
     for argv in GOLDEN.values():
         args = cli.parse_args(argv)
-        assert cli._config_from_args(args).subcommand == args.subcommand
+        params, _ = cli._config_from_args(args)
+        assert set(params["formats"]) <= set(cli.SUBCOMMANDS[args.subcommand].formats)
 
 
 @pytest.mark.parametrize("prime, stem_max, s_max", [("2", 12, 6), ("3", 30, 4)])
@@ -398,7 +404,7 @@ def test_ext_artifacts_stop_at_stem_max(prime, stem_max, s_max, tmp_path):
 
 def test_fgl_cap_limit_admits_er9_default():
     args = cli.parse_args(["fgl", "--n", "9"])
-    assert cli._config_from_args(args).params["cap"] == 2**9 + 8
+    assert cli._config_from_args(args)[0]["cap"] == 2**9 + 8
 
 
 @pytest.mark.parametrize(
@@ -528,6 +534,19 @@ def test_default_cap_spelled_out_hits_the_cache(tmp_path, capsys, cache_dir):
     assert len(list(cache_dir.glob("*.json"))) == 1
 
 
+def test_format_order_and_repeats_hit_one_cache_entry(tmp_path, capsys, cache_dir):
+    # the same formats in another order, one of them repeated: one job
+    first = ["fgl", "--n", "2", "--format", "json", "--format", "tsv"]
+    again = ["fgl", "--n", "2", "--format", "tsv", "--format", "json", "--format", "tsv"]
+    assert job_key(first) == job_key(again)
+    assert cli.main([*first, "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+    assert "cache hit" not in capsys.readouterr().err
+    assert cli.main([*again, "--out", str(tmp_path / "b")]) == cli.EXIT_OK
+    assert "cache hit" in capsys.readouterr().err
+    assert written(tmp_path / "b") == written(tmp_path / "a") == written(GOLDEN_DIR / "fgl_n2")
+    assert len(list(cache_dir.glob("*.json"))) == 1
+
+
 def test_engine_change_misses_the_cache(tmp_path, capsys, cache_dir, monkeypatch):
     assert run(["fgl", "--n", "2"], tmp_path / "a") == cli.EXIT_OK
     monkeypatch.setattr(cache, "_engine_fingerprint", lambda: "0" * 64)
@@ -537,8 +556,7 @@ def test_engine_change_misses_the_cache(tmp_path, capsys, cache_dir, monkeypatch
 
 
 def test_entry_with_a_foreign_key_is_rejected(tmp_path, capsys, cache_dir):
-    args = cli.parse_args(["fgl", "--n", "2", *FORMATS])
-    key = cache.key(cli._config_from_args(args))
+    key = job_key(["fgl", "--n", "2", *FORMATS])
     cache.cache_store("f" * 64, {"fgl_er2.json": b"stale\n"})
     (cache_dir / f"{'f' * 64}.json").rename(cache_dir / f"{key}.json")
     assert cache.cache_load(key) is None
@@ -550,7 +568,7 @@ def test_entry_with_a_foreign_key_is_rejected(tmp_path, capsys, cache_dir):
 
 def test_deeply_nested_entry_is_recomputed(tmp_path, capsys, cache_dir):
     # an entry the decoder cannot finish counts as corrupt, like any other
-    key = cache.key(cli._config_from_args(cli.parse_args(["fgl", "--n", "1", *FORMATS])))
+    key = job_key(["fgl", "--n", "1", *FORMATS])
     cache_dir.mkdir()
     (cache_dir / f"{key}.json").write_text("[" * 100_000)
     assert cache.cache_load(key) is None
@@ -572,7 +590,7 @@ def test_entry_without_plain_artifact_names_is_recomputed(artifacts, tmp_path, c
     # counts as corrupt and is rewritten
     if artifacts == "escape":
         artifacts = {f"/..{tmp_path}/escaped.txt": "ZXNjYXBlZAo="}
-    key = cache.key(cli._config_from_args(cli.parse_args(["fgl", "--n", "2", *FORMATS])))
+    key = job_key(["fgl", "--n", "2", *FORMATS])
     cache_dir.mkdir()
     (cache_dir / f"{key}.json").write_text(json.dumps({"key": key, "artifacts": artifacts}))
     out = tmp_path / "out"
@@ -599,7 +617,7 @@ def test_no_cache_skips_the_fingerprint(tmp_path, monkeypatch, cache_dir):
 def test_unwritable_cache_entry_leaves_no_temporary(tmp_path, capsys, cache_dir):
     # a directory where the entry belongs: the rename fails, the job
     # still writes its artifacts, and the cache keeps no temporary file
-    key = cache.key(cli._config_from_args(cli.parse_args(["fgl", "--n", "1", *FORMATS])))
+    key = job_key(["fgl", "--n", "1", *FORMATS])
     (cache_dir / f"{key}.json").mkdir(parents=True)
     out = tmp_path / "out"
     assert run(["fgl", "--n", "1"], out) == cli.EXIT_OK
@@ -763,7 +781,7 @@ def test_cache_key_follows_the_module(tmp_path):
     rp4 = INPUTS / "rp4.json"
 
     def key(path):
-        return cache.key(cli._config_from_args(cli.parse_args(["margolis", "--input", str(path)])))
+        return job_key(["margolis", "--input", str(path)])
 
     module = json.loads(rp4.read_text())
     module["basis"][-1]["degree"] += 2

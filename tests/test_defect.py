@@ -108,8 +108,8 @@ class TestCatalogueEntries:
     def test_ko_lower_bound_class_is_ext_1_2(self):
         # the resolution oracle: h(1,1) spans Ext_{A(1)}^{1,2}
         chart = ext_ranks(Profile.A(2, 1), 1, 2)
-        assert chart.dims[(1, 2)] == 1
-        assert chart.names[(1, 2)] == ["h(1,1)"]
+        assert chart["dims"][(1, 2)] == 1
+        assert chart["names"][(1, 2)] == ["h(1,1)"]
 
     def test_ko_without_h11_refuses(self, monkeypatch, tmp_path, capsys):
         letters = defect.cobar_letters

@@ -42,6 +42,7 @@ from chromadefect.ext import (
     cobar_letters,
     evenness_scan,
     ext_ranks,
+    ext_tsv,
     operator_pairs,
 )
 from chromadefect.gradedlin import vec_from_terms, vec_support
@@ -141,14 +142,14 @@ class TestCobarComplex:
         for fam, cap in [(Profile.A(2, 1), 6), (Profile.E(3, 1), 6)]:
             M = coalgebra_self(fam, cap)
             chart = cobar_ext_ranks(fam, M, 4, cap + 4)
-            assert chart.dims == {(0, 0): 1}
+            assert chart["dims"] == {(0, 0): 1}
 
     def test_suspension_shifts_internal_degree(self):
         fam = Profile.A(2, 1)
         M = coalgebra_self(fam, 6)
         plain = cobar_ext_ranks(fam, M, 3, 8)
         moved = cobar_ext_ranks(fam, comodule_suspend(M, 3), 3, 11)
-        assert moved.dims == {(s, t + 3): d for (s, t), d in plain.dims.items()}
+        assert moved["dims"] == {(s, t + 3): d for (s, t), d in plain["dims"].items()}
 
     @pytest.mark.parametrize(
         "fam, module, s_max, t_max",
@@ -183,9 +184,9 @@ class TestCobarComplex:
         plain = cobar_ext_ranks(fam, M, 3, 7)
         moved = cobar_ext_ranks(fam, comodule_suspend(M, k), 3, 7 + k)
         want = {
-            (s, t + k): d for (s, t), d in plain.dims.items() if t + k <= 7 + k
+            (s, t + k): d for (s, t), d in plain["dims"].items() if t + k <= 7 + k
         }
-        assert moved.dims == want
+        assert moved["dims"] == want
 
 
 class TestWords:
@@ -295,28 +296,28 @@ class TestNaming:
     def test_named_classes_on_chart(self):
         fam = Profile.T(2, 1)
         chart = ext_ranks(fam, 4, 14)
-        assert chart.names[(1, 1)] == ["h(1,0)"]
-        assert chart.names[(1, 3)] == ["h(2,0)"]
-        assert chart.names[(1, 6)] == ["h(2,1)"]
-        assert chart.names[(1, 12)] == ["h(2,2)"]
-        assert chart.names[(1, 14)] == ["h(3,1)"]
-        assert chart.names[(2, 2)] == ["h(1,0)^2"]
-        assert chart.collisions == []
+        assert chart["names"][(1, 1)] == ["h(1,0)"]
+        assert chart["names"][(1, 3)] == ["h(2,0)"]
+        assert chart["names"][(1, 6)] == ["h(2,1)"]
+        assert chart["names"][(1, 12)] == ["h(2,2)"]
+        assert chart["names"][(1, 14)] == ["h(3,1)"]
+        assert chart["names"][(2, 2)] == ["h(1,0)^2"]
+        assert chart["collisions"] == []
 
     def test_named_classes_odd_prime(self):
         fam = Profile.T(3, 1)
         chart = ext_ranks(fam, 3, 12)
-        assert chart.names[(1, 1)] == ["a(0)"]
-        assert chart.names[(1, 5)] == ["a(1)"]
-        assert chart.names[(2, 6)] == ["a(0)*a(1)"]
+        assert chart["names"][(1, 1)] == ["a(0)"]
+        assert chart["names"][(1, 5)] == ["a(1)"]
+        assert chart["names"][(2, 6)] == ["a(0)*a(1)"]
 
     def test_relation_kills_product_cell(self):
         # [xi1|xi2^2] cobounds, so the (2,7) cell of the height-(inf,2)
         # family chart is empty and no product name lands there
         fam = Profile.T(2, 1)
         chart = ext_ranks(fam, 4, 14)
-        assert chart.dims.get((2, 7), 0) == 0
-        assert (2, 7) not in chart.names
+        assert chart["dims"].get((2, 7), 0) == 0
+        assert (2, 7) not in chart["names"]
 
     def test_stem_cut_matches_a_narrower_window(self):
         # T(1) collides in stems 13 and 15; cutting at 13 keeps one of
@@ -324,10 +325,10 @@ class TestNaming:
         fam = Profile.T(2, 1)
         wide = ext_ranks(fam, 5, 20, 13)
         narrow = ext_ranks(fam, 5, 18, 13)
-        assert wide.dims == narrow.dims
-        assert wide.names == narrow.names
-        assert wide.collisions == narrow.collisions != []
-        cells = [*wide.dims, *wide.names, *(cell for *_, cell in wide.collisions)]
+        assert wide["dims"] == narrow["dims"]
+        assert wide["names"] == narrow["names"]
+        assert wide["collisions"] == narrow["collisions"] != []
+        cells = [*wide["dims"], *wide["names"], *(cell for *_, cell in wide["collisions"])]
         assert max(t - s for s, t in cells) == 13
 
     def test_adams_relations_on_the_sphere(self):
@@ -336,18 +337,18 @@ class TestNaming:
         chart = ext_ranks(Profile.T(2, 0), 3, 12)
         # h0 h1 = 0, h1 h2 = 0, h0 h2^2 = 0: the product cells are empty
         for cell in ((2, 3), (2, 6), (3, 9)):
-            assert chart.dims.get(cell, 0) == 0, cell
-            assert cell not in chart.names
+            assert chart["dims"].get(cell, 0) == 0, cell
+            assert cell not in chart["names"]
         # h0^2 h2 = h1^3 spans (3, 6), and h1^2 h3 = h2^3 lies in (3, 12)
-        assert chart.dims[(3, 6)] == 1
-        assert chart.names[(3, 6)] == ["h(1,0)^2*h(1,2)"]
-        assert ("h(1,0)^2*h(1,2)", "h(1,1)^3", (3, 6)) in chart.collisions
-        assert chart.names[(3, 12)] == ["h(1,1)^2*h(1,3)"]
-        assert ("h(1,1)^2*h(1,3)", "h(1,2)^3", (3, 12)) in chart.collisions
+        assert chart["dims"][(3, 6)] == 1
+        assert chart["names"][(3, 6)] == ["h(1,0)^2*h(1,2)"]
+        assert ("h(1,0)^2*h(1,2)", "h(1,1)^3", (3, 6)) in chart["collisions"]
+        assert chart["names"][(3, 12)] == ["h(1,1)^2*h(1,3)"]
+        assert ("h(1,1)^2*h(1,3)", "h(1,2)^3", (3, 12)) in chart["collisions"]
         # over A(1) h1^3 = 0, and no other class reaches (3, 6)
         a1 = ext_ranks(Profile.A(2, 1), 3, 12)
-        assert a1.dims[(2, 4)] == 1 and a1.names[(2, 4)] == ["h(1,1)^2"]
-        assert a1.dims.get((3, 6), 0) == 0
+        assert a1["dims"][(2, 4)] == 1 and a1["names"][(2, 4)] == ["h(1,1)^2"]
+        assert a1["dims"].get((3, 6), 0) == 0
 
     @pytest.mark.parametrize(
         "family, p, n, stem_max, s_max",
@@ -379,14 +380,14 @@ class TestNaming:
         fam = family(p, n)
         chart = ext_ranks(fam, s_max, stem_max + s_max, stem_max)
         names, collisions = enumerated_naming(made[0], cobar_letters(fam, stem_max + s_max))
-        assert chart.names == names
-        assert chart.collisions == collisions
+        assert chart["names"] == names
+        assert chart["collisions"] == collisions
 
     def test_polynomial_chart_collision_free(self):
         fam = Profile.E(2, 1)
         chart = ext_ranks(fam, 5, 15)
-        assert chart.collisions == []
-        assert chart.names[(2, 4)] == ["h(1,0)*h(2,0)"]
+        assert chart["collisions"] == []
+        assert chart["names"][(2, 4)] == ["h(1,0)*h(2,0)"]
 
 
 class TestColumnPass:
@@ -404,7 +405,7 @@ class TestColumnPass:
         monkeypatch.setattr(CobarComplex, "words", traced)
         fam = Profile.A(2, 1)
         chart = cobar_ext_ranks(fam, Comodule.trivial(fam, [0]), 6, 16)
-        assert chart.names[(1, 1)] == ["h(1,0)"]
+        assert chart["names"][(1, 1)] == ["h(1,0)"]
         assert max(len(degrees) for degrees in held) == 1
 
     @pytest.mark.parametrize("n, stem_max, s_max", [(1, 400, 8), (2, 600, 5)])
@@ -425,7 +426,7 @@ class TestColumnPass:
         degrees = [degree for _, degree, _ in cobar_letters(fam, t_max)]
         for t in range(t_max + 1):
             for s in range(s_max + 1):
-                assert chart.dims.get((s, t), 0) == poly_dim(degrees, s, t), (s, t)
+                assert chart["dims"].get((s, t), 0) == poly_dim(degrees, s, t), (s, t)
         top = max(degree for degree, _ in fam.basis(t_max))
         assert max(built) == s_max * top
 
@@ -475,17 +476,17 @@ class TestStemWindow:
     def test_equals_the_box_cut_at_the_stem(self, fam, stem_max, s_max):
         box = ext_ranks(fam, s_max, stem_max + s_max)
         window = ext_ranks(fam, s_max, stem_max + s_max, stem_max)
-        assert window.stem_max == stem_max and box.stem_max is None
-        assert max(t - s for s, t in box.dims) > stem_max
-        cells = [*window.dims, *window.names, *(cell for *_, cell in window.collisions)]
+        assert window["stem_max"] == stem_max and box["stem_max"] is None
+        assert max(t - s for s, t in box["dims"]) > stem_max
+        cells = [*window["dims"], *window["names"], *(cell for *_, cell in window["collisions"])]
         assert max(t - s for s, t in cells) <= stem_max
 
         def kept(cell):
             return cell[1] - cell[0] <= stem_max
 
-        assert window.dims == {k: d for k, d in box.dims.items() if kept(k)}
-        assert window.names == {k: v for k, v in box.names.items() if kept(k)}
-        assert window.collisions == [c for c in box.collisions if kept(c[2])]
+        assert window["dims"] == {k: d for k, d in box["dims"].items() if kept(k)}
+        assert window["names"] == {k: v for k, v in box["names"].items() if kept(k)}
+        assert window["collisions"] == [c for c in box["collisions"] if kept(c[2])]
 
     @pytest.mark.parametrize("fam, stem_max, s_max", STEM_WINDOWS[:5], ids=repr)
     def test_generators_are_a_prefix_of_the_box(self, fam, stem_max, s_max):
@@ -533,7 +534,7 @@ class TestResolution:
             if a1_closed_form(s, stem + s)
         }
         assert len(cells) == 126
-        assert {k: v for k, v in chart.dims.items() if k[1] - k[0] <= 40} == cells
+        assert {k: v for k, v in chart["dims"].items() if k[1] - k[0] <= 40} == cells
 
     @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_exterior_koszul_form(self, p, n):
@@ -544,7 +545,7 @@ class TestResolution:
         degrees = [degree for _, degree, _ in cobar_letters(fam, t_max)]
         for t in range(t_max + 1):
             for s in range(s_max + 1):
-                assert chart.dims.get((s, t), 0) == poly_dim(degrees, s, t), (s, t)
+                assert chart["dims"].get((s, t), 0) == poly_dim(degrees, s, t), (s, t)
 
     @pytest.mark.parametrize(
         "family, p, n, stem_max, s_max",
@@ -562,9 +563,9 @@ class TestResolution:
         t_max = stem_max + s_max
         chart = ext_ranks(fam, s_max, t_max)
         want = cobar_ext_ranks(fam, Comodule.trivial(fam, [0]), s_max, t_max)
-        assert chart.dims == want.dims
-        assert chart.names == want.names
-        assert chart.collisions == want.collisions
+        assert chart["dims"] == want["dims"]
+        assert chart["names"] == want["names"]
+        assert chart["collisions"] == want["collisions"]
 
     @pytest.mark.parametrize(
         "fam",
@@ -735,7 +736,7 @@ class TestDeterminism:
     def test_tsv_golden(self):
         fam = Profile.E(2, 0)
         chart = ext_ranks(fam, 3, 3)
-        assert chart.to_tsv() == (
+        assert ext_tsv(chart) == (
             f"# ext chart: Ext over {fam!r}\n"
             "# window: s <= 3, t <= 3\n"
             "s\tt\tstem\tdim\tclass-names\n"

@@ -718,4 +718,4 @@ class TestCofreeAgainstExt:
         ok, degrees = cofree_decompose(com)
         assert ok, name
         chart = ext_ranks(com.profile, com, s_max, t_max)
-        assert chart.dims == {(0, t): degrees.count(t) for t in set(degrees) if t <= t_max}
+        assert chart["dims"] == {(0, t): degrees.count(t) for t in set(degrees) if t <= t_max}

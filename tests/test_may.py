@@ -282,8 +282,8 @@ class TestPages:
                  if trusted(e2, stem, s)]
         assert cells
         for stem, s in cells:
-            assert chart.dims.get((s, stem + s), 0) <= dim(e2, stem, s), (stem, s)
-        gaps = [c for c in cells if chart.dims.get((c[1], sum(c)), 0) < dim(e2, *c)]
+            assert chart["dims"].get((s, stem + s), 0) <= dim(e2, stem, s), (stem, s)
+        gaps = [c for c in cells if chart["dims"].get((c[1], sum(c)), 0) < dim(e2, *c)]
         assert len(gaps) == larger
 
     def test_e2_matches_cobar_ext(self):
@@ -296,7 +296,7 @@ class TestPages:
         cells = [(stem, s) for stem in range(11) for s in range(9) if trusted(e2, stem, s)]
         assert len(cells) == 88
         for stem, s in cells:
-            assert dim(e2, stem, s) == chart.dims.get((s, stem + s), 0), (stem, s)
+            assert dim(e2, stem, s) == chart["dims"].get((s, stem + s), 0), (stem, s)
 
 
 class TestJob:
