@@ -16,12 +16,11 @@ live beside their engine, each reader with the MAX_* limits it
 enforces: ext, may, margolis, fgl and defect name theirs after the
 engine, and ssq has ko_ss_job and ko_ss_params.  The payload is the
 parsed JSON that --input names, or None for a subcommand without it.
-The params and the payload are the job's config; chromadefect.cache
-keys it with the sha256 of the package's own sources, so a changed
-engine never reads an older engine's bytes.  Artifacts are pure
+The params and the payload are the job's config.  Artifacts are pure
 functions of the config: no timestamps and no filesystem paths inside
-the bytes.  One all-or-nothing writer, _write_artifacts, files the
-artifacts and each cache entry.
+the bytes.  Every run computes its artifacts, and one all-or-nothing
+writer, _write_artifacts, files them in --out.  --no-cache is accepted
+and changes nothing.
 
 Exit codes: 0 success or help; 2 chromadefect.InputError, raised for an
 argv the table refuses, a config over a limit or bad input, here or in
@@ -32,10 +31,8 @@ Importing this module loads the ext, fgl and defect engines, so their
 compile time is paid at import and not inside a job.  The may,
 margolis and ssq engines, their readers and limits with them, load
 when their subcommand's flags are read, so no other job compiles them.
-cache.py (the cache key and entries, with hashlib and base64) loads
-only for a job run with the cache on, and usage.py (the help text)
-only for -h or --help, so a --no-cache job compiles neither.  Every
-JSON artifact is charts.json_bytes.
+usage.py (the help text) loads only for -h or --help, so no job
+compiles it.  Every JSON artifact is charts.json_bytes.
 """
 
 import errno
@@ -54,7 +51,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
-CACHE_ENV = "CHROMADEFECT_CACHE"
 FORMATS = ("tsv", "json", "svg")
 
 
@@ -104,7 +100,7 @@ SUBCOMMANDS = {
 }
 COMMON_FLAGS = {
     "--out": (str, ".", "output directory"),
-    "--no-cache": (bool, False, "recompute even on a cache hit"),
+    "--no-cache": (bool, False, "no effect; every run computes its artifacts"),
     "--format": (FORMATS, None, "output format; repeatable"),
 }
 HELP_FLAGS = ("-h", "--help")
@@ -182,8 +178,7 @@ def _engine_function(name):
 
 def _config_from_args(args):
     """The job's params and payload: everything that can change its
-    artifact bytes.  The output directory and the cache switch stay in
-    args, so the cache key never splits on plumbing."""
+    artifact bytes."""
     row = SUBCOMMANDS[args.subcommand]
     formats = args.formats or row.default
     for fmt in formats:
@@ -207,9 +202,9 @@ def _config_from_args(args):
 
 
 def _write_artifacts(out_dir, artifacts):
-    """Write every artifact into the directory out_dir, or none of them,
-    and return the paths written, out_dir joined with each name.  A name
-    taken by a directory stops the write before any file is made; each
+    """Write every artifact into the --out directory out_dir, or none of
+    them, and return the paths written, out_dir joined with each name.  A
+    name taken by a directory stops the write before any file is made; each
     file goes to a temporary `.<name>.<pid>.tmp`, renamed into place once
     every write has succeeded, and a failure's temporaries are removed.
     Plain os calls: pathlib objects took a third of a small job's write."""
@@ -255,23 +250,7 @@ def main(argv=None) -> int:
         if "help" in vars(args):
             return _print(args.help)
         params, payload = _config_from_args(args)
-        artifacts = None
-        if not args.no_cache:
-            from . import cache
-
-            key = cache.key(args.subcommand, params, payload)
-            artifacts = cache.cache_load(key)
-        if artifacts is None:
-            job = _engine_function(SUBCOMMANDS[args.subcommand].job)
-            artifacts = job(params, payload)
-            if not args.no_cache:
-                try:
-                    cache.cache_store(key, artifacts)
-                except OSError as exc:
-                    # the artifacts stand; an unusable cache costs a later hit
-                    print(f"warning: cache not written: {exc}", file=sys.stderr)
-        else:
-            print(f"cache hit {key[:12]}", file=sys.stderr)
+        artifacts = _engine_function(SUBCOMMANDS[args.subcommand].job)(params, payload)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -289,7 +268,7 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     # `python -m chromadefect.cli` runs this file as __main__: file it
-    # as chromadefect.cli too, so that cache and usage, which import
-    # that name, do not compile and run a second copy of it
+    # as chromadefect.cli too, so that usage, which imports that name,
+    # does not compile and run a second copy of it
     sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

@@ -283,7 +283,7 @@ MAX_FGL_CAP = 16392
 def fgl_params(args):
     """The `fgl` job's params from its flags.  Refuse a cap over
     MAX_FGL_CAP; fgl_job refuses one too small.  The default cap is
-    resolved here, so spelling it out keys the same cache entry."""
+    resolved here, so spelling it out gives the same params and bytes."""
     n = check_positive("height", args.n)
     # compare exponents first, so a huge height never builds 2^n
     if n >= MAX_FGL_CAP.bit_length():

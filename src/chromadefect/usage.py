@@ -4,19 +4,16 @@ chromadefect.cli imports this module only when argv asks for -h or
 --help, so no job compiles the help text.
 """
 
-from .cli import CACHE_ENV, COMMON_FLAGS, SUBCOMMANDS
+from .cli import COMMON_FLAGS, SUBCOMMANDS
 
-CONTRACT = f"""\
+CONTRACT = """\
 Exit codes: 0 done (or help), 2 bad input (`error: ...` on stderr,
 nothing written), 3 an engine refused to certify its result.
-Artifacts are cached in ${CACHE_ENV} (default ~/.cache/chromadefect),
-keyed by the job and the package's sources; --no-cache neither reads
-nor writes the cache.
 """
 
 
 def _help(subcommand=None) -> str:
-    """Help text: the subcommands and the exit codes and cache, or one
+    """Help text: the subcommands and the exit codes, or one
     subcommand's flags."""
     if subcommand is None:
         about = "Exact-arithmetic charts and defect tables for the bundled engines."

@@ -1,9 +1,8 @@
-"""Command-line contract: artifact bytes, exit codes and the cache.
+"""Command-line contract: artifact bytes, exit codes and what a run writes.
 
 The directories under tests/golden/ were written with
 
-    CHROMADEFECT_CACHE=<empty dir> python -m chromadefect.cli <argv> \\
-        --no-cache --out tests/golden/<name>
+    python -m chromadefect.cli <argv> --out tests/golden/<name>
 
 for each name and argv in GOLDEN: the fgl jobs and defect_cap8 by the
 engine before the univariate defect witness replaced the bivariate one,
@@ -51,7 +50,7 @@ from pathlib import Path
 
 import pytest
 
-from chromadefect import cache, cli, ext, margolis
+from chromadefect import cli, ext, margolis
 from chromadefect.gradedlin import modp
 from chromadefect.steenrod import Profile
 
@@ -96,24 +95,12 @@ GOLDEN = {
 }
 
 
-@pytest.fixture(autouse=True)
-def cache_dir(tmp_path, monkeypatch):
-    root = tmp_path / "cache"
-    monkeypatch.setenv(cli.CACHE_ENV, str(root))
-    return root
-
-
 def run(argv, out):
     return cli.main([*argv, *FORMATS, "--out", str(out)])
 
 
 def written(out):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-
-
-def job_key(argv):
-    args = cli.parse_args(argv)
-    return cache.key(args.subcommand, *cli._config_from_args(args))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -515,125 +502,45 @@ def test_smallest_fgl_cap_runs(tmp_path):
     assert json.loads((out / "fgl_er3.json").read_text())["cap"] == 9
 
 
-def test_cache_hit_serves_the_same_bytes(tmp_path, capsys, cache_dir):
-    assert run(["fgl", "--n", "2"], tmp_path / "a") == cli.EXIT_OK
-    assert "cache hit" not in capsys.readouterr().err
-    assert run(["fgl", "--n", "2"], tmp_path / "b") == cli.EXIT_OK
-    assert "cache hit" in capsys.readouterr().err
-    assert written(tmp_path / "b") == written(tmp_path / "a")
-    assert len(list(cache_dir.glob("*.json"))) == 1
+def test_default_cap_spelled_out_writes_the_same_bytes(tmp_path):
+    # --cap 16 is ER(3)'s default 2^3 + 8, which fgl_params resolves: one job
+    assert run(["fgl", "--n", "3", "--cap", "16"], tmp_path / "out") == cli.EXIT_OK
+    assert written(tmp_path / "out") == written(GOLDEN_DIR / "fgl_n3")
 
 
-def test_default_cap_spelled_out_hits_the_cache(tmp_path, capsys, cache_dir):
-    # --cap 16 is ER(3)'s default 2^3 + 8: one job, one cache entry
-    assert run(["fgl", "--n", "3"], tmp_path / "a") == cli.EXIT_OK
-    assert "cache hit" not in capsys.readouterr().err
-    assert run(["fgl", "--n", "3", "--cap", "16"], tmp_path / "b") == cli.EXIT_OK
-    assert "cache hit" in capsys.readouterr().err
-    assert written(tmp_path / "b") == written(tmp_path / "a")
-    assert len(list(cache_dir.glob("*.json"))) == 1
-
-
-def test_format_order_and_repeats_hit_one_cache_entry(tmp_path, capsys, cache_dir):
+def test_format_order_and_repeats_write_the_same_bytes(tmp_path):
     # the same formats in another order, one of them repeated: one job
     first = ["fgl", "--n", "2", "--format", "json", "--format", "tsv"]
     again = ["fgl", "--n", "2", "--format", "tsv", "--format", "json", "--format", "tsv"]
-    assert job_key(first) == job_key(again)
+    assert (cli._config_from_args(cli.parse_args(first))
+            == cli._config_from_args(cli.parse_args(again)))
     assert cli.main([*first, "--out", str(tmp_path / "a")]) == cli.EXIT_OK
-    assert "cache hit" not in capsys.readouterr().err
     assert cli.main([*again, "--out", str(tmp_path / "b")]) == cli.EXIT_OK
-    assert "cache hit" in capsys.readouterr().err
     assert written(tmp_path / "b") == written(tmp_path / "a") == written(GOLDEN_DIR / "fgl_n2")
-    assert len(list(cache_dir.glob("*.json"))) == 1
 
 
-def test_engine_change_misses_the_cache(tmp_path, capsys, cache_dir, monkeypatch):
-    assert run(["fgl", "--n", "2"], tmp_path / "a") == cli.EXIT_OK
-    monkeypatch.setattr(cache, "_engine_fingerprint", lambda: "0" * 64)
-    assert run(["fgl", "--n", "2"], tmp_path / "b") == cli.EXIT_OK
-    assert "cache hit" not in capsys.readouterr().err
-    assert len(list(cache_dir.glob("*.json"))) == 2
-
-
-def test_entry_with_a_foreign_key_is_rejected(tmp_path, capsys, cache_dir):
-    key = job_key(["fgl", "--n", "2", *FORMATS])
-    cache.cache_store("f" * 64, {"fgl_er2.json": b"stale\n"})
-    (cache_dir / f"{'f' * 64}.json").rename(cache_dir / f"{key}.json")
-    assert cache.cache_load(key) is None
-    out = tmp_path / "out"
-    assert run(["fgl", "--n", "2"], out) == cli.EXIT_OK
-    assert "cache hit" not in capsys.readouterr().err
-    assert written(out) == written(GOLDEN_DIR / "fgl_n2")
-
-
-def test_deeply_nested_entry_is_recomputed(tmp_path, capsys, cache_dir):
-    # an entry the decoder cannot finish counts as corrupt, like any other
-    key = job_key(["fgl", "--n", "1", *FORMATS])
-    cache_dir.mkdir()
-    (cache_dir / f"{key}.json").write_text("[" * 100_000)
-    assert cache.cache_load(key) is None
-    out = tmp_path / "out"
-    assert run(["fgl", "--n", "1"], out) == cli.EXIT_OK
-    assert "cache hit" not in capsys.readouterr().err
-    assert written(out) == written(GOLDEN_DIR / "fgl_n1")
-    assert cache.cache_load(key) == written(out)
-
-
-@pytest.mark.parametrize(
-    "artifacts",
-    ["escape", {"a/b": ""}, {"..": ""}, {"a\0b": ""}, ["fgl_er2.json"]],
-    ids=["escape", "a/b", "..", "nul", "list"],
-)
-def test_entry_without_plain_artifact_names_is_recomputed(artifacts, tmp_path, capsys, cache_dir):
-    # an entry whose artifacts are not plain file names mapped to bytes
-    # must neither lead a write out of --out nor crash the job: it
-    # counts as corrupt and is rewritten
-    if artifacts == "escape":
-        artifacts = {f"/..{tmp_path}/escaped.txt": "ZXNjYXBlZAo="}
-    key = job_key(["fgl", "--n", "2", *FORMATS])
-    cache_dir.mkdir()
-    (cache_dir / f"{key}.json").write_text(json.dumps({"key": key, "artifacts": artifacts}))
-    out = tmp_path / "out"
-    assert run(["fgl", "--n", "2"], out) == cli.EXIT_OK
-    assert "cache hit" not in capsys.readouterr().err
-    assert written(out) == written(GOLDEN_DIR / "fgl_n2")
-    files = {path.relative_to(tmp_path) for path in tmp_path.rglob("*") if path.is_file()}
-    assert files == {Path("cache", f"{key}.json"), *(Path("out", n) for n in written(out))}
-    assert cache.cache_load(key) == written(out)
-
-
-def test_no_cache_skips_the_fingerprint(tmp_path, monkeypatch, cache_dir):
-    def refuse():
-        raise AssertionError("fingerprint computed with the cache off")
-
-    monkeypatch.setattr(cache, "_engine_fingerprint", refuse)
-    assert run(["fgl", "--n", "1", "--no-cache"], tmp_path / "out") == cli.EXIT_OK
-    assert not cache_dir.exists()
-    # the stub is the fingerprint the key reads: with the cache on it raises
-    with pytest.raises(AssertionError, match="fingerprint computed"):
-        run(["fgl", "--n", "1"], tmp_path / "cached")
-
-
-def test_unwritable_cache_entry_leaves_no_temporary(tmp_path, capsys, cache_dir):
-    # a directory where the entry belongs: the rename fails, the job
-    # still writes its artifacts, and the cache keeps no temporary file
-    key = job_key(["fgl", "--n", "1", *FORMATS])
-    (cache_dir / f"{key}.json").mkdir(parents=True)
-    out = tmp_path / "out"
-    assert run(["fgl", "--n", "1"], out) == cli.EXIT_OK
-    assert "warning: cache not written" in capsys.readouterr().err
-    assert written(out) == written(GOLDEN_DIR / "fgl_n1")
-    assert [path.name for path in cache_dir.iterdir()] == [f"{key}.json"]
-
-
-def test_unusable_cache_dir_still_writes_artifacts(tmp_path, capsys, monkeypatch):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    monkeypatch.setenv(cli.CACHE_ENV, str(blocker))
-    out = tmp_path / "out"
-    assert run(["fgl", "--n", "1"], out) == cli.EXIT_OK
-    assert "warning: cache not written" in capsys.readouterr().err
-    assert written(out) == written(GOLDEN_DIR / "fgl_n1")
+def test_a_run_writes_only_its_artifacts(tmp_path):
+    # the default path, without --no-cache, in a fresh interpreter: the
+    # artifacts land in --out and nowhere else, with nothing on stderr,
+    # and --no-cache changes no byte
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "HOME": str(tmp_path / "home"), "CHROMADEFECT_CACHE": str(tmp_path / "cache")}
+    (tmp_path / "home").mkdir()
+    (tmp_path / "cache").mkdir()
+    runs = {}
+    for name, switch in (("default", []), ("no-cache", ["--no-cache"])):
+        (tmp_path / name).mkdir()
+        runs[name] = subprocess.run(
+            [sys.executable, "-m", "chromadefect.cli", "fgl", "--n", "1", *switch, "--out", "out"],
+            cwd=tmp_path / name, env=env, capture_output=True, timeout=120,
+        )
+        assert runs[name].returncode == cli.EXIT_OK
+        assert runs[name].stderr == b""
+    made = sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*"))
+    assert made == ["cache", "default", "default/out", "default/out/fgl_er1.json", "home",
+                    "no-cache", "no-cache/out", "no-cache/out/fgl_er1.json"]
+    assert runs["default"].stdout == runs["no-cache"].stdout == b"wrote out/fgl_er1.json\n"
+    assert written(tmp_path / "default" / "out") == written(tmp_path / "no-cache" / "out")
 
 
 @pytest.mark.parametrize("out, shown, lands", [
@@ -727,35 +634,6 @@ def test_failed_write_leaves_nothing(fault, tmp_path, capsys, monkeypatch):
     assert list(out.iterdir()) == []
 
 
-def test_failed_cache_write_leaves_no_temporary(tmp_path, capsys, cache_dir, monkeypatch):
-    monkeypatch.setattr(cli, "open", faulty_open(lambda path: path.startswith(str(cache_dir))),
-                        raising=False)
-    out = tmp_path / "out"
-    assert run(["fgl", "--n", "1"], out) == cli.EXIT_OK
-    assert "warning: cache not written: [Errno 28]" in capsys.readouterr().err
-    assert list(cache_dir.iterdir()) == []
-    assert written(out) == written(GOLDEN_DIR / "fgl_n1")
-
-
-def test_no_home_directory_skips_the_cache(tmp_path, capsys, monkeypatch):
-    # HOME unset and the uid without a passwd entry: os.path.expanduser
-    # returns "~" as given, and the cache must not become ./~
-    import pwd
-
-    def no_entry(uid):
-        raise KeyError(uid)
-
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    monkeypatch.delenv("HOME", raising=False)
-    monkeypatch.setattr(pwd, "getpwuid", no_entry)
-    monkeypatch.chdir(tmp_path)
-    assert run(["fgl", "--n", "1"], "out") == cli.EXIT_OK
-    err = capsys.readouterr().err
-    assert f"warning: cache not written: [Errno 2] no home directory; set {cli.CACHE_ENV}" in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
-    assert written(tmp_path / "out") == written(GOLDEN_DIR / "fgl_n1")
-
-
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("argv", [["fgl", "--n", "1", *FORMATS, "--no-cache", "--out", "out"],
                                   ["--help"]],
@@ -775,19 +653,3 @@ def test_closed_stdout_exits_0(argv, unbuffered, tmp_path):
     assert err == b""
     if argv[0] == "fgl":
         assert written(tmp_path / "out") == written(GOLDEN_DIR / "fgl_n1")
-
-
-def test_cache_key_follows_the_module(tmp_path):
-    rp4 = INPUTS / "rp4.json"
-
-    def key(path):
-        return job_key(["margolis", "--input", str(path)])
-
-    module = json.loads(rp4.read_text())
-    module["basis"][-1]["degree"] += 2
-    edited = tmp_path / "rp4.json"
-    edited.write_text(json.dumps(module))
-    assert key(edited) != key(rp4)
-    # the same module laid out differently keeps its key
-    edited.write_text(json.dumps(json.loads(rp4.read_text()), indent=1))
-    assert key(edited) == key(rp4)

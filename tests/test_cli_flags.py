@@ -69,7 +69,6 @@ def test_refused_like_argparse(argv, tmp_path, capsys, monkeypatch):
         build_parser().parse_args(argv)
     assert exc.value.code == 2
     capsys.readouterr()
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
@@ -91,8 +90,7 @@ def test_row_names_a_job_and_its_reader_in_one_engine(subcommand):
 def entry(tmp_path, *argv, via=("-X", "importtime", "-m", "chromadefect.cli")):
     """`python -X importtime -m chromadefect.cli argv` in tmp_path, or
     `python <via> argv`."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
-           cli.CACHE_ENV: str(tmp_path / "cache")}
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     return subprocess.run(
         [sys.executable, *via, *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
@@ -122,7 +120,7 @@ def test_entry_point(tmp_path):
     assert all(name in done.stdout for name in cli.SUBCOMMANDS)
     assert "Exit codes: 0 done (or help), 2 bad input" in done.stdout
     assert "3 an engine refused to certify" in done.stdout
-    assert f"${cli.CACHE_ENV}" in done.stdout and "--no-cache" in done.stdout
+    assert "cache" not in done.stdout.lower()
     # the entry point runs as __main__; usage imports it under its own
     # name without loading a second copy
     assert "chromadefect.usage" in imported(done) and "chromadefect.cli" not in imported(done)
@@ -132,6 +130,7 @@ def test_entry_point(tmp_path):
     assert done.returncode == 0
     flags = {**cli.SUBCOMMANDS["ext"].flags, **cli.COMMON_FLAGS}
     assert all(flag in done.stdout for flag in flags)
+    assert "CHROMADEFECT_CACHE" not in done.stdout
 
 
 # the exit code of importing chromadefect.cli and running main(argv),
@@ -145,7 +144,6 @@ code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
 print(json.dumps([code, sorted(set(sys.modules) - before), sorted(sys.modules)]))
 """
 LAZY = {
-    "chromadefect.cache",
     "chromadefect.usage",
     "chromadefect.may",
     "chromadefect.margolis",
@@ -170,8 +168,7 @@ RP4 = str(Path(__file__).parent / "golden" / "inputs" / "rp4.json")
     pytest.param(["defect", "--cap", "8", "--no-cache"], set(), id="defect"),
     pytest.param(["ko-ss", "--window", "0", "4", "0", "4", "--no-cache"],
                  {"chromadefect.ssq", "chromadefect.gradedlin.integers"}, id="ko-ss"),
-    pytest.param(["fgl", "--n", "1"], {"chromadefect.cache", "hashlib", "base64"},
-                 id="fgl-cached"),
+    pytest.param(["fgl", "--n", "1"], set(), id="fgl-default"),
     pytest.param(["--help"], {"chromadefect.usage"}, id="help"),
     pytest.param(["may", "--stem-max", "4", "--s-max", "2", "--no-cache"],
                  {"chromadefect.may"}, id="may"),

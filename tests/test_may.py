@@ -309,7 +309,6 @@ class TestJob:
             return d1_element(n, p, table, x)
 
         monkeypatch.setattr(may, "d1_element", traced)
-        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
         argv = ["may", "--format", "tsv", "--format", "json", "--format", "svg",
                 "--no-cache", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == cli.EXIT_OK

@@ -2,10 +2,10 @@
 
 The package holds what the jobs run; test oracles live under
 tests/oracles/.  This test runs every GOLDEN argv in process under
-`sys.setprofile`, plus one cached run (store, then hit) and the
-top-level and `ext` help, and asserts that every function defined under
-src/chromadefect was entered.  It first clears every cache a package
-module holds, so a cache that earlier tests filled hides no function.
+`sys.setprofile`, plus the top-level and `ext` help, and asserts that
+every function defined under src/chromadefect was entered.  It first
+clears every cache a package module holds, so a cache that earlier
+tests filled hides no function.
 Dunder methods are exempt.  EXEMPT names the other exemptions, one
 group per planned change that takes them as its main path or replaces
 them; no group is left, so EXEMPT is empty.  An exempt function that a
@@ -102,15 +102,12 @@ def clear_package_caches():
                     value.cache_clear()
 
 
-def test_every_package_function_is_reached(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
+def test_every_package_function_is_reached(tmp_path):
     clear_package_caches()
 
     def jobs():
         for name, argv in GOLDEN.items():
             assert cli.main([*argv, "--no-cache", "--out", str(tmp_path / name)]) == 0
-        for run in ("store", "hit"):
-            assert cli.main(["fgl", "--n", "1", "--out", str(tmp_path / run)]) == 0
         for argv in (["--help"], ["ext", "--help"]):
             assert cli.main(argv) == 0
 
